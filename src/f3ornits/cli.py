@@ -25,7 +25,12 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, DivergenceError
-from .config import config_from_mapping, materialize, parse_kv_text
+from .config import (
+    SCALAR_KEYS,
+    config_from_mapping,
+    materialize,
+    parse_kv_text,
+)
 from .master import run_f3ornits, run_jacobi
 from .models import monolithic_reference
 from .report import (
@@ -38,28 +43,13 @@ from .report import (
 )
 from .trace import format_float
 
-#: (flag, config key); every value is passed through as raw text so that
-#: type conversion and error wording match the config-file path exactly
-_FLAG_KEYS = (
-    ("--model", "model"),
-    ("--method", "method"),
-    ("--calibration", "calibration"),
-    ("--error-norm", "error_norm"),
-    ("--nu", "nu"),
-    ("--tol-rel", "tol_rel"),
-    ("--tol-abs", "tol_abs"),
-    ("--rho-min", "rho_min"),
-    ("--rho-max", "rho_max"),
-    ("--dt0", "dt0"),
-    ("--dt-min", "dt_min"),
-    ("--dt-max", "dt_max"),
-    ("--dt", "dt"),
-    ("--t-end", "t_end"),
-    ("--seed", "seed"),
-    ("--force-order", "force_order"),
-    ("--output-dir", "output_dir"),
-    ("--prefix", "prefix"),
-    ("--rmse-variable", "rmse_variable"),
+#: (flag, config key) for every plain key but the booleans, which get
+#: --name / --no-name switches; every value is passed through as raw text
+#: so that type conversion and error wording match the config-file path
+_FLAG_KEYS = tuple(
+    ("--" + key.replace("_", "-"), key)
+    for key, typ in SCALAR_KEYS.items()
+    if typ is not bool
 )
 
 
@@ -121,7 +111,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = config_from_mapping(_gather_raw(args))
     setup = materialize(cfg)
     if cfg.method == "jacobi":
-        trace = run_jacobi(setup.model.problem, setup.jacobi_dt, setup.options)
+        trace = run_jacobi(setup.model.problem, cfg.dt, setup.options)
     else:
         trace = run_f3ornits(setup.model.problem, setup.options)
     paths = trace.write_csv(cfg.output_dir, cfg.prefix)

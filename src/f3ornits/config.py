@@ -6,7 +6,7 @@ lines ignored.  Dotted keys carry structured overrides:
     param.<name>                 model parameter override (see models)
     dt0.<label>                  per-subsystem startup step
     caps.<label>.max_input_degree
-    caps.<label>.imposed_step    implies the subsystem cannot vary its step
+    caps.<label>.imposed_step    locks that subsystem to a fixed grid
 
 Everything else is a plain field of RunConfig.  Unknown keys are rejected
 by name; so are missing required ones.  `materialize` turns a RunConfig
@@ -17,7 +17,8 @@ bounds that default from the model horizon: dt_min = smallest dt0, dt_max
 
 from __future__ import annotations
 
-import dataclasses
+import math
+import typing
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -62,27 +63,18 @@ class RunConfig:
     caps_overrides: dict[str, dict[str, float]] = field(default_factory=dict)
 
 
-_SCALARS: dict[str, type] = {
-    "model": str,
-    "method": str,
-    "calibration": str,
-    "error_norm": str,
-    "nu": float,
-    "smoothing": bool,
-    "tol_rel": float,
-    "tol_abs": float,
-    "rho_min": float,
-    "rho_max": float,
-    "dt0": float,
-    "dt_min": float,
-    "dt_max": float,
-    "dt": float,
-    "t_end": float,
-    "seed": int,
-    "force_order": int,
-    "output_dir": str,
-    "prefix": str,
-    "rmse_variable": str,
+def _scalar_type(hint) -> type:
+    """`X` for an annotation `X` or `X | None`."""
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    return args[0] if args else hint
+
+
+#: plain config keys and their value types, in RunConfig field order; the
+#: dict-valued fields are filled from the dotted keys instead
+SCALAR_KEYS: dict[str, type] = {
+    name: _scalar_type(hint)
+    for name, hint in typing.get_type_hints(RunConfig).items()
+    if typing.get_origin(hint) is not dict
 }
 
 
@@ -130,8 +122,8 @@ def config_from_mapping(raw: dict[str, str]) -> RunConfig:
     caps: dict[str, dict[str, float]] = {}
     unknown: list[str] = []
     for key, value in raw.items():
-        if key in _SCALARS:
-            fields[key] = _convert(key, value, _SCALARS[key])
+        if key in SCALAR_KEYS:
+            fields[key] = _convert(key, value, SCALAR_KEYS[key])
         elif key.startswith("param."):
             name = key[len("param."):]
             if not name:
@@ -181,12 +173,10 @@ def load_config(path) -> RunConfig:
 
 @dataclass(frozen=True)
 class RunSetup:
-    """Everything the runner needs: the model, the method, the knobs."""
+    """Everything the runner needs: the model, the knobs, the scored output."""
 
-    config: RunConfig
     model: BenchmarkModel
     options: MasterOptions
-    jacobi_dt: float | None
     variable: tuple[str, int]
 
 
@@ -223,6 +213,8 @@ def materialize(cfg: RunConfig) -> RunSetup:
         )
     if cfg.method == "jacobi" and cfg.dt is None:
         raise ConfigError("missing required key 'dt' (jacobi needs a grid step)")
+    if cfg.dt is not None and not (math.isfinite(cfg.dt) and cfg.dt > 0):
+        raise ConfigError(f"key 'dt': {cfg.dt!r} is not a finite positive step")
 
     params = dict(cfg.params)
     if cfg.t_end is not None:
@@ -238,22 +230,29 @@ def materialize(cfg: RunConfig) -> RunSetup:
     # build once without overrides to learn labels, then apply per-label knobs
     base = build_model(cfg.model, params)
     labels = [s.label for s in base.problem.subsystems]
+    t_init, t_end = base.problem.t_init, base.problem.t_end
+    if not (math.isfinite(t_end) and t_end > t_init):
+        raise ConfigError(
+            f"key 't_end': {t_end!r} must be finite and greater than "
+            f"t_init = {t_init!r}"
+        )
 
     dt0 = None
     if cfg.dt0 is not None or cfg.dt0_per_label:
-        scalar = cfg.dt0 if cfg.dt0 is not None else None
         per = []
         for k, label in enumerate(labels):
             if label in cfg.dt0_per_label:
                 per.append(cfg.dt0_per_label[label])
-            elif scalar is not None:
-                per.append(scalar)
+            elif cfg.dt0 is not None:
+                per.append(cfg.dt0)
             else:
                 per.append(base.problem.dt0[k])
         stray = sorted(set(cfg.dt0_per_label) - set(labels))
         if stray:
             raise ConfigError(f"dt0.* names unknown subsystem(s): {', '.join(stray)}")
         dt0 = tuple(per)
+        if not all(math.isfinite(d) and d > 0 for d in dt0):
+            raise ConfigError(f"key 'dt0': {dt0!r} must be finite and positive")
 
     capabilities = None
     if cfg.caps_overrides:
@@ -273,7 +272,6 @@ def materialize(cfg: RunConfig) -> RunSetup:
                 kwargs["max_input_degree"] = int(round(over["max_input_degree"]))
             if "imposed_step" in over:
                 kwargs["imposed_step"] = float(over["imposed_step"])
-                kwargs["variable_step"] = False
             capabilities.append(Capabilities(**kwargs))
 
     model = (
@@ -282,13 +280,8 @@ def materialize(cfg: RunConfig) -> RunSetup:
         else base
     )
 
-    problem = model.problem
-    dt_min = cfg.dt_min if cfg.dt_min is not None else min(problem.dt0)
-    dt_max = (
-        cfg.dt_max
-        if cfg.dt_max is not None
-        else (problem.t_end - problem.t_init) / 10.0
-    )
+    dt_min = cfg.dt_min if cfg.dt_min is not None else min(model.problem.dt0)
+    dt_max = cfg.dt_max if cfg.dt_max is not None else (t_end - t_init) / 10.0
     tol = Tolerances(
         tol_rel=cfg.tol_rel,
         tol_abs=cfg.tol_abs,
@@ -321,27 +314,19 @@ def materialize(cfg: RunConfig) -> RunSetup:
             f"rmse_variable index {variable[1]} out of range for {variable[0]}"
         )
 
-    return RunSetup(
-        config=cfg,
-        model=model,
-        options=options,
-        jacobi_dt=cfg.dt,
-        variable=variable,
-    )
+    return RunSetup(model=model, options=options, variable=variable)
 
 
 def config_to_text(cfg: RunConfig) -> str:
     """Round-trip helper: the flat text form of a config (sorted keys)."""
     lines = []
-    for f in dataclasses.fields(RunConfig):
-        if f.name in ("params", "dt0_per_label", "caps_overrides"):
-            continue
-        value = getattr(cfg, f.name)
+    for name in SCALAR_KEYS:
+        value = getattr(cfg, name)
         if value is None:
             continue
         if isinstance(value, bool):
             value = "true" if value else "false"
-        lines.append(f"{f.name} = {value}")
+        lines.append(f"{name} = {value}")
     for name, value in sorted(cfg.params.items()):
         lines.append(f"param.{name} = {value}")
     for label, value in sorted(cfg.dt0_per_label.items()):

@@ -60,10 +60,9 @@ class CouplingGraph:
         )
 
     def validate(self) -> list[str]:
-        """Collect diagnostics; an empty list means the graph is usable.
+        """Collect fatal diagnostics; an empty list means the graph is usable.
 
-        Validation never raises: callers decide whether warnings (such as a
-        subsystem feeding itself) are acceptable for their run.
+        Validation never raises.  A subsystem feeding itself is allowed.
         """
         out: list[str] = []
         if len(self.n_in) != len(self.n_out):
@@ -84,17 +83,11 @@ class CouplingGraph:
             if (k, i) in fed:
                 out.append(f"input ({k},{i}) is fed twice")
             fed.add((k, i))
-            if k == l:
-                out.append(f"note: subsystem {k} feeds itself (allowed)")
         for k in range(n):
             for i in range(self.n_in[k]):
                 if (k, i) not in fed:
                     out.append(f"input ({k},{i}) is not fed by any output")
         return out
-
-    def errors(self) -> list[str]:
-        """Validation diagnostics that are fatal (notes filtered out)."""
-        return [d for d in self.validate() if not d.startswith("note:")]
 
 
 class SampleHistory:
@@ -111,19 +104,6 @@ class SampleHistory:
 
     def __len__(self) -> int:
         return len(self._buf)
-
-    @property
-    def times(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self._buf)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self._buf)
-
-    def last_time(self) -> float:
-        if not self._buf:
-            raise SequencingError("history is empty")
-        return self._buf[-1][0]
 
     def push(self, t: float, value: float) -> None:
         if self._buf and t <= self._buf[-1][0]:

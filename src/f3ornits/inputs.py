@@ -3,8 +3,8 @@
 Three stages, applied in order:
 
 1. resolve which published producer polynomial covers the window start (the
-   latest one whose own window began at or before it — asynchronous consumers
-   may therefore read an extension past the producer's planned refresh);
+   latest one published at or before it — asynchronous consumers may
+   therefore read an extension past the producer's planned refresh);
 2. cap the degree to what the consumer can integrate, by re-fitting a
    constrained least-squares polynomial through samples of the source across
    the window, exact at the window-start value;
@@ -14,12 +14,17 @@ Three stages, applied in order:
 
 Capping happens before smoothing: the blend must honor the consumer's degree
 budget, which smoothing itself raises to three.
+
+A producer's publication log is its list of published polynomials, oldest
+first.  Each polynomial's `t_ref` is its publication time and its degree is
+the order it was published with, so the log needs no other bookkeeping.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 from .errors import SequencingError
@@ -40,22 +45,20 @@ class InputPlan:
 
     poly: Polynomial
     window_start: float
-    window_end: float
-    source_index: int
     smoothed: bool
 
 
-def resolve_source(publish_times: Sequence[float], t_start: float) -> int:
-    """Index of the newest published polynomial whose window began <= t_start."""
-    m = bisect_right(publish_times, t_start) - 1
+def resolve_source(published: Sequence[Polynomial], t_start: float) -> Polynomial:
+    """The newest published polynomial whose publication time is <= t_start."""
+    m = bisect_right(published, t_start, key=attrgetter("t_ref")) - 1
     if m < 0:
         raise SequencingError(
             f"no published polynomial covers t = {t_start!r} "
-            f"(first publication at {publish_times[0]!r})"
-            if publish_times
+            f"(first publication at {published[0].t_ref!r})"
+            if published
             else f"no published polynomial covers t = {t_start!r}"
         )
-    return m
+    return published[m]
 
 
 def cap_degree(
@@ -111,8 +114,7 @@ def smooth(
 
 
 def build_plan(
-    publish_times: Sequence[float],
-    polys: Sequence[Polynomial],
+    published: Sequence[Polynomial],
     window_start: float,
     window_end: float,
     max_degree: int,
@@ -126,18 +128,11 @@ def build_plan(
     window, when disabled, or when the consumer cannot take cubics; the
     returned context always reflects the polynomial actually delivered.
     """
-    m = resolve_source(publish_times, window_start)
-    p = cap_degree(polys[m], max_degree, window_start, window_end)
+    source = resolve_source(published, window_start)
+    p = cap_degree(source, max_degree, window_start, window_end)
     smoothed = False
     if smoothing and smoothing_capable and ctx is not None:
         p = smooth(p, window_start, window_end, ctx)
         smoothed = True
     new_ctx = SmoothingContext(value=p(window_end), slope=p.derivative()(window_end))
-    plan = InputPlan(
-        poly=p,
-        window_start=window_start,
-        window_end=window_end,
-        source_index=m,
-        smoothed=smoothed,
-    )
-    return plan, new_ctx
+    return InputPlan(p, window_start, smoothed), new_ctx

@@ -32,13 +32,14 @@ estimates are always at least dt_min ahead).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .coupling import CouplingGraph, SampleHistory, TopologyTag
 from .errors import ConfigError
-from .inputs import SmoothingContext, build_plan
+from .inputs import InputPlan, SmoothingContext, build_plan
 from .orders import CALIBRATION_MODES, estimate_output, select_order
 from .poly import Polynomial
 from .stepper import (
@@ -78,7 +79,7 @@ class CosimProblem:
             raise ConfigError(
                 "subsystems, capabilities, graph and dt0 must agree in length"
             )
-        errs = self.graph.errors()
+        errs = self.graph.validate()
         if errs:
             raise ConfigError("coupling graph invalid: " + "; ".join(errs))
         for k, spec in enumerate(self.subsystems):
@@ -109,8 +110,10 @@ class MasterOptions:
             raise ConfigError(f"unknown calibration {self.calibration!r}")
         if self.error_norm not in ERROR_NORMS:
             raise ConfigError(f"unknown error norm {self.error_norm!r}")
-        if self.dt_epsilon <= 0:
-            raise ConfigError("dt_epsilon must be positive")
+        if not (math.isfinite(self.dt_epsilon) and self.dt_epsilon > 0):
+            raise ConfigError(
+                f"dt_epsilon must be finite and positive, got {self.dt_epsilon!r}"
+            )
         if self.force_order is not None and not 0 <= self.force_order <= 2:
             raise ConfigError("force_order must be in 0..2")
 
@@ -255,25 +258,29 @@ class _SubRuntime:
     """Mutable per-subsystem state while the event loop runs."""
 
     __slots__ = (
-        "spec", "caps", "topology", "state", "reached", "dt_prev",
-        "estimated", "histories", "pub_times", "pub_polys", "pub_orders",
-        "bounds", "last_orders", "orders_changed", "smooth_ctx", "finished",
+        "spec", "caps", "topology", "producers", "state", "reached",
+        "estimated", "histories", "published",
+        "bounds", "orders_changed", "smooth_ctx", "finished",
     )
 
-    def __init__(self, spec: SubsystemSpec, caps: Capabilities, topo: TopologyTag):
+    def __init__(
+        self,
+        spec: SubsystemSpec,
+        caps: Capabilities,
+        topo: TopologyTag,
+        producers: tuple[int, ...],
+    ):
         self.spec = spec
         self.caps = caps
         self.topology = topo
+        self.producers = producers
         self.state = list(spec.x_init)
         self.reached = 0.0
-        self.dt_prev = 0.0
         self.estimated = 0.0
         self.histories = [SampleHistory() for _ in range(spec.n_out)]
-        self.pub_times: list[list[float]] = [[] for _ in range(spec.n_out)]
-        self.pub_polys: list[list[Polynomial]] = [[] for _ in range(spec.n_out)]
-        self.pub_orders: list[list[int]] = [[] for _ in range(spec.n_out)]
+        # per output, every polynomial published so far, oldest first
+        self.published: list[list[Polynomial]] = [[] for _ in range(spec.n_out)]
         self.bounds: list[DampedBounds] = []
-        self.last_orders = [0] * spec.n_out
         self.orders_changed = True
         self.smooth_ctx: list[SmoothingContext | None] = [None] * spec.n_in
         self.finished = False
@@ -287,10 +294,9 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
     tol = options.tolerances
     t0, t_end = problem.t_init, problem.t_end
     graph = problem.graph
-    n = len(problem.subsystems)
 
     runtimes = [
-        _SubRuntime(spec, caps, graph.topology(k))
+        _SubRuntime(spec, caps, graph.topology(k), graph.producers_of(k))
         for k, (spec, caps) in enumerate(
             zip(problem.subsystems, problem.capabilities)
         )
@@ -303,9 +309,7 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
         rt.reached = t0
         for j in range(rt.spec.n_out):
             rt.histories[j].push(t0, y0[k][j])
-            rt.pub_times[j].append(t0)
-            rt.pub_polys[j].append(Polynomial(t0, (y0[k][j],)))
-            rt.pub_orders[j].append(0)
+            rt.published[j].append(Polynomial(t0, (y0[k][j],)))
             rt.bounds.append(DampedBounds.from_first_sample(y0[k][j]))
         if rt.caps.imposed_step is not None:
             rt.estimated = t0 + rt.caps.imposed_step
@@ -328,12 +332,12 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
                 reached=rt.reached,
                 estimated=rt.estimated,
                 topology=rt.topology,
-                producers=graph.producers_of(k),
+                producers=rt.producers,
                 imposed_step=rt.caps.imposed_step,
                 orders_changed=rt.orders_changed,
                 finished=rt.finished,
             )
-            for k, rt in enumerate(runtimes)
+            for rt in runtimes
         ]
 
     effective = reconcile(schedule_entries(), t_end, options.dt_epsilon)
@@ -364,8 +368,7 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
                 l, j = graph.links[(k, i)]
                 src = runtimes[l]
                 plan, new_ctx = build_plan(
-                    src.pub_times[j],
-                    src.pub_polys[j],
+                    src.published[j],
                     rt.reached,
                     t_event,
                     deg_cap,
@@ -394,11 +397,11 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
             res = results[k]
             dt_prev = t_event - rt.reached
             errs, orders_now, p_used = [], [], []
-            changed = False
             for j in range(rt.spec.n_out):
                 y_new = res.outputs[j]
-                y_pred = rt.pub_polys[j][-1](t_event)
-                p_used.append(rt.pub_orders[j][-1])
+                last_pub = rt.published[j][-1]
+                y_pred = last_pub(t_event)
+                p_used.append(last_pub.degree)
                 rt.bounds[j] = update_damped_bounds(
                     rt.bounds[j], y_new, dt_prev, tol.nu
                 )
@@ -411,19 +414,12 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
                     rt.histories[j], t_event, y_new, force=options.force_order
                 )
                 rt.histories[j].push(t_event, y_new)
-                est = estimate_output(
-                    rt.histories[j], decision, options.calibration
+                rt.published[j].append(
+                    estimate_output(rt.histories[j], decision, options.calibration)
                 )
-                rt.pub_times[j].append(t_event)
-                rt.pub_polys[j].append(est.poly)
-                rt.pub_orders[j].append(est.order)
                 orders_now.append(decision.order)
-                if decision.order != rt.last_orders[j]:
-                    changed = True
-                rt.last_orders[j] = decision.order
-            rt.orders_changed = changed
+            rt.orders_changed = orders_now != p_used
             rt.reached = t_event
-            rt.dt_prev = dt_prev
 
             rho = 1.0
             if rt.caps.imposed_step is not None:
@@ -494,7 +490,7 @@ def run_jacobi(
         t_prev, t = t, t_next
         events += 1
         for k, spec in enumerate(specs):
-            plans = [_HeldPlan(held[k][i], t_prev) for i in range(spec.n_in)]
+            plans = [InputPlan(p, t_prev, False) for p in held[k]]
             _record(
                 trace.subsystems[spec.label], t, y[k],
                 (0.0,) * spec.n_out, (0,) * spec.n_out, 1.0, plans,
@@ -503,14 +499,3 @@ def run_jacobi(
     trace.total_events = events
     trace.wall_time_s = time.perf_counter() - t_start_wall
     return trace
-
-
-class _HeldPlan:
-    """Minimal stand-in so held constants can be recorded like input plans."""
-
-    __slots__ = ("poly", "window_start", "smoothed")
-
-    def __init__(self, poly: Polynomial, window_start: float):
-        self.poly = poly
-        self.window_start = window_start
-        self.smoothed = False

@@ -277,6 +277,9 @@ def build_car(
 
 # ------------------------------------------------------------------ registry
 
+#: parameters the models divide by; each must be positive
+POSITIVE_PARAMS = ("m1", "m2", "mass", "tau_diff", "perturb_dwell")
+
 MODEL_BUILDERS: dict[str, tuple[type, Callable[..., BenchmarkModel]]] = {
     "two_mass": (TwoMassParams, build_two_mass),
     "car": (CarParams, build_car),
@@ -314,6 +317,12 @@ def build_model(
             else:
                 coerced[key] = float(value)
         params = dataclasses.replace(params, **coerced)
+    for key in POSITIVE_PARAMS:
+        value = getattr(params, key, None)
+        if value is not None and not value > 0:
+            raise ConfigError(
+                f"parameter {key!r} of {name} must be positive, got {value!r}"
+            )
     kwargs = {}
     if dt0 is not None:
         kwargs["dt0"] = dt0

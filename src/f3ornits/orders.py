@@ -8,6 +8,10 @@ delay), either as a plain extrapolation or as a least-squares fit constrained
 at the newest sample.  The returned polynomial is a global extension: it can
 be evaluated anywhere, which is what allows asynchronous consumers to overrun
 and the step controller to measure prediction errors.
+
+A published polynomial carries its own bookkeeping: its `t_ref` is the
+publication time (the newest sample's time) and its degree is the order it
+was published with.
 """
 
 from __future__ import annotations
@@ -32,17 +36,6 @@ class OrderDecision:
 
     order: int
     candidate_errors: dict[int, float]
-    valid_from: float
-
-
-@dataclass(frozen=True)
-class EstimatedOutput:
-    """Polynomial extension published at `start`, of the decided order."""
-
-    poly: Polynomial
-    start: float
-    order: int
-    mode: str
 
 
 def admissible_orders(history_len: int) -> range:
@@ -77,14 +70,14 @@ def select_order(
             best_q, best_err = q, err
     if force is not None:
         best_q = min(max(force, 0), max(errors))
-    return OrderDecision(order=best_q, candidate_errors=errors, valid_from=t_new)
+    return OrderDecision(order=best_q, candidate_errors=errors)
 
 
 def estimate_output(
     history: SampleHistory,
     decision: OrderDecision,
     mode: str = "extrapolation",
-) -> EstimatedOutput:
+) -> Polynomial:
     """Calibrate the polynomial consumers will read until the next exchange.
 
     The history must already contain the newest sample.  Extrapolation mode
@@ -96,14 +89,8 @@ def estimate_output(
     if mode not in CALIBRATION_MODES:
         raise ValueError(f"unknown calibration mode {mode!r}")
     q = decision.order
-    used_mode = mode
     if mode == "cls" and len(history) >= q + 2:
         times, values = history.newest(q + 2)
-        p = fit_constrained_least_squares(CalibrationPoints(times, values))
-    else:
-        used_mode = "extrapolation"
-        times, values = history.newest(q + 1)
-        p = fit_extrapolation(CalibrationPoints(times, values))
-    return EstimatedOutput(
-        poly=p, start=history.last_time(), order=q, mode=used_mode
-    )
+        return fit_constrained_least_squares(CalibrationPoints(times, values))
+    times, values = history.newest(q + 1)
+    return fit_extrapolation(CalibrationPoints(times, values))

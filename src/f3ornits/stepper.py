@@ -20,7 +20,7 @@ end of the simulation once past their first step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .coupling import TopologyTag
 from .errors import ConfigError
@@ -43,6 +43,10 @@ class Tolerances:
     dt_max: float = 20.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ConfigError(f"key {f.name!r}: {value!r} is not finite")
         if self.tol_rel < 0 or self.tol_abs < 0 or self.tol_rel + self.tol_abs == 0:
             raise ConfigError("tolerances must be >= 0 and not both zero")
         if not 0 < self.rho_min <= 1 <= self.rho_max:

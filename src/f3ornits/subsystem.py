@@ -35,23 +35,21 @@ class Capabilities:
     max_input_degree is the highest polynomial degree the subsystem can
     integrate on its inputs; smoothing additionally needs cubics.  A
     subsystem that cannot vary its communication step declares the step it
-    imposes instead.
+    imposes instead; imposed_step None means the step is free.
     """
 
     max_input_degree: int = SMOOTHING_DEGREE
-    variable_step: bool = True
     imposed_step: float | None = None
 
     def __post_init__(self):
         if self.max_input_degree < 0:
             raise ConfigError("max_input_degree must be >= 0")
-        if self.imposed_step is not None:
-            if self.imposed_step <= 0:
-                raise ConfigError("imposed_step must be positive")
-            if self.variable_step:
-                raise ConfigError(
-                    "a subsystem with an imposed step cannot also vary its step"
-                )
+        if self.imposed_step is not None and not (
+            isfinite(self.imposed_step) and self.imposed_step > 0
+        ):
+            raise ConfigError(
+                f"imposed_step must be finite and positive, got {self.imposed_step!r}"
+            )
 
     @property
     def smoothing_capable(self) -> bool:

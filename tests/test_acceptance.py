@@ -92,7 +92,7 @@ def test_criterion_1_polynomial_exactness():
             )
         est = estimate_output(history, decision)
         far = probe + rng.uniform(0.1, 1.0)
-        if not _close(est.poly(far), truth(far)):
+        if not _close(est(far), truth(far)):
             failures.append(f"trial {trial}: estimated output misses degree {d}")
 
         z0, z1 = rng.uniform(-2, 2), rng.uniform(-2, 2)
@@ -463,9 +463,7 @@ def _random_problem(rng):
     caps = []
     for k in range(n):
         if rng.random() < 0.3:
-            caps.append(Capabilities(
-                variable_step=False, imposed_step=rng.uniform(0.2, 0.5)
-            ))
+            caps.append(Capabilities(imposed_step=rng.uniform(0.2, 0.5)))
         else:
             caps.append(Capabilities())
     return CosimProblem(

@@ -14,9 +14,10 @@ from f3ornits.config import (
     parse_kv_text,
 )
 from f3ornits.errors import ConfigError
-from f3ornits.master import run_f3ornits
+from f3ornits.master import MasterOptions, run_f3ornits
 from f3ornits.models import build_two_mass, monolithic_reference
 from f3ornits.report import ComparisonRow, compute_rmse, run_comparison
+from f3ornits.stepper import Tolerances
 from f3ornits.trace import format_float, read_trace_csv
 
 
@@ -121,7 +122,7 @@ def test_materialize_applies_dt0_and_caps_overrides():
     problem = setup.model.problem
     assert problem.dt0 == (0.2, 0.4)
     caps = problem.capabilities[1]
-    assert caps.imposed_step == 0.5 and caps.variable_step is False
+    assert caps.imposed_step == 0.5
     assert problem.capabilities[0].imposed_step is None
 
 
@@ -266,6 +267,39 @@ def test_cli_exit_codes(tmp_path, capsys):
     ])
     assert code == 2
     assert "mass_right" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["tol_rel", "nu", "t_end", "dt_max", "dt"])
+def test_cli_rejects_non_finite_settings(key, value, tmp_path, capsys):
+    # a NaN or infinite setting would silently switch off step control or
+    # run toward the event valve; it must fail as a configuration error
+    # that names the key
+    code = cli.main([
+        "run", "--model", "two_mass", "--method", "jacobi", "--dt", "0.1",
+        f"--{key.replace('_', '-')}={value}", "--output-dir", str(tmp_path),
+    ])
+    assert code == 1
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_options_reject_non_finite_values(value):
+    for key in ("tol_rel", "tol_abs", "rho_min", "rho_max", "nu", "dt_min",
+                "dt_max"):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            Tolerances(**{key: value})
+    with pytest.raises(ConfigError, match="dt_epsilon"):
+        MasterOptions(dt_epsilon=value).validate()
+
+
+def test_cli_rejects_non_positive_parameters(capsys):
+    assert cli.main(["run", "--model", "two_mass", "--param", "m1=0"]) == 1
+    assert "'m1'" in capsys.readouterr().err
+    assert cli.main([
+        "run", "--model", "car", "--seed", "7", "--param", "tau_diff=0",
+    ]) == 1
+    assert "'tau_diff'" in capsys.readouterr().err
 
 
 def test_cli_rejects_malformed_pairs(capsys):

@@ -18,18 +18,23 @@ from f3ornits.poly import Polynomial
 
 # ------------------------------------------------------------ resolve_source
 
+def _log(*starts):
+    """A publication log: one constant polynomial published at each time."""
+    return [Polynomial(t, (float(i),)) for i, t in enumerate(starts)]
+
+
 def test_resolve_picks_latest_not_after():
-    starts = [0.0, 1.0, 2.5, 4.0]
-    assert resolve_source(starts, 0.0) == 0
-    assert resolve_source(starts, 0.9) == 0
-    assert resolve_source(starts, 1.0) == 1
-    assert resolve_source(starts, 3.9) == 2
-    assert resolve_source(starts, 100.0) == 3
+    log = _log(0.0, 1.0, 2.5, 4.0)
+    assert resolve_source(log, 0.0) is log[0]
+    assert resolve_source(log, 0.9) is log[0]
+    assert resolve_source(log, 1.0) is log[1]
+    assert resolve_source(log, 3.9) is log[2]
+    assert resolve_source(log, 100.0) is log[3]
 
 
 def test_resolve_before_first_publication_fails():
     with pytest.raises(SequencingError):
-        resolve_source([1.0, 2.0], 0.5)
+        resolve_source(_log(1.0, 2.0), 0.5)
     with pytest.raises(SequencingError):
         resolve_source([], 0.5)
 
@@ -121,7 +126,7 @@ def test_smooth_matches_unsmoothed_plan_at_window_end():
 
 def test_first_window_skips_smoothing():
     plan, ctx = build_plan(
-        [0.0], [Polynomial(0.0, (2.0,))],
+        [Polynomial(0.0, (2.0,))],
         window_start=0.0, window_end=0.5,
         max_degree=2, smoothing=True, smoothing_capable=True, ctx=None,
     )
@@ -132,7 +137,7 @@ def test_first_window_skips_smoothing():
 
 def test_incapable_consumer_never_smoothed():
     plan, _ = build_plan(
-        [0.0], [Polynomial(0.0, (2.0,))],
+        [Polynomial(0.0, (2.0,))],
         window_start=0.0, window_end=0.5,
         max_degree=2, smoothing=True, smoothing_capable=False,
         ctx=SmoothingContext(1.0, 0.0),
@@ -148,13 +153,12 @@ def test_chained_windows_are_c1():
         Polynomial(1.0, (3.0, -2.0)),
         Polynomial(2.0, (1.0, 0.5, 0.25)),
     ]
-    starts = [0.0, 1.0, 2.0]
     windows = [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
     ctx = None
     used = []
     for (a, b) in windows:
         plan, ctx = build_plan(
-            starts, sources, a, b,
+            sources, a, b,
             max_degree=2, smoothing=True, smoothing_capable=True, ctx=ctx,
         )
         used.append(plan)
@@ -186,7 +190,7 @@ def test_chained_windows_c1_property(seed, n_windows):
     ctx, used = None, []
     for a, b in zip(starts, boundaries):
         plan, ctx = build_plan(
-            starts, sources, a, b,
+            sources, a, b,
             max_degree=2, smoothing=True, smoothing_capable=True, ctx=ctx,
         )
         used.append(plan)
@@ -204,21 +208,20 @@ def test_zoh_from_constant_sources():
     starts = [0.0, 0.4, 1.1]
     sources = [Polynomial(s, (v,)) for s, v in zip(starts, (1.0, 2.0, 3.0))]
     plan, _ = build_plan(
-        starts, sources, 0.9, 1.3,
+        sources, 0.9, 1.3,
         max_degree=2, smoothing=False, smoothing_capable=True, ctx=None,
     )
-    assert plan.source_index == 1
+    assert plan.poly is sources[1]
     assert plan.poly.degree == 0
     assert plan.poly(1.2) == 2.0
 
 
 def test_plan_records_window_and_source():
-    starts = [0.0, 1.0]
     sources = [Polynomial(0.0, (5.0,)), Polynomial(1.0, (6.0,))]
     plan, _ = build_plan(
-        starts, sources, 1.5, 2.0,
+        sources, 1.5, 2.0,
         max_degree=1, smoothing=False, smoothing_capable=False, ctx=None,
     )
-    assert (plan.window_start, plan.window_end) == (1.5, 2.0)
-    assert plan.source_index == 1
+    assert plan.window_start == 1.5
+    assert plan.poly is sources[1]
     assert not plan.smoothed

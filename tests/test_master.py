@@ -260,7 +260,7 @@ def test_sink_coasts_when_source_is_constant():
 def test_imposed_step_subsystem_stays_on_its_grid():
     caps = (
         Capabilities(),
-        Capabilities(variable_step=False, imposed_step=0.25),
+        Capabilities(imposed_step=0.25),
     )
     problem = _pair_problem(
         _sine_source(), _integrating_sink(), t_end=2.0, caps=caps

@@ -254,6 +254,16 @@ def test_registry_rejects_unknowns():
         build_model("two_mass", {"k9": 1.0})
 
 
+@pytest.mark.parametrize("model,name", [
+    ("two_mass", "m1"), ("two_mass", "m2"),
+    ("car", "mass"), ("car", "tau_diff"), ("car", "perturb_dwell"),
+])
+def test_registry_rejects_non_positive_divisors(model, name):
+    for value in (0.0, -1.0, math.nan):
+        with pytest.raises(ConfigError, match=f"'{name}'"):
+            build_model(model, {name: value})
+
+
 def test_builders_validate_shapes():
     with pytest.raises(ConfigError):
         build_two_mass(dt0=(0.1,))

@@ -10,6 +10,12 @@ from f3ornits.orders import (
     estimate_output,
     select_order,
 )
+from f3ornits.poly import (
+    CalibrationPoints,
+    Polynomial,
+    fit_constrained_least_squares,
+    fit_extrapolation,
+)
 
 
 def history_of(*samples):
@@ -36,7 +42,6 @@ def test_single_history_point_gives_order_zero():
     assert d.order == 0
     assert set(d.candidate_errors) == {0}
     assert d.candidate_errors[0] == pytest.approx(118.0)
-    assert d.valid_from == 1.0
 
 
 # ------------------------------------------------------------- frozen oracle
@@ -100,8 +105,8 @@ def test_extrapolation_estimate_reads_through_newest():
     h = history_of((0.0, 0.0), (1.0, 1.0), (2.0, 4.0), (3.0, 9.0))
     d = select_order(h, 3.0, 9.0)  # wrong usage in spirit, but deterministic
     est = estimate_output(h, d, "extrapolation")
-    assert est.start == 3.0
-    assert est.poly(3.0) == pytest.approx(9.0, abs=1e-12)
+    assert est.t_ref == 3.0
+    assert est(3.0) == pytest.approx(9.0, abs=1e-12)
 
 
 def test_estimate_mode_and_order_recorded():
@@ -110,12 +115,16 @@ def test_estimate_mode_and_order_recorded():
     # history already holds the newest sample here
     est_ex = estimate_output(h, d, "extrapolation")
     est_cls = estimate_output(h, d, "cls")
-    assert est_ex.mode == "extrapolation"
-    assert est_cls.mode == "cls"
-    assert est_ex.order == est_cls.order == d.order
+    # each mode is its own fit over its own number of newest samples
+    assert est_ex == fit_extrapolation(CalibrationPoints(*h.newest(d.order + 1)))
+    assert est_cls == fit_constrained_least_squares(
+        CalibrationPoints(*h.newest(d.order + 2))
+    )
+    # the published degree is the decided order
+    assert est_ex.degree == est_cls.degree == d.order
     # both estimates are exact at the newest exchanged sample
-    assert est_ex.poly(1.0) == pytest.approx(1.5, abs=1e-12)
-    assert est_cls.poly(1.0) == pytest.approx(1.5, abs=1e-12)
+    assert est_ex(1.0) == pytest.approx(1.5, abs=1e-12)
+    assert est_cls(1.0) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_cls_estimate_uses_one_more_point():
@@ -123,18 +132,17 @@ def test_cls_estimate_uses_one_more_point():
     # newest value itself
     h = history_of((0.0, 3.0), (1.0, 7.0))
     d = select_order(h, 1.0, 7.0)
-    d0 = type(d)(order=0, candidate_errors=d.candidate_errors, valid_from=1.0)
+    d0 = type(d)(order=0, candidate_errors=d.candidate_errors)
     est = estimate_output(h, d0, "cls")
-    assert est.poly.degree == 0
-    assert est.poly(99.0) == 7.0
+    assert est.degree == 0
+    assert est(99.0) == 7.0
 
 
 def test_cls_falls_back_when_history_too_short():
     h = history_of((0.0, 3.0))
     d = select_order(h, 0.5, 3.5, force=0)
     est = estimate_output(h, d, "cls")  # needs 2 points, has 1
-    assert est.mode == "extrapolation"
-    assert est.poly(123.0) == 3.0
+    assert est == Polynomial(0.0, (3.0,))  # extrapolation through one point
 
 
 def test_estimate_rejects_unknown_mode():
@@ -146,7 +154,11 @@ def test_estimate_rejects_unknown_mode():
 
 def test_one_step_delay_contract():
     # the decision made with the sample at t_new governs the window that
-    # starts at t_new: valid_from records exactly that
+    # starts at t_new: the polynomial published then starts there, with the
+    # decided order as its degree
     h = history_of((0.0, 0.0), (0.4, 0.2))
     d = select_order(h, 0.9, 0.5)
-    assert d.valid_from == 0.9
+    h.push(0.9, 0.5)
+    est = estimate_output(h, d)
+    assert est.t_ref == 0.9
+    assert est.degree == d.order

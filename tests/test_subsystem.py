@@ -50,10 +50,10 @@ def test_capability_validation():
     with pytest.raises(ConfigError):
         Capabilities(max_input_degree=-1)
     with pytest.raises(ConfigError):
-        Capabilities(imposed_step=0.0, variable_step=False)
-    with pytest.raises(ConfigError):
-        Capabilities(imposed_step=0.5, variable_step=True)
-    Capabilities(imposed_step=0.5, variable_step=False)
+        Capabilities(imposed_step=0.0)
+    with pytest.raises(ConfigError, match="imposed_step"):
+        Capabilities(imposed_step=math.nan)
+    Capabilities(imposed_step=0.5)
 
 
 @pytest.mark.parametrize(
