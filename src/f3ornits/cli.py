@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 configuration error, 2 divergence at run time.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -134,8 +135,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         try:
             dts = tuple(float(v) for v in args.jacobi_dts.split(","))
         except ValueError:
+            dts = ()
+        if not (dts and all(math.isfinite(d) and d > 0 for d in dts)):
             raise ConfigError(
-                f"--jacobi-dts expects comma-separated numbers, "
+                f"--jacobi-dts expects comma-separated finite positive steps, "
                 f"got {args.jacobi_dts!r}"
             )
     rows = run_comparison(

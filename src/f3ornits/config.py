@@ -19,14 +19,12 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
 from .master import MasterOptions
 from .models import BenchmarkModel, build_model
-from .orders import CALIBRATION_MODES
-from .stepper import ERROR_NORMS, Tolerances
-from .subsystem import Capabilities
+from .stepper import Tolerances
 
 METHODS = ("f3ornits", "jacobi")
 
@@ -201,16 +199,6 @@ def materialize(cfg: RunConfig) -> RunSetup:
         raise ConfigError(
             f"key 'method': {cfg.method!r} not one of {', '.join(METHODS)}"
         )
-    if cfg.calibration not in CALIBRATION_MODES:
-        raise ConfigError(
-            f"key 'calibration': {cfg.calibration!r} not one of "
-            + ", ".join(CALIBRATION_MODES)
-        )
-    if cfg.error_norm not in ERROR_NORMS:
-        raise ConfigError(
-            f"key 'error_norm': {cfg.error_norm!r} not one of "
-            + ", ".join(ERROR_NORMS)
-        )
     if cfg.method == "jacobi" and cfg.dt is None:
         raise ConfigError("missing required key 'dt' (jacobi needs a grid step)")
     if cfg.dt is not None and not (math.isfinite(cfg.dt) and cfg.dt > 0):
@@ -227,34 +215,30 @@ def materialize(cfg: RunConfig) -> RunSetup:
         if cfg.seed is not None:
             params["seed"] = cfg.seed
 
-    # build once without overrides to learn labels, then apply per-label knobs
-    base = build_model(cfg.model, params)
-    labels = [s.label for s in base.problem.subsystems]
-    t_init, t_end = base.problem.t_init, base.problem.t_end
+    # build once, then apply the per-label knobs to the built problem
+    model = build_model(cfg.model, params)
+    problem = model.problem
+    labels = [s.label for s in problem.subsystems]
+    t_init, t_end = problem.t_init, problem.t_end
     if not (math.isfinite(t_end) and t_end > t_init):
         raise ConfigError(
             f"key 't_end': {t_end!r} must be finite and greater than "
             f"t_init = {t_init!r}"
         )
 
-    dt0 = None
     if cfg.dt0 is not None or cfg.dt0_per_label:
-        per = []
-        for k, label in enumerate(labels):
-            if label in cfg.dt0_per_label:
-                per.append(cfg.dt0_per_label[label])
-            elif cfg.dt0 is not None:
-                per.append(cfg.dt0)
-            else:
-                per.append(base.problem.dt0[k])
         stray = sorted(set(cfg.dt0_per_label) - set(labels))
         if stray:
             raise ConfigError(f"dt0.* names unknown subsystem(s): {', '.join(stray)}")
-        dt0 = tuple(per)
+        default = problem.dt0 if cfg.dt0 is None else (cfg.dt0,) * len(labels)
+        dt0 = tuple(
+            float(cfg.dt0_per_label.get(label, d))
+            for label, d in zip(labels, default)
+        )
         if not all(math.isfinite(d) and d > 0 for d in dt0):
             raise ConfigError(f"key 'dt0': {dt0!r} must be finite and positive")
+        problem = replace(problem, dt0=dt0)
 
-    capabilities = None
     if cfg.caps_overrides:
         stray = sorted(set(cfg.caps_overrides) - set(labels))
         if stray:
@@ -262,25 +246,21 @@ def materialize(cfg: RunConfig) -> RunSetup:
                 f"caps.* names unknown subsystem(s): {', '.join(stray)}"
             )
         capabilities = []
-        for k, label in enumerate(labels):
-            over = cfg.caps_overrides.get(label)
-            if not over:
-                capabilities.append(base.problem.capabilities[k])
-                continue
-            kwargs: dict = {}
-            if "max_input_degree" in over:
-                kwargs["max_input_degree"] = int(round(over["max_input_degree"]))
-            if "imposed_step" in over:
-                kwargs["imposed_step"] = float(over["imposed_step"])
-            capabilities.append(Capabilities(**kwargs))
+        for label, caps in zip(labels, problem.capabilities):
+            over = cfg.caps_overrides.get(label, {})
+            for name, value in over.items():
+                if not math.isfinite(value):
+                    raise ConfigError(
+                        f"key 'caps.{label}.{name}': {value!r} is not finite"
+                    )
+            kwargs = dict(over)
+            if "max_input_degree" in kwargs:
+                kwargs["max_input_degree"] = int(round(kwargs["max_input_degree"]))
+            capabilities.append(replace(caps, **kwargs))
+        problem = replace(problem, capabilities=tuple(capabilities))
+    model = replace(model, problem=problem)
 
-    model = (
-        build_model(cfg.model, params, dt0=dt0, capabilities=capabilities)
-        if (dt0 is not None or capabilities is not None)
-        else base
-    )
-
-    dt_min = cfg.dt_min if cfg.dt_min is not None else min(model.problem.dt0)
+    dt_min = cfg.dt_min if cfg.dt_min is not None else min(problem.dt0)
     dt_max = cfg.dt_max if cfg.dt_max is not None else (t_end - t_init) / 10.0
     tol = Tolerances(
         tol_rel=cfg.tol_rel,
@@ -308,7 +288,7 @@ def materialize(cfg: RunConfig) -> RunSetup:
         raise ConfigError(
             f"rmse_variable names unknown subsystem {variable[0]!r}"
         )
-    n_out = model.problem.subsystems[labels.index(variable[0])].n_out
+    n_out = problem.subsystems[labels.index(variable[0])].n_out
     if not 0 <= variable[1] < n_out:
         raise ConfigError(
             f"rmse_variable index {variable[1]} out of range for {variable[0]}"

@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import SequencingError
+from .subsystem import MAX_ORDER
 
-#: ring-buffer capacity per output: highest order (2) + 2 samples
-HISTORY_CAPACITY = 4
+#: ring-buffer capacity per output: highest order + 2 samples
+HISTORY_CAPACITY = MAX_ORDER + 2
 
 
 class TopologyTag(Enum):

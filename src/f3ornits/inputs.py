@@ -18,6 +18,7 @@ budget, which smoothing itself raises to three.
 A producer's publication log is its list of published polynomials, oldest
 first.  Each polynomial's `t_ref` is its publication time and its degree is
 the order it was published with, so the log needs no other bookkeeping.
+The log is pruned to what its slowest reader can still resolve.
 """
 
 from __future__ import annotations
@@ -48,9 +49,14 @@ class InputPlan:
     smoothed: bool
 
 
+def _newest_at(published: Sequence[Polynomial], t: float) -> int:
+    """Index of the newest polynomial published at or before t; -1 if none."""
+    return bisect_right(published, t, key=attrgetter("t_ref")) - 1
+
+
 def resolve_source(published: Sequence[Polynomial], t_start: float) -> Polynomial:
     """The newest published polynomial whose publication time is <= t_start."""
-    m = bisect_right(published, t_start, key=attrgetter("t_ref")) - 1
+    m = _newest_at(published, t_start)
     if m < 0:
         raise SequencingError(
             f"no published polynomial covers t = {t_start!r} "
@@ -59,6 +65,19 @@ def resolve_source(published: Sequence[Polynomial], t_start: float) -> Polynomia
             else f"no published polynomial covers t = {t_start!r}"
         )
     return published[m]
+
+
+def prune_published(published: list[Polynomial], t_slowest: float | None) -> None:
+    """Drop the polynomials no reader can resolve any more, in place.
+
+    t_slowest is the smallest reached time among the output's readers; None
+    means nobody reads it.  Everything older than what resolve_source would
+    return at t_slowest goes, so every later resolve at or after t_slowest
+    finds the same polynomial.  The newest polynomial always stays.
+    """
+    m = len(published) - 1 if t_slowest is None else _newest_at(published, t_slowest)
+    if m > 0:
+        del published[:m]
 
 
 def cap_degree(

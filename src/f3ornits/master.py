@@ -17,11 +17,13 @@ Scheduling is reconciled after every event by five rules applied in order:
 (b) consumers that publish outputs never plan past the earliest estimated
     refresh among their producers, so fresh data is awaited rather than
     extrapolated over when the schedule allows it;
-(c) a subsystem nobody listens to wakes whenever one of its producers does
-    (it has no error control of its own), unless all its producers are pure
-    sources whose orders did not change, in which case it may coast — which
-    is why rule (b) leaves these subsystems alone;
-(d) nothing is scheduled past the simulation horizon;
+(c) a subsystem nobody listens to has no outputs and so no error control
+    of its own: it aims for the horizon, and wakes whenever one of its
+    producers does, unless all its producers are pure sources whose orders
+    did not change, in which case it may coast — which is why rule (b)
+    leaves these subsystems alone;
+(d) nothing is scheduled past the simulation horizon, which is where a
+    subsystem with no outputs aims;
 (e) every effective time stays strictly ahead of the subsystem's reached
     time by at least dt_epsilon, so the run always makes progress.
 
@@ -39,17 +41,15 @@ from typing import Callable
 
 from .coupling import CouplingGraph, SampleHistory, TopologyTag
 from .errors import ConfigError
-from .inputs import InputPlan, SmoothingContext, build_plan
+from .inputs import InputPlan, SmoothingContext, build_plan, prune_published
 from .orders import CALIBRATION_MODES, estimate_output, select_order
 from .poly import Polynomial
 from .stepper import (
     ERROR_NORMS,
     DampedBounds,
     Tolerances,
-    no_output_rule,
     normalized_error,
     propose,
-    startup,
     update_damped_bounds,
 )
 from .subsystem import (
@@ -90,8 +90,8 @@ class CosimProblem:
         if not self.t_end > self.t_init:
             raise ConfigError("t_end must exceed t_init")
         for d in self.dt0:
-            if d <= 0:
-                raise ConfigError("dt0 must be positive")
+            if not (math.isfinite(d) and d > 0):
+                raise ConfigError(f"dt0 must be finite and positive, got {d!r}")
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,14 @@ class MasterOptions:
     due_order: Callable[[list[int]], list[int]] | None = None  # test hook
 
     def validate(self) -> None:
-        if self.calibration not in CALIBRATION_MODES:
-            raise ConfigError(f"unknown calibration {self.calibration!r}")
-        if self.error_norm not in ERROR_NORMS:
-            raise ConfigError(f"unknown error norm {self.error_norm!r}")
+        for key, value, choices in (
+            ("calibration", self.calibration, CALIBRATION_MODES),
+            ("error_norm", self.error_norm, ERROR_NORMS),
+        ):
+            if value not in choices:
+                raise ConfigError(
+                    f"key {key!r}: {value!r} not one of {', '.join(choices)}"
+                )
         if not (math.isfinite(self.dt_epsilon) and self.dt_epsilon > 0):
             raise ConfigError(
                 f"dt_epsilon must be finite and positive, got {self.dt_epsilon!r}"
@@ -120,7 +124,7 @@ class MasterOptions:
 
 # --------------------------------------------------------------- scheduling
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class ScheduleEntry:
     """Everything the reconciliation rules need to know about one subsystem."""
 
@@ -164,7 +168,8 @@ def reconcile(
             cand = min(ests)
             if cand < eff[k]:
                 eff[k] = cand
-    # (c) no-output pull-in to producers' effective wake-ups
+    # (c) no-output subsystems aim for the horizon; pull them in to their
+    #     producers' effective wake-ups
     for k, e in enumerate(entries):
         if e.finished or e.imposed_step is not None:
             continue
@@ -180,7 +185,8 @@ def reconcile(
                     cand = min(eff[l] for l in prods)
                     if cand < eff[k]:
                         eff[k] = cand
-    # (d) horizon clamp and (e) strict-progress floor
+    # (d) horizon clamp (where no-output subsystems aim) and (e) the
+    #     strict-progress floor
     for k, e in enumerate(entries):
         if e.finished:
             continue
@@ -254,36 +260,30 @@ def _record(
 
 # --------------------------------------------------------------- the master
 
-class _SubRuntime:
-    """Mutable per-subsystem state while the event loop runs."""
+class _SubRuntime(ScheduleEntry):
+    """Mutable per-subsystem state while the event loop runs.
 
-    __slots__ = (
-        "spec", "caps", "topology", "producers", "state", "reached",
-        "estimated", "histories", "published",
-        "bounds", "orders_changed", "smooth_ctx", "finished",
-    )
+    A runtime is its own schedule entry: reconcile reads the runtimes.
+    """
 
     def __init__(
         self,
         spec: SubsystemSpec,
         caps: Capabilities,
-        topo: TopologyTag,
+        topology: TopologyTag,
         producers: tuple[int, ...],
+        t0: float,
     ):
+        super().__init__(t0, t0, topology, producers, caps.imposed_step)
         self.spec = spec
         self.caps = caps
-        self.topology = topo
-        self.producers = producers
         self.state = list(spec.x_init)
-        self.reached = 0.0
-        self.estimated = 0.0
         self.histories = [SampleHistory() for _ in range(spec.n_out)]
-        # per output, every polynomial published so far, oldest first
+        # per output, the published polynomials a reader may still resolve,
+        # oldest first
         self.published: list[list[Polynomial]] = [[] for _ in range(spec.n_out)]
         self.bounds: list[DampedBounds] = []
-        self.orders_changed = True
         self.smooth_ctx: list[SmoothingContext | None] = [None] * spec.n_in
-        self.finished = False
 
 
 def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
@@ -296,51 +296,40 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
     graph = problem.graph
 
     runtimes = [
-        _SubRuntime(spec, caps, graph.topology(k), graph.producers_of(k))
+        _SubRuntime(spec, caps, graph.topology(k), graph.producers_of(k), t0)
         for k, (spec, caps) in enumerate(
             zip(problem.subsystems, problem.capabilities)
         )
     ]
+    # per output (producer, slot): the subsystems whose inputs read it
+    readers: dict[tuple[int, int], list[int]] = {
+        (l, j): [] for l, rt in enumerate(runtimes) for j in range(rt.spec.n_out)
+    }
+    for (k, _), src in graph.links.items():
+        readers[src].append(k)
     trace = _empty_trace(problem, "f3ornits")
 
     # ---- initial exchange at t0: samples, order-0 estimates, startup times
     y0 = _initial_exchange(problem)
     for k, rt in enumerate(runtimes):
-        rt.reached = t0
         for j in range(rt.spec.n_out):
             rt.histories[j].push(t0, y0[k][j])
             rt.published[j].append(Polynomial(t0, (y0[k][j],)))
             rt.bounds.append(DampedBounds.from_first_sample(y0[k][j]))
-        if rt.caps.imposed_step is not None:
-            rt.estimated = t0 + rt.caps.imposed_step
+        if rt.imposed_step is not None:
+            rt.estimated = t0 + rt.imposed_step
         elif rt.topology is TopologyTag.NINO:
             # nothing to give and nothing to receive: one step to the horizon
             rt.estimated = t_end
         else:
-            rt.estimated = startup(t0, problem.dt0[k])[1]
+            rt.estimated = t0 + problem.dt0[k]
         _record(
             trace.subsystems[rt.spec.label], t0, y0[k],
             (0.0,) * rt.spec.n_out, (0,) * rt.spec.n_out, 1.0,
             [None] * rt.spec.n_in,
         )
 
-    end_guard = options.dt_epsilon
-
-    def schedule_entries() -> list[ScheduleEntry]:
-        return [
-            ScheduleEntry(
-                reached=rt.reached,
-                estimated=rt.estimated,
-                topology=rt.topology,
-                producers=rt.producers,
-                imposed_step=rt.caps.imposed_step,
-                orders_changed=rt.orders_changed,
-                finished=rt.finished,
-            )
-            for rt in runtimes
-        ]
-
-    effective = reconcile(schedule_entries(), t_end, options.dt_epsilon)
+    effective = reconcile(runtimes, t_end, options.dt_epsilon)
 
     events = 0
     while True:
@@ -381,24 +370,22 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
             plans_by_k[k] = plans
 
         # phase 2: integrate all due subsystems to the event time
-        results = {}
+        outputs = {}
         for k in due:
             rt = runtimes[k]
-            rt.state, res = step_to(
+            rt.state, outputs[k] = step_to(
                 rt.spec, rt.caps, rt.state,
                 [p.poly for p in plans_by_k[k]],
                 rt.reached, t_event,
             )
-            results[k] = res
 
         # phase 3: exchange, order selection, estimates, step proposals
         for k in due:
             rt = runtimes[k]
-            res = results[k]
             dt_prev = t_event - rt.reached
             errs, orders_now, p_used = [], [], []
             for j in range(rt.spec.n_out):
-                y_new = res.outputs[j]
+                y_new = outputs[k][j]
                 last_pub = rt.published[j][-1]
                 y_pred = last_pub(t_event)
                 p_used.append(last_pub.degree)
@@ -422,22 +409,32 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
             rt.reached = t_event
 
             rho = 1.0
-            if rt.caps.imposed_step is not None:
-                rt.estimated = t_event + rt.caps.imposed_step
+            if rt.imposed_step is not None:
+                rt.estimated = t_event + rt.imposed_step
             elif rt.spec.n_out == 0:
-                rt.estimated = no_output_rule(rt.topology, t_end)
+                # nobody listens and there is no error to control: aim for
+                # the horizon and let rule (c) pull the subsystem in
+                rt.estimated = t_end
             else:
                 prop = propose(errs, p_used, dt_prev, t_event, t_end, tol)
                 rho = prop.rho
                 rt.estimated = prop.t_next_estimated
-            if t_end - rt.reached <= end_guard:
+            if t_end - rt.reached <= options.dt_epsilon:
                 rt.finished = True
             _record(
-                trace.subsystems[rt.spec.label], t_event, res.outputs,
+                trace.subsystems[rt.spec.label], t_event, outputs[k],
                 tuple(errs), tuple(orders_now), rho, plans_by_k[k],
             )
 
-        effective = reconcile(schedule_entries(), t_end, options.dt_epsilon)
+        # a reader resolves its next window at its reached time, which
+        # never decreases: the slowest reader bounds what each log must keep
+        for (l, j), ks in readers.items():
+            prune_published(
+                runtimes[l].published[j],
+                min((runtimes[k].reached for k in ks), default=None),
+            )
+
+        effective = reconcile(runtimes, t_end, options.dt_epsilon)
         events += 1
 
     trace.total_events = events
@@ -452,8 +449,8 @@ def run_jacobi(
 ) -> RunTrace:
     """Fixed-step parallel zero-order-hold co-simulation baseline."""
     problem.validate()
-    if dt <= 0:
-        raise ConfigError("jacobi step must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigError(f"jacobi step must be finite and positive, got {dt!r}")
     t_start_wall = time.perf_counter()
     t0, t_end = problem.t_init, problem.t_end
     graph = problem.graph
@@ -482,10 +479,9 @@ def run_jacobi(
             ]
         new_y = list(y)
         for k, spec in enumerate(specs):
-            states[k], res = step_to(
+            states[k], new_y[k] = step_to(
                 spec, problem.capabilities[k], states[k], held[k], t, t_next
             )
-            new_y[k] = res.outputs
         y = new_y
         t_prev, t = t, t_next
         events += 1

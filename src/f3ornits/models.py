@@ -24,6 +24,7 @@ car
 from __future__ import annotations
 
 import dataclasses
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -118,7 +119,6 @@ class TwoMassParams:
 def build_two_mass(
     params: TwoMassParams | None = None,
     dt0: float | Sequence[float] = 0.01,
-    capabilities: Sequence[Capabilities] | None = None,
 ) -> BenchmarkModel:
     p = params if params is not None else TwoMassParams()
 
@@ -152,7 +152,7 @@ def build_two_mass(
     )
     problem = CosimProblem(
         subsystems=specs,
-        capabilities=_caps_tuple(capabilities, 2),
+        capabilities=(Capabilities(),) * 2,
         graph=graph,
         t_init=0.0,
         t_end=p.t_end,
@@ -212,7 +212,6 @@ class CarParams:
 def build_car(
     params: CarParams | None = None,
     dt0: float | Sequence[float] = 0.05,
-    capabilities: Sequence[Capabilities] | None = None,
 ) -> BenchmarkModel:
     p = params if params is not None else CarParams()
     preset = piecewise_linear(p.preset_force)
@@ -249,7 +248,7 @@ def build_car(
     )
     problem = CosimProblem(
         subsystems=specs,
-        capabilities=_caps_tuple(capabilities, 2),
+        capabilities=(Capabilities(),) * 2,
         graph=graph,
         t_init=0.0,
         t_end=p.t_end,
@@ -291,12 +290,9 @@ def available_models() -> tuple[str, ...]:
 
 
 def build_model(
-    name: str,
-    overrides: dict[str, float] | None = None,
-    dt0: float | Sequence[float] | None = None,
-    capabilities: Sequence[Capabilities] | None = None,
+    name: str, overrides: dict[str, float] | None = None
 ) -> BenchmarkModel:
-    """Build a registered model, overriding individual parameters by name."""
+    """Build a registered model, overriding numeric parameters by name."""
     if name not in MODEL_BUILDERS:
         raise ConfigError(
             f"unknown model {name!r}; available: {', '.join(available_models())}"
@@ -312,10 +308,18 @@ def build_model(
             )
         coerced = {}
         for key, value in overrides.items():
-            if valid[key].type in ("int", int):
-                coerced[key] = int(round(float(value)))
-            else:
-                coerced[key] = float(value)
+            kind = valid[key].type
+            if kind not in ("int", "float"):
+                raise ConfigError(
+                    f"parameter {key!r} of {name} is not numeric and cannot "
+                    "be overridden"
+                )
+            value = float(value)
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"parameter {key!r} of {name} must be finite, got {value!r}"
+                )
+            coerced[key] = int(round(value)) if kind == "int" else value
         params = dataclasses.replace(params, **coerced)
     for key in POSITIVE_PARAMS:
         value = getattr(params, key, None)
@@ -323,12 +327,7 @@ def build_model(
             raise ConfigError(
                 f"parameter {key!r} of {name} must be positive, got {value!r}"
             )
-    kwargs = {}
-    if dt0 is not None:
-        kwargs["dt0"] = dt0
-    if capabilities is not None:
-        kwargs["capabilities"] = capabilities
-    return builder(params, **kwargs)
+    return builder(params)
 
 
 def _dt0_tuple(dt0: float | Sequence[float], n: int) -> tuple[float, ...]:
@@ -337,17 +336,6 @@ def _dt0_tuple(dt0: float | Sequence[float], n: int) -> tuple[float, ...]:
     t = tuple(float(v) for v in dt0)
     if len(t) != n:
         raise ConfigError(f"expected {n} dt0 values, got {len(t)}")
-    return t
-
-
-def _caps_tuple(
-    caps: Sequence[Capabilities] | None, n: int
-) -> tuple[Capabilities, ...]:
-    if caps is None:
-        return tuple(Capabilities() for _ in range(n))
-    t = tuple(caps)
-    if len(t) != n:
-        raise ConfigError(f"expected {n} capability entries, got {len(t)}")
     return t
 
 
@@ -379,6 +367,11 @@ def monolithic_reference(
     at the defaults).  scheme is "rk4" or "rk2" — the latter exists to
     cross-check recorded values with an unrelated discretization.
     """
+    for name, value in (("micro_step", micro_step), ("record_dt", record_dt)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(
+                f"key {name!r}: {value!r} is not a finite positive step"
+            )
     key = (model.name, model.params, micro_step, record_dt, scheme)
     hit = _REFERENCE_CACHE.get(key)
     if hit is not None:

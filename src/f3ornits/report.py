@@ -89,20 +89,18 @@ def run_comparison(
     error_norm are replaced per variant; everything else (tolerances,
     force_order) is shared by all method runs.
     """
-    rows: list[ComparisonRow] = []
-    for dt in jacobi_dts:
+    def row(setting: tuple, run, *args) -> ComparisonRow:
         try:
-            trace = run_jacobi(model.problem, dt)
-            rmse = score_trace(
-                trace, model, variable, ref_micro_step, ref_record_dt
-            )
-            rows.append(ComparisonRow(
-                "jacobi", "", False, "", dt, trace.total_events, rmse, "ok"
-            ))
+            trace = run(*args)
         except DivergenceError:
-            rows.append(ComparisonRow(
-                "jacobi", "", False, "", dt, 0, None, "diverged"
-            ))
+            return ComparisonRow(*setting, 0, None, "diverged")
+        rmse = score_trace(trace, model, variable, ref_micro_step, ref_record_dt)
+        return ComparisonRow(*setting, trace.total_events, rmse, "ok")
+
+    rows = [
+        row(("jacobi", "", False, "", dt), run_jacobi, model.problem, dt)
+        for dt in jacobi_dts
+    ]
     dt0 = model.problem.dt0[0]
     for calibration, smoothing, norm in variants:
         opts = replace(
@@ -111,20 +109,10 @@ def run_comparison(
             smoothing=smoothing,
             error_norm=norm,
         )
-        try:
-            trace = run_f3ornits(model.problem, opts)
-            rmse = score_trace(
-                trace, model, variable, ref_micro_step, ref_record_dt
-            )
-            rows.append(ComparisonRow(
-                "f3ornits", calibration, smoothing, norm, dt0,
-                trace.total_events, rmse, "ok",
-            ))
-        except DivergenceError:
-            rows.append(ComparisonRow(
-                "f3ornits", calibration, smoothing, norm, dt0, 0, None,
-                "diverged",
-            ))
+        rows.append(row(
+            ("f3ornits", calibration, smoothing, norm, dt0),
+            run_f3ornits, model.problem, opts,
+        ))
     return rows
 
 

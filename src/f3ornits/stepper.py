@@ -13,8 +13,6 @@ normalized by a scale that depends on the chosen mode:
 Each output proposes a growth ratio rho = (1/err)^(1/(p+1)) for the order p
 it was published with; the subsystem takes the worst output, clamps rho and
 the resulting step, and reports the time it would next like to exchange.
-Subsystems with no outputs have nothing to control and simply aim for the
-end of the simulation once past their first step.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .coupling import TopologyTag
 from .errors import ConfigError
 
 #: default growth-ratio window: shrink to 10 %, grow by at most 5 %
@@ -174,18 +171,3 @@ def propose(
         t_next = t_end
     return StepProposal(rho=rho, dt_next=dt_next, t_next_estimated=t_next)
 
-
-def no_output_rule(topology: TopologyTag, t_end: float) -> float:
-    """Estimated next time for subsystems nobody listens to: the horizon."""
-    if topology not in (TopologyTag.NO, TopologyTag.NINO):
-        raise ValueError(f"rule only applies to NO/NINO subsystems, got {topology}")
-    return t_end
-
-
-def startup(t_init: float, dt0: float) -> tuple[float, float]:
-    """First communication time and first estimated exchange: t_init + dt0."""
-    if dt0 <= 0:
-        raise ConfigError("dt0 must be positive")
-    if not math.isfinite(t_init) or not math.isfinite(dt0):
-        raise ConfigError("t_init and dt0 must be finite")
-    return t_init, t_init + dt0

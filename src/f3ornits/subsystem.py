@@ -5,7 +5,8 @@ advanced one macro step at a time with a fixed-step classical Runge-Kutta 4
 micro-integration.  Inputs arrive as genuine polynomials in time and are
 evaluated continuously at every micro stage, never sampled-and-held, so the
 micro error stays far below the coupling error.  There is no rollback: a
-completed macro step is final.
+completed macro step is final.  `step_to` returns the new state and the
+output tuple y at the target time.
 """
 
 from __future__ import annotations
@@ -92,12 +93,6 @@ class SubsystemSpec:
             )
 
 
-@dataclass(frozen=True)
-class MacroStepResult:
-    t_reached: float
-    outputs: tuple[float, ...]
-
-
 def micro_step_size(macro_step: float) -> float:
     return min(macro_step / MICRO_DIVISOR, MICRO_CAP)
 
@@ -110,7 +105,7 @@ def step_to(
     t_start: float,
     t_target: float,
     micro_step: float | None = None,
-) -> tuple[list[float], MacroStepResult]:
+) -> tuple[list[float], tuple[float, ...]]:
     """Advance one subsystem from t_start to t_target, no rollback.
 
     Returns the new state and the outputs evaluated exactly at t_target.
@@ -157,13 +152,18 @@ def step_to(
 
     t = t_start
     guard = h * 1e-9
-    while t_target - t > guard:
+    # the first stage of each micro step is evaluated at the end of the one
+    # before it, so that the first one can be checked before it is used
+    k1 = f(t, x, eval_inputs(t))
+    if len(k1) != n:
+        raise ContractViolation(
+            f"{spec.label}: f returned {len(k1)} derivatives, expected {n}"
+        )
+    while True:
         hs = t_target - t
         if hs > h:
             hs = h
         half = 0.5 * hs
-        u0 = eval_inputs(t)
-        k1 = f(t, x, u0)
         xs = [x[i] + half * k1[i] for i in range(n)]
         um = eval_inputs(t + half)
         k2 = f(t + half, xs, um)
@@ -178,18 +178,17 @@ def step_to(
             for i in range(n)
         ]
         t += hs
+        if t_target - t <= guard:
+            break
+        k1 = f(t, x, eval_inputs(t))
 
     if not all(isfinite(v) for v in x):
         raise DivergenceError(spec.label, t_start)
 
-    y = spec.g(t_target, x, eval_inputs(t_target))
-    if len(y) != spec.n_out:
-        raise ContractViolation(
-            f"{spec.label}: g returned {len(y)} outputs, expected {spec.n_out}"
-        )
+    y = evaluate_outputs(spec, x, eval_inputs(t_target), t_target)
     if not all(isfinite(v) for v in y):
         raise DivergenceError(spec.label, t_start)
-    return x, MacroStepResult(t_target, tuple(y))
+    return x, y
 
 
 def evaluate_outputs(
@@ -198,7 +197,7 @@ def evaluate_outputs(
     inputs_at_t: Sequence[float],
     t: float,
 ) -> tuple[float, ...]:
-    """Output map at a given time without stepping (used at initialization)."""
+    """Output map at a given time; the one place g's arity is checked."""
     y = spec.g(t, list(state), list(inputs_at_t))
     if len(y) != spec.n_out:
         raise ContractViolation(

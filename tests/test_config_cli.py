@@ -302,6 +302,34 @@ def test_cli_rejects_non_positive_parameters(capsys):
     assert "'tau_diff'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["run", "--model", "two_mass", "--param", "x1_0=nan"], "'x1_0'"),
+    (["run", "--model", "two_mass", "--param", "x1_0=inf"], "'x1_0'"),
+    (["run", "--model", "two_mass", "--param", "t_switch=nan"], "'t_switch'"),
+    (["run", "--model", "car", "--param", "seed=nan"], "'seed'"),
+    (["run", "--model", "car", "--param", "seed=inf"], "'seed'"),
+    (["run", "--model", "car", "--seed", "7", "--param", "preset_force=1"],
+     "'preset_force'"),
+    (["run", "--model", "two_mass",
+      "--set", "caps.mass_right.max_input_degree=nan"],
+     "'caps.mass_right.max_input_degree'"),
+    (["reference", "--model", "two_mass", "--micro-step", "0"], "'micro_step'"),
+    (["reference", "--model", "two_mass", "--micro-step", "nan"], "'micro_step'"),
+    (["reference", "--model", "two_mass", "--record-dt", "inf"], "'record_dt'"),
+    (["compare", "--model", "two_mass", "--jacobi-dts", "nan,0.1"], "--jacobi-dts"),
+], ids=[
+    "x1_0-nan", "x1_0-inf", "t_switch-nan", "seed-nan", "seed-inf",
+    "preset_force", "caps-nan", "micro_step-0", "micro_step-nan",
+    "record_dt-inf", "jacobi_dts-nan",
+])
+def test_cli_rejects_meaningless_inputs(argv, key, tmp_path, capsys):
+    # each of these used to end in a raw traceback or in a run without
+    # meaning; it must be a configuration error that names the key
+    assert cli.main(argv + ["--t-end", "2", "--output-dir", str(tmp_path)]) == 1
+    assert key in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_rejects_malformed_pairs(capsys):
     assert cli.main(["run", "--model", "car", "--param", "k1"]) == 1
     assert "NAME=VALUE" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from f3ornits.inputs import (
     SmoothingContext,
     build_plan,
     cap_degree,
+    prune_published,
     resolve_source,
     smooth,
 )
@@ -37,6 +38,38 @@ def test_resolve_before_first_publication_fails():
         resolve_source(_log(1.0, 2.0), 0.5)
     with pytest.raises(SequencingError):
         resolve_source([], 0.5)
+
+
+def test_prune_keeps_what_the_slowest_reader_resolves():
+    full = _log(0.0, 1.0, 2.5, 4.0)
+    log = list(full)
+    prune_published(log, 2.0)
+    assert log == full[1:]
+    # a reader at or after the slowest one resolves as before the pruning
+    for t in (2.0, 2.5, 3.9, 100.0):
+        assert resolve_source(log, t) is resolve_source(full, t)
+    prune_published(log, 4.0)
+    assert log == full[3:]
+
+
+def test_prune_without_readers_keeps_only_the_newest():
+    log = _log(0.0, 1.0, 2.5)
+    newest = log[-1]
+    prune_published(log, None)
+    assert log == [newest]
+    prune_published(log, None)
+    assert log == [newest]
+
+
+def test_prune_never_deletes_when_nothing_is_resolvable():
+    # bisect index -1: the slowest reader is before the first publication
+    log = _log(1.0, 2.0)
+    kept = list(log)
+    prune_published(log, 0.5)
+    assert log == kept
+    empty = []
+    prune_published(empty, None)
+    assert empty == []
 
 
 # ---------------------------------------------------------------- cap_degree

@@ -336,8 +336,11 @@ def test_problem_validation_rejects_mismatches():
     graph = CouplingGraph(n_in=(0,), n_out=(1,), links={})
     with pytest.raises(ConfigError, match="t_end"):
         CosimProblem((src,), (Capabilities(),), graph, 0.0, 0.0, (0.1,)).validate()
-    with pytest.raises(ConfigError, match="dt0"):
-        CosimProblem((src,), (Capabilities(),), graph, 0.0, 1.0, (-0.1,)).validate()
+    for dt0 in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="dt0"):
+            CosimProblem(
+                (src,), (Capabilities(),), graph, 0.0, 1.0, (dt0,)
+            ).validate()
     with pytest.raises(ConfigError, match="agree in length"):
         CosimProblem((src,), (), graph, 0.0, 1.0, (0.1,)).validate()
     bad_arity = CouplingGraph(n_in=(2,), n_out=(1,), links={})

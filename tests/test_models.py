@@ -152,8 +152,8 @@ def test_controller_speed_estimate_tracks_a_linear_input():
     p = model.params
     u = Polynomial(20.0, (3.0, 0.75))        # position ramp, slope 0.75
     state = [u(20.0)]
-    state, res = step_to(controller, caps, state, [u], 20.0, 25.0)
-    v_est = p.v_target - res.outputs[0] / p.kp
+    state, y = step_to(controller, caps, state, [u], 20.0, 25.0)
+    v_est = p.v_target - y[0] / p.kp
     assert abs(v_est - 0.75) < 1e-9
 
 
@@ -164,8 +164,8 @@ def test_controller_estimate_collapses_on_held_input():
     p = model.params
     held = Polynomial(20.0, (5.0,))
     state = [held(20.0) - 5.0]               # v_est starts at 5000
-    state, res = step_to(controller, caps, state, [held], 20.0, 20.05)
-    v_est = p.v_target - res.outputs[0] / p.kp
+    state, y = step_to(controller, caps, state, [held], 20.0, 20.05)
+    v_est = p.v_target - y[0] / p.kp
     assert abs(v_est) < 1e-9
 
 
@@ -268,4 +268,4 @@ def test_builders_validate_shapes():
     with pytest.raises(ConfigError):
         build_two_mass(dt0=(0.1,))
     with pytest.raises(ConfigError):
-        build_car(capabilities=())
+        build_car(dt0=(0.1, 0.2, 0.3))

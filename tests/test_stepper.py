@@ -5,15 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f3ornits.coupling import TopologyTag
 from f3ornits.errors import ConfigError
 from f3ornits.stepper import (
     DampedBounds,
     Tolerances,
-    no_output_rule,
     normalized_error,
     propose,
-    startup,
     update_damped_bounds,
 )
 
@@ -240,27 +237,3 @@ def test_propose_input_validation():
     with pytest.raises(ValueError):
         propose([-1.0], [1], 0.1, 0.0, 1.0, t)
 
-
-# ------------------------------------------------- startup / no-output rule
-
-def test_startup_times():
-    t0, t1 = startup(0.0, 0.01)
-    assert (t0, t1) == (0.0, 0.01)
-    t0, t1 = startup(5.0, 0.5)
-    assert (t0, t1) == (5.0, 5.5)
-
-
-def test_startup_rejects_bad_dt0():
-    with pytest.raises(ConfigError):
-        startup(0.0, 0.0)
-    with pytest.raises(ConfigError):
-        startup(0.0, -1.0)
-
-
-def test_no_output_rule_targets_horizon():
-    assert no_output_rule(TopologyTag.NO, 200.0) == 200.0
-    assert no_output_rule(TopologyTag.NINO, 200.0) == 200.0
-    with pytest.raises(ValueError):
-        no_output_rule(TopologyTag.IO, 200.0)
-    with pytest.raises(ValueError):
-        no_output_rule(TopologyTag.NI, 200.0)

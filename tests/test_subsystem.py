@@ -82,32 +82,33 @@ def test_zero_dynamics_keeps_state():
         g=lambda t, x, u: [x[0] + x[1]],
         x_init=(2.0, 3.0),
     )
-    x, res = step_to(spec, Capabilities(), spec.x_init, [], 0.0, 0.7)
+    x, y = step_to(spec, Capabilities(), spec.x_init, [], 0.0, 0.7)
     assert x == [2.0, 3.0]
-    assert res.t_reached == 0.7
-    assert res.outputs == (5.0,)
+    assert y == (5.0,)
 
 
 def test_integrates_cubic_input_exactly():
     # RK4 integrates polynomials of degree <= 3 with zero truncation error
     spec = make_integrator()
     p = Polynomial(0.0, (1.0, -2.0, 3.0, 0.5))
-    x, res = step_to(spec, Capabilities(), spec.x_init, [p], 0.0, 0.8)
+    x, y = step_to(spec, Capabilities(), spec.x_init, [p], 0.0, 0.8)
     exact = 0.8 - 0.8 ** 2 + 0.8 ** 3 + 0.5 * 0.8 ** 4 / 4.0
-    assert res.outputs[0] == pytest.approx(exact, rel=1e-12)
+    assert y[0] == pytest.approx(exact, rel=1e-12)
 
 
 def test_decay_accuracy():
     spec = make_decay(2.0)
-    x, res = step_to(spec, Capabilities(), spec.x_init, [], 0.0, 1.0)
-    assert res.outputs[0] == pytest.approx(math.exp(-2.0), rel=1e-9)
+    x, y = step_to(spec, Capabilities(), spec.x_init, [], 0.0, 1.0)
+    assert y[0] == pytest.approx(math.exp(-2.0), rel=1e-9)
 
 
 def test_lands_exactly_on_target():
     spec = make_decay()
-    # a target that is not an integer multiple of the micro step
-    _, res = step_to(spec, Capabilities(), spec.x_init, [], 0.0, 0.0123456789)
-    assert res.t_reached == 0.0123456789
+    # a target that is not an integer multiple of the micro step: the last
+    # micro step is shortened, so the state is x(t) at exactly the target
+    t = 0.0123456789
+    x, _ = step_to(spec, Capabilities(), spec.x_init, [], 0.0, t)
+    assert x[0] == pytest.approx(math.exp(-t), rel=1e-12)
 
 
 def test_determinism_bitwise():
@@ -126,7 +127,7 @@ def test_micro_macro_separation():
     _, fine = step_to(
         spec, Capabilities(), spec.x_init, [], 0.0, 0.5, micro_step=0.0005
     )
-    rel = abs(coarse.outputs[0] - fine.outputs[0]) / abs(fine.outputs[0])
+    rel = abs(coarse[0] - fine[0]) / abs(fine[0])
     assert rel < 1e-7
 
 
@@ -177,6 +178,20 @@ def test_output_arity_checked():
         x_init=(0.0,),
     )
     with pytest.raises(ContractViolation):
+        step_to(spec, Capabilities(), spec.x_init, [], 0.0, 1.0)
+
+
+@pytest.mark.parametrize("derivatives", [[0.0], [0.0, 0.0, 0.0]])
+def test_state_derivative_arity_checked(derivatives):
+    # too few derivatives used to surface as an IndexError inside the RK4
+    # loop, too many were accepted silently
+    spec = SubsystemSpec(
+        "bad_f", 2, 0, 1,
+        f=lambda t, x, u: derivatives,
+        g=lambda t, x, u: [x[0]],
+        x_init=(0.0, 0.0),
+    )
+    with pytest.raises(ContractViolation, match="f returned"):
         step_to(spec, Capabilities(), spec.x_init, [], 0.0, 1.0)
 
 
