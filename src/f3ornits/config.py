@@ -6,7 +6,9 @@ lines ignored.  Dotted keys carry structured overrides:
     param.<name>                 model parameter override (see models)
     dt0.<label>                  per-subsystem startup step
     caps.<label>.max_input_degree
-    caps.<label>.imposed_step    locks that subsystem to a fixed grid
+    caps.<label>.imposed_step    locks that subsystem to a fixed grid; a
+                                 grid the event budget cannot cover to
+                                 t_end is rejected
 
 Everything else is a plain field of RunConfig.  Unknown keys are rejected
 by name; so are missing required ones.  `materialize` turns a RunConfig
@@ -245,18 +247,25 @@ def materialize(cfg: RunConfig) -> RunSetup:
             raise ConfigError(
                 f"caps.* names unknown subsystem(s): {', '.join(stray)}"
             )
+        budget = MasterOptions.max_events
         capabilities = []
         for label, caps in zip(labels, problem.capabilities):
-            over = cfg.caps_overrides.get(label, {})
-            for name, value in over.items():
+            for name, value in cfg.caps_overrides.get(label, {}).items():
+                key = f"caps.{label}.{name}"
                 if not math.isfinite(value):
+                    raise ConfigError(f"key {key!r}: {value!r} is not finite")
+                if name == "max_input_degree":
+                    value = int(round(value))
+                try:
+                    caps = replace(caps, **{name: value})
+                except ConfigError as exc:
+                    raise ConfigError(f"key {key!r}: {exc}") from None
+                if name == "imposed_step" and (t_end - t_init) / value > budget:
                     raise ConfigError(
-                        f"key 'caps.{label}.{name}': {value!r} is not finite"
+                        f"key {key!r}: {value!r} needs more than {budget} "
+                        f"events to reach t_end = {t_end!r}"
                     )
-            kwargs = dict(over)
-            if "max_input_degree" in kwargs:
-                kwargs["max_input_degree"] = int(round(kwargs["max_input_degree"]))
-            capabilities.append(replace(caps, **kwargs))
+            capabilities.append(caps)
         problem = replace(problem, capabilities=tuple(capabilities))
     model = replace(model, problem=problem)
 

@@ -121,22 +121,25 @@ def build_two_mass(
     dt0: float | Sequence[float] = 0.01,
 ) -> BenchmarkModel:
     p = params if params is not None else TwoMassParams()
+    # parameters bound to locals once: f, g and rhs run at every RK4 stage
+    m1, m2, k1, k2, k3, k3_after = p.m1, p.m2, p.k1, p.k2, p.k3, p.k3_after
+    d1, d2, d3, t_switch = p.d1, p.d2, p.d3, p.t_switch
 
     def f_left(t, x, u):
         x1, v1 = x
-        return [v1, (-p.k1 * x1 - p.d1 * v1 - u[0]) / p.m1]
+        return [v1, (-k1 * x1 - d1 * v1 - u[0]) / m1]
 
     def g_left(t, x, u):
         return [x[0], x[1]]
 
     def coupling_force(x1, v1, x2, v2):
-        return p.k2 * (x1 - x2) + p.d2 * (v1 - v2)
+        return k2 * (x1 - x2) + d2 * (v1 - v2)
 
     def f_right(t, x, u):
         x2, v2 = x
-        k3t = p.k3_after if t >= p.t_switch else p.k3
-        fc = coupling_force(u[0], u[1], x2, v2)
-        return [v2, (-k3t * x2 - p.d3 * v2 + fc) / p.m2]
+        k3t = k3_after if t >= t_switch else k3
+        fc = k2 * (u[0] - x2) + d2 * (u[1] - v2)
+        return [v2, (-k3t * x2 - d3 * v2 + fc) / m2]
 
     def g_right(t, x, u):
         return [coupling_force(u[0], u[1], x[0], x[1])]
@@ -162,12 +165,12 @@ def build_two_mass(
     def rhs(t, s):
         x1, v1, x2, v2 = s
         fc = coupling_force(x1, v1, x2, v2)
-        k3t = p.k3_after if t >= p.t_switch else p.k3
+        k3t = k3_after if t >= t_switch else k3
         return [
             v1,
-            (-p.k1 * x1 - p.d1 * v1 - fc) / p.m1,
+            (-k1 * x1 - d1 * v1 - fc) / m1,
             v2,
-            (-k3t * x2 - p.d3 * v2 + fc) / p.m2,
+            (-k3t * x2 - d3 * v2 + fc) / m2,
         ]
 
     output_map = {
@@ -216,25 +219,28 @@ def build_car(
     p = params if params is not None else CarParams()
     preset = piecewise_linear(p.preset_force)
     road = dwell_noise(p.seed, p.perturb_amp, p.perturb_dwell)
+    # parameters bound to locals once: f, g and rhs run at every RK4 stage
+    mass, tau_diff, kp, v_target = p.mass, p.tau_diff, p.kp, p.v_target
+    t_control_on = p.t_control_on
 
     def f_vehicle(t, x, u):
-        return [x[1], (u[0] + road(t)) / p.mass]
+        return [x[1], (u[0] + road(t)) / mass]
 
     def g_vehicle(t, x, u):
         return [x[0]]
 
     def force(t, v_est):
-        if t < p.t_control_on:
+        if t < t_control_on:
             return preset(t)
-        return p.kp * (p.v_target - v_est)
+        return kp * (v_target - v_est)
 
     def f_controller(t, x, u):
         # x[0] follows the position input with time constant tau_diff; the
         # tracking residual over tau_diff is the speed estimate
-        return [(u[0] - x[0]) / p.tau_diff]
+        return [(u[0] - x[0]) / tau_diff]
 
     def g_controller(t, x, u):
-        v_est = (u[0] - x[0]) / p.tau_diff
+        v_est = (u[0] - x[0]) / tau_diff
         return [force(t, v_est)]
 
     specs = (
@@ -257,12 +263,12 @@ def build_car(
 
     def rhs(t, s):
         x, v, xc = s
-        v_est = (x - xc) / p.tau_diff
-        return [v, (force(t, v_est) + road(t)) / p.mass, v_est]
+        v_est = (x - xc) / tau_diff
+        return [v, (force(t, v_est) + road(t)) / mass, v_est]
 
     output_map = {
         ("vehicle", 0): lambda t, s: s[0],
-        ("controller", 0): lambda t, s: force(t, (s[0] - s[2]) / p.tau_diff),
+        ("controller", 0): lambda t, s: force(t, (s[0] - s[2]) / tau_diff),
     }
     return BenchmarkModel(
         name="car",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
+from typing import Sequence
 
 from .errors import CalibrationError
 
@@ -51,6 +52,19 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * tau + c
         return acc
+
+    def at(self, times: Sequence[float]) -> list[float]:
+        """p at each time; every value bit-identical to p(t)."""
+        t_ref = self.t_ref
+        rev = self.coeffs[::-1]
+        out = []
+        for t in times:
+            tau = t - t_ref
+            acc = 0.0
+            for c in rev:
+                acc = acc * tau + c
+            out.append(acc)
+        return out
 
     def derivative(self) -> "Polynomial":
         if len(self.coeffs) == 1:

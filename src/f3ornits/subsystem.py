@@ -4,9 +4,11 @@ Each subsystem owns an ODE  x' = f(t, x, u(t)),  y = g(t, x, u(t))  and is
 advanced one macro step at a time with a fixed-step classical Runge-Kutta 4
 micro-integration.  Inputs arrive as genuine polynomials in time and are
 evaluated continuously at every micro stage, never sampled-and-held, so the
-micro error stays far below the coupling error.  There is no rollback: a
-completed macro step is final.  `step_to` returns the new state and the
-output tuple y at the target time.
+micro error stays far below the coupling error.  `step_to` first lays out
+the window's micro grid and evaluates every input once per stage time, then
+walks the grid; f receives each stage's inputs as a fresh read-only tuple.
+There is no rollback: a completed macro step is final.  `step_to` returns
+the new state and the output tuple y at the target time.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ class SubsystemSpec:
     n_states: int
     n_in: int
     n_out: int
-    f: Callable[[float, list[float], list[float]], list[float]]
+    f: Callable[[float, list[float], Sequence[float]], list[float]]
     g: Callable[[float, list[float], list[float]], list[float]]
     x_init: tuple[float, ...]
 
@@ -110,6 +112,13 @@ def step_to(
 
     Returns the new state and the outputs evaluated exactly at t_target.
     `micro_step` overrides the default step rule (used by convergence tests).
+
+    The micro grid is laid out before the RK4 walk: steps of h from t_start,
+    the last one shortened to land on t_target.  Each input polynomial is
+    then evaluated once per stage time (step boundaries and midpoints), so
+    the inputs at a step's start are the ones its predecessor ended with.
+    f is called exactly four times per micro step, with the stage's inputs
+    as a tuple.
     """
     if t_target <= t_start:
         raise ValueError(
@@ -133,59 +142,58 @@ def step_to(
     if h <= 0:
         raise ValueError("micro step must be positive")
 
-    f = spec.f
-    x = list(state)
-    n = spec.n_states
-    # unpack polynomial data once; evaluation below is inlined Horner
-    pdata = [(p.t_ref, p.coeffs) for p in inputs]
-    u = [0.0] * spec.n_in
-
-    def eval_inputs(t: float) -> list[float]:
-        # NOTE: the same buffer is reused across stages; f must not retain it
-        for i, (tr, cs) in enumerate(pdata):
-            tau = t - tr
-            acc = 0.0
-            for c in reversed(cs):
-                acc = acc * tau + c
-            u[i] = acc
-        return u
-
+    # the micro grid: step boundaries and sizes, the last step may be short
+    edges = [t_start]
+    sizes = []
     t = t_start
     guard = h * 1e-9
-    # the first stage of each micro step is evaluated at the end of the one
-    # before it, so that the first one can be checked before it is used
-    k1 = f(t, x, eval_inputs(t))
-    if len(k1) != n:
-        raise ContractViolation(
-            f"{spec.label}: f returned {len(k1)} derivatives, expected {n}"
-        )
     while True:
         hs = t_target - t
         if hs > h:
             hs = h
+        t += hs
+        sizes.append(hs)
+        edges.append(t)
+        if t_target - t <= guard:
+            break
+    mids = [t + 0.5 * hs for t, hs in zip(edges, sizes)]
+
+    # the stage inputs: each polynomial once per stage time, one column per
+    # input, zipped into one row per stage time (empty rows without inputs)
+    edge_cols = [p.at(edges) for p in inputs]
+    mid_cols = [p.at(mids) for p in inputs]
+    edge_rows = list(zip(*edge_cols)) or [()] * len(edges)
+    mid_rows = list(zip(*mid_cols)) or [()] * len(mids)
+
+    f = spec.f
+    x = list(state)
+    n = spec.n_states
+    idx = range(n)
+    for t, t1, tm, hs, u0, u1, um in zip(
+        edges, edges[1:], mids, sizes, edge_rows, edge_rows[1:], mid_rows
+    ):
+        k1 = f(t, x, u0)
+        if len(k1) != n:
+            raise ContractViolation(
+                f"{spec.label}: f returned {len(k1)} derivatives, expected {n}"
+            )
         half = 0.5 * hs
-        xs = [x[i] + half * k1[i] for i in range(n)]
-        um = eval_inputs(t + half)
-        k2 = f(t + half, xs, um)
-        xs = [x[i] + half * k2[i] for i in range(n)]
-        k3 = f(t + half, xs, um)
-        xs = [x[i] + hs * k3[i] for i in range(n)]
-        u1 = eval_inputs(t + hs)
-        k4 = f(t + hs, xs, u1)
+        xs = [x[i] + half * k1[i] for i in idx]
+        k2 = f(tm, xs, um)
+        xs = [x[i] + half * k2[i] for i in idx]
+        k3 = f(tm, xs, um)
+        xs = [x[i] + hs * k3[i] for i in idx]
+        k4 = f(t1, xs, u1)
         sixth = hs / 6.0
         x = [
             x[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
-            for i in range(n)
+            for i in idx
         ]
-        t += hs
-        if t_target - t <= guard:
-            break
-        k1 = f(t, x, eval_inputs(t))
 
     if not all(isfinite(v) for v in x):
         raise DivergenceError(spec.label, t_start)
 
-    y = evaluate_outputs(spec, x, eval_inputs(t_target), t_target)
+    y = evaluate_outputs(spec, x, [p(t_target) for p in inputs], t_target)
     if not all(isfinite(v) for v in y):
         raise DivergenceError(spec.label, t_start)
     return x, y

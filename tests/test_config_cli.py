@@ -126,6 +126,22 @@ def test_materialize_applies_dt0_and_caps_overrides():
     assert problem.capabilities[0].imposed_step is None
 
 
+def test_materialize_bounds_an_imposed_step_by_the_event_budget():
+    # 5 s in steps of 1e-6 is exactly the budget; anything finer cannot end
+    budget = MasterOptions.max_events
+    assert 5.0 / 1e-6 == budget
+    setup = materialize(RunConfig(
+        model="two_mass", t_end=5.0,
+        caps_overrides={"mass_right": {"imposed_step": 1e-6}},
+    ))
+    assert setup.model.problem.capabilities[1].imposed_step == 1e-6
+    with pytest.raises(ConfigError, match="'caps.mass_right.imposed_step'"):
+        materialize(RunConfig(
+            model="two_mass", t_end=5.0,
+            caps_overrides={"mass_right": {"imposed_step": 0.99e-6}},
+        ))
+
+
 def test_materialize_rejects_stray_labels():
     with pytest.raises(ConfigError, match="ghost"):
         materialize(RunConfig(model="two_mass", dt0_per_label={"ghost": 0.1}))
@@ -313,13 +329,22 @@ def test_cli_rejects_non_positive_parameters(capsys):
     (["run", "--model", "two_mass",
       "--set", "caps.mass_right.max_input_degree=nan"],
      "'caps.mass_right.max_input_degree'"),
+    (["run", "--model", "two_mass",
+      "--set", "caps.mass_right.max_input_degree=-1"],
+     "'caps.mass_right.max_input_degree'"),
+    (["run", "--model", "two_mass", "--set", "caps.mass_left.imposed_step=0"],
+     "'caps.mass_left.imposed_step'"),
+    (["run", "--model", "two_mass",
+      "--set", "caps.mass_right.imposed_step=1e-7"],
+     "'caps.mass_right.imposed_step'"),
     (["reference", "--model", "two_mass", "--micro-step", "0"], "'micro_step'"),
     (["reference", "--model", "two_mass", "--micro-step", "nan"], "'micro_step'"),
     (["reference", "--model", "two_mass", "--record-dt", "inf"], "'record_dt'"),
     (["compare", "--model", "two_mass", "--jacobi-dts", "nan,0.1"], "--jacobi-dts"),
 ], ids=[
     "x1_0-nan", "x1_0-inf", "t_switch-nan", "seed-nan", "seed-inf",
-    "preset_force", "caps-nan", "micro_step-0", "micro_step-nan",
+    "preset_force", "caps-nan", "caps-degree-negative", "caps-step-zero",
+    "caps-step-over-budget", "micro_step-0", "micro_step-nan",
     "record_dt-inf", "jacobi_dts-nan",
 ])
 def test_cli_rejects_meaningless_inputs(argv, key, tmp_path, capsys):

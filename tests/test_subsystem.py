@@ -1,10 +1,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from f3ornits.errors import ConfigError, ContractViolation, DivergenceError
 from f3ornits.poly import Polynomial
 from f3ornits.subsystem import (
+    MICRO_CAP,
+    MICRO_DIVISOR,
     Capabilities,
     SubsystemSpec,
     effective_max_degree,
@@ -203,3 +207,118 @@ def test_x_init_arity_checked():
             g=lambda t, x, u: [],
             x_init=(0.0,),
         )
+
+
+# ------------------------------------------------- step_to against a reference
+
+def reference_step_to(f, g, n, state, inputs, t_start, t_target, h):
+    """Per-stage RK4 walk: the grid advanced and the inputs evaluated at
+    every stage as the walk goes, the algorithm step_to has to reproduce."""
+
+    def eval_inputs(t):
+        out = []
+        for p in inputs:
+            tau = t - p.t_ref
+            acc = 0.0
+            for c in reversed(p.coeffs):
+                acc = acc * tau + c
+            out.append(acc)
+        return out
+
+    x = list(state)
+    t = t_start
+    guard = h * 1e-9
+    steps = 0
+    k1 = f(t, x, eval_inputs(t))
+    while True:
+        hs = t_target - t
+        if hs > h:
+            hs = h
+        half = 0.5 * hs
+        xs = [x[i] + half * k1[i] for i in range(n)]
+        um = eval_inputs(t + half)
+        k2 = f(t + half, xs, um)
+        xs = [x[i] + half * k2[i] for i in range(n)]
+        k3 = f(t + half, xs, um)
+        xs = [x[i] + hs * k3[i] for i in range(n)]
+        k4 = f(t + hs, xs, eval_inputs(t + hs))
+        sixth = hs / 6.0
+        x = [
+            x[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
+            for i in range(n)
+        ]
+        t += hs
+        steps += 1
+        if t_target - t <= guard:
+            break
+        k1 = f(t, x, eval_inputs(t))
+    return x, tuple(g(t_target, x, eval_inputs(t_target))), steps
+
+
+def same_floats(a, b):
+    """Equal as floats and in the sign of every zero."""
+    return len(a) == len(b) and all(
+        u == v and math.copysign(1.0, u) == math.copysign(1.0, v)
+        for u, v in zip(a, b)
+    )
+
+
+_coeff = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, -2.5]),
+    st.floats(-5.0, 5.0, allow_nan=False),
+)
+_poly = st.builds(
+    Polynomial,
+    st.floats(-1.0, 1.0, allow_nan=False),
+    st.lists(_coeff, min_size=1, max_size=4).map(tuple),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    inputs=st.lists(_poly, max_size=2),
+    x0=st.lists(_coeff, min_size=1, max_size=2),
+    t_start=st.floats(-1.0, 1.0, allow_nan=False),
+    n_steps=st.integers(0, 40),
+    last=st.floats(0.05, 0.95),
+    micro_step=st.one_of(st.none(), st.floats(1e-3, 0.05)),
+)
+def test_step_to_matches_the_per_stage_walk_bit_for_bit(
+    inputs, x0, t_start, n_steps, last, micro_step
+):
+    # the window ends a fraction into a micro step, so the last one is short;
+    # without an explicit micro step the window is long enough for the cap
+    if micro_step is None:
+        n_steps += int(MICRO_DIVISOR)
+    h = micro_step if micro_step is not None else MICRO_CAP
+    t_target = t_start + (n_steps + last) * h
+    n = len(x0)
+
+    def dynamics(log):
+        def f(t, x, u):
+            log.append((t, tuple(x), tuple(u)))
+            mix = sum(u) if u else -0.0
+            return [mix - 0.5 * x[i] + t * x[-1] for i in range(n)]
+
+        return f
+
+    def g(t, x, u):
+        return list(x) + list(u) + [t]
+
+    log, ref_log = [], []
+    spec = SubsystemSpec("ref", n, len(inputs), n + len(inputs) + 1,
+                         dynamics(log), g, tuple(x0))
+    x, y = step_to(spec, Capabilities(), spec.x_init, inputs, t_start,
+                   t_target, micro_step)
+    h_used = micro_step if micro_step is not None else micro_step_size(
+        t_target - t_start
+    )
+    assert h_used == h
+    ref_x, ref_y, steps = reference_step_to(
+        dynamics(ref_log), g, n, spec.x_init, inputs, t_start, t_target, h_used
+    )
+    assert same_floats(x, ref_x)
+    assert same_floats(y, ref_y)
+    assert len(log) == 4 * steps
+    for (t, xs, u), (rt, rxs, ru) in zip(log, ref_log):
+        assert same_floats((t,) + xs + u, (rt,) + rxs + ru)
