@@ -38,7 +38,7 @@ def main() -> int:
     adaptive = materialize(RunConfig(model="car", seed=args.seed))
     target = held.model.params.v_target
 
-    grid = run_jacobi(held.model.problem, args.dt, held.options)
+    grid = run_jacobi(held.model.problem, args.dt)
     poly = run_f3ornits(adaptive.model.problem, adaptive.options)
 
     out = Path(args.output_dir)

@@ -112,7 +112,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = config_from_mapping(_gather_raw(args))
     setup = materialize(cfg)
     if cfg.method == "jacobi":
-        trace = run_jacobi(setup.model.problem, cfg.dt, setup.options)
+        trace = run_jacobi(setup.model.problem, cfg.dt)
     else:
         trace = run_f3ornits(setup.model.problem, setup.options)
     paths = trace.write_csv(cfg.output_dir, cfg.prefix)

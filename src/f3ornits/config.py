@@ -40,14 +40,14 @@ class RunConfig:
 
     model: str
     method: str = "f3ornits"
-    calibration: str = "extrapolation"
-    error_norm: str = "damped"
-    nu: float = 0.05
-    smoothing: bool = False
-    tol_rel: float = 1e-3
-    tol_abs: float = 1e-6
-    rho_min: float = 0.10
-    rho_max: float = 1.05
+    calibration: str = MasterOptions.calibration
+    error_norm: str = MasterOptions.error_norm
+    nu: float = Tolerances.nu
+    smoothing: bool = MasterOptions.smoothing
+    tol_rel: float = Tolerances.tol_rel
+    tol_abs: float = Tolerances.tol_abs
+    rho_min: float = Tolerances.rho_min
+    rho_max: float = Tolerances.rho_max
     dt0: float | None = None          # None: model default
     dt_min: float | None = None       # None: min over dt0
     dt_max: float | None = None       # None: (t_end - t_init) / 10
@@ -162,11 +162,6 @@ def config_from_mapping(raw: dict[str, str]) -> RunConfig:
 
 def config_from_text(text: str) -> RunConfig:
     return config_from_mapping(parse_kv_text(text))
-
-
-def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_text(fh.read())
 
 
 # ------------------------------------------------------------- materializing

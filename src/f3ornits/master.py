@@ -17,11 +17,11 @@ Scheduling is reconciled after every event by five rules applied in order:
 (b) consumers that publish outputs never plan past the earliest estimated
     refresh among their producers, so fresh data is awaited rather than
     extrapolated over when the schedule allows it;
-(c) a subsystem nobody listens to has no outputs and so no error control
-    of its own: it aims for the horizon, and wakes whenever one of its
-    producers does, unless all its producers are pure sources whose orders
-    did not change, in which case it may coast — which is why rule (b)
-    leaves these subsystems alone;
+(c) a subsystem with no outputs has no error control of its own: it aims
+    for the horizon, and wakes whenever one of its producers does, unless
+    all its producers are pure sources (no inputs) whose orders did not
+    change, in which case it may coast — which is why rule (b) leaves these
+    subsystems alone;
 (d) nothing is scheduled past the simulation horizon, which is where a
     subsystem with no outputs aims;
 (e) every effective time stays strictly ahead of the subsystem's reached
@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .coupling import CouplingGraph, SampleHistory, TopologyTag
+from .coupling import CouplingGraph, SampleHistory
 from .errors import ConfigError
 from .inputs import InputPlan, SmoothingContext, build_plan, prune_published
 from .orders import CALIBRATION_MODES, estimate_output, select_order
@@ -74,19 +74,11 @@ class CosimProblem:
     dt0: tuple[float, ...]
 
     def validate(self) -> None:
-        n = len(self.subsystems)
-        if not (len(self.capabilities) == self.graph.n_sys == len(self.dt0) == n):
-            raise ConfigError(
-                "subsystems, capabilities, graph and dt0 must agree in length"
-            )
-        errs = self.graph.validate()
+        if not (len(self.capabilities) == len(self.dt0) == len(self.subsystems)):
+            raise ConfigError("subsystems, capabilities and dt0 must agree in length")
+        errs = self.graph.validate([(s.n_in, s.n_out) for s in self.subsystems])
         if errs:
             raise ConfigError("coupling graph invalid: " + "; ".join(errs))
-        for k, spec in enumerate(self.subsystems):
-            if spec.n_in != self.graph.n_in[k] or spec.n_out != self.graph.n_out[k]:
-                raise ConfigError(
-                    f"{spec.label}: arities disagree with the coupling graph"
-                )
         if not self.t_end > self.t_init:
             raise ConfigError("t_end must exceed t_init")
         for d in self.dt0:
@@ -126,11 +118,15 @@ class MasterOptions:
 
 @dataclass(eq=False)
 class ScheduleEntry:
-    """Everything the reconciliation rules need to know about one subsystem."""
+    """Everything the reconciliation rules need to know about one subsystem.
+
+    A pure source is an entry without producers: on a validated graph every
+    input is fed, so it has no inputs.
+    """
 
     reached: float
     estimated: float
-    topology: TopologyTag
+    has_outputs: bool
     producers: tuple[int, ...]
     imposed_step: float | None = None
     orders_changed: bool = True
@@ -153,13 +149,12 @@ def reconcile(
     for k, e in enumerate(entries):
         if not e.finished and e.imposed_step is not None:
             eff[k] = e.reached + e.imposed_step
-    # (b) consumer clamp against producers' estimates.  NO subsystems are
-    #     exempt: nobody depends on them, so their wake policy is rule (c)
-    #     alone — otherwise the coast exception there could never apply.
+    # (b) consumer clamp against producers' estimates.  Subsystems without
+    #     outputs are exempt: nobody depends on them, so their wake policy is
+    #     rule (c) alone — otherwise the coast exception there could never
+    #     apply.
     for k, e in enumerate(entries):
-        if e.finished or e.imposed_step is not None:
-            continue
-        if e.topology is TopologyTag.NO:
+        if e.finished or e.imposed_step is not None or not e.has_outputs:
             continue
         ests = [
             entries[l].estimated for l in e.producers if not entries[l].finished
@@ -171,20 +166,18 @@ def reconcile(
     # (c) no-output subsystems aim for the horizon; pull them in to their
     #     producers' effective wake-ups
     for k, e in enumerate(entries):
-        if e.finished or e.imposed_step is not None:
+        if e.finished or e.imposed_step is not None or e.has_outputs:
             continue
-        if e.topology is TopologyTag.NO:
-            prods = [l for l in e.producers if not entries[l].finished]
-            if prods:
-                coast = all(
-                    entries[l].topology is TopologyTag.NI
-                    and not entries[l].orders_changed
-                    for l in prods
-                )
-                if not coast:
-                    cand = min(eff[l] for l in prods)
-                    if cand < eff[k]:
-                        eff[k] = cand
+        prods = [l for l in e.producers if not entries[l].finished]
+        if prods:
+            coast = all(
+                not entries[l].producers and not entries[l].orders_changed
+                for l in prods
+            )
+            if not coast:
+                cand = min(eff[l] for l in prods)
+                if cand < eff[k]:
+                    eff[k] = cand
     # (d) horizon clamp (where no-output subsystems aim) and (e) the
     #     strict-progress floor
     for k, e in enumerate(entries):
@@ -203,9 +196,10 @@ def reconcile(
 def _initial_exchange(problem: CosimProblem) -> list[tuple[float, ...]]:
     """Outputs at t_init, by fixed-point passes over the output maps.
 
-    Inputs start at zero; n_sys + 1 sweeps settle any feed-through cascade
-    (cyclic algebraic feed-through would need an implicit solve and is out
-    of scope — the passes are still deterministic in that case).
+    Inputs start at zero; one sweep more than there are subsystems settles
+    any feed-through cascade (cyclic algebraic feed-through would need an
+    implicit solve and is out of scope — the passes are still deterministic
+    in that case).
     """
     t0 = problem.t_init
     n = len(problem.subsystems)
@@ -270,11 +264,10 @@ class _SubRuntime(ScheduleEntry):
         self,
         spec: SubsystemSpec,
         caps: Capabilities,
-        topology: TopologyTag,
         producers: tuple[int, ...],
         t0: float,
     ):
-        super().__init__(t0, t0, topology, producers, caps.imposed_step)
+        super().__init__(t0, t0, spec.n_out > 0, producers, caps.imposed_step)
         self.spec = spec
         self.caps = caps
         self.state = list(spec.x_init)
@@ -296,7 +289,7 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
     graph = problem.graph
 
     runtimes = [
-        _SubRuntime(spec, caps, graph.topology(k), graph.producers_of(k), t0)
+        _SubRuntime(spec, caps, graph.producers_of(k), t0)
         for k, (spec, caps) in enumerate(
             zip(problem.subsystems, problem.capabilities)
         )
@@ -318,7 +311,7 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
             rt.bounds.append(DampedBounds.from_first_sample(y0[k][j]))
         if rt.imposed_step is not None:
             rt.estimated = t0 + rt.imposed_step
-        elif rt.topology is TopologyTag.NINO:
+        elif not (rt.producers or rt.has_outputs):
             # nothing to give and nothing to receive: one step to the horizon
             rt.estimated = t_end
         else:
@@ -411,9 +404,9 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
             rho = 1.0
             if rt.imposed_step is not None:
                 rt.estimated = t_event + rt.imposed_step
-            elif rt.spec.n_out == 0:
-                # nobody listens and there is no error to control: aim for
-                # the horizon and let rule (c) pull the subsystem in
+            elif not rt.has_outputs:
+                # nothing published, so no error to control: aim for the
+                # horizon and let rule (c) pull the subsystem in
                 rt.estimated = t_end
             else:
                 prop = propose(errs, p_used, dt_prev, t_event, t_end, tol)
@@ -444,9 +437,7 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
 
 # -------------------------------------------------------------- the baseline
 
-def run_jacobi(
-    problem: CosimProblem, dt: float, options: MasterOptions | None = None
-) -> RunTrace:
+def run_jacobi(problem: CosimProblem, dt: float) -> RunTrace:
     """Fixed-step parallel zero-order-hold co-simulation baseline."""
     problem.validate()
     if not (math.isfinite(dt) and dt > 0):

@@ -148,11 +148,7 @@ def build_two_mass(
         SubsystemSpec("mass_left", 2, 1, 2, f_left, g_left, (p.x1_0, p.v1_0)),
         SubsystemSpec("mass_right", 2, 2, 1, f_right, g_right, (p.x2_0, p.v2_0)),
     )
-    graph = CouplingGraph(
-        n_in=(1, 2),
-        n_out=(2, 1),
-        links={(0, 0): (1, 0), (1, 0): (0, 0), (1, 1): (0, 1)},
-    )
+    graph = CouplingGraph({(0, 0): (1, 0), (1, 0): (0, 0), (1, 1): (0, 1)})
     problem = CosimProblem(
         subsystems=specs,
         capabilities=(Capabilities(),) * 2,
@@ -247,11 +243,7 @@ def build_car(
         SubsystemSpec("vehicle", 2, 1, 1, f_vehicle, g_vehicle, (0.0, 0.0)),
         SubsystemSpec("controller", 1, 1, 1, f_controller, g_controller, (0.0,)),
     )
-    graph = CouplingGraph(
-        n_in=(1, 1),
-        n_out=(1, 1),
-        links={(0, 0): (1, 0), (1, 0): (0, 0)},
-    )
+    graph = CouplingGraph({(0, 0): (1, 0), (1, 0): (0, 0)})
     problem = CosimProblem(
         subsystems=specs,
         capabilities=(Capabilities(),) * 2,

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ConfigError, DivergenceError
 from .master import run_f3ornits, run_jacobi
@@ -35,14 +34,27 @@ F3_VARIANTS = tuple(
 
 
 def compute_rmse(trace_t, trace_y, ref_t, ref_y) -> float:
-    """Percent RMSE of a trace against a reference series on the ref grid."""
-    ref = np.asarray(ref_y, dtype=float)
-    span = float(ref.max() - ref.min())
+    """Percent RMSE of a trace against a reference series on the ref grid.
+
+    The trace is interpolated linearly onto each reference time, with
+    numpy.interp's formula, and held at its end values outside its span.
+    """
+    span = max(ref_y) - min(ref_y)
     if span <= 0.0:
         raise ConfigError("reference series is flat; RMSE undefined")
-    interp = np.interp(np.asarray(ref_t, dtype=float),
-                       np.asarray(trace_t, dtype=float), np.asarray(trace_y, dtype=float))
-    rms = math.sqrt(float(np.mean((interp - ref) ** 2)))
+    last = len(trace_t) - 1
+    squares = []
+    for t, r in zip(ref_t, ref_y):
+        j = bisect_right(trace_t, t) - 1
+        if j < 0:
+            y = trace_y[0]
+        elif j == last or trace_t[j] == t:
+            y = trace_y[j]
+        else:
+            slope = (trace_y[j + 1] - trace_y[j]) / (trace_t[j + 1] - trace_t[j])
+            y = slope * (t - trace_t[j]) + trace_y[j]
+        squares.append((y - r) * (y - r))
+    rms = math.sqrt(math.fsum(squares) / len(squares))
     return 100.0 * rms / span
 
 

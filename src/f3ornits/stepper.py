@@ -22,10 +22,6 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
-#: default growth-ratio window: shrink to 10 %, grow by at most 5 %
-RHO_MIN_DEFAULT = 0.10
-RHO_MAX_DEFAULT = 1.05
-
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -33,8 +29,8 @@ class Tolerances:
 
     tol_rel: float = 1e-3
     tol_abs: float = 1e-6
-    rho_min: float = RHO_MIN_DEFAULT
-    rho_max: float = RHO_MAX_DEFAULT
+    rho_min: float = 0.10     # growth-ratio window: shrink to 10 %,
+    rho_max: float = 1.05     # grow by at most 5 %
     nu: float = 0.05          # damped-envelope contraction rate, 1/s
     dt_min: float = 1e-2
     dt_max: float = 20.0

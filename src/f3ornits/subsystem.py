@@ -18,13 +18,10 @@ from math import isfinite
 from typing import Callable, Sequence
 
 from .errors import ConfigError, ContractViolation, DivergenceError
-from .poly import Polynomial
+from .poly import MAX_DEGREE, Polynomial
 
 #: highest polynomial order the method itself proposes (inputs and outputs)
 MAX_ORDER = 2
-
-#: degree that C1 smoothing may raise an input plan to
-SMOOTHING_DEGREE = 3
 
 #: micro-step rule: min(macro_step / MICRO_DIVISOR, MICRO_CAP) seconds
 MICRO_DIVISOR = 50.0
@@ -36,12 +33,12 @@ class Capabilities:
     """What a simulator can accept from the master.
 
     max_input_degree is the highest polynomial degree the subsystem can
-    integrate on its inputs; smoothing additionally needs cubics.  A
+    integrate on its inputs; smoothing needs the cubics of MAX_DEGREE.  A
     subsystem that cannot vary its communication step declares the step it
     imposes instead; imposed_step None means the step is free.
     """
 
-    max_input_degree: int = SMOOTHING_DEGREE
+    max_input_degree: int = MAX_DEGREE
     imposed_step: float | None = None
 
     def __post_init__(self):
@@ -56,23 +53,12 @@ class Capabilities:
 
     @property
     def smoothing_capable(self) -> bool:
-        return self.max_input_degree >= SMOOTHING_DEGREE
+        return self.max_input_degree >= MAX_DEGREE
 
 
 def effective_max_degree(caps: Capabilities) -> int:
     """Order ceiling for un-smoothed input plans: min(method cap, capability)."""
     return min(MAX_ORDER, caps.max_input_degree)
-
-
-def input_degree_limit(caps: Capabilities) -> int:
-    """Hard degree bound on anything handed to the subsystem.
-
-    Smoothing-capable subsystems may receive cubics (the smoothing blend);
-    everyone else is limited to their un-smoothed ceiling.
-    """
-    if caps.smoothing_capable:
-        return SMOOTHING_DEGREE
-    return effective_max_degree(caps)
 
 
 @dataclass(frozen=True)
@@ -88,6 +74,8 @@ class SubsystemSpec:
     x_init: tuple[float, ...]
 
     def __post_init__(self):
+        if min(self.n_in, self.n_out) < 0:
+            raise ConfigError(f"{self.label}: arities must be >= 0")
         if len(self.x_init) != self.n_states:
             raise ConfigError(
                 f"{self.label}: x_init has {len(self.x_init)} entries, "
@@ -130,12 +118,11 @@ def step_to(
             f"{spec.label}: got {len(inputs)} input polynomials, "
             f"expected {spec.n_in}"
         )
-    limit = input_degree_limit(caps)
     for i, p in enumerate(inputs):
-        if p.degree > limit:
+        if p.degree > caps.max_input_degree:
             raise ContractViolation(
                 f"{spec.label}: input {i} has degree {p.degree}, "
-                f"capability allows {limit}"
+                f"capability allows {caps.max_input_degree}"
             )
 
     h = micro_step if micro_step is not None else micro_step_size(t_target - t_start)

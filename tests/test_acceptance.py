@@ -15,7 +15,7 @@ import time
 from dataclasses import replace
 
 from f3ornits.config import RunConfig, materialize
-from f3ornits.coupling import CouplingGraph, TopologyTag
+from f3ornits.coupling import CouplingGraph
 from f3ornits.master import (
     CosimProblem,
     MasterOptions,
@@ -267,7 +267,7 @@ def test_criterion_6_car_runaway_and_recovery():
     failures = []
     held = materialize(RunConfig(model="car", method="jacobi", dt=0.05, seed=7))
     p = held.model.params
-    grid = run_jacobi(held.model.problem, 0.05, held.options)
+    grid = run_jacobi(held.model.problem, 0.05)
 
     tv, xv = grid.output_series("vehicle", 0)
     tc, fc = grid.output_series("controller", 0)
@@ -371,12 +371,12 @@ def _oracle_reconcile(entries, t_end, eps):
         else:
             t = e.estimated
             live = [p for p in e.producers if not entries[p].finished]
-            if e.topology is not TopologyTag.NO:
+            if e.has_outputs:
                 for p in live:
                     t = min(t, entries[p].estimated)
             else:
                 if live and not all(
-                    entries[p].topology is TopologyTag.NI
+                    not entries[p].producers
                     and not entries[p].orders_changed
                     for p in live
                 ):
@@ -390,7 +390,7 @@ def _oracle_reconcile(entries, t_end, eps):
                                 q for q in pe.producers
                                 if not entries[q].finished
                             ]
-                            if pe.topology is not TopologyTag.NO:
+                            if pe.has_outputs:
                                 for q in plive:
                                     cand = min(cand, entries[q].estimated)
                             t = min(t, cand)
@@ -413,14 +413,10 @@ def _random_entries(rng):
         sources = [l for l in range(n) if l != k and out_bearing[l]]
         rng.shuffle(sources)
         producers = tuple(sorted(sources[: rng.randrange(0, len(sources) + 1)]))
-        if producers:
-            topology = TopologyTag.IO if out_bearing[k] else TopologyTag.NO
-        else:
-            topology = TopologyTag.NI if out_bearing[k] else TopologyTag.NINO
         entries.append(ScheduleEntry(
             reached=reached,
             estimated=reached + rng.uniform(0.0, 2.0),
-            topology=topology,
+            has_outputs=out_bearing[k],
             producers=producers,
             imposed_step=rng.uniform(0.1, 1.0) if rng.random() < 0.3 else None,
             orders_changed=rng.random() < 0.5,
@@ -469,7 +465,7 @@ def _random_problem(rng):
     return CosimProblem(
         subsystems=tuple(make_spec(k) for k in range(n)),
         capabilities=tuple(caps),
-        graph=CouplingGraph(tuple(n_in), tuple(n_out), links),
+        graph=CouplingGraph(links),
         t_init=0.0,
         t_end=rng.uniform(1.0, 2.0),
         dt0=tuple(rng.uniform(0.2, 0.6) for _ in range(n)),

@@ -1,8 +1,16 @@
 """Config parsing, materialization, CSV round-trips, and the CLI contract."""
 
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from f3ornits import cli
 from f3ornits.config import (
@@ -88,6 +96,15 @@ def test_materialize_derives_step_bounds_from_the_model():
     assert tol.dt_min == min(setup.model.problem.dt0) == 0.01
     assert tol.dt_max == pytest.approx(200.0 / 10.0)
     assert setup.variable == ("mass_left", 0)
+
+
+def test_materialize_defaults_are_the_master_defaults():
+    options = materialize(RunConfig(model="two_mass")).options
+    defaults = MasterOptions()
+    assert options == replace(
+        defaults,
+        tolerances=replace(defaults.tolerances, dt_min=0.01, dt_max=20.0),
+    )
 
 
 def test_materialize_respects_explicit_bounds_and_variable():
@@ -181,6 +198,37 @@ def test_rmse_resamples_onto_the_reference_grid():
     ref_t = [0.0, 1.0, 2.0]
     ref_y = [0.0, 2.0, 4.0]
     assert compute_rmse(trace_t, trace_y, ref_t, ref_y) == 0.0
+
+
+def _numpy_rmse(trace_t, trace_y, ref_t, ref_y):
+    ref = np.asarray(ref_y, dtype=float)
+    interp = np.interp(np.asarray(ref_t, dtype=float),
+                       np.asarray(trace_t, dtype=float),
+                       np.asarray(trace_y, dtype=float))
+    rms = math.sqrt(float(np.mean((interp - ref) ** 2)))
+    return 100.0 * rms / float(ref.max() - ref.min())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rmse_matches_a_numpy_interp_oracle(data):
+    value = st.floats(-1e3, 1e3)
+    t = data.draw(st.floats(-5.0, 5.0))
+    trace_t = [t]
+    for step in data.draw(st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=30)):
+        t += step
+        trace_t.append(t)
+    trace_y = data.draw(st.lists(value, min_size=len(trace_t), max_size=len(trace_t)))
+    # reference times inside, outside and exactly on the trace's knots
+    inside = st.floats(trace_t[0] - 1.0, trace_t[-1] + 1.0)
+    ref_t = data.draw(st.lists(st.one_of(inside, st.sampled_from(trace_t)),
+                               min_size=2, max_size=40))
+    ref_y = data.draw(st.lists(value, min_size=len(ref_t), max_size=len(ref_t)))
+    if max(ref_y) == min(ref_y):
+        ref_y[0] += 1.0
+    got = compute_rmse(trace_t, trace_y, ref_t, ref_y)
+    want = _numpy_rmse(trace_t, trace_y, ref_t, ref_y)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_comparison_row_labels():
@@ -360,6 +408,25 @@ def test_cli_rejects_malformed_pairs(capsys):
     assert "NAME=VALUE" in capsys.readouterr().err
     assert cli.main(["run", "--model", "two_mass", "--set", "colour=red"]) == 1
     assert "colour" in capsys.readouterr().err
+
+
+def test_cli_run_and_score_need_no_numpy(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from f3ornits import cli\n"
+        "sys.exit(cli.main(['run', '--model', 'two_mass', '--t-end', '5',"
+        f" '--score', '--output-dir', {str(tmp_path)!r}]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "rmse[mass_left:0]" in proc.stdout
 
 
 def test_cli_run_score_prints_rmse(tmp_path, capsys):

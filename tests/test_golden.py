@@ -88,7 +88,7 @@ def test_trace_csvs_match_pinned_digests(case, tmp_path):
     setup = materialize(cfg)
     problem = setup.model.problem
     if cfg.method == "jacobi":
-        trace = run_jacobi(problem, cfg.dt, setup.options)
+        trace = run_jacobi(problem, cfg.dt)
     else:
         trace = run_f3ornits(problem, setup.options)
     paths = trace.write_csv(tmp_path, "run")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f3ornits.coupling import CouplingGraph, TopologyTag
+from f3ornits.coupling import CouplingGraph
 from f3ornits.errors import ConfigError, DivergenceError
 from f3ornits.master import (
     CosimProblem,
@@ -27,7 +27,7 @@ def entry(**kw):
     base = dict(
         reached=0.0,
         estimated=1.0,
-        topology=TopologyTag.IO,
+        has_outputs=True,
         producers=(),
         imposed_step=None,
         orders_changed=True,
@@ -40,7 +40,7 @@ def entry(**kw):
 # ------------------------------------------------------- reconcile rule cases
 
 def test_single_subsystem_keeps_its_estimate():
-    eff = reconcile([entry(estimated=1.5, topology=TopologyTag.NI)], 10.0, EPS)
+    eff = reconcile([entry(estimated=1.5, has_outputs=True)], 10.0, EPS)
     assert eff == [1.5]
 
 
@@ -50,54 +50,54 @@ def test_imposed_grid_overrides_the_estimate():
 
 
 def test_consumer_clamps_to_producer_estimate():
-    producer = entry(estimated=1.0, topology=TopologyTag.NI)
+    producer = entry(estimated=1.0, has_outputs=True)
     consumer = entry(estimated=1.5, producers=(0,))
     assert reconcile([producer, consumer], 10.0, EPS) == [1.0, 1.0]
 
 
 def test_consumer_unclamped_when_producer_is_later():
-    producer = entry(estimated=2.0, topology=TopologyTag.NI)
+    producer = entry(estimated=2.0, has_outputs=True)
     consumer = entry(estimated=1.5, producers=(0,))
     assert reconcile([producer, consumer], 10.0, EPS) == [2.0, 1.5]
 
 
 def test_finished_producer_does_not_clamp():
-    producer = entry(estimated=1.0, topology=TopologyTag.NI, finished=True)
+    producer = entry(estimated=1.0, has_outputs=True, finished=True)
     consumer = entry(estimated=1.5, producers=(0,))
     assert reconcile([producer, consumer], 10.0, EPS)[1] == 1.5
 
 
 def test_no_output_subsystem_pulled_to_producer_wakeup():
-    producer = entry(estimated=0.8, topology=TopologyTag.IO, producers=(1,))
-    sink = entry(estimated=9.0, topology=TopologyTag.NO, producers=(0,))
+    producer = entry(estimated=0.8, has_outputs=True, producers=(1,))
+    sink = entry(estimated=9.0, has_outputs=False, producers=(0,))
     eff = reconcile([producer, sink], 10.0, EPS)
     assert eff == [0.8, 0.8]
 
 
 def test_no_output_subsystem_coasts_on_stable_pure_sources():
     source = entry(
-        estimated=0.8, topology=TopologyTag.NI, orders_changed=False
+        estimated=0.8, has_outputs=True, orders_changed=False
     )
-    sink = entry(estimated=9.0, topology=TopologyTag.NO, producers=(0,))
+    sink = entry(estimated=9.0, has_outputs=False, producers=(0,))
     eff = reconcile([source, sink], 10.0, EPS)
     assert eff == [0.8, 9.0]
     # an order change on the source ends the coast
-    source = entry(estimated=0.8, topology=TopologyTag.NI, orders_changed=True)
+    source = entry(estimated=0.8, has_outputs=True, orders_changed=True)
     assert reconcile([source, sink], 10.0, EPS)[1] == 0.8
 
 
 def test_horizon_clamp():
-    eff = reconcile([entry(estimated=12.0, topology=TopologyTag.NI)], 10.0, EPS)
+    eff = reconcile([entry(estimated=12.0, has_outputs=True)], 10.0, EPS)
     assert eff == [10.0]
 
 
 def test_progress_floor_when_estimate_fell_behind():
-    e = entry(reached=3.0, estimated=2.5, topology=TopologyTag.NI)
+    e = entry(reached=3.0, estimated=2.5, has_outputs=True)
     assert reconcile([e], 10.0, EPS) == [3.0 + EPS]
 
 
 def test_imposed_subsystem_ignores_consumer_clamp():
-    producer = entry(estimated=0.3, topology=TopologyTag.NI)
+    producer = entry(estimated=0.3, has_outputs=True)
     locked = entry(reached=0.0, estimated=0.25, imposed_step=0.5, producers=(0,))
     assert reconcile([producer, locked], 10.0, EPS) == [0.3, 0.5]
 
@@ -116,7 +116,6 @@ def test_reconcile_bounds_properties(data):
     for k in range(n):
         reached = data.draw(st.floats(0.0, 7.0))
         est = reached + data.draw(st.floats(0.01, 5.0))
-        topo = data.draw(st.sampled_from(list(TopologyTag)))
         producers = tuple(
             l for l in range(n) if l != k and data.draw(st.booleans())
         )
@@ -127,7 +126,7 @@ def test_reconcile_bounds_properties(data):
             ScheduleEntry(
                 reached=reached,
                 estimated=est,
-                topology=topo,
+                has_outputs=data.draw(st.booleans()),
                 producers=producers,
                 imposed_step=imposed,
                 orders_changed=data.draw(st.booleans()),
@@ -174,7 +173,7 @@ def _integrating_sink(label="sink"):
 
 
 def _pair_problem(source, sink, t_end=5.0, dt0=0.5, caps=None):
-    graph = CouplingGraph(n_in=(0, 1), n_out=(1, 0), links={(1, 0): (0, 0)})
+    graph = CouplingGraph({(1, 0): (0, 0)})
     return CosimProblem(
         subsystems=(source, sink),
         capabilities=caps or (Capabilities(), Capabilities()),
@@ -203,7 +202,7 @@ def test_isolated_subsystem_takes_one_step_to_the_horizon():
     problem = CosimProblem(
         subsystems=(lonely,),
         capabilities=(Capabilities(),),
-        graph=CouplingGraph(n_in=(0,), n_out=(0,), links={}),
+        graph=CouplingGraph(),
         t_init=0.0,
         t_end=5.0,
         dt0=(0.5,),
@@ -221,11 +220,7 @@ def test_initial_exchange_settles_feedthrough_chains():
     c = SubsystemSpec(
         "c", 0, 1, 1, lambda t, x, u: [], lambda t, x, u: [u[0] + 1.0], ()
     )
-    graph = CouplingGraph(
-        n_in=(0, 1, 1),
-        n_out=(1, 1, 1),
-        links={(1, 0): (0, 0), (2, 0): (1, 0)},
-    )
+    graph = CouplingGraph({(1, 0): (0, 0), (2, 0): (1, 0)})
     problem = CosimProblem(
         subsystems=(a, b, c),
         capabilities=(Capabilities(),) * 3,
@@ -296,7 +291,7 @@ def test_divergence_carries_label_and_last_good_time():
     problem = CosimProblem(
         subsystems=(boom,),
         capabilities=(Capabilities(),),
-        graph=CouplingGraph(n_in=(0,), n_out=(1,), links={}),
+        graph=CouplingGraph(),
         t_init=0.0,
         t_end=5.0,
         dt0=(0.5,),
@@ -333,7 +328,7 @@ def test_jacobi_grid_and_counts():
 
 def test_problem_validation_rejects_mismatches():
     src = _const_source()
-    graph = CouplingGraph(n_in=(0,), n_out=(1,), links={})
+    graph = CouplingGraph()
     with pytest.raises(ConfigError, match="t_end"):
         CosimProblem((src,), (Capabilities(),), graph, 0.0, 0.0, (0.1,)).validate()
     for dt0 in (-0.1, math.nan, math.inf, -math.inf):
@@ -343,15 +338,16 @@ def test_problem_validation_rejects_mismatches():
             ).validate()
     with pytest.raises(ConfigError, match="agree in length"):
         CosimProblem((src,), (), graph, 0.0, 1.0, (0.1,)).validate()
-    bad_arity = CouplingGraph(n_in=(2,), n_out=(1,), links={})
-    with pytest.raises(ConfigError):
+    # the source has no inputs, so a link into its input 0 is invalid
+    bad_slot = CouplingGraph({(0, 0): (0, 0)})
+    with pytest.raises(ConfigError, match="no input slot 0"):
         CosimProblem(
-            (src,), (Capabilities(),), bad_arity, 0.0, 1.0, (0.1,)
+            (src,), (Capabilities(),), bad_slot, 0.0, 1.0, (0.1,)
         ).validate()
 
 
 def test_duplicate_labels_rejected():
-    graph = CouplingGraph(n_in=(0, 0), n_out=(1, 1), links={})
+    graph = CouplingGraph()
     problem = CosimProblem(
         subsystems=(_const_source(1.0, "same"), _const_source(2.0, "same")),
         capabilities=(Capabilities(), Capabilities()),

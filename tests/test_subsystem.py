@@ -12,7 +12,6 @@ from f3ornits.subsystem import (
     Capabilities,
     SubsystemSpec,
     effective_max_degree,
-    input_degree_limit,
     micro_step_size,
     step_to,
 )
@@ -67,8 +66,25 @@ def test_capability_validation():
 def test_degree_ceilings(m_k, plain, hard):
     caps = Capabilities(max_input_degree=m_k)
     assert effective_max_degree(caps) == plain
-    assert input_degree_limit(caps) == hard
     assert caps.smoothing_capable == (m_k >= 3)
+    # step_to accepts exactly the input degrees up to the hard ceiling
+    spec = make_integrator()
+    for degree in range(4):
+        poly = Polynomial(0.0, (0.0,) * degree + (1.0,))
+        if degree <= hard:
+            step_to(spec, caps, spec.x_init, [poly], 0.0, 0.1)
+        else:
+            with pytest.raises(ContractViolation, match=f"allows {m_k}"):
+                step_to(spec, caps, spec.x_init, [poly], 0.0, 0.1)
+
+
+def test_spec_rejects_negative_arities():
+    for n_in, n_out in ((-1, 0), (0, -1)):
+        with pytest.raises(ConfigError, match="arities"):
+            SubsystemSpec(
+                "neg", 0, n_in, n_out,
+                lambda t, x, u: [], lambda t, x, u: [], (),
+            )
 
 
 def test_micro_step_rule():
