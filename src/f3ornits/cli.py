@@ -33,7 +33,11 @@ from .config import (
     parse_kv_text,
 )
 from .master import run_f3ornits, run_jacobi
-from .models import monolithic_reference
+from .models import (
+    REFERENCE_MICRO_STEP,
+    REFERENCE_RECORD_DT,
+    monolithic_reference,
+)
 from .report import (
     JACOBI_GRID_STEPS,
     format_report,
@@ -200,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ref = sub.add_parser("reference", help="monolithic reference CSV")
     _add_config_flags(p_ref)
-    p_ref.add_argument("--micro-step", type=float, default=1e-4)
-    p_ref.add_argument("--record-dt", type=float, default=1e-2)
+    p_ref.add_argument("--micro-step", type=float, default=REFERENCE_MICRO_STEP)
+    p_ref.add_argument("--record-dt", type=float, default=REFERENCE_RECORD_DT)
     p_ref.add_argument("--scheme", default="rk4", choices=("rk4", "rk2"))
     p_ref.set_defaults(func=_cmd_reference)
     return parser

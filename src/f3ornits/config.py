@@ -160,10 +160,6 @@ def config_from_mapping(raw: dict[str, str]) -> RunConfig:
     )
 
 
-def config_from_text(text: str) -> RunConfig:
-    return config_from_mapping(parse_kv_text(text))
-
-
 # ------------------------------------------------------------- materializing
 
 @dataclass(frozen=True)
@@ -299,23 +295,3 @@ def materialize(cfg: RunConfig) -> RunSetup:
         )
 
     return RunSetup(model=model, options=options, variable=variable)
-
-
-def config_to_text(cfg: RunConfig) -> str:
-    """Round-trip helper: the flat text form of a config (sorted keys)."""
-    lines = []
-    for name in SCALAR_KEYS:
-        value = getattr(cfg, name)
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{name} = {value}")
-    for name, value in sorted(cfg.params.items()):
-        lines.append(f"param.{name} = {value}")
-    for label, value in sorted(cfg.dt0_per_label.items()):
-        lines.append(f"dt0.{label} = {value}")
-    for label, over in sorted(cfg.caps_overrides.items()):
-        for name, value in sorted(over.items()):
-            lines.append(f"caps.{label}.{name} = {value}")
-    return "\n".join(lines) + "\n"

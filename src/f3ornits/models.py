@@ -2,7 +2,10 @@
 
 Both come as a coupled `CosimProblem` plus the matching monolithic ODE, so
 any co-simulation run can be scored against a tightly integrated reference
-of the very same equations.
+of the very same equations.  The monolith's right-hand side has the
+subsystem signature (t, x, u) with no inputs, and `monolithic_reference`
+integrates it through `step_to`, the co-simulation's own RK4, at
+REFERENCE_MICRO_STEP, recording every REFERENCE_RECORD_DT.
 
 two_mass
     Two unit masses on dampers and springs, coupled through a spring-damper
@@ -30,9 +33,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .coupling import CouplingGraph
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 from .master import CosimProblem
-from .subsystem import Capabilities, SubsystemSpec
+from .subsystem import Capabilities, SubsystemSpec, step_to
 
 _M64 = (1 << 64) - 1
 
@@ -49,13 +52,19 @@ def dwell_noise(seed: int, amplitude: float, dwell: float) -> Callable[[float], 
 
     The value depends only on (seed, floor(t / dwell)), never on evaluation
     order or count, so every integrator — micro stages included — sees the
-    same signal.
+    same signal.  The last cell's value is kept, so the hash runs once per
+    cell entered rather than once per call.
     """
+    cell = None
+    value = 0.0
 
     def w(t: float) -> float:
+        nonlocal cell, value
         idx = int(t // dwell)
-        h = _splitmix64(((seed & _M64) * 0x100000001B3 + idx) & _M64)
-        return amplitude * (2.0 * (h / 2.0**64) - 1.0)
+        if idx != cell:
+            h = _splitmix64(((seed & _M64) * 0x100000001B3 + idx) & _M64)
+            cell, value = idx, amplitude * (2.0 * (h / 2.0**64) - 1.0)
+        return value
 
     return w
 
@@ -88,7 +97,7 @@ class BenchmarkModel:
     name: str
     problem: CosimProblem
     params: object
-    monolith_rhs: Callable[[float, list[float]], list[float]]
+    monolith_rhs: Callable[[float, list[float], Sequence[float]], list[float]]
     monolith_x0: tuple[float, ...]
     # (subsystem label, output index) -> value reconstructed from the
     # monolithic state; this is what references and scoring use
@@ -158,7 +167,7 @@ def build_two_mass(
         dt0=_dt0_tuple(dt0, 2),
     )
 
-    def rhs(t, s):
+    def rhs(t, s, u):
         x1, v1, x2, v2 = s
         fc = coupling_force(x1, v1, x2, v2)
         k3t = k3_after if t >= t_switch else k3
@@ -253,7 +262,7 @@ def build_car(
         dt0=_dt0_tuple(dt0, 2),
     )
 
-    def rhs(t, s):
+    def rhs(t, s, u):
         x, v, xc = s
         v_est = (x - xc) / tau_diff
         return [v, (force(t, v_est) + road(t)) / mass, v_est]
@@ -339,6 +348,11 @@ def _dt0_tuple(dt0: float | Sequence[float], n: int) -> tuple[float, ...]:
 
 # ----------------------------------------------------------------- reference
 
+#: the reference's RK4 step and record grid, in seconds
+REFERENCE_MICRO_STEP = 1e-4
+REFERENCE_RECORD_DT = 1e-2
+
+
 @dataclass(frozen=True)
 class ReferenceSolution:
     """Monolithic solution sampled on a regular grid."""
@@ -354,16 +368,24 @@ _REFERENCE_CACHE: dict[tuple, ReferenceSolution] = {}
 
 def monolithic_reference(
     model: BenchmarkModel,
-    micro_step: float = 1e-4,
-    record_dt: float = 1e-2,
+    micro_step: float = REFERENCE_MICRO_STEP,
+    record_dt: float = REFERENCE_RECORD_DT,
     scheme: str = "rk4",
 ) -> ReferenceSolution:
     """Integrate the monolithic twin tightly; results are cached per session.
 
+    The monolith is a `SubsystemSpec` without inputs or outputs, and with
+    scheme "rk4" each record window is one `step_to` call at `micro_step`:
+    the co-simulation's own micro-integrator.  Window k ends at
+    t_init + min(k * stride, n_steps) * micro_step, so switch times and
+    dwell edges on that grid fall on window starts.  Scheme "rk2" walks the
+    same windows with the explicit midpoint rule, an unrelated
+    discretization that cross-checks the recorded values.  A non-finite
+    state raises DivergenceError.
+
     record_dt must be an integer multiple of micro_step; the horizon must be
-    an integer multiple of record_dt (both hold for every registered model
-    at the defaults).  scheme is "rk4" or "rk2" — the latter exists to
-    cross-check recorded values with an unrelated discretization.
+    an integer multiple of micro_step (both hold for every registered model
+    at the defaults).
     """
     for name, value in (("micro_step", micro_step), ("record_dt", record_dt)):
         if not (math.isfinite(value) and value > 0):
@@ -387,39 +409,32 @@ def monolithic_reference(
         raise ConfigError(f"unknown reference scheme {scheme!r}")
 
     rhs = model.monolith_rhs
-    x = list(model.monolith_x0)
-    nx = len(x)
+    x0 = model.monolith_x0
+    x = list(x0)
+    spec = SubsystemSpec("monolith", len(x), 0, 0, rhs, lambda t, x, u: (), x0)
+    caps = Capabilities()
+    idx = range(len(x))
+    half = 0.5 * micro_step
     keys = sorted(model.output_map)
     getters = [model.output_map[k] for k in keys]
-
     ts = [t0]
     cols: list[list[float]] = [[fn(t0, x)] for fn in getters]
-
-    rk4 = scheme == "rk4"
-    for i in range(n_steps):
-        t = t0 + i * micro_step
-        h = micro_step
-        if rk4:
-            half = 0.5 * h
-            k1 = rhs(t, x)
-            k2 = rhs(t + half, [x[j] + half * k1[j] for j in range(nx)])
-            k3 = rhs(t + half, [x[j] + half * k2[j] for j in range(nx)])
-            k4 = rhs(t + h, [x[j] + h * k3[j] for j in range(nx)])
-            sixth = h / 6.0
-            x = [
-                x[j] + sixth * (k1[j] + 2.0 * (k2[j] + k3[j]) + k4[j])
-                for j in range(nx)
-            ]
+    for i0 in range(0, n_steps, stride):
+        i1 = min(i0 + stride, n_steps)
+        t_rec = t0 + i1 * micro_step
+        if scheme == "rk4":
+            x, _ = step_to(spec, caps, x, (), ts[-1], t_rec, micro_step)
         else:
-            half = 0.5 * h
-            k1 = rhs(t, x)
-            k2 = rhs(t + half, [x[j] + half * k1[j] for j in range(nx)])
-            x = [x[j] + h * k2[j] for j in range(nx)]
-        if (i + 1) % stride == 0 or i + 1 == n_steps:
-            t_rec = t0 + (i + 1) * micro_step
-            ts.append(t_rec)
-            for col, fn in zip(cols, getters):
-                col.append(fn(t_rec, x))
+            for i in range(i0, i1):
+                t = t0 + i * micro_step
+                k1 = rhs(t, x, ())
+                k2 = rhs(t + half, [x[j] + half * k1[j] for j in idx], ())
+                x = [x[j] + micro_step * k2[j] for j in idx]
+            if not all(map(math.isfinite, x)):
+                raise DivergenceError(spec.label, ts[-1])
+        ts.append(t_rec)
+        for col, fn in zip(cols, getters):
+            col.append(fn(t_rec, x))
 
     ref = ReferenceSolution(
         t=tuple(ts),

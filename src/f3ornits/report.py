@@ -59,11 +59,10 @@ def compute_rmse(trace_t, trace_y, ref_t, ref_y) -> float:
 
 
 def score_trace(
-    trace: RunTrace, model: BenchmarkModel, variable: tuple[str, int],
-    micro_step: float = 1e-4, record_dt: float = 1e-2,
+    trace: RunTrace, model: BenchmarkModel, variable: tuple[str, int]
 ) -> float:
     label, j = variable
-    ref = monolithic_reference(model, micro_step=micro_step, record_dt=record_dt)
+    ref = monolithic_reference(model)
     t, y = trace.output_series(label, j)
     return compute_rmse(t, y, ref.t, ref.series[(label, j)])
 
@@ -92,8 +91,6 @@ def run_comparison(
     variable: tuple[str, int],
     jacobi_dts=JACOBI_GRID_STEPS,
     variants=F3_VARIANTS,
-    ref_micro_step: float = 1e-4,
-    ref_record_dt: float = 1e-2,
 ) -> list[ComparisonRow]:
     """The full baseline-vs-method matrix on one model.
 
@@ -106,7 +103,7 @@ def run_comparison(
             trace = run(*args)
         except DivergenceError:
             return ComparisonRow(*setting, 0, None, "diverged")
-        rmse = score_trace(trace, model, variable, ref_micro_step, ref_record_dt)
+        rmse = score_trace(trace, model, variable)
         return ComparisonRow(*setting, trace.total_events, rmse, "ok")
 
     rows = [

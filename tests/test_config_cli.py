@@ -16,8 +16,6 @@ from f3ornits import cli
 from f3ornits.config import (
     RunConfig,
     config_from_mapping,
-    config_from_text,
-    config_to_text,
     materialize,
     parse_kv_text,
 )
@@ -72,20 +70,6 @@ def test_mapping_names_every_unknown_key():
         config_from_mapping({"t_end": "5"})
     with pytest.raises(ConfigError, match="'nu'"):
         config_from_mapping({"model": "car", "nu": "soft"})
-
-
-def test_config_text_round_trip():
-    cfg = RunConfig(
-        model="two_mass",
-        method="jacobi",
-        dt=0.1,
-        t_end=20.0,
-        smoothing=True,
-        params={"k1": 2.0},
-        dt0_per_label={"mass_left": 0.05},
-        caps_overrides={"mass_right": {"max_input_degree": 1.0}},
-    )
-    assert config_from_text(config_to_text(cfg)) == cfg
 
 
 # ------------------------------------------------------------ materializing
@@ -331,6 +315,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     ])
     assert code == 2
     assert "mass_right" in capsys.readouterr().err
+    # a reference that blows up is a divergence too, not a CSV of nan
+    code = cli.main([
+        "reference", "--model", "two_mass", "--param", "m1=1e-12",
+        "--t-end", "1", "--output-dir", str(tmp_path),
+    ])
+    assert code == 2
+    assert "monolith" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

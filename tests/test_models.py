@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from f3ornits.errors import ConfigError
+from f3ornits.errors import ConfigError, DivergenceError
 from f3ornits.master import run_jacobi
 from f3ornits.models import (
     CarParams,
@@ -32,10 +32,10 @@ def _rk4(rhs, x0, t0, t1, h):
     steps = round((t1 - t0) / h)
     for i in range(steps):
         t = t0 + i * h
-        k1 = rhs(t, x)
-        k2 = rhs(t + h / 2, [x[j] + h / 2 * k1[j] for j in range(n)])
-        k3 = rhs(t + h / 2, [x[j] + h / 2 * k2[j] for j in range(n)])
-        k4 = rhs(t + h, [x[j] + h * k3[j] for j in range(n)])
+        k1 = rhs(t, x, ())
+        k2 = rhs(t + h / 2, [x[j] + h / 2 * k1[j] for j in range(n)], ())
+        k3 = rhs(t + h / 2, [x[j] + h / 2 * k2[j] for j in range(n)], ())
+        k4 = rhs(t + h, [x[j] + h * k3[j] for j in range(n)], ())
         x = [
             x[j] + h / 6 * (k1[j] + 2 * (k2[j] + k3[j]) + k4[j])
             for j in range(n)
@@ -189,19 +189,19 @@ def test_car_reference_speed_settles_near_target():
 #: below guards against a wrong right-hand side slipping in unnoticed
 GOLDEN_TWO_MASS = {
     50.0: {
-        ("mass_left", 0): 0.0038136160050272335,
-        ("mass_left", 1): 0.0013716776077974458,
-        ("mass_right", 0): -1.6606648295661901e-06,
+        ("mass_left", 0): 0.003813616004210131,
+        ("mass_left", 1): 0.0013716776101502077,
+        ("mass_right", 0): -1.6606648866648725e-06,
     },
     100.0: {
-        ("mass_left", 0): 0.00025665894517767186,
-        ("mass_left", 1): 0.00020575393859038944,
-        ("mass_right", 0): -2.652615263412986e-08,
+        ("mass_left", 0): 0.00025665894471698107,
+        ("mass_left", 1): 0.00020575393921104044,
+        ("mass_right", 0): -2.6526152638149538e-08,
     },
     150.0: {
-        ("mass_left", 0): 2.126665488540513e-06,
-        ("mass_left", 1): 4.182741211375206e-06,
-        ("mass_right", 0): 3.191242753857159e-06,
+        ("mass_left", 0): 2.1266654737308725e-06,
+        ("mass_left", 1): 4.182741225210621e-06,
+        ("mass_right", 0): 3.1912427405853346e-06,
     },
 }
 
@@ -215,6 +215,26 @@ def test_two_mass_reference_golden_fixtures():
         for key, value in expected.items():
             assert ref.series[key][i] == pytest.approx(value, abs=1e-12)
             assert abs(ref.series[key][i] - cross.series[key][i]) < 1e-7
+
+
+def test_reference_matches_the_test_local_rk4_across_the_switch():
+    # the reference walks step_to window by window; the oracle walks one
+    # plain loop over the whole horizon, through t_switch = 100
+    model = build_two_mass(TwoMassParams(t_end=120.0))
+    ref = monolithic_reference(model, micro_step=1e-3, record_dt=0.1)
+    path = _rk4(model.monolith_rhs, model.monolith_x0, 0.0, 120.0, 1e-3)[::100]
+    assert ref.t == tuple(t for t, _ in path)
+    for key, series in ref.series.items():
+        fn = model.output_map[key]
+        worst = max(abs(v - fn(t, s)) for v, (t, s) in zip(series, path))
+        assert worst <= 1e-11
+
+
+def test_reference_blow_up_is_a_divergence():
+    model = build_two_mass(TwoMassParams(m1=1e-12, t_end=1.0))
+    for scheme in ("rk4", "rk2"):
+        with pytest.raises(DivergenceError, match="monolith"):
+            monolithic_reference(model, scheme=scheme)
 
 
 def test_reference_step_refinement_changes_little():
