@@ -84,6 +84,15 @@ class CosimProblem:
         for d in self.dt0:
             if not (math.isfinite(d) and d > 0):
                 raise ConfigError(f"dt0 must be finite and positive, got {d!r}")
+        budget = MasterOptions.max_events
+        for s in self.subsystems:
+            bound = s.max_micro_step
+            if bound is not None and (self.t_end - self.t_init) / bound > budget:
+                raise ConfigError(
+                    f"{s.label}: its parameters bound the micro step to "
+                    f"{bound!r}, which needs more than {budget} micro steps "
+                    f"to reach t_end = {self.t_end!r}"
+                )
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,23 @@ subsystem signature (t, x, u) with no inputs, and `monolithic_reference`
 integrates it through `step_to`, the co-simulation's own RK4, at
 REFERENCE_MICRO_STEP, recording every REFERENCE_RECORD_DT.
 
+Each subsystem also states the largest RK4 micro step its own dynamics
+allow (`SubsystemSpec.max_micro_step`), derived from the parameters it is
+built with, so a `--param` override moves it: one micro step per time
+constant of the subsystem's fastest own mode.  The co-simulation's micro
+step is the window over MICRO_DIVISOR, capped by that bound.
+
 two_mass
     Two unit masses on dampers and springs, coupled through a spring-damper
     pair whose force is the only exchanged quantity.  The right-hand ground
     spring stiffens by an order of magnitude at t_switch, so a run has a
     slow smooth phase and a faster phase — good terrain for step control
     and order selection to show a measurable difference.
+    Each mass is bounded by 1 / (sqrt(k / m) + d / m) over the springs and
+    dampers in its own ODE: k1 and d1 for mass_left, whose coupling force
+    arrives as an input; k2 plus the stiffer ground spring and d2 + d3 for
+    mass_right, which computes the coupling force from its own state.  At
+    the defaults neither bound binds (mass_right's is 0.28 s).
 
 car
     A vehicle (force in, position out) driven by a controller that has to
@@ -22,6 +33,10 @@ car
     baseline; polynomial inputs keep the estimate usable.  A band-limited
     random road force (deterministic in the seed, redrawn every dwell
     interval) keeps the controller working after the speed target engages.
+    The controller's filter is bounded by tau_diff: RK4 on it is stable
+    only below about 2.8 tau_diff.  The vehicle is a pure integrator, so its
+    bound comes from the piecewise-constant road force it integrates:
+    perturb_dwell / 100.  At the defaults both are 1e-3 s.
 """
 
 from __future__ import annotations
@@ -34,7 +49,7 @@ from typing import Callable, Sequence
 
 from .coupling import CouplingGraph
 from .errors import ConfigError, DivergenceError
-from .master import CosimProblem
+from .master import CosimProblem, MasterOptions
 from .subsystem import Capabilities, SubsystemSpec, step_to
 
 _M64 = (1 << 64) - 1
@@ -104,6 +119,17 @@ class BenchmarkModel:
     output_map: dict[tuple[str, int], Callable[[float, Sequence[float]], float]]
 
 
+def _mode_bound(stiffness: float, damping: float, mass: float) -> float | None:
+    """One time constant of a mass's fastest own mode: 1 / (sqrt(k/m) + d/m).
+
+    Magnitudes are used, so a negative spring or damper bounds the step by
+    its growth rate; a mass with neither has no bound of its own.
+    """
+    rate = math.sqrt(abs(stiffness) / mass) + abs(damping) / mass
+    bound = 1.0 / rate if rate > 0 else math.inf
+    return bound if math.isfinite(bound) else None
+
+
 # ------------------------------------------------------------------ two-mass
 
 @dataclass(frozen=True)
@@ -153,9 +179,12 @@ def build_two_mass(
     def g_right(t, x, u):
         return [coupling_force(u[0], u[1], x[0], x[1])]
 
+    k_right = max(abs(k2 + k3), abs(k2 + k3_after))
     specs = (
-        SubsystemSpec("mass_left", 2, 1, 2, f_left, g_left, (p.x1_0, p.v1_0)),
-        SubsystemSpec("mass_right", 2, 2, 1, f_right, g_right, (p.x2_0, p.v2_0)),
+        SubsystemSpec("mass_left", 2, 1, 2, f_left, g_left, (p.x1_0, p.v1_0),
+                      _mode_bound(k1, d1, m1)),
+        SubsystemSpec("mass_right", 2, 2, 1, f_right, g_right, (p.x2_0, p.v2_0),
+                      _mode_bound(k_right, d2 + d3, m2)),
     )
     graph = CouplingGraph({(0, 0): (1, 0), (1, 0): (0, 0), (1, 1): (0, 1)})
     problem = CosimProblem(
@@ -249,8 +278,10 @@ def build_car(
         return [force(t, v_est)]
 
     specs = (
-        SubsystemSpec("vehicle", 2, 1, 1, f_vehicle, g_vehicle, (0.0, 0.0)),
-        SubsystemSpec("controller", 1, 1, 1, f_controller, g_controller, (0.0,)),
+        SubsystemSpec("vehicle", 2, 1, 1, f_vehicle, g_vehicle, (0.0, 0.0),
+                      p.perturb_dwell / 100.0),
+        SubsystemSpec("controller", 1, 1, 1, f_controller, g_controller, (0.0,),
+                      tau_diff),
     )
     graph = CouplingGraph({(0, 0): (1, 0), (1, 0): (0, 0)})
     problem = CosimProblem(
@@ -385,7 +416,7 @@ def monolithic_reference(
 
     record_dt must be an integer multiple of micro_step; the horizon must be
     an integer multiple of micro_step (both hold for every registered model
-    at the defaults).
+    at the defaults), and take at most MasterOptions.max_events steps.
     """
     for name, value in (("micro_step", micro_step), ("record_dt", record_dt)):
         if not (math.isfinite(value) and value > 0):
@@ -400,6 +431,12 @@ def monolithic_reference(
     t0 = model.problem.t_init
     t_end = model.problem.t_end
     n_steps = round((t_end - t0) / micro_step)
+    budget = MasterOptions.max_events
+    if n_steps > budget:
+        raise ConfigError(
+            f"key 'micro_step': {micro_step!r} needs more than {budget} "
+            f"steps to reach t_end = {t_end!r}"
+        )
     if abs(t0 + n_steps * micro_step - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ConfigError("horizon is not a multiple of the reference step")
     stride = round(record_dt / micro_step)

@@ -2,9 +2,13 @@
 
 Each subsystem owns an ODE  x' = f(t, x, u(t)),  y = g(t, x, u(t))  and is
 advanced one macro step at a time with a fixed-step classical Runge-Kutta 4
-micro-integration.  Inputs arrive as genuine polynomials in time and are
-evaluated continuously at every micro stage, never sampled-and-held, so the
-micro error stays far below the coupling error.  `step_to` first lays out
+micro-integration.  The micro step is the window (t_target - t_start) over
+MICRO_DIVISOR, capped by the subsystem's own `max_micro_step` when it
+declares one: each model states the bound its own fastest mode needs, so a
+slow subsystem does not pay for a stiff neighbour.  Inputs arrive as genuine
+polynomials in time and are evaluated continuously at every micro stage,
+never sampled-and-held, so the micro error stays far below the coupling
+error.  `step_to` first lays out
 the window's micro grid and evaluates every input once per stage time, then
 walks the grid; f receives each stage's inputs as a fresh read-only tuple.
 There is no rollback: a completed macro step is final.  `step_to` returns
@@ -23,9 +27,8 @@ from .poly import MAX_DEGREE, Polynomial
 #: highest polynomial order the method itself proposes (inputs and outputs)
 MAX_ORDER = 2
 
-#: micro-step rule: min(macro_step / MICRO_DIVISOR, MICRO_CAP) seconds
+#: micro-step rule: min(macro_step / MICRO_DIVISOR, spec.max_micro_step)
 MICRO_DIVISOR = 50.0
-MICRO_CAP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,11 @@ def effective_max_degree(caps: Capabilities) -> int:
 
 @dataclass(frozen=True)
 class SubsystemSpec:
-    """Dynamics f, output map g, initial state, and coupling arities."""
+    """Dynamics f, output map g, initial state, and coupling arities.
+
+    max_micro_step bounds the RK4 micro step for this subsystem's own
+    dynamics; None means the divisor rule alone sets it.
+    """
 
     label: str
     n_states: int
@@ -72,6 +79,7 @@ class SubsystemSpec:
     f: Callable[[float, list[float], Sequence[float]], list[float]]
     g: Callable[[float, list[float], list[float]], list[float]]
     x_init: tuple[float, ...]
+    max_micro_step: float | None = None
 
     def __post_init__(self):
         if min(self.n_in, self.n_out) < 0:
@@ -81,10 +89,12 @@ class SubsystemSpec:
                 f"{self.label}: x_init has {len(self.x_init)} entries, "
                 f"expected {self.n_states}"
             )
-
-
-def micro_step_size(macro_step: float) -> float:
-    return min(macro_step / MICRO_DIVISOR, MICRO_CAP)
+        bound = self.max_micro_step
+        if bound is not None and not (isfinite(bound) and bound > 0):
+            raise ConfigError(
+                f"{self.label}: max_micro_step must be finite and positive, "
+                f"got {bound!r}"
+            )
 
 
 def step_to(
@@ -99,7 +109,8 @@ def step_to(
     """Advance one subsystem from t_start to t_target, no rollback.
 
     Returns the new state and the outputs evaluated exactly at t_target.
-    `micro_step` overrides the default step rule (used by convergence tests).
+    The micro step is min((t_target - t_start) / MICRO_DIVISOR,
+    spec.max_micro_step); an explicit `micro_step` overrides that rule.
 
     The micro grid is laid out before the RK4 walk: steps of h from t_start,
     the last one shortened to land on t_target.  Each input polynomial is
@@ -125,9 +136,15 @@ def step_to(
                 f"capability allows {caps.max_input_degree}"
             )
 
-    h = micro_step if micro_step is not None else micro_step_size(t_target - t_start)
-    if h <= 0:
-        raise ValueError("micro step must be positive")
+    h = micro_step
+    if h is None:
+        h = (t_target - t_start) / MICRO_DIVISOR
+        if spec.max_micro_step is not None:
+            h = min(h, spec.max_micro_step)
+    if not (isfinite(h) and h > 0):
+        raise ValueError(
+            f"{spec.label}: micro step must be finite and positive, got {h!r}"
+        )
 
     # the micro grid: step boundaries and sizes, the last step may be short
     edges = [t_start]

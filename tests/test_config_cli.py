@@ -378,13 +378,18 @@ def test_cli_rejects_non_positive_parameters(capsys):
      "'caps.mass_right.imposed_step'"),
     (["reference", "--model", "two_mass", "--micro-step", "0"], "'micro_step'"),
     (["reference", "--model", "two_mass", "--micro-step", "nan"], "'micro_step'"),
+    (["reference", "--model", "two_mass", "--micro-step", "1e-8",
+      "--record-dt", "1e-5"], "'micro_step'"),
     (["reference", "--model", "two_mass", "--record-dt", "inf"], "'record_dt'"),
+    (["run", "--model", "car", "--seed", "7", "--param", "tau_diff=1e-9"],
+     "controller"),
     (["compare", "--model", "two_mass", "--jacobi-dts", "nan,0.1"], "--jacobi-dts"),
 ], ids=[
     "x1_0-nan", "x1_0-inf", "t_switch-nan", "seed-nan", "seed-inf",
     "preset_force", "caps-nan", "caps-degree-negative", "caps-step-zero",
     "caps-step-over-budget", "micro_step-0", "micro_step-nan",
-    "record_dt-inf", "jacobi_dts-nan",
+    "micro_step-over-budget", "record_dt-inf", "tau_diff-over-budget",
+    "jacobi_dts-nan",
 ])
 def test_cli_rejects_meaningless_inputs(argv, key, tmp_path, capsys):
     # each of these used to end in a raw traceback or in a run without

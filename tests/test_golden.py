@@ -21,9 +21,9 @@ GOLDEN = {
     "two_mass_default": (
         {"model": "two_mass"},
         {
-            "run_mass_left.csv": "350279bc3b92dc13fec4e5a7265ec32696fbed043e62683c16b3047eaa964ca8",
-            "run_mass_right.csv": "1d3f8f69b65f55c023d2b33fa3b2d362b98e3e2ec646683bad806d192e17c7c9",
-            "run_summary.csv": "125079cfe059566a5f45a99092529729311e5965873a5838c3e730225a57faa0",
+            "run_mass_left.csv": "74cfc6c6da730c0584b018fdb6d4a39e7abe44cd77343411ed4c3ccf0cb1afcc",
+            "run_mass_right.csv": "81334071af8d7587c95e0e6948df8e3d598b233c75f2b520ed5d5b50c0a1d3cf",
+            "run_summary.csv": "1fd8b0feb7aee7a4116de70266fc985289175917705636c15e2439b35655d77f",
         },
     ),
     # crosses the stiffness switch at t = 100 s
@@ -31,9 +31,9 @@ GOLDEN = {
         {"model": "two_mass", "calibration": "cls", "smoothing": "true",
          "t_end": "120"},
         {
-            "run_mass_left.csv": "30ea0b04d67a73209c5b2e5bb2ac3435ed341b693c5c60f3406de01e380c6364",
-            "run_mass_right.csv": "5d24b73626998234ad94fc5cfc4b32bfc3d243a1626d089e070b3ea52f55ca4f",
-            "run_summary.csv": "302968df36ffdc991ccfa351a742ef1c3ddddd609d0bb3a5155d0f2cb8b6df84",
+            "run_mass_left.csv": "6c41a114420f88cae0e05e681a9e86cd5486d4ad5e57751ff212af83d6d88acf",
+            "run_mass_right.csv": "eec5c4fa270159b273dd07aab0f645ba208e3b00e6d8f07cd15a5464aaa69a74",
+            "run_summary.csv": "8a1a7eb7c4714b5b681729ea91429913ed738e78b2734425b24b42be6e1eff3f",
         },
     ),
     "car_seed_7": (
@@ -47,8 +47,8 @@ GOLDEN = {
     "jacobi_dt_0.1": (
         {"model": "two_mass", "method": "jacobi", "dt": "0.1", "t_end": "20"},
         {
-            "run_mass_left.csv": "6d31da9389f8bb7562106ab2802ce7c37e0970198a595dedadc732670d0afd68",
-            "run_mass_right.csv": "f1f75b4f9bd199e934386f7ae3e6e4444e865710fd8943c0316c00ec3c65e076",
+            "run_mass_left.csv": "2bfc23b59e752a79b43cbb8a02d47daa1dc120e752566a37f666d03a023ae83e",
+            "run_mass_right.csv": "a2fe08f4677b52168984372403f22c5219d2f00cc32dff64fd96c5f737091b1e",
             "run_summary.csv": "26571bf9d5166fb5b69245ea458fa24b8911bdff3dcd7f190fd86c6a83e97e14",
         },
     ),
@@ -57,9 +57,9 @@ GOLDEN = {
         {"model": "two_mass", "t_end": "40",
          "caps.mass_right.imposed_step": "0.25"},
         {
-            "run_mass_left.csv": "6b3c3f39193e961193f3cc6620480072cce32f4e832ddaad9a1002f6e51be2d1",
-            "run_mass_right.csv": "ab9764b4035694284fefc9f9818cb7052dacdffb56dc00d6e7737902bb65b1d2",
-            "run_summary.csv": "e0ef02f17c595f91787ad670f1ef8e6eec37408e344f5972c87a39834279061d",
+            "run_mass_left.csv": "fa487fed16f0e26a2bff363d5f596508d762909e41a49de98bf2f5febca58a1c",
+            "run_mass_right.csv": "067b7996e9e4f83c0fad2aa065a7d586086e122650bce3da019de79271a96ef7",
+            "run_summary.csv": "ffdc261f13ce727f42ac45ab428b3f9be4a5606f2e8ac5114c394bfd9b005816",
         },
     ),
     # mass_right's inputs capped to lines; only mass_left's are smoothed
@@ -67,8 +67,8 @@ GOLDEN = {
         {"model": "two_mass", "t_end": "40",
          "caps.mass_right.max_input_degree": "1", "smoothing": "true"},
         {
-            "run_mass_left.csv": "6cf49dd6f7ec94d813395ab4b34ab864052a2c5d9349807a7efb625886471fec",
-            "run_mass_right.csv": "393b96ea5fb628090ca1d6055dcb7c363eda7d7e8c7d0de4029535c7f855cce2",
+            "run_mass_left.csv": "414b735f1c9021f50c41f603b8cb2e50a388ea6b5614d8fd5798009dfaae4785",
+            "run_mass_right.csv": "e3b575d0026c115cb2895fb902f3a727c7c8cc8edcaa7597f6473acd32b78e01",
             "run_summary.csv": "4206edca8be7fcb650efc78e53748938abf106d052bf67d1d7c13dbd853bd481",
         },
     ),

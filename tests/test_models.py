@@ -289,3 +289,20 @@ def test_builders_validate_shapes():
         build_two_mass(dt0=(0.1,))
     with pytest.raises(ConfigError):
         build_car(dt0=(0.1, 0.2, 0.3))
+
+
+def test_micro_step_bounds_follow_the_parameters():
+    def bounds(name, overrides):
+        model = build_model(name, overrides)
+        return {s.label: s.max_micro_step for s in model.problem.subsystems}
+
+    car = bounds("car", {"seed": 7})
+    assert car == {"vehicle": 1e-3, "controller": 1e-3}
+    assert bounds("car", {"seed": 7, "tau_diff": 2e-3})["controller"] == 2e-3
+    assert bounds("car", {"seed": 7, "perturb_dwell": 0.5})["vehicle"] == 0.5 / 100
+    two_mass = bounds("two_mass", {})
+    assert two_mass["mass_left"] == pytest.approx(1.0 / 1.1)
+    assert two_mass["mass_right"] == pytest.approx(1.0 / (math.sqrt(11.0) + 0.2))
+    assert bounds("two_mass", {"k2": 1e5})["mass_right"] < 3.2e-3
+    # a mass with neither spring nor damper of its own has no bound
+    assert bounds("two_mass", {"k1": 0.0, "d1": 0.0})["mass_left"] is None

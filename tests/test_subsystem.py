@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -7,12 +8,10 @@ from hypothesis import strategies as st
 from f3ornits.errors import ConfigError, ContractViolation, DivergenceError
 from f3ornits.poly import Polynomial
 from f3ornits.subsystem import (
-    MICRO_CAP,
     MICRO_DIVISOR,
     Capabilities,
     SubsystemSpec,
     effective_max_degree,
-    micro_step_size,
     step_to,
 )
 
@@ -88,9 +87,32 @@ def test_spec_rejects_negative_arities():
 
 
 def test_micro_step_rule():
-    assert micro_step_size(0.01) == pytest.approx(0.0002)
-    assert micro_step_size(0.05) == pytest.approx(0.001)
-    assert micro_step_size(1.0) == 0.001
+    # the window over MICRO_DIVISOR, capped by the spec's own bound; an
+    # explicit micro step overrides both
+    calls = []
+
+    def f(t, x, u):
+        calls.append(t)
+        return [-x[0]]
+
+    spec = SubsystemSpec("count", 1, 0, 1, f, lambda t, x, u: [x[0]], (1.0,))
+    for bound, micro_step, steps in (
+        (None, None, 50),
+        (1e-3, None, 1000),
+        (0.5, None, 50),
+        (1e-3, 0.1, 10),
+    ):
+        calls.clear()
+        step_to(replace(spec, max_micro_step=bound), Capabilities(),
+                spec.x_init, [], 0.0, 1.0, micro_step)
+        assert len(calls) == 4 * steps
+
+
+@pytest.mark.parametrize("bound", [math.nan, math.inf, 0.0, -1.0])
+def test_spec_rejects_meaningless_micro_step_bounds(bound):
+    with pytest.raises(ConfigError, match="bounded.*max_micro_step"):
+        SubsystemSpec("bounded", 1, 0, 1, lambda t, x, u: [0.0],
+                      lambda t, x, u: [x[0]], (0.0,), bound)
 
 
 # ------------------------------------------------------------------- step_to
@@ -117,7 +139,7 @@ def test_integrates_cubic_input_exactly():
 
 
 def test_decay_accuracy():
-    spec = make_decay(2.0)
+    spec = replace(make_decay(2.0), max_micro_step=1e-3)
     x, y = step_to(spec, Capabilities(), spec.x_init, [], 0.0, 1.0)
     assert y[0] == pytest.approx(math.exp(-2.0), rel=1e-9)
 
@@ -157,6 +179,15 @@ def test_no_rollback():
         step_to(spec, Capabilities(), spec.x_init, [], 1.0, 1.0)
     with pytest.raises(ValueError):
         step_to(spec, Capabilities(), spec.x_init, [], 1.0, 0.5)
+
+
+@pytest.mark.parametrize("micro_step", [math.nan, math.inf, 0.0, -1.0])
+def test_rejects_meaningless_micro_steps(micro_step):
+    # a NaN step used to spin in the grid layout until memory ran out, and
+    # an infinite one silently took a single step
+    spec = make_decay()
+    with pytest.raises(ValueError, match="finite and positive"):
+        step_to(spec, Capabilities(), spec.x_init, [], 0.0, 1.0, micro_step)
 
 
 def test_input_arity_checked():
@@ -303,10 +334,12 @@ def test_step_to_matches_the_per_stage_walk_bit_for_bit(
     inputs, x0, t_start, n_steps, last, micro_step
 ):
     # the window ends a fraction into a micro step, so the last one is short;
-    # without an explicit micro step the window is long enough for the cap
+    # without an explicit micro step the window is long enough for the
+    # spec's bound to set the step
+    bound = 1e-3
     if micro_step is None:
         n_steps += int(MICRO_DIVISOR)
-    h = micro_step if micro_step is not None else MICRO_CAP
+    h = micro_step if micro_step is not None else bound
     t_target = t_start + (n_steps + last) * h
     n = len(x0)
 
@@ -323,11 +356,11 @@ def test_step_to_matches_the_per_stage_walk_bit_for_bit(
 
     log, ref_log = [], []
     spec = SubsystemSpec("ref", n, len(inputs), n + len(inputs) + 1,
-                         dynamics(log), g, tuple(x0))
+                         dynamics(log), g, tuple(x0), bound)
     x, y = step_to(spec, Capabilities(), spec.x_init, inputs, t_start,
                    t_target, micro_step)
-    h_used = micro_step if micro_step is not None else micro_step_size(
-        t_target - t_start
+    h_used = micro_step if micro_step is not None else min(
+        (t_target - t_start) / MICRO_DIVISOR, bound
     )
     assert h_used == h
     ref_x, ref_y, steps = reference_step_to(
