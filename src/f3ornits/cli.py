@@ -6,7 +6,8 @@ Three subcommands:
                plus a summary CSV
     compare    sweep the baseline grid steps and the method variants on one
                model, write a report CSV and a steps-vs-rmse scatter CSV
-    reference  compute the monolithic reference and write it as CSV
+    reference  compute the monolithic reference, write it as CSV and print
+               its h-vs-2h gap per output
 
 Every RunConfig field is also a flag (``--tol-rel`` for ``tol_rel`` and so
 on); ``--param name=value`` sets model parameters and ``--set key=value``
@@ -33,11 +34,7 @@ from .config import (
     parse_kv_text,
 )
 from .master import run_f3ornits, run_jacobi
-from .models import (
-    REFERENCE_MICRO_STEP,
-    REFERENCE_RECORD_DT,
-    monolithic_reference,
-)
+from .models import REFERENCE_RECORD_DT, monolithic_reference
 from .report import (
     JACOBI_GRID_STEPS,
     format_report,
@@ -112,6 +109,16 @@ def _gather_raw(args: argparse.Namespace) -> dict[str, str]:
     return raw
 
 
+def _print_reference_gap(setup) -> None:
+    """The step of the reference that scored the run, and its own error."""
+    ref = monolithic_reference(setup.model)
+    label, j = setup.variable
+    print(
+        f"reference h={ref.micro_step:g}: h-vs-2h gap[{label}:{j}] = "
+        f"{ref.gap_pct[setup.variable]:.2e} % of reference amplitude"
+    )
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = config_from_mapping(_gather_raw(args))
     setup = materialize(cfg)
@@ -128,6 +135,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         rmse = score_trace(trace, setup.model, setup.variable)
         label, j = setup.variable
         print(f"rmse[{label}:{j}] = {rmse:.6f} % of reference amplitude")
+        _print_reference_gap(setup)
     return 0
 
 
@@ -152,6 +160,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     report = write_report_csv(rows, out / f"{cfg.prefix}_report.csv")
     scatter = write_scatter_csv(rows, out / f"{cfg.prefix}_scatter.csv")
     print(format_report(rows))
+    _print_reference_gap(setup)
     print(f"wrote {report} and {scatter}")
     return 0
 
@@ -176,6 +185,9 @@ def _cmd_reference(args: argparse.Namespace) -> int:
             cells += [format_float(ref.series[k][i]) for k in keys]
             fh.write(",".join(cells) + "\n")
     print(f"reference for {cfg.model} ({ref.scheme}, h={ref.micro_step:g}) -> {path}")
+    for lb, j in keys:
+        gap = ref.gap_pct[lb, j]
+        print(f"h-vs-2h gap[{lb}:{j}] = {gap:.2e} % of reference amplitude")
     return 0
 
 
@@ -204,7 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ref = sub.add_parser("reference", help="monolithic reference CSV")
     _add_config_flags(p_ref)
-    p_ref.add_argument("--micro-step", type=float, default=REFERENCE_MICRO_STEP)
+    p_ref.add_argument(
+        "--micro-step", type=float, default=None,
+        help="RK4 step (default: the model's own reference step)",
+    )
     p_ref.add_argument("--record-dt", type=float, default=REFERENCE_RECORD_DT)
     p_ref.add_argument("--scheme", default="rk4", choices=("rk4", "rk2"))
     p_ref.set_defaults(func=_cmd_reference)

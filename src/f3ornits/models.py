@@ -4,8 +4,9 @@ Both come as a coupled `CosimProblem` plus the matching monolithic ODE, so
 any co-simulation run can be scored against a tightly integrated reference
 of the very same equations.  The monolith's right-hand side has the
 subsystem signature (t, x, u) with no inputs, and `monolithic_reference`
-integrates it through `step_to`, the co-simulation's own RK4, at
-REFERENCE_MICRO_STEP, recording every REFERENCE_RECORD_DT.
+integrates it through `step_to`, the co-simulation's own RK4, at the model's
+own `reference_step`, recording every REFERENCE_RECORD_DT, and reports how
+far a second run at twice that step lands from it.
 
 Each subsystem also states the largest RK4 micro step its own dynamics
 allow (`SubsystemSpec.max_micro_step`), derived from the parameters it is
@@ -23,7 +24,9 @@ two_mass
     dampers in its own ODE: k1 and d1 for mass_left, whose coupling force
     arrives as an input; k2 plus the stiffer ground spring and d2 + d3 for
     mass_right, which computes the coupling force from its own state.  At
-    the defaults neither bound binds (mass_right's is 0.28 s).
+    the defaults neither bound binds (mass_right's is 0.28 s).  The
+    reference runs at 1e-3 s, where its gap to a run at 2e-3 s stays far
+    below every rmse the tests score.
 
 car
     A vehicle (force in, position out) driven by a controller that has to
@@ -36,13 +39,16 @@ car
     The controller's filter is bounded by tau_diff: RK4 on it is stable
     only below about 2.8 tau_diff.  The vehicle is a pure integrator, so its
     bound comes from the piecewise-constant road force it integrates:
-    perturb_dwell / 100.  At the defaults both are 1e-3 s.
+    perturb_dwell / 100.  At the defaults both are 1e-3 s.  The stiff
+    filter also limits the reference: it runs at tau_diff / 2, moved down to
+    split REFERENCE_RECORD_DT into an even number of steps.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -117,6 +123,8 @@ class BenchmarkModel:
     # (subsystem label, output index) -> value reconstructed from the
     # monolithic state; this is what references and scoring use
     output_map: dict[tuple[str, int], Callable[[float, Sequence[float]], float]]
+    # default RK4 step of `monolithic_reference`
+    reference_step: float
 
 
 def _mode_bound(stiffness: float, damping: float, mass: float) -> float | None:
@@ -219,6 +227,7 @@ def build_two_mass(
         monolith_rhs=rhs,
         monolith_x0=(p.x1_0, p.v1_0, p.x2_0, p.v2_0),
         output_map=output_map,
+        reference_step=1e-3,
     )
 
 
@@ -309,6 +318,7 @@ def build_car(
         monolith_rhs=rhs,
         monolith_x0=(0.0, 0.0, 0.0),
         output_map=output_map,
+        reference_step=_on_record_grid(tau_diff / 2),
     )
 
 
@@ -379,45 +389,108 @@ def _dt0_tuple(dt0: float | Sequence[float], n: int) -> tuple[float, ...]:
 
 # ----------------------------------------------------------------- reference
 
-#: the reference's RK4 step and record grid, in seconds
-REFERENCE_MICRO_STEP = 1e-4
+#: the reference's record grid, in seconds
 REFERENCE_RECORD_DT = 1e-2
+
+#: most RK4 micro steps one `step_to` call of the reference lays out
+REFERENCE_CALL_STEPS = 1000
+
+
+def _on_record_grid(bound: float) -> float:
+    """The largest step at most `bound` that splits REFERENCE_RECORD_DT into
+    an even number of steps, as `monolithic_reference` requires."""
+    return REFERENCE_RECORD_DT / (2 * math.ceil(REFERENCE_RECORD_DT / (2 * bound)))
+
+
+def compute_rmse(trace_t, trace_y, ref_t, ref_y) -> float:
+    """Percent RMSE of a trace against a reference series on the ref grid.
+
+    The trace is interpolated linearly onto each reference time, with
+    numpy.interp's formula, and held at its end values outside its span.
+    """
+    span = max(ref_y) - min(ref_y)
+    if span <= 0.0:
+        raise ConfigError("reference series is flat; RMSE undefined")
+    last = len(trace_t) - 1
+    squares = []
+    for t, r in zip(ref_t, ref_y):
+        j = bisect_right(trace_t, t) - 1
+        if j < 0:
+            y = trace_y[0]
+        elif j == last or trace_t[j] == t:
+            y = trace_y[j]
+        else:
+            slope = (trace_y[j + 1] - trace_y[j]) / (trace_t[j + 1] - trace_t[j])
+            y = slope * (t - trace_t[j]) + trace_y[j]
+        squares.append((y - r) * (y - r))
+    rms = math.sqrt(math.fsum(squares) / len(squares))
+    return 100.0 * rms / span
 
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """Monolithic solution sampled on a regular grid."""
+    """Monolithic solution sampled on a regular grid.
+
+    gap_pct holds, per output, `compute_rmse` of a second run at twice the
+    step against this one, in % of the output's amplitude: the unit of the
+    scores it serves.  It is inf where that run diverged, and where a flat
+    output has no amplitude but the two runs differ.
+    """
 
     t: tuple[float, ...]
     series: dict[tuple[str, int], tuple[float, ...]]
     micro_step: float
     scheme: str
+    gap_pct: dict[tuple[str, int], float]
 
 
 _REFERENCE_CACHE: dict[tuple, ReferenceSolution] = {}
 
 
+def _gap_pct(t, fine, coarse) -> float:
+    if max(fine) == min(fine):
+        return 0.0 if coarse == fine else math.inf
+    return compute_rmse(t, coarse, t, fine)
+
+
 def monolithic_reference(
     model: BenchmarkModel,
-    micro_step: float = REFERENCE_MICRO_STEP,
+    micro_step: float | None = None,
     record_dt: float = REFERENCE_RECORD_DT,
     scheme: str = "rk4",
 ) -> ReferenceSolution:
     """Integrate the monolithic twin tightly; results are cached per session.
 
-    The monolith is a `SubsystemSpec` without inputs or outputs, and with
-    scheme "rk4" each record window is one `step_to` call at `micro_step`:
-    the co-simulation's own micro-integrator.  Window k ends at
+    micro_step defaults to the model's `reference_step`.  The monolith is a
+    `SubsystemSpec` without inputs or outputs, and with scheme "rk4" it is
+    walked by `step_to`, the co-simulation's own micro-integrator, in calls
+    of at most REFERENCE_CALL_STEPS micro steps, each ending on the grid
+    t_init + i * micro_step, so a call's laid-out grid stays small whatever
+    the record stride.  Record window k ends at
     t_init + min(k * stride, n_steps) * micro_step, so switch times and
-    dwell edges on that grid fall on window starts.  Scheme "rk2" walks the
-    same windows with the explicit midpoint rule, an unrelated
+    dwell edges on that grid fall on window starts.  Scheme "rk2" walks
+    the same windows with the explicit midpoint rule, an unrelated
     discretization that cross-checks the recorded values.  A non-finite
     state raises DivergenceError.
 
-    record_dt must be an integer multiple of micro_step; the horizon must be
-    an integer multiple of micro_step (both hold for every registered model
-    at the defaults), and take at most MasterOptions.max_events steps.
+    The same walk runs again at twice the step, to the same record points,
+    and `gap_pct` is its distance from the first (step doubling).  That is
+    an honest bound, not a fourth-order estimate: the step that ends
+    exactly on t_switch or on a `dwell_noise` edge evaluates its last stage
+    on the far side of the jump, so across those points the reference is
+    only first order, and the gap includes that error.  On two_mass over
+    200 s the largest h-vs-2h difference of mass_left's position is about
+    2e-12 before the switch; after it, 3.7e-9 at h = 1e-4 and 3.7e-8 at
+    h = 1e-3: ten times the step, ten times the gap.  A doubled run that
+    diverges gives an infinite gap and leaves this solution standing.
+
+    record_dt must be an even multiple of micro_step, and the horizon an
+    integer multiple of it (both hold for every registered model at the
+    defaults; with an odd count the doubled run's last step is a single
+    one) that takes at most MasterOptions.max_events steps.
     """
+    if micro_step is None:
+        micro_step = model.reference_step
     for name, value in (("micro_step", micro_step), ("record_dt", record_dt)):
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(
@@ -428,56 +501,86 @@ def monolithic_reference(
     if hit is not None:
         return hit
 
+    h = micro_step
     t0 = model.problem.t_init
     t_end = model.problem.t_end
-    n_steps = round((t_end - t0) / micro_step)
+    n_steps = round((t_end - t0) / h)
     budget = MasterOptions.max_events
     if n_steps > budget:
         raise ConfigError(
-            f"key 'micro_step': {micro_step!r} needs more than {budget} "
+            f"key 'micro_step': {h!r} needs more than {budget} "
             f"steps to reach t_end = {t_end!r}"
         )
-    if abs(t0 + n_steps * micro_step - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ConfigError("horizon is not a multiple of the reference step")
-    stride = round(record_dt / micro_step)
-    if stride < 1 or abs(stride * micro_step - record_dt) > 1e-12:
-        raise ConfigError("record_dt must be a multiple of micro_step")
+    if abs(t0 + n_steps * h - t_end) > 1e-9 * max(1.0, abs(t_end)):
+        raise ConfigError(
+            f"key 't_end': {t_end!r} is not a multiple of the reference "
+            f"step {h!r}"
+        )
+    stride = round(record_dt / h)
+    if stride < 2 or stride % 2 or abs(stride * h - record_dt) > 1e-12:
+        raise ConfigError(
+            f"key 'record_dt': {record_dt!r} is not an even multiple of the "
+            f"reference step {h!r}"
+        )
     if scheme not in ("rk4", "rk2"):
         raise ConfigError(f"unknown reference scheme {scheme!r}")
 
     rhs = model.monolith_rhs
     x0 = model.monolith_x0
-    x = list(x0)
-    spec = SubsystemSpec("monolith", len(x), 0, 0, rhs, lambda t, x, u: (), x0)
+    spec = SubsystemSpec("monolith", len(x0), 0, 0, rhs, lambda t, x, u: (), x0)
     caps = Capabilities()
-    idx = range(len(x))
-    half = 0.5 * micro_step
+    idx = range(len(x0))
     keys = sorted(model.output_map)
     getters = [model.output_map[k] for k in keys]
-    ts = [t0]
-    cols: list[list[float]] = [[fn(t0, x)] for fn in getters]
-    for i0 in range(0, n_steps, stride):
-        i1 = min(i0 + stride, n_steps)
-        t_rec = t0 + i1 * micro_step
-        if scheme == "rk4":
-            x, _ = step_to(spec, caps, x, (), ts[-1], t_rec, micro_step)
-        else:
-            for i in range(i0, i1):
-                t = t0 + i * micro_step
-                k1 = rhs(t, x, ())
-                k2 = rhs(t + half, [x[j] + half * k1[j] for j in idx], ())
-                x = [x[j] + micro_step * k2[j] for j in idx]
-            if not all(map(math.isfinite, x)):
-                raise DivergenceError(spec.label, ts[-1])
-        ts.append(t_rec)
-        for col, fn in zip(cols, getters):
-            col.append(fn(t_rec, x))
+    starts = range(0, n_steps, stride)
+
+    def walk(m: int) -> list[array]:
+        """Output columns at the record times, from steps of m * h.
+
+        Columns are arrays of doubles, not lists of float objects: this is
+        the whole record grid twice over, in memory at once.
+        """
+        x = list(x0)
+        cols = [array("d", [fn(t0, x)]) for fn in getters]
+        per_call = m * REFERENCE_CALL_STEPS
+        for i0 in starts:
+            i1 = min(i0 + stride, n_steps)
+            t_rec = t0 + i1 * h
+            if scheme == "rk4":
+                for j0 in range(i0, i1, per_call):
+                    j1 = min(j0 + per_call, i1)
+                    x, _ = step_to(
+                        spec, caps, x, (), t0 + j0 * h, t0 + j1 * h, m * h
+                    )
+            else:
+                for i in range(i0, i1, m):
+                    t = t0 + i * h
+                    hs = (min(i + m, i1) - i) * h
+                    half = 0.5 * hs
+                    k1 = rhs(t, x, ())
+                    k2 = rhs(t + half, [x[j] + half * k1[j] for j in idx], ())
+                    x = [x[j] + hs * k2[j] for j in idx]
+                if not all(map(math.isfinite, x)):
+                    raise DivergenceError(spec.label, t0 + i0 * h)
+            for col, fn in zip(cols, getters):
+                col.append(fn(t_rec, x))
+        return cols
+
+    ts = (t0,) + tuple(t0 + min(i + stride, n_steps) * h for i in starts)
+    fine = walk(1)
+    try:
+        coarse = walk(2)
+    except DivergenceError:
+        gap = dict.fromkeys(keys, math.inf)
+    else:
+        gap = {k: _gap_pct(ts, f, c) for k, f, c in zip(keys, fine, coarse)}
 
     ref = ReferenceSolution(
-        t=tuple(ts),
-        series={k: tuple(c) for k, c in zip(keys, cols)},
-        micro_step=micro_step,
+        t=ts,
+        series={k: tuple(c) for k, c in zip(keys, fine)},
+        micro_step=h,
         scheme=scheme,
+        gap_pct=gap,
     )
     _REFERENCE_CACHE[key] = ref
     return ref

@@ -3,23 +3,23 @@
 The accuracy figure everywhere is a normalized RMSE: the co-simulated trace
 is linearly interpolated onto the reference grid and the root-mean-square
 difference is expressed as a percentage of the reference's peak-to-peak
-amplitude.  The comparison harness sweeps the fixed-step baseline over five
-grid steps and the variable-step method over its twelve option combinations
-(calibration x smoothing x error norm), reporting steps and RMSE per run —
-the classic cost/accuracy trade-off table, plus a scatter-ready CSV.
+amplitude (`compute_rmse`, in models.py, where the reference also states its
+own h-vs-2h gap in this unit).  The comparison harness sweeps the fixed-step
+baseline over five grid steps and the variable-step method over its twelve
+option combinations (calibration x smoothing x error norm), reporting steps
+and RMSE per run — the classic cost/accuracy trade-off table, plus a
+scatter-ready CSV.
 """
 
 from __future__ import annotations
 
 import csv
-import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import ConfigError, DivergenceError
+from .errors import DivergenceError
 from .master import run_f3ornits, run_jacobi
-from .models import BenchmarkModel, monolithic_reference
+from .models import BenchmarkModel, compute_rmse, monolithic_reference
 from .trace import RunTrace, format_float
 
 JACOBI_GRID_STEPS = (0.01, 0.05, 0.1, 0.2, 0.4)
@@ -31,31 +31,6 @@ F3_VARIANTS = tuple(
     for smoothing in (False, True)
     for norm in ("magnitude", "amplitude", "damped")
 )
-
-
-def compute_rmse(trace_t, trace_y, ref_t, ref_y) -> float:
-    """Percent RMSE of a trace against a reference series on the ref grid.
-
-    The trace is interpolated linearly onto each reference time, with
-    numpy.interp's formula, and held at its end values outside its span.
-    """
-    span = max(ref_y) - min(ref_y)
-    if span <= 0.0:
-        raise ConfigError("reference series is flat; RMSE undefined")
-    last = len(trace_t) - 1
-    squares = []
-    for t, r in zip(ref_t, ref_y):
-        j = bisect_right(trace_t, t) - 1
-        if j < 0:
-            y = trace_y[0]
-        elif j == last or trace_t[j] == t:
-            y = trace_y[j]
-        else:
-            slope = (trace_y[j + 1] - trace_y[j]) / (trace_t[j + 1] - trace_t[j])
-            y = slope * (t - trace_t[j]) + trace_y[j]
-        squares.append((y - r) * (y - r))
-    rms = math.sqrt(math.fsum(squares) / len(squares))
-    return 100.0 * rms / span
 
 
 def score_trace(

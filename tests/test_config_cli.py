@@ -381,6 +381,7 @@ def test_cli_rejects_non_positive_parameters(capsys):
     (["reference", "--model", "two_mass", "--micro-step", "1e-8",
       "--record-dt", "1e-5"], "'micro_step'"),
     (["reference", "--model", "two_mass", "--record-dt", "inf"], "'record_dt'"),
+    (["reference", "--model", "two_mass", "--micro-step", "2e-3"], "'record_dt'"),
     (["run", "--model", "car", "--seed", "7", "--param", "tau_diff=1e-9"],
      "controller"),
     (["compare", "--model", "two_mass", "--jacobi-dts", "nan,0.1"], "--jacobi-dts"),
@@ -388,7 +389,8 @@ def test_cli_rejects_non_positive_parameters(capsys):
     "x1_0-nan", "x1_0-inf", "t_switch-nan", "seed-nan", "seed-inf",
     "preset_force", "caps-nan", "caps-degree-negative", "caps-step-zero",
     "caps-step-over-budget", "micro_step-0", "micro_step-nan",
-    "micro_step-over-budget", "record_dt-inf", "tau_diff-over-budget",
+    "micro_step-over-budget", "record_dt-inf", "record_dt-odd-stride",
+    "tau_diff-over-budget",
     "jacobi_dts-nan",
 ])
 def test_cli_rejects_meaningless_inputs(argv, key, tmp_path, capsys):
@@ -433,6 +435,7 @@ def test_cli_run_score_prints_rmse(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "rmse[mass_left:0]" in out
+    assert "reference h=0.001: h-vs-2h gap[mass_left:0] = " in out
 
 
 def test_cli_compare_writes_report(tmp_path, capsys):
@@ -446,10 +449,12 @@ def test_cli_compare_writes_report(tmp_path, capsys):
     assert len(report) == 1 + 2 + 12
     scatter = (tmp_path / "m_scatter.csv").read_text().splitlines()
     assert len(scatter) == 1 + 2 + 12
-    assert "f3ornits" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "f3ornits" in out
+    assert "reference h=0.001: h-vs-2h gap[mass_left:0] = " in out
 
 
-def test_cli_reference_matches_library_call(tmp_path):
+def test_cli_reference_matches_library_call(tmp_path, capsys):
     code = cli.main([
         "reference", "--model", "two_mass", "--t-end", "2",
         "--record-dt", "0.5", "--output-dir", str(tmp_path), "--prefix", "r",
@@ -463,3 +468,7 @@ def test_cli_reference_matches_library_call(tmp_path):
     )
     assert cols["t"] == list(ref.t)
     assert cols["mass_left:1"] == list(ref.series[("mass_left", 1)])
+    out = capsys.readouterr().out
+    assert "(rk4, h=0.001)" in out
+    for (label, j), gap in ref.gap_pct.items():
+        assert f"h-vs-2h gap[{label}:{j}] = {gap:.2e} %" in out

@@ -1,6 +1,7 @@
 """Benchmark model physics, the seeded road noise, and the reference runs."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -81,6 +82,8 @@ def test_two_mass_equilibrium_stays_at_rest():
     model = build_two_mass(params)
     ref = monolithic_reference(model, record_dt=0.1)
     assert all(v == 0.0 for series in ref.series.values() for v in series)
+    # a flat output has no amplitude to scale a gap by, and must not raise
+    assert all(g == 0.0 for g in ref.gap_pct.values())
     trace = run_jacobi(model.problem, 0.5)
     for st in trace.subsystems.values():
         assert all(v == 0.0 for row in st.outputs for v in row)
@@ -185,8 +188,9 @@ def test_car_reference_speed_settles_near_target():
 
 # ------------------------------------------------------------ the reference
 
-#: frozen from the reference integrator at its defaults; the RK2 cross-check
-#: below guards against a wrong right-hand side slipping in unnoticed
+#: frozen from the reference integrator at a step of 1e-4 s; the RK2
+#: cross-check below guards against a wrong right-hand side slipping in
+#: unnoticed
 GOLDEN_TWO_MASS = {
     50.0: {
         ("mass_left", 0): 0.003813616004210131,
@@ -208,13 +212,68 @@ GOLDEN_TWO_MASS = {
 
 def test_two_mass_reference_golden_fixtures():
     model = build_two_mass()
-    ref = monolithic_reference(model)
-    cross = monolithic_reference(model, scheme="rk2")
+    ref = monolithic_reference(model, micro_step=1e-4)
+    cross = monolithic_reference(model, micro_step=1e-4, scheme="rk2")
     for t_at, expected in GOLDEN_TWO_MASS.items():
         i = ref.t.index(t_at)
         for key, value in expected.items():
             assert ref.series[key][i] == pytest.approx(value, abs=1e-12)
             assert abs(ref.series[key][i] - cross.series[key][i]) < 1e-7
+
+
+#: the smallest rmse the tests score: criterion 4's magnitude-norm run on
+#: two_mass, in % of amplitude
+SMALLEST_SCORED_RMSE_PCT = 0.0073
+#: the rmse of vehicle:0 in the default car run at seed 7
+CAR_SEED_7_RMSE_PCT = 0.069
+
+
+@pytest.mark.parametrize("model,key,score", [
+    (build_two_mass(), ("mass_left", 0), SMALLEST_SCORED_RMSE_PCT),
+    (build_car(CarParams(seed=7)), ("vehicle", 0), CAR_SEED_7_RMSE_PCT),
+], ids=["two_mass", "car"])
+def test_default_reference_step_is_far_finer_than_the_scores(model, key, score):
+    # each model's own step; two_mass runs its 200 s through t_switch
+    ref = monolithic_reference(model)
+    assert ref.micro_step == model.reference_step
+    assert ref.t[-1] == model.problem.t_end
+    assert 0.0 < ref.gap_pct[key] < 0.01 * score
+
+
+def test_reference_gap_is_infinite_when_the_doubled_step_diverges():
+    # the filter's RK4 is stable at h / tau_diff = 2 but not at 4
+    model = build_car(CarParams(seed=7, t_end=5.0))
+    ref = monolithic_reference(model, micro_step=2e-3, record_dt=0.02)
+    assert all(map(math.isfinite, ref.series[("vehicle", 0)]))
+    assert ref.gap_pct == {("controller", 0): math.inf, ("vehicle", 0): math.inf}
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "rk2"])
+def test_reference_gap_over_an_odd_step_count(scheme):
+    # 2001 steps of 1e-3: the doubled run ends on t_end with a single step,
+    # and its gap stays what it is over the even 2000
+    odd = monolithic_reference(
+        build_two_mass(TwoMassParams(t_end=2.001)), record_dt=0.002, scheme=scheme
+    )
+    even = monolithic_reference(
+        build_two_mass(TwoMassParams(t_end=2.0)), record_dt=0.002, scheme=scheme
+    )
+    assert odd.t[-1] == pytest.approx(2.001)
+    for key, gap in even.gap_pct.items():
+        assert odd.gap_pct[key] == pytest.approx(gap, rel=0.01)
+
+
+def test_reference_memory_does_not_grow_with_the_record_stride():
+    # 10,000 micro steps in one record window; each step_to call lays out
+    # at most REFERENCE_CALL_STEPS of them (0.1 MB peak, 1.1 MB in one call)
+    model = build_two_mass(TwoMassParams(t_end=0.01))
+    tracemalloc.start()
+    try:
+        monolithic_reference(model, micro_step=1e-6, record_dt=0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 def test_reference_matches_the_test_local_rk4_across_the_switch():
@@ -251,8 +310,12 @@ def test_reference_step_refinement_changes_little():
 
 def test_reference_rejects_incommensurate_grids():
     model = build_two_mass(TwoMassParams(t_end=20.0))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="'record_dt'"):
         monolithic_reference(model, micro_step=1e-4, record_dt=2.5e-4)
+    with pytest.raises(ConfigError, match="'record_dt'"):
+        monolithic_reference(model, micro_step=1e-3, record_dt=3e-3)
+    with pytest.raises(ConfigError, match="'t_end'"):
+        monolithic_reference(model, micro_step=3e-3, record_dt=6e-3)
     with pytest.raises(ConfigError):
         monolithic_reference(model, scheme="euler")
 
@@ -298,6 +361,9 @@ def test_micro_step_bounds_follow_the_parameters():
 
     car = bounds("car", {"seed": 7})
     assert car == {"vehicle": 1e-3, "controller": 1e-3}
+    # the reference step: tau_diff / 2, moved down onto the record grid
+    assert build_model("car", {"seed": 7}).reference_step == 5e-4
+    assert build_model("car", {"seed": 7, "tau_diff": 3e-3}).reference_step == 0.01 / 8
     assert bounds("car", {"seed": 7, "tau_diff": 2e-3})["controller"] == 2e-3
     assert bounds("car", {"seed": 7, "perturb_dwell": 0.5})["vehicle"] == 0.5 / 100
     two_mass = bounds("two_mass", {})
