@@ -484,10 +484,11 @@ def monolithic_reference(
     h = 1e-3: ten times the step, ten times the gap.  A doubled run that
     diverges gives an infinite gap and leaves this solution standing.
 
-    record_dt must be an even multiple of micro_step, and the horizon an
-    integer multiple of it (both hold for every registered model at the
-    defaults; with an odd count the doubled run's last step is a single
-    one) that takes at most MasterOptions.max_events steps.
+    record_dt must be an even multiple of micro_step, and the horizon may
+    take at most MasterOptions.max_events steps.  A horizon off the grid
+    t_init + i * micro_step ends the last record window on t_end with one
+    short step, in every run; with an odd step count the doubled run's last
+    step is a single one.
     """
     if micro_step is None:
         micro_step = model.reference_step
@@ -505,16 +506,16 @@ def monolithic_reference(
     t0 = model.problem.t_init
     t_end = model.problem.t_end
     n_steps = round((t_end - t0) / h)
+    on_grid = abs(t0 + n_steps * h - t_end) <= 1e-9 * max(1.0, abs(t_end))
+    if not on_grid:
+        # the last step is shortened to end on t_end
+        n_steps = math.ceil((t_end - t0) / h)
+    t_stop = t0 + n_steps * h if on_grid else t_end
     budget = MasterOptions.max_events
     if n_steps > budget:
         raise ConfigError(
             f"key 'micro_step': {h!r} needs more than {budget} "
             f"steps to reach t_end = {t_end!r}"
-        )
-    if abs(t0 + n_steps * h - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ConfigError(
-            f"key 't_end': {t_end!r} is not a multiple of the reference "
-            f"step {h!r}"
         )
     stride = round(record_dt / h)
     if stride < 2 or stride % 2 or abs(stride * h - record_dt) > 1e-12:
@@ -534,6 +535,9 @@ def monolithic_reference(
     getters = [model.output_map[k] for k in keys]
     starts = range(0, n_steps, stride)
 
+    def at(i: int) -> float:
+        return t0 + i * h if i < n_steps else t_stop
+
     def walk(m: int) -> list[array]:
         """Output columns at the record times, from steps of m * h.
 
@@ -545,17 +549,16 @@ def monolithic_reference(
         per_call = m * REFERENCE_CALL_STEPS
         for i0 in starts:
             i1 = min(i0 + stride, n_steps)
-            t_rec = t0 + i1 * h
+            t_rec = at(i1)
             if scheme == "rk4":
                 for j0 in range(i0, i1, per_call):
                     j1 = min(j0 + per_call, i1)
-                    x, _ = step_to(
-                        spec, caps, x, (), t0 + j0 * h, t0 + j1 * h, m * h
-                    )
+                    x, _ = step_to(spec, caps, x, (), at(j0), at(j1), m * h)
             else:
                 for i in range(i0, i1, m):
                     t = t0 + i * h
-                    hs = (min(i + m, i1) - i) * h
+                    end = min(i + m, i1)
+                    hs = (end - i) * h if on_grid or end < n_steps else t_end - t
                     half = 0.5 * hs
                     k1 = rhs(t, x, ())
                     k2 = rhs(t + half, [x[j] + half * k1[j] for j in idx], ())
@@ -566,7 +569,7 @@ def monolithic_reference(
                 col.append(fn(t_rec, x))
         return cols
 
-    ts = (t0,) + tuple(t0 + min(i + stride, n_steps) * h for i in starts)
+    ts = (t0,) + tuple(at(min(i + stride, n_steps)) for i in starts)
     fine = walk(1)
     try:
         coarse = walk(2)

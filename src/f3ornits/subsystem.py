@@ -8,9 +8,12 @@ declares one: each model states the bound its own fastest mode needs, so a
 slow subsystem does not pay for a stiff neighbour.  Inputs arrive as genuine
 polynomials in time and are evaluated continuously at every micro stage,
 never sampled-and-held, so the micro error stays far below the coupling
-error.  `step_to` first lays out
-the window's micro grid and evaluates every input once per stage time, then
-walks the grid; f receives each stage's inputs as a fresh read-only tuple.
+error.  `step_to` first lays out the window's micro grid and evaluates every
+input once per stage time, then walks the grid with an RK4 kernel generated
+and compiled once per state dimension (`_rk4_walk`): it keeps the state in
+local variables instead of rebuilding lists with comprehensions, and does the
+same floating-point operations in the same order.  f receives each stage's
+state as a fresh list and its inputs as a fresh read-only tuple.
 There is no rollback: a completed macro step is final.  `step_to` returns
 the new state and the output tuple y at the target time.
 """
@@ -18,6 +21,7 @@ the new state and the output tuple y at the target time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import isfinite
 from typing import Callable, Sequence
 
@@ -97,6 +101,63 @@ class SubsystemSpec:
             )
 
 
+def _arity_error(label: str, k: Sequence[float], n: int) -> ContractViolation:
+    return ContractViolation(
+        f"{label}: f returned {len(k)} derivatives, expected {n}"
+    )
+
+
+@cache
+def _rk4_walk(n: int) -> Callable[..., list[float]]:
+    """The RK4 walk over a laid-out micro grid for n states, compiled once.
+
+    The source is generated, the way `dataclasses` builds `__init__`: the
+    state lives in the locals x0..x{n-1}, each stage's derivatives are
+    unpacked into k1_0.., k2_0.., ..., and each stage state is a list
+    display, so a micro step runs no comprehension.  Every expression, and
+    the order it is evaluated in, is the textbook walk's: the stage state
+    x[i] + half * k1[i], then + half * k2[i], then + hs * k3[i], and the
+    step x[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]).
+    A stage whose f returns the wrong number of derivatives raises
+    ContractViolation.
+    """
+
+    def each(fmt: str) -> str:
+        return ", ".join(fmt.format(i) for i in range(n))
+
+    def stage(t: str, state: str, u: str, k: str) -> str:
+        return (
+            f"        k = f({t}, [{state}], {u})\n"
+            "        try:\n"
+            f"            [{each(k + '_{0}')}] = k\n"
+            "        except ValueError:\n"
+            f"            raise _arity_error(label, k, {n}) from None\n"
+        )
+
+    source = (
+        "def walk(f, x, edges, mids, sizes, edge_rows, mid_rows, label):\n"
+        f"    [{each('x{0}')}] = x\n"
+        "    for t, t1, tm, hs, u0, u1, um in zip(\n"
+        "        edges, edges[1:], mids, sizes, edge_rows, edge_rows[1:], mid_rows\n"
+        "    ):\n"
+        + stage("t", each("x{0}"), "u0", "k1")
+        + "        half = 0.5 * hs\n"
+        + stage("tm", each("x{0} + half * k1_{0}"), "um", "k2")
+        + stage("tm", each("x{0} + half * k2_{0}"), "um", "k3")
+        + stage("t1", each("x{0} + hs * k3_{0}"), "u1", "k4")
+        + "        sixth = hs / 6.0\n"
+        + "".join(
+            f"        x{i} = x{i} + sixth * "
+            f"(k1_{i} + 2.0 * (k2_{i} + k3_{i}) + k4_{i})\n"
+            for i in range(n)
+        )
+        + f"    return [{each('x{0}')}]\n"
+    )
+    namespace = {"_arity_error": _arity_error}
+    exec(compile(source, f"<rk4 walk n={n}>", "exec"), namespace)
+    return namespace["walk"]
+
+
 def step_to(
     spec: SubsystemSpec,
     caps: Capabilities,
@@ -116,8 +177,10 @@ def step_to(
     the last one shortened to land on t_target.  Each input polynomial is
     then evaluated once per stage time (step boundaries and midpoints), so
     the inputs at a step's start are the ones its predecessor ended with.
-    f is called exactly four times per micro step, with the stage's inputs
-    as a tuple.
+    The grid is walked by the kernel `_rk4_walk` compiled for
+    spec.n_states: f is called exactly four times per micro step, with the
+    stage's state as a list and its inputs as a tuple, and every call's
+    derivative count is checked.
     """
     if t_target <= t_start:
         raise ValueError(
@@ -128,6 +191,10 @@ def step_to(
         raise ContractViolation(
             f"{spec.label}: got {len(inputs)} input polynomials, "
             f"expected {spec.n_in}"
+        )
+    if len(state) != spec.n_states:
+        raise ContractViolation(
+            f"{spec.label}: got {len(state)} states, expected {spec.n_states}"
         )
     for i, p in enumerate(inputs):
         if p.degree > caps.max_input_degree:
@@ -169,31 +236,9 @@ def step_to(
     edge_rows = list(zip(*edge_cols)) or [()] * len(edges)
     mid_rows = list(zip(*mid_cols)) or [()] * len(mids)
 
-    f = spec.f
-    x = list(state)
-    n = spec.n_states
-    idx = range(n)
-    for t, t1, tm, hs, u0, u1, um in zip(
-        edges, edges[1:], mids, sizes, edge_rows, edge_rows[1:], mid_rows
-    ):
-        k1 = f(t, x, u0)
-        if len(k1) != n:
-            raise ContractViolation(
-                f"{spec.label}: f returned {len(k1)} derivatives, expected {n}"
-            )
-        half = 0.5 * hs
-        xs = [x[i] + half * k1[i] for i in idx]
-        k2 = f(tm, xs, um)
-        xs = [x[i] + half * k2[i] for i in idx]
-        k3 = f(tm, xs, um)
-        xs = [x[i] + hs * k3[i] for i in idx]
-        k4 = f(t1, xs, u1)
-        sixth = hs / 6.0
-        x = [
-            x[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
-            for i in idx
-        ]
-
+    x = _rk4_walk(spec.n_states)(
+        spec.f, state, edges, mids, sizes, edge_rows, mid_rows, spec.label
+    )
     if not all(isfinite(v) for v in x):
         raise DivergenceError(spec.label, t_start)
 

@@ -438,6 +438,17 @@ def test_cli_run_score_prints_rmse(tmp_path, capsys):
     assert "reference h=0.001: h-vs-2h gap[mass_left:0] = " in out
 
 
+def test_cli_scores_a_horizon_off_the_reference_grid(tmp_path, capsys):
+    # 2.0005 s is no multiple of two_mass's reference step of 1e-3; the run
+    # used to write its CSVs and then exit 1 on the reference
+    code = cli.main([
+        "run", "--model", "two_mass", "--t-end", "2.0005", "--score",
+        "--output-dir", str(tmp_path),
+    ])
+    assert code == 0
+    assert "rmse[mass_left:0]" in capsys.readouterr().out
+
+
 def test_cli_compare_writes_report(tmp_path, capsys):
     code = cli.main([
         "compare", "--model", "two_mass", "--t-end", "5",

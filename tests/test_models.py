@@ -314,10 +314,23 @@ def test_reference_rejects_incommensurate_grids():
         monolithic_reference(model, micro_step=1e-4, record_dt=2.5e-4)
     with pytest.raises(ConfigError, match="'record_dt'"):
         monolithic_reference(model, micro_step=1e-3, record_dt=3e-3)
-    with pytest.raises(ConfigError, match="'t_end'"):
-        monolithic_reference(model, micro_step=3e-3, record_dt=6e-3)
     with pytest.raises(ConfigError):
         monolithic_reference(model, scheme="euler")
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "rk2"])
+def test_reference_reaches_a_horizon_off_its_grid(scheme):
+    # 20 s is 6666.7 steps of 3e-3: the last record window ends on t_end
+    # with one short step, and lands where a finer on-grid run does
+    model = build_two_mass(TwoMassParams(t_end=20.0))
+    ref = monolithic_reference(model, micro_step=3e-3, record_dt=6e-3,
+                               scheme=scheme)
+    assert ref.t[-2:] == (6666 * 3e-3, 20.0)
+    fine = monolithic_reference(model, micro_step=1e-3, record_dt=0.1)
+    assert fine.t[-1] == 20.0
+    tol = 1e-11 if scheme == "rk4" else 2e-6
+    for key, series in fine.series.items():
+        assert ref.series[key][-1] == pytest.approx(series[-1], abs=tol)
 
 
 # -------------------------------------------------------------- the registry

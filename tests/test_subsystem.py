@@ -194,6 +194,9 @@ def test_input_arity_checked():
     spec = make_integrator()
     with pytest.raises(ContractViolation):
         step_to(spec, Capabilities(), spec.x_init, [], 0.0, 1.0)
+    # and so is the state's
+    with pytest.raises(ContractViolation, match="got 2 states, expected 1"):
+        step_to(spec, Capabilities(), (0.0, 0.0), [const_input(1.0)], 0.0, 1.0)
 
 
 def test_degree_over_capability_rejected():
@@ -234,16 +237,24 @@ def test_output_arity_checked():
 
 @pytest.mark.parametrize("derivatives", [[0.0], [0.0, 0.0, 0.0]])
 def test_state_derivative_arity_checked(derivatives):
-    # too few derivatives used to surface as an IndexError inside the RK4
-    # loop, too many were accepted silently
-    spec = SubsystemSpec(
-        "bad_f", 2, 0, 1,
-        f=lambda t, x, u: derivatives,
-        g=lambda t, x, u: [x[0]],
-        x_init=(0.0, 0.0),
-    )
-    with pytest.raises(ContractViolation, match="f returned"):
-        step_to(spec, Capabilities(), spec.x_init, [], 0.0, 1.0)
+    # every stage is checked, not only k1: too few derivatives at a later
+    # stage used to surface as an IndexError inside the RK4 loop, and too
+    # many were accepted silently
+    for stage in range(4):
+        calls = []
+
+        def f(t, x, u):
+            calls.append(t)
+            return derivatives if len(calls) == stage + 1 else [0.0, 0.0]
+
+        spec = SubsystemSpec("bad_f", 2, 0, 1, f, lambda t, x, u: [x[0]],
+                             (0.0, 0.0))
+        with pytest.raises(
+            ContractViolation,
+            match=f"bad_f: f returned {len(derivatives)} derivatives, expected 2",
+        ):
+            step_to(spec, Capabilities(), spec.x_init, [], 0.0, 1.0)
+        assert len(calls) == stage + 1
 
 
 def test_x_init_arity_checked():
@@ -324,7 +335,7 @@ _poly = st.builds(
 @settings(max_examples=150, deadline=None)
 @given(
     inputs=st.lists(_poly, max_size=2),
-    x0=st.lists(_coeff, min_size=1, max_size=2),
+    x0=st.lists(_coeff, max_size=4),
     t_start=st.floats(-1.0, 1.0, allow_nan=False),
     n_steps=st.integers(0, 40),
     last=st.floats(0.05, 0.95),
@@ -335,7 +346,8 @@ def test_step_to_matches_the_per_stage_walk_bit_for_bit(
 ):
     # the window ends a fraction into a micro step, so the last one is short;
     # without an explicit micro step the window is long enough for the
-    # spec's bound to set the step
+    # spec's bound to set the step.  0 to 4 states: every walk step_to
+    # compiles for the models, both monoliths and a stateless spec
     bound = 1e-3
     if micro_step is None:
         n_steps += int(MICRO_DIVISOR)
