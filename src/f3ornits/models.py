@@ -392,9 +392,6 @@ def _dt0_tuple(dt0: float | Sequence[float], n: int) -> tuple[float, ...]:
 #: the reference's record grid, in seconds
 REFERENCE_RECORD_DT = 1e-2
 
-#: most RK4 micro steps one `step_to` call of the reference lays out
-REFERENCE_CALL_STEPS = 1000
-
 
 def _on_record_grid(bound: float) -> float:
     """The largest step at most `bound` that splits REFERENCE_RECORD_DT into
@@ -463,10 +460,10 @@ def monolithic_reference(
 
     micro_step defaults to the model's `reference_step`.  The monolith is a
     `SubsystemSpec` without inputs or outputs, and with scheme "rk4" it is
-    walked by `step_to`, the co-simulation's own micro-integrator, in calls
-    of at most REFERENCE_CALL_STEPS micro steps, each ending on the grid
-    t_init + i * micro_step, so a call's laid-out grid stays small whatever
-    the record stride.  Record window k ends at
+    walked by `step_to`, the co-simulation's own micro-integrator, one call
+    per record window; `step_to` keeps no list that grows with its step
+    count, so memory does not grow with the record stride.  Record window k
+    ends at
     t_init + min(k * stride, n_steps) * micro_step, so switch times and
     dwell edges on that grid fall on window starts.  Scheme "rk2" walks
     the same windows with the explicit midpoint rule, an unrelated
@@ -546,14 +543,11 @@ def monolithic_reference(
         """
         x = list(x0)
         cols = [array("d", [fn(t0, x)]) for fn in getters]
-        per_call = m * REFERENCE_CALL_STEPS
         for i0 in starts:
             i1 = min(i0 + stride, n_steps)
             t_rec = at(i1)
             if scheme == "rk4":
-                for j0 in range(i0, i1, per_call):
-                    j1 = min(j0 + per_call, i1)
-                    x, _ = step_to(spec, caps, x, (), at(j0), at(j1), m * h)
+                x, _ = step_to(spec, caps, x, (), at(i0), t_rec, m * h)
             else:
                 for i in range(i0, i1, m):
                     t = t0 + i * h

@@ -8,12 +8,13 @@ declares one: each model states the bound its own fastest mode needs, so a
 slow subsystem does not pay for a stiff neighbour.  Inputs arrive as genuine
 polynomials in time and are evaluated continuously at every micro stage,
 never sampled-and-held, so the micro error stays far below the coupling
-error.  `step_to` first lays out the window's micro grid and evaluates every
-input once per stage time, then walks the grid with an RK4 kernel generated
-and compiled once per state dimension (`_rk4_walk`): it keeps the state in
-local variables instead of rebuilding lists with comprehensions, and does the
-same floating-point operations in the same order.  f receives each stage's
-state as a fresh list and its inputs as a fresh read-only tuple.
+error.  `step_to` walks the window with one micro-walk kernel generated and
+compiled per state dimension and tuple of input degrees (`_rk4_walk`): it
+advances the micro grid, evaluates every input once per stage time by inline
+Horner, and keeps the state, the grid and the coefficients in local
+variables, so its memory does not grow with the number of micro steps.
+f receives each stage's state as a fresh list and its inputs as a read-only
+tuple.
 There is no rollback: a completed macro step is final.  `step_to` returns
 the new state and the output tuple y at the target time.
 """
@@ -107,23 +108,36 @@ def _arity_error(label: str, k: Sequence[float], n: int) -> ContractViolation:
     )
 
 
-@cache
-def _rk4_walk(n: int) -> Callable[..., list[float]]:
-    """The RK4 walk over a laid-out micro grid for n states, compiled once.
+def _stalled(label: str, hs: float, t: float) -> ValueError:
+    return ValueError(f"{label}: micro step {hs!r} does not advance t = {t!r}")
 
-    The source is generated, the way `dataclasses` builds `__init__`: the
-    state lives in the locals x0..x{n-1}, each stage's derivatives are
-    unpacked into k1_0.., k2_0.., ..., and each stage state is a list
-    display, so a micro step runs no comprehension.  Every expression, and
-    the order it is evaluated in, is the textbook walk's: the stage state
+
+@cache
+def _rk4_walk(n: int, degrees: tuple[int, ...]) -> Callable[..., list[float]]:
+    """The micro walk for n states and inputs of the given degrees, compiled
+    once per (n, degrees).
+
+    The source is generated, the way `dataclasses` builds `__init__`.  The
+    walk advances the grid itself: each step is hs = min(t_target - t, h),
+    ending at t1 = t + hs with its midpoint tm = t + 0.5 * hs, and the walk
+    stops once t_target - t1 <= h * 1e-9.  A step with t1 == t cannot
+    advance (h at most half an ulp of t) and raises ValueError.  Input j's
+    coefficients live in the locals c{j}_0.., and it is evaluated at tm and
+    t1 by inline Horner, a = 0.0 * tau + c{j}_d, then a = a * tau + c{j}_k,
+    the operations of `Polynomial.__call__` in its order; the inputs at t1
+    are the next step's inputs at t.  The state lives in the locals
+    x0..x{n-1}, each stage's derivatives are unpacked into k1_0.., k2_0..,
+    ..., and each stage state is a list display, so a micro step builds no
+    list but f's arguments.  Every expression, and the order it is
+    evaluated in, is the textbook walk's: the stage state
     x[i] + half * k1[i], then + half * k2[i], then + hs * k3[i], and the
     step x[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]).
     A stage whose f returns the wrong number of derivatives raises
     ContractViolation.
     """
 
-    def each(fmt: str) -> str:
-        return ", ".join(fmt.format(i) for i in range(n))
+    def each(fmt: str, count: int = n) -> str:
+        return ", ".join(fmt.format(i) for i in range(count))
 
     def stage(t: str, state: str, u: str, k: str) -> str:
         return (
@@ -134,12 +148,38 @@ def _rk4_walk(n: int) -> Callable[..., list[float]]:
             f"            raise _arity_error(label, k, {n}) from None\n"
         )
 
+    row = "(" + "".join(f"a{j}, " for j in range(len(degrees))) + ")"
+
+    def inputs_at(t: str, u: str, indent: str) -> str:
+        lines = []
+        for j, d in enumerate(degrees):
+            lines.append(f"tau = {t} - r{j}")
+            lines.append(f"a{j} = 0.0 * tau + c{j}_{d}")
+            lines += [f"a{j} = a{j} * tau + c{j}_{k}" for k in range(d - 1, -1, -1)]
+        lines.append(f"{u} = {row}")
+        return "".join(f"{indent}{line}\n" for line in lines)
+
     source = (
-        "def walk(f, x, edges, mids, sizes, edge_rows, mid_rows, label):\n"
+        "def walk(f, x, t, t_target, h, inputs, label):\n"
         f"    [{each('x{0}')}] = x\n"
-        "    for t, t1, tm, hs, u0, u1, um in zip(\n"
-        "        edges, edges[1:], mids, sizes, edge_rows, edge_rows[1:], mid_rows\n"
-        "    ):\n"
+        f"    [{each('p{0}', len(degrees))}] = inputs\n"
+        + "".join(
+            f"    r{j} = p{j}.t_ref\n"
+            f"    [{', '.join(f'c{j}_{k}' for k in range(d + 1))}] = p{j}.coeffs\n"
+            for j, d in enumerate(degrees)
+        )
+        + "    guard = h * 1e-9\n"
+        + inputs_at("t", "u0", "    ")
+        + "    while True:\n"
+        "        hs = t_target - t\n"
+        "        if hs > h:\n"
+        "            hs = h\n"
+        "        t1 = t + hs\n"
+        "        if t1 == t:\n"
+        "            raise _stalled(label, hs, t)\n"
+        "        tm = t + 0.5 * hs\n"
+        + inputs_at("tm", "um", "        ")
+        + inputs_at("t1", "u1", "        ")
         + stage("t", each("x{0}"), "u0", "k1")
         + "        half = 0.5 * hs\n"
         + stage("tm", each("x{0} + half * k1_{0}"), "um", "k2")
@@ -151,10 +191,14 @@ def _rk4_walk(n: int) -> Callable[..., list[float]]:
             f"(k1_{i} + 2.0 * (k2_{i} + k3_{i}) + k4_{i})\n"
             for i in range(n)
         )
-        + f"    return [{each('x{0}')}]\n"
+        + "        if t_target - t1 <= guard:\n"
+        "            break\n"
+        "        t = t1\n"
+        "        u0 = u1\n"
+        f"    return [{each('x{0}')}]\n"
     )
-    namespace = {"_arity_error": _arity_error}
-    exec(compile(source, f"<rk4 walk n={n}>", "exec"), namespace)
+    namespace = {"_arity_error": _arity_error, "_stalled": _stalled}
+    exec(compile(source, f"<rk4 walk n={n} degrees={degrees}>", "exec"), namespace)
     return namespace["walk"]
 
 
@@ -173,14 +217,14 @@ def step_to(
     The micro step is min((t_target - t_start) / MICRO_DIVISOR,
     spec.max_micro_step); an explicit `micro_step` overrides that rule.
 
-    The micro grid is laid out before the RK4 walk: steps of h from t_start,
-    the last one shortened to land on t_target.  Each input polynomial is
-    then evaluated once per stage time (step boundaries and midpoints), so
-    the inputs at a step's start are the ones its predecessor ended with.
-    The grid is walked by the kernel `_rk4_walk` compiled for
-    spec.n_states: f is called exactly four times per micro step, with the
-    stage's state as a list and its inputs as a tuple, and every call's
-    derivative count is checked.
+    The window is walked by the kernel `_rk4_walk` compiled for
+    spec.n_states and the input degrees: steps of h from t_start, the last
+    one shortened to land on t_target, each input polynomial evaluated once
+    per stage time (step boundaries and midpoints) as the walk goes.  f is
+    called exactly four times per micro step, with the stage's state as a
+    list and its inputs as a tuple, and every call's derivative count is
+    checked.  The walk keeps no list that grows with the number of micro
+    steps.
     """
     if t_target <= t_start:
         raise ValueError(
@@ -213,32 +257,8 @@ def step_to(
             f"{spec.label}: micro step must be finite and positive, got {h!r}"
         )
 
-    # the micro grid: step boundaries and sizes, the last step may be short
-    edges = [t_start]
-    sizes = []
-    t = t_start
-    guard = h * 1e-9
-    while True:
-        hs = t_target - t
-        if hs > h:
-            hs = h
-        t += hs
-        sizes.append(hs)
-        edges.append(t)
-        if t_target - t <= guard:
-            break
-    mids = [t + 0.5 * hs for t, hs in zip(edges, sizes)]
-
-    # the stage inputs: each polynomial once per stage time, one column per
-    # input, zipped into one row per stage time (empty rows without inputs)
-    edge_cols = [p.at(edges) for p in inputs]
-    mid_cols = [p.at(mids) for p in inputs]
-    edge_rows = list(zip(*edge_cols)) or [()] * len(edges)
-    mid_rows = list(zip(*mid_cols)) or [()] * len(mids)
-
-    x = _rk4_walk(spec.n_states)(
-        spec.f, state, edges, mids, sizes, edge_rows, mid_rows, spec.label
-    )
+    walk = _rk4_walk(spec.n_states, tuple(p.degree for p in inputs))
+    x = walk(spec.f, state, t_start, t_target, h, inputs, spec.label)
     if not all(isfinite(v) for v in x):
         raise DivergenceError(spec.label, t_start)
 

@@ -264,8 +264,9 @@ def test_reference_gap_over_an_odd_step_count(scheme):
 
 
 def test_reference_memory_does_not_grow_with_the_record_stride():
-    # 10,000 micro steps in one record window; each step_to call lays out
-    # at most REFERENCE_CALL_STEPS of them (0.1 MB peak, 1.1 MB in one call)
+    # 10,000 micro steps in one record window, walked by one step_to call:
+    # the walk keeps no list that grows with its step count (a walk that
+    # stored its micro grid would peak at about 1.1 MB here)
     model = build_two_mass(TwoMassParams(t_end=0.01))
     tracemalloc.start()
     try:

@@ -52,24 +52,6 @@ def test_evaluate_horner_matches_numpy():
     assert np.allclose(got, expected, rtol=1e-14, atol=1e-14)
 
 
-@given(
-    coeffs=st.lists(
-        st.sampled_from([0.0, -0.0, -1.5]) | st.floats(-10, 10),
-        min_size=1, max_size=4,
-    ),
-    t_ref=st.floats(-5, 5),
-    times=st.lists(st.floats(-8, 8), max_size=6),
-)
-def test_at_is_call_at_each_time(coeffs, t_ref, times):
-    # bit for bit, down to the sign of a zero
-    p = Polynomial(t_ref, tuple(coeffs))
-    got = p.at(times)
-    assert len(got) == len(times)
-    for v, t in zip(got, times):
-        assert v == p(t)
-        assert math.copysign(1.0, v) == math.copysign(1.0, p(t))
-
-
 def test_derivative_coefficients():
     p = Polynomial(0.0, (1.0, 2.0, 3.0, 4.0))
     dp = p.derivative()

@@ -181,13 +181,25 @@ def test_no_rollback():
         step_to(spec, Capabilities(), spec.x_init, [], 1.0, 0.5)
 
 
-@pytest.mark.parametrize("micro_step", [math.nan, math.inf, 0.0, -1.0])
-def test_rejects_meaningless_micro_steps(micro_step):
-    # a NaN step used to spin in the grid layout until memory ran out, and
-    # an infinite one silently took a single step
+@pytest.mark.parametrize(
+    "micro_step,t_start,t_target,match",
+    [
+        (math.nan, 0.0, 1.0, "finite and positive"),
+        (math.inf, 0.0, 1.0, "finite and positive"),
+        (0.0, 0.0, 1.0, "finite and positive"),
+        (-1.0, 0.0, 1.0, "finite and positive"),
+        (None, 1e6, 1e6 + 1e-9, r"micro step .* does not advance t = 1000000\.0"),
+    ],
+    ids=["nan", "inf", "0.0", "-1.0", "sub-ulp"],
+)
+def test_rejects_meaningless_micro_steps(micro_step, t_start, t_target, match):
+    # a NaN step would never end the walk and an infinite one would take a
+    # single step; a step of at most half an ulp of t (here 2e-11 at
+    # t = 1e6) leaves t where it is, so the walk could never end either
     spec = make_decay()
-    with pytest.raises(ValueError, match="finite and positive"):
-        step_to(spec, Capabilities(), spec.x_init, [], 0.0, 1.0, micro_step)
+    with pytest.raises(ValueError, match=match):
+        step_to(spec, Capabilities(), spec.x_init, [], t_start, t_target,
+                micro_step)
 
 
 def test_input_arity_checked():
@@ -334,7 +346,7 @@ _poly = st.builds(
 
 @settings(max_examples=150, deadline=None)
 @given(
-    inputs=st.lists(_poly, max_size=2),
+    inputs=st.lists(_poly, max_size=3),
     x0=st.lists(_coeff, max_size=4),
     t_start=st.floats(-1.0, 1.0, allow_nan=False),
     n_steps=st.integers(0, 40),
@@ -347,7 +359,8 @@ def test_step_to_matches_the_per_stage_walk_bit_for_bit(
     # the window ends a fraction into a micro step, so the last one is short;
     # without an explicit micro step the window is long enough for the
     # spec's bound to set the step.  0 to 4 states: every walk step_to
-    # compiles for the models, both monoliths and a stateless spec
+    # compiles for the models, both monoliths and a stateless spec; 0 to 3
+    # inputs of degree 0 to 3, each evaluated by its own inline Horner block
     bound = 1e-3
     if micro_step is None:
         n_steps += int(MICRO_DIVISOR)
