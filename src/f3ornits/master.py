@@ -296,6 +296,8 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
     tol = options.tolerances
     t0, t_end = problem.t_init, problem.t_end
     graph = problem.graph
+    # extrapolation publishes the fit select_order would refit next time
+    reuse_published = options.calibration == "extrapolation"
 
     runtimes = [
         _SubRuntime(spec, caps, graph.producers_of(k), t0)
@@ -400,7 +402,8 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
                     )
                 )
                 decision = select_order(
-                    rt.histories[j], t_event, y_new, force=options.force_order
+                    rt.histories[j], t_event, y_new, force=options.force_order,
+                    published=last_pub if reuse_published else None,
                 )
                 rt.histories[j].push(t_event, y_new)
                 rt.published[j].append(

@@ -5,8 +5,8 @@ any co-simulation run can be scored against a tightly integrated reference
 of the very same equations.  The monolith's right-hand side has the
 subsystem signature (t, x, u) with no inputs, and `monolithic_reference`
 integrates it through `step_to`, the co-simulation's own RK4, at the model's
-own `reference_step`, recording every REFERENCE_RECORD_DT, and reports how
-far a second run at twice that step lands from it.
+own `reference_step`, recording every REFERENCE_RECORD_DT; `reference_gap`
+reports how far a second run at twice that step lands from it.
 
 Each subsystem also states the largest RK4 micro step its own dynamics
 allow (`SubsystemSpec.max_micro_step`), derived from the parameters it is
@@ -426,22 +426,16 @@ def compute_rmse(trace_t, trace_y, ref_t, ref_y) -> float:
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """Monolithic solution sampled on a regular grid.
-
-    gap_pct holds, per output, `compute_rmse` of a second run at twice the
-    step against this one, in % of the output's amplitude: the unit of the
-    scores it serves.  It is inf where that run diverged, and where a flat
-    output has no amplitude but the two runs differ.
-    """
+    """Monolithic solution sampled on a regular grid."""
 
     t: tuple[float, ...]
     series: dict[tuple[str, int], tuple[float, ...]]
     micro_step: float
     scheme: str
-    gap_pct: dict[tuple[str, int], float]
 
 
 _REFERENCE_CACHE: dict[tuple, ReferenceSolution] = {}
+_GAP_CACHE: dict[tuple, dict[tuple[str, int], float]] = {}
 
 
 def _gap_pct(t, fine, coarse) -> float:
@@ -468,24 +462,13 @@ def monolithic_reference(
     dwell edges on that grid fall on window starts.  Scheme "rk2" walks
     the same windows with the explicit midpoint rule, an unrelated
     discretization that cross-checks the recorded values.  A non-finite
-    state raises DivergenceError.
-
-    The same walk runs again at twice the step, to the same record points,
-    and `gap_pct` is its distance from the first (step doubling).  That is
-    an honest bound, not a fourth-order estimate: the step that ends
-    exactly on t_switch or on a `dwell_noise` edge evaluates its last stage
-    on the far side of the jump, so across those points the reference is
-    only first order, and the gap includes that error.  On two_mass over
-    200 s the largest h-vs-2h difference of mass_left's position is about
-    2e-12 before the switch; after it, 3.7e-9 at h = 1e-4 and 3.7e-8 at
-    h = 1e-3: ten times the step, ten times the gap.  A doubled run that
-    diverges gives an infinite gap and leaves this solution standing.
+    state raises DivergenceError.  The reference walks once; its own error
+    estimate is `reference_gap`, paid only where it is read.
 
     record_dt must be an even multiple of micro_step, and the horizon may
     take at most MasterOptions.max_events steps.  A horizon off the grid
     t_init + i * micro_step ends the last record window on t_end with one
-    short step, in every run; with an odd step count the doubled run's last
-    step is a single one.
+    short step.
     """
     if micro_step is None:
         micro_step = model.reference_step
@@ -498,8 +481,66 @@ def monolithic_reference(
     hit = _REFERENCE_CACHE.get(key)
     if hit is not None:
         return hit
+    ts, fine = _walk(model, micro_step, record_dt, scheme, 1)
+    ref = ReferenceSolution(
+        t=ts,
+        series=dict(zip(sorted(model.output_map), fine)),
+        micro_step=micro_step,
+        scheme=scheme,
+    )
+    _REFERENCE_CACHE[key] = ref
+    return ref
 
-    h = micro_step
+
+def reference_gap(
+    model: BenchmarkModel,
+    micro_step: float | None = None,
+    record_dt: float = REFERENCE_RECORD_DT,
+    scheme: str = "rk4",
+) -> dict[tuple[str, int], float]:
+    """The reference's own error, per output; cached per session.
+
+    The reference's walk runs again at twice the step, to the same record
+    points, and each output's gap is `compute_rmse` of that run against the
+    (cached) reference, in % of the output's amplitude: the unit of the
+    scores it serves.  A gap is inf where the doubled run diverged, and
+    where a flat output has no amplitude but the two runs differ; a
+    diverging doubled run leaves the reference standing.  With an odd step
+    count the doubled run's last step is a single one.
+
+    This is step doubling, an honest bound, not a fourth-order estimate:
+    the step that ends exactly on t_switch or on a `dwell_noise` edge
+    evaluates its last stage on the far side of the jump, so across those
+    points the reference is only first order, and the gap includes that
+    error.  On two_mass over 200 s the largest h-vs-2h difference of
+    mass_left's position is about 2e-12 before the switch; after it, 3.7e-9
+    at h = 1e-4 and 3.7e-8 at h = 1e-3: ten times the step, ten times the
+    gap.
+    """
+    ref = monolithic_reference(model, micro_step, record_dt, scheme)
+    key = (model.name, model.params, ref.micro_step, record_dt, scheme)
+    hit = _GAP_CACHE.get(key)
+    if hit is not None:
+        return hit
+    try:
+        _, coarse = _walk(model, ref.micro_step, record_dt, scheme, 2)
+    except DivergenceError:
+        gap = dict.fromkeys(ref.series, math.inf)
+    else:
+        gap = {
+            k: _gap_pct(ref.t, fine, c)
+            for (k, fine), c in zip(ref.series.items(), coarse)
+        }
+    _GAP_CACHE[key] = gap
+    return gap
+
+
+def _walk(
+    model: BenchmarkModel, h: float, record_dt: float, scheme: str, m: int
+) -> tuple[tuple[float, ...], list[tuple[float, ...]]]:
+    """The record times, and the output columns there from steps of m * h,
+    in sorted output order.  Columns fill arrays of doubles, not lists of
+    float objects."""
     t0 = model.problem.t_init
     t_end = model.problem.t_end
     n_steps = round((t_end - t0) / h)
@@ -528,56 +569,31 @@ def monolithic_reference(
     spec = SubsystemSpec("monolith", len(x0), 0, 0, rhs, lambda t, x, u: (), x0)
     caps = Capabilities()
     idx = range(len(x0))
-    keys = sorted(model.output_map)
-    getters = [model.output_map[k] for k in keys]
+    getters = [model.output_map[k] for k in sorted(model.output_map)]
     starts = range(0, n_steps, stride)
 
     def at(i: int) -> float:
         return t0 + i * h if i < n_steps else t_stop
 
-    def walk(m: int) -> list[array]:
-        """Output columns at the record times, from steps of m * h.
-
-        Columns are arrays of doubles, not lists of float objects: this is
-        the whole record grid twice over, in memory at once.
-        """
-        x = list(x0)
-        cols = [array("d", [fn(t0, x)]) for fn in getters]
-        for i0 in starts:
-            i1 = min(i0 + stride, n_steps)
-            t_rec = at(i1)
-            if scheme == "rk4":
-                x, _ = step_to(spec, caps, x, (), at(i0), t_rec, m * h)
-            else:
-                for i in range(i0, i1, m):
-                    t = t0 + i * h
-                    end = min(i + m, i1)
-                    hs = (end - i) * h if on_grid or end < n_steps else t_end - t
-                    half = 0.5 * hs
-                    k1 = rhs(t, x, ())
-                    k2 = rhs(t + half, [x[j] + half * k1[j] for j in idx], ())
-                    x = [x[j] + hs * k2[j] for j in idx]
-                if not all(map(math.isfinite, x)):
-                    raise DivergenceError(spec.label, t0 + i0 * h)
-            for col, fn in zip(cols, getters):
-                col.append(fn(t_rec, x))
-        return cols
-
+    x = list(x0)
+    cols = [array("d", [fn(t0, x)]) for fn in getters]
+    for i0 in starts:
+        i1 = min(i0 + stride, n_steps)
+        t_rec = at(i1)
+        if scheme == "rk4":
+            x, _ = step_to(spec, caps, x, (), at(i0), t_rec, m * h)
+        else:
+            for i in range(i0, i1, m):
+                t = t0 + i * h
+                end = min(i + m, i1)
+                hs = (end - i) * h if on_grid or end < n_steps else t_end - t
+                half = 0.5 * hs
+                k1 = rhs(t, x, ())
+                k2 = rhs(t + half, [x[j] + half * k1[j] for j in idx], ())
+                x = [x[j] + hs * k2[j] for j in idx]
+            if not all(map(math.isfinite, x)):
+                raise DivergenceError(spec.label, t0 + i0 * h)
+        for col, fn in zip(cols, getters):
+            col.append(fn(t_rec, x))
     ts = (t0,) + tuple(at(min(i + stride, n_steps)) for i in starts)
-    fine = walk(1)
-    try:
-        coarse = walk(2)
-    except DivergenceError:
-        gap = dict.fromkeys(keys, math.inf)
-    else:
-        gap = {k: _gap_pct(ts, f, c) for k, f, c in zip(keys, fine, coarse)}
-
-    ref = ReferenceSolution(
-        t=ts,
-        series={k: tuple(c) for k, c in zip(keys, fine)},
-        micro_step=h,
-        scheme=scheme,
-        gap_pct=gap,
-    )
-    _REFERENCE_CACHE[key] = ref
-    return ref
+    return ts, [tuple(c) for c in cols]

@@ -12,6 +12,12 @@ and the step controller to measure prediction errors.
 A published polynomial carries its own bookkeeping: its `t_ref` is the
 publication time (the newest sample's time) and its degree is the order it
 was published with.
+
+In extrapolation mode the polynomial published at one exchange is reused as
+a candidate at the next.  It is `fit_extrapolation` of the newest degree + 1
+samples, and nothing is pushed to the history between publishing it and the
+next `select_order`, so the candidate of that degree would be the same fit of
+the same samples: the same bits, without the solve.
 """
 
 from __future__ import annotations
@@ -38,32 +44,39 @@ class OrderDecision:
     candidate_errors: dict[int, float]
 
 
-def admissible_orders(history_len: int) -> range:
-    """Candidate orders given how many past samples exist (before the new one)."""
-    if history_len < 1:
-        raise ValueError("order selection needs at least one past sample")
-    return range(0, min(MAX_ORDER, history_len - 1) + 1)
-
-
 def select_order(
     history: SampleHistory,
     t_new: float,
     y_new: float,
     force: int | None = None,
+    published: Polynomial | None = None,
 ) -> OrderDecision:
     """Score each admissible order against the fresh sample and pick the best.
 
-    Candidate q is calibrated on the q+1 most recent history samples (the new
-    one excluded) and judged by |y_new - prediction(t_new)|.  Ties break
-    toward the smallest order.  `force` overrides the choice (clamped to the
-    admissible range) while still reporting the scores.
+    The admissible orders are 0 up to one less than the number of past
+    samples, capped at MAX_ORDER.  Candidate q is calibrated on the q+1 most
+    recent history samples (the new one excluded) and judged by
+    |y_new - prediction(t_new)|.  Ties break toward the smallest order.
+    `force` overrides the choice (clamped to the admissible range) while
+    still reporting the scores.
+
+    `published`, if given, must be `fit_extrapolation` of the newest
+    degree + 1 samples of this history, as extrapolation mode publishes it;
+    it is then the candidate of its degree, and that fit is not repeated.
+    Refitting the same samples gives the same polynomial, so the scores are
+    the same bits either way.
     """
+    if len(history) < 1:
+        raise ValueError("order selection needs at least one past sample")
     errors: dict[int, float] = {}
     best_q = 0
     best_err = None
-    for q in admissible_orders(len(history)):
-        times, values = history.newest(q + 1)
-        p = fit_extrapolation(CalibrationPoints(times, values))
+    for q in range(min(MAX_ORDER, len(history) - 1) + 1):
+        if published is not None and q == published.degree:
+            p = published
+        else:
+            times, values = history.newest(q + 1)
+            p = fit_extrapolation(CalibrationPoints(times, values))
         err = abs(y_new - p(t_new))
         errors[q] = err
         if best_err is None or err < best_err:

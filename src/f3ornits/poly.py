@@ -137,6 +137,15 @@ def fit_extrapolation(pts: CalibrationPoints) -> Polynomial:
     The reference time is the newest sample so the local variable is small
     and, in particular, evaluation at the newest time returns its value
     exactly.
+
+    The two- and three-point systems are solved by straight-line code that
+    performs `_solve_dense`'s floating-point operations on the Vandermonde
+    rows in its order, so the coefficients are the same bits.  Column 0 is
+    all ones: its pivot is row 0, its inverse and factors are 1.0; the
+    `1.0 *` products are kept, and the last division, by that pivot, is
+    exact and left out.  The newest row is [1, 0, 0] (tau = 0 there),
+    so its eliminated entries are `0.0 - ...`, not negations, which would
+    turn a zero into -0.0.
     """
     q = len(pts)
     if q > MAX_DEGREE + 1:
@@ -144,6 +153,39 @@ def fit_extrapolation(pts: CalibrationPoints) -> Polynomial:
     t_ref = pts.times[-1]
     if q == 1:
         return Polynomial(t_ref, (pts.values[0],))
+    if q == 2:
+        v0, v1 = pts.values
+        a1 = 1.0 * (pts.times[0] - t_ref)
+        m11 = 0.0 - 1.0 * a1
+        if m11 == 0.0:
+            raise CalibrationError("singular calibration system")
+        x1 = (v1 - 1.0 * v0) / m11
+        return Polynomial(t_ref, (v0 - a1 * x1, x1))
+    if q == 3:
+        v0, v1, v2 = pts.values
+        a = pts.times[0] - t_ref
+        b = pts.times[1] - t_ref
+        a1 = 1.0 * a
+        a2 = a1 * a
+        b1 = 1.0 * b
+        b2 = b1 * b
+        # rows 1 and 2 after column 0; (p1, p2, pz) becomes the pivot row
+        p1, p2, pz = b1 - 1.0 * a1, b2 - 1.0 * a2, v1 - 1.0 * v0
+        s1, s2, sz = 0.0 - 1.0 * a1, 0.0 - 1.0 * a2, v2 - 1.0 * v0
+        # column-1 partial pivot; max() keeps the first row on a tie
+        if abs(s1) > abs(p1):
+            p1, p2, pz, s1, s2, sz = s1, s2, sz, p1, p2, pz
+        if p1 == 0.0:
+            raise CalibrationError("singular calibration system")
+        fac = s1 * (1.0 / p1)
+        if fac != 0.0:
+            s2 -= fac * p2
+            sz -= fac * pz
+        if s2 == 0.0:
+            raise CalibrationError("singular calibration system")
+        x2 = sz / s2
+        x1 = (pz - p2 * x2) / p1
+        return Polynomial(t_ref, (v0 - a1 * x1 - a2 * x2, x1, x2))
     taus = [t - t_ref for t in pts.times]
     rows = []
     for tau in taus:

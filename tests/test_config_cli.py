@@ -21,7 +21,7 @@ from f3ornits.config import (
 )
 from f3ornits.errors import ConfigError
 from f3ornits.master import MasterOptions, run_f3ornits
-from f3ornits.models import build_two_mass, monolithic_reference
+from f3ornits.models import build_two_mass, monolithic_reference, reference_gap
 from f3ornits.report import ComparisonRow, compute_rmse, run_comparison
 from f3ornits.stepper import Tolerances
 from f3ornits.trace import format_float, read_trace_csv
@@ -474,12 +474,11 @@ def test_cli_reference_matches_library_call(tmp_path, capsys):
     cols = read_trace_csv(tmp_path / "r_reference.csv")
     from f3ornits.models import TwoMassParams
 
-    ref = monolithic_reference(
-        build_two_mass(TwoMassParams(t_end=2.0)), record_dt=0.5
-    )
+    model = build_two_mass(TwoMassParams(t_end=2.0))
+    ref = monolithic_reference(model, record_dt=0.5)
     assert cols["t"] == list(ref.t)
     assert cols["mass_left:1"] == list(ref.series[("mass_left", 1)])
     out = capsys.readouterr().out
     assert "(rk4, h=0.001)" in out
-    for (label, j), gap in ref.gap_pct.items():
+    for (label, j), gap in reference_gap(model, record_dt=0.5).items():
         assert f"h-vs-2h gap[{label}:{j}] = {gap:.2e} %" in out

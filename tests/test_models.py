@@ -1,5 +1,6 @@
 """Benchmark model physics, the seeded road noise, and the reference runs."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -18,6 +19,7 @@ from f3ornits.models import (
     dwell_noise,
     monolithic_reference,
     piecewise_linear,
+    reference_gap,
 )
 from f3ornits.poly import Polynomial
 from f3ornits.subsystem import step_to
@@ -83,7 +85,8 @@ def test_two_mass_equilibrium_stays_at_rest():
     ref = monolithic_reference(model, record_dt=0.1)
     assert all(v == 0.0 for series in ref.series.values() for v in series)
     # a flat output has no amplitude to scale a gap by, and must not raise
-    assert all(g == 0.0 for g in ref.gap_pct.values())
+    gaps = reference_gap(model, record_dt=0.1)
+    assert all(g == 0.0 for g in gaps.values())
     trace = run_jacobi(model.problem, 0.5)
     for st in trace.subsystems.values():
         assert all(v == 0.0 for row in st.outputs for v in row)
@@ -237,7 +240,27 @@ def test_default_reference_step_is_far_finer_than_the_scores(model, key, score):
     ref = monolithic_reference(model)
     assert ref.micro_step == model.reference_step
     assert ref.t[-1] == model.problem.t_end
-    assert 0.0 < ref.gap_pct[key] < 0.01 * score
+    assert 0.0 < reference_gap(model)[key] < 0.01 * score
+
+
+def test_reference_walks_once_and_pays_for_its_gap_only_when_asked():
+    # 500 steps of 1e-3: 2000 right-hand sides for the reference, then 1000
+    # for the doubled run of the gap, once per session
+    plain = build_two_mass(TwoMassParams(t_end=0.5, x1_0=0.125))
+    calls = [0]
+
+    def counted(t, x, u):
+        calls[0] += 1
+        return plain.monolith_rhs(t, x, u)
+
+    model = dataclasses.replace(plain, monolith_rhs=counted)
+    monolithic_reference(model, record_dt=0.1)
+    assert calls[0] == 4 * 500
+    reference_gap(model, record_dt=0.1)
+    assert calls[0] == 4 * 500 + 4 * 250
+    reference_gap(model, record_dt=0.1)
+    monolithic_reference(model, record_dt=0.1)
+    assert calls[0] == 4 * 750
 
 
 def test_reference_gap_is_infinite_when_the_doubled_step_diverges():
@@ -245,22 +268,23 @@ def test_reference_gap_is_infinite_when_the_doubled_step_diverges():
     model = build_car(CarParams(seed=7, t_end=5.0))
     ref = monolithic_reference(model, micro_step=2e-3, record_dt=0.02)
     assert all(map(math.isfinite, ref.series[("vehicle", 0)]))
-    assert ref.gap_pct == {("controller", 0): math.inf, ("vehicle", 0): math.inf}
+    gaps = reference_gap(model, micro_step=2e-3, record_dt=0.02)
+    assert gaps == {("controller", 0): math.inf, ("vehicle", 0): math.inf}
 
 
 @pytest.mark.parametrize("scheme", ["rk4", "rk2"])
 def test_reference_gap_over_an_odd_step_count(scheme):
     # 2001 steps of 1e-3: the doubled run ends on t_end with a single step,
     # and its gap stays what it is over the even 2000
-    odd = monolithic_reference(
-        build_two_mass(TwoMassParams(t_end=2.001)), record_dt=0.002, scheme=scheme
-    )
-    even = monolithic_reference(
+    odd_model = build_two_mass(TwoMassParams(t_end=2.001))
+    odd = monolithic_reference(odd_model, record_dt=0.002, scheme=scheme)
+    assert odd.t[-1] == pytest.approx(2.001)
+    odd_gaps = reference_gap(odd_model, record_dt=0.002, scheme=scheme)
+    even_gaps = reference_gap(
         build_two_mass(TwoMassParams(t_end=2.0)), record_dt=0.002, scheme=scheme
     )
-    assert odd.t[-1] == pytest.approx(2.001)
-    for key, gap in even.gap_pct.items():
-        assert odd.gap_pct[key] == pytest.approx(gap, rel=0.01)
+    for key, gap in even_gaps.items():
+        assert odd_gaps[key] == pytest.approx(gap, rel=0.01)
 
 
 def test_reference_memory_does_not_grow_with_the_record_stride():

@@ -5,11 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f3ornits.coupling import SampleHistory
-from f3ornits.orders import (
-    admissible_orders,
-    estimate_output,
-    select_order,
-)
+from f3ornits.orders import estimate_output, select_order
 from f3ornits.poly import (
     CalibrationPoints,
     Polynomial,
@@ -28,12 +24,13 @@ def history_of(*samples):
 # ------------------------------------------------------------ admissibility
 
 def test_admissible_range_grows_then_caps():
-    assert list(admissible_orders(1)) == [0]
-    assert list(admissible_orders(2)) == [0, 1]
-    assert list(admissible_orders(3)) == [0, 1, 2]
-    assert list(admissible_orders(4)) == [0, 1, 2]  # capped at the method max
+    samples = [(0.0, 1.0), (1.0, 2.0), (2.0, 0.5), (3.0, 4.0)]
+    for n, expected in ((1, [0]), (2, [0, 1]), (3, [0, 1, 2]), (4, [0, 1, 2])):
+        # four past samples stay capped at the method's highest order
+        d = select_order(history_of(*samples[:n]), 5.0, 1.0)
+        assert list(d.candidate_errors) == expected
     with pytest.raises(ValueError):
-        admissible_orders(0)
+        select_order(SampleHistory(), 1.0, 1.0)
 
 
 def test_single_history_point_gives_order_zero():
@@ -97,6 +94,36 @@ def test_exact_polynomial_signals_are_matched(c0, c1, c2, dt):
     d = select_order(h, t_new, f(t_new))
     scale = 1.0 + max(abs(c0), abs(c1), abs(c2)) * (1 + (3 * dt) ** 2)
     assert d.candidate_errors[d.order] <= 1e-9 * scale
+
+
+@settings(max_examples=200)
+@given(
+    n=st.integers(1, 4),
+    gaps=st.lists(st.floats(1e-6, 2.0), min_size=4, max_size=4),
+    values=st.lists(st.floats(-1e3, 1e3), min_size=5, max_size=5),
+    t0=st.sampled_from([0.0, -3.0, 1e6]),
+    published_order=st.integers(0, 2),
+    force=st.sampled_from([None, 0, 1, 2]),
+)
+def test_published_candidate_scores_like_its_refit(
+    n, gaps, values, t0, published_order, force
+):
+    # the polynomial extrapolation mode published at the last exchange is
+    # the fit select_order would repeat: reusing it moves no score
+    times = [t0]
+    for g in gaps:
+        times.append(times[-1] + g * max(1.0, abs(times[-1])))
+    h = history_of(*zip(times[:n], values[:n]))
+    q = min(published_order, n - 1, 2)
+    published = fit_extrapolation(CalibrationPoints(*h.newest(q + 1)))
+    t_new, y_new = times[n], values[n]
+    refit = select_order(h, t_new, y_new, force=force)
+    reused = select_order(h, t_new, y_new, force=force, published=published)
+    assert reused.order == refit.order
+    assert reused.candidate_errors == refit.candidate_errors
+    assert [e.hex() for e in reused.candidate_errors.values()] == [
+        e.hex() for e in refit.candidate_errors.values()
+    ]
 
 
 # ---------------------------------------------------------- estimated output

@@ -9,6 +9,7 @@ from f3ornits.errors import CalibrationError
 from f3ornits.poly import (
     CalibrationPoints,
     Polynomial,
+    _solve_dense,
     fit_constrained_least_squares,
     fit_extrapolation,
     fit_hermite,
@@ -143,6 +144,48 @@ def test_interpolation_reproduces_all_points(times, data):
     span = max(1.0, max(abs(v) for v in values))
     for t, v in zip(times, values):
         assert abs(p(t) - v) <= 1e-8 * span
+
+
+def _fit_by_dense_solve(times, values):
+    """fit_extrapolation's coefficients from the general pivoted solve on the
+    Vandermonde rows about the newest time, built as its loop builds them."""
+    rows = []
+    for t in times:
+        tau, row, p = t - times[-1], [], 1.0
+        for _ in times:
+            row.append(p)
+            p *= tau
+        rows.append(row)
+    return _solve_dense(rows, list(values))
+
+
+@settings(max_examples=300)
+@given(
+    t0=st.one_of(
+        st.floats(-100.0, 100.0), st.floats(1e6 - 10.0, 1e6 + 10.0),
+        st.floats(-1e6 - 10.0, -1e6 + 10.0),
+    ),
+    rel_gaps=st.lists(
+        st.one_of(st.floats(1.5e-12, 1e-9), st.floats(1e-9, 10.0)),
+        min_size=2, max_size=2,
+    ),
+    values=st.lists(
+        st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0])),
+        min_size=3, max_size=3,
+    ),
+    q=st.sampled_from([2, 3]),
+)
+def test_small_fits_are_the_dense_solve_bit_for_bit(t0, rel_gaps, values, q):
+    # gaps down to the 1e-12-relative floor and times near 1e6
+    times = [t0]
+    for g in rel_gaps[: q - 1]:
+        times.append(times[-1] + g * max(1.0, abs(times[-1])))
+    pts = CalibrationPoints(tuple(times), tuple(values[:q]))
+    p = fit_extrapolation(pts)
+    assert p.t_ref == times[-1]
+    expected = _fit_by_dense_solve(pts.times, pts.values)
+    assert list(p.coeffs) == expected
+    assert [c.hex() for c in p.coeffs] == [c.hex() for c in expected]
 
 
 def test_extrapolation_conditioning_large_absolute_time():
