@@ -3,15 +3,20 @@
 The graph records which producer output feeds each consumer input; the
 arities it is checked against live on the subsystems.  The scheduler reads
 from the links who must wake up for communication and who may coast.
+
+A SampleHistory holds one output's exchanged samples together with the
+newest row of their divided-difference table, which order selection scores
+its candidates from.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Sequence
 
-from .errors import SequencingError
+from .errors import CalibrationError, SequencingError
+from .poly import _TIME_GAP_REL
 from .subsystem import MAX_ORDER
 
 #: ring-buffer capacity per output: highest order + 2 samples
@@ -57,29 +62,70 @@ class SampleHistory:
     """Bounded record of (time, value) samples for one output variable.
 
     Keeps the HISTORY_CAPACITY most recent exchanged samples with strictly
-    increasing times; older samples are evicted silently.
+    increasing times, oldest first, as the tuples `times` and `values`;
+    older samples are evicted silently.
+
+    It also keeps the newest row of the Newton divided-difference table
+    (Stoer & Bulirsch, Introduction to Numerical Analysis, 2.1-2.2):
+    `d1` = f[t_n, t_n-1] once two samples are held and `d2` =
+    f[t_n, t_n-1, t_n-2] once three are, with y_n = values[-1].  Each push
+    extends the row by one sample, so order selection reads every
+    candidate's prediction from it without fitting anything.
+
+    `push` is the only writer and checks each sample once, on arrival:
+    a time that does not advance is a SequencingError; a non-finite time
+    or value, or a time closer to its predecessor than the calibration
+    fits accept (poly._TIME_GAP_REL relative to max(1, |t|)), is a
+    CalibrationError, as CalibrationPoints raises it; a divided difference
+    that overflows is a ValueError, as an overflowing fit's Polynomial
+    raises it.  A refused sample leaves the history as it was.
     """
 
-    __slots__ = ("_buf",)
+    __slots__ = ("times", "values", "d1", "d2")
 
     def __init__(self):
-        self._buf: deque[tuple[float, float]] = deque(maxlen=HISTORY_CAPACITY)
+        self.times: tuple[float, ...] = ()
+        self.values: tuple[float, ...] = ()
+        self.d1 = self.d2 = 0.0
 
     def __len__(self) -> int:
-        return len(self._buf)
+        return len(self.times)
 
     def push(self, t: float, value: float) -> None:
-        if self._buf and t <= self._buf[-1][0]:
+        times = self.times
+        n = len(times)
+        if n and t <= times[-1]:
             raise SequencingError(
-                f"sample at t = {t!r} does not advance past {self._buf[-1][0]!r}"
+                f"sample at t = {t!r} does not advance past {times[-1]!r}"
             )
-        self._buf.append((t, value))
+        if not (isfinite(t) and isfinite(value)):
+            raise CalibrationError(
+                f"calibration data must be finite (got {value!r} at t = {t!r})"
+            )
+        d1, d2 = self.d1, self.d2
+        if n:
+            t_n = times[-1]
+            if t - t_n < _TIME_GAP_REL * max(1.0, abs(t)):
+                raise CalibrationError(
+                    f"times must be strictly increasing and distinct "
+                    f"(got {t_n!r} then {t!r})"
+                )
+            d1 = (value - self.values[-1]) / (t - t_n)
+            if n > 1:
+                d2 = (d1 - self.d1) / (t - times[-2])
+            if not (isfinite(d1) and isfinite(d2)):
+                raise ValueError(
+                    f"divided differences at t = {t!r} must be finite "
+                    f"(got {d1!r}, {d2!r})"
+                )
+        self.times = (times + (t,))[-HISTORY_CAPACITY:]
+        self.values = (self.values + (value,))[-HISTORY_CAPACITY:]
+        self.d1, self.d2 = d1, d2
 
     def newest(self, count: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """The `count` most recent samples, oldest first."""
-        if count < 1 or count > len(self._buf):
+        if count < 1 or count > len(self.times):
             raise SequencingError(
-                f"requested {count} samples, history holds {len(self._buf)}"
+                f"requested {count} samples, history holds {len(self.times)}"
             )
-        items = list(self._buf)[-count:]
-        return tuple(t for t, _ in items), tuple(v for _, v in items)
+        return self.times[-count:], self.values[-count:]

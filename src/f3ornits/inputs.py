@@ -140,18 +140,20 @@ def build_plan(
     smoothing: bool,
     smoothing_capable: bool,
     ctx: SmoothingContext | None,
-) -> tuple[InputPlan, SmoothingContext]:
+) -> tuple[InputPlan, SmoothingContext | None]:
     """Assemble one input plan and the context for the window after it.
 
     Smoothing is skipped (plan passes through capped-only) on the first
-    window, when disabled, or when the consumer cannot take cubics; the
-    returned context always reflects the polynomial actually delivered.
+    window, when disabled, or when the consumer cannot take cubics.  Only a
+    consumer that smooths reads a context, so only then is one returned,
+    reflecting the polynomial actually delivered; otherwise it is None.
     """
     source = resolve_source(published, window_start)
     p = cap_degree(source, max_degree, window_start, window_end)
-    smoothed = False
-    if smoothing and smoothing_capable and ctx is not None:
+    if not (smoothing and smoothing_capable):
+        return InputPlan(p, window_start, False), None
+    smoothed = ctx is not None
+    if smoothed:
         p = smooth(p, window_start, window_end, ctx)
-        smoothed = True
     new_ctx = SmoothingContext(value=p(window_end), slope=p.derivative()(window_end))
     return InputPlan(p, window_start, smoothed), new_ctx

@@ -53,6 +53,7 @@ from .stepper import (
     update_damped_bounds,
 )
 from .subsystem import (
+    MAX_ORDER,
     Capabilities,
     SubsystemSpec,
     effective_max_degree,
@@ -119,8 +120,9 @@ class MasterOptions:
             raise ConfigError(
                 f"dt_epsilon must be finite and positive, got {self.dt_epsilon!r}"
             )
-        if self.force_order is not None and not 0 <= self.force_order <= 2:
-            raise ConfigError("force_order must be in 0..2")
+        q = self.force_order
+        if q is not None and not 0 <= q <= MAX_ORDER:
+            raise ConfigError(f"key 'force_order': {q!r} not in 0..{MAX_ORDER}")
 
 
 # --------------------------------------------------------------- scheduling
@@ -296,8 +298,6 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
     tol = options.tolerances
     t0, t_end = problem.t_init, problem.t_end
     graph = problem.graph
-    # extrapolation publishes the fit select_order would refit next time
-    reuse_published = options.calibration == "extrapolation"
 
     runtimes = [
         _SubRuntime(spec, caps, graph.producers_of(k), t0)
@@ -402,8 +402,7 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
                     )
                 )
                 decision = select_order(
-                    rt.histories[j], t_event, y_new, force=options.force_order,
-                    published=last_pub if reuse_published else None,
+                    rt.histories[j], t_event, y_new, force=options.force_order
                 )
                 rt.histories[j].push(t_event, y_new)
                 rt.published[j].append(

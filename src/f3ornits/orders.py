@@ -13,11 +13,19 @@ A published polynomial carries its own bookkeeping: its `t_ref` is the
 publication time (the newest sample's time) and its degree is the order it
 was published with.
 
-In extrapolation mode the polynomial published at one exchange is reused as
-a candidate at the next.  It is `fit_extrapolation` of the newest degree + 1
-samples, and nothing is pushed to the history between publishing it and the
-next `select_order`, so the candidate of that degree would be the same fit of
-the same samples: the same bits, without the solve.
+Scoring reads the candidates off the newest row of the history's Newton
+divided-difference table (see SampleHistory): with tau = t_new - t_n,
+
+    p0 = y_n,  p1 = p0 + d1 * tau,  p2 = p1 + d2 * tau * (t_new - t_n-1)
+
+(Stoer & Bulirsch, 2.1-2.2).  A score needs only that one value, so it
+costs a multiply-add per order, not a fit whose coefficients are thrown
+away, a validation of samples `push` has already checked and a copy of the
+history.  The fits build the same polynomials, rounded differently, so
+only a choice between errors within roundoff of each other can differ.
+Publishing needs coefficients in powers of t - t_n and still takes them
+from the fits: every trace holds those bits, and deriving them from the
+table would round differently and move traces.
 """
 
 from __future__ import annotations
@@ -31,7 +39,6 @@ from .poly import (
     fit_constrained_least_squares,
     fit_extrapolation,
 )
-from .subsystem import MAX_ORDER
 
 CALIBRATION_MODES = ("extrapolation", "cls")
 
@@ -49,38 +56,31 @@ def select_order(
     t_new: float,
     y_new: float,
     force: int | None = None,
-    published: Polynomial | None = None,
 ) -> OrderDecision:
     """Score each admissible order against the fresh sample and pick the best.
 
     The admissible orders are 0 up to one less than the number of past
-    samples, capped at MAX_ORDER.  Candidate q is calibrated on the q+1 most
-    recent history samples (the new one excluded) and judged by
-    |y_new - prediction(t_new)|.  Ties break toward the smallest order.
-    `force` overrides the choice (clamped to the admissible range) while
-    still reporting the scores.
-
-    `published`, if given, must be `fit_extrapolation` of the newest
-    degree + 1 samples of this history, as extrapolation mode publishes it;
-    it is then the candidate of its degree, and that fit is not repeated.
-    Refitting the same samples gives the same polynomial, so the scores are
-    the same bits either way.
+    samples, capped at MAX_ORDER, the depth of the history's table.
+    Candidate q, the interpolant through the q+1 most recent history
+    samples (the new one excluded), is read from that table in Newton form
+    and judged by |y_new - prediction(t_new)|.  Ties break toward the
+    smallest order.  `force` overrides the choice (clamped to the
+    admissible range) while still reporting the scores.
     """
-    if len(history) < 1:
+    times = history.times
+    n = len(times)
+    if n < 1:
         raise ValueError("order selection needs at least one past sample")
-    errors: dict[int, float] = {}
-    best_q = 0
-    best_err = None
-    for q in range(min(MAX_ORDER, len(history) - 1) + 1):
-        if published is not None and q == published.degree:
-            p = published
-        else:
-            times, values = history.newest(q + 1)
-            p = fit_extrapolation(CalibrationPoints(times, values))
-        err = abs(y_new - p(t_new))
-        errors[q] = err
-        if best_err is None or err < best_err:
-            best_q, best_err = q, err
+    tau = t_new - times[-1]
+    p = history.values[-1]
+    errors = {0: abs(y_new - p)}
+    if n > 1:
+        p += history.d1 * tau
+        errors[1] = abs(y_new - p)
+        if n > 2:
+            p += history.d2 * tau * (t_new - times[-2])
+            errors[2] = abs(y_new - p)
+    best_q = min(errors, key=errors.__getitem__)
     if force is not None:
         best_q = min(max(force, 0), max(errors))
     return OrderDecision(order=best_q, candidate_errors=errors)

@@ -113,6 +113,15 @@ def test_materialize_validates_choice_fields():
         materialize(RunConfig(model="car"))
 
 
+@pytest.mark.parametrize("value", ["3", "-1"])
+def test_force_order_out_of_range_names_the_key(value):
+    # a config read from text states the order; the method has orders 0..2
+    cfg = config_from_mapping({"model": "two_mass", "force_order": value})
+    with pytest.raises(ConfigError, match=r"key 'force_order': .* not in 0\.\.2"):
+        materialize(cfg)
+    assert materialize(replace(cfg, force_order=2)).options.force_order == 2
+
+
 def test_materialize_applies_dt0_and_caps_overrides():
     setup = materialize(RunConfig(
         model="two_mass",

@@ -1,9 +1,12 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from f3ornits.coupling import HISTORY_CAPACITY, CouplingGraph, SampleHistory
-from f3ornits.errors import SequencingError
+from f3ornits.errors import CalibrationError, SequencingError
+from f3ornits.poly import CalibrationPoints, fit_extrapolation
 
 
 # --------------------------------------------------------------------- graph
@@ -102,3 +105,75 @@ def test_history_times_sorted_and_bounded(increments):
     ts, _ = h.newest(len(h))
     assert all(a < b for a, b in zip(ts, ts[1:]))
     assert ts[-1] == pytest.approx(t)
+
+
+def history_of(*samples):
+    h = SampleHistory()
+    for t, v in samples:
+        h.push(t, v)
+    return h
+
+
+def test_history_keeps_the_newest_divided_differences():
+    # y = t^2 - t: f[t_n, t_n-1] = t_n + t_n-1 - 1, f[t_n, t_n-1, t_n-2] = 1
+    h = history_of(*((t, t * t - t) for t in (0.0, 1.0, 3.0, 4.0, 6.0)))
+    assert h.times == (1.0, 3.0, 4.0, 6.0)
+    assert h.values == (0.0, 6.0, 12.0, 30.0)
+    assert h.d1 == 9.0
+    assert h.d2 == 1.0
+
+
+@pytest.mark.parametrize("t, v", [
+    (2.0, math.nan), (2.0, math.inf), (2.0, -math.inf),
+    (math.nan, 1.0), (math.inf, 1.0),
+])
+def test_push_refuses_non_finite_samples_as_the_fits_do(t, v):
+    h = history_of((0.0, 1.0), (1.0, 2.0))
+    with pytest.raises(CalibrationError):
+        CalibrationPoints((1.0, t), (2.0, v))
+    with pytest.raises(CalibrationError):
+        h.push(t, v)
+    # a refused sample leaves the history as it was
+    assert h.newest(2) == ((0.0, 1.0), (1.0, 2.0)) and h.d1 == 1.0
+
+
+@pytest.mark.parametrize("t_prev", [0.0, 0.5, -3.0, 1e6, -1e6])
+def test_push_refuses_a_sub_floor_gap_as_the_fits_do(t_prev):
+    # gaps below 1e-12 relative to max(1, |t|) are degenerate; the floor
+    # itself times 1.5 still passes
+    floor = 1e-12 * max(1.0, abs(t_prev))
+    close, clear = t_prev + 0.5 * floor, t_prev + 1.5 * floor
+    assert t_prev < close < clear
+    with pytest.raises(CalibrationError):
+        CalibrationPoints((t_prev, close), (0.0, 1.0))
+    with pytest.raises(CalibrationError):
+        history_of((t_prev, 0.0)).push(close, 1.0)
+    history_of((t_prev, 0.0)).push(clear, 1.0)
+
+
+def test_push_still_refuses_time_that_does_not_advance():
+    h = history_of((1.0, 0.0))
+    for t in (1.0, 0.5, -math.inf):
+        with pytest.raises(SequencingError):
+            h.push(t, 1.0)
+
+
+@pytest.mark.parametrize("samples", [
+    # the first divided difference overflows
+    ((0.0, -1e308), (1.0, 1e308)),
+    # the second does, from two finite first ones
+    ((0.0, 0.0), (1.0, 1.5e308), (2.0, 0.0)),
+])
+def test_an_overflowing_table_raises_as_the_overflowing_fit(samples):
+    # the fit through the same samples overflows to a non-finite
+    # coefficient, which Polynomial refuses with a ValueError; the table must
+    # refuse with the same type instead of scoring inf or nan
+    times, values = zip(*samples)
+    with pytest.raises(ValueError) as fit_error:
+        fit_extrapolation(CalibrationPoints(times, values))
+    h = history_of(*samples[:-1])
+    with pytest.raises(ValueError) as push_error:
+        h.push(*samples[-1])
+    assert type(push_error.value) is type(fit_error.value)
+    assert len(h) == len(samples) - 1
+    assert math.isfinite(h.d1) and math.isfinite(h.d2)

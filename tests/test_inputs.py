@@ -178,6 +178,21 @@ def test_incapable_consumer_never_smoothed():
     assert not plan.smoothed
 
 
+@pytest.mark.parametrize("smoothing, capable", [
+    (False, True), (True, False), (False, False),
+])
+def test_no_context_unless_the_consumer_smooths(smoothing, capable):
+    # only a smoothing-capable consumer with smoothing on reads a context
+    plan, ctx = build_plan(
+        [Polynomial(0.0, (2.0, 1.0))],
+        window_start=0.0, window_end=0.5,
+        max_degree=2, smoothing=smoothing, smoothing_capable=capable,
+        ctx=SmoothingContext(1.0, 0.0),
+    )
+    assert not plan.smoothed
+    assert ctx is None
+
+
 def test_chained_windows_are_c1():
     # three windows fed by unrelated source polynomials: once smoothing is on,
     # every interior boundary matches value and slope of what was used before
