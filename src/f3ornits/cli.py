@@ -43,7 +43,7 @@ from .report import (
     write_report_csv,
     write_scatter_csv,
 )
-from .trace import format_float
+from .trace import row_format
 
 #: (flag, config key) for every plain key but the booleans, which get
 #: --name / --no-name switches; every value is passed through as raw text
@@ -177,12 +177,10 @@ def _cmd_reference(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{cfg.prefix}_reference.csv"
     keys = sorted(ref.series)
+    fmt = row_format("f" * (1 + len(keys)), "\n")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(["t"] + [f"{lb}:{j}" for lb, j in keys]) + "\n")
-        for i, t in enumerate(ref.t):
-            cells = [format_float(t)]
-            cells += [format_float(ref.series[k][i]) for k in keys]
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(fmt % row for row in zip(ref.t, *(ref.series[k] for k in keys)))
     print(f"reference for {cfg.model} ({ref.scheme}, h={ref.micro_step:g}) -> {path}")
     gaps = reference_gap(setup.model, **grid)
     for lb, j in keys:

@@ -43,7 +43,7 @@ from .coupling import CouplingGraph, SampleHistory
 from .errors import ConfigError
 from .inputs import InputPlan, SmoothingContext, build_plan, prune_published
 from .orders import CALIBRATION_MODES, estimate_output, select_order
-from .poly import Polynomial
+from .poly import Polynomial, shift_coeffs
 from .stepper import (
     ERROR_NORMS,
     DampedBounds,
@@ -257,9 +257,9 @@ def _record(
         if plan is None:
             packed.append((0.0, 0.0, 0.0, 0.0, 0))
         else:
-            local = plan.poly.shifted(plan.window_start)
-            cs = list(local.coeffs) + [0.0] * (4 - len(local.coeffs))
-            packed.append((cs[0], cs[1], cs[2], cs[3], int(plan.smoothed)))
+            # about the window start, as Polynomial.shifted would give them
+            cs = shift_coeffs(plan.poly.coeffs, plan.window_start - plan.poly.t_ref)
+            packed.append(cs + (0.0,) * (4 - len(cs)) + (int(plan.smoothed),))
     st.input_coeffs.append(tuple(packed))
 
 

@@ -35,7 +35,9 @@ car
     zero between exchanges, which is exactly what breaks the fixed-step
     baseline; polynomial inputs keep the estimate usable.  A band-limited
     random road force (deterministic in the seed, redrawn every dwell
-    interval) keeps the controller working after the speed target engages.
+    interval) keeps the controller working after the speed target engages;
+    the vehicle's f and the monolith's right-hand side each keep the current
+    dwell cell's force and hash a new one only when t leaves that cell.
     The controller's filter is bounded by tau_diff: RK4 on it is stable
     only below about 2.8 tau_diff.  The vehicle is a pure integrator, so its
     bound comes from the piecewise-constant road force it integrates:
@@ -73,19 +75,13 @@ def dwell_noise(seed: int, amplitude: float, dwell: float) -> Callable[[float], 
 
     The value depends only on (seed, floor(t / dwell)), never on evaluation
     order or count, so every integrator — micro stages included — sees the
-    same signal.  The last cell's value is kept, so the hash runs once per
-    cell entered rather than once per call.
+    same signal.  Each call hashes: the caching lives with the callers, so
+    the car's `f_vehicle` and monolith `rhs` each keep the cell key
+    `t // dwell` and its value, and call this only when the key changes.
     """
-    cell = None
-    value = 0.0
-
     def w(t: float) -> float:
-        nonlocal cell, value
-        idx = int(t // dwell)
-        if idx != cell:
-            h = _splitmix64(((seed & _M64) * 0x100000001B3 + idx) & _M64)
-            cell, value = idx, amplitude * (2.0 * (h / 2.0**64) - 1.0)
-        return value
+        h = _splitmix64(((seed & _M64) * 0x100000001B3 + int(t // dwell)) & _M64)
+        return amplitude * (2.0 * (h / 2.0**64) - 1.0)
 
     return w
 
@@ -264,10 +260,18 @@ def build_car(
     road = dwell_noise(p.seed, p.perturb_amp, p.perturb_dwell)
     # parameters bound to locals once: f, g and rhs run at every RK4 stage
     mass, tau_diff, kp, v_target = p.mass, p.tau_diff, p.kp, p.v_target
-    t_control_on = p.t_control_on
+    t_control_on, dwell = p.t_control_on, p.perturb_dwell
+    # f_vehicle and rhs each keep the road's current cell key and value, so
+    # a stage inside the cell reads a local rather than calling `road`
+    f_cell = rhs_cell = None
+    f_road = rhs_road = 0.0
 
     def f_vehicle(t, x, u):
-        return [x[1], (u[0] + road(t)) / mass]
+        nonlocal f_cell, f_road
+        cell = t // dwell
+        if cell != f_cell:
+            f_cell, f_road = cell, road(t)
+        return [x[1], (u[0] + f_road) / mass]
 
     def g_vehicle(t, x, u):
         return [x[0]]
@@ -303,9 +307,13 @@ def build_car(
     )
 
     def rhs(t, s, u):
+        nonlocal rhs_cell, rhs_road
+        cell = t // dwell
+        if cell != rhs_cell:
+            rhs_cell, rhs_road = cell, road(t)
         x, v, xc = s
         v_est = (x - xc) / tau_diff
-        return [v, (force(t, v_est) + road(t)) / mass, v_est]
+        return [v, (force(t, v_est) + rhs_road) / mass, v_est]
 
     output_map = {
         ("vehicle", 0): lambda t, s: s[0],

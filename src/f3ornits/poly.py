@@ -62,21 +62,28 @@ class Polynomial:
 
     def shifted(self, t_ref: float) -> "Polynomial":
         """Same polynomial re-expressed about a new reference time."""
-        d = t_ref - self.t_ref
-        if d == 0.0:
-            return Polynomial(t_ref, self.coeffs)
-        # binomial re-expansion; degree <= 3 so the loop is tiny
-        n = len(self.coeffs)
-        out = [0.0] * n
-        binom = ((1,), (1, 1), (1, 2, 1), (1, 3, 3, 1))
-        for i, a in enumerate(self.coeffs):
-            if a == 0.0:
-                continue
-            dp = 1.0
-            for j in range(i, -1, -1):
-                out[j] += a * binom[i][j] * dp
-                dp *= d
-        return Polynomial(t_ref, tuple(out))
+        return Polynomial(t_ref, shift_coeffs(self.coeffs, t_ref - self.t_ref))
+
+
+_BINOM = ((1,), (1, 1), (1, 2, 1), (1, 3, 3, 1))
+
+
+def shift_coeffs(coeffs: tuple[float, ...], d: float) -> tuple[float, ...]:
+    """Coefficients about t_ref re-expressed about t_ref + d, unvalidated.
+
+    Binomial re-expansion; a zero shift returns `coeffs` itself.
+    """
+    if d == 0.0:
+        return coeffs
+    out = [0.0] * len(coeffs)
+    for i, a in enumerate(coeffs):
+        if a == 0.0:
+            continue
+        dp = 1.0
+        for j in range(i, -1, -1):
+            out[j] += a * _BINOM[i][j] * dp
+            dp *= d
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -134,9 +141,11 @@ def _solve_dense(a: list[list[float]], b: list[float]) -> list[float]:
 def fit_extrapolation(pts: CalibrationPoints) -> Polynomial:
     """Unique polynomial of degree len(pts) - 1 through every point.
 
-    The reference time is the newest sample so the local variable is small
-    and, in particular, evaluation at the newest time returns its value
-    exactly.
+    The reference time is the newest sample, so the local variable is small.
+    From two points on, the constant term is back-substituted through the
+    oldest row (v0 - a1*x1 - ...), so evaluation at the newest time returns
+    its value only to roundoff, not exactly: through (-1000004.0, 0.0,
+    1.5e-12) with values (1, 2, 3) the constant term is 2.0.
 
     The two- and three-point systems are solved by straight-line code that
     performs `_solve_dense`'s floating-point operations on the Vandermonde

@@ -5,7 +5,9 @@ their normalized errors, the orders selected for the next window, the
 subsystem growth ratio, and the input polynomial actually integrated over
 the window that just ended (coefficients about the window start, so files
 are self-contained).  Floats are written with 17 significant digits and
-round-trip exactly.
+round-trip exactly.  Trace and reference rows are written with one `%`
+format each, built by `row_format`; other cells use `format_float`.  Both
+read `_FLOAT_FMT`, so the float format lives in one place.
 """
 
 from __future__ import annotations
@@ -13,13 +15,24 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
-_FLOAT_FMT = "{:.17g}"
+_FLOAT_FMT = "%.17g"
 
 
 def format_float(x: float) -> str:
-    return _FLOAT_FMT.format(x)
+    return _FLOAT_FMT % x
+
+
+def row_format(kinds: str, terminator: str = "\r\n") -> str:
+    """A `%` format for one CSV row: an "f" cell is a float, a "d" cell an int.
+
+    `row_format(kinds) % row` is the line `csv.writer` writes for the cells
+    `format_float(x)` and `str(n)`: none of those contains a comma, a quote
+    or a line break, so no cell is quoted.
+    """
+    return ",".join(_FLOAT_FMT if k == "f" else "%d" for k in kinds) + terminator
 
 
 @dataclass
@@ -58,17 +71,16 @@ class SubsystemTrace:
             cols += [f"u{i}_c0", f"u{i}_c1", f"u{i}_c2", f"u{i}_c3", f"u{i}_smoothed"]
         return cols
 
-    def rows(self):
-        for r in range(self.n_rows):
-            row = [format_float(self.t[r])]
-            row += [format_float(v) for v in self.outputs[r]]
-            row += [format_float(v) for v in self.errors[r]]
-            row += [str(v) for v in self.orders[r]]
-            row.append(format_float(self.rho[r]))
-            for cs in self.input_coeffs[r]:
-                row += [format_float(c) for c in cs[:4]]
-                row.append(str(cs[4]))
-            yield row
+    def csv_lines(self):
+        """Each row as the CSV line `csv.writer` would write for it."""
+        fmt = row_format(
+            "f" * (1 + 2 * self.n_out) + "d" * self.n_out + "f" + "ffffd" * self.n_in
+        )
+        for t, y, e, q, rho, u in zip(
+            self.t, self.outputs, self.errors, self.orders, self.rho,
+            self.input_coeffs,
+        ):
+            yield fmt % (t, *y, *e, *q, rho, *chain.from_iterable(u))
 
 
 @dataclass
@@ -92,9 +104,8 @@ class RunTrace:
         for label, st in self.subsystems.items():
             p = out / f"{prefix}_{label}.csv"
             with open(p, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(st.header())
-                w.writerows(st.rows())
+                csv.writer(fh).writerow(st.header())
+                fh.writelines(st.csv_lines())
             paths.append(p)
         p = out / f"{prefix}_summary.csv"
         with open(p, "w", newline="") as fh:

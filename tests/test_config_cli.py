@@ -21,7 +21,12 @@ from f3ornits.config import (
 )
 from f3ornits.errors import ConfigError
 from f3ornits.master import MasterOptions, run_f3ornits
-from f3ornits.models import build_two_mass, monolithic_reference, reference_gap
+from f3ornits.models import (
+    build_model,
+    build_two_mass,
+    monolithic_reference,
+    reference_gap,
+)
 from f3ornits.report import ComparisonRow, compute_rmse, run_comparison
 from f3ornits.stepper import Tolerances
 from f3ornits.trace import format_float, read_trace_csv
@@ -491,3 +496,20 @@ def test_cli_reference_matches_library_call(tmp_path, capsys):
     assert "(rk4, h=0.001)" in out
     for (label, j), gap in reference_gap(model, record_dt=0.5).items():
         assert f"h-vs-2h gap[{label}:{j}] = {gap:.2e} %" in out
+
+
+def test_cli_reference_rows_are_format_float_cells(tmp_path):
+    code = cli.main([
+        "reference", "--model", "car", "--seed", "7", "--t-end", "1",
+        "--output-dir", str(tmp_path), "--prefix", "r",
+    ])
+    assert code == 0
+    ref = monolithic_reference(build_model("car", {"seed": 7, "t_end": 1.0}))
+    keys = sorted(ref.series)
+    lines = [",".join(["t"] + [f"{lb}:{j}" for lb, j in keys])]
+    for i, t in enumerate(ref.t):
+        lines.append(",".join(
+            [format_float(t)] + [format_float(ref.series[k][i]) for k in keys]
+        ))
+    expected = "".join(line + "\n" for line in lines).encode()
+    assert (tmp_path / "r_reference.csv").read_bytes() == expected

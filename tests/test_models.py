@@ -5,6 +5,8 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from f3ornits.errors import ConfigError, DivergenceError
 from f3ornits.master import run_jacobi
@@ -64,6 +66,50 @@ def test_dwell_noise_is_time_indexed_and_bounded():
     assert all(-200.0 <= v <= 200.0 for v in values)
     assert abs(sum(values) / len(values)) < 10.0   # roughly centred
     assert dwell_noise(8, 200.0, 0.1)(0.31) != w(0.31)
+
+
+# the road cache: a time spec is (i, where) about the dwell edge i * dwell
+_ROAD_T = st.tuples(
+    st.integers(0, 150), st.sampled_from(("below", "edge", "above", "mid"))
+)
+
+
+def _road_time(spec, dwell):
+    i, where = spec
+    t = i * dwell
+    if where == "below":
+        return math.nextafter(t, -math.inf)
+    if where == "above":
+        return math.nextafter(t, math.inf)
+    return (i + 0.5) * dwell if where == "mid" else t
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    dwell=st.sampled_from((None, 0.3, 0.07)),
+    pool=st.lists(_ROAD_T, min_size=1, max_size=8),
+    picks=st.lists(st.integers(0, 7), min_size=1, max_size=40),
+)
+# 0.5 // 0.1 is 4.0, but 0.5 * (1 / 0.1) is 5.0: after t = 0.55 (cell 5),
+# a cache keyed on the product would keep cell 5's force at t = 0.5
+@example(seed=7, dwell=None, pool=[(5, "mid"), (5, "edge")], picks=[0, 1])
+def test_road_cache_reads_the_cell_of_every_t(seed, dwell, pool, picks):
+    overrides = {} if dwell is None else {"perturb_dwell": dwell}
+    # two models side by side, on the same cells but with different seeds
+    models = [build_model("car", {"seed": s, **overrides}) for s in (seed, seed + 1)]
+    p = models[0].params
+    ts = [_road_time(pool[k % len(pool)], p.perturb_dwell) for k in picks]
+    preset = piecewise_linear(p.preset_force)
+    for t in ts:
+        force = preset(t) if t < p.t_control_on else p.kp * (p.v_target - 0.0)
+        for model in models:
+            road = dwell_noise(model.params.seed, p.perturb_amp, p.perturb_dwell)(t)
+            f_vehicle = model.problem.subsystems[0].f
+            got = f_vehicle(t, [0.0, 0.0], [0.0])[1]
+            assert got.hex() == ((0.0 + road) / p.mass).hex(), t
+            got = model.monolith_rhs(t, [0.0, 0.0, 0.0], ())[1]
+            assert got.hex() == ((force + road) / p.mass).hex(), t
 
 
 def test_piecewise_linear_profile():

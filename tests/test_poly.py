@@ -188,6 +188,28 @@ def test_small_fits_are_the_dense_solve_bit_for_bit(t0, rel_gaps, values, q):
     assert [c.hex() for c in p.coeffs] == [c.hex() for c in expected]
 
 
+# Two faults of the 3-point elimination that the gap check lets through.
+# Publishing from the divided-difference table (ROADMAP item 1, step 3)
+# mends both; until then each test must fail.
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="c0 is back-substituted through the oldest row; ROADMAP item 1 step 3",
+)
+def test_extrapolation_passes_through_its_newest_sample():
+    pts = CalibrationPoints((-1000004.0, 0.0, 1.5e-12), (1.0, 2.0, 3.0))
+    assert fit_extrapolation(pts).coeffs[0] == 3.0     # today it is 2.0
+
+
+@pytest.mark.xfail(
+    strict=True, raises=CalibrationError,
+    reason="zero pivot on gaps the check accepts; ROADMAP item 1 step 3",
+)
+def test_extrapolation_solves_every_gap_the_check_accepts():
+    pts = CalibrationPoints((-1e6, 0.0, 1e-11), (1.0, 1.0, 1.0))
+    assert fit_extrapolation(pts).coeffs[0] == 1.0
+
+
 def test_extrapolation_conditioning_large_absolute_time():
     # one-hundredth of a second of data sitting at t ~ 1e6 s
     t0 = 1.0e6
