@@ -449,10 +449,20 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
 # -------------------------------------------------------------- the baseline
 
 def run_jacobi(problem: CosimProblem, dt: float) -> RunTrace:
-    """Fixed-step parallel zero-order-hold co-simulation baseline."""
+    """Fixed-step parallel zero-order-hold co-simulation baseline.
+
+    A grid that needs more than MasterOptions.max_events windows is a
+    ConfigError, raised before the first window.
+    """
     problem.validate()
     if not (math.isfinite(dt) and dt > 0):
         raise ConfigError(f"jacobi step must be finite and positive, got {dt!r}")
+    budget = MasterOptions.max_events
+    if (problem.t_end - problem.t_init) / dt > budget:
+        raise ConfigError(
+            f"key 'dt': {dt!r} needs more than {budget} windows to reach "
+            f"t_end = {problem.t_end!r}"
+        )
     t_start_wall = time.perf_counter()
     t0, t_end = problem.t_init, problem.t_end
     graph = problem.graph

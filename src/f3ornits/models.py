@@ -2,8 +2,10 @@
 
 Both come as a coupled `CosimProblem` plus the matching monolithic ODE, so
 any co-simulation run can be scored against a tightly integrated reference
-of the very same equations.  The monolith's right-hand side has the
-subsystem signature (t, x, u) with no inputs, and `monolithic_reference`
+of the very same equations.  Every subsystem's f and the monolith's
+right-hand side are `Derivatives` declarations, written with the model's
+parameters by field name, so the micro walk evaluates them inline; the
+right-hand side is a subsystem's f with no inputs, and `monolithic_reference`
 integrates it through `step_to`, the co-simulation's own RK4, at the model's
 own `reference_step`, recording every REFERENCE_RECORD_DT; `reference_gap`
 reports how far a second run at twice that step lands from it.
@@ -35,9 +37,11 @@ car
     zero between exchanges, which is exactly what breaks the fixed-step
     baseline; polynomial inputs keep the estimate usable.  A band-limited
     random road force (deterministic in the seed, redrawn every dwell
-    interval) keeps the controller working after the speed target engages;
-    the vehicle's f and the monolith's right-hand side each keep the current
-    dwell cell's force and hash a new one only when t leaves that cell.
+    interval) keeps the controller working after the speed target engages.
+    The vehicle's f and the monolith's right-hand side each read it through
+    a `road(t)` helper of their own, named in their declaration, which keeps
+    the current dwell cell's force and hashes a new one only when t leaves
+    that cell.
     The controller's filter is bounded by tau_diff: RK4 on it is stable
     only below about 2.8 tau_diff.  The vehicle is a pure integrator, so its
     bound comes from the piecewise-constant road force it integrates:
@@ -58,7 +62,7 @@ from typing import Callable, Sequence
 from .coupling import CouplingGraph
 from .errors import ConfigError, DivergenceError
 from .master import CosimProblem, MasterOptions
-from .subsystem import Capabilities, SubsystemSpec, step_to
+from .subsystem import Capabilities, Derivatives, SubsystemSpec, step_to
 
 _M64 = (1 << 64) - 1
 
@@ -76,8 +80,8 @@ def dwell_noise(seed: int, amplitude: float, dwell: float) -> Callable[[float], 
     The value depends only on (seed, floor(t / dwell)), never on evaluation
     order or count, so every integrator — micro stages included — sees the
     same signal.  Each call hashes: the caching lives with the callers, so
-    the car's `f_vehicle` and monolith `rhs` each keep the cell key
-    `t // dwell` and its value, and call this only when the key changes.
+    the car's `road(t)` helpers each keep the cell key `t // dwell` and its
+    value, and call this only when the key changes.
     """
     def w(t: float) -> float:
         h = _splitmix64(((seed & _M64) * 0x100000001B3 + int(t // dwell)) & _M64)
@@ -114,7 +118,9 @@ class BenchmarkModel:
     name: str
     problem: CosimProblem
     params: object
-    monolith_rhs: Callable[[float, list[float], Sequence[float]], list[float]]
+    monolith_rhs: Derivatives | Callable[
+        [float, list[float], Sequence[float]], list[float]
+    ]
     monolith_x0: tuple[float, ...]
     # (subsystem label, output index) -> value reconstructed from the
     # monolithic state; this is what references and scoring use
@@ -160,35 +166,34 @@ def build_two_mass(
     dt0: float | Sequence[float] = 0.01,
 ) -> BenchmarkModel:
     p = params if params is not None else TwoMassParams()
-    # parameters bound to locals once: f, g and rhs run at every RK4 stage
-    m1, m2, k1, k2, k3, k3_after = p.m1, p.m2, p.k1, p.k2, p.k3, p.k3_after
-    d1, d2, d3, t_switch = p.d1, p.d2, p.d3, p.t_switch
-
-    def f_left(t, x, u):
-        x1, v1 = x
-        return [v1, (-k1 * x1 - d1 * v1 - u[0]) / m1]
-
-    def g_left(t, x, u):
-        return [x[0], x[1]]
+    # f and the monolith's rhs read the parameters by their field names; the
+    # coupling force and the switched ground spring are written out where
+    # each expression reads them
+    constants = tuple(vars(p).items())
+    fc_in = "(k2 * (u0 - x0) + d2 * (u1 - x1))"
+    fc_own = "(k2 * (x0 - x2) + d2 * (x1 - x3))"
+    k3t = "(k3_after if t >= t_switch else k3)"
+    k2, d2 = p.k2, p.d2
 
     def coupling_force(x1, v1, x2, v2):
         return k2 * (x1 - x2) + d2 * (v1 - v2)
 
-    def f_right(t, x, u):
-        x2, v2 = x
-        k3t = k3_after if t >= t_switch else k3
-        fc = k2 * (u[0] - x2) + d2 * (u[1] - v2)
-        return [v2, (-k3t * x2 - d3 * v2 + fc) / m2]
+    def g_left(t, x, u):
+        return [x[0], x[1]]
 
     def g_right(t, x, u):
         return [coupling_force(u[0], u[1], x[0], x[1])]
 
-    k_right = max(abs(k2 + k3), abs(k2 + k3_after))
+    f_left = Derivatives(("x1", "(-k1 * x0 - d1 * x1 - u0) / m1"), constants)
+    f_right = Derivatives(
+        ("x1", f"(-{k3t} * x0 - d3 * x1 + {fc_in}) / m2"), constants
+    )
+    k_right = max(abs(p.k2 + p.k3), abs(p.k2 + p.k3_after))
     specs = (
         SubsystemSpec("mass_left", 2, 1, 2, f_left, g_left, (p.x1_0, p.v1_0),
-                      _mode_bound(k1, d1, m1)),
+                      _mode_bound(p.k1, p.d1, p.m1)),
         SubsystemSpec("mass_right", 2, 2, 1, f_right, g_right, (p.x2_0, p.v2_0),
-                      _mode_bound(k_right, d2 + d3, m2)),
+                      _mode_bound(k_right, p.d2 + p.d3, p.m2)),
     )
     graph = CouplingGraph({(0, 0): (1, 0), (1, 0): (0, 0), (1, 1): (0, 1)})
     problem = CosimProblem(
@@ -200,16 +205,15 @@ def build_two_mass(
         dt0=_dt0_tuple(dt0, 2),
     )
 
-    def rhs(t, s, u):
-        x1, v1, x2, v2 = s
-        fc = coupling_force(x1, v1, x2, v2)
-        k3t = k3_after if t >= t_switch else k3
-        return [
-            v1,
-            (-k1 * x1 - d1 * v1 - fc) / m1,
-            v2,
-            (-k3t * x2 - d3 * v2 + fc) / m2,
-        ]
+    rhs = Derivatives(
+        (
+            "x1",
+            f"(-k1 * x0 - d1 * x1 - {fc_own}) / m1",
+            "x3",
+            f"(-{k3t} * x2 - d3 * x3 + {fc_own}) / m2",
+        ),
+        constants,
+    )
 
     output_map = {
         ("mass_left", 0): lambda t, s: s[0],
@@ -257,21 +261,25 @@ def build_car(
 ) -> BenchmarkModel:
     p = params if params is not None else CarParams()
     preset = piecewise_linear(p.preset_force)
-    road = dwell_noise(p.seed, p.perturb_amp, p.perturb_dwell)
-    # parameters bound to locals once: f, g and rhs run at every RK4 stage
+    noise = dwell_noise(p.seed, p.perturb_amp, p.perturb_dwell)
+    # parameters bound to locals once, for g, the helpers and the output map
     mass, tau_diff, kp, v_target = p.mass, p.tau_diff, p.kp, p.v_target
     t_control_on, dwell = p.t_control_on, p.perturb_dwell
-    # f_vehicle and rhs each keep the road's current cell key and value, so
-    # a stage inside the cell reads a local rather than calling `road`
-    f_cell = rhs_cell = None
-    f_road = rhs_road = 0.0
 
-    def f_vehicle(t, x, u):
-        nonlocal f_cell, f_road
-        cell = t // dwell
-        if cell != f_cell:
-            f_cell, f_road = cell, road(t)
-        return [x[1], (u[0] + f_road) / mass]
+    def cached_road():
+        """The road force at t.  It keeps the current cell key and value, so
+        a stage inside the cell returns them rather than hashing."""
+        cell = None
+        value = 0.0
+
+        def road(t):
+            nonlocal cell, value
+            key = t // dwell
+            if key != cell:
+                cell, value = key, noise(t)
+            return value
+
+        return road
 
     def g_vehicle(t, x, u):
         return [x[0]]
@@ -281,15 +289,27 @@ def build_car(
             return preset(t)
         return kp * (v_target - v_est)
 
-    def f_controller(t, x, u):
-        # x[0] follows the position input with time constant tau_diff; the
-        # tracking residual over tau_diff is the speed estimate
-        return [(u[0] - x[0]) / tau_diff]
-
     def g_controller(t, x, u):
         v_est = (u[0] - x[0]) / tau_diff
         return [force(t, v_est)]
 
+    # f and the monolith's rhs read the parameters by their field names, and
+    # each that reads the road has a cache of its own
+    constants = tuple(vars(p).items()) + (("force", force),)
+    f_vehicle = Derivatives(
+        ("x1", "(u0 + road(t)) / mass"), constants + (("road", cached_road()),)
+    )
+    # x0 follows the position input with time constant tau_diff; the
+    # tracking residual over tau_diff is the speed estimate
+    f_controller = Derivatives(("(u0 - x0) / tau_diff",), constants)
+    rhs = Derivatives(
+        (
+            "x1",
+            "(force(t, (x0 - x2) / tau_diff) + road(t)) / mass",
+            "(x0 - x2) / tau_diff",
+        ),
+        constants + (("road", cached_road()),),
+    )
     specs = (
         SubsystemSpec("vehicle", 2, 1, 1, f_vehicle, g_vehicle, (0.0, 0.0),
                       p.perturb_dwell / 100.0),
@@ -305,15 +325,6 @@ def build_car(
         t_end=p.t_end,
         dt0=_dt0_tuple(dt0, 2),
     )
-
-    def rhs(t, s, u):
-        nonlocal rhs_cell, rhs_road
-        cell = t // dwell
-        if cell != rhs_cell:
-            rhs_cell, rhs_road = cell, road(t)
-        x, v, xc = s
-        v_est = (x - xc) / tau_diff
-        return [v, (force(t, v_est) + rhs_road) / mass, v_est]
 
     output_map = {
         ("vehicle", 0): lambda t, s: s[0],

@@ -399,13 +399,16 @@ def test_cli_rejects_non_positive_parameters(capsys):
     (["run", "--model", "car", "--seed", "7", "--param", "tau_diff=1e-9"],
      "controller"),
     (["compare", "--model", "two_mass", "--jacobi-dts", "nan,0.1"], "--jacobi-dts"),
+    (["run", "--model", "two_mass", "--method", "jacobi", "--dt", "1e-7"],
+     "'dt'"),
+    (["compare", "--model", "two_mass", "--jacobi-dts", "1e-7"], "'dt'"),
 ], ids=[
     "x1_0-nan", "x1_0-inf", "t_switch-nan", "seed-nan", "seed-inf",
     "preset_force", "caps-nan", "caps-degree-negative", "caps-step-zero",
     "caps-step-over-budget", "micro_step-0", "micro_step-nan",
     "micro_step-over-budget", "record_dt-inf", "record_dt-odd-stride",
     "tau_diff-over-budget",
-    "jacobi_dts-nan",
+    "jacobi_dts-nan", "jacobi-dt-over-budget", "jacobi_dts-over-budget",
 ])
 def test_cli_rejects_meaningless_inputs(argv, key, tmp_path, capsys):
     # each of these used to end in a raw traceback or in a run without

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from f3ornits import master
 from f3ornits.coupling import CouplingGraph
 from f3ornits.errors import ConfigError, DivergenceError
 from f3ornits.master import (
@@ -324,6 +325,18 @@ def test_jacobi_grid_and_counts():
     trace = run_jacobi(model.problem, 0.5)
     assert trace.total_events == 10
     assert trace.subsystems["mass_left"].t == [0.5 * i for i in range(11)]
+
+
+def test_jacobi_rejects_a_grid_over_the_event_budget(monkeypatch):
+    # 1e7 windows used to run for minutes; the budget check comes before
+    # the first window is walked
+    def no_window(*args):
+        raise AssertionError("a window was walked")
+
+    monkeypatch.setattr(master, "step_to", no_window)
+    model = build_two_mass(TwoMassParams(t_end=1.0))
+    with pytest.raises(ConfigError, match=r"key 'dt': 1e-07 needs more than 5000000"):
+        run_jacobi(model.problem, 1e-7)
 
 
 def test_problem_validation_rejects_mismatches():

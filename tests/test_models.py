@@ -235,6 +235,37 @@ def test_car_reference_speed_settles_near_target():
     assert abs(mean - model.params.v_target) < 0.5
 
 
+_TWO_MASS = build_two_mass()
+_CAR = build_car(CarParams(seed=7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    t=st.one_of(
+        st.floats(0.0, 300.0),
+        st.sampled_from([0.0, 10.0, 100.0, math.nextafter(100.0, 0.0)]),
+    ),
+    s=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),
+)
+def test_monolith_rhs_is_the_split_models_f_bit_for_bit(t, s):
+    # the monolith is the co-simulation's own equations with the coupling
+    # closed: each of its derivatives is a subsystem's f, fed the other
+    # subsystem's output at the same state, to the last bit
+    left, right = _TWO_MASS.problem.subsystems
+    x1, v1, x2, v2 = s
+    fc = right.g(t, [x2, v2], [x1, v1])[0]
+    split = left.f(t, [x1, v1], [fc]) + right.f(t, [x2, v2], [x1, v1])
+    whole = _TWO_MASS.monolith_rhs(t, s, ())
+    assert [v.hex() for v in whole] == [v.hex() for v in split]
+
+    vehicle, controller = _CAR.problem.subsystems
+    x, v, xc = s[:3]
+    force = controller.g(t, [xc], [x])[0]
+    split = vehicle.f(t, [x, v], [force]) + controller.f(t, [xc], [x])
+    whole = _CAR.monolith_rhs(t, [x, v, xc], ())
+    assert [v.hex() for v in whole] == [v.hex() for v in split]
+
+
 # ------------------------------------------------------------ the reference
 
 #: frozen from the reference integrator at a step of 1e-4 s; the RK2

@@ -10,6 +10,7 @@ from f3ornits.poly import Polynomial
 from f3ornits.subsystem import (
     MICRO_DIVISOR,
     Capabilities,
+    Derivatives,
     SubsystemSpec,
     effective_max_degree,
     step_to,
@@ -20,14 +21,17 @@ def const_input(v):
     return Polynomial(0.0, (v,))
 
 
-def make_decay(rate=1.0):
-    # x' = -rate * x, y = x
+def make_decay(rate=1.0, declared=False):
+    # x' = -rate * x, y = x; declared, the micro walk evaluates it inline
     return SubsystemSpec(
         label="decay",
         n_states=1,
         n_in=0,
         n_out=1,
-        f=lambda t, x, u: [-rate * x[0]],
+        f=(
+            Derivatives(("-rate * x0",), (("rate", rate),)) if declared
+            else lambda t, x, u: [-rate * x[0]]
+        ),
         g=lambda t, x, u: [x[0]],
         x_init=(1.0,),
     )
@@ -236,6 +240,18 @@ def test_divergence_detected_with_context():
     assert exc.value.t_last_good == 2.0
 
 
+def test_inline_walk_keeps_the_stall_and_divergence_checks():
+    # the walk a declaration compiles raises where the call walk does
+    spec = make_decay(declared=True)
+    with pytest.raises(ValueError, match=r"decay: micro step .* does not advance"):
+        step_to(spec, Capabilities(), spec.x_init, [], 1e6, 1e6 + 1e-9)
+    with pytest.raises(DivergenceError) as exc:
+        step_to(make_decay(-1e160, declared=True), Capabilities(), (1.0,), [],
+                2.0, 2.5)
+    assert exc.value.label == "decay"
+    assert exc.value.t_last_good == 2.0
+
+
 def test_output_arity_checked():
     spec = SubsystemSpec(
         "bad_g", 1, 0, 2,
@@ -267,6 +283,53 @@ def test_state_derivative_arity_checked(derivatives):
         ):
             step_to(spec, Capabilities(), spec.x_init, [], 0.0, 1.0)
         assert len(calls) == stage + 1
+
+
+@pytest.mark.parametrize(
+    "exprs,constants,match",
+    [
+        (("x1",), (), "bad: 1 derivative expressions for 2 states"),
+        (("x1", "x0", "x1"), (), "bad: 3 derivative expressions for 2 states"),
+        (("x2", "x0"), (), "bad: derivative 0 reads x2, out of range"),
+        (("x1", "-u1"), (), "bad: derivative 1 reads u1, out of range"),
+        (("x1", "-k * x0"), (), "bad: derivative 1 reads unknown name 'k'"),
+        (("x1", "abs(x0)"), (), "bad: derivative 1 reads unknown name 'abs'"),
+        (("x1", "_h"), (), "bad: derivative 1 reads unknown name '_h'"),
+        (("x1", "(x0 := 1.0)"), (), "bad: derivative 1 assigns 'x0'"),
+        (("x1", "x0 = 1.0"), (), "bad: derivative 1 is not an expression"),
+        (("x1", ""), (), "bad: derivative 1 is not an expression"),
+        (("x1", "x0 +"), (), "bad: derivative 1 is not an expression"),
+        (("x1", "x0\nx1"), (), "bad: derivative 1 is not an expression"),
+        (("x1", "-x0"), (("t", 1.0),), "bad: constant 't' would shadow"),
+        (("x1", "-x0"), (("x3", 1.0),), "bad: constant 'x3' would shadow"),
+        (("x1", "-x0"), (("u0", 1.0),), "bad: constant 'u0' would shadow"),
+        (("x1", "-x0"), (("_h", 1.0),), "bad: constant '_h' would shadow"),
+    ],
+)
+def test_declared_derivatives_are_checked_against_the_spec(
+    exprs, constants, match
+):
+    # the names t, x0.., u0.. and every name with a leading underscore are
+    # the micro walk's own locals, so only those in range may be read and
+    # no constant may take one
+    with pytest.raises(ConfigError, match=match):
+        SubsystemSpec("bad", 2, 1, 1, Derivatives(exprs, constants),
+                      lambda t, x, u: [x[0]], (0.0, 0.0))
+
+
+def test_declared_derivatives_are_hashable_callables():
+    def spring(x):
+        return -x
+
+    a = Derivatives(("x1", "spring(x0) - d * x1 + u0"),
+                    (("spring", spring), ("d", 0.5)))
+    b = Derivatives(("x1", "spring(x0) - d * x1 + u0"),
+                    (("spring", spring), ("d", 0.5)))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    SubsystemSpec("ok", 2, 1, 1, a, lambda t, x, u: [x[0]], (1.0, 0.0))
+    assert a(0.0, [1.0, 2.0], (3.0,)) == [2.0, -1.0 - 0.5 * 2.0 + 3.0]
+    # any name but the walk's own may be a helper, f included
+    assert Derivatives(("f(x0)",), (("f", spring),))(0.0, [3.0], ()) == [-3.0]
 
 
 def test_x_init_arity_checked():
@@ -360,7 +423,9 @@ def test_step_to_matches_the_per_stage_walk_bit_for_bit(
     # without an explicit micro step the window is long enough for the
     # spec's bound to set the step.  0 to 4 states: every walk step_to
     # compiles for the models, both monoliths and a stateless spec; 0 to 3
-    # inputs of degree 0 to 3, each evaluated by its own inline Horner block
+    # inputs of degree 0 to 3, each evaluated by its own inline Horner block.
+    # The dynamics are also declared, for the walk that evaluates them
+    # inline, and called through that declaration
     bound = 1e-3
     if micro_step is None:
         n_steps += int(MICRO_DIVISOR)
@@ -376,6 +441,13 @@ def test_step_to_matches_the_per_stage_walk_bit_for_bit(
 
         return f
 
+    us = "".join(f"u{j}, " for j in range(len(inputs)))
+    mix = f"sum(({us}))" if inputs else "-0.0"
+    declared = Derivatives(
+        tuple(f"{mix} - 0.5 * x{i} + t * x{n - 1}" for i in range(n)),
+        (("sum", sum),),
+    )
+
     def g(t, x, u):
         return list(x) + list(u) + [t]
 
@@ -384,6 +456,12 @@ def test_step_to_matches_the_per_stage_walk_bit_for_bit(
                          dynamics(log), g, tuple(x0), bound)
     x, y = step_to(spec, Capabilities(), spec.x_init, inputs, t_start,
                    t_target, micro_step)
+    for f in (declared, lambda t, x, u: declared(t, x, u)):
+        twin_x, twin_y = step_to(replace(spec, f=f), Capabilities(),
+                                 spec.x_init, inputs, t_start, t_target,
+                                 micro_step)
+        assert same_floats(twin_x, x)
+        assert same_floats(twin_y, y)
     h_used = micro_step if micro_step is not None else min(
         (t_target - t_start) / MICRO_DIVISOR, bound
     )
