@@ -8,7 +8,10 @@ parameters by field name, so the micro walk evaluates them inline; the
 right-hand side is a subsystem's f with no inputs, and `monolithic_reference`
 integrates it through `step_to`, the co-simulation's own RK4, at the model's
 own `reference_step`, recording every REFERENCE_RECORD_DT; `reference_gap`
-reports how far a second run at twice that step lands from it.
+reports how far a second run at twice that step lands from it.  Where an
+expression repeats a subexpression, such as two_mass's coupling force, each
+RK4 stage evaluates it once, and the midpoint scheme calls the declaration's
+compiled `function` directly, one frame per call.
 
 Each subsystem also states the largest RK4 micro step its own dynamics
 allow (`SubsystemSpec.max_micro_step`), derived from the parameters it is
@@ -41,7 +44,10 @@ car
     The vehicle's f and the monolith's right-hand side each read it through
     a `road(t)` helper of their own, named in their declaration, which keeps
     the current dwell cell's force and hashes a new one only when t leaves
-    that cell.
+    that cell.  `road(t)` reads no state, so the micro walk calls it once
+    per stage time, not once per stage: the vehicle's whole derivative
+    (u0 + road(t)) / mass is evaluated twice per micro step plus once per
+    window, about 0.6 million times per 300 s run instead of 1.2 million.
     The controller's filter is bounded by tau_diff: RK4 on it is stable
     only below about 2.8 tau_diff.  The vehicle is a pure integrator, so its
     bound comes from the piecewise-constant road force it integrates:
@@ -168,7 +174,8 @@ def build_two_mass(
     p = params if params is not None else TwoMassParams()
     # f and the monolith's rhs read the parameters by their field names; the
     # coupling force and the switched ground spring are written out where
-    # each expression reads them
+    # each expression reads them, and the walk evaluates the repeated force
+    # once per stage and the spring once per stage time
     constants = tuple(vars(p).items())
     fc_in = "(k2 * (u0 - x0) + d2 * (u1 - x1))"
     fc_own = "(k2 * (x0 - x2) + d2 * (x1 - x3))"
@@ -584,6 +591,8 @@ def _walk(
         raise ConfigError(f"unknown reference scheme {scheme!r}")
 
     rhs = model.monolith_rhs
+    # the midpoint scheme calls a declaration's compiled function directly
+    f = rhs.function if isinstance(rhs, Derivatives) else rhs
     x0 = model.monolith_x0
     spec = SubsystemSpec("monolith", len(x0), 0, 0, rhs, lambda t, x, u: (), x0)
     caps = Capabilities()
@@ -607,8 +616,8 @@ def _walk(
                 end = min(i + m, i1)
                 hs = (end - i) * h if on_grid or end < n_steps else t_end - t
                 half = 0.5 * hs
-                k1 = rhs(t, x, ())
-                k2 = rhs(t + half, [x[j] + half * k1[j] for j in idx], ())
+                k1 = f(t, x, ())
+                k2 = f(t + half, [x[j] + half * k1[j] for j in idx], ())
                 x = [x[j] + hs * k2[j] for j in idx]
             if not all(map(math.isfinite, x)):
                 raise DivergenceError(spec.label, t0 + i0 * h)

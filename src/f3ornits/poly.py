@@ -233,9 +233,22 @@ def _fit_constrained(
             p *= tau
         rows.append(row)
         rhs.append(z - a0)
-    # normal equations  (D^T D) a = D^T r
-    nte = [[sum(r[i] * r[j] for r in rows) for j in range(degree)] for i in range(degree)]
-    ntr = [sum(r[i] * z for r, z in zip(rows, rhs)) for i in range(degree)]
+    # normal equations  (D^T D) a = D^T r, each sum taken left to right
+    # from 0.0: the builtin sum() compensates float rounding from Python
+    # 3.12 on, which would move the fit's bits with the interpreter
+    nte, ntr = [], []
+    for i in range(degree):
+        row = []
+        for j in range(degree):
+            acc = 0.0
+            for r in rows:
+                acc += r[i] * r[j]
+            row.append(acc)
+        nte.append(row)
+        acc = 0.0
+        for r, z in zip(rows, rhs):
+            acc += r[i] * z
+        ntr.append(acc)
     coeffs = _solve_dense(nte, ntr)
     return Polynomial(t_ref, (a0, *coeffs))
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from f3ornits.errors import CalibrationError
@@ -271,6 +271,69 @@ def test_cls_matches_kkt_oracle(times, data):
     scale = 1.0 + max(abs(v) for v in values)
     for a, b in zip(p.coeffs, coeffs):
         assert abs(a - b) <= 1e-7 * scale
+
+
+def _left_to_right(terms):
+    acc = 0.0
+    for term in terms:
+        acc = acc + term
+    return acc
+
+
+def cls_reference(times, values, total=_left_to_right):
+    """The constrained fit with every normal-equation sum taken by total:
+    by default left to right from 0.0, as Python 3.11's sum() does and
+    3.12's, which compensates rounding, does not."""
+    degree, t_ref, a0 = len(times) - 2, times[-1], values[-1]
+    rows, rhs = [], []
+    for t, z in zip(times, values):
+        tau = t - t_ref
+        row, p = [], tau
+        for _ in range(degree):
+            row.append(p)
+            p *= tau
+        rows.append(row)
+        rhs.append(z - a0)
+    nte = [[total([r[i] * r[j] for r in rows]) for j in range(degree)]
+           for i in range(degree)]
+    ntr = [total([r[i] * z for r, z in zip(rows, rhs)]) for i in range(degree)]
+    return (a0, *_solve_dense(nte, ntr)) if degree else (a0,)
+
+
+def hexes(values):
+    return [v.hex() for v in values]
+
+
+# compensated summation (3.12's sum(), math.fsum) rounds this example's
+# normal equations differently from a left-to-right sum
+_PINNED_CLS = ((0.0, 0.5, 1.0, 1.5), (0.25, 0.48, 0.59, 0.88))
+
+
+@settings(max_examples=200)
+@given(
+    times=st.lists(
+        st.floats(-20, 20), min_size=2, max_size=5, unique_by=lambda t: round(t, 2)
+    ),
+    data=st.data(),
+)
+@example(times=list(_PINNED_CLS[0]), data=None)
+def test_cls_sums_left_to_right_on_every_interpreter(times, data):
+    # the fit's bits must not depend on how the interpreter's sum() rounds
+    times = tuple(sorted(round(t, 2) for t in times))
+    if data is None:
+        values = _PINNED_CLS[1]
+    else:
+        values = tuple(data.draw(st.floats(-50, 50)) for _ in times)
+    p = fit_constrained_least_squares(CalibrationPoints(times, values))
+    assert hexes(p.coeffs) == hexes(cls_reference(times, values))
+
+
+def test_pinned_cls_example_tells_the_summation_orders_apart():
+    # the pinned example guards the left-to-right sums only while
+    # compensated summation moves its bits
+    assert hexes(cls_reference(*_PINNED_CLS)) != hexes(
+        cls_reference(*_PINNED_CLS, total=math.fsum)
+    )
 
 
 def test_cls_grid_search_optimality():

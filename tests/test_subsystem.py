@@ -252,6 +252,117 @@ def test_inline_walk_keeps_the_stall_and_divergence_checks():
     assert exc.value.t_last_good == 2.0
 
 
+def hexes(values):
+    return [v.hex() for v in values]
+
+
+def walk_three_ways(exprs, constants, plain, x0, inputs=(), t0=0.0, t1=1.0,
+                    h=0.125):
+    """The state step_to reaches with the declaration inline, through its
+    compiled function, and with a plain closure of the same dynamics; all
+    three must agree bit for bit, zero signs included."""
+    declared = Derivatives(exprs, constants)
+    results = []
+    for f in (declared, lambda t, x, u: declared(t, x, u), plain):
+        spec = SubsystemSpec("kernel", len(x0), len(inputs), 1, f,
+                             lambda t, x, u: [0.0], tuple(x0))
+        x, _ = step_to(spec, Capabilities(), spec.x_init, list(inputs), t0, t1,
+                       h)
+        results.append(hexes(x))
+    assert results[0] == results[1] == results[2]
+    return results[0]
+
+
+def test_walk_names_time_input_and_constant_only_subexpressions():
+    # (k * k) and scale(k) read only constants, t * u0, -(u0 * u1) and
+    # u0 * t * -0.0 no state: each is named and evaluated apart from the
+    # states, which must not move a bit
+    def scale(v):
+        return 2.0 * v
+
+    k = 1.5
+    exprs = (
+        "x1 * (k * k) + t * u0",
+        "-(u0 * u1) * x0 + scale(k) - x1 * t * t + u0 * t * -0.0",
+    )
+
+    def plain(t, x, u):
+        return [x[1] * (k * k) + t * u[0],
+                -(u[0] * u[1]) * x[0] + scale(k) - x[1] * t * t + u[0] * t * -0.0]
+
+    inputs = (Polynomial(0.3, (0.5, -1.0, 0.25)), Polynomial(-0.2, (-0.0, 2.0)))
+    walk_three_ways(exprs, (("k", k), ("scale", scale)), plain, (0.5, -0.25),
+                    inputs, t0=-0.4, t1=0.73, h=0.05)
+
+
+def test_named_values_are_evaluated_twice_per_micro_step_plus_once_per_window():
+    # at(t) and at(u0) read no state: at the window start, then at each
+    # step's midpoint and end, which the next step's start reuses; once()
+    # reads only constants: once per window.  at(t) appears in both
+    # derivatives and is still one value
+    calls = {"at": 0, "once": 0}
+
+    def at(v):
+        calls["at"] += 1
+        return 0.5 * v
+
+    def once():
+        calls["once"] += 1
+        return 0.25
+
+    exprs = ("at(t) * x1 - once() * x0", "x0 + at(t) * at(u0)")
+    spec = SubsystemSpec("count", 2, 1, 1,
+                         Derivatives(exprs, (("at", at), ("once", once))),
+                         lambda t, x, u: [x[0]], (1.0, 0.0))
+    u = [Polynomial(0.0, (1.0, 0.5))]
+    x = list(spec.x_init)
+    for window, (t0, t1) in enumerate(((0.0, 1.0), (1.0, 1.5))):
+        before = dict(calls)
+        x, _ = step_to(spec, Capabilities(), x, u, t0, t1, 0.125)
+        steps = round((t1 - t0) / 0.125)
+        assert calls["at"] - before["at"] == 2 * (2 * steps + 1)
+        assert calls["once"] - before["once"] == 1
+
+
+@pytest.mark.parametrize(
+    "expr,plain",
+    [
+        ("(1.0 / t) if x0 > 0.0 else 0.0",
+         lambda t, x, u: [(1.0 / t) if x[0] > 0.0 else 0.0]),
+        ("(x0 > 0.0 and 1.0 / t) or 0.0",
+         lambda t, x, u: [(x[0] > 0.0 and 1.0 / t) or 0.0]),
+        ("1.0 if x0 > 0.0 > -1.0 / t else 0.0",
+         lambda t, x, u: [1.0 if x[0] > 0.0 > -1.0 / t else 0.0]),
+    ],
+    ids=["if", "and", "chained-comparison"],
+)
+def test_walk_leaves_branches_where_they_are(expr, plain):
+    # 1.0 / t reads no state but sits in a branch x0 < 0 never takes: named
+    # and evaluated at t = 0, it would raise ZeroDivisionError
+    assert walk_three_ways((expr,), (), plain, (-1.0,)) == [(-1.0).hex()]
+
+
+def test_walk_reads_permuted_bare_states_before_the_step_moves_them():
+    # each derivative is another state: stage 1's must be read before the
+    # step updates the state it names
+    x = walk_three_ways(("x2", "x0", "x1"), (),
+                        lambda t, x, u: [x[2], x[0], x[1]], (1.0, -2.0, 3.0))
+    assert len(set(x)) == 3
+
+
+def test_walk_evaluates_a_subexpression_repeated_across_states_once():
+    # (x0 - x1) * c is every derivative's or part of it: one value per stage
+    c = 0.75
+    exprs = ("(x0 - x1) * c + u0", "x0 - (x0 - x1) * c", "(x0 - x1) * c")
+
+    def plain(t, x, u):
+        return [(x[0] - x[1]) * c + u[0], x[0] - (x[0] - x[1]) * c,
+                (x[0] - x[1]) * c]
+
+    walk_three_ways(exprs, (("c", c),), plain, (0.5, -1.5, 0.0),
+                    (Polynomial(0.1, (1.0, -0.5, 0.0, 2.0)),))
+
+
 def test_output_arity_checked():
     spec = SubsystemSpec(
         "bad_g", 1, 0, 2,
@@ -304,6 +415,10 @@ def test_state_derivative_arity_checked(derivatives):
         (("x1", "-x0"), (("x3", 1.0),), "bad: constant 'x3' would shadow"),
         (("x1", "-x0"), (("u0", 1.0),), "bad: constant 'u0' would shadow"),
         (("x1", "-x0"), (("_h", 1.0),), "bad: constant '_h' would shadow"),
+        (("x1", "(lambda x0: x0)(1.0)"), (), "bad: derivative 1 opens a scope"),
+        (("x1", "sum([x0 for () in [()]])"), (("sum", sum),),
+         "bad: derivative 1 opens a scope"),
+        (("x1", "(yield x0)"), (), "bad: derivative 1 suspends"),
     ],
 )
 def test_declared_derivatives_are_checked_against_the_spec(
