@@ -2,16 +2,17 @@
 
 Both come as a coupled `CosimProblem` plus the matching monolithic ODE, so
 any co-simulation run can be scored against a tightly integrated reference
-of the very same equations.  Every subsystem's f and the monolith's
-right-hand side are `Derivatives` declarations, written with the model's
-parameters by field name, so the micro walk evaluates them inline; the
-right-hand side is a subsystem's f with no inputs, and `monolithic_reference`
-integrates it through `step_to`, the co-simulation's own RK4, at the model's
-own `reference_step`, recording every REFERENCE_RECORD_DT; `reference_gap`
-reports how far a second run at twice that step lands from it.  Where an
-expression repeats a subexpression, such as two_mass's coupling force, each
-RK4 stage evaluates it once, and the midpoint scheme calls the declaration's
-compiled `function` directly, one frame per call.
+of the very same equations.  Every subsystem's f and g are `Derivatives`
+declarations, written with the model's parameters by field name and with
+each quantity they share, such as two_mass's coupling force, named once as
+a value, so the micro walk evaluates f inline.  `compose_monolith` closes
+the coupling on those declarations: the monolith's right-hand side is a
+declaration with no inputs, built from the subsystems' own texts, not a
+second copy of them.  `monolithic_reference` integrates it through
+`step_to`, the co-simulation's own RK4, at the model's own
+`reference_step`, recording every REFERENCE_RECORD_DT; `reference_gap`
+reports how far a second run at twice that step lands from it.  The
+midpoint scheme calls the declaration's compiled `function` directly.
 
 Each subsystem also states the largest RK4 micro step its own dynamics
 allow (`SubsystemSpec.max_micro_step`), derived from the parameters it is
@@ -41,13 +42,15 @@ car
     baseline; polynomial inputs keep the estimate usable.  A band-limited
     random road force (deterministic in the seed, redrawn every dwell
     interval) keeps the controller working after the speed target engages.
-    The vehicle's f and the monolith's right-hand side each read it through
-    a `road(t)` helper of their own, named in their declaration, which keeps
-    the current dwell cell's force and hashes a new one only when t leaves
-    that cell.  `road(t)` reads no state, so the micro walk calls it once
-    per stage time, not once per stage: the vehicle's whole derivative
-    (u0 + road(t)) / mass is evaluated twice per micro step plus once per
-    window, about 0.6 million times per 300 s run instead of 1.2 million.
+    The vehicle's declarations, and so the monolith composed from them,
+    read it through one `road(t)` helper, named in their constants, which
+    keeps the current dwell cell's force and hashes a new one only when t
+    leaves that cell.  The vehicle names r = road(t) and its acceleration
+    a = (u0 + r) / mass; neither reads a state, so the micro walk evaluates
+    them once per stage time, not once per stage: twice per micro step
+    plus once per window, about 0.6 million times per 300 s run instead of
+    1.2 million.  The controller names its speed estimate v once, for its
+    f and its g.
     The controller's filter is bounded by tau_diff: RK4 on it is stable
     only below about 2.8 tau_diff.  The vehicle is a pure integrator, so its
     bound comes from the piecewise-constant road force it integrates:
@@ -63,12 +66,20 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from typing import Callable, Sequence
 
 from .coupling import CouplingGraph
 from .errors import ConfigError, DivergenceError
 from .master import CosimProblem, MasterOptions
-from .subsystem import Capabilities, Derivatives, SubsystemSpec, step_to
+from .subsystem import (
+    Capabilities,
+    Derivatives,
+    SubsystemSpec,
+    names_read,
+    renamed,
+    step_to,
+)
 
 _M64 = (1 << 64) - 1
 
@@ -117,9 +128,14 @@ def piecewise_linear(
     return fn
 
 
+#: one output's value at (t, monolithic state)
+OutputReader = Callable[[float, Sequence[float]], float]
+
+
 @dataclass(frozen=True)
 class BenchmarkModel:
-    """A coupled problem and its monolithic twin, sharing all parameters."""
+    """A coupled problem and its monolithic twin, sharing all parameters;
+    the builders fill the twin's fields from `compose_monolith`."""
 
     name: str
     problem: CosimProblem
@@ -130,7 +146,7 @@ class BenchmarkModel:
     monolith_x0: tuple[float, ...]
     # (subsystem label, output index) -> value reconstructed from the
     # monolithic state; this is what references and scoring use
-    output_map: dict[tuple[str, int], Callable[[float, Sequence[float]], float]]
+    output_map: dict[tuple[str, int], OutputReader]
     # default RK4 step of `monolithic_reference`
     reference_step: float
 
@@ -144,6 +160,88 @@ def _mode_bound(stiffness: float, damping: float, mass: float) -> float | None:
     rate = math.sqrt(abs(stiffness) / mass) + abs(damping) / mass
     bound = 1.0 / rate if rate > 0 else math.inf
     return bound if math.isfinite(bound) else None
+
+
+# ------------------------------------------------------------------ monolith
+
+def compose_monolith(
+    problem: CosimProblem,
+) -> tuple[Derivatives, tuple[float, ...], dict[tuple[str, int], OutputReader]]:
+    """The monolith's right-hand side, initial state and output readers:
+    the subsystems' declared f and g with the coupling closed.
+
+    Subsystem k's states follow those of the subsystems before it, and its
+    values are renamed {name}_{k}.  Its output j becomes the named value
+    y{k}_{j}, and each of its inputs the name of the output that feeds it,
+    so every quantity keeps its own text, and its bits.  The values are
+    ordered so that each follows those it reads.  Raises ConfigError for a
+    black-box f or g, an input no output feeds, a constant or value that
+    two declarations define differently, or a cyclic feed-through, which
+    would need an implicit solve.
+    """
+    constants: dict[str, object] = {}
+    values: dict[str, str] = {}
+    exprs: list[str] = []
+    outputs: dict[tuple[str, int], str] = {}
+    for k, spec in enumerate(problem.subsystems):
+        for key, declared in (("f", spec.f), ("g", spec.g)):
+            if not isinstance(declared, Derivatives):
+                raise ConfigError(
+                    f"{spec.label}: {key} is a black box, so no monolith "
+                    "can be composed from it"
+                )
+            for name, value in declared.constants:
+                other = constants.setdefault(name, value)
+                # repr tells 0.0 from -0.0 and 1 from 1.0, which compare equal
+                if other is not value and (
+                    type(other) is not type(value) or repr(other) != repr(value)
+                ):
+                    raise ConfigError(
+                        f"{spec.label}: {key} defines constant {name!r} "
+                        "differently from a declaration before it"
+                    )
+        own = dict(spec.f.values)
+        for name, expr in spec.g.values:
+            if own.setdefault(name, expr) != expr:
+                raise ConfigError(
+                    f"{spec.label}: f and g define value {name!r} differently"
+                )
+        # exprs holds one derivative per state of the subsystems before k
+        rename = {f"x{i}": f"x{len(exprs) + i}" for i in range(spec.n_states)}
+        rename.update((name, f"{name}_{k}") for name in own)
+        for i in range(spec.n_in):
+            if (k, i) not in problem.graph.links:
+                raise ConfigError(f"{spec.label}: input {i} is fed by no output")
+            rename[f"u{i}"] = "y{}_{}".format(*problem.graph.links[k, i])
+        for name, expr in own.items():
+            values[rename[name]] = renamed(expr, rename)
+        for j, expr in enumerate(spec.g.exprs):
+            outputs[spec.label, j] = f"y{k}_{j}"
+            values[f"y{k}_{j}"] = renamed(expr, rename)
+        exprs += [renamed(expr, rename) for expr in spec.f.exprs]
+
+    after = {
+        name: [read for read in dict.fromkeys(names_read(expr)) if read in values]
+        for name, expr in values.items()
+    }
+    try:
+        order = tuple(TopologicalSorter(after).static_order())
+    except CycleError as exc:
+        labels = {name: f"{label}:{j}" for (label, j), name in outputs.items()}
+        raise ConfigError("cyclic feed-through: " + " -> ".join(
+            labels.get(name, name) for name in exc.args[1]
+        )) from None
+    named = tuple((name, values[name]) for name in order)
+    rhs = Derivatives(tuple(exprs), tuple(constants.items()), named)
+    rhs.check("monolith", len(exprs), 0)
+
+    def reader(name: str) -> OutputReader:
+        # evaluates only the values this output reads
+        declared = Derivatives((name,), rhs.constants, named)
+        return lambda t, s: declared.function(t, s, ())[0]
+
+    x0 = tuple(x for spec in problem.subsystems for x in spec.x_init)
+    return rhs, x0, {key: reader(name) for key, name in outputs.items()}
 
 
 # ------------------------------------------------------------------ two-mass
@@ -172,29 +270,21 @@ def build_two_mass(
     dt0: float | Sequence[float] = 0.01,
 ) -> BenchmarkModel:
     p = params if params is not None else TwoMassParams()
-    # f and the monolith's rhs read the parameters by their field names; the
-    # coupling force and the switched ground spring are written out where
-    # each expression reads them, and the walk evaluates the repeated force
-    # once per stage and the spring once per stage time
+    # f and g read the parameters by their field names.  Each mass names its
+    # ground spring's negated stiffness, which the walk then evaluates once
+    # per window (nk1) or once per stage time (nk3); mass_right names the
+    # coupling force, which it computes from its own state and the other
+    # mass's and gives out as its output
     constants = tuple(vars(p).items())
-    fc_in = "(k2 * (u0 - x0) + d2 * (u1 - x1))"
-    fc_own = "(k2 * (x0 - x2) + d2 * (x1 - x3))"
-    k3t = "(k3_after if t >= t_switch else k3)"
-    k2, d2 = p.k2, p.d2
-
-    def coupling_force(x1, v1, x2, v2):
-        return k2 * (x1 - x2) + d2 * (v1 - v2)
-
-    def g_left(t, x, u):
-        return [x[0], x[1]]
-
-    def g_right(t, x, u):
-        return [coupling_force(u[0], u[1], x[0], x[1])]
-
-    f_left = Derivatives(("x1", "(-k1 * x0 - d1 * x1 - u0) / m1"), constants)
-    f_right = Derivatives(
-        ("x1", f"(-{k3t} * x0 - d3 * x1 + {fc_in}) / m2"), constants
+    left = (("nk1", "-k1"),)
+    right = (
+        ("nk3", "-(k3_after if t >= t_switch else k3)"),
+        ("fc", "k2 * (u0 - x0) + d2 * (u1 - x1)"),
     )
+    f_left = Derivatives(("x1", "(nk1 * x0 - d1 * x1 - u0) / m1"), constants, left)
+    g_left = Derivatives(("x0", "x1"), constants, left)
+    f_right = Derivatives(("x1", "(nk3 * x0 - d3 * x1 + fc) / m2"), constants, right)
+    g_right = Derivatives(("fc",), constants, right)
     k_right = max(abs(p.k2 + p.k3), abs(p.k2 + p.k3_after))
     specs = (
         SubsystemSpec("mass_left", 2, 1, 2, f_left, g_left, (p.x1_0, p.v1_0),
@@ -211,31 +301,7 @@ def build_two_mass(
         t_end=p.t_end,
         dt0=_dt0_tuple(dt0, 2),
     )
-
-    rhs = Derivatives(
-        (
-            "x1",
-            f"(-k1 * x0 - d1 * x1 - {fc_own}) / m1",
-            "x3",
-            f"(-{k3t} * x2 - d3 * x3 + {fc_own}) / m2",
-        ),
-        constants,
-    )
-
-    output_map = {
-        ("mass_left", 0): lambda t, s: s[0],
-        ("mass_left", 1): lambda t, s: s[1],
-        ("mass_right", 0): lambda t, s: coupling_force(s[0], s[1], s[2], s[3]),
-    }
-    return BenchmarkModel(
-        name="two_mass",
-        problem=problem,
-        params=p,
-        monolith_rhs=rhs,
-        monolith_x0=(p.x1_0, p.v1_0, p.x2_0, p.v2_0),
-        output_map=output_map,
-        reference_step=1e-3,
-    )
+    return BenchmarkModel("two_mass", problem, p, *compose_monolith(problem), 1e-3)
 
 
 # ----------------------------------------------------------------------- car
@@ -269,59 +335,41 @@ def build_car(
     p = params if params is not None else CarParams()
     preset = piecewise_linear(p.preset_force)
     noise = dwell_noise(p.seed, p.perturb_amp, p.perturb_dwell)
-    # parameters bound to locals once, for g, the helpers and the output map
-    mass, tau_diff, kp, v_target = p.mass, p.tau_diff, p.kp, p.v_target
+    # parameters bound to locals once, for the helpers
+    tau_diff, kp, v_target = p.tau_diff, p.kp, p.v_target
     t_control_on, dwell = p.t_control_on, p.perturb_dwell
+    cell, value = None, 0.0
 
-    def cached_road():
+    def road(t):
         """The road force at t.  It keeps the current cell key and value, so
         a stage inside the cell returns them rather than hashing."""
-        cell = None
-        value = 0.0
-
-        def road(t):
-            nonlocal cell, value
-            key = t // dwell
-            if key != cell:
-                cell, value = key, noise(t)
-            return value
-
-        return road
-
-    def g_vehicle(t, x, u):
-        return [x[0]]
+        nonlocal cell, value
+        key = t // dwell
+        if key != cell:
+            cell, value = key, noise(t)
+        return value
 
     def force(t, v_est):
         if t < t_control_on:
             return preset(t)
         return kp * (v_target - v_est)
 
-    def g_controller(t, x, u):
-        v_est = (u[0] - x[0]) / tau_diff
-        return [force(t, v_est)]
-
-    # f and the monolith's rhs read the parameters by their field names, and
-    # each that reads the road has a cache of its own
-    constants = tuple(vars(p).items()) + (("force", force),)
-    f_vehicle = Derivatives(
-        ("x1", "(u0 + road(t)) / mass"), constants + (("road", cached_road()),)
-    )
-    # x0 follows the position input with time constant tau_diff; the
-    # tracking residual over tau_diff is the speed estimate
-    f_controller = Derivatives(("(u0 - x0) / tau_diff",), constants)
-    rhs = Derivatives(
-        (
-            "x1",
-            "(force(t, (x0 - x2) / tau_diff) + road(t)) / mass",
-            "(x0 - x2) / tau_diff",
-        ),
-        constants + (("road", cached_road()),),
-    )
+    # f and g read the parameters by their field names.  The vehicle names
+    # its acceleration; x0 follows the position input with time constant
+    # tau_diff, and the controller names the tracking residual over tau_diff
+    # as its speed estimate v
+    constants = tuple(vars(p).items()) + (("force", force), ("road", road))
+    vehicle = (("r", "road(t)"), ("a", "(u0 + r) / mass"))
+    controller = (("v", "(u0 - x0) / tau_diff"),)
     specs = (
-        SubsystemSpec("vehicle", 2, 1, 1, f_vehicle, g_vehicle, (0.0, 0.0),
-                      p.perturb_dwell / 100.0),
-        SubsystemSpec("controller", 1, 1, 1, f_controller, g_controller, (0.0,),
-                      tau_diff),
+        SubsystemSpec("vehicle", 2, 1, 1,
+                      Derivatives(("x1", "a"), constants, vehicle),
+                      Derivatives(("x0",), constants, vehicle),
+                      (0.0, 0.0), p.perturb_dwell / 100.0),
+        SubsystemSpec("controller", 1, 1, 1,
+                      Derivatives(("v",), constants, controller),
+                      Derivatives(("force(t, v)",), constants, controller),
+                      (0.0,), tau_diff),
     )
     graph = CouplingGraph({(0, 0): (1, 0), (1, 0): (0, 0)})
     problem = CosimProblem(
@@ -332,19 +380,8 @@ def build_car(
         t_end=p.t_end,
         dt0=_dt0_tuple(dt0, 2),
     )
-
-    output_map = {
-        ("vehicle", 0): lambda t, s: s[0],
-        ("controller", 0): lambda t, s: force(t, (s[0] - s[2]) / tau_diff),
-    }
     return BenchmarkModel(
-        name="car",
-        problem=problem,
-        params=p,
-        monolith_rhs=rhs,
-        monolith_x0=(0.0, 0.0, 0.0),
-        output_map=output_map,
-        reference_step=_on_record_grid(tau_diff / 2),
+        "car", problem, p, *compose_monolith(problem), _on_record_grid(tau_diff / 2)
     )
 
 

@@ -13,13 +13,12 @@ compiled per state dimension and tuple of input degrees (`_rk4_walk`): it
 advances the micro grid, evaluates every input once per stage time by inline
 Horner, and keeps the state, the grid and the coefficients in local
 variables, so its memory does not grow with the number of micro steps.
-f is either a plain callable, which can be any black box and receives each
-stage's state as a fresh list and its inputs as a read-only tuple, or a
-`Derivatives`: one expression per state, which the kernel generated for it
-evaluates inline, with no call and no list per stage, to the same bits.
-That kernel evaluates a subexpression that reads no state once per stage
-time rather than once per stage, one that reads only constants once per
-window, and one that a stage repeats once per stage (`_Plan`).
+f and g are each either a plain callable, which can be any black box (f
+receives each stage's state as a fresh list and its inputs as a read-only
+tuple), or a `Derivatives`: one expression per state or output, and named
+values, each evaluated only as often as what it reads can change.  The
+kernel generated for a declared f evaluates it inline, with no call and no
+list per stage, to the same bits.
 There is no rollback: a completed macro step is final.  `step_to` returns
 the new state and the output tuple y at the target time.
 """
@@ -27,7 +26,6 @@ the new state and the output tuple y at the target time.
 from __future__ import annotations
 
 import ast
-import copy
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import isfinite
@@ -82,226 +80,102 @@ def _bound(name: str) -> bool:
     return name == "t" or (name[:1] in ("x", "u") and name[1:].isdecimal())
 
 
-#: what a subexpression reads, and so how often its value can change: only
-#: constants (once per window), also t or an input (once per stage time),
-#: also a state (at every stage)
+#: what a named value reads, directly or through earlier values, and so how
+#: often it is evaluated: only constants (once per window), also t or an
+#: input (once per stage time), also a state (at every stage)
 _WINDOW, _TIME, _STATE = range(3)
-
-#: nodes never named on their own: a name or a literal already, or a part
-#: that cannot stand alone as an expression
-_ATOMS = (ast.Name, ast.Constant, ast.Starred, ast.Slice, ast.FormattedValue)
 
 #: nodes `Derivatives.check` rejects: scopes whose own names a stage could
 #: not rename, and suspensions, which would make the walk a generator
 _SCOPES = (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 _SUSPENSIONS = (ast.Yield, ast.YieldFrom, ast.Await)
 
-#: nodes that hold no expression: contexts and operators
-_LEAVES = (ast.expr_context, ast.operator, ast.unaryop, ast.cmpop, ast.boolop)
+
+@cache
+def _template(expr: str) -> tuple[str, ...]:
+    """expr's text with every name it reads between NUL characters (which
+    `ast.unparse` writes for no other reason), split there: the odd parts
+    are the names, so a stage renames them without parsing again."""
+    tree = ast.parse(expr, mode="eval")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            node.id = f"\0{node.id}\0"
+    return tuple(ast.unparse(tree).split("\0"))
 
 
-def _conditional(node: ast.AST) -> list[ast.AST]:
-    """The children that evaluating node may skip: the branches of a
-    conditional, and the operands after the first of `and`/`or` or of a
-    chained comparison."""
-    if isinstance(node, ast.IfExp):
-        return [node.body, node.orelse]
-    if isinstance(node, ast.BoolOp):
-        return node.values[1:]
-    if isinstance(node, ast.Compare):
-        return node.comparators[1:]
-    return []
+def names_read(expr: str) -> tuple[str, ...]:
+    """The names expr reads, in order, each as often as it reads it."""
+    return _template(expr)[1::2]
+
+
+def renamed(expr: str, names: dict[str, str]) -> str:
+    """expr's text, each name it reads passed through names."""
+    return "".join(
+        names.get(part, part) if i % 2 else part
+        for i, part in enumerate(_template(expr))
+    )
 
 
 class _Plan:
-    """A declaration's expressions with their repeated and state-free work
-    named, built once per expression text (`_plan`).
+    """A declaration's named values at the levels their reads give them:
+    `defs[level]` holds, in declared order, each value of the level that
+    an expression reads, directly or through other values (`_plan`)."""
 
-    A subexpression is named when evaluating its expression always
-    evaluates it (it sits in no branch, `_conditional`), it reads some
-    name, and either it reads less of t, the inputs and the states than the
-    subexpression it sits in (so its value changes less often), or one
-    stage would evaluate it more than once.  Each named value is evaluated
-    once per window (`_w{k}`, reading only constants), once per stage time
-    (`_g{k}`, reading t or an input but no state) or once per stage
-    (`_q{k}`), by the same operations on the same operands as in place, so
-    with the same bits; helpers must therefore be pure.
-
-    Each text is kept as a template, its names between NUL characters
-    (which `ast.unparse` writes for no other reason), so that a stage
-    renames them without parsing again.  `defs[level]` holds each named
-    value of the level with its template, every one after the named values
-    it reads; `roots` holds each derivative's, and `bare[i]` the name
-    derivative i is, if it is no more than a name.
-    """
-
-    def __init__(self, exprs: Sequence[str]):
-        trees = [ast.parse(e, mode="eval").body for e in exprs]
-        # id(node) -> (structural key, level or -1 if it reads no name,
-        # size, the children that evaluating node always evaluates)
-        facts: dict[int, tuple[tuple, int, int, list[ast.AST]]] = {}
-        reads: set[str] = set()
-
-        def scan(node: ast.AST) -> tuple[tuple, int, int, list[ast.AST]]:
-            level, size = -1, 1
-            if isinstance(node, ast.Name):
-                name = node.id
-                reads.add(name)
-                level = (
-                    _WINDOW if not _bound(name)
-                    else _STATE if name[0] == "x" else _TIME
-                )
-            key: list[object] = [type(node)]
-            children = []
-            for _, value in ast.iter_fields(node):
-                parts = []
-                for item in value if isinstance(value, list) else (value,):
-                    if isinstance(item, _LEAVES):
-                        parts.append(type(item))
-                    elif isinstance(item, ast.AST):
-                        item_key, item_level, item_size, _ = scan(item)
-                        parts.append(item_key)
-                        children.append(item)
-                        level, size = max(level, item_level), size + item_size
-                    else:
-                        # repr tells 1 from 1.0 and True, which compare equal
-                        parts.append((type(item), repr(item)))
-                key.append(tuple(parts))
-            skip = _conditional(node)
-            evaluated = [c for c in children if not any(c is b for b in skip)]
-            facts[id(node)] = fact = (tuple(key), level, size, evaluated)
-            return fact
-
-        for tree in trees:
-            scan(tree)
-
-        def nameable(node: ast.AST) -> bool:
-            return (
-                isinstance(node, ast.expr) and not isinstance(node, _ATOMS)
-                and facts[id(node)][1] >= 0
-            )
-
-        named: dict[tuple, ast.AST] = {}
-
-        def hoist(node: ast.AST, within: int) -> None:
-            key, level, _, evaluated = facts[id(node)]
-            if level < within and nameable(node):
-                named.setdefault(key, node)
-                within = level
-            for child in evaluated:
-                hoist(child, within)
-
-        for tree in trees:
-            hoist(tree, _STATE)
-        # then the largest subexpression that one stage still evaluates
-        # twice, until none is left
-        while True:
-            counts: dict[tuple, int] = {}
-            first: dict[tuple, ast.AST] = {}
-            seen: set[tuple] = set()
-
-            def count(node: ast.AST) -> None:
-                key, _, _, evaluated = facts[id(node)]
-                if key in named:
-                    if key in seen:
-                        return
-                    seen.add(key)
-                elif nameable(node):
-                    counts[key] = counts.get(key, 0) + 1
-                    first.setdefault(key, node)
-                for child in evaluated:
-                    count(child)
-
-            for tree in trees:
-                count(tree)
-            repeated = [key for key, c in counts.items() if c > 1]
-            if not repeated:
-                break
-            key = max(repeated, key=lambda k: facts[id(first[k])][2])
-            named[key] = first[key]
-
-        names: dict[tuple, str] = {}
-        defs: tuple[list, ...] = ([], [], [])
-        for key, node in sorted(named.items(), key=lambda kv: facts[id(kv[1])][1:3]):
-            level = facts[id(node)][1]
-            names[key] = f"{('_w', '_g', '_q')[level]}{len(defs[level])}"
-            defs[level].append((names[key], node))
-
-        def marked(node: ast.AST, whole: bool = False) -> ast.AST:
-            """node with each named subexpression, and node itself unless
-            whole, replaced by its name, and every name between NULs."""
-            if isinstance(node, _LEAVES):
-                return node
-            name = None if whole else names.get(facts[id(node)][0])
-            if name is not None or isinstance(node, ast.Name):
-                return ast.Name(f"\0{name or node.id}\0", ast.Load())
-            new = copy.copy(node)
-            for field, value in ast.iter_fields(node):
-                if isinstance(value, ast.AST):
-                    setattr(new, field, marked(value))
-                elif isinstance(value, list):
-                    setattr(new, field, [
-                        marked(v) if isinstance(v, ast.AST) else v for v in value
-                    ])
-            return new
-
-        def template(node: ast.AST, whole: bool = False) -> tuple[str, ...]:
-            return tuple(ast.unparse(marked(node, whole)).split("\0"))
-
-        self.defs = tuple(
-            [(name, template(node, whole=True)) for name, node in level_defs]
-            for level_defs in defs
-        )
-        self.roots = [template(tree) for tree in trees]
-        self.bare = [
-            parts[1] if len(parts) == 3 and parts[0] == parts[2] == "" else None
-            for parts in self.roots
-        ]
+    def __init__(self, exprs: Sequence[str], values: Sequence[tuple[str, str]]):
+        levels: dict[str, int] = {}
+        self.defs: tuple[list[tuple[str, str]], ...] = ([], [], [])
+        reads = {name for e in exprs for name in names_read(e)}
+        for name, expr in reversed(values):
+            if name in reads:
+                reads.update(names_read(expr))
+        for name, expr in [(n, e) for n, e in values if n in reads]:
+            level = _WINDOW
+            for read in names_read(expr):
+                if read in levels:
+                    level = max(level, levels[read])
+                elif _bound(read):
+                    level = max(level, _STATE if read[0] == "x" else _TIME)
+            levels[name] = level
+            self.defs[level].append((name, expr))
         #: the constants, and the indices of the states and inputs, read
-        self.constants = sorted(name for name in reads if not _bound(name))
+        self.constants = sorted(
+            n for n in reads if not _bound(n) and n not in levels
+        )
         self.states = sorted(int(n[1:]) for n in reads if n[0] == "x" and _bound(n))
         self.inputs = sorted(int(n[1:]) for n in reads if n[0] == "u" and _bound(n))
-
-    @staticmethod
-    def fill(parts: tuple[str, ...], rename: dict[str, str]) -> str:
-        """A template's text, each name passed through rename."""
-        return "".join(
-            rename.get(part, part) if i % 2 else part for i, part in enumerate(parts)
-        )
 
     def lines(self, level: int, rename: dict[str, str]) -> list[str]:
         """One assignment per named value of the level, in order."""
         return [
-            f"{rename.get(name, name)} = {self.fill(parts, rename)}"
-            for name, parts in self.defs[level]
+            f"{rename.get(name, name)} = {renamed(expr, rename)}"
+            for name, expr in self.defs[level]
         ]
 
 
-@cache
-def _plan(exprs: tuple[str, ...]) -> _Plan:
-    return _Plan(exprs)
+_plan = cache(_Plan)
 
 
 @dataclass(frozen=True)
 class Derivatives:
-    """x' = f(t, x, u) declared as one Python expression per state.
+    """f(t, x, u) or g(t, x, u) declared as one Python expression per state
+    or per output.
 
-    exprs[i] is state i's derivative, written in the time t, the states
-    x0.., the inputs u0.. and the names of `constants`: (name, value) pairs,
-    numbers or helper callables, kept as a tuple so the declaration stays
-    hashable.  Helpers must be pure functions of their arguments: a
-    subexpression that reads no state is evaluated once per stage time or
-    once per window, not at every stage, and one that a stage reads twice
-    is evaluated once (`_Plan`, built once per expression text).  Called as
-    f(t, x, u), it runs `function`, compiled from that plan on first use,
-    which evaluates each named value once per call; `step_to` instead
-    evaluates the plan inline in its micro walk (`_rk4_walk`).  Both use
-    the same operations on the same operands as the text, and so give its
-    bits.  `SubsystemSpec` checks a declaration against its arities.
+    exprs[i] is written in the time t, the states x0.., the inputs u0.., the
+    names of `constants`, (name, value) pairs of numbers or helper callables,
+    and the names of `values`, (name, expression) pairs, each of which may
+    read all of these and the values before it.  Both are tuples, so the
+    declaration stays hashable.  A value is evaluated only as often as what
+    it reads can change (`_rk4_walk`), and not at all if no expression
+    reads it, directly or through other values, so helpers must be pure;
+    every expression is otherwise evaluated as written.  Called, it runs
+    `function`, compiled on first use, which evaluates each value it needs
+    once per call.  Both give the bits of the text.  `SubsystemSpec` checks
+    a declaration against its arities.
     """
 
     exprs: tuple[str, ...]
     constants: tuple[tuple[str, object], ...] = ()
+    values: tuple[tuple[str, str], ...] = ()
 
     @cached_property
     def namespace(self) -> dict[str, object]:
@@ -310,19 +184,14 @@ class Derivatives:
     @cached_property
     def function(self) -> Callable[..., list[float]]:
         """f(t, x, u) as one compiled function: a call costs one frame."""
-        plan = _plan(self.exprs)
+        plan = _plan(self.exprs, self.values)
+        lines = [line for level in range(3) for line in plan.lines(level, {})]
         source = (
             "def _derivatives(t, _x, _u):\n"
-            f"    [{', '.join(f'x{i}' for i in range(len(self.exprs)))}] = _x\n"
+            + "".join(f"    x{i} = _x[{i}]\n" for i in plan.states)
             + "".join(f"    u{j} = _u[{j}]\n" for j in plan.inputs)
-            + "".join(
-                f"    {line}\n"
-                for level in (_WINDOW, _TIME, _STATE)
-                for line in plan.lines(level, {})
-            )
-            + "    return ["
-            + ", ".join(plan.fill(parts, {}) for parts in plan.roots)
-            + "]\n"
+            + "".join(f"    {line}\n" for line in lines)
+            + f"    return [{', '.join(renamed(e, {}) for e in self.exprs)}]\n"
         )
         namespace = dict(self.namespace)
         exec(compile(source, "<derivatives>", "exec"), namespace)
@@ -333,63 +202,86 @@ class Derivatives:
     ) -> list[float]:
         return self.function(t, x, u)
 
-    def check(self, label: str, n_states: int, n_in: int) -> None:
-        """Raise ConfigError unless every expression is one expression that
-        reads only t, x0..x{n_states-1}, u0..u{n_in-1} and the constants."""
-        if len(self.exprs) != n_states:
+    def check(
+        self, label: str, n_states: int, n_in: int, n_out: int | None = None
+    ) -> None:
+        """Raise ConfigError unless there is one expression per state (per
+        output, given n_out), each constant and value is named once and
+        not as a name of the micro walk, and every expression is one
+        expression that reads only t, x0..x{n_states-1}, u0..u{n_in-1},
+        the constants and, for a value, the values before it."""
+        kind, count, of = (
+            ("derivative", n_states, "states") if n_out is None
+            else ("output", n_out, "outputs")
+        )
+        if len(self.exprs) != count:
             raise ConfigError(
-                f"{label}: {len(self.exprs)} derivative expressions for "
-                f"{n_states} states"
+                f"{label}: {len(self.exprs)} {kind} expressions for {count} {of}"
             )
-        for name, _ in self.constants:
+        declared: dict[str, str] = {}
+        for what, name in [("constant", n) for n, _ in self.constants] + [
+            ("value", n) for n, _ in self.values
+        ]:
             if _bound(name) or name.startswith("_"):
                 raise ConfigError(
-                    f"{label}: constant {name!r} would shadow a name of the "
+                    f"{label}: {what} {name!r} would shadow a name of the "
                     "micro walk (t, x0.., u0.. or a leading underscore)"
                 )
+            if name in declared:
+                raise ConfigError(f"{label}: {what} {name!r} " + (
+                    "is declared twice" if declared[name] == what
+                    else "shadows a constant"
+                ))
+            declared[name] = what
         known = {"t", *self.namespace}
         known.update(f"x{i}" for i in range(n_states))
         known.update(f"u{j}" for j in range(n_in))
-        for i, expr in enumerate(self.exprs):
+        for what, value, expr in [(f"value {n!r}", n, e) for n, e in self.values] + [
+            (f"{kind} {i}", None, e) for i, e in enumerate(self.exprs)
+        ]:
             try:
                 tree = ast.parse(expr, mode="eval")
             except (SyntaxError, ValueError):
                 raise ConfigError(
-                    f"{label}: derivative {i} is not an expression: {expr!r}"
+                    f"{label}: {what} is not an expression: {expr!r}"
                 ) from None
             for node in ast.walk(tree):
                 if isinstance(node, _SCOPES):
                     raise ConfigError(
-                        f"{label}: derivative {i} opens a scope of its own "
+                        f"{label}: {what} opens a scope of its own "
                         "(a lambda or a comprehension)"
                     )
                 if isinstance(node, _SUSPENSIONS):
-                    raise ConfigError(
-                        f"{label}: derivative {i} suspends (yield or await)"
-                    )
+                    raise ConfigError(f"{label}: {what} suspends (yield or await)")
                 if not isinstance(node, ast.Name):
                     continue
                 name = node.id
                 if not isinstance(node.ctx, ast.Load):
-                    raise ConfigError(f"{label}: derivative {i} assigns {name!r}")
+                    raise ConfigError(f"{label}: {what} assigns {name!r}")
                 if name in known:
                     continue
                 if _bound(name):
                     raise ConfigError(
-                        f"{label}: derivative {i} reads {name}, out of range "
+                        f"{label}: {what} reads {name}, out of range "
                         f"for {n_states} states and {n_in} inputs"
                     )
-                raise ConfigError(
-                    f"{label}: derivative {i} reads unknown name {name!r}"
-                )
+                if declared.get(name) == "value":
+                    raise ConfigError(
+                        f"{label}: {what} reads {name!r}, a value not declared "
+                        "before it"
+                    )
+                raise ConfigError(f"{label}: {what} reads unknown name {name!r}")
+            known.add(value)
 
 
 @dataclass(frozen=True)
 class SubsystemSpec:
     """Dynamics f, output map g, initial state, and coupling arities.
 
-    max_micro_step bounds the RK4 micro step for this subsystem's own
-    dynamics; None means the divisor rule alone sets it.
+    f and g are each a plain callable or a `Derivatives`, with one
+    expression per state or per output.  max_micro_step bounds the RK4
+    micro step for this subsystem's own dynamics; None means the divisor
+    rule alone sets it.
     """
 
     label: str
@@ -397,7 +289,7 @@ class SubsystemSpec:
     n_in: int
     n_out: int
     f: Derivatives | Callable[[float, list[float], Sequence[float]], list[float]]
-    g: Callable[[float, list[float], list[float]], list[float]]
+    g: Derivatives | Callable[[float, list[float], list[float]], list[float]]
     x_init: tuple[float, ...]
     max_micro_step: float | None = None
 
@@ -417,6 +309,8 @@ class SubsystemSpec:
             )
         if isinstance(self.f, Derivatives):
             self.f.check(self.label, self.n_states, self.n_in)
+        if isinstance(self.g, Derivatives):
+            self.g.check(self.label, self.n_states, self.n_in, self.n_out)
 
 
 def _arity_error(label: str, k: Sequence[float], n: int) -> ContractViolation:
@@ -435,10 +329,13 @@ _STAGE_TIMES = {1: ("_t", "i"), 2: ("_tm", "m"), 3: ("_tm", "m"), 4: ("_t1", "e"
 
 @cache
 def _rk4_walk(
-    n: int, degrees: tuple[int, ...], exprs: tuple[str, ...] | None = None
+    n: int,
+    degrees: tuple[int, ...],
+    exprs: tuple[str, ...] | None = None,
+    values: tuple[tuple[str, str], ...] = (),
 ) -> Callable[..., list[float]]:
     """The micro walk for n states and inputs of the given degrees, compiled
-    once per (n, degrees, exprs).
+    once per (n, degrees, exprs, values).
 
     The source is generated, the way `dataclasses` builds `__init__`.  The
     walk advances the grid itself: each step is hs = min(t_target - t, h),
@@ -458,30 +355,26 @@ def _rk4_walk(
     With exprs None, each stage calls f with its state as a list display
     and its inputs as a tuple, so a micro step builds no list but f's
     arguments, and a stage whose f returns the wrong number of derivatives
-    raises ContractViolation.  With the expressions of a `Derivatives`, the
-    walk evaluates their `_Plan` in place of the calls.  It loads the
-    constants they read into locals on entry and evaluates the window's
-    named values once.  It evaluates the stage-time values at the window
-    start, then at tm for stages 2 and 3 and at t1 for stage 4, and carries
-    those to the next step's stage 1: twice per micro step plus once per
-    window, where the textbook walk evaluates them four times per micro
-    step.  Each stage renames t, x{i} and u{j} in the text to its own time,
-    state (_x{i}, then _s2_{i}, _s3_{i}, _s4_{i}) and inputs, and evaluates
-    its own named values once.  A derivative that is a bare name (a state,
-    a named value, t, an input or a constant) is read by that name and not
-    copied, except a state x{j} as stage 1's derivative i > j, which the
-    step would overwrite before reading.  Every other local starts with an
-    underscore, which no constant may.
+    raises ContractViolation.  With the expressions and named values of a
+    `Derivatives`, the walk evaluates them in place of the calls.  It loads
+    the constants they read into locals on entry and evaluates the values
+    that read only constants once.  It evaluates those that read t or an
+    input but no state at the window start, then at tm for stages 2 and 3
+    and at t1 for stage 4, and carries those to the next step's stage 1:
+    twice per micro step plus once per window.  Each stage renames t, x{i},
+    u{j} and the values in the text to its own time, state (_x{i}, then
+    _s2_{i}, _s3_{i}, _s4_{i}), inputs and values, and evaluates those that
+    read a state.  Every local but the constants and the values that read
+    only constants starts with an underscore, which no constant or value
+    may.
     """
 
     def each(fmt: str, count: int = n) -> str:
         return ", ".join(fmt.format(i) for i in range(count))
 
     m = len(degrees)
-    plan = None if exprs is None else _plan(exprs)
+    plan = None if exprs is None else _plan(exprs, values)
     used = range(m) if plan is None else plan.inputs
-    # each stage's derivatives, by the names that hold them
-    k: dict[int, list[str]] = {}
 
     def at(s: int, indent: str) -> str:
         """The inputs at stage s's time, and the declaration's values named
@@ -514,56 +407,43 @@ def _rk4_walk(
             (f"x{i}", f"_x{i}" if s == 1 else f"_s{s}_{i}") for i in range(n)
         )
         rename.update((f"u{j}", f"_u{tag}{j}") for j in used)
-        rename.update((name, f"_g{tag}{name[2:]}") for name, _ in plan.defs[_TIME])
-        rename.update((name, f"_q{s}_{name[2:]}") for name, _ in plan.defs[_STATE])
+        rename.update((name, f"_g{tag}_{name}") for name, _ in plan.defs[_TIME])
+        rename.update((name, f"_q{s}_{name}") for name, _ in plan.defs[_STATE])
         return rename
 
     def stage(s: int) -> str:
-        """Stage s's state and derivatives; k[s] names the derivatives."""
+        """Stage s's state and its derivatives _k{s}_0.."""
         t, tag = _STAGE_TIMES[s]
         step = "_hs" if s == 4 else "_half"
-        k[s] = [f"_k{s}_{i}" for i in range(n)]
         if plan is None:
-            states = each("_x{0}") if s == 1 else ", ".join(
-                f"_x{i} + {step} * {k[s - 1][i]}" for i in range(n)
+            states = each("_x{0}") if s == 1 else each(
+                f"_x{{0}} + {step} * _k{s - 1}_{{0}}"
             )
             lines = [
                 f"_k = _f({t}, [{states}], _u{tag})",
                 "try:",
-                f"    [{', '.join(k[s])}] = _k",
+                f"    [{each(f'_k{s}_{{0}}')}] = _k",
                 "except ValueError:",
                 f"    raise _arity_error(_label, _k, {n}) from None",
             ]
         else:
             rename = renames(s)
             lines = [
-                f"_s{s}_{i} = _x{i} + {step} * {k[s - 1][i]}"
+                f"_s{s}_{i} = _x{i} + {step} * _k{s - 1}_{i}"
                 for i in plan.states if s > 1
             ]
             lines += plan.lines(_STATE, rename)
-            for i, parts in enumerate(plan.roots):
-                bare = plan.bare[i]
-                if bare is not None and not (
-                    s == 1 and bare in {f"x{j}" for j in range(i)}
-                ):
-                    k[s][i] = rename.get(bare, bare)
-                else:
-                    lines.append(f"{k[s][i]} = {plan.fill(parts, rename)}")
+            lines += [f"_k{s}_{i} = {renamed(e, rename)}" for i, e in enumerate(exprs)]
         return "".join(f"        {line}\n" for line in lines)
 
-    prologue = ""
-    if plan is not None:
-        prologue = "".join(
-            f"    {line}\n"
-            for line in (
-                (["_env = _f.namespace"] if plan.constants else [])
-                + [f"{name} = _env[{name!r}]" for name in plan.constants]
-                + plan.lines(_WINDOW, {})
-            )
-        )
+    prologue = [] if plan is None else (
+        ["_env = _f.namespace"]
+        + [f"{name} = _env[{name!r}]" for name in plan.constants]
+        + plan.lines(_WINDOW, {})
+    )
     carried = ["_ui = _ue"] if plan is None else (
         [f"_ui{j} = _ue{j}" for j in used]
-        + [f"_gi{name[2:]} = _ge{name[2:]}" for name, _ in plan.defs[_TIME]]
+        + [f"_gi_{name} = _ge_{name}" for name, _ in plan.defs[_TIME]]
     )
     source = (
         "def walk(_f, _x, _t, _t_target, _h, _inputs, _label):\n"
@@ -575,7 +455,7 @@ def _rk4_walk(
             f" = _p{j}.coeffs\n"
             for j in used
         )
-        + prologue
+        + "".join(f"    {line}\n" for line in prologue)
         + "    _guard = _h * 1e-9\n"
         + at(1, "    ")
         + "    while True:\n"
@@ -596,7 +476,7 @@ def _rk4_walk(
         + "        _sixth = _hs / 6.0\n"
         + "".join(
             f"        _x{i} = _x{i} + _sixth * "
-            f"({k[1][i]} + 2.0 * ({k[2][i]} + {k[3][i]}) + {k[4][i]})\n"
+            f"(_k1_{i} + 2.0 * (_k2_{i} + _k3_{i}) + _k4_{i})\n"
             for i in range(n)
         )
         + "        if _t_target - _t1 <= _guard:\n"
@@ -632,11 +512,9 @@ def step_to(
     per stage time (step boundaries and midpoints) as the walk goes.  A
     callable f is called exactly four times per micro step, with the
     stage's state as a list and its inputs as a tuple, and every call's
-    derivative count is checked; a `Derivatives` f is evaluated inline,
-    its count checked when the spec was built: each expression four times
-    per micro step, but each subexpression that reads no state twice per
-    micro step plus once per window (`_rk4_walk`).
-    The walk keeps no list that grows with the number of micro steps.
+    derivative count is checked; a `Derivatives` f is evaluated inline, its
+    count checked when the spec was built.  The walk keeps no list that
+    grows with the number of micro steps.
     """
     if t_target <= t_start:
         raise ValueError(
@@ -671,8 +549,9 @@ def step_to(
         )
 
     f = spec.f
-    walk = _rk4_walk(
-        spec.n_states, degrees, f.exprs if isinstance(f, Derivatives) else None
+    walk = (
+        _rk4_walk(spec.n_states, degrees, f.exprs, f.values)
+        if isinstance(f, Derivatives) else _rk4_walk(spec.n_states, degrees)
     )
     x = walk(f, state, t_start, t_target, h, inputs, spec.label)
     if not all(map(isfinite, x)):

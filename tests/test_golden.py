@@ -1,7 +1,8 @@
 """Golden traces: identical configs must keep writing identical CSV bytes.
 
-Each case runs one pinned configuration, writes its trace CSVs and compares
-their sha256 digests with values recorded when the case was pinned.  The
+Each case runs one pinned configuration, writes its trace CSVs (or, with
+`f3ornits reference`, the monolithic reference's CSV) and compares their
+sha256 digests with values recorded when the case was pinned.  The
 summary's ``wall_time_s`` line is left out of the digest: it is the only
 line that differs between two runs of the same config.
 
@@ -13,6 +14,7 @@ import hashlib
 
 import pytest
 
+from f3ornits.cli import main
 from f3ornits.config import config_from_mapping, materialize
 from f3ornits.master import run_f3ornits, run_jacobi
 
@@ -93,3 +95,31 @@ def test_trace_csvs_match_pinned_digests(case, tmp_path):
         trace = run_f3ornits(problem, setup.options)
     paths = trace.write_csv(tmp_path, "run")
     assert {p.name: _digest(p) for p in paths} == expected
+
+
+#: case name -> (`f3ornits reference` arguments, sha256 of the CSV it writes)
+GOLDEN_REFERENCE = {
+    "two_mass_rk4": (
+        ["--model", "two_mass", "--t-end", "20"],
+        "b5678d34ae9ca68d9608015f9faec6313e9eab036c1e072f9816764d677d7713",
+    ),
+    "two_mass_rk2": (
+        ["--model", "two_mass", "--t-end", "20", "--scheme", "rk2"],
+        "da281b251b84c1b4f59872001a426c09952d2a7f28c5f2193d0f62934656848b",
+    ),
+    "car_seed_7_rk4": (
+        ["--model", "car", "--seed", "7", "--t-end", "30"],
+        "53ba7d21f29326c62626d9aa852d2085678c887adb52fd79c2bdefcd31fc2ba2",
+    ),
+    "car_seed_7_rk2": (
+        ["--model", "car", "--seed", "7", "--t-end", "30", "--scheme", "rk2"],
+        "90d684b8fa286d512f85c35169bc7b2e58a376b62116acf21f9dca474225ae7e",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_REFERENCE))
+def test_reference_csvs_match_pinned_digests(case, tmp_path, capsys):
+    args, expected = GOLDEN_REFERENCE[case]
+    assert main(["reference", *args, "--output-dir", str(tmp_path)]) == 0
+    assert _digest(tmp_path / "run_reference.csv") == expected

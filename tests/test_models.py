@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from f3ornits.errors import ConfigError, DivergenceError
-from f3ornits.master import run_jacobi
+from f3ornits.coupling import CouplingGraph
+from f3ornits.master import CosimProblem, run_jacobi
 from f3ornits.models import (
     CarParams,
     TwoMassParams,
@@ -18,13 +19,14 @@ from f3ornits.models import (
     build_car,
     build_model,
     build_two_mass,
+    compose_monolith,
     dwell_noise,
     monolithic_reference,
     piecewise_linear,
     reference_gap,
 )
 from f3ornits.poly import Polynomial
-from f3ornits.subsystem import step_to
+from f3ornits.subsystem import Capabilities, Derivatives, SubsystemSpec, step_to
 
 
 def _rk4(rhs, x0, t0, t1, h):
@@ -264,6 +266,104 @@ def test_monolith_rhs_is_the_split_models_f_bit_for_bit(t, s):
     split = vehicle.f(t, [x, v], [force]) + controller.f(t, [xc], [x])
     whole = _CAR.monolith_rhs(t, [x, v, xc], ())
     assert [v.hex() for v in whole] == [v.hex() for v in split]
+
+
+# ------------------------------------------------------ the composed monolith
+
+def _chain(graph=None, k_source=0.5, k_rest=0.5):
+    """Three subsystems in a loop, 0 -> 1 -> 2 -> 0: 0's output reads only
+    its state, 1's and 2's also their input (feed-through).  Each declares
+    values; 1 names e once for its f and its g."""
+    c0 = (("k", k_source), ("sin", math.sin))
+    c = (("k", k_rest), ("sin", math.sin))
+    v1 = (("e", "u0 - x0"), ("w", "k * t"))
+    v2 = (("s", "sin(u0 * t)"),)
+    specs = (
+        SubsystemSpec("source", 2, 1, 1,
+                      Derivatives(("x1", "-k * x0 - 0.25 * x1 + u0"), c0),
+                      Derivatives(("x0",), c0), (1.0, 0.0)),
+        SubsystemSpec("lag", 1, 1, 1, Derivatives(("e * w",), c, v1),
+                      Derivatives(("x0 + 2.0 * e",), c, v1), (0.5,)),
+        SubsystemSpec("shape", 1, 1, 1, Derivatives(("s - x0",), c, v2),
+                      Derivatives(("x0 * s + u0",), c, v2), (-0.25,)),
+    )
+    graph = graph or CouplingGraph({(0, 0): (2, 0), (1, 0): (0, 0), (2, 0): (1, 0)})
+    return CosimProblem(specs, (Capabilities(),) * 3, graph, 0.0, 1.0, (0.1,) * 3)
+
+
+def _closed_loop(problem):
+    """The chain's right-hand side and outputs, closed by hand: each g in
+    feed-through order, then each f, fed the outputs at the same state."""
+    source, lag, shape = problem.subsystems
+
+    def rhs(t, s):
+        y0 = source.g(t, s[0:2], [])[0]
+        y1 = lag.g(t, s[2:3], [y0])[0]
+        y2 = shape.g(t, s[3:4], [y1])[0]
+        derivatives = (source.f(t, s[0:2], [y2]) + lag.f(t, s[2:3], [y0])
+                       + shape.f(t, s[3:4], [y1]))
+        return derivatives, {("source", 0): y0, ("lag", 0): y1, ("shape", 0): y2}
+
+    return rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    t=st.floats(-10.0, 10.0),
+    s=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),
+)
+def test_composed_chain_is_the_hand_closed_loop_bit_for_bit(t, s):
+    problem = _chain()
+    rhs, x0, readers = compose_monolith(problem)
+    assert x0 == (1.0, 0.0, 0.5, -0.25)
+    derivatives, outputs = _closed_loop(problem)(t, s)
+    assert [v.hex() for v in rhs(t, s, ())] == [v.hex() for v in derivatives]
+    assert {key: fn(t, s).hex() for key, fn in readers.items()} == {
+        key: y.hex() for key, y in outputs.items()
+    }
+
+
+def test_composed_chain_walks_to_the_hand_closed_loop_bits():
+    # the walk evaluates the composed values only as often as they change,
+    # and still reaches the state a plain closure of the loop reaches
+    problem = _chain()
+    rhs, x0, _ = compose_monolith(problem)
+    closed = _closed_loop(problem)
+    ends = []
+    for f in (rhs, lambda t, x, u: closed(t, x)[0]):
+        spec = SubsystemSpec("monolith", 4, 0, 0, f, lambda t, x, u: (), x0)
+        x, _ = step_to(spec, Capabilities(), x0, (), 0.25, 1.0, 0.01)
+        ends.append([v.hex() for v in x])
+    assert ends[0] == ends[1]
+
+
+def _callable(problem, k, key):
+    """The problem with subsystem k's f or g behind a plain closure."""
+    spec = problem.subsystems[k]
+    declared = getattr(spec, key)
+    specs = list(problem.subsystems)
+    specs[k] = dataclasses.replace(
+        spec, **{key: lambda t, x, u: declared(t, x, u)}
+    )
+    return dataclasses.replace(problem, subsystems=tuple(specs))
+
+
+@pytest.mark.parametrize("make,match", [
+    # lag reads shape's output and shape reads lag's, each with feed-through
+    (lambda: _chain(CouplingGraph({(0, 0): (2, 0), (1, 0): (2, 0), (2, 0): (1, 0)})),
+     r"cyclic feed-through: .*lag:0"),
+    (lambda: _callable(_chain(), 1, "f"), "lag: f is a black box"),
+    (lambda: _callable(_chain(), 2, "g"), "shape: g is a black box"),
+    (lambda: _chain(k_source=0.75), "lag: f defines constant 'k' differently"),
+    (lambda: _chain(k_source=0.0, k_rest=-0.0),
+     "lag: f defines constant 'k' differently"),
+    (lambda: _chain(CouplingGraph({(0, 0): (2, 0), (1, 0): (0, 0)})),
+     "shape: input 0 is fed by no output"),
+], ids=["cycle", "callable f", "callable g", "constants", "signed zero",
+        "unfed input"])
+def test_composer_rejects_what_it_cannot_close(make, match):
+    with pytest.raises(ConfigError, match=match):
+        compose_monolith(make())
 
 
 # ------------------------------------------------------------ the reference

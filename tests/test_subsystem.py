@@ -257,11 +257,11 @@ def hexes(values):
 
 
 def walk_three_ways(exprs, constants, plain, x0, inputs=(), t0=0.0, t1=1.0,
-                    h=0.125):
+                    h=0.125, values=()):
     """The state step_to reaches with the declaration inline, through its
     compiled function, and with a plain closure of the same dynamics; all
     three must agree bit for bit, zero signs included."""
-    declared = Derivatives(exprs, constants)
+    declared = Derivatives(exprs, constants, values)
     results = []
     for f in (declared, lambda t, x, u: declared(t, x, u), plain):
         spec = SubsystemSpec("kernel", len(x0), len(inputs), 1, f,
@@ -274,17 +274,22 @@ def walk_three_ways(exprs, constants, plain, x0, inputs=(), t0=0.0, t1=1.0,
 
 
 def test_walk_names_time_input_and_constant_only_subexpressions():
-    # (k * k) and scale(k) read only constants, t * u0, -(u0 * u1) and
-    # u0 * t * -0.0 no state: each is named and evaluated apart from the
-    # states, which must not move a bit
+    # kk and sk read only constants, tu, uu and z no state, q a state and
+    # kk: each is evaluated apart from the derivatives, which must not move
+    # a bit
     def scale(v):
         return 2.0 * v
 
     k = 1.5
-    exprs = (
-        "x1 * (k * k) + t * u0",
-        "-(u0 * u1) * x0 + scale(k) - x1 * t * t + u0 * t * -0.0",
+    values = (
+        ("kk", "k * k"),
+        ("sk", "scale(k)"),
+        ("tu", "t * u0"),
+        ("uu", "-(u0 * u1)"),
+        ("z", "u0 * t * -0.0"),
+        ("q", "x1 * kk"),
     )
+    exprs = ("q + tu", "uu * x0 + sk - x1 * t * t + z")
 
     def plain(t, x, u):
         return [x[1] * (k * k) + t * u[0],
@@ -292,15 +297,17 @@ def test_walk_names_time_input_and_constant_only_subexpressions():
 
     inputs = (Polynomial(0.3, (0.5, -1.0, 0.25)), Polynomial(-0.2, (-0.0, 2.0)))
     walk_three_ways(exprs, (("k", k), ("scale", scale)), plain, (0.5, -0.25),
-                    inputs, t0=-0.4, t1=0.73, h=0.05)
+                    inputs, t0=-0.4, t1=0.73, h=0.05, values=values)
 
 
 def test_named_values_are_evaluated_twice_per_micro_step_plus_once_per_window():
-    # at(t) and at(u0) read no state: at the window start, then at each
-    # step's midpoint and end, which the next step's start reuses; once()
-    # reads only constants: once per window.  at(t) appears in both
-    # derivatives and is still one value
-    calls = {"at": 0, "once": 0}
+    # a and au read no state: at the window start, then at each step's
+    # midpoint and end, which the next step's start reuses; o reads only
+    # constants: once per window; w reads a state through s: at every
+    # stage.  a appears in both derivatives and is still one value; idle,
+    # which no expression reads, is never evaluated, in the walk or by a
+    # declared g that shares the values
+    calls = {"at": 0, "once": 0, "probe": 0}
 
     def at(v):
         calls["at"] += 1
@@ -310,18 +317,26 @@ def test_named_values_are_evaluated_twice_per_micro_step_plus_once_per_window():
         calls["once"] += 1
         return 0.25
 
-    exprs = ("at(t) * x1 - once() * x0", "x0 + at(t) * at(u0)")
-    spec = SubsystemSpec("count", 2, 1, 1,
-                         Derivatives(exprs, (("at", at), ("once", once))),
-                         lambda t, x, u: [x[0]], (1.0, 0.0))
+    def probe(v):
+        calls["probe"] += 1
+        return v
+
+    values = (("a", "at(t)"), ("o", "once()"), ("au", "at(u0)"),
+              ("s", "x0 * o"), ("w", "probe(s)"), ("idle", "probe(at(x1))"))
+    exprs = ("a * x1 - w", "x0 + a * au")
+    helpers = (("at", at), ("once", once), ("probe", probe))
+    spec = SubsystemSpec("count", 2, 1, 1, Derivatives(exprs, helpers, values),
+                         Derivatives(("x1",), helpers, values), (1.0, 0.0))
     u = [Polynomial(0.0, (1.0, 0.5))]
     x = list(spec.x_init)
     for window, (t0, t1) in enumerate(((0.0, 1.0), (1.0, 1.5))):
         before = dict(calls)
-        x, _ = step_to(spec, Capabilities(), x, u, t0, t1, 0.125)
+        x, y = step_to(spec, Capabilities(), x, u, t0, t1, 0.125)
         steps = round((t1 - t0) / 0.125)
         assert calls["at"] - before["at"] == 2 * (2 * steps + 1)
         assert calls["once"] - before["once"] == 1
+        assert calls["probe"] - before["probe"] == 4 * steps
+        assert y == (x[1],)
 
 
 @pytest.mark.parametrize(
@@ -351,16 +366,18 @@ def test_walk_reads_permuted_bare_states_before_the_step_moves_them():
 
 
 def test_walk_evaluates_a_subexpression_repeated_across_states_once():
-    # (x0 - x1) * c is every derivative's or part of it: one value per stage
+    # d = (x0 - x1) * c is every derivative or part of it: one value per
+    # stage, read by name, the third derivative being d itself
     c = 0.75
-    exprs = ("(x0 - x1) * c + u0", "x0 - (x0 - x1) * c", "(x0 - x1) * c")
+    exprs = ("d + u0", "x0 - d", "d")
 
     def plain(t, x, u):
         return [(x[0] - x[1]) * c + u[0], x[0] - (x[0] - x[1]) * c,
                 (x[0] - x[1]) * c]
 
     walk_three_ways(exprs, (("c", c),), plain, (0.5, -1.5, 0.0),
-                    (Polynomial(0.1, (1.0, -0.5, 0.0, 2.0)),))
+                    (Polynomial(0.1, (1.0, -0.5, 0.0, 2.0)),),
+                    values=(("d", "(x0 - x1) * c"),))
 
 
 def test_output_arity_checked():
@@ -397,8 +414,8 @@ def test_state_derivative_arity_checked(derivatives):
 
 
 @pytest.mark.parametrize(
-    "exprs,constants,match",
-    [
+    "exprs,constants,match,values,outputs",
+    [row + ((), None) for row in [
         (("x1",), (), "bad: 1 derivative expressions for 2 states"),
         (("x1", "x0", "x1"), (), "bad: 3 derivative expressions for 2 states"),
         (("x2", "x0"), (), "bad: derivative 0 reads x2, out of range"),
@@ -419,17 +436,40 @@ def test_state_derivative_arity_checked(derivatives):
         (("x1", "sum([x0 for () in [()]])"), (("sum", sum),),
          "bad: derivative 1 opens a scope"),
         (("x1", "(yield x0)"), (), "bad: derivative 1 suspends"),
+    ]] + [
+        (("x1", "-x0"), (("k", 1.0), ("k", 2.0)),
+         "bad: constant 'k' is declared twice", (), None),
+        (("x1", "v"), (), "bad: value 'v' is declared twice",
+         (("v", "x0"), ("v", "x1")), None),
+        (("x1", "k"), (("k", 1.0),), "bad: value 'k' shadows a constant",
+         (("k", "x0"),), None),
+        (("x1", "a"), (), "bad: value 'a' reads 'b', a value not declared before",
+         (("a", "b"), ("b", "x0")), None),
+        (("x1", "-x0"), (), "bad: value 'x1' would shadow", (("x1", "x0"),), None),
+        (("x1", "-x0"), (), "bad: value '_v' would shadow", (("_v", "x0"),), None),
+        (("x1", "v"), (), "bad: value 'v' reads unknown name 'k'",
+         (("v", "k * x0"),), None),
+        (("x1", "-x0"), (), "bad: 2 output expressions for 1 outputs", (),
+         ("x0", "x1")),
+        (("x1", "-x0"), (), "bad: output 0 reads u1, out of range", (), ("u1",)),
+        (("x1", "-x0"), (), "bad: output 0 reads unknown name 'v'", (), ("v",)),
     ],
 )
 def test_declared_derivatives_are_checked_against_the_spec(
-    exprs, constants, match
+    exprs, constants, match, values, outputs
 ):
     # the names t, x0.., u0.. and every name with a leading underscore are
     # the micro walk's own locals, so only those in range may be read and
-    # no constant may take one
+    # no constant or value may take one; each name is declared once, and a
+    # value reads only the values before it.  A declared g is checked the
+    # same way, with one expression per output
+    g = (
+        (lambda t, x, u: [x[0]]) if outputs is None
+        else Derivatives(outputs, constants, values)
+    )
     with pytest.raises(ConfigError, match=match):
-        SubsystemSpec("bad", 2, 1, 1, Derivatives(exprs, constants),
-                      lambda t, x, u: [x[0]], (0.0, 0.0))
+        SubsystemSpec("bad", 2, 1, 1, Derivatives(exprs, constants, values), g,
+                      (0.0, 0.0))
 
 
 def test_declared_derivatives_are_hashable_callables():
@@ -539,8 +579,9 @@ def test_step_to_matches_the_per_stage_walk_bit_for_bit(
     # spec's bound to set the step.  0 to 4 states: every walk step_to
     # compiles for the models, both monoliths and a stateless spec; 0 to 3
     # inputs of degree 0 to 3, each evaluated by its own inline Horner block.
-    # The dynamics are also declared, for the walk that evaluates them
-    # inline, and called through that declaration
+    # The dynamics are also declared, the inputs' sum as a named value, for
+    # the walk that evaluates them inline, and called through that
+    # declaration
     bound = 1e-3
     if micro_step is None:
         n_steps += int(MICRO_DIVISOR)
@@ -557,10 +598,10 @@ def test_step_to_matches_the_per_stage_walk_bit_for_bit(
         return f
 
     us = "".join(f"u{j}, " for j in range(len(inputs)))
-    mix = f"sum(({us}))" if inputs else "-0.0"
     declared = Derivatives(
-        tuple(f"{mix} - 0.5 * x{i} + t * x{n - 1}" for i in range(n)),
+        tuple(f"mix - 0.5 * x{i} + t * x{n - 1}" for i in range(n)),
         (("sum", sum),),
+        (("mix", f"sum(({us}))" if inputs else "-0.0"),),
     )
 
     def g(t, x, u):
