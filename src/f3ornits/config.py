@@ -262,6 +262,20 @@ def materialize(cfg: RunConfig) -> RunSetup:
 
     dt_min = cfg.dt_min if cfg.dt_min is not None else min(problem.dt0)
     dt_max = cfg.dt_max if cfg.dt_max is not None else (t_end - t_init) / 10.0
+    derived = [
+        f"{name} = {value!r} comes from key {source!r}"
+        for name, value, source, given in (
+            ("dt_min", dt_min, "dt0", cfg.dt_min),
+            ("dt_max", dt_max, "t_end", cfg.dt_max),
+        )
+        if given is None
+    ]
+    try:  # the step bounds alone first: a refusal says where derived ones came from
+        Tolerances(dt_min=dt_min, dt_max=dt_max)
+    except ConfigError as exc:
+        if derived:
+            raise ConfigError(f"{exc} ({'; '.join(derived)})") from None
+        raise
     tol = Tolerances(
         tol_rel=cfg.tol_rel,
         tol_abs=cfg.tol_abs,

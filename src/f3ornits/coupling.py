@@ -6,7 +6,8 @@ from the links who must wake up for communication and who may coast.
 
 A SampleHistory holds one output's exchanged samples together with the
 newest row of their divided-difference table, which order selection scores
-its candidates from.
+its candidates from.  Its `push` checks each sample once; the calibration
+fits take the samples from it unchecked.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from math import isfinite
 from typing import Sequence
 
 from .errors import CalibrationError, SequencingError
-from .poly import _TIME_GAP_REL
-from .subsystem import MAX_ORDER
+from .poly import MAX_ORDER, TIME_GAP_REL
 
 #: ring-buffer capacity per output: highest order + 2 samples
 HISTORY_CAPACITY = MAX_ORDER + 2
@@ -72,13 +72,14 @@ class SampleHistory:
     extends the row by one sample, so order selection reads every
     candidate's prediction from it without fitting anything.
 
-    `push` is the only writer and checks each sample once, on arrival:
-    a time that does not advance is a SequencingError; a non-finite time
-    or value, or a time closer to its predecessor than the calibration
-    fits accept (poly._TIME_GAP_REL relative to max(1, |t|)), is a
-    CalibrationError, as CalibrationPoints raises it; a divided difference
-    that overflows is a ValueError, as an overflowing fit's Polynomial
-    raises it.  A refused sample leaves the history as it was.
+    `push` is the only writer and the one place an exchanged sample is
+    checked, once, on arrival; the calibration fits read the samples
+    without checking them again.  A time that does not advance is a
+    SequencingError; a non-finite time or value, or a time closer to its
+    predecessor than poly.TIME_GAP_REL relative to max(1, |t|), is a
+    CalibrationError; a divided difference that overflows is a ValueError,
+    as an overflowing fit's Polynomial raises it.  A refused sample leaves
+    the history as it was.
     """
 
     __slots__ = ("times", "values", "d1", "d2")
@@ -105,7 +106,7 @@ class SampleHistory:
         d1, d2 = self.d1, self.d2
         if n:
             t_n = times[-1]
-            if t - t_n < _TIME_GAP_REL * max(1.0, abs(t)):
+            if t - t_n < TIME_GAP_REL * max(1.0, abs(t)):
                 raise CalibrationError(
                     f"times must be strictly increasing and distinct "
                     f"(got {t_n!r} then {t!r})"

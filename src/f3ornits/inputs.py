@@ -29,7 +29,7 @@ from operator import attrgetter
 from typing import Sequence
 
 from .errors import SequencingError
-from .poly import Polynomial, fit_hermite, _fit_constrained
+from .poly import Polynomial, fit_constrained, fit_hermite
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def cap_degree(
     span = window_end - window_start
     times = tuple(window_start + span * i / (n - 1) for i in range(n))
     values = tuple(source(t) for t in times)
-    return _fit_constrained(times, values, max_degree, 0)
+    return fit_constrained(times, values, max_degree, 0)
 
 
 def smooth(

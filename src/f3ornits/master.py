@@ -43,7 +43,7 @@ from .coupling import CouplingGraph, SampleHistory
 from .errors import ConfigError
 from .inputs import InputPlan, SmoothingContext, build_plan, prune_published
 from .orders import CALIBRATION_MODES, estimate_output, select_order
-from .poly import Polynomial, shift_coeffs
+from .poly import MAX_ORDER, Polynomial, shift_coeffs
 from .stepper import (
     ERROR_NORMS,
     DampedBounds,
@@ -53,7 +53,6 @@ from .stepper import (
     update_damped_bounds,
 )
 from .subsystem import (
-    MAX_ORDER,
     Capabilities,
     SubsystemSpec,
     effective_max_degree,

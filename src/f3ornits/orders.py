@@ -20,9 +20,9 @@ divided-difference table (see SampleHistory): with tau = t_new - t_n,
 
 (Stoer & Bulirsch, 2.1-2.2).  A score needs only that one value, so it
 costs a multiply-add per order, not a fit whose coefficients are thrown
-away, a validation of samples `push` has already checked and a copy of the
-history.  The fits build the same polynomials, rounded differently, so
-only a choice between errors within roundoff of each other can differ.
+away and a copy of the history.  The fits build the same polynomials,
+rounded differently, so only a choice between errors within roundoff of
+each other can differ.
 Publishing needs coefficients in powers of t - t_n and still takes them
 from the fits: every trace holds those bits, and deriving them from the
 table would round differently and move traces.
@@ -33,12 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coupling import SampleHistory
-from .poly import (
-    CalibrationPoints,
-    Polynomial,
-    fit_constrained_least_squares,
-    fit_extrapolation,
-)
+from .poly import Polynomial, fit_constrained_least_squares, fit_extrapolation
 
 CALIBRATION_MODES = ("extrapolation", "cls")
 
@@ -95,15 +90,13 @@ def estimate_output(
 
     The history must already contain the newest sample.  Extrapolation mode
     interpolates the q+1 most recent samples; cls mode fits the q+2 most
-    recent, exact at the newest.  If the history is too short for cls (only
-    possible when callers drive this directly with a stale decision) it falls
-    back to extrapolation at the same order.
+    recent, exact at the newest.  A decision from `select_order` on the
+    history before that push leaves q+2 samples; a history too short for
+    the decided order is a SequencingError.
     """
     if mode not in CALIBRATION_MODES:
         raise ValueError(f"unknown calibration mode {mode!r}")
     q = decision.order
-    if mode == "cls" and len(history) >= q + 2:
-        times, values = history.newest(q + 2)
-        return fit_constrained_least_squares(CalibrationPoints(times, values))
-    times, values = history.newest(q + 1)
-    return fit_extrapolation(CalibrationPoints(times, values))
+    if mode == "cls":
+        return fit_constrained_least_squares(*history.newest(q + 2))
+    return fit_extrapolation(*history.newest(q + 1))

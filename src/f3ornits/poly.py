@@ -3,12 +3,17 @@
 All coupling quantities travel between subsystems as polynomials of degree at
 most three, expressed in a shifted local variable tau = t - t_ref so that the
 coefficients stay well conditioned even when the absolute simulation time is
-large.  Three calibrations are provided:
+large.  Three calibrations are provided, each sized to the orders the method
+publishes (0 to MAX_ORDER):
 
-* exact interpolation through all calibration points (used for extrapolation),
-* least squares constrained to be exact at one point (by default the most
-  recent one),
+* exact interpolation through 1 to MAX_ORDER + 1 points (extrapolation),
+* least squares of degree 0 to MAX_ORDER, constrained to be exact at one
+  point (the newest sample, or the window start when capping),
 * two-point cubic Hermite matching values and first derivatives.
+
+The fits read samples as `SampleHistory.push` checked them and solve their
+1x1 and 2x2 systems in straight-line code, by Gaussian elimination with
+partial pivoting in its order of operations; a larger fit is refused.
 """
 
 from __future__ import annotations
@@ -21,8 +26,11 @@ from .errors import CalibrationError
 #: hard cap on the degree of any exchanged polynomial
 MAX_DEGREE = 3
 
+#: highest polynomial order the method itself proposes (inputs and outputs)
+MAX_ORDER = 2
+
 #: two sample times closer than this (relative to max(1, |t|)) are degenerate
-_TIME_GAP_REL = 1e-12
+TIME_GAP_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -86,181 +94,112 @@ def shift_coeffs(coeffs: tuple[float, ...], d: float) -> tuple[float, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CalibrationPoints:
-    """Strictly increasing sample times with their values; last is the newest."""
-
-    times: tuple[float, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.times) == 0:
-            raise CalibrationError("no calibration points")
-        if len(self.times) != len(self.values):
-            raise CalibrationError(
-                f"{len(self.times)} times vs {len(self.values)} values"
-            )
-        if not all(isfinite(v) for v in self.times + self.values):
-            raise CalibrationError("calibration data must be finite")
-        for a, b in zip(self.times, self.times[1:]):
-            if b - a < _TIME_GAP_REL * max(1.0, abs(b)):
-                raise CalibrationError(
-                    f"times must be strictly increasing and distinct "
-                    f"(got {a!r} then {b!r})"
-                )
-
-    def __len__(self) -> int:
-        return len(self.times)
+def _solve1(a: float, b: float) -> float:
+    """x with a * x = b; a zero a is a singular calibration system."""
+    if a == 0.0:
+        raise CalibrationError("singular calibration system")
+    return b / a
 
 
-def _solve_dense(a: list[list[float]], b: list[float]) -> list[float]:
-    """Gaussian elimination with partial pivoting for tiny (<= 4x4) systems."""
-    n = len(b)
-    m = [row[:] + [rhs] for row, rhs in zip(a, b)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if abs(m[piv][col]) == 0.0:
-            raise CalibrationError("singular calibration system")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-        inv = 1.0 / m[col][col]
-        for r in range(col + 1, n):
-            fac = m[r][col] * inv
-            if fac != 0.0:
-                for c in range(col, n + 1):
-                    m[r][c] -= fac * m[col][c]
-    x = [0.0] * n
-    for r in range(n - 1, -1, -1):
-        acc = m[r][n]
-        for c in range(r + 1, n):
-            acc -= m[r][c] * x[c]
-        x[r] = acc / m[r][r]
-    return x
+def _solve2(
+    a00: float, a01: float, b0: float, a10: float, a11: float, b1: float
+) -> tuple[float, float]:
+    """(x0, x1) with [[a00, a01], [a10, a11]] x = [b0, b1], partially
+    pivoted: the rows swap only when |a10| > |a00|, and a zero factor
+    leaves the second row as it is."""
+    if abs(a10) > abs(a00):
+        a00, a01, b0, a10, a11, b1 = a10, a11, b1, a00, a01, b0
+    if a00 == 0.0:
+        raise CalibrationError("singular calibration system")
+    fac = a10 * (1.0 / a00)
+    if fac != 0.0:
+        a11 -= fac * a01
+        b1 -= fac * b0
+    x1 = _solve1(a11, b1)
+    return (b0 - a01 * x1) / a00, x1
 
 
-def fit_extrapolation(pts: CalibrationPoints) -> Polynomial:
-    """Unique polynomial of degree len(pts) - 1 through every point.
+def fit_extrapolation(
+    times: tuple[float, ...], values: tuple[float, ...]
+) -> Polynomial:
+    """Unique polynomial through 1 to MAX_ORDER + 1 samples, oldest first.
 
     The reference time is the newest sample, so the local variable is small.
     From two points on, the constant term is back-substituted through the
-    oldest row (v0 - a1*x1 - ...), so evaluation at the newest time returns
+    oldest row (v0 - a*x1 - ...), so evaluation at the newest time returns
     its value only to roundoff, not exactly: through (-1000004.0, 0.0,
     1.5e-12) with values (1, 2, 3) the constant term is 2.0.
 
-    The two- and three-point systems are solved by straight-line code that
-    performs `_solve_dense`'s floating-point operations on the Vandermonde
-    rows in its order, so the coefficients are the same bits.  Column 0 is
-    all ones: its pivot is row 0, its inverse and factors are 1.0; the
-    `1.0 *` products are kept, and the last division, by that pivot, is
-    exact and left out.  The newest row is [1, 0, 0] (tau = 0 there),
-    so its eliminated entries are `0.0 - ...`, not negations, which would
-    turn a zero into -0.0.
+    Column 0 of the Vandermonde rows is all ones: its pivot is row 0 and
+    its factors are 1.0, so the products by them and the last division,
+    by that pivot, are exact and left out.  The newest row is [1, 0, 0]
+    (tau = 0 there), so its eliminated entries are `0.0 - ...`, not
+    negations, which would turn a zero into -0.0.
     """
-    q = len(pts)
-    if q > MAX_DEGREE + 1:
-        raise CalibrationError(f"at most {MAX_DEGREE + 1} points, got {q}")
-    t_ref = pts.times[-1]
+    q = len(times)
+    if not 1 <= q <= MAX_ORDER + 1:
+        raise CalibrationError(
+            f"extrapolation takes 1..{MAX_ORDER + 1} points, got {q}"
+        )
+    t_ref = times[-1]
     if q == 1:
-        return Polynomial(t_ref, (pts.values[0],))
+        return Polynomial(t_ref, (values[0],))
+    a = times[0] - t_ref
     if q == 2:
-        v0, v1 = pts.values
-        a1 = 1.0 * (pts.times[0] - t_ref)
-        m11 = 0.0 - 1.0 * a1
-        if m11 == 0.0:
-            raise CalibrationError("singular calibration system")
-        x1 = (v1 - 1.0 * v0) / m11
-        return Polynomial(t_ref, (v0 - a1 * x1, x1))
-    if q == 3:
-        v0, v1, v2 = pts.values
-        a = pts.times[0] - t_ref
-        b = pts.times[1] - t_ref
-        a1 = 1.0 * a
-        a2 = a1 * a
-        b1 = 1.0 * b
-        b2 = b1 * b
-        # rows 1 and 2 after column 0; (p1, p2, pz) becomes the pivot row
-        p1, p2, pz = b1 - 1.0 * a1, b2 - 1.0 * a2, v1 - 1.0 * v0
-        s1, s2, sz = 0.0 - 1.0 * a1, 0.0 - 1.0 * a2, v2 - 1.0 * v0
-        # column-1 partial pivot; max() keeps the first row on a tie
-        if abs(s1) > abs(p1):
-            p1, p2, pz, s1, s2, sz = s1, s2, sz, p1, p2, pz
-        if p1 == 0.0:
-            raise CalibrationError("singular calibration system")
-        fac = s1 * (1.0 / p1)
-        if fac != 0.0:
-            s2 -= fac * p2
-            sz -= fac * pz
-        if s2 == 0.0:
-            raise CalibrationError("singular calibration system")
-        x2 = sz / s2
-        x1 = (pz - p2 * x2) / p1
-        return Polynomial(t_ref, (v0 - a1 * x1 - a2 * x2, x1, x2))
-    taus = [t - t_ref for t in pts.times]
-    rows = []
-    for tau in taus:
-        row, p = [], 1.0
-        for _ in range(q):
-            row.append(p)
-            p *= tau
-        rows.append(row)
-    coeffs = _solve_dense(rows, list(pts.values))
-    return Polynomial(t_ref, tuple(coeffs))
+        v0, v1 = values
+        x1 = _solve1(0.0 - a, v1 - v0)
+        return Polynomial(t_ref, (v0 - a * x1, x1))
+    v0, v1, v2 = values
+    b = times[1] - t_ref
+    # rows 1 and 2 after column 0 leave a 2x2 system in (x1, x2)
+    x1, x2 = _solve2(b - a, b * b - a * a, v1 - v0, 0.0 - a, 0.0 - a * a, v2 - v0)
+    return Polynomial(t_ref, (v0 - a * x1 - a * a * x2, x1, x2))
 
 
-def _fit_constrained(
+def fit_constrained(
     times: tuple[float, ...],
     values: tuple[float, ...],
     degree: int,
     constrain_index: int,
 ) -> Polynomial:
-    """Least-squares fit of given degree, exact at one designated point.
+    """Least-squares fit of degree 0..MAX_ORDER, exact at one designated point.
 
     With the reference time placed at the constrained sample the constraint
     reduces to pinning the constant coefficient; the remaining coefficients
     minimize the sum of squared residuals over all points via the normal
-    equations (tiny systems, solved directly).
+    equations, at most 2x2.  Each of their sums is taken left to right from
+    0.0: the builtin sum() compensates float rounding from Python 3.12 on,
+    which would move the fit's bits with the interpreter.
     """
+    if not 0 <= degree <= MAX_ORDER:
+        raise CalibrationError(
+            f"constrained fits take degree 0..{MAX_ORDER}, got {degree}"
+        )
     t_ref = times[constrain_index]
     a0 = values[constrain_index]
     if degree == 0:
         return Polynomial(t_ref, (a0,))
-    rows, rhs = [], []
+    # rows (tau, tau^2) against z - a0: s_k = sum tau^k, r_k = sum tau^k (z - a0)
+    s2 = s3 = s4 = r1 = r2 = 0.0
     for t, z in zip(times, values):
         tau = t - t_ref
-        row, p = [], tau
-        for _ in range(degree):
-            row.append(p)
-            p *= tau
-        rows.append(row)
-        rhs.append(z - a0)
-    # normal equations  (D^T D) a = D^T r, each sum taken left to right
-    # from 0.0: the builtin sum() compensates float rounding from Python
-    # 3.12 on, which would move the fit's bits with the interpreter
-    nte, ntr = [], []
-    for i in range(degree):
-        row = []
-        for j in range(degree):
-            acc = 0.0
-            for r in rows:
-                acc += r[i] * r[j]
-            row.append(acc)
-        nte.append(row)
-        acc = 0.0
-        for r, z in zip(rows, rhs):
-            acc += r[i] * z
-        ntr.append(acc)
-    coeffs = _solve_dense(nte, ntr)
-    return Polynomial(t_ref, (a0, *coeffs))
+        tau2 = tau * tau
+        z -= a0
+        s2 += tau * tau
+        s3 += tau * tau2
+        s4 += tau2 * tau2
+        r1 += tau * z
+        r2 += tau2 * z
+    if degree == 1:
+        return Polynomial(t_ref, (a0, _solve1(s2, r1)))
+    return Polynomial(t_ref, (a0, *_solve2(s2, s3, r1, s3, s4, r2)))
 
 
-def fit_constrained_least_squares(pts: CalibrationPoints) -> Polynomial:
-    """Degree len(pts) - 2 fit, exact at the newest point, least squares overall."""
-    q = len(pts)
-    if q < 2:
-        raise CalibrationError("constrained least squares needs >= 2 points")
-    if q - 2 > MAX_DEGREE:
-        raise CalibrationError(f"at most {MAX_DEGREE + 2} points, got {q}")
-    return _fit_constrained(pts.times, pts.values, q - 2, q - 1)
+def fit_constrained_least_squares(
+    times: tuple[float, ...], values: tuple[float, ...]
+) -> Polynomial:
+    """Degree len(times) - 2 fit, exact at the newest point, least squares overall."""
+    return fit_constrained(times, values, len(times) - 2, -1)
 
 
 def fit_hermite(
@@ -273,7 +212,7 @@ def fit_hermite(
 ) -> Polynomial:
     """Cubic matching value and first derivative at both window ends."""
     h = t1 - t0
-    if h < _TIME_GAP_REL * max(1.0, abs(t1)):
+    if h < TIME_GAP_REL * max(1.0, abs(t1)):
         raise CalibrationError(f"degenerate Hermite window [{t0!r}, {t1!r}]")
     # closed form about t_ref = t0
     a2 = (3.0 * (z1 - z0) - h * (2.0 * dz0 + dz1)) / (h * h)

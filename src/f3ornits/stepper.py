@@ -40,14 +40,18 @@ class Tolerances:
             value = getattr(self, f.name)
             if not math.isfinite(value):
                 raise ConfigError(f"key {f.name!r}: {value!r} is not finite")
-        if self.tol_rel < 0 or self.tol_abs < 0 or self.tol_rel + self.tol_abs == 0:
-            raise ConfigError("tolerances must be >= 0 and not both zero")
-        if not 0 < self.rho_min <= 1 <= self.rho_max:
-            raise ConfigError("need 0 < rho_min <= 1 <= rho_max")
-        if self.nu < 0:
-            raise ConfigError("nu must be >= 0")
-        if not 0 < self.dt_min <= self.dt_max:
-            raise ConfigError("need 0 < dt_min <= dt_max")
+        for key, ok, need in (
+            ("tol_rel", self.tol_rel >= 0, ">= 0"),
+            ("tol_abs", self.tol_abs >= 0, ">= 0"),
+            ("tol_abs", self.tol_rel + self.tol_abs > 0, "> 0 when tol_rel is 0"),
+            ("rho_min", 0 < self.rho_min <= 1, "in (0, 1]"),
+            ("rho_max", self.rho_max >= 1, ">= 1"),
+            ("nu", self.nu >= 0, ">= 0"),
+            ("dt_min", self.dt_min > 0, "> 0"),
+            ("dt_max", self.dt_max >= self.dt_min, f">= dt_min = {self.dt_min!r}"),
+        ):
+            if not ok:
+                raise ConfigError(f"key {key!r}: {getattr(self, key)!r} must be {need}")
 
 
 @dataclass(frozen=True)

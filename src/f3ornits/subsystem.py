@@ -32,10 +32,7 @@ from math import isfinite
 from typing import Callable, Sequence
 
 from .errors import ConfigError, ContractViolation, DivergenceError
-from .poly import MAX_DEGREE, Polynomial
-
-#: highest polynomial order the method itself proposes (inputs and outputs)
-MAX_ORDER = 2
+from .poly import MAX_DEGREE, MAX_ORDER, Polynomial
 
 #: micro-step rule: min(macro_step / MICRO_DIVISOR, spec.max_micro_step)
 MICRO_DIVISOR = 50.0

@@ -28,7 +28,6 @@ from f3ornits.models import CarParams, build_car, build_two_mass
 from f3ornits.orders import estimate_output, select_order
 from f3ornits.coupling import SampleHistory
 from f3ornits.poly import (
-    CalibrationPoints,
     Polynomial,
     fit_constrained_least_squares,
     fit_extrapolation,
@@ -70,16 +69,16 @@ def test_criterion_1_polynomial_exactness():
             times.append(times[-1] + rng.uniform(0.05, 1.0))
         probe = times[-1] + rng.uniform(0.1, 2.0)
 
-        pts = CalibrationPoints(
+        ex = fit_extrapolation(
             tuple(times[: d + 1]), tuple(truth(t) for t in times[: d + 1])
         )
-        if not _close(fit_extrapolation(pts)(probe), truth(probe)):
+        if not _close(ex(probe), truth(probe)):
             failures.append(f"trial {trial}: extrapolation misses degree {d}")
 
-        pts2 = CalibrationPoints(
+        cls = fit_constrained_least_squares(
             tuple(times[: d + 2]), tuple(truth(t) for t in times[: d + 2])
         )
-        if not _close(fit_constrained_least_squares(pts2)(probe), truth(probe)):
+        if not _close(cls(probe), truth(probe)):
             failures.append(f"trial {trial}: cls misses degree {d}")
 
         history = SampleHistory()
@@ -124,8 +123,8 @@ def test_criterion_2_error_order_scaling():
             errs = []
             for a in anchors:
                 times = tuple(a - (p - i) * dt for i in range(p + 1))
-                pts = CalibrationPoints(times, tuple(math.sin(t) for t in times))
-                pred = fit_extrapolation(pts)(a + dt)
+                fit = fit_extrapolation(times, tuple(math.sin(t) for t in times))
+                pred = fit(a + dt)
                 errs.append(abs(pred - math.sin(a + dt)))
             mean_errs.append(sum(errs) / len(errs))
         # least-squares slope of log(err) against log(dt)

@@ -402,6 +402,14 @@ def test_cli_rejects_non_positive_parameters(capsys):
     (["run", "--model", "two_mass", "--method", "jacobi", "--dt", "1e-7"],
      "'dt'"),
     (["compare", "--model", "two_mass", "--jacobi-dts", "1e-7"], "'dt'"),
+    (["run", "--model", "two_mass", "--tol-rel", "-1"], "'tol_rel'"),
+    (["run", "--model", "two_mass", "--rho-min", "2"], "'rho_min'"),
+    (["run", "--model", "two_mass", "--nu", "-1"], "'nu'"),
+    (["run", "--model", "two_mass", "--dt-min", "1", "--dt-max", "0.5"],
+     "'dt_max'"),
+    # dt_min derives from dt0; dt_max from the appended --t-end 2
+    (["run", "--model", "two_mass", "--dt0", "50"], "'dt0'"),
+    (["run", "--model", "two_mass", "--dt-min", "0.5"], "'t_end'"),
 ], ids=[
     "x1_0-nan", "x1_0-inf", "t_switch-nan", "seed-nan", "seed-inf",
     "preset_force", "caps-nan", "caps-degree-negative", "caps-step-zero",
@@ -409,6 +417,8 @@ def test_cli_rejects_non_positive_parameters(capsys):
     "micro_step-over-budget", "record_dt-inf", "record_dt-odd-stride",
     "tau_diff-over-budget",
     "jacobi_dts-nan", "jacobi-dt-over-budget", "jacobi_dts-over-budget",
+    "tol_rel-negative", "rho_min-over-1", "nu-negative", "dt_max-below-dt_min",
+    "dt0-over-derived-dt_max", "dt_min-over-t_end-derived-dt_max",
 ])
 def test_cli_rejects_meaningless_inputs(argv, key, tmp_path, capsys):
     # each of these used to end in a raw traceback or in a run without

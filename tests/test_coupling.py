@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from f3ornits.coupling import HISTORY_CAPACITY, CouplingGraph, SampleHistory
 from f3ornits.errors import CalibrationError, SequencingError
-from f3ornits.poly import CalibrationPoints, fit_extrapolation
+from f3ornits.poly import fit_extrapolation, fit_hermite
 
 
 # --------------------------------------------------------------------- graph
@@ -128,10 +128,9 @@ def test_history_keeps_the_newest_divided_differences():
     (math.nan, 1.0), (math.inf, 1.0),
 ])
 def test_push_refuses_non_finite_samples_as_the_fits_do(t, v):
+    # push is the one check: the fits read its samples unchecked
     h = history_of((0.0, 1.0), (1.0, 2.0))
-    with pytest.raises(CalibrationError):
-        CalibrationPoints((1.0, t), (2.0, v))
-    with pytest.raises(CalibrationError):
+    with pytest.raises(CalibrationError, match="finite"):
         h.push(t, v)
     # a refused sample leaves the history as it was
     assert h.newest(2) == ((0.0, 1.0), (1.0, 2.0)) and h.d1 == 1.0
@@ -139,16 +138,18 @@ def test_push_refuses_non_finite_samples_as_the_fits_do(t, v):
 
 @pytest.mark.parametrize("t_prev", [0.0, 0.5, -3.0, 1e6, -1e6])
 def test_push_refuses_a_sub_floor_gap_as_the_fits_do(t_prev):
-    # gaps below 1e-12 relative to max(1, |t|) are degenerate; the floor
-    # itself times 1.5 still passes
+    # gaps below TIME_GAP_REL = 1e-12 relative to max(1, |t|) are
+    # degenerate, for push as for a Hermite window; the floor itself times
+    # 1.5 still passes
     floor = 1e-12 * max(1.0, abs(t_prev))
     close, clear = t_prev + 0.5 * floor, t_prev + 1.5 * floor
     assert t_prev < close < clear
-    with pytest.raises(CalibrationError):
-        CalibrationPoints((t_prev, close), (0.0, 1.0))
-    with pytest.raises(CalibrationError):
+    with pytest.raises(CalibrationError, match="distinct"):
         history_of((t_prev, 0.0)).push(close, 1.0)
+    with pytest.raises(CalibrationError):
+        fit_hermite(t_prev, close, 0.0, 1.0, 0.0, 0.0)
     history_of((t_prev, 0.0)).push(clear, 1.0)
+    fit_hermite(t_prev, clear, 0.0, 1.0, 0.0, 0.0)
 
 
 def test_push_still_refuses_time_that_does_not_advance():
@@ -170,7 +171,7 @@ def test_an_overflowing_table_raises_as_the_overflowing_fit(samples):
     # refuse with the same type instead of scoring inf or nan
     times, values = zip(*samples)
     with pytest.raises(ValueError) as fit_error:
-        fit_extrapolation(CalibrationPoints(times, values))
+        fit_extrapolation(times, values)
     h = history_of(*samples[:-1])
     with pytest.raises(ValueError) as push_error:
         h.push(*samples[-1])

@@ -5,14 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f3ornits.coupling import SampleHistory
-from f3ornits.errors import CalibrationError
+from f3ornits.errors import CalibrationError, SequencingError
 from f3ornits.orders import estimate_output, select_order
-from f3ornits.poly import (
-    CalibrationPoints,
-    Polynomial,
-    fit_constrained_least_squares,
-    fit_extrapolation,
-)
+from f3ornits.poly import fit_constrained_least_squares, fit_extrapolation
 
 
 def history_of(*samples):
@@ -112,7 +107,7 @@ def _fit_score_and_bound(history, q, t_new, y_new):
     factor 64 is a margin over the elimination's constants.
     """
     times, values = history.newest(q + 1)
-    p = fit_extrapolation(CalibrationPoints(times, values))
+    p = fit_extrapolation(times, values)
     lebesgue = sum(
         abs(math.prod((t_new - tj) / (ti - tj) for tj in times if tj != ti))
         for ti in times
@@ -191,10 +186,8 @@ def test_estimate_mode_and_order_recorded():
     est_ex = estimate_output(h, d, "extrapolation")
     est_cls = estimate_output(h, d, "cls")
     # each mode is its own fit over its own number of newest samples
-    assert est_ex == fit_extrapolation(CalibrationPoints(*h.newest(d.order + 1)))
-    assert est_cls == fit_constrained_least_squares(
-        CalibrationPoints(*h.newest(d.order + 2))
-    )
+    assert est_ex == fit_extrapolation(*h.newest(d.order + 1))
+    assert est_cls == fit_constrained_least_squares(*h.newest(d.order + 2))
     # the published degree is the decided order
     assert est_ex.degree == est_cls.degree == d.order
     # both estimates are exact at the newest exchanged sample
@@ -214,10 +207,12 @@ def test_cls_estimate_uses_one_more_point():
 
 
 def test_cls_falls_back_when_history_too_short():
+    # cls does not fall back: a decision from select_order before the push
+    # leaves q + 2 samples, so a history too short means that push is missing
     h = history_of((0.0, 3.0))
     d = select_order(h, 0.5, 3.5, force=0)
-    est = estimate_output(h, d, "cls")  # needs 2 points, has 1
-    assert est == Polynomial(0.0, (3.0,))  # extrapolation through one point
+    with pytest.raises(SequencingError):
+        estimate_output(h, d, "cls")  # needs 2 points, has 1
 
 
 def test_estimate_rejects_unknown_mode():

@@ -5,15 +5,42 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from f3ornits.coupling import SampleHistory
 from f3ornits.errors import CalibrationError
 from f3ornits.poly import (
-    CalibrationPoints,
     Polynomial,
-    _solve_dense,
+    fit_constrained,
     fit_constrained_least_squares,
     fit_extrapolation,
     fit_hermite,
 )
+
+
+def _solve_dense(a: list[list[float]], b: list[float]) -> list[float]:
+    """Gaussian elimination with partial pivoting: the general solve whose
+    operations the fits' straight-line 1x1 and 2x2 solves perform, in its
+    order, and the reference they are compared against bit for bit."""
+    n = len(b)
+    m = [row[:] + [rhs] for row, rhs in zip(a, b)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
+        if abs(m[piv][col]) == 0.0:
+            raise CalibrationError("singular calibration system")
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+        inv = 1.0 / m[col][col]
+        for r in range(col + 1, n):
+            fac = m[r][col] * inv
+            if fac != 0.0:
+                for c in range(col, n + 1):
+                    m[r][c] -= fac * m[col][c]
+    x = [0.0] * n
+    for r in range(n - 1, -1, -1):
+        acc = m[r][n]
+        for c in range(r + 1, n):
+            acc -= m[r][c] * x[c]
+        x[r] = acc / m[r][r]
+    return x
 
 
 def cls_oracle(times, values, degree, constrain_index):
@@ -83,45 +110,22 @@ def test_shifted_is_same_polynomial(coeffs, old_ref, new_ref, t):
     assert abs(p(t) - q(t)) <= 1e-9 * scale
 
 
-# ---------------------------------------------------- calibration validation
-
-def test_points_must_increase():
-    with pytest.raises(CalibrationError):
-        CalibrationPoints((0.0, 0.0), (1.0, 2.0))
-    with pytest.raises(CalibrationError):
-        CalibrationPoints((1.0, 0.5), (1.0, 2.0))
-
-
-def test_points_near_duplicate_rejected():
-    # gap below the relative threshold counts as duplicate
-    with pytest.raises(CalibrationError):
-        CalibrationPoints((1e6, 1e6 + 1e-9), (0.0, 1.0))
-    # a clearly separated pair at the same magnitude is fine
-    CalibrationPoints((1e6, 1e6 + 1e-3), (0.0, 1.0))
-
-
-def test_points_length_mismatch():
-    with pytest.raises(CalibrationError):
-        CalibrationPoints((0.0, 1.0), (1.0,))
-
-
 # ------------------------------------------------------------- extrapolation
 
 def test_exact_single_point():
-    p = fit_extrapolation(CalibrationPoints((2.0,), (7.0,)))
+    p = fit_extrapolation((2.0,), (7.0,))
     assert p.degree == 0 and p(123.0) == 7.0
 
 
 def test_exact_line():
-    p = fit_extrapolation(CalibrationPoints((0.0, 1.0), (1.0, 3.0)))
+    p = fit_extrapolation((0.0, 1.0), (1.0, 3.0))
     assert p.degree == 1
     assert math.isclose(p(2.0), 5.0, rel_tol=1e-13)
     assert p(1.0) == 3.0  # newest point is reproduced exactly (t_ref there)
 
 
 def test_exact_quadratic_through_squares():
-    pts = CalibrationPoints((0.0, 1.0, 2.0), (0.0, 1.0, 4.0))
-    p = fit_extrapolation(pts)
+    p = fit_extrapolation((0.0, 1.0, 2.0), (0.0, 1.0, 4.0))
     assert p.degree == 2
     for t in (-1.0, 0.5, 3.0):
         assert math.isclose(p(t), t * t, rel_tol=0, abs_tol=1e-12)
@@ -130,7 +134,7 @@ def test_exact_quadratic_through_squares():
 @settings(max_examples=200)
 @given(
     times=st.lists(
-        st.floats(-50, 50), min_size=1, max_size=4, unique_by=lambda t: round(t, 3)
+        st.floats(-50, 50), min_size=1, max_size=3, unique_by=lambda t: round(t, 3)
     ),
     data=st.data(),
 )
@@ -139,8 +143,7 @@ def test_interpolation_reproduces_all_points(times, data):
     values = tuple(
         data.draw(st.floats(-100, 100)) for _ in times
     )
-    pts = CalibrationPoints(times, values)
-    p = fit_extrapolation(pts)
+    p = fit_extrapolation(times, values)
     span = max(1.0, max(abs(v) for v in values))
     for t, v in zip(times, values):
         assert abs(p(t) - v) <= 1e-8 * span
@@ -180,10 +183,9 @@ def test_small_fits_are_the_dense_solve_bit_for_bit(t0, rel_gaps, values, q):
     times = [t0]
     for g in rel_gaps[: q - 1]:
         times.append(times[-1] + g * max(1.0, abs(times[-1])))
-    pts = CalibrationPoints(tuple(times), tuple(values[:q]))
-    p = fit_extrapolation(pts)
+    p = fit_extrapolation(tuple(times), tuple(values[:q]))
     assert p.t_ref == times[-1]
-    expected = _fit_by_dense_solve(pts.times, pts.values)
+    expected = _fit_by_dense_solve(times, values[:q])
     assert list(p.coeffs) == expected
     assert [c.hex() for c in p.coeffs] == [c.hex() for c in expected]
 
@@ -197,8 +199,8 @@ def test_small_fits_are_the_dense_solve_bit_for_bit(t0, rel_gaps, values, q):
     reason="c0 is back-substituted through the oldest row; ROADMAP item 1 step 3",
 )
 def test_extrapolation_passes_through_its_newest_sample():
-    pts = CalibrationPoints((-1000004.0, 0.0, 1.5e-12), (1.0, 2.0, 3.0))
-    assert fit_extrapolation(pts).coeffs[0] == 3.0     # today it is 2.0
+    times, values = (-1000004.0, 0.0, 1.5e-12), (1.0, 2.0, 3.0)
+    assert fit_extrapolation(times, values).coeffs[0] == 3.0  # today it is 2.0
 
 
 @pytest.mark.xfail(
@@ -206,17 +208,22 @@ def test_extrapolation_passes_through_its_newest_sample():
     reason="zero pivot on gaps the check accepts; ROADMAP item 1 step 3",
 )
 def test_extrapolation_solves_every_gap_the_check_accepts():
-    pts = CalibrationPoints((-1e6, 0.0, 1e-11), (1.0, 1.0, 1.0))
-    assert fit_extrapolation(pts).coeffs[0] == 1.0
+    times, values = (-1e6, 0.0, 1e-11), (1.0, 1.0, 1.0)
+    history = SampleHistory()
+    try:
+        for t, v in zip(times, values):
+            history.push(t, v)
+    except CalibrationError as exc:  # must not pass as the expected failure
+        pytest.fail(f"the gap check refuses these times: {exc}")
+    assert fit_extrapolation(times, values).coeffs[0] == 1.0
 
 
 def test_extrapolation_conditioning_large_absolute_time():
     # one-hundredth of a second of data sitting at t ~ 1e6 s
     t0 = 1.0e6
-    times = (t0, t0 + 0.004, t0 + 0.007, t0 + 0.01)
+    times = (t0, t0 + 0.004, t0 + 0.01)
     f = lambda t: 2.0 + 3.0 * (t - t0) - 40.0 * (t - t0) ** 2
-    pts = CalibrationPoints(times, tuple(f(t) for t in times))
-    p = fit_extrapolation(pts)
+    p = fit_extrapolation(times, tuple(f(t) for t in times))
     for t in (t0 + 0.002, t0 + 0.012):
         assert abs(p(t) - f(t)) <= 1e-9
 
@@ -224,18 +231,14 @@ def test_extrapolation_conditioning_large_absolute_time():
 # -------------------------------------------------- constrained least squares
 
 def test_cls_two_points_is_constant_at_newest():
-    p = fit_constrained_least_squares(
-        CalibrationPoints((0.0, 1.0), (3.0, 9.0))
-    )
+    p = fit_constrained_least_squares((0.0, 1.0), (3.0, 9.0))
     assert p.degree == 0 and p(0.0) == 9.0 and p(55.0) == 9.0
 
 
 def test_cls_line_frozen_example():
     # three points (0,0), (1,0), (2,6): the constrained line is 6 + 3.6 (t-2)
     # (derived by minimizing (2a-6)^2 + (a-6)^2 over the slope a)
-    p = fit_constrained_least_squares(
-        CalibrationPoints((0.0, 1.0, 2.0), (0.0, 0.0, 6.0))
-    )
+    p = fit_constrained_least_squares((0.0, 1.0, 2.0), (0.0, 0.0, 6.0))
     assert p.degree == 1
     assert math.isclose(p(2.0), 6.0, abs_tol=1e-12)
     assert math.isclose(p.coeffs[1], 3.6, rel_tol=1e-12)
@@ -247,9 +250,7 @@ def test_cls_exact_when_data_is_polynomial():
     # quadratic data, four points -> degree-2 constrained fit recovers it
     f = lambda t: 1.0 - 2.0 * t + 0.5 * t * t
     times = (0.0, 0.5, 1.5, 2.0)
-    p = fit_constrained_least_squares(
-        CalibrationPoints(times, tuple(f(t) for t in times))
-    )
+    p = fit_constrained_least_squares(times, tuple(f(t) for t in times))
     for t in (-1.0, 0.7, 3.0):
         assert math.isclose(p(t), f(t), rel_tol=0, abs_tol=1e-10)
 
@@ -257,15 +258,14 @@ def test_cls_exact_when_data_is_polynomial():
 @settings(max_examples=200)
 @given(
     times=st.lists(
-        st.floats(-20, 20), min_size=2, max_size=5, unique_by=lambda t: round(t, 2)
+        st.floats(-20, 20), min_size=2, max_size=4, unique_by=lambda t: round(t, 2)
     ),
     data=st.data(),
 )
 def test_cls_matches_kkt_oracle(times, data):
     times = tuple(sorted(round(t, 2) for t in times))
     values = tuple(data.draw(st.floats(-50, 50)) for _ in times)
-    pts = CalibrationPoints(times, values)
-    p = fit_constrained_least_squares(pts)
+    p = fit_constrained_least_squares(times, values)
     t_ref, coeffs = cls_oracle(times, values, len(times) - 2, len(times) - 1)
     assert p.t_ref == t_ref
     scale = 1.0 + max(abs(v) for v in values)
@@ -280,11 +280,12 @@ def _left_to_right(terms):
     return acc
 
 
-def cls_reference(times, values, total=_left_to_right):
-    """The constrained fit with every normal-equation sum taken by total:
-    by default left to right from 0.0, as Python 3.11's sum() does and
-    3.12's, which compensates rounding, does not."""
-    degree, t_ref, a0 = len(times) - 2, times[-1], values[-1]
+def cls_reference(times, values, index=-1, total=_left_to_right):
+    """The constrained fit exact at times[index], by the general pivoted
+    solve, with every normal-equation sum taken by total: by default left
+    to right from 0.0, as Python 3.11's sum() does and 3.12's, which
+    compensates rounding, does not."""
+    degree, t_ref, a0 = len(times) - 2, times[index], values[index]
     rows, rhs = [], []
     for t, z in zip(times, values):
         tau = t - t_ref
@@ -304,28 +305,48 @@ def hexes(values):
     return [v.hex() for v in values]
 
 
+def _bits_or_error(solve):
+    try:
+        return hexes(solve())
+    except CalibrationError as exc:
+        return type(exc)
+
+
 # compensated summation (3.12's sum(), math.fsum) rounds this example's
 # normal equations differently from a left-to-right sum
 _PINNED_CLS = ((0.0, 0.5, 1.0, 1.5), (0.25, 0.48, 0.59, 0.88))
+# |sum tau^3| > |sum tau^2| about the newest sample: the 2x2 rows swap
+_ROW_SWAP_CLS = ((0.0, 1.0, 5.0, 10.0), (1.0, -2.0, 0.5, 3.0))
+# every tau^2 underflows to 0.0: a singular system at either index
+_SINGULAR_CLS = ((0.0, 1e-200, 2e-200), (0.0, 1.0, 2.0))
 
 
 @settings(max_examples=200)
 @given(
     times=st.lists(
-        st.floats(-20, 20), min_size=2, max_size=5, unique_by=lambda t: round(t, 2)
+        st.floats(-20, 20), min_size=2, max_size=4, unique_by=lambda t: round(t, 2)
     ),
     data=st.data(),
 )
-@example(times=list(_PINNED_CLS[0]), data=None)
+@example(times=_PINNED_CLS[0], data=_PINNED_CLS[1])
+@example(times=_ROW_SWAP_CLS[0], data=_ROW_SWAP_CLS[1])
+@example(times=_SINGULAR_CLS[0], data=_SINGULAR_CLS[1])
 def test_cls_sums_left_to_right_on_every_interpreter(times, data):
-    # the fit's bits must not depend on how the interpreter's sum() rounds
-    times = tuple(sorted(round(t, 2) for t in times))
-    if data is None:
-        values = _PINNED_CLS[1]
+    # the fit's bits must not depend on how the interpreter's sum() rounds,
+    # pinned at the newest sample (cls) and at the window start (capping);
+    # a system the general solve finds singular must be refused alike
+    if isinstance(data, tuple):
+        values = data  # an example, taken as given
     else:
+        times = tuple(sorted(round(t, 2) for t in times))
         values = tuple(data.draw(st.floats(-50, 50)) for _ in times)
-    p = fit_constrained_least_squares(CalibrationPoints(times, values))
-    assert hexes(p.coeffs) == hexes(cls_reference(times, values))
+    degree = len(times) - 2
+    assert _bits_or_error(
+        lambda: fit_constrained_least_squares(times, values).coeffs
+    ) == _bits_or_error(lambda: cls_reference(times, values))
+    assert _bits_or_error(
+        lambda: fit_constrained(times, values, degree, 0).coeffs
+    ) == _bits_or_error(lambda: cls_reference(times, values, 0))
 
 
 def test_pinned_cls_example_tells_the_summation_orders_apart():
@@ -336,11 +357,20 @@ def test_pinned_cls_example_tells_the_summation_orders_apart():
     )
 
 
+def test_cls_examples_take_the_row_swap_and_the_singular_branch():
+    times = _ROW_SWAP_CLS[0]
+    taus = [t - times[-1] for t in times]
+    assert abs(sum(t ** 3 for t in taus)) > sum(t * t for t in taus)
+    for index in (0, -1):
+        with pytest.raises(CalibrationError, match="singular"):
+            cls_reference(*_SINGULAR_CLS, index)
+
+
 def test_cls_grid_search_optimality():
     # dense sweep over all lines through the newest point cannot beat the fit
     times = (0.0, 1.0, 2.0)
     values = (0.0, 0.0, 6.0)
-    p = fit_constrained_least_squares(CalibrationPoints(times, values))
+    p = fit_constrained_least_squares(times, values)
 
     def sse(slope):
         return sum((6.0 + slope * (t - 2.0) - v) ** 2 for t, v in zip(times, values))
@@ -351,7 +381,19 @@ def test_cls_grid_search_optimality():
 
 def test_cls_needs_two_points():
     with pytest.raises(CalibrationError):
-        fit_constrained_least_squares(CalibrationPoints((0.0,), (1.0,)))
+        fit_constrained_least_squares((0.0,), (1.0,))
+
+
+def test_fits_refuse_sizes_beyond_max_order():
+    # MAX_ORDER = 2: extrapolation through at most 3 points, constrained
+    # fits of degree at most 2 (cls through at most 4 points)
+    times, values = (0.0, 1.0, 2.0, 3.0, 4.0), (1.0, 2.0, 0.0, 1.0, 3.0)
+    with pytest.raises(CalibrationError):
+        fit_extrapolation(times[:4], values[:4])
+    with pytest.raises(CalibrationError):
+        fit_constrained_least_squares(times, values)
+    with pytest.raises(CalibrationError):
+        fit_constrained(times, values, 3, 0)
 
 
 # ------------------------------------------------------------------- Hermite
