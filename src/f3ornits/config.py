@@ -24,7 +24,7 @@ import typing
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
-from .master import MasterOptions
+from .master import MasterOptions, check_event_budget
 from .models import BenchmarkModel, build_model
 from .stepper import Tolerances
 
@@ -238,7 +238,6 @@ def materialize(cfg: RunConfig) -> RunSetup:
             raise ConfigError(
                 f"caps.* names unknown subsystem(s): {', '.join(stray)}"
             )
-        budget = MasterOptions.max_events
         capabilities = []
         for label, caps in zip(labels, problem.capabilities):
             for name, value in cfg.caps_overrides.get(label, {}).items():
@@ -251,11 +250,8 @@ def materialize(cfg: RunConfig) -> RunSetup:
                     caps = replace(caps, **{name: value})
                 except ConfigError as exc:
                     raise ConfigError(f"key {key!r}: {exc}") from None
-                if name == "imposed_step" and (t_end - t_init) / value > budget:
-                    raise ConfigError(
-                        f"key {key!r}: {value!r} needs more than {budget} "
-                        f"events to reach t_end = {t_end!r}"
-                    )
+                if name == "imposed_step":
+                    check_event_budget(f"key {key!r}", value, "events", t_init, t_end)
             capabilities.append(caps)
         problem = replace(problem, capabilities=tuple(capabilities))
     model = replace(model, problem=problem)

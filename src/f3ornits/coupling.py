@@ -70,7 +70,9 @@ class SampleHistory:
     `d1` = f[t_n, t_n-1] once two samples are held and `d2` =
     f[t_n, t_n-1, t_n-2] once three are, with y_n = values[-1].  Each push
     extends the row by one sample, so order selection reads every
-    candidate's prediction from it without fitting anything.
+    candidate's prediction from it without fitting anything, and
+    poly.fit_extrapolation publishes that row's polynomial, computed in the
+    same order of operations.
 
     `push` is the only writer and the one place an exchanged sample is
     checked, once, on arrival; the calibration fits read the samples

@@ -79,19 +79,20 @@ class CosimProblem:
         errs = self.graph.validate([(s.n_in, s.n_out) for s in self.subsystems])
         if errs:
             raise ConfigError("coupling graph invalid: " + "; ".join(errs))
-        if not self.t_end > self.t_init:
-            raise ConfigError("t_end must exceed t_init")
+        t_init, t_end = self.t_init, self.t_end
+        if not (math.isfinite(t_init) and math.isfinite(t_end) and t_end > t_init):
+            raise ConfigError(
+                f"t_init and t_end must be finite and t_end must exceed "
+                f"t_init, got {t_init!r} and {t_end!r}"
+            )
         for d in self.dt0:
             if not (math.isfinite(d) and d > 0):
                 raise ConfigError(f"dt0 must be finite and positive, got {d!r}")
-        budget = MasterOptions.max_events
         for s in self.subsystems:
-            bound = s.max_micro_step
-            if bound is not None and (self.t_end - self.t_init) / bound > budget:
-                raise ConfigError(
-                    f"{s.label}: its parameters bound the micro step to "
-                    f"{bound!r}, which needs more than {budget} micro steps "
-                    f"to reach t_end = {self.t_end!r}"
+            if s.max_micro_step is not None:
+                check_event_budget(
+                    f"{s.label}'s micro-step bound", s.max_micro_step,
+                    "micro steps", t_init, t_end,
                 )
 
 
@@ -122,6 +123,20 @@ class MasterOptions:
         q = self.force_order
         if q is not None and not 0 <= q <= MAX_ORDER:
             raise ConfigError(f"key 'force_order': {q!r} not in 0..{MAX_ORDER}")
+
+
+def check_event_budget(
+    what: str, step: float, noun: str, t_init: float, t_end: float
+) -> None:
+    """The one event-budget rule: covering [t_init, t_end] in pieces of
+    `step` may take at most MasterOptions.max_events of them.  Over it is a
+    ConfigError that opens with `what` and counts the pieces as `noun`."""
+    budget = MasterOptions.max_events
+    if (t_end - t_init) / step > budget:
+        raise ConfigError(
+            f"{what}: {step!r} needs more than {budget} {noun} to reach "
+            f"t_end = {t_end!r}"
+        )
 
 
 # --------------------------------------------------------------- scheduling
@@ -456,12 +471,7 @@ def run_jacobi(problem: CosimProblem, dt: float) -> RunTrace:
     problem.validate()
     if not (math.isfinite(dt) and dt > 0):
         raise ConfigError(f"jacobi step must be finite and positive, got {dt!r}")
-    budget = MasterOptions.max_events
-    if (problem.t_end - problem.t_init) / dt > budget:
-        raise ConfigError(
-            f"key 'dt': {dt!r} needs more than {budget} windows to reach "
-            f"t_end = {problem.t_end!r}"
-        )
+    check_event_budget("key 'dt'", dt, "windows", problem.t_init, problem.t_end)
     t_start_wall = time.perf_counter()
     t0, t_end = problem.t_init, problem.t_end
     graph = problem.graph

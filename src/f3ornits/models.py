@@ -71,7 +71,7 @@ from typing import Callable, Sequence
 
 from .coupling import CouplingGraph
 from .errors import ConfigError, DivergenceError
-from .master import CosimProblem, MasterOptions
+from .master import CosimProblem, check_event_budget
 from .subsystem import (
     Capabilities,
     Derivatives,
@@ -606,18 +606,13 @@ def _walk(
     float objects."""
     t0 = model.problem.t_init
     t_end = model.problem.t_end
+    check_event_budget("key 'micro_step'", h, "steps", t0, t_end)
     n_steps = round((t_end - t0) / h)
     on_grid = abs(t0 + n_steps * h - t_end) <= 1e-9 * max(1.0, abs(t_end))
     if not on_grid:
         # the last step is shortened to end on t_end
         n_steps = math.ceil((t_end - t0) / h)
     t_stop = t0 + n_steps * h if on_grid else t_end
-    budget = MasterOptions.max_events
-    if n_steps > budget:
-        raise ConfigError(
-            f"key 'micro_step': {h!r} needs more than {budget} "
-            f"steps to reach t_end = {t_end!r}"
-        )
     stride = round(record_dt / h)
     if stride < 2 or stride % 2 or abs(stride * h - record_dt) > 1e-12:
         raise ConfigError(

@@ -20,12 +20,8 @@ divided-difference table (see SampleHistory): with tau = t_new - t_n,
 
 (Stoer & Bulirsch, 2.1-2.2).  A score needs only that one value, so it
 costs a multiply-add per order, not a fit whose coefficients are thrown
-away and a copy of the history.  The fits build the same polynomials,
-rounded differently, so only a choice between errors within roundoff of
-each other can differ.
-Publishing needs coefficients in powers of t - t_n and still takes them
-from the fits: every trace holds those bits, and deriving them from the
-table would round differently and move traces.
+away and a copy of the history.  Publishing in extrapolation mode reads
+the same row, re-expressed in powers of t - t_n (see poly.fit_extrapolation).
 """
 
 from __future__ import annotations

@@ -6,14 +6,16 @@ coefficients stay well conditioned even when the absolute simulation time is
 large.  Three calibrations are provided, each sized to the orders the method
 publishes (0 to MAX_ORDER):
 
-* exact interpolation through 1 to MAX_ORDER + 1 points (extrapolation),
+* the interpolant through 1 to MAX_ORDER + 1 points (extrapolation), from
+  the newest row of their Newton divided-difference table,
 * least squares of degree 0 to MAX_ORDER, constrained to be exact at one
   point (the newest sample, or the window start when capping),
 * two-point cubic Hermite matching values and first derivatives.
 
-The fits read samples as `SampleHistory.push` checked them and solve their
-1x1 and 2x2 systems in straight-line code, by Gaussian elimination with
-partial pivoting in its order of operations; a larger fit is refused.
+The fits read samples as `SampleHistory.push` checked them.  The
+constrained fits solve their 1x1 and 2x2 normal equations in straight-line
+code, by Gaussian elimination with partial pivoting in its order of
+operations; a larger fit is refused.
 """
 
 from __future__ import annotations
@@ -124,36 +126,32 @@ def fit_extrapolation(
 ) -> Polynomial:
     """Unique polynomial through 1 to MAX_ORDER + 1 samples, oldest first.
 
-    The reference time is the newest sample, so the local variable is small.
-    From two points on, the constant term is back-substituted through the
-    oldest row (v0 - a*x1 - ...), so evaluation at the newest time returns
-    its value only to roundoff, not exactly: through (-1000004.0, 0.0,
-    1.5e-12) with values (1, 2, 3) the constant term is 2.0.
+    It is the Newton form on the newest row of the samples' divided-difference
+    table, d1 = f[t_n, t_n-1] and d2 = f[t_n, t_n-1, t_n-2], each computed
+    as `SampleHistory.push` computes it, so publishing and order selection
+    read the same bits.  About the newest sample, with tau = t - t_n and
+    h = t_n - t_n-1,
 
-    Column 0 of the Vandermonde rows is all ones: its pivot is row 0 and
-    its factors are 1.0, so the products by them and the last division,
-    by that pivot, are exact and left out.  The newest row is [1, 0, 0]
-    (tau = 0 there), so its eliminated entries are `0.0 - ...`, not
-    negations, which would turn a zero into -0.0.
+        p = y_n + d1 * tau + d2 * tau * (tau + h)
+          = y_n + (d1 + d2 * h) * tau + d2 * tau**2,
+
+    so p(t_n) is y_n exactly, and every gap that `push` accepts is a
+    nonzero divisor.
     """
     q = len(times)
     if not 1 <= q <= MAX_ORDER + 1:
         raise CalibrationError(
             f"extrapolation takes 1..{MAX_ORDER + 1} points, got {q}"
         )
-    t_ref = times[-1]
+    t_n, y_n = times[-1], values[-1]
     if q == 1:
-        return Polynomial(t_ref, (values[0],))
-    a = times[0] - t_ref
+        return Polynomial(t_n, (y_n,))
+    h = t_n - times[-2]
+    d1 = (y_n - values[-2]) / h
     if q == 2:
-        v0, v1 = values
-        x1 = _solve1(0.0 - a, v1 - v0)
-        return Polynomial(t_ref, (v0 - a * x1, x1))
-    v0, v1, v2 = values
-    b = times[1] - t_ref
-    # rows 1 and 2 after column 0 leave a 2x2 system in (x1, x2)
-    x1, x2 = _solve2(b - a, b * b - a * a, v1 - v0, 0.0 - a, 0.0 - a * a, v2 - v0)
-    return Polynomial(t_ref, (v0 - a * x1 - a * a * x2, x1, x2))
+        return Polynomial(t_n, (y_n, d1))
+    d2 = (d1 - (values[1] - values[0]) / (times[1] - times[0])) / (t_n - times[0])
+    return Polynomial(t_n, (y_n, d1 + d2 * h, d2))
 
 
 def fit_constrained(

@@ -23,9 +23,9 @@ GOLDEN = {
     "two_mass_default": (
         {"model": "two_mass"},
         {
-            "run_mass_left.csv": "74cfc6c6da730c0584b018fdb6d4a39e7abe44cd77343411ed4c3ccf0cb1afcc",
-            "run_mass_right.csv": "81334071af8d7587c95e0e6948df8e3d598b233c75f2b520ed5d5b50c0a1d3cf",
-            "run_summary.csv": "1fd8b0feb7aee7a4116de70266fc985289175917705636c15e2439b35655d77f",
+            "run_mass_left.csv": "b10824a8965d3c7206321099445111621ca9d8ed1c722cc1466154a3c6a3f15f",
+            "run_mass_right.csv": "28b2b7975c8378c51664712cf7e5c8dc9afa3436b5440d885e8d876f7f46d1f1",
+            "run_summary.csv": "4f248d6a100120b7ffdbf284543292ff722581158a6e23e193983b7aa4c54047",
         },
     ),
     # crosses the stiffness switch at t = 100 s
@@ -41,8 +41,8 @@ GOLDEN = {
     "car_seed_7": (
         {"model": "car", "seed": "7"},
         {
-            "run_vehicle.csv": "7bbb709f7cdf480723eca9ac26c5e05b2a59597ddcfafc98cf03c1c207ea92ea",
-            "run_controller.csv": "91101dbe71611a419ec809f9f439e6ef92cae73533fe77928bc7cce58a762905",
+            "run_vehicle.csv": "3fa6b46cff606f15a66cfe7f1737fff10e119df889c459245b93f3f119fed5a5",
+            "run_controller.csv": "f53955a9bf3e3abf9066265be94ced1b3718a5572cb35f2859013b024a9efcdb",
             "run_summary.csv": "2eb36da42d60d8253c4d66556cf4a3519cb0f303c0aac2e06ba60966fb56f7f1",
         },
     ),
@@ -59,9 +59,9 @@ GOLDEN = {
         {"model": "two_mass", "t_end": "40",
          "caps.mass_right.imposed_step": "0.25"},
         {
-            "run_mass_left.csv": "fa487fed16f0e26a2bff363d5f596508d762909e41a49de98bf2f5febca58a1c",
-            "run_mass_right.csv": "067b7996e9e4f83c0fad2aa065a7d586086e122650bce3da019de79271a96ef7",
-            "run_summary.csv": "ffdc261f13ce727f42ac45ab428b3f9be4a5606f2e8ac5114c394bfd9b005816",
+            "run_mass_left.csv": "b4ba79abe4eed8e2c150c1d254310cda15691299703c0769d70f8ce9c250ae20",
+            "run_mass_right.csv": "01bbd3cdef4a2b27f87ee17a3018b43bde542ff8f22b27f358f4498b5db23b96",
+            "run_summary.csv": "060b962d60ce1ebca1a5928c19a38b63a46f16ee3b4bd75c4ae8b5bb6135a640",
         },
     ),
     # mass_right's inputs capped to lines; only mass_left's are smoothed
@@ -69,8 +69,8 @@ GOLDEN = {
         {"model": "two_mass", "t_end": "40",
          "caps.mass_right.max_input_degree": "1", "smoothing": "true"},
         {
-            "run_mass_left.csv": "414b735f1c9021f50c41f603b8cb2e50a388ea6b5614d8fd5798009dfaae4785",
-            "run_mass_right.csv": "e3b575d0026c115cb2895fb902f3a727c7c8cc8edcaa7597f6473acd32b78e01",
+            "run_mass_left.csv": "7acae6d74f516658b8eb517c32e55629c78672f14a0e9c695892bc66acba61f8",
+            "run_mass_right.csv": "7aff7d60e8eb57441c80ce470ae17e1fb416557b7c0eff74b833dbf87a086aea",
             "run_summary.csv": "4206edca8be7fcb650efc78e53748938abf106d052bf67d1d7c13dbd853bd481",
         },
     ),

@@ -1,5 +1,6 @@
 """Scheduler rules and event-loop behavior on small hand-built problems."""
 
+import dataclasses
 import math
 
 import pytest
@@ -357,6 +358,22 @@ def test_problem_validation_rejects_mismatches():
         CosimProblem(
             (src,), (Capabilities(),), bad_slot, 0.0, 1.0, (0.1,)
         ).validate()
+
+
+@pytest.mark.parametrize("bound", [None, 0.01])
+@pytest.mark.parametrize("t_init,t_end", [
+    (0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan),
+])
+def test_problem_validation_rejects_a_non_finite_horizon(t_init, t_end, bound):
+    # an infinite horizon used to pass without a micro-step bound and run
+    # into the event valve, and to be refused for its micro-step budget
+    # with one
+    src = dataclasses.replace(_sine_source(), max_micro_step=bound)
+    problem = CosimProblem(
+        (src,), (Capabilities(),), CouplingGraph(), t_init, t_end, (0.1,)
+    )
+    with pytest.raises(ConfigError, match="t_init and t_end must be finite"):
+        problem.validate()
 
 
 def test_duplicate_labels_rejected():

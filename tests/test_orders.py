@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f3ornits.coupling import SampleHistory
-from f3ornits.errors import CalibrationError, SequencingError
+from f3ornits.errors import SequencingError
 from f3ornits.orders import estimate_output, select_order
 from f3ornits.poly import fit_constrained_least_squares, fit_extrapolation
 
@@ -100,11 +100,11 @@ def _fit_score_and_bound(history, q, t_new, y_new):
     """Candidate q's score from `fit_extrapolation`, and how far roundoff
     lets the table's score of the same samples lie from it.
 
-    The fit is a pivoted elimination, backward stable in norm: its value at
-    t_new is off by a few eps times the Lebesgue function of the nodes at
-    t_new times the largest sum of the fit's monomial terms at a node, which
-    is at least the largest value.  The table's own error is smaller.  The
-    factor 64 is a margin over the elimination's constants.
+    The fit is the table's row in powers of t - t_n, evaluated by Horner:
+    its value at t_new is off by a few eps times the Lebesgue function of
+    the nodes at t_new times the largest sum of the fit's monomial terms at
+    a node, which is at least the largest value.  The table's own error is
+    smaller.  The factor 64 is a margin over these constants.
     """
     times, values = history.newest(q + 1)
     p = fit_extrapolation(times, values)
@@ -152,18 +152,11 @@ def test_table_scores_match_the_fits(t0, rel_gaps, values, n):
     assert list(d.candidate_errors) == list(range(min(n, 3)))
     fits = {}
     for q, err in d.candidate_errors.items():
-        try:
-            fits[q] = fit_err, bound = _fit_score_and_bound(h, q, t_new, y_new)
-        except CalibrationError:
-            # the elimination can cancel to a zero pivot on samples the gap
-            # check accepts (a gap below about 1e-8 of the one before it);
-            # the table divides by the gaps themselves and still scores
-            assert math.isfinite(err)
-            continue
+        fits[q] = fit_err, bound = _fit_score_and_bound(h, q, t_new, y_new)
         assert abs(err - fit_err) <= bound, (q, err, fit_err, bound)
     # ties break toward the smallest order on both sides
     by_fits = min(fits, key=lambda q: fits[q][0])
-    if d.order in fits and d.order != by_fits:
+    if d.order != by_fits:
         # only a choice between errors within roundoff of each other moves
         gap = abs(fits[d.order][0] - fits[by_fits][0])
         assert gap <= fits[d.order][1] + fits[by_fits][1]

@@ -149,19 +149,6 @@ def test_interpolation_reproduces_all_points(times, data):
         assert abs(p(t) - v) <= 1e-8 * span
 
 
-def _fit_by_dense_solve(times, values):
-    """fit_extrapolation's coefficients from the general pivoted solve on the
-    Vandermonde rows about the newest time, built as its loop builds them."""
-    rows = []
-    for t in times:
-        tau, row, p = t - times[-1], [], 1.0
-        for _ in times:
-            row.append(p)
-            p *= tau
-        rows.append(row)
-    return _solve_dense(rows, list(values))
-
-
 @settings(max_examples=300)
 @given(
     t0=st.one_of(
@@ -178,43 +165,37 @@ def _fit_by_dense_solve(times, values):
     ),
     q=st.sampled_from([2, 3]),
 )
-def test_small_fits_are_the_dense_solve_bit_for_bit(t0, rel_gaps, values, q):
-    # gaps down to the 1e-12-relative floor and times near 1e6
+def test_small_fits_are_the_history_row_bit_for_bit(t0, rel_gaps, values, q):
+    # gaps down to the 1e-12-relative floor and times near 1e6: the
+    # published polynomial is the row order selection scores from
     times = [t0]
     for g in rel_gaps[: q - 1]:
         times.append(times[-1] + g * max(1.0, abs(times[-1])))
-    p = fit_extrapolation(tuple(times), tuple(values[:q]))
-    assert p.t_ref == times[-1]
-    expected = _fit_by_dense_solve(times, values[:q])
-    assert list(p.coeffs) == expected
+    history = SampleHistory()
+    for t, v in zip(times, values):
+        history.push(t, v)
+    p = fit_extrapolation(*history.newest(q))
+    t_n, y_n = times[-1], values[q - 1]
+    expected = (y_n, history.d1)
+    if q == 3:
+        expected = (y_n, history.d1 + history.d2 * (t_n - times[-2]), history.d2)
+    assert p.t_ref == t_n
     assert [c.hex() for c in p.coeffs] == [c.hex() for c in expected]
 
 
-# Two faults of the 3-point elimination that the gap check lets through.
-# Publishing from the divided-difference table (ROADMAP item 1, step 3)
-# mends both; until then each test must fail.
+# The divided-difference row passes through its newest sample and divides
+# only by gaps the check accepted; a Vandermonde elimination did neither.
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="c0 is back-substituted through the oldest row; ROADMAP item 1 step 3",
-)
 def test_extrapolation_passes_through_its_newest_sample():
     times, values = (-1000004.0, 0.0, 1.5e-12), (1.0, 2.0, 3.0)
-    assert fit_extrapolation(times, values).coeffs[0] == 3.0  # today it is 2.0
+    assert fit_extrapolation(times, values).coeffs[0] == 3.0
 
 
-@pytest.mark.xfail(
-    strict=True, raises=CalibrationError,
-    reason="zero pivot on gaps the check accepts; ROADMAP item 1 step 3",
-)
 def test_extrapolation_solves_every_gap_the_check_accepts():
     times, values = (-1e6, 0.0, 1e-11), (1.0, 1.0, 1.0)
     history = SampleHistory()
-    try:
-        for t, v in zip(times, values):
-            history.push(t, v)
-    except CalibrationError as exc:  # must not pass as the expected failure
-        pytest.fail(f"the gap check refuses these times: {exc}")
+    for t, v in zip(times, values):
+        history.push(t, v)
     assert fit_extrapolation(times, values).coeffs[0] == 1.0
 
 
