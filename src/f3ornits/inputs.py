@@ -8,12 +8,13 @@ Three stages, applied in order:
 2. cap the degree to what the consumer can integrate, by re-fitting a
    constrained least-squares polynomial through samples of the source across
    the window, exact at the window-start value;
-3. optionally blend C1-continuously from the previously *used* input
-   polynomial into the capped plan with a two-point Hermite, so consecutive
-   windows chain without value or slope jumps.
+3. optionally blend C1-continuously from the polynomial delivered over the
+   previous window into the capped plan with a two-point Hermite, so
+   consecutive windows chain without value or slope jumps.
 
 Capping happens before smoothing: the blend must honor the consumer's degree
-budget, which smoothing itself raises to three.
+budget, which smoothing itself raises to three.  Whether a consumer smooths
+(smoothing on and cubics within its budget) is decided by the caller, once.
 
 A producer's publication log is its list of published polynomials, oldest
 first.  Each polynomial's `t_ref` is its publication time and its degree is
@@ -30,14 +31,6 @@ from typing import Sequence
 
 from .errors import SequencingError
 from .poly import Polynomial, fit_constrained, fit_hermite
-
-
-@dataclass(frozen=True)
-class SmoothingContext:
-    """Value and slope of the previously used input plan at its window end."""
-
-    value: float
-    slope: float
 
 
 @dataclass(frozen=True)
@@ -112,23 +105,23 @@ def smooth(
     plan: Polynomial,
     window_start: float,
     window_end: float,
-    ctx: SmoothingContext,
+    previous: Polynomial,
 ) -> Polynomial:
-    """Hermite blend from the previous plan's end state into this plan's end.
+    """Hermite blend from the previously delivered polynomial into this plan.
 
     The right constraints are the unsmoothed plan's value and slope at the
     window end, so the blended input lands exactly where the plan would have;
-    the left constraints come from the context, giving C1 continuity with
-    whatever was actually integrated before.
+    the left constraints are `previous`'s value and slope at the window
+    start, where the window it was delivered over ended, giving C1
+    continuity with whatever was actually integrated before.
     """
-    dplan = plan.derivative()
     return fit_hermite(
         window_start,
         window_end,
-        ctx.value,
+        previous(window_start),
         plan(window_end),
-        ctx.slope,
-        dplan(window_end),
+        previous.derivative()(window_start),
+        plan.derivative()(window_end),
     )
 
 
@@ -138,22 +131,19 @@ def build_plan(
     window_end: float,
     max_degree: int,
     smoothing: bool,
-    smoothing_capable: bool,
-    ctx: SmoothingContext | None,
-) -> tuple[InputPlan, SmoothingContext | None]:
-    """Assemble one input plan and the context for the window after it.
+    previous: Polynomial | None,
+) -> tuple[InputPlan, Polynomial | None]:
+    """Assemble one input plan and what the window after it blends from.
 
-    Smoothing is skipped (plan passes through capped-only) on the first
-    window, when disabled, or when the consumer cannot take cubics.  Only a
-    consumer that smooths reads a context, so only then is one returned,
-    reflecting the polynomial actually delivered; otherwise it is None.
+    `smoothing` says whether the consumer smooths; `previous` is what this
+    function returned for the consumer's previous window, None on the first.
+    The plan passes through capped-only when the consumer does not smooth
+    or on its first window.  A consumer that smooths gets back the
+    polynomial delivered, the next window's `previous`; any other gets None.
     """
     source = resolve_source(published, window_start)
     p = cap_degree(source, max_degree, window_start, window_end)
-    if not (smoothing and smoothing_capable):
-        return InputPlan(p, window_start, False), None
-    smoothed = ctx is not None
+    smoothed = smoothing and previous is not None
     if smoothed:
-        p = smooth(p, window_start, window_end, ctx)
-    new_ctx = SmoothingContext(value=p(window_end), slope=p.derivative()(window_end))
-    return InputPlan(p, window_start, smoothed), new_ctx
+        p = smooth(p, window_start, window_end, previous)
+    return InputPlan(p, window_start, smoothed), p if smoothing else None

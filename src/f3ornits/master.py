@@ -25,11 +25,17 @@ Scheduling is reconciled after every event by five rules applied in order:
 (d) nothing is scheduled past the simulation horizon, which is where a
     subsystem with no outputs aims;
 (e) every effective time stays strictly ahead of the subsystem's reached
-    time by at least dt_epsilon, so the run always makes progress.
+    time by at least DT_EPSILON, so the run always makes progress.
 
 The rules only ever pull an effective time earlier than the estimate (rule
 (e) restores strict progress but never exceeds the estimate, because
 estimates are always at least dt_min ahead).
+
+Each event takes two passes over its due subsystems.  The first integrates
+each one to the event time on input plans built from what was published
+before the event; integrating changes only the subsystem's own state.  The
+second publishes.  Each runtime holds the producer logs its inputs read,
+wired once before the first event.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from typing import Callable
 
 from .coupling import CouplingGraph, SampleHistory
 from .errors import ConfigError
-from .inputs import InputPlan, SmoothingContext, build_plan, prune_published
+from .inputs import InputPlan, build_plan, prune_published
 from .orders import CALIBRATION_MODES, estimate_output, select_order
 from .poly import MAX_ORDER, Polynomial, shift_coeffs
 from .stepper import (
@@ -76,6 +82,8 @@ class CosimProblem:
     def validate(self) -> None:
         if not (len(self.capabilities) == len(self.dt0) == len(self.subsystems)):
             raise ConfigError("subsystems, capabilities and dt0 must agree in length")
+        if len({s.label for s in self.subsystems}) != len(self.subsystems):
+            raise ConfigError("subsystem labels must be unique")
         errs = self.graph.validate([(s.n_in, s.n_out) for s in self.subsystems])
         if errs:
             raise ConfigError("coupling graph invalid: " + "; ".join(errs))
@@ -88,12 +96,21 @@ class CosimProblem:
         for d in self.dt0:
             if not (math.isfinite(d) and d > 0):
                 raise ConfigError(f"dt0 must be finite and positive, got {d!r}")
-        for s in self.subsystems:
+        for s, caps in zip(self.subsystems, self.capabilities):
             if s.max_micro_step is not None:
                 check_event_budget(
                     f"{s.label}'s micro-step bound", s.max_micro_step,
                     "micro steps", t_init, t_end,
                 )
+            if caps.imposed_step is not None:
+                check_event_budget(
+                    f"{s.label}'s imposed step", caps.imposed_step,
+                    "events", t_init, t_end,
+                )
+
+
+#: rule (e): the least separation between a reached and an effective time
+DT_EPSILON = 1e-9
 
 
 @dataclass(frozen=True)
@@ -103,7 +120,6 @@ class MasterOptions:
     tolerances: Tolerances = field(default_factory=Tolerances)
     smoothing: bool = False
     force_order: int | None = None
-    dt_epsilon: float = 1e-9     # rule (e) minimum separation
     max_events: int = 5_000_000  # hard safety valve for the event loop
     due_order: Callable[[list[int]], list[int]] | None = None  # test hook
 
@@ -116,10 +132,6 @@ class MasterOptions:
                 raise ConfigError(
                     f"key {key!r}: {value!r} not one of {', '.join(choices)}"
                 )
-        if not (math.isfinite(self.dt_epsilon) and self.dt_epsilon > 0):
-            raise ConfigError(
-                f"dt_epsilon must be finite and positive, got {self.dt_epsilon!r}"
-            )
         q = self.force_order
         if q is not None and not 0 <= q <= MAX_ORDER:
             raise ConfigError(f"key 'force_order': {q!r} not in 0..{MAX_ORDER}")
@@ -242,14 +254,19 @@ def _initial_exchange(problem: CosimProblem) -> list[tuple[float, ...]]:
     return y
 
 
-def _empty_trace(problem: CosimProblem, method: str) -> RunTrace:
-    subs = {
-        spec.label: SubsystemTrace(spec.label, spec.n_out, spec.n_in)
-        for spec in problem.subsystems
-    }
-    if len(subs) != len(problem.subsystems):
-        raise ConfigError("subsystem labels must be unique")
-    return RunTrace(subsystems=subs, method=method)
+def _start_trace(problem: CosimProblem, method: str, y0) -> RunTrace:
+    """A trace holding each subsystem's row at t_init: its outputs y0, no
+    errors, order 0, rho 1 and no input plans."""
+    trace = RunTrace(subsystems={}, method=method)
+    for spec, y in zip(problem.subsystems, y0):
+        st = trace.subsystems[spec.label] = SubsystemTrace(
+            spec.label, spec.n_out, spec.n_in
+        )
+        _record(
+            st, problem.t_init, y, (0.0,) * spec.n_out, (0,) * spec.n_out,
+            1.0, [None] * spec.n_in,
+        )
+    return trace
 
 
 def _record(
@@ -291,17 +308,26 @@ class _SubRuntime(ScheduleEntry):
         caps: Capabilities,
         producers: tuple[int, ...],
         t0: float,
+        smoothing: bool,
     ):
         super().__init__(t0, t0, spec.n_out > 0, producers, caps.imposed_step)
         self.spec = spec
         self.caps = caps
+        self.deg_cap = effective_max_degree(caps)
+        self.smooths = smoothing and caps.smoothing_capable
         self.state = list(spec.x_init)
         self.histories = [SampleHistory() for _ in range(spec.n_out)]
         # per output, the published polynomials a reader may still resolve,
         # oldest first
         self.published: list[list[Polynomial]] = [[] for _ in range(spec.n_out)]
         self.bounds: list[DampedBounds] = []
-        self.smooth_ctx: list[SmoothingContext | None] = [None] * spec.n_in
+        # per input: the producer's log it reads (wired before the loop),
+        # the plan of the latest window and, if the subsystem smooths, the
+        # polynomial delivered over it
+        self.sources: list[list[Polynomial]] = []
+        self.plans: list[InputPlan | None] = [None] * spec.n_in
+        self.delivered: list[Polynomial | None] = [None] * spec.n_in
+        self.y: tuple[float, ...] = ()  # outputs at the reached time
 
 
 def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
@@ -314,21 +340,24 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
     graph = problem.graph
 
     runtimes = [
-        _SubRuntime(spec, caps, graph.producers_of(k), t0)
+        _SubRuntime(spec, caps, graph.producers_of(k), t0, options.smoothing)
         for k, (spec, caps) in enumerate(
             zip(problem.subsystems, problem.capabilities)
         )
     ]
-    # per output (producer, slot): the subsystems whose inputs read it
-    readers: dict[tuple[int, int], list[int]] = {
-        (l, j): [] for l, rt in enumerate(runtimes) for j in range(rt.spec.n_out)
-    }
-    for (k, _), src in graph.links.items():
-        readers[src].append(k)
-    trace = _empty_trace(problem, "f3ornits")
+    # each input reads one producer log; a validated graph feeds them all
+    for (k, _), (l, j) in sorted(graph.links.items()):
+        runtimes[k].sources.append(runtimes[l].published[j])
+    # per log, the runtimes whose inputs read it
+    readers = [
+        (log, [rt for rt in runtimes if any(s is log for s in rt.sources)])
+        for src in runtimes
+        for log in src.published
+    ]
 
     # ---- initial exchange at t0: samples, order-0 estimates, startup times
     y0 = _initial_exchange(problem)
+    trace = _start_trace(problem, "f3ornits", y0)
     for k, rt in enumerate(runtimes):
         for j in range(rt.spec.n_out):
             rt.histories[j].push(t0, y0[k][j])
@@ -341,13 +370,8 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
             rt.estimated = t_end
         else:
             rt.estimated = t0 + problem.dt0[k]
-        _record(
-            trace.subsystems[rt.spec.label], t0, y0[k],
-            (0.0,) * rt.spec.n_out, (0,) * rt.spec.n_out, 1.0,
-            [None] * rt.spec.n_in,
-        )
 
-    effective = reconcile(runtimes, t_end, options.dt_epsilon)
+    effective = reconcile(runtimes, t_end, DT_EPSILON)
 
     events = 0
     while True:
@@ -364,46 +388,26 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
         if options.due_order is not None:
             due = options.due_order(due)
 
-        # phase 1: build every due subsystem's input plans from what was
-        # published before this event
-        plans_by_k: dict[int, list] = {}
+        # pass 1: integrate every due subsystem to the event time on input
+        # plans built from what was published before this event
         for k in due:
             rt = runtimes[k]
-            deg_cap = effective_max_degree(rt.caps)
-            plans = []
-            for i in range(rt.spec.n_in):
-                l, j = graph.links[(k, i)]
-                src = runtimes[l]
-                plan, new_ctx = build_plan(
-                    src.published[j],
-                    rt.reached,
-                    t_event,
-                    deg_cap,
-                    options.smoothing,
-                    rt.caps.smoothing_capable,
-                    rt.smooth_ctx[i],
+            for i, log in enumerate(rt.sources):
+                rt.plans[i], rt.delivered[i] = build_plan(
+                    log, rt.reached, t_event, rt.deg_cap, rt.smooths,
+                    rt.delivered[i],
                 )
-                rt.smooth_ctx[i] = new_ctx
-                plans.append(plan)
-            plans_by_k[k] = plans
-
-        # phase 2: integrate all due subsystems to the event time
-        outputs = {}
-        for k in due:
-            rt = runtimes[k]
-            rt.state, outputs[k] = step_to(
-                rt.spec, rt.caps, rt.state,
-                [p.poly for p in plans_by_k[k]],
+            rt.state, rt.y = step_to(
+                rt.spec, rt.caps, rt.state, [p.poly for p in rt.plans],
                 rt.reached, t_event,
             )
 
-        # phase 3: exchange, order selection, estimates, step proposals
+        # pass 2: exchange, order selection, estimates, step proposals
         for k in due:
             rt = runtimes[k]
             dt_prev = t_event - rt.reached
             errs, orders_now, p_used = [], [], []
-            for j in range(rt.spec.n_out):
-                y_new = outputs[k][j]
+            for j, y_new in enumerate(rt.y):
                 last_pub = rt.published[j][-1]
                 y_pred = last_pub(t_event)
                 p_used.append(last_pub.degree)
@@ -437,22 +441,19 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
                 prop = propose(errs, p_used, dt_prev, t_event, t_end, tol)
                 rho = prop.rho
                 rt.estimated = prop.t_next_estimated
-            if t_end - rt.reached <= options.dt_epsilon:
+            if t_end - rt.reached <= DT_EPSILON:
                 rt.finished = True
             _record(
-                trace.subsystems[rt.spec.label], t_event, outputs[k],
-                tuple(errs), tuple(orders_now), rho, plans_by_k[k],
+                trace.subsystems[rt.spec.label], t_event, rt.y,
+                tuple(errs), tuple(orders_now), rho, rt.plans,
             )
 
         # a reader resolves its next window at its reached time, which
         # never decreases: the slowest reader bounds what each log must keep
-        for (l, j), ks in readers.items():
-            prune_published(
-                runtimes[l].published[j],
-                min((runtimes[k].reached for k in ks), default=None),
-            )
+        for log, rts in readers:
+            prune_published(log, min((rt.reached for rt in rts), default=None))
 
-        effective = reconcile(runtimes, t_end, options.dt_epsilon)
+        effective = reconcile(runtimes, t_end, DT_EPSILON)
         events += 1
 
     trace.total_events = events
@@ -476,15 +477,10 @@ def run_jacobi(problem: CosimProblem, dt: float) -> RunTrace:
     t0, t_end = problem.t_init, problem.t_end
     graph = problem.graph
     specs = problem.subsystems
-    trace = _empty_trace(problem, "jacobi")
 
     y = _initial_exchange(problem)
+    trace = _start_trace(problem, "jacobi", y)
     states = [list(s.x_init) for s in specs]
-    for k, spec in enumerate(specs):
-        _record(
-            trace.subsystems[spec.label], t0, y[k],
-            (0.0,) * spec.n_out, (0,) * spec.n_out, 1.0, [None] * spec.n_in,
-        )
 
     t = t0
     events = 0

@@ -358,8 +358,6 @@ def test_options_reject_non_finite_values(value):
                 "dt_max"):
         with pytest.raises(ConfigError, match=f"'{key}'"):
             Tolerances(**{key: value})
-    with pytest.raises(ConfigError, match="dt_epsilon"):
-        MasterOptions(dt_epsilon=value).validate()
 
 
 def test_cli_rejects_non_positive_parameters(capsys):

@@ -64,6 +64,17 @@ GOLDEN = {
             "run_summary.csv": "060b962d60ce1ebca1a5928c19a38b63a46f16ee3b4bd75c4ae8b5bb6135a640",
         },
     ),
+    # smoothing with a locked reader: mass_right's windows follow its grid,
+    # not its producer's publications
+    "imposed_step_smoothed": (
+        {"model": "two_mass", "t_end": "40", "smoothing": "true",
+         "caps.mass_right.imposed_step": "0.25"},
+        {
+            "run_mass_left.csv": "ffbace5b9b06def7b66de9d1f985d85b6ef734a54b621d691449cbee9568baf4",
+            "run_mass_right.csv": "98360167527d642c95e2024ae447c596b88775c25f3afe70ef623e7b1e28fdba",
+            "run_summary.csv": "5c92e1e138b74c666396cb76cfe247019503dd70220dae4cd1c10a9016b1ef0d",
+        },
+    ),
     # mass_right's inputs capped to lines; only mass_left's are smoothed
     "degree_cap_smoothed": (
         {"model": "two_mass", "t_end": "40",

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from f3ornits.errors import SequencingError
 from f3ornits.inputs import (
-    SmoothingContext,
     build_plan,
     cap_degree,
     prune_published,
@@ -15,6 +14,7 @@ from f3ornits.inputs import (
     smooth,
 )
 from f3ornits.poly import Polynomial
+from f3ornits.subsystem import Capabilities
 
 
 # ------------------------------------------------------------ resolve_source
@@ -128,8 +128,8 @@ def test_cap_empty_window_rejected():
 def test_smoothstep_between_constants():
     # previous plan was constant 0; new plan constant 1 on [1, 2)
     plan = Polynomial(1.0, (1.0,))
-    ctx = SmoothingContext(value=0.0, slope=0.0)
-    s = smooth(plan, 1.0, 2.0, ctx)
+    previous = Polynomial(1.0, (0.0, 0.0))
+    s = smooth(plan, 1.0, 2.0, previous)
     assert s(1.0) == pytest.approx(0.0, abs=1e-13)
     assert s(2.0) == pytest.approx(1.0, abs=1e-13)
     assert s(1.5) == pytest.approx(0.5, abs=1e-13)
@@ -139,18 +139,19 @@ def test_smoothstep_between_constants():
 
 
 def test_smoothing_same_line_is_identity():
-    # when the context already lies on the plan, the blend reproduces it
+    # when the previous polynomial already lies on the plan, the blend
+    # reproduces it
     plan = Polynomial(0.0, (1.0, 2.0))  # 1 + 2t
-    ctx = SmoothingContext(value=plan(3.0), slope=2.0)
-    s = smooth(plan, 3.0, 5.0, ctx)
+    previous = Polynomial(3.0, (plan(3.0), 2.0))
+    s = smooth(plan, 3.0, 5.0, previous)
     for t in np.linspace(3.0, 5.0, 9):
         assert s(t) == pytest.approx(plan(t), abs=1e-12)
 
 
 def test_smooth_matches_unsmoothed_plan_at_window_end():
     plan = Polynomial(2.0, (0.3, -1.0, 0.7))
-    ctx = SmoothingContext(value=9.0, slope=-4.0)
-    s = smooth(plan, 2.0, 2.8, ctx)
+    previous = Polynomial(2.0, (9.0, -4.0))
+    s = smooth(plan, 2.0, 2.8, previous)
     assert s(2.8) == pytest.approx(plan(2.8), abs=1e-12)
     assert s.derivative()(2.8) == pytest.approx(plan.derivative()(2.8), abs=1e-11)
 
@@ -158,22 +159,25 @@ def test_smooth_matches_unsmoothed_plan_at_window_end():
 # ----------------------------------------------------------------- build_plan
 
 def test_first_window_skips_smoothing():
-    plan, ctx = build_plan(
+    plan, delivered = build_plan(
         [Polynomial(0.0, (2.0,))],
         window_start=0.0, window_end=0.5,
-        max_degree=2, smoothing=True, smoothing_capable=True, ctx=None,
+        max_degree=2, smoothing=True, previous=None,
     )
     assert not plan.smoothed
     assert plan.poly(0.3) == 2.0
-    assert ctx.value == 2.0 and ctx.slope == 0.0
+    assert delivered is plan.poly
 
 
 def test_incapable_consumer_never_smoothed():
+    # a consumer that cannot take cubics does not smooth, whatever it was
+    # handed before
     plan, _ = build_plan(
         [Polynomial(0.0, (2.0,))],
         window_start=0.0, window_end=0.5,
-        max_degree=2, smoothing=True, smoothing_capable=False,
-        ctx=SmoothingContext(1.0, 0.0),
+        max_degree=2,
+        smoothing=Capabilities(max_input_degree=2).smoothing_capable,
+        previous=Polynomial(0.0, (1.0, 0.0)),
     )
     assert not plan.smoothed
 
@@ -182,15 +186,16 @@ def test_incapable_consumer_never_smoothed():
     (False, True), (True, False), (False, False),
 ])
 def test_no_context_unless_the_consumer_smooths(smoothing, capable):
-    # only a smoothing-capable consumer with smoothing on reads a context
-    plan, ctx = build_plan(
+    # only a smoothing-capable consumer with smoothing on smooths, and only
+    # it gets back the delivered polynomial to blend from next
+    plan, delivered = build_plan(
         [Polynomial(0.0, (2.0, 1.0))],
         window_start=0.0, window_end=0.5,
-        max_degree=2, smoothing=smoothing, smoothing_capable=capable,
-        ctx=SmoothingContext(1.0, 0.0),
+        max_degree=2, smoothing=smoothing and capable,
+        previous=Polynomial(0.0, (1.0, 0.0)),
     )
     assert not plan.smoothed
-    assert ctx is None
+    assert delivered is None
 
 
 def test_chained_windows_are_c1():
@@ -202,12 +207,11 @@ def test_chained_windows_are_c1():
         Polynomial(2.0, (1.0, 0.5, 0.25)),
     ]
     windows = [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
-    ctx = None
+    previous = None
     used = []
     for (a, b) in windows:
-        plan, ctx = build_plan(
-            sources, a, b,
-            max_degree=2, smoothing=True, smoothing_capable=True, ctx=ctx,
+        plan, previous = build_plan(
+            sources, a, b, max_degree=2, smoothing=True, previous=previous,
         )
         used.append(plan)
     assert [p.smoothed for p in used] == [False, True, True]
@@ -235,11 +239,10 @@ def test_chained_windows_c1_property(seed, n_windows):
         sources.append(Polynomial(t, coeffs))
         t += float(rng.uniform(0.2, 1.5))
     boundaries = starts[1:] + [t]
-    ctx, used = None, []
+    previous, used = None, []
     for a, b in zip(starts, boundaries):
-        plan, ctx = build_plan(
-            sources, a, b,
-            max_degree=2, smoothing=True, smoothing_capable=True, ctx=ctx,
+        plan, previous = build_plan(
+            sources, a, b, max_degree=2, smoothing=True, previous=previous,
         )
         used.append(plan)
     for left, right in zip(used, used[1:]):
@@ -257,7 +260,7 @@ def test_zoh_from_constant_sources():
     sources = [Polynomial(s, (v,)) for s, v in zip(starts, (1.0, 2.0, 3.0))]
     plan, _ = build_plan(
         sources, 0.9, 1.3,
-        max_degree=2, smoothing=False, smoothing_capable=True, ctx=None,
+        max_degree=2, smoothing=False, previous=None,
     )
     assert plan.poly is sources[1]
     assert plan.poly.degree == 0
@@ -268,7 +271,7 @@ def test_plan_records_window_and_source():
     sources = [Polynomial(0.0, (5.0,)), Polynomial(1.0, (6.0,))]
     plan, _ = build_plan(
         sources, 1.5, 2.0,
-        max_degree=1, smoothing=False, smoothing_capable=False, ctx=None,
+        max_degree=1, smoothing=False, previous=None,
     )
     assert plan.window_start == 1.5
     assert plan.poly is sources[1]

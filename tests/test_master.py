@@ -21,6 +21,7 @@ from f3ornits.master import (
 from f3ornits.models import TwoMassParams, build_two_mass
 from f3ornits.stepper import Tolerances
 from f3ornits.subsystem import Capabilities, SubsystemSpec
+from f3ornits.trace import read_trace_csv
 
 EPS = 1e-9
 
@@ -374,6 +375,46 @@ def test_problem_validation_rejects_a_non_finite_horizon(t_init, t_end, bound):
     )
     with pytest.raises(ConfigError, match="t_init and t_end must be finite"):
         problem.validate()
+
+
+def test_problem_validation_bounds_an_imposed_step_by_the_event_budget(
+    monkeypatch,
+):
+    # 5 s in steps of 1e-6 is exactly the budget; a finer imposed step used
+    # to pass validation and run toward the event valve
+    def no_window(*args):
+        raise AssertionError("a window was walked")
+
+    monkeypatch.setattr(master, "step_to", no_window)
+    model = build_two_mass(TwoMassParams(t_end=5.0))
+
+    def with_step(step):
+        caps = (Capabilities(), Capabilities(imposed_step=step))
+        return dataclasses.replace(model.problem, capabilities=caps)
+
+    with_step(1e-6).validate()
+    with pytest.raises(
+        ConfigError,
+        match=r"mass_right's imposed step: 9.9e-07 needs more than 5000000 events",
+    ):
+        run_f3ornits(with_step(0.99e-6), MasterOptions())
+
+
+def test_only_consumers_that_take_cubics_smooth(tmp_path):
+    # the master decides per consumer whether it smooths: smoothing on and
+    # cubics within its input degree
+    model = build_two_mass(TwoMassParams(t_end=10.0))
+    caps = (Capabilities(), Capabilities(max_input_degree=1))
+    problem = dataclasses.replace(model.problem, capabilities=caps)
+    trace = run_f3ornits(problem, MasterOptions(smoothing=True))
+    trace.write_csv(tmp_path, "run")
+
+    def smoothed_cells(label):
+        cols = read_trace_csv(tmp_path / f"run_{label}.csv")
+        return [c for h, col in cols.items() if h.endswith("_smoothed") for c in col]
+
+    assert set(smoothed_cells("mass_right")) == {0.0}
+    assert 1.0 in smoothed_cells("mass_left")
 
 
 def test_duplicate_labels_rejected():
