@@ -10,6 +10,9 @@ lines ignored.  Dotted keys carry structured overrides:
                                  grid the event budget cannot cover to
                                  t_end is rejected
 
+Each `caps.<label>.<field>` replaces that field of the subsystem's
+`SubsystemSpec`, so the spec checks it as it checks its own declaration.
+
 Everything else is a plain field of RunConfig.  Unknown keys are rejected
 by name; so are missing required ones.  `materialize` turns a RunConfig
 into the built model plus ready-to-run master options, deriving the step
@@ -238,22 +241,23 @@ def materialize(cfg: RunConfig) -> RunSetup:
             raise ConfigError(
                 f"caps.* names unknown subsystem(s): {', '.join(stray)}"
             )
-        capabilities = []
-        for label, caps in zip(labels, problem.capabilities):
-            for name, value in cfg.caps_overrides.get(label, {}).items():
-                key = f"caps.{label}.{name}"
+        specs = []
+        for spec in problem.subsystems:
+            for name, value in cfg.caps_overrides.get(spec.label, {}).items():
+                key = f"caps.{spec.label}.{name}"
                 if not math.isfinite(value):
                     raise ConfigError(f"key {key!r}: {value!r} is not finite")
                 if name == "max_input_degree":
                     value = int(round(value))
                 try:
-                    caps = replace(caps, **{name: value})
-                except ConfigError as exc:
-                    raise ConfigError(f"key {key!r}: {exc}") from None
+                    spec = replace(spec, **{name: value})
+                except ConfigError as exc:  # the key already names the label
+                    msg = str(exc).removeprefix(f"{spec.label}: ")
+                    raise ConfigError(f"key {key!r}: {msg}") from None
                 if name == "imposed_step":
                     check_event_budget(f"key {key!r}", value, "events", t_init, t_end)
-            capabilities.append(caps)
-        problem = replace(problem, capabilities=tuple(capabilities))
+            specs.append(spec)
+        problem = replace(problem, subsystems=tuple(specs))
     model = replace(model, problem=problem)
 
     dt_min = cfg.dt_min if cfg.dt_min is not None else min(problem.dt0)

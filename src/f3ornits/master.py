@@ -43,13 +43,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .coupling import CouplingGraph, SampleHistory
 from .errors import ConfigError
 from .inputs import InputPlan, build_plan, prune_published
 from .orders import CALIBRATION_MODES, estimate_output, select_order
-from .poly import MAX_ORDER, Polynomial, shift_coeffs
+from .poly import MAX_DEGREE, MAX_ORDER, Polynomial, shift_coeffs
 from .stepper import (
     ERROR_NORMS,
     DampedBounds,
@@ -58,30 +57,25 @@ from .stepper import (
     propose,
     update_damped_bounds,
 )
-from .subsystem import (
-    Capabilities,
-    SubsystemSpec,
-    effective_max_degree,
-    evaluate_outputs,
-    step_to,
-)
+from .subsystem import SubsystemSpec, evaluate_outputs, step_to
 from .trace import RunTrace, SubsystemTrace
 
 
 @dataclass(frozen=True)
 class CosimProblem:
-    """A set of subsystems, their capabilities and coupling, and the horizon."""
+    """A set of subsystems, their coupling, the horizon and one startup step
+    per subsystem.  `validate` refuses a micro-step bound or an imposed step
+    that would take more than MAX_EVENTS pieces to reach t_end."""
 
     subsystems: tuple[SubsystemSpec, ...]
-    capabilities: tuple[Capabilities, ...]
     graph: CouplingGraph
     t_init: float
     t_end: float
     dt0: tuple[float, ...]
 
     def validate(self) -> None:
-        if not (len(self.capabilities) == len(self.dt0) == len(self.subsystems)):
-            raise ConfigError("subsystems, capabilities and dt0 must agree in length")
+        if len(self.dt0) != len(self.subsystems):
+            raise ConfigError("subsystems and dt0 must agree in length")
         if len({s.label for s in self.subsystems}) != len(self.subsystems):
             raise ConfigError("subsystem labels must be unique")
         errs = self.graph.validate([(s.n_in, s.n_out) for s in self.subsystems])
@@ -96,15 +90,15 @@ class CosimProblem:
         for d in self.dt0:
             if not (math.isfinite(d) and d > 0):
                 raise ConfigError(f"dt0 must be finite and positive, got {d!r}")
-        for s, caps in zip(self.subsystems, self.capabilities):
+        for s in self.subsystems:
             if s.max_micro_step is not None:
                 check_event_budget(
                     f"{s.label}'s micro-step bound", s.max_micro_step,
                     "micro steps", t_init, t_end,
                 )
-            if caps.imposed_step is not None:
+            if s.imposed_step is not None:
                 check_event_budget(
-                    f"{s.label}'s imposed step", caps.imposed_step,
+                    f"{s.label}'s imposed step", s.imposed_step,
                     "events", t_init, t_end,
                 )
 
@@ -112,16 +106,20 @@ class CosimProblem:
 #: rule (e): the least separation between a reached and an effective time
 DT_EPSILON = 1e-9
 
+#: hard safety valve: the most events (or windows, or steps) one run may take
+MAX_EVENTS = 5_000_000
+
 
 @dataclass(frozen=True)
 class MasterOptions:
+    """What a user chooses for a run.  What a subsystem can take is declared
+    on its SubsystemSpec."""
+
     calibration: str = "extrapolation"
     error_norm: str = "damped"
     tolerances: Tolerances = field(default_factory=Tolerances)
     smoothing: bool = False
     force_order: int | None = None
-    max_events: int = 5_000_000  # hard safety valve for the event loop
-    due_order: Callable[[list[int]], list[int]] | None = None  # test hook
 
     def validate(self) -> None:
         for key, value, choices in (
@@ -141,12 +139,12 @@ def check_event_budget(
     what: str, step: float, noun: str, t_init: float, t_end: float
 ) -> None:
     """The one event-budget rule: covering [t_init, t_end] in pieces of
-    `step` may take at most MasterOptions.max_events of them.  Over it is a
-    ConfigError that opens with `what` and counts the pieces as `noun`."""
-    budget = MasterOptions.max_events
-    if (t_end - t_init) / step > budget:
+    `step` may take at most MAX_EVENTS of them, the budget the event loop
+    itself stops at.  Over it is a ConfigError that opens with `what` and
+    counts the pieces as `noun`."""
+    if (t_end - t_init) / step > MAX_EVENTS:
         raise ConfigError(
-            f"{what}: {step!r} needs more than {budget} {noun} to reach "
+            f"{what}: {step!r} needs more than {MAX_EVENTS} {noun} to reach "
             f"t_end = {t_end!r}"
         )
 
@@ -254,10 +252,10 @@ def _initial_exchange(problem: CosimProblem) -> list[tuple[float, ...]]:
     return y
 
 
-def _start_trace(problem: CosimProblem, method: str, y0) -> RunTrace:
+def _start_trace(problem: CosimProblem, y0) -> RunTrace:
     """A trace holding each subsystem's row at t_init: its outputs y0, no
     errors, order 0, rho 1 and no input plans."""
-    trace = RunTrace(subsystems={}, method=method)
+    trace = RunTrace(subsystems={})
     for spec, y in zip(problem.subsystems, y0):
         st = trace.subsystems[spec.label] = SubsystemTrace(
             spec.label, spec.n_out, spec.n_in
@@ -305,16 +303,16 @@ class _SubRuntime(ScheduleEntry):
     def __init__(
         self,
         spec: SubsystemSpec,
-        caps: Capabilities,
         producers: tuple[int, ...],
         t0: float,
         smoothing: bool,
     ):
-        super().__init__(t0, t0, spec.n_out > 0, producers, caps.imposed_step)
+        super().__init__(t0, t0, spec.n_out > 0, producers, spec.imposed_step)
         self.spec = spec
-        self.caps = caps
-        self.deg_cap = effective_max_degree(caps)
-        self.smooths = smoothing and caps.smoothing_capable
+        # un-smoothed plans are capped at the method's order and at what the
+        # subsystem takes; smoothing needs the cubics of MAX_DEGREE
+        self.deg_cap = min(MAX_ORDER, spec.max_input_degree)
+        self.smooths = smoothing and spec.max_input_degree >= MAX_DEGREE
         self.state = list(spec.x_init)
         self.histories = [SampleHistory() for _ in range(spec.n_out)]
         # per output, the published polynomials a reader may still resolve,
@@ -340,10 +338,8 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
     graph = problem.graph
 
     runtimes = [
-        _SubRuntime(spec, caps, graph.producers_of(k), t0, options.smoothing)
-        for k, (spec, caps) in enumerate(
-            zip(problem.subsystems, problem.capabilities)
-        )
+        _SubRuntime(spec, graph.producers_of(k), t0, options.smoothing)
+        for k, spec in enumerate(problem.subsystems)
     ]
     # each input reads one producer log; a validated graph feeds them all
     for (k, _), (l, j) in sorted(graph.links.items()):
@@ -357,7 +353,7 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
 
     # ---- initial exchange at t0: samples, order-0 estimates, startup times
     y0 = _initial_exchange(problem)
-    trace = _start_trace(problem, "f3ornits", y0)
+    trace = _start_trace(problem, y0)
     for k, rt in enumerate(runtimes):
         for j in range(rt.spec.n_out):
             rt.histories[j].push(t0, y0[k][j])
@@ -378,15 +374,11 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
         active = [k for k, rt in enumerate(runtimes) if not rt.finished]
         if not active:
             break
-        if events >= options.max_events:
-            raise RuntimeError(
-                f"event budget exceeded ({options.max_events} events)"
-            )
+        if events >= MAX_EVENTS:
+            raise RuntimeError(f"event budget exceeded ({MAX_EVENTS} events)")
         t_event = min(effective[k] for k in active)
         tie = 1e-12 * (1.0 + abs(t_event))
         due = [k for k in active if effective[k] - t_event <= tie]
-        if options.due_order is not None:
-            due = options.due_order(due)
 
         # pass 1: integrate every due subsystem to the event time on input
         # plans built from what was published before this event
@@ -398,8 +390,7 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
                     rt.delivered[i],
                 )
             rt.state, rt.y = step_to(
-                rt.spec, rt.caps, rt.state, [p.poly for p in rt.plans],
-                rt.reached, t_event,
+                rt.spec, rt.state, [p.poly for p in rt.plans], rt.reached, t_event
             )
 
         # pass 2: exchange, order selection, estimates, step proposals
@@ -466,8 +457,8 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
 def run_jacobi(problem: CosimProblem, dt: float) -> RunTrace:
     """Fixed-step parallel zero-order-hold co-simulation baseline.
 
-    A grid that needs more than MasterOptions.max_events windows is a
-    ConfigError, raised before the first window.
+    A grid that needs more than MAX_EVENTS windows is a ConfigError,
+    raised before the first window.
     """
     problem.validate()
     if not (math.isfinite(dt) and dt > 0):
@@ -479,7 +470,7 @@ def run_jacobi(problem: CosimProblem, dt: float) -> RunTrace:
     specs = problem.subsystems
 
     y = _initial_exchange(problem)
-    trace = _start_trace(problem, "jacobi", y)
+    trace = _start_trace(problem, y)
     states = [list(s.x_init) for s in specs]
 
     t = t0
@@ -496,9 +487,7 @@ def run_jacobi(problem: CosimProblem, dt: float) -> RunTrace:
             ]
         new_y = list(y)
         for k, spec in enumerate(specs):
-            states[k], new_y[k] = step_to(
-                spec, problem.capabilities[k], states[k], held[k], t, t_next
-            )
+            states[k], new_y[k] = step_to(spec, states[k], held[k], t, t_next)
         y = new_y
         t_prev, t = t, t_next
         events += 1

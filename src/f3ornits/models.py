@@ -72,14 +72,7 @@ from typing import Callable, Sequence
 from .coupling import CouplingGraph
 from .errors import ConfigError, DivergenceError
 from .master import CosimProblem, check_event_budget
-from .subsystem import (
-    Capabilities,
-    Derivatives,
-    SubsystemSpec,
-    names_read,
-    renamed,
-    step_to,
-)
+from .subsystem import Derivatives, SubsystemSpec, names_read, renamed, step_to
 
 _M64 = (1 << 64) - 1
 
@@ -295,7 +288,6 @@ def build_two_mass(
     graph = CouplingGraph({(0, 0): (1, 0), (1, 0): (0, 0), (1, 1): (0, 1)})
     problem = CosimProblem(
         subsystems=specs,
-        capabilities=(Capabilities(),) * 2,
         graph=graph,
         t_init=0.0,
         t_end=p.t_end,
@@ -374,7 +366,6 @@ def build_car(
     graph = CouplingGraph({(0, 0): (1, 0), (1, 0): (0, 0)})
     problem = CosimProblem(
         subsystems=specs,
-        capabilities=(Capabilities(),) * 2,
         graph=graph,
         t_init=0.0,
         t_end=p.t_end,
@@ -529,7 +520,7 @@ def monolithic_reference(
     estimate is `reference_gap`, paid only where it is read.
 
     record_dt must be an even multiple of micro_step, and the horizon may
-    take at most MasterOptions.max_events steps.  A horizon off the grid
+    take at most master.MAX_EVENTS steps.  A horizon off the grid
     t_init + i * micro_step ends the last record window on t_end with one
     short step.
     """
@@ -627,7 +618,6 @@ def _walk(
     f = rhs.function if isinstance(rhs, Derivatives) else rhs
     x0 = model.monolith_x0
     spec = SubsystemSpec("monolith", len(x0), 0, 0, rhs, lambda t, x, u: (), x0)
-    caps = Capabilities()
     idx = range(len(x0))
     getters = [model.output_map[k] for k in sorted(model.output_map)]
     starts = range(0, n_steps, stride)
@@ -641,7 +631,7 @@ def _walk(
         i1 = min(i0 + stride, n_steps)
         t_rec = at(i1)
         if scheme == "rk4":
-            x, _ = step_to(spec, caps, x, (), at(i0), t_rec, m * h)
+            x, _ = step_to(spec, x, (), at(i0), t_rec, m * h)
         else:
             for i in range(i0, i1, m):
                 t = t0 + i * h

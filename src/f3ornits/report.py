@@ -65,7 +65,6 @@ def run_comparison(
     options_template,
     variable: tuple[str, int],
     jacobi_dts=JACOBI_GRID_STEPS,
-    variants=F3_VARIANTS,
 ) -> list[ComparisonRow]:
     """The full baseline-vs-method matrix on one model.
 
@@ -86,7 +85,7 @@ def run_comparison(
         for dt in jacobi_dts
     ]
     dt0 = model.problem.dt0[0]
-    for calibration, smoothing, norm in variants:
+    for calibration, smoothing, norm in F3_VARIANTS:
         opts = replace(
             options_template,
             calibration=calibration,

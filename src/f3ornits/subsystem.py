@@ -32,43 +32,10 @@ from math import isfinite
 from typing import Callable, Sequence
 
 from .errors import ConfigError, ContractViolation, DivergenceError
-from .poly import MAX_DEGREE, MAX_ORDER, Polynomial
+from .poly import MAX_DEGREE, Polynomial
 
 #: micro-step rule: min(macro_step / MICRO_DIVISOR, spec.max_micro_step)
 MICRO_DIVISOR = 50.0
-
-
-@dataclass(frozen=True)
-class Capabilities:
-    """What a simulator can accept from the master.
-
-    max_input_degree is the highest polynomial degree the subsystem can
-    integrate on its inputs; smoothing needs the cubics of MAX_DEGREE.  A
-    subsystem that cannot vary its communication step declares the step it
-    imposes instead; imposed_step None means the step is free.
-    """
-
-    max_input_degree: int = MAX_DEGREE
-    imposed_step: float | None = None
-
-    def __post_init__(self):
-        if self.max_input_degree < 0:
-            raise ConfigError("max_input_degree must be >= 0")
-        if self.imposed_step is not None and not (
-            isfinite(self.imposed_step) and self.imposed_step > 0
-        ):
-            raise ConfigError(
-                f"imposed_step must be finite and positive, got {self.imposed_step!r}"
-            )
-
-    @property
-    def smoothing_capable(self) -> bool:
-        return self.max_input_degree >= MAX_DEGREE
-
-
-def effective_max_degree(caps: Capabilities) -> int:
-    """Order ceiling for un-smoothed input plans: min(method cap, capability)."""
-    return min(MAX_ORDER, caps.max_input_degree)
 
 
 def _bound(name: str) -> bool:
@@ -273,12 +240,16 @@ class Derivatives:
 
 @dataclass(frozen=True)
 class SubsystemSpec:
-    """Dynamics f, output map g, initial state, and coupling arities.
+    """Dynamics f, output map g, initial state, coupling arities, and what
+    the subsystem can take from the master.
 
     f and g are each a plain callable or a `Derivatives`, with one
     expression per state or per output.  max_micro_step bounds the RK4
     micro step for this subsystem's own dynamics; None means the divisor
-    rule alone sets it.
+    rule alone sets it.  max_input_degree is the highest polynomial degree
+    the subsystem can integrate on its inputs; smoothing needs the cubics
+    of MAX_DEGREE.  A subsystem that cannot vary its communication step
+    declares the step it imposes; imposed_step None means the step is free.
     """
 
     label: str
@@ -289,6 +260,8 @@ class SubsystemSpec:
     g: Derivatives | Callable[[float, list[float], list[float]], list[float]]
     x_init: tuple[float, ...]
     max_micro_step: float | None = None
+    max_input_degree: int = MAX_DEGREE
+    imposed_step: float | None = None
 
     def __post_init__(self):
         if min(self.n_in, self.n_out) < 0:
@@ -298,12 +271,15 @@ class SubsystemSpec:
                 f"{self.label}: x_init has {len(self.x_init)} entries, "
                 f"expected {self.n_states}"
             )
-        bound = self.max_micro_step
-        if bound is not None and not (isfinite(bound) and bound > 0):
-            raise ConfigError(
-                f"{self.label}: max_micro_step must be finite and positive, "
-                f"got {bound!r}"
-            )
+        for name in ("max_micro_step", "imposed_step"):
+            step = getattr(self, name)
+            if step is not None and not (isfinite(step) and step > 0):
+                raise ConfigError(
+                    f"{self.label}: {name} must be finite and positive, "
+                    f"got {step!r}"
+                )
+        if self.max_input_degree < 0:
+            raise ConfigError(f"{self.label}: max_input_degree must be >= 0")
         if isinstance(self.f, Derivatives):
             self.f.check(self.label, self.n_states, self.n_in)
         if isinstance(self.g, Derivatives):
@@ -490,7 +466,6 @@ def _rk4_walk(
 
 def step_to(
     spec: SubsystemSpec,
-    caps: Capabilities,
     state: Sequence[float],
     inputs: Sequence[Polynomial],
     t_start: float,
@@ -500,6 +475,7 @@ def step_to(
     """Advance one subsystem from t_start to t_target, no rollback.
 
     Returns the new state and the outputs evaluated exactly at t_target.
+    An input of degree above spec.max_input_degree is a ContractViolation.
     The micro step is min((t_target - t_start) / MICRO_DIVISOR,
     spec.max_micro_step); an explicit `micro_step` overrides that rule.
 
@@ -529,10 +505,10 @@ def step_to(
         )
     degrees = tuple([len(p.coeffs) - 1 for p in inputs])
     for i, d in enumerate(degrees):
-        if d > caps.max_input_degree:
+        if d > spec.max_input_degree:
             raise ContractViolation(
                 f"{spec.label}: input {i} has degree {d}, "
-                f"capability allows {caps.max_input_degree}"
+                f"capability allows {spec.max_input_degree}"
             )
 
     h = micro_step

@@ -90,7 +90,6 @@ class RunTrace:
     subsystems: dict[str, SubsystemTrace]
     total_events: int = 0
     wall_time_s: float = 0.0
-    method: str = ""
 
     def output_series(self, label: str, j: int) -> tuple[list[float], list[float]]:
         st = self.subsystems[label]

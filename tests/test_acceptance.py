@@ -14,6 +14,7 @@ import random
 import time
 from dataclasses import replace
 
+from f3ornits import master
 from f3ornits.config import RunConfig, materialize
 from f3ornits.coupling import CouplingGraph
 from f3ornits.master import (
@@ -35,7 +36,7 @@ from f3ornits.poly import (
 )
 from f3ornits.report import score_trace
 from f3ornits.stepper import DampedBounds, Tolerances, update_damped_bounds
-from f3ornits.subsystem import Capabilities, SubsystemSpec
+from f3ornits.subsystem import SubsystemSpec
 
 
 def _finish(number, title, failures, t_start, budget_s):
@@ -441,7 +442,7 @@ def _random_problem(rng):
             l = rng.choice(sources)
             links[(k, i)] = (l, rng.randrange(0, n_out[l]))
 
-    def make_spec(k):
+    def make_spec(k, imposed_step):
         gains = [0.5 + 0.5 * j for j in range(n_out[k])]
 
         def f(t, x, u, _k=k):
@@ -453,17 +454,14 @@ def _random_problem(rng):
         return SubsystemSpec(
             label=f"s{k}", n_states=1, n_in=n_in[k], n_out=n_out[k],
             f=f, g=g, x_init=(rng.uniform(-1.0, 1.0),),
+            imposed_step=imposed_step,
         )
 
-    caps = []
-    for k in range(n):
-        if rng.random() < 0.3:
-            caps.append(Capabilities(imposed_step=rng.uniform(0.2, 0.5)))
-        else:
-            caps.append(Capabilities())
+    steps = [
+        rng.uniform(0.2, 0.5) if rng.random() < 0.3 else None for _ in range(n)
+    ]
     return CosimProblem(
-        subsystems=tuple(make_spec(k) for k in range(n)),
-        capabilities=tuple(caps),
+        subsystems=tuple(make_spec(k, steps[k]) for k in range(n)),
         graph=CouplingGraph(links),
         t_init=0.0,
         t_end=rng.uniform(1.0, 2.0),
@@ -471,7 +469,7 @@ def _random_problem(rng):
     )
 
 
-def test_criterion_8_scheduler_contract_on_random_graphs():
+def test_criterion_8_scheduler_contract_on_random_graphs(monkeypatch):
     t0 = time.perf_counter()
     failures = []
     rng = random.Random(4242)
@@ -484,9 +482,8 @@ def test_criterion_8_scheduler_contract_on_random_graphs():
             failures.append(f"reconcile trial {trial}: {got} != {want}")
             break
 
-    opts = MasterOptions(
-        tolerances=Tolerances(dt_min=0.05, dt_max=1.0), max_events=5000
-    )
+    monkeypatch.setattr(master, "MAX_EVENTS", 5000)
+    opts = MasterOptions(tolerances=Tolerances(dt_min=0.05, dt_max=1.0))
     for trial in range(30):
         problem = _random_problem(rng)
         trace = run_f3ornits(problem, opts)
@@ -497,7 +494,7 @@ def test_criterion_8_scheduler_contract_on_random_graphs():
                     f"run {trial}: {spec.label} stopped at {st.t[-1]:.6g}, "
                     f"horizon {problem.t_end:.6g}"
                 )
-            step = problem.capabilities[k].imposed_step
+            step = problem.subsystems[k].imposed_step
             if step is not None:
                 for r, t in enumerate(st.t[:-1]):
                     k_near = round((t - problem.t_init) / step)
@@ -508,8 +505,18 @@ def test_criterion_8_scheduler_contract_on_random_graphs():
                         )
                         break
         if trial < 10:
-            shuffled = replace(opts, due_order=lambda due: list(reversed(due)))
-            again = run_f3ornits(problem, shuffled)
+            # the same problem with its subsystems reversed and its links
+            # renumbered: due order, wiring and pruning all run backwards
+            n = len(problem.subsystems)
+            links = {
+                (n - 1 - k, i): (n - 1 - l, j)
+                for (k, i), (l, j) in problem.graph.links.items()
+            }
+            flipped = replace(
+                problem, subsystems=problem.subsystems[::-1],
+                graph=CouplingGraph(links), dt0=problem.dt0[::-1],
+            )
+            again = run_f3ornits(flipped, opts)
             if _max_trace_diff(trace, again) != 0.0:
                 failures.append(f"run {trial}: event order changed the result")
         if failures:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f3ornits import cli
+from f3ornits import cli, master
 from f3ornits.config import (
     RunConfig,
     config_from_mapping,
@@ -136,20 +136,31 @@ def test_materialize_applies_dt0_and_caps_overrides():
     ))
     problem = setup.model.problem
     assert problem.dt0 == (0.2, 0.4)
-    caps = problem.capabilities[1]
-    assert caps.imposed_step == 0.5
-    assert problem.capabilities[0].imposed_step is None
+    assert problem.subsystems[1].imposed_step == 0.5
+    assert problem.subsystems[0].imposed_step is None
+
+
+def test_materialize_reports_a_refused_capability_once_under_its_key():
+    # the spec names its label; the key already does, so it is said once
+    with pytest.raises(ConfigError) as exc:
+        materialize(RunConfig(
+            model="two_mass", caps_overrides={"mass_left": {"imposed_step": 0.0}},
+        ))
+    assert str(exc.value) == (
+        "key 'caps.mass_left.imposed_step': imposed_step must be finite and "
+        "positive, got 0.0"
+    )
 
 
 def test_materialize_bounds_an_imposed_step_by_the_event_budget():
     # 5 s in steps of 1e-6 is exactly the budget; anything finer cannot end
-    budget = MasterOptions.max_events
+    budget = master.MAX_EVENTS
     assert 5.0 / 1e-6 == budget
     setup = materialize(RunConfig(
         model="two_mass", t_end=5.0,
         caps_overrides={"mass_right": {"imposed_step": 1e-6}},
     ))
-    assert setup.model.problem.capabilities[1].imposed_step == 1e-6
+    assert setup.model.problem.subsystems[1].imposed_step == 1e-6
     with pytest.raises(ConfigError, match="'caps.mass_right.imposed_step'"):
         materialize(RunConfig(
             model="two_mass", t_end=5.0,

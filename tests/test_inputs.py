@@ -14,7 +14,6 @@ from f3ornits.inputs import (
     smooth,
 )
 from f3ornits.poly import Polynomial
-from f3ornits.subsystem import Capabilities
 
 
 # ------------------------------------------------------------ resolve_source
@@ -171,12 +170,12 @@ def test_first_window_skips_smoothing():
 
 def test_incapable_consumer_never_smoothed():
     # a consumer that cannot take cubics does not smooth, whatever it was
-    # handed before
+    # handed before: the master's flag for it is off even with smoothing on
     plan, _ = build_plan(
         [Polynomial(0.0, (2.0,))],
         window_start=0.0, window_end=0.5,
         max_degree=2,
-        smoothing=Capabilities(max_input_degree=2).smoothing_capable,
+        smoothing=False,
         previous=Polynomial(0.0, (1.0, 0.0)),
     )
     assert not plan.smoothed

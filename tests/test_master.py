@@ -20,7 +20,7 @@ from f3ornits.master import (
 )
 from f3ornits.models import TwoMassParams, build_two_mass
 from f3ornits.stepper import Tolerances
-from f3ornits.subsystem import Capabilities, SubsystemSpec
+from f3ornits.subsystem import SubsystemSpec
 from f3ornits.trace import read_trace_csv
 
 EPS = 1e-9
@@ -175,11 +175,10 @@ def _integrating_sink(label="sink"):
     )
 
 
-def _pair_problem(source, sink, t_end=5.0, dt0=0.5, caps=None):
+def _pair_problem(source, sink, t_end=5.0, dt0=0.5):
     graph = CouplingGraph({(1, 0): (0, 0)})
     return CosimProblem(
         subsystems=(source, sink),
-        capabilities=caps or (Capabilities(), Capabilities()),
         graph=graph,
         t_init=0.0,
         t_end=t_end,
@@ -204,7 +203,6 @@ def test_isolated_subsystem_takes_one_step_to_the_horizon():
     )
     problem = CosimProblem(
         subsystems=(lonely,),
-        capabilities=(Capabilities(),),
         graph=CouplingGraph(),
         t_init=0.0,
         t_end=5.0,
@@ -226,7 +224,6 @@ def test_initial_exchange_settles_feedthrough_chains():
     graph = CouplingGraph({(1, 0): (0, 0), (2, 0): (1, 0)})
     problem = CosimProblem(
         subsystems=(a, b, c),
-        capabilities=(Capabilities(),) * 3,
         graph=graph,
         t_init=0.0,
         t_end=1.0,
@@ -256,32 +253,46 @@ def test_sink_coasts_when_source_is_constant():
 
 
 def test_imposed_step_subsystem_stays_on_its_grid():
-    caps = (
-        Capabilities(),
-        Capabilities(imposed_step=0.25),
-    )
-    problem = _pair_problem(
-        _sine_source(), _integrating_sink(), t_end=2.0, caps=caps
-    )
+    sink = dataclasses.replace(_integrating_sink(), imposed_step=0.25)
+    problem = _pair_problem(_sine_source(), sink, t_end=2.0)
     trace = run_f3ornits(problem, _options())
     assert trace.subsystems["sink"].t == [0.25 * i for i in range(9)]
 
 
-def test_due_order_permutation_leaves_the_trace_unchanged():
+def _reversed(problem):
+    """The same problem with its subsystems in reverse order and its links
+    renumbered to match."""
+    n = len(problem.subsystems)
+    links = {
+        (n - 1 - k, i): (n - 1 - l, j)
+        for (k, i), (l, j) in problem.graph.links.items()
+    }
+    return dataclasses.replace(
+        problem, subsystems=problem.subsystems[::-1],
+        graph=CouplingGraph(links), dt0=problem.dt0[::-1],
+    )
+
+
+def test_reversed_subsystems_and_renumbered_links_leave_the_trace_unchanged():
+    # due order, wiring and pruning all run backwards on the reversed problem
     model = build_two_mass(TwoMassParams(t_end=5.0), dt0=0.05)
     tol = Tolerances(dt_min=0.05, dt_max=0.5)
-    plain = run_f3ornits(model.problem, MasterOptions(tolerances=tol))
-    shuffled = run_f3ornits(
-        model.problem,
-        MasterOptions(tolerances=tol, due_order=lambda due: list(reversed(due))),
-    )
-    for label in plain.subsystems:
-        a, b = plain.subsystems[label], shuffled.subsystems[label]
-        assert a.t == b.t
-        assert a.outputs == b.outputs
-        assert a.errors == b.errors
-        assert a.orders == b.orders
-    assert plain.total_events == shuffled.total_events
+    for opts in (
+        MasterOptions(tolerances=tol),
+        MasterOptions(tolerances=tol, smoothing=True, calibration="cls"),
+    ):
+        plain = run_f3ornits(model.problem, opts)
+        flipped = run_f3ornits(_reversed(model.problem), opts)
+        assert list(flipped.subsystems) == ["mass_right", "mass_left"]
+        for label, a in plain.subsystems.items():
+            b = flipped.subsystems[label]
+            assert a.t == b.t
+            assert a.outputs == b.outputs
+            assert a.errors == b.errors
+            assert a.orders == b.orders
+            assert a.rho == b.rho
+            assert a.input_coeffs == b.input_coeffs
+        assert plain.total_events == flipped.total_events
 
 
 def test_divergence_carries_label_and_last_good_time():
@@ -293,7 +304,6 @@ def test_divergence_carries_label_and_last_good_time():
     )
     problem = CosimProblem(
         subsystems=(boom,),
-        capabilities=(Capabilities(),),
         graph=CouplingGraph(),
         t_init=0.0,
         t_end=5.0,
@@ -305,10 +315,11 @@ def test_divergence_carries_label_and_last_good_time():
     assert err.value.t_last_good == 0.0
 
 
-def test_event_budget_guard():
+def test_event_budget_guard(monkeypatch):
+    monkeypatch.setattr(master, "MAX_EVENTS", 3)
     problem = _pair_problem(_sine_source(), _integrating_sink())
-    with pytest.raises(RuntimeError, match="event budget"):
-        run_f3ornits(problem, _options(max_events=3))
+    with pytest.raises(RuntimeError, match=r"event budget exceeded \(3 events\)"):
+        run_f3ornits(problem, _options())
 
 
 def test_times_strictly_increase_per_subsystem():
@@ -345,20 +356,16 @@ def test_problem_validation_rejects_mismatches():
     src = _const_source()
     graph = CouplingGraph()
     with pytest.raises(ConfigError, match="t_end"):
-        CosimProblem((src,), (Capabilities(),), graph, 0.0, 0.0, (0.1,)).validate()
+        CosimProblem((src,), graph, 0.0, 0.0, (0.1,)).validate()
     for dt0 in (-0.1, math.nan, math.inf, -math.inf):
         with pytest.raises(ConfigError, match="dt0"):
-            CosimProblem(
-                (src,), (Capabilities(),), graph, 0.0, 1.0, (dt0,)
-            ).validate()
+            CosimProblem((src,), graph, 0.0, 1.0, (dt0,)).validate()
     with pytest.raises(ConfigError, match="agree in length"):
-        CosimProblem((src,), (), graph, 0.0, 1.0, (0.1,)).validate()
+        CosimProblem((src,), graph, 0.0, 1.0, ()).validate()
     # the source has no inputs, so a link into its input 0 is invalid
     bad_slot = CouplingGraph({(0, 0): (0, 0)})
     with pytest.raises(ConfigError, match="no input slot 0"):
-        CosimProblem(
-            (src,), (Capabilities(),), bad_slot, 0.0, 1.0, (0.1,)
-        ).validate()
+        CosimProblem((src,), bad_slot, 0.0, 1.0, (0.1,)).validate()
 
 
 @pytest.mark.parametrize("bound", [None, 0.01])
@@ -370,9 +377,7 @@ def test_problem_validation_rejects_a_non_finite_horizon(t_init, t_end, bound):
     # into the event valve, and to be refused for its micro-step budget
     # with one
     src = dataclasses.replace(_sine_source(), max_micro_step=bound)
-    problem = CosimProblem(
-        (src,), (Capabilities(),), CouplingGraph(), t_init, t_end, (0.1,)
-    )
+    problem = CosimProblem((src,), CouplingGraph(), t_init, t_end, (0.1,))
     with pytest.raises(ConfigError, match="t_init and t_end must be finite"):
         problem.validate()
 
@@ -389,8 +394,9 @@ def test_problem_validation_bounds_an_imposed_step_by_the_event_budget(
     model = build_two_mass(TwoMassParams(t_end=5.0))
 
     def with_step(step):
-        caps = (Capabilities(), Capabilities(imposed_step=step))
-        return dataclasses.replace(model.problem, capabilities=caps)
+        left, right = model.problem.subsystems
+        right = dataclasses.replace(right, imposed_step=step)
+        return dataclasses.replace(model.problem, subsystems=(left, right))
 
     with_step(1e-6).validate()
     with pytest.raises(
@@ -400,12 +406,33 @@ def test_problem_validation_bounds_an_imposed_step_by_the_event_budget(
         run_f3ornits(with_step(0.99e-6), MasterOptions())
 
 
+def test_problem_validation_reads_the_budget_the_event_loop_stops_at(
+    monkeypatch,
+):
+    def no_window(*args):
+        raise AssertionError("a window was walked")
+
+    monkeypatch.setattr(master, "step_to", no_window)
+    monkeypatch.setattr(master, "MAX_EVENTS", 100)
+
+    def with_step(step):
+        sink = dataclasses.replace(_integrating_sink(), imposed_step=step)
+        return _pair_problem(_sine_source(), sink, t_end=5.0)
+
+    with_step(0.05).validate()
+    with pytest.raises(
+        ConfigError, match=r"sink's imposed step: 0.049 needs more than 100 events"
+    ):
+        run_f3ornits(with_step(0.049), _options())
+
+
 def test_only_consumers_that_take_cubics_smooth(tmp_path):
     # the master decides per consumer whether it smooths: smoothing on and
     # cubics within its input degree
     model = build_two_mass(TwoMassParams(t_end=10.0))
-    caps = (Capabilities(), Capabilities(max_input_degree=1))
-    problem = dataclasses.replace(model.problem, capabilities=caps)
+    left, right = model.problem.subsystems
+    right = dataclasses.replace(right, max_input_degree=1)
+    problem = dataclasses.replace(model.problem, subsystems=(left, right))
     trace = run_f3ornits(problem, MasterOptions(smoothing=True))
     trace.write_csv(tmp_path, "run")
 
@@ -421,7 +448,6 @@ def test_duplicate_labels_rejected():
     graph = CouplingGraph()
     problem = CosimProblem(
         subsystems=(_const_source(1.0, "same"), _const_source(2.0, "same")),
-        capabilities=(Capabilities(), Capabilities()),
         graph=graph,
         t_init=0.0,
         t_end=1.0,

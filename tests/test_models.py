@@ -26,7 +26,7 @@ from f3ornits.models import (
     reference_gap,
 )
 from f3ornits.poly import Polynomial
-from f3ornits.subsystem import Capabilities, Derivatives, SubsystemSpec, step_to
+from f3ornits.subsystem import Derivatives, SubsystemSpec, step_to
 
 
 def _rk4(rhs, x0, t0, t1, h):
@@ -202,11 +202,10 @@ def test_two_mass_switch_kinks_the_coupling_force():
 def test_controller_speed_estimate_tracks_a_linear_input():
     model = build_car(CarParams(seed=1))
     controller = model.problem.subsystems[1]
-    caps = model.problem.capabilities[1]
     p = model.params
     u = Polynomial(20.0, (3.0, 0.75))        # position ramp, slope 0.75
     state = [u(20.0)]
-    state, y = step_to(controller, caps, state, [u], 20.0, 25.0)
+    state, y = step_to(controller, state, [u], 20.0, 25.0)
     v_est = p.v_target - y[0] / p.kp
     assert abs(v_est - 0.75) < 1e-9
 
@@ -214,11 +213,10 @@ def test_controller_speed_estimate_tracks_a_linear_input():
 def test_controller_estimate_collapses_on_held_input():
     model = build_car(CarParams(seed=1))
     controller = model.problem.subsystems[1]
-    caps = model.problem.capabilities[1]
     p = model.params
     held = Polynomial(20.0, (5.0,))
     state = [held(20.0) - 5.0]               # v_est starts at 5000
-    state, y = step_to(controller, caps, state, [held], 20.0, 20.05)
+    state, y = step_to(controller, state, [held], 20.0, 20.05)
     v_est = p.v_target - y[0] / p.kp
     assert abs(v_est) < 1e-9
 
@@ -288,7 +286,7 @@ def _chain(graph=None, k_source=0.5, k_rest=0.5):
                       Derivatives(("x0 * s + u0",), c, v2), (-0.25,)),
     )
     graph = graph or CouplingGraph({(0, 0): (2, 0), (1, 0): (0, 0), (2, 0): (1, 0)})
-    return CosimProblem(specs, (Capabilities(),) * 3, graph, 0.0, 1.0, (0.1,) * 3)
+    return CosimProblem(specs, graph, 0.0, 1.0, (0.1,) * 3)
 
 
 def _closed_loop(problem):
@@ -332,7 +330,7 @@ def test_composed_chain_walks_to_the_hand_closed_loop_bits():
     ends = []
     for f in (rhs, lambda t, x, u: closed(t, x)[0]):
         spec = SubsystemSpec("monolith", 4, 0, 0, f, lambda t, x, u: (), x0)
-        x, _ = step_to(spec, Capabilities(), x0, (), 0.25, 1.0, 0.01)
+        x, _ = step_to(spec, x0, (), 0.25, 1.0, 0.01)
         ends.append([v.hex() for v in x])
     assert ends[0] == ends[1]
 

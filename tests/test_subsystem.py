@@ -7,14 +7,8 @@ from hypothesis import strategies as st
 
 from f3ornits.errors import ConfigError, ContractViolation, DivergenceError
 from f3ornits.poly import Polynomial
-from f3ornits.subsystem import (
-    MICRO_DIVISOR,
-    Capabilities,
-    Derivatives,
-    SubsystemSpec,
-    effective_max_degree,
-    step_to,
-)
+from f3ornits.master import _SubRuntime
+from f3ornits.subsystem import MICRO_DIVISOR, Derivatives, SubsystemSpec, step_to
 
 
 def const_input(v):
@@ -52,14 +46,19 @@ def make_integrator():
 
 # -------------------------------------------------------------- capabilities
 
-def test_capability_validation():
-    with pytest.raises(ConfigError):
-        Capabilities(max_input_degree=-1)
-    with pytest.raises(ConfigError):
-        Capabilities(imposed_step=0.0)
-    with pytest.raises(ConfigError, match="imposed_step"):
-        Capabilities(imposed_step=math.nan)
-    Capabilities(imposed_step=0.5)
+@pytest.mark.parametrize(
+    "field,value",
+    [("max_input_degree", -1), ("imposed_step", 0.0),
+     ("imposed_step", math.nan), ("imposed_step", math.inf)],
+)
+def test_spec_rejects_meaningless_capabilities(field, value):
+    with pytest.raises(ConfigError, match=f"integ: {field}"):
+        replace(make_integrator(), **{field: value})
+
+
+def test_spec_accepts_declared_capabilities():
+    spec = replace(make_integrator(), max_input_degree=0, imposed_step=0.5)
+    assert (spec.max_input_degree, spec.imposed_step) == (0, 0.5)
 
 
 @pytest.mark.parametrize(
@@ -67,18 +66,19 @@ def test_capability_validation():
     [(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 2, 3), (7, 2, 3)],
 )
 def test_degree_ceilings(m_k, plain, hard):
-    caps = Capabilities(max_input_degree=m_k)
-    assert effective_max_degree(caps) == plain
-    assert caps.smoothing_capable == (m_k >= 3)
+    spec = replace(make_integrator(), max_input_degree=m_k)
+    for smoothing in (False, True):
+        rt = _SubRuntime(spec, (), 0.0, smoothing)
+        assert rt.deg_cap == plain
+        assert rt.smooths == (smoothing and m_k >= 3)
     # step_to accepts exactly the input degrees up to the hard ceiling
-    spec = make_integrator()
     for degree in range(4):
         poly = Polynomial(0.0, (0.0,) * degree + (1.0,))
         if degree <= hard:
-            step_to(spec, caps, spec.x_init, [poly], 0.0, 0.1)
+            step_to(spec, spec.x_init, [poly], 0.0, 0.1)
         else:
             with pytest.raises(ContractViolation, match=f"allows {m_k}"):
-                step_to(spec, caps, spec.x_init, [poly], 0.0, 0.1)
+                step_to(spec, spec.x_init, [poly], 0.0, 0.1)
 
 
 def test_spec_rejects_negative_arities():
@@ -107,8 +107,8 @@ def test_micro_step_rule():
         (1e-3, 0.1, 10),
     ):
         calls.clear()
-        step_to(replace(spec, max_micro_step=bound), Capabilities(),
-                spec.x_init, [], 0.0, 1.0, micro_step)
+        step_to(replace(spec, max_micro_step=bound), spec.x_init, [], 0.0, 1.0,
+                micro_step)
         assert len(calls) == 4 * steps
 
 
@@ -128,7 +128,7 @@ def test_zero_dynamics_keeps_state():
         g=lambda t, x, u: [x[0] + x[1]],
         x_init=(2.0, 3.0),
     )
-    x, y = step_to(spec, Capabilities(), spec.x_init, [], 0.0, 0.7)
+    x, y = step_to(spec, spec.x_init, [], 0.0, 0.7)
     assert x == [2.0, 3.0]
     assert y == (5.0,)
 
@@ -137,14 +137,14 @@ def test_integrates_cubic_input_exactly():
     # RK4 integrates polynomials of degree <= 3 with zero truncation error
     spec = make_integrator()
     p = Polynomial(0.0, (1.0, -2.0, 3.0, 0.5))
-    x, y = step_to(spec, Capabilities(), spec.x_init, [p], 0.0, 0.8)
+    x, y = step_to(spec, spec.x_init, [p], 0.0, 0.8)
     exact = 0.8 - 0.8 ** 2 + 0.8 ** 3 + 0.5 * 0.8 ** 4 / 4.0
     assert y[0] == pytest.approx(exact, rel=1e-12)
 
 
 def test_decay_accuracy():
     spec = replace(make_decay(2.0), max_micro_step=1e-3)
-    x, y = step_to(spec, Capabilities(), spec.x_init, [], 0.0, 1.0)
+    x, y = step_to(spec, spec.x_init, [], 0.0, 1.0)
     assert y[0] == pytest.approx(math.exp(-2.0), rel=1e-9)
 
 
@@ -153,15 +153,15 @@ def test_lands_exactly_on_target():
     # a target that is not an integer multiple of the micro step: the last
     # micro step is shortened, so the state is x(t) at exactly the target
     t = 0.0123456789
-    x, _ = step_to(spec, Capabilities(), spec.x_init, [], 0.0, t)
+    x, _ = step_to(spec, spec.x_init, [], 0.0, t)
     assert x[0] == pytest.approx(math.exp(-t), rel=1e-12)
 
 
 def test_determinism_bitwise():
     spec = make_integrator()
     p = Polynomial(0.3, (0.1, 2.0, -1.0))
-    a = step_to(spec, Capabilities(), spec.x_init, [p], 0.25, 1.73)
-    b = step_to(spec, Capabilities(), spec.x_init, [p], 0.25, 1.73)
+    a = step_to(spec, spec.x_init, [p], 0.25, 1.73)
+    b = step_to(spec, spec.x_init, [p], 0.25, 1.73)
     assert a[0] == b[0]
     assert a[1] == b[1]
 
@@ -169,10 +169,8 @@ def test_determinism_bitwise():
 def test_micro_macro_separation():
     # halving the micro step moves a macro step's outputs by < 1e-7 relative
     spec = make_decay(3.0)
-    _, coarse = step_to(spec, Capabilities(), spec.x_init, [], 0.0, 0.5)
-    _, fine = step_to(
-        spec, Capabilities(), spec.x_init, [], 0.0, 0.5, micro_step=0.0005
-    )
+    _, coarse = step_to(spec, spec.x_init, [], 0.0, 0.5)
+    _, fine = step_to(spec, spec.x_init, [], 0.0, 0.5, micro_step=0.0005)
     rel = abs(coarse[0] - fine[0]) / abs(fine[0])
     assert rel < 1e-7
 
@@ -180,9 +178,9 @@ def test_micro_macro_separation():
 def test_no_rollback():
     spec = make_decay()
     with pytest.raises(ValueError):
-        step_to(spec, Capabilities(), spec.x_init, [], 1.0, 1.0)
+        step_to(spec, spec.x_init, [], 1.0, 1.0)
     with pytest.raises(ValueError):
-        step_to(spec, Capabilities(), spec.x_init, [], 1.0, 0.5)
+        step_to(spec, spec.x_init, [], 1.0, 0.5)
 
 
 @pytest.mark.parametrize(
@@ -202,29 +200,28 @@ def test_rejects_meaningless_micro_steps(micro_step, t_start, t_target, match):
     # t = 1e6) leaves t where it is, so the walk could never end either
     spec = make_decay()
     with pytest.raises(ValueError, match=match):
-        step_to(spec, Capabilities(), spec.x_init, [], t_start, t_target,
-                micro_step)
+        step_to(spec, spec.x_init, [], t_start, t_target, micro_step)
 
 
 def test_input_arity_checked():
     spec = make_integrator()
     with pytest.raises(ContractViolation):
-        step_to(spec, Capabilities(), spec.x_init, [], 0.0, 1.0)
+        step_to(spec, spec.x_init, [], 0.0, 1.0)
     # and so is the state's
     with pytest.raises(ContractViolation, match="got 2 states, expected 1"):
-        step_to(spec, Capabilities(), (0.0, 0.0), [const_input(1.0)], 0.0, 1.0)
+        step_to(spec, (0.0, 0.0), [const_input(1.0)], 0.0, 1.0)
 
 
 def test_degree_over_capability_rejected():
     spec = make_integrator()
     cubic = Polynomial(0.0, (0.0, 0.0, 0.0, 1.0))
     line = Polynomial(0.0, (0.0, 1.0))
-    caps1 = Capabilities(max_input_degree=1)
+    linear = replace(spec, max_input_degree=1)
     with pytest.raises(ContractViolation):
-        step_to(spec, caps1, spec.x_init, [cubic], 0.0, 1.0)
-    step_to(spec, caps1, spec.x_init, [line], 0.0, 1.0)
+        step_to(linear, spec.x_init, [cubic], 0.0, 1.0)
+    step_to(linear, spec.x_init, [line], 0.0, 1.0)
     # smoothing-capable subsystems accept cubics
-    step_to(spec, Capabilities(max_input_degree=3), spec.x_init, [cubic], 0.0, 1.0)
+    step_to(replace(spec, max_input_degree=3), spec.x_init, [cubic], 0.0, 1.0)
 
 
 def test_divergence_detected_with_context():
@@ -235,7 +232,7 @@ def test_divergence_detected_with_context():
         x_init=(1.0,),
     )
     with pytest.raises(DivergenceError) as exc:
-        step_to(spec, Capabilities(), spec.x_init, [], 2.0, 2.5)
+        step_to(spec, spec.x_init, [], 2.0, 2.5)
     assert exc.value.label == "blow"
     assert exc.value.t_last_good == 2.0
 
@@ -244,10 +241,9 @@ def test_inline_walk_keeps_the_stall_and_divergence_checks():
     # the walk a declaration compiles raises where the call walk does
     spec = make_decay(declared=True)
     with pytest.raises(ValueError, match=r"decay: micro step .* does not advance"):
-        step_to(spec, Capabilities(), spec.x_init, [], 1e6, 1e6 + 1e-9)
+        step_to(spec, spec.x_init, [], 1e6, 1e6 + 1e-9)
     with pytest.raises(DivergenceError) as exc:
-        step_to(make_decay(-1e160, declared=True), Capabilities(), (1.0,), [],
-                2.0, 2.5)
+        step_to(make_decay(-1e160, declared=True), (1.0,), [], 2.0, 2.5)
     assert exc.value.label == "decay"
     assert exc.value.t_last_good == 2.0
 
@@ -266,8 +262,7 @@ def walk_three_ways(exprs, constants, plain, x0, inputs=(), t0=0.0, t1=1.0,
     for f in (declared, lambda t, x, u: declared(t, x, u), plain):
         spec = SubsystemSpec("kernel", len(x0), len(inputs), 1, f,
                              lambda t, x, u: [0.0], tuple(x0))
-        x, _ = step_to(spec, Capabilities(), spec.x_init, list(inputs), t0, t1,
-                       h)
+        x, _ = step_to(spec, spec.x_init, list(inputs), t0, t1, h)
         results.append(hexes(x))
     assert results[0] == results[1] == results[2]
     return results[0]
@@ -331,7 +326,7 @@ def test_named_values_are_evaluated_twice_per_micro_step_plus_once_per_window():
     x = list(spec.x_init)
     for window, (t0, t1) in enumerate(((0.0, 1.0), (1.0, 1.5))):
         before = dict(calls)
-        x, y = step_to(spec, Capabilities(), x, u, t0, t1, 0.125)
+        x, y = step_to(spec, x, u, t0, t1, 0.125)
         steps = round((t1 - t0) / 0.125)
         assert calls["at"] - before["at"] == 2 * (2 * steps + 1)
         assert calls["once"] - before["once"] == 1
@@ -388,7 +383,7 @@ def test_output_arity_checked():
         x_init=(0.0,),
     )
     with pytest.raises(ContractViolation):
-        step_to(spec, Capabilities(), spec.x_init, [], 0.0, 1.0)
+        step_to(spec, spec.x_init, [], 0.0, 1.0)
 
 
 @pytest.mark.parametrize("derivatives", [[0.0], [0.0, 0.0, 0.0]])
@@ -409,7 +404,7 @@ def test_state_derivative_arity_checked(derivatives):
             ContractViolation,
             match=f"bad_f: f returned {len(derivatives)} derivatives, expected 2",
         ):
-            step_to(spec, Capabilities(), spec.x_init, [], 0.0, 1.0)
+            step_to(spec, spec.x_init, [], 0.0, 1.0)
         assert len(calls) == stage + 1
 
 
@@ -610,12 +605,10 @@ def test_step_to_matches_the_per_stage_walk_bit_for_bit(
     log, ref_log = [], []
     spec = SubsystemSpec("ref", n, len(inputs), n + len(inputs) + 1,
                          dynamics(log), g, tuple(x0), bound)
-    x, y = step_to(spec, Capabilities(), spec.x_init, inputs, t_start,
-                   t_target, micro_step)
+    x, y = step_to(spec, spec.x_init, inputs, t_start, t_target, micro_step)
     for f in (declared, lambda t, x, u: declared(t, x, u)):
-        twin_x, twin_y = step_to(replace(spec, f=f), Capabilities(),
-                                 spec.x_init, inputs, t_start, t_target,
-                                 micro_step)
+        twin_x, twin_y = step_to(replace(spec, f=f), spec.x_init, inputs,
+                                 t_start, t_target, micro_step)
         assert same_floats(twin_x, x)
         assert same_floats(twin_y, y)
     h_used = micro_step if micro_step is not None else min(
