@@ -48,7 +48,7 @@ from .coupling import CouplingGraph, SampleHistory
 from .errors import ConfigError
 from .inputs import InputPlan, build_plan, prune_published
 from .orders import CALIBRATION_MODES, estimate_output, select_order
-from .poly import MAX_DEGREE, MAX_ORDER, Polynomial, shift_coeffs
+from .poly import MAX_DEGREE, MAX_ORDER, Polynomial
 from .stepper import (
     ERROR_NORMS,
     DampedBounds,
@@ -260,36 +260,11 @@ def _start_trace(problem: CosimProblem, y0) -> RunTrace:
         st = trace.subsystems[spec.label] = SubsystemTrace(
             spec.label, spec.n_out, spec.n_in
         )
-        _record(
-            st, problem.t_init, y, (0.0,) * spec.n_out, (0,) * spec.n_out,
+        st.record(
+            problem.t_init, y, (0.0,) * spec.n_out, (0,) * spec.n_out,
             1.0, [None] * spec.n_in,
         )
     return trace
-
-
-def _record(
-    st: SubsystemTrace,
-    t: float,
-    outputs: tuple[float, ...],
-    errors: tuple[float, ...],
-    orders: tuple[int, ...],
-    rho: float,
-    plans,
-) -> None:
-    st.t.append(t)
-    st.outputs.append(outputs)
-    st.errors.append(errors)
-    st.orders.append(orders)
-    st.rho.append(rho)
-    packed = []
-    for plan in plans:
-        if plan is None:
-            packed.append((0.0, 0.0, 0.0, 0.0, 0))
-        else:
-            # about the window start, as Polynomial.shifted would give them
-            cs = shift_coeffs(plan.poly.coeffs, plan.window_start - plan.poly.t_ref)
-            packed.append(cs + (0.0,) * (4 - len(cs)) + (int(plan.smoothed),))
-    st.input_coeffs.append(tuple(packed))
 
 
 # --------------------------------------------------------------- the master
@@ -434,9 +409,8 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
                 rt.estimated = prop.t_next_estimated
             if t_end - rt.reached <= DT_EPSILON:
                 rt.finished = True
-            _record(
-                trace.subsystems[rt.spec.label], t_event, rt.y,
-                tuple(errs), tuple(orders_now), rho, rt.plans,
+            trace.subsystems[rt.spec.label].record(
+                t_event, rt.y, errs, orders_now, rho, rt.plans
             )
 
         # a reader resolves its next window at its reached time, which
@@ -493,9 +467,8 @@ def run_jacobi(problem: CosimProblem, dt: float) -> RunTrace:
         events += 1
         for k, spec in enumerate(specs):
             plans = [InputPlan(p, t_prev, False) for p in held[k]]
-            _record(
-                trace.subsystems[spec.label], t, y[k],
-                (0.0,) * spec.n_out, (0,) * spec.n_out, 1.0, plans,
+            trace.subsystems[spec.label].record(
+                t, y[k], (0.0,) * spec.n_out, (0,) * spec.n_out, 1.0, plans
             )
 
     trace.total_events = events

@@ -258,10 +258,7 @@ class TwoMassParams:
     v2_0: float = 0.0
 
 
-def build_two_mass(
-    params: TwoMassParams | None = None,
-    dt0: float | Sequence[float] = 0.01,
-) -> BenchmarkModel:
+def build_two_mass(params: TwoMassParams | None = None) -> BenchmarkModel:
     p = params if params is not None else TwoMassParams()
     # f and g read the parameters by their field names.  Each mass names its
     # ground spring's negated stiffness, which the walk then evaluates once
@@ -291,7 +288,7 @@ def build_two_mass(
         graph=graph,
         t_init=0.0,
         t_end=p.t_end,
-        dt0=_dt0_tuple(dt0, 2),
+        dt0=(0.01, 0.01),
     )
     return BenchmarkModel("two_mass", problem, p, *compose_monolith(problem), 1e-3)
 
@@ -320,10 +317,7 @@ class CarParams:
     )
 
 
-def build_car(
-    params: CarParams | None = None,
-    dt0: float | Sequence[float] = 0.05,
-) -> BenchmarkModel:
+def build_car(params: CarParams | None = None) -> BenchmarkModel:
     p = params if params is not None else CarParams()
     preset = piecewise_linear(p.preset_force)
     noise = dwell_noise(p.seed, p.perturb_amp, p.perturb_dwell)
@@ -369,7 +363,7 @@ def build_car(
         graph=graph,
         t_init=0.0,
         t_end=p.t_end,
-        dt0=_dt0_tuple(dt0, 2),
+        dt0=(0.05, 0.05),
     )
     return BenchmarkModel(
         "car", problem, p, *compose_monolith(problem), _on_record_grid(tau_diff / 2)
@@ -430,15 +424,6 @@ def build_model(
                 f"parameter {key!r} of {name} must be positive, got {value!r}"
             )
     return builder(params)
-
-
-def _dt0_tuple(dt0: float | Sequence[float], n: int) -> tuple[float, ...]:
-    if isinstance(dt0, (int, float)):
-        return (float(dt0),) * n
-    t = tuple(float(v) for v in dt0)
-    if len(t) != n:
-        raise ConfigError(f"expected {n} dt0 values, got {len(t)}")
-    return t
 
 
 # ----------------------------------------------------------------- reference

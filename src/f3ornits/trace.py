@@ -1,13 +1,16 @@
-"""Run traces: per-subsystem time series plus CSV export/import.
+"""Run traces: per-subsystem rows plus CSV export/import.
 
 One row per communication event of a subsystem: the fresh output samples,
 their normalized errors, the orders selected for the next window, the
 subsystem growth ratio, and the input polynomial actually integrated over
 the window that just ended (coefficients about the window start, so files
-are self-contained).  Floats are written with 17 significant digits and
-round-trip exactly.  Trace and reference rows are written with one `%`
-format each, built by `row_format`; other cells use `format_float`.  Both
-read `_FLOAT_FMT`, so the float format lives in one place.
+are self-contained).  A row is stored once, as the tuple of cells its CSV
+line holds; `SubsystemTrace._layout` names each cell and its kind, and the
+header, `column` and the line format all read it.  Floats are written with
+17 significant digits and round-trip exactly.  Trace and reference rows are
+written with one `%` format each, built by `row_format`; other cells use
+`format_float`.  Both read `_FLOAT_FMT`, so the float format lives in one
+place.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
+
+from .poly import shift_coeffs
 
 _FLOAT_FMT = "%.17g"
 
@@ -37,50 +41,60 @@ def row_format(kinds: str, terminator: str = "\r\n") -> str:
 
 @dataclass
 class SubsystemTrace:
-    """Columns for one subsystem; all lists share the row index."""
+    """One subsystem's rows, each a tuple of cells in `header()` order."""
 
     label: str
     n_out: int
     n_in: int
-    t: list[float] = field(default_factory=list)
-    outputs: list[tuple[float, ...]] = field(default_factory=list)
-    errors: list[tuple[float, ...]] = field(default_factory=list)
-    orders: list[tuple[int, ...]] = field(default_factory=list)
-    rho: list[float] = field(default_factory=list)
-    # per row, per input: (c0, c1, c2, c3, smoothed)
-    input_coeffs: list[tuple[tuple[float, float, float, float, int], ...]] = field(
-        default_factory=list
-    )
+    rows: list[tuple] = field(default_factory=list)
 
     @property
     def n_rows(self) -> int:
-        return len(self.t)
+        return len(self.rows)
 
     @property
     def steps(self) -> int:
         """Completed macro steps (the t=0 exchange row is not a step)."""
-        return max(0, len(self.t) - 1)
+        return max(0, len(self.rows) - 1)
+
+    def _layout(self) -> list[tuple[str, str]]:
+        """(header name, kind) per cell: kind "f" is a float, "d" an int."""
+        cols = [("t", "f")]
+        cols += [(f"y{j}", "f") for j in range(self.n_out)]
+        cols += [(f"err{j}", "f") for j in range(self.n_out)]
+        cols += [(f"order{j}", "d") for j in range(self.n_out)]
+        cols.append(("rho", "f"))
+        for i in range(self.n_in):
+            cols += [(f"u{i}_c{c}", "f") for c in range(4)]
+            cols.append((f"u{i}_smoothed", "d"))
+        return cols
 
     def header(self) -> list[str]:
-        cols = ["t"]
-        cols += [f"y{j}" for j in range(self.n_out)]
-        cols += [f"err{j}" for j in range(self.n_out)]
-        cols += [f"order{j}" for j in range(self.n_out)]
-        cols.append("rho")
-        for i in range(self.n_in):
-            cols += [f"u{i}_c0", f"u{i}_c1", f"u{i}_c2", f"u{i}_c3", f"u{i}_smoothed"]
-        return cols
+        return [name for name, _ in self._layout()]
+
+    def column(self, name: str) -> list:
+        """One column by its header name, the key `read_trace_csv` uses."""
+        k = self.header().index(name)
+        return [row[k] for row in self.rows]
+
+    def record(self, t, outputs, errors, orders, rho, plans) -> None:
+        """Append one row.  Each input plan is packed as its coefficients
+        about the window start (as Polynomial.shifted would give them),
+        padded to four, and whether it was smoothed; a missing plan packs as
+        zeros."""
+        cells = [t, *outputs, *errors, *orders, rho]
+        for plan in plans:
+            if plan is None:
+                cells += (0.0, 0.0, 0.0, 0.0, 0)
+            else:
+                cs = shift_coeffs(plan.poly.coeffs, plan.window_start - plan.poly.t_ref)
+                cells += cs + (0.0,) * (4 - len(cs)) + (int(plan.smoothed),)
+        self.rows.append(tuple(cells))
 
     def csv_lines(self):
         """Each row as the CSV line `csv.writer` would write for it."""
-        fmt = row_format(
-            "f" * (1 + 2 * self.n_out) + "d" * self.n_out + "f" + "ffffd" * self.n_in
-        )
-        for t, y, e, q, rho, u in zip(
-            self.t, self.outputs, self.errors, self.orders, self.rho,
-            self.input_coeffs,
-        ):
-            yield fmt % (t, *y, *e, *q, rho, *chain.from_iterable(u))
+        fmt = row_format("".join(kind for _, kind in self._layout()))
+        return (fmt % row for row in self.rows)
 
 
 @dataclass
@@ -93,7 +107,7 @@ class RunTrace:
 
     def output_series(self, label: str, j: int) -> tuple[list[float], list[float]]:
         st = self.subsystems[label]
-        return st.t, [y[j] for y in st.outputs]
+        return st.column("t"), st.column(f"y{j}")
 
     def write_csv(self, out_dir: str | os.PathLike, prefix: str) -> list[Path]:
         """One CSV per subsystem plus a summary; returns the paths written."""

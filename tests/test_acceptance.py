@@ -156,12 +156,10 @@ def _max_trace_diff(a, b) -> float:
     worst = 0.0
     for label, sa in a.subsystems.items():
         sb = b.subsystems[label]
-        if len(sa.t) != len(sb.t):
+        if sa.n_rows != sb.n_rows:
             return math.inf
-        for ta, tb in zip(sa.t, sb.t):
-            worst = max(worst, abs(ta - tb))
-        for ya, yb in zip(sa.outputs, sb.outputs):
-            for va, vb in zip(ya, yb):
+        for name in ["t"] + [f"y{j}" for j in range(sa.n_out)]:
+            for va, vb in zip(sa.column(name), sb.column(name)):
                 worst = max(worst, abs(va - vb))
     return worst
 
@@ -170,11 +168,13 @@ def test_criterion_3_degenerates_to_the_fixed_grid_baseline():
     t0 = time.perf_counter()
     failures = []
     for model, dt in (
-        (build_two_mass(dt0=0.2), 0.2),       # startup step must match the grid
-        (build_car(CarParams(seed=7), dt0=0.05), 0.05),
+        (build_two_mass(), 0.2),
+        (build_car(CarParams(seed=7)), 0.05),
     ):
-        forced = run_f3ornits(model.problem, _degenerate_options(dt))
-        grid = run_jacobi(model.problem, dt)
+        # the startup step must match the grid
+        problem = replace(model.problem, dt0=(dt, dt))
+        forced = run_f3ornits(problem, _degenerate_options(dt))
+        grid = run_jacobi(problem, dt)
         worst = _max_trace_diff(forced, grid)
         if not worst <= 1e-12:
             failures.append(f"{model.name}: max trace difference {worst:.3e}")
@@ -233,13 +233,14 @@ def test_criterion_5_smoothed_inputs_are_c1():
     joints = 0
     smoothed_plans = 0
     for label, st in trace.subsystems.items():
+        t = st.column("t")
         for i in range(st.n_in):
-            plans = []
-            for r in range(1, st.n_rows):
-                coeffs = st.input_coeffs[r][i]
-                plans.append(
-                    (st.t[r], Polynomial(st.t[r - 1], coeffs[:4]), coeffs[4])
-                )
+            coeffs = list(zip(*(st.column(f"u{i}_c{c}") for c in range(4))))
+            flags = st.column(f"u{i}_smoothed")
+            plans = [
+                (t[r], Polynomial(t[r - 1], coeffs[r]), flags[r])
+                for r in range(1, st.n_rows)
+            ]
             smoothed_plans += sum(flag for _, _, flag in plans)
             for (t_joint, left, _), (_, right, _) in zip(plans, plans[1:]):
                 joints += 1
@@ -488,15 +489,15 @@ def test_criterion_8_scheduler_contract_on_random_graphs(monkeypatch):
         problem = _random_problem(rng)
         trace = run_f3ornits(problem, opts)
         for k, spec in enumerate(problem.subsystems):
-            st = trace.subsystems[spec.label]
-            if abs(st.t[-1] - problem.t_end) > 1e-6:
+            t_rows = trace.subsystems[spec.label].column("t")
+            if abs(t_rows[-1] - problem.t_end) > 1e-6:
                 failures.append(
-                    f"run {trial}: {spec.label} stopped at {st.t[-1]:.6g}, "
+                    f"run {trial}: {spec.label} stopped at {t_rows[-1]:.6g}, "
                     f"horizon {problem.t_end:.6g}"
                 )
             step = problem.subsystems[k].imposed_step
             if step is not None:
-                for r, t in enumerate(st.t[:-1]):
+                for t in t_rows[:-1]:
                     k_near = round((t - problem.t_init) / step)
                     if abs(t - (problem.t_init + k_near * step)) > 1e-9:
                         failures.append(

@@ -263,19 +263,25 @@ def test_comparison_matrix_shape():
 # ----------------------------------------------------------- CSV round trip
 
 def test_trace_csv_round_trips_bit_exactly(tmp_path):
-    setup = materialize(RunConfig(model="two_mass", t_end=5.0))
-    trace = run_f3ornits(setup.model.problem, setup.options)
-    paths = trace.write_csv(tmp_path, "rt")
-    st = trace.subsystems["mass_left"]
-    cols = read_trace_csv(tmp_path / "rt_mass_left.csv")
-    assert cols["t"] == st.t
-    assert cols["y0"] == [y[0] for y in st.outputs]
-    assert cols["err1"] == [e[1] for e in st.errors]
-    assert cols["rho"] == st.rho
-    assert cols["u0_c1"] == [cs[0][1] for cs in st.input_coeffs]
-    assert {p.name for p in paths} == {
-        "rt_mass_left.csv", "rt_mass_right.csv", "rt_summary.csv",
+    two_mass = materialize(RunConfig(model="two_mass", t_end=5.0))
+    car = materialize(RunConfig(model="car", seed=7, smoothing=True))
+    runs = {
+        "rt": run_f3ornits(two_mass.model.problem, two_mass.options),
+        "car": run_f3ornits(car.model.problem, car.options),
+        "jacobi": master.run_jacobi(two_mass.model.problem, 0.1),
     }
+    assert any(runs["car"].subsystems["vehicle"].column("u0_smoothed"))
+    # every column of every subsystem reads back as the trace holds it
+    for prefix, run in runs.items():
+        paths = run.write_csv(tmp_path, prefix)
+        assert [p.name for p in paths] == [
+            f"{prefix}_{label}.csv" for label in run.subsystems
+        ] + [f"{prefix}_summary.csv"]
+        for label, st in run.subsystems.items():
+            cols = read_trace_csv(tmp_path / f"{prefix}_{label}.csv")
+            assert list(cols) == st.header()
+            for name in st.header():
+                assert cols[name] == st.column(name), (prefix, label, name)
 
 
 def test_format_float_survives_parsing():
