@@ -27,7 +27,7 @@ import typing
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
-from .master import MasterOptions, check_event_budget
+from .master import MasterOptions, check_event_budget, check_horizon
 from .models import BenchmarkModel, build_model
 from .stepper import Tolerances
 
@@ -216,24 +216,21 @@ def materialize(cfg: RunConfig) -> RunSetup:
     problem = model.problem
     labels = [s.label for s in problem.subsystems]
     t_init, t_end = problem.t_init, problem.t_end
-    if not (math.isfinite(t_end) and t_end > t_init):
-        raise ConfigError(
-            f"key 't_end': {t_end!r} must be finite and greater than "
-            f"t_init = {t_init!r}"
-        )
+    check_horizon(t_init, t_end)
 
     if cfg.dt0 is not None or cfg.dt0_per_label:
         stray = sorted(set(cfg.dt0_per_label) - set(labels))
         if stray:
             raise ConfigError(f"dt0.* names unknown subsystem(s): {', '.join(stray)}")
         default = problem.dt0 if cfg.dt0 is None else (cfg.dt0,) * len(labels)
-        dt0 = tuple(
-            float(cfg.dt0_per_label.get(label, d))
-            for label, d in zip(labels, default)
-        )
-        if not all(math.isfinite(d) and d > 0 for d in dt0):
-            raise ConfigError(f"key 'dt0': {dt0!r} must be finite and positive")
-        problem = replace(problem, dt0=dt0)
+        dt0 = []
+        for label, d in zip(labels, default):
+            key = f"dt0.{label}" if label in cfg.dt0_per_label else "dt0"
+            d = cfg.dt0_per_label.get(label, d)
+            if not (math.isfinite(d) and d > 0):
+                raise ConfigError(f"key {key!r}: {d!r} must be finite and positive")
+            dt0.append(float(d))
+        problem = replace(problem, dt0=tuple(dt0))
 
     if cfg.caps_overrides:
         stray = sorted(set(cfg.caps_overrides) - set(labels))

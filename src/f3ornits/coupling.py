@@ -6,8 +6,9 @@ from the links who must wake up for communication and who may coast.
 
 A SampleHistory holds one output's exchanged samples together with the
 newest row of their divided-difference table, which order selection scores
-its candidates from.  Its `push` checks each sample once; the calibration
-fits take the samples from it unchecked.
+its candidates from and extrapolation publishes from.  Its `push` checks
+each sample once and is the one place a divided difference is computed;
+the constrained fits take the samples from it unchecked.
 """
 
 from __future__ import annotations
@@ -71,8 +72,7 @@ class SampleHistory:
     f[t_n, t_n-1, t_n-2] once three are, with y_n = values[-1].  Each push
     extends the row by one sample, so order selection reads every
     candidate's prediction from it without fitting anything, and
-    poly.fit_extrapolation publishes that row's polynomial, computed in the
-    same order of operations.
+    orders.fit_extrapolation publishes that row's polynomial.
 
     `push` is the only writer and the one place an exchanged sample is
     checked, once, on arrival; the calibration fits read the samples
@@ -80,8 +80,8 @@ class SampleHistory:
     SequencingError; a non-finite time or value, or a time closer to its
     predecessor than poly.TIME_GAP_REL relative to max(1, |t|), is a
     CalibrationError; a divided difference that overflows is a ValueError,
-    as an overflowing fit's Polynomial raises it.  A refused sample leaves
-    the history as it was.
+    as Polynomial refuses a non-finite coefficient.  A refused sample
+    leaves the history as it was.
     """
 
     __slots__ = ("times", "values", "d1", "d2")

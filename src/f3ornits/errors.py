@@ -18,7 +18,7 @@ class ContractViolation(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """A subsystem state became non-finite during integration.
+    """A subsystem's state, or a number made from data it exchanges, overflowed.
 
     Carries the subsystem label and the last communication time at which the
     state was still finite, so callers can report where the run broke down.

@@ -45,7 +45,7 @@ import time
 from dataclasses import dataclass, field
 
 from .coupling import CouplingGraph, SampleHistory
-from .errors import ConfigError
+from .errors import CalibrationError, ConfigError, DivergenceError
 from .inputs import InputPlan, build_plan, prune_published
 from .orders import CALIBRATION_MODES, estimate_output, select_order
 from .poly import MAX_DEGREE, MAX_ORDER, Polynomial
@@ -82,11 +82,7 @@ class CosimProblem:
         if errs:
             raise ConfigError("coupling graph invalid: " + "; ".join(errs))
         t_init, t_end = self.t_init, self.t_end
-        if not (math.isfinite(t_init) and math.isfinite(t_end) and t_end > t_init):
-            raise ConfigError(
-                f"t_init and t_end must be finite and t_end must exceed "
-                f"t_init, got {t_init!r} and {t_end!r}"
-            )
+        check_horizon(t_init, t_end)
         for d in self.dt0:
             if not (math.isfinite(d) and d > 0):
                 raise ConfigError(f"dt0 must be finite and positive, got {d!r}")
@@ -133,6 +129,15 @@ class MasterOptions:
         q = self.force_order
         if q is not None and not 0 <= q <= MAX_ORDER:
             raise ConfigError(f"key 'force_order': {q!r} not in 0..{MAX_ORDER}")
+
+
+def check_horizon(t_init: float, t_end: float) -> None:
+    """Refuse, naming 't_end', a horizon not finite or not after its start."""
+    if not (math.isfinite(t_init) and math.isfinite(t_end) and t_end > t_init):
+        raise ConfigError(
+            f"key 't_end': t_init and t_end must be finite and t_end must "
+            f"exceed t_init, got {t_init!r} and {t_end!r}"
+        )
 
 
 def check_event_budget(
@@ -359,11 +364,16 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
         # plans built from what was published before this event
         for k in due:
             rt = runtimes[k]
-            for i, log in enumerate(rt.sources):
-                rt.plans[i], rt.delivered[i] = build_plan(
-                    log, rt.reached, t_event, rt.deg_cap, rt.smooths,
-                    rt.delivered[i],
-                )
+            try:
+                for i, log in enumerate(rt.sources):
+                    rt.plans[i], rt.delivered[i] = build_plan(
+                        log, rt.reached, t_event, rt.deg_cap, rt.smooths,
+                        rt.delivered[i],
+                    )
+            except CalibrationError:
+                raise
+            except ValueError as exc:
+                raise DivergenceError(rt.spec.label, rt.reached) from exc
             rt.state, rt.y = step_to(
                 rt.spec, rt.state, [p.poly for p in rt.plans], rt.reached, t_event
             )
@@ -388,10 +398,15 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
                 decision = select_order(
                     rt.histories[j], t_event, y_new, force=options.force_order
                 )
-                rt.histories[j].push(t_event, y_new)
-                rt.published[j].append(
-                    estimate_output(rt.histories[j], decision, options.calibration)
-                )
+                try:
+                    rt.histories[j].push(t_event, y_new)
+                    rt.published[j].append(
+                        estimate_output(rt.histories[j], decision, options.calibration)
+                    )
+                except CalibrationError:
+                    raise
+                except ValueError as exc:
+                    raise DivergenceError(rt.spec.label, rt.reached) from exc
                 orders_now.append(decision.order)
             rt.orders_changed = orders_now != p_used
             rt.reached = t_event

@@ -71,7 +71,7 @@ from typing import Callable, Sequence
 
 from .coupling import CouplingGraph
 from .errors import ConfigError, DivergenceError
-from .master import CosimProblem, check_event_budget
+from .master import CosimProblem, check_event_budget, check_horizon
 from .subsystem import Derivatives, SubsystemSpec, names_read, renamed, step_to
 
 _M64 = (1 << 64) - 1
@@ -580,8 +580,8 @@ def _walk(
     """The record times, and the output columns there from steps of m * h,
     in sorted output order.  Columns fill arrays of doubles, not lists of
     float objects."""
-    t0 = model.problem.t_init
-    t_end = model.problem.t_end
+    t0, t_end = model.problem.t_init, model.problem.t_end
+    check_horizon(t0, t_end)
     check_event_budget("key 'micro_step'", h, "steps", t0, t_end)
     n_steps = round((t_end - t0) / h)
     on_grid = abs(t0 + n_steps * h - t_end) <= 1e-9 * max(1.0, abs(t_end))

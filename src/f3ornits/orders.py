@@ -21,7 +21,12 @@ divided-difference table (see SampleHistory): with tau = t_new - t_n,
 (Stoer & Bulirsch, 2.1-2.2).  A score needs only that one value, so it
 costs a multiply-add per order, not a fit whose coefficients are thrown
 away and a copy of the history.  Publishing in extrapolation mode reads
-the same row, re-expressed in powers of t - t_n (see poly.fit_extrapolation).
+the same row, re-expressed in powers of tau = t - t_n with h = t_n - t_n-1,
+
+    p = y_n + d1 * tau + d2 * tau * (tau + h)
+      = y_n + (d1 + d2 * h) * tau + d2 * tau**2,
+
+so p(t_n) is y_n exactly; `SampleHistory.push` is the only code computing d1 and d2.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coupling import SampleHistory
-from .poly import Polynomial, fit_constrained_least_squares, fit_extrapolation
+from .errors import CalibrationError, SequencingError
+from .poly import MAX_ORDER, Polynomial, fit_constrained_least_squares
 
 CALIBRATION_MODES = ("extrapolation", "cls")
 
@@ -77,6 +83,25 @@ def select_order(
     return OrderDecision(order=best_q, candidate_errors=errors)
 
 
+def fit_extrapolation(history: SampleHistory, q: int) -> Polynomial:
+    """The interpolant through the q + 1 newest samples, read off the
+    history's divided-difference row in the form above.  An order outside
+    0..MAX_ORDER is a CalibrationError, and a history holding fewer than
+    q + 1 samples a SequencingError."""
+    if not 0 <= q <= MAX_ORDER:
+        raise CalibrationError(f"extrapolation takes orders 0..{MAX_ORDER}, got {q}")
+    times = history.times
+    if len(times) <= q:
+        raise SequencingError(f"order {q} needs {q + 1} samples, got {len(times)}")
+    t_n, y_n = times[-1], history.values[-1]
+    if q == 0:
+        return Polynomial(t_n, (y_n,))
+    if q == 1:
+        return Polynomial(t_n, (y_n, history.d1))
+    d2 = history.d2
+    return Polynomial(t_n, (y_n, history.d1 + d2 * (t_n - times[-2]), d2))
+
+
 def estimate_output(
     history: SampleHistory,
     decision: OrderDecision,
@@ -95,4 +120,4 @@ def estimate_output(
     q = decision.order
     if mode == "cls":
         return fit_constrained_least_squares(*history.newest(q + 2))
-    return fit_extrapolation(*history.newest(q + 1))
+    return fit_extrapolation(history, q)

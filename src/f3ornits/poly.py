@@ -1,21 +1,16 @@
-"""Low-degree polynomial representation and the three calibration fits.
+"""Low-degree polynomial representation and two calibration fits.
 
 All coupling quantities travel between subsystems as polynomials of degree at
 most three, expressed in a shifted local variable tau = t - t_ref so that the
 coefficients stay well conditioned even when the absolute simulation time is
-large.  Three calibrations are provided, each sized to the orders the method
-publishes (0 to MAX_ORDER):
+large.  The fits are least squares of degree 0 to MAX_ORDER, exact at one
+point (the newest sample, or the window start when capping), and the
+two-point cubic Hermite matching values and first derivatives.  The
+extrapolation fits nothing: `orders` reads it off `SampleHistory`'s row.
 
-* the interpolant through 1 to MAX_ORDER + 1 points (extrapolation), from
-  the newest row of their Newton divided-difference table,
-* least squares of degree 0 to MAX_ORDER, constrained to be exact at one
-  point (the newest sample, or the window start when capping),
-* two-point cubic Hermite matching values and first derivatives.
-
-The fits read samples as `SampleHistory.push` checked them.  The
-constrained fits solve their 1x1 and 2x2 normal equations in straight-line
-code, by Gaussian elimination with partial pivoting in its order of
-operations; a larger fit is refused.
+The constrained fits read samples as `push` checked them and solve their 1x1
+and 2x2 normal equations in straight-line code, by Gaussian elimination with
+partial pivoting in its order of operations; a larger fit is refused.
 """
 
 from __future__ import annotations
@@ -119,39 +114,6 @@ def _solve2(
         b1 -= fac * b0
     x1 = _solve1(a11, b1)
     return (b0 - a01 * x1) / a00, x1
-
-
-def fit_extrapolation(
-    times: tuple[float, ...], values: tuple[float, ...]
-) -> Polynomial:
-    """Unique polynomial through 1 to MAX_ORDER + 1 samples, oldest first.
-
-    It is the Newton form on the newest row of the samples' divided-difference
-    table, d1 = f[t_n, t_n-1] and d2 = f[t_n, t_n-1, t_n-2], each computed
-    as `SampleHistory.push` computes it, so publishing and order selection
-    read the same bits.  About the newest sample, with tau = t - t_n and
-    h = t_n - t_n-1,
-
-        p = y_n + d1 * tau + d2 * tau * (tau + h)
-          = y_n + (d1 + d2 * h) * tau + d2 * tau**2,
-
-    so p(t_n) is y_n exactly, and every gap that `push` accepts is a
-    nonzero divisor.
-    """
-    q = len(times)
-    if not 1 <= q <= MAX_ORDER + 1:
-        raise CalibrationError(
-            f"extrapolation takes 1..{MAX_ORDER + 1} points, got {q}"
-        )
-    t_n, y_n = times[-1], values[-1]
-    if q == 1:
-        return Polynomial(t_n, (y_n,))
-    h = t_n - times[-2]
-    d1 = (y_n - values[-2]) / h
-    if q == 2:
-        return Polynomial(t_n, (y_n, d1))
-    d2 = (d1 - (values[1] - values[0]) / (times[1] - times[0])) / (t_n - times[0])
-    return Polynomial(t_n, (y_n, d1 + d2 * h, d2))
 
 
 def fit_constrained(

@@ -26,14 +26,9 @@ from f3ornits.master import (
     run_jacobi,
 )
 from f3ornits.models import CarParams, build_car, build_two_mass
-from f3ornits.orders import estimate_output, select_order
+from f3ornits.orders import estimate_output, fit_extrapolation, select_order
 from f3ornits.coupling import SampleHistory
-from f3ornits.poly import (
-    Polynomial,
-    fit_constrained_least_squares,
-    fit_extrapolation,
-    fit_hermite,
-)
+from f3ornits.poly import Polynomial, fit_constrained_least_squares, fit_hermite
 from f3ornits.report import score_trace
 from f3ornits.stepper import DampedBounds, Tolerances, update_damped_bounds
 from f3ornits.subsystem import SubsystemSpec
@@ -70,9 +65,10 @@ def test_criterion_1_polynomial_exactness():
             times.append(times[-1] + rng.uniform(0.05, 1.0))
         probe = times[-1] + rng.uniform(0.1, 2.0)
 
-        ex = fit_extrapolation(
-            tuple(times[: d + 1]), tuple(truth(t) for t in times[: d + 1])
-        )
+        ex_history = SampleHistory()
+        for t in times[: d + 1]:
+            ex_history.push(t, truth(t))
+        ex = fit_extrapolation(ex_history, d)
         if not _close(ex(probe), truth(probe)):
             failures.append(f"trial {trial}: extrapolation misses degree {d}")
 
@@ -124,7 +120,10 @@ def test_criterion_2_error_order_scaling():
             errs = []
             for a in anchors:
                 times = tuple(a - (p - i) * dt for i in range(p + 1))
-                fit = fit_extrapolation(times, tuple(math.sin(t) for t in times))
+                history = SampleHistory()
+                for t in times:
+                    history.push(t, math.sin(t))
+                fit = fit_extrapolation(history, p)
                 pred = fit(a + dt)
                 errs.append(abs(pred - math.sin(a + dt)))
             mean_errs.append(sum(errs) / len(errs))

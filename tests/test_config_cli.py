@@ -355,6 +355,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "monolith" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [[], ["--smoothing"], ["--calibration", "cls"]])
+def test_cli_exchange_overflow_exits_2(extra, tmp_path, capsys):
+    # a blow-up that overflows the exchanged data before any state turns
+    # non-finite is a divergence too, not a traceback and exit 1
+    code = cli.main([
+        "run", "--model", "two_mass", "--param", "k2=-50000", "--t-end", "20",
+        "--output-dir", str(tmp_path), *extra,
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("diverged: ")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("key", ["tol_rel", "nu", "t_end", "dt_max", "dt"])
 def test_cli_rejects_non_finite_settings(key, value, tmp_path, capsys):
@@ -424,6 +436,10 @@ def test_cli_rejects_non_positive_parameters(capsys):
      "'dt_max'"),
     # dt_min derives from dt0; dt_max from the appended --t-end 2
     (["run", "--model", "two_mass", "--dt0", "50"], "'dt0'"),
+    (["run", "--model", "two_mass", "--set", "dt0.mass_left=nan"],
+     "'dt0.mass_left'"),
+    (["run", "--model", "two_mass", "--set", "dt0=-1",
+      "--set", "dt0.mass_right=0.5"], "'dt0'"),
     (["run", "--model", "two_mass", "--dt-min", "0.5"], "'t_end'"),
 ], ids=[
     "x1_0-nan", "x1_0-inf", "t_switch-nan", "seed-nan", "seed-inf",
@@ -433,7 +449,8 @@ def test_cli_rejects_non_positive_parameters(capsys):
     "tau_diff-over-budget",
     "jacobi_dts-nan", "jacobi-dt-over-budget", "jacobi_dts-over-budget",
     "tol_rel-negative", "rho_min-over-1", "nu-negative", "dt_max-below-dt_min",
-    "dt0-over-derived-dt_max", "dt_min-over-t_end-derived-dt_max",
+    "dt0-over-derived-dt_max", "dt0-label-nan", "dt0-global-negative",
+    "dt_min-over-t_end-derived-dt_max",
 ])
 def test_cli_rejects_meaningless_inputs(argv, key, tmp_path, capsys):
     # each of these used to end in a raw traceback or in a run without

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from f3ornits.coupling import HISTORY_CAPACITY, CouplingGraph, SampleHistory
 from f3ornits.errors import CalibrationError, SequencingError
-from f3ornits.poly import fit_extrapolation, fit_hermite
+from f3ornits.poly import fit_hermite
 
 
 # --------------------------------------------------------------------- graph
@@ -157,24 +157,3 @@ def test_push_still_refuses_time_that_does_not_advance():
     for t in (1.0, 0.5, -math.inf):
         with pytest.raises(SequencingError):
             h.push(t, 1.0)
-
-
-@pytest.mark.parametrize("samples", [
-    # the first divided difference overflows
-    ((0.0, -1e308), (1.0, 1e308)),
-    # the second does, from two finite first ones
-    ((0.0, 0.0), (1.0, 1.5e308), (2.0, 0.0)),
-])
-def test_an_overflowing_table_raises_as_the_overflowing_fit(samples):
-    # the fit through the same samples overflows to a non-finite
-    # coefficient, which Polynomial refuses with a ValueError; the table must
-    # refuse with the same type instead of scoring inf or nan
-    times, values = zip(*samples)
-    with pytest.raises(ValueError) as fit_error:
-        fit_extrapolation(times, values)
-    h = history_of(*samples[:-1])
-    with pytest.raises(ValueError) as push_error:
-        h.push(*samples[-1])
-    assert type(push_error.value) is type(fit_error.value)
-    assert len(h) == len(samples) - 1
-    assert math.isfinite(h.d1) and math.isfinite(h.d2)

@@ -315,6 +315,24 @@ def test_divergence_carries_label_and_last_good_time():
     assert err.value.t_last_good == 0.0
 
 
+@pytest.mark.parametrize("options", [
+    MasterOptions(),
+    MasterOptions(smoothing=True),
+    MasterOptions(calibration="cls"),
+], ids=["plain", "smoothing", "cls"])
+def test_an_overflowing_exchange_is_a_divergence(options):
+    # a negative coupling stiffness blows up with finite states: the divided
+    # differences (or, smoothing, the plan's derivative) overflow first, a
+    # plain ValueError that is a divergence at the window start, not a crash
+    problem = build_two_mass(TwoMassParams(k2=-50000.0, t_end=20.0)).problem
+    with pytest.raises(DivergenceError) as err:
+        run_f3ornits(problem, options)
+    cause = err.value.__cause__
+    assert type(cause) is ValueError
+    assert "finite" in str(cause)
+    assert 0.0 < err.value.t_last_good < 20.0
+
+
 def test_event_budget_guard(monkeypatch):
     monkeypatch.setattr(master, "MAX_EVENTS", 3)
     problem = _pair_problem(_sine_source(), _integrating_sink())

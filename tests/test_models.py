@@ -498,6 +498,16 @@ def test_reference_blow_up_is_a_divergence():
             monolithic_reference(model, scheme=scheme)
 
 
+@pytest.mark.parametrize("t_end", [-1.0, 0.0, math.nan, math.inf])
+def test_reference_refuses_a_horizon_it_cannot_walk(t_end):
+    # built through the API, past materialize: a horizon at or before t_init
+    # gave a one-point reference, nan a raw ValueError, inf a refusal of the
+    # micro step
+    model = build_two_mass(TwoMassParams(t_end=t_end))
+    with pytest.raises(ConfigError, match="'t_end'"):
+        monolithic_reference(model)
+
+
 def test_reference_step_refinement_changes_little():
     model = build_two_mass(TwoMassParams(t_end=20.0))
     a = monolithic_reference(model, micro_step=1e-4, record_dt=0.1)

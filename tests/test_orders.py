@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from f3ornits import orders
 from f3ornits.coupling import SampleHistory
-from f3ornits.errors import SequencingError
-from f3ornits.orders import estimate_output, select_order
-from f3ornits.poly import fit_constrained_least_squares, fit_extrapolation
+from f3ornits.errors import CalibrationError, SequencingError
+from f3ornits.orders import estimate_output, fit_extrapolation, select_order
+from f3ornits.poly import MAX_ORDER, Polynomial, fit_constrained_least_squares
 
 
 def history_of(*samples):
@@ -92,12 +93,38 @@ def test_exact_polynomial_signals_are_matched(c0, c1, c2, dt):
     assert d.candidate_errors[d.order] <= 1e-9 * scale
 
 
+def extrapolation_oracle(
+    times: tuple[float, ...], values: tuple[float, ...]
+) -> Polynomial:
+    """Unique polynomial through 1 to MAX_ORDER + 1 samples, oldest first,
+    computed from the samples alone: the reference that the published
+    extrapolation, read off the history's row, is compared against bit for
+    bit.  With tau = t - t_n and h = t_n - t_n-1,
+
+        p = y_n + (d1 + d2 * h) * tau + d2 * tau**2.
+    """
+    q = len(times)
+    if not 1 <= q <= MAX_ORDER + 1:
+        raise CalibrationError(
+            f"extrapolation takes 1..{MAX_ORDER + 1} points, got {q}"
+        )
+    t_n, y_n = times[-1], values[-1]
+    if q == 1:
+        return Polynomial(t_n, (y_n,))
+    h = t_n - times[-2]
+    d1 = (y_n - values[-2]) / h
+    if q == 2:
+        return Polynomial(t_n, (y_n, d1))
+    d2 = (d1 - (values[1] - values[0]) / (times[1] - times[0])) / (t_n - times[0])
+    return Polynomial(t_n, (y_n, d1 + d2 * h, d2))
+
+
 #: one unit of roundoff in a double
 _EPS = 2.0 ** -52
 
 
 def _fit_score_and_bound(history, q, t_new, y_new):
-    """Candidate q's score from `fit_extrapolation`, and how far roundoff
+    """Candidate q's score from the extrapolation oracle, and how far roundoff
     lets the table's score of the same samples lie from it.
 
     The fit is the table's row in powers of t - t_n, evaluated by Horner:
@@ -107,7 +134,7 @@ def _fit_score_and_bound(history, q, t_new, y_new):
     smaller.  The factor 64 is a margin over these constants.
     """
     times, values = history.newest(q + 1)
-    p = fit_extrapolation(times, values)
+    p = extrapolation_oracle(times, values)
     lebesgue = sum(
         abs(math.prod((t_new - tj) / (ti - tj) for tj in times if tj != ti))
         for ti in times
@@ -162,6 +189,85 @@ def test_table_scores_match_the_fits(t0, rel_gaps, values, n):
         assert gap <= fits[d.order][1] + fits[by_fits][1]
 
 
+@pytest.mark.parametrize("samples", [
+    # the first divided difference overflows
+    ((0.0, -1e308), (1.0, 1e308)),
+    # the second does, from two finite first ones
+    ((0.0, 0.0), (1.0, 1.5e308), (2.0, 0.0)),
+])
+def test_an_overflowing_table_raises_as_the_overflowing_fit(samples):
+    # the fit through the same samples overflows to a non-finite
+    # coefficient, which Polynomial refuses with a ValueError; the table must
+    # refuse with the same type instead of scoring inf or nan
+    times, values = zip(*samples)
+    with pytest.raises(ValueError) as fit_error:
+        extrapolation_oracle(times, values)
+    h = history_of(*samples[:-1])
+    with pytest.raises(ValueError) as push_error:
+        h.push(*samples[-1])
+    assert type(push_error.value) is type(fit_error.value)
+    assert len(h) == len(samples) - 1
+    assert math.isfinite(h.d1) and math.isfinite(h.d2)
+
+
+# ---------------------------------------------------- published extrapolation
+
+@settings(max_examples=300)
+@given(
+    t0=st.one_of(
+        st.floats(-100.0, 100.0), st.floats(1e6 - 10.0, 1e6 + 10.0),
+        st.floats(-1e6 - 10.0, -1e6 + 10.0),
+    ),
+    rel_gaps=st.lists(
+        st.one_of(st.floats(1.5e-12, 1e-9), st.floats(1e-9, 10.0)),
+        min_size=2, max_size=2,
+    ),
+    values=st.lists(
+        st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0])),
+        min_size=3, max_size=3,
+    ),
+    q=st.sampled_from([2, 3]),
+)
+def test_small_fits_are_the_history_row_bit_for_bit(t0, rel_gaps, values, q):
+    # gaps down to the 1e-12-relative floor and times near 1e6: the
+    # polynomial read off the history's row is the one the samples alone give
+    times = [t0]
+    for g in rel_gaps[: q - 1]:
+        times.append(times[-1] + g * max(1.0, abs(times[-1])))
+    p = fit_extrapolation(history_of(*zip(times, values)), q - 1)
+    expected = extrapolation_oracle(tuple(times), tuple(values[:q]))
+    assert p.t_ref == expected.t_ref
+    assert [c.hex() for c in p.coeffs] == [c.hex() for c in expected.coeffs]
+
+
+def test_extrapolation_refuses_orders_it_cannot_publish():
+    # an order outside 0..MAX_ORDER is a calibration error whatever the
+    # history holds; an order the history is too short for is a sequencing
+    # error, as estimate_output documents
+    h = history_of((0.0, 1.0), (1.0, 2.0))
+    with pytest.raises(CalibrationError):
+        fit_extrapolation(h, -1)
+    with pytest.raises(SequencingError):
+        fit_extrapolation(h, 2)
+    with pytest.raises(SequencingError):
+        fit_extrapolation(SampleHistory(), 0)
+
+
+def test_estimate_publishes_through_the_module_name(monkeypatch):
+    # a wrapper installed on orders.fit_extrapolation sees every publication
+    calls = []
+
+    def spy(history, q):
+        calls.append(q)
+        return Polynomial(history.times[-1], (0.0,) * (q + 1))
+
+    monkeypatch.setattr(orders, "fit_extrapolation", spy)
+    h = history_of((0.0, 1.0), (0.5, 1.2), (1.0, 1.5))
+    d = select_order(h, 1.0, 1.5, force=1)
+    assert estimate_output(h, d).coeffs == (0.0, 0.0)
+    assert calls == [1]
+
+
 # ---------------------------------------------------------- estimated output
 
 def test_extrapolation_estimate_reads_through_newest():
@@ -179,7 +285,7 @@ def test_estimate_mode_and_order_recorded():
     est_ex = estimate_output(h, d, "extrapolation")
     est_cls = estimate_output(h, d, "cls")
     # each mode is its own fit over its own number of newest samples
-    assert est_ex == fit_extrapolation(*h.newest(d.order + 1))
+    assert est_ex == extrapolation_oracle(*h.newest(d.order + 1))
     assert est_cls == fit_constrained_least_squares(*h.newest(d.order + 2))
     # the published degree is the decided order
     assert est_ex.degree == est_cls.degree == d.order

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from f3ornits.coupling import SampleHistory
 from f3ornits.errors import CalibrationError
+from f3ornits.orders import fit_extrapolation
 from f3ornits.poly import (
     Polynomial,
     fit_constrained,
     fit_constrained_least_squares,
-    fit_extrapolation,
     fit_hermite,
 )
 
@@ -111,21 +111,30 @@ def test_shifted_is_same_polynomial(coeffs, old_ref, new_ref, t):
 
 
 # ------------------------------------------------------------- extrapolation
+# published by orders.fit_extrapolation from a SampleHistory's row; the
+# bit-for-bit check against an oracle fit is in test_orders.py
+
+def history_of(*samples):
+    h = SampleHistory()
+    for t, v in samples:
+        h.push(t, v)
+    return h
+
 
 def test_exact_single_point():
-    p = fit_extrapolation((2.0,), (7.0,))
+    p = fit_extrapolation(history_of((2.0, 7.0)), 0)
     assert p.degree == 0 and p(123.0) == 7.0
 
 
 def test_exact_line():
-    p = fit_extrapolation((0.0, 1.0), (1.0, 3.0))
+    p = fit_extrapolation(history_of((0.0, 1.0), (1.0, 3.0)), 1)
     assert p.degree == 1
     assert math.isclose(p(2.0), 5.0, rel_tol=1e-13)
     assert p(1.0) == 3.0  # newest point is reproduced exactly (t_ref there)
 
 
 def test_exact_quadratic_through_squares():
-    p = fit_extrapolation((0.0, 1.0, 2.0), (0.0, 1.0, 4.0))
+    p = fit_extrapolation(history_of((0.0, 0.0), (1.0, 1.0), (2.0, 4.0)), 2)
     assert p.degree == 2
     for t in (-1.0, 0.5, 3.0):
         assert math.isclose(p(t), t * t, rel_tol=0, abs_tol=1e-12)
@@ -143,60 +152,23 @@ def test_interpolation_reproduces_all_points(times, data):
     values = tuple(
         data.draw(st.floats(-100, 100)) for _ in times
     )
-    p = fit_extrapolation(times, values)
+    p = fit_extrapolation(history_of(*zip(times, values)), len(times) - 1)
     span = max(1.0, max(abs(v) for v in values))
     for t, v in zip(times, values):
         assert abs(p(t) - v) <= 1e-8 * span
-
-
-@settings(max_examples=300)
-@given(
-    t0=st.one_of(
-        st.floats(-100.0, 100.0), st.floats(1e6 - 10.0, 1e6 + 10.0),
-        st.floats(-1e6 - 10.0, -1e6 + 10.0),
-    ),
-    rel_gaps=st.lists(
-        st.one_of(st.floats(1.5e-12, 1e-9), st.floats(1e-9, 10.0)),
-        min_size=2, max_size=2,
-    ),
-    values=st.lists(
-        st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0])),
-        min_size=3, max_size=3,
-    ),
-    q=st.sampled_from([2, 3]),
-)
-def test_small_fits_are_the_history_row_bit_for_bit(t0, rel_gaps, values, q):
-    # gaps down to the 1e-12-relative floor and times near 1e6: the
-    # published polynomial is the row order selection scores from
-    times = [t0]
-    for g in rel_gaps[: q - 1]:
-        times.append(times[-1] + g * max(1.0, abs(times[-1])))
-    history = SampleHistory()
-    for t, v in zip(times, values):
-        history.push(t, v)
-    p = fit_extrapolation(*history.newest(q))
-    t_n, y_n = times[-1], values[q - 1]
-    expected = (y_n, history.d1)
-    if q == 3:
-        expected = (y_n, history.d1 + history.d2 * (t_n - times[-2]), history.d2)
-    assert p.t_ref == t_n
-    assert [c.hex() for c in p.coeffs] == [c.hex() for c in expected]
 
 
 # The divided-difference row passes through its newest sample and divides
 # only by gaps the check accepted; a Vandermonde elimination did neither.
 
 def test_extrapolation_passes_through_its_newest_sample():
-    times, values = (-1000004.0, 0.0, 1.5e-12), (1.0, 2.0, 3.0)
-    assert fit_extrapolation(times, values).coeffs[0] == 3.0
+    history = history_of((-1000004.0, 1.0), (0.0, 2.0), (1.5e-12, 3.0))
+    assert fit_extrapolation(history, 2).coeffs[0] == 3.0
 
 
 def test_extrapolation_solves_every_gap_the_check_accepts():
-    times, values = (-1e6, 0.0, 1e-11), (1.0, 1.0, 1.0)
-    history = SampleHistory()
-    for t, v in zip(times, values):
-        history.push(t, v)
-    assert fit_extrapolation(times, values).coeffs[0] == 1.0
+    history = history_of((-1e6, 1.0), (0.0, 1.0), (1e-11, 1.0))
+    assert fit_extrapolation(history, 2).coeffs[0] == 1.0
 
 
 def test_extrapolation_conditioning_large_absolute_time():
@@ -204,7 +176,7 @@ def test_extrapolation_conditioning_large_absolute_time():
     t0 = 1.0e6
     times = (t0, t0 + 0.004, t0 + 0.01)
     f = lambda t: 2.0 + 3.0 * (t - t0) - 40.0 * (t - t0) ** 2
-    p = fit_extrapolation(times, tuple(f(t) for t in times))
+    p = fit_extrapolation(history_of(*((t, f(t)) for t in times)), 2)
     for t in (t0 + 0.002, t0 + 0.012):
         assert abs(p(t) - f(t)) <= 1e-9
 
@@ -370,7 +342,7 @@ def test_fits_refuse_sizes_beyond_max_order():
     # fits of degree at most 2 (cls through at most 4 points)
     times, values = (0.0, 1.0, 2.0, 3.0, 4.0), (1.0, 2.0, 0.0, 1.0, 3.0)
     with pytest.raises(CalibrationError):
-        fit_extrapolation(times[:4], values[:4])
+        fit_extrapolation(history_of(*zip(times[:4], values[:4])), 3)
     with pytest.raises(CalibrationError):
         fit_constrained_least_squares(times, values)
     with pytest.raises(CalibrationError):
