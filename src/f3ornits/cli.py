@@ -161,8 +161,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     report = write_report_csv(rows, out / f"{cfg.prefix}_report.csv")
     scatter = write_scatter_csv(rows, out / f"{cfg.prefix}_scatter.csv")
     print(format_report(rows))
-    _print_reference_gap(setup)
     print(f"wrote {report} and {scatter}")
+    _print_reference_gap(setup)
     return 0
 
 

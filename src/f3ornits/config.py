@@ -10,8 +10,14 @@ lines ignored.  Dotted keys carry structured overrides:
                                  grid the event budget cannot cover to
                                  t_end is rejected
 
-Each `caps.<label>.<field>` replaces that field of the subsystem's
-`SubsystemSpec`, so the spec checks it as it checks its own declaration.
+Every dotted key, and the plain `dt0`, replaces one numeric field of a
+frozen dataclass by one rule, `models.replace_number`: `param.<name>` the
+model's parameters, `dt0` and `dt0.<label>` the `dt0` of a subsystem's
+`SubsystemSpec`, `caps.<label>.<field>` that field of the spec.  An unknown
+or non-numeric field, a non-finite value and a non-integral value for an
+int field are refused, and so is whatever the dataclass itself refuses,
+each as a ConfigError naming the key.  `dt0.<label>` beats `dt0`, which
+beats the model's own startup step.
 
 Everything else is a plain field of RunConfig.  Unknown keys are rejected
 by name; so are missing required ones.  `materialize` turns a RunConfig
@@ -28,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
 from .master import MasterOptions, check_event_budget, check_horizon
-from .models import BenchmarkModel, build_model
+from .models import BenchmarkModel, build_model, replace_number
 from .stepper import Tolerances
 
 METHODS = ("f3ornits", "jacobi")
@@ -125,30 +131,15 @@ def config_from_mapping(raw: dict[str, str]) -> RunConfig:
     caps: dict[str, dict[str, float]] = {}
     unknown: list[str] = []
     for key, value in raw.items():
+        head, _, name = key.partition(".")
+        label, _, cap = name.partition(".")
         if key in SCALAR_KEYS:
             fields[key] = _convert(key, value, SCALAR_KEYS[key])
-        elif key.startswith("param."):
-            name = key[len("param."):]
-            if not name:
-                unknown.append(key)
-            else:
-                params[name] = _convert(key, value, float)
-        elif key.startswith("dt0."):
-            label = key[len("dt0."):]
-            if not label:
-                unknown.append(key)
-            else:
-                dt0_per_label[label] = _convert(key, value, float)
-        elif key.startswith("caps."):
-            parts = key.split(".")
-            if len(parts) != 3 or parts[2] not in (
-                "max_input_degree", "imposed_step"
-            ):
-                unknown.append(key)
-            else:
-                caps.setdefault(parts[1], {})[parts[2]] = _convert(
-                    key, value, float
-                )
+        elif head in ("param", "dt0") and name:
+            by_name = params if head == "param" else dt0_per_label
+            by_name[name] = _convert(key, value, float)
+        elif head == "caps" and label and cap in ("max_input_degree", "imposed_step"):
+            caps.setdefault(label, {})[cap] = _convert(key, value, float)
         else:
             unknown.append(key)
     if unknown:
@@ -218,46 +209,34 @@ def materialize(cfg: RunConfig) -> RunSetup:
     t_init, t_end = problem.t_init, problem.t_end
     check_horizon(t_init, t_end)
 
-    if cfg.dt0 is not None or cfg.dt0_per_label:
-        stray = sorted(set(cfg.dt0_per_label) - set(labels))
-        if stray:
-            raise ConfigError(f"dt0.* names unknown subsystem(s): {', '.join(stray)}")
-        default = problem.dt0 if cfg.dt0 is None else (cfg.dt0,) * len(labels)
-        dt0 = []
-        for label, d in zip(labels, default):
-            key = f"dt0.{label}" if label in cfg.dt0_per_label else "dt0"
-            d = cfg.dt0_per_label.get(label, d)
-            if not (math.isfinite(d) and d > 0):
-                raise ConfigError(f"key {key!r}: {d!r} must be finite and positive")
-            dt0.append(float(d))
-        problem = replace(problem, dt0=tuple(dt0))
-
-    if cfg.caps_overrides:
-        stray = sorted(set(cfg.caps_overrides) - set(labels))
-        if stray:
-            raise ConfigError(
-                f"caps.* names unknown subsystem(s): {', '.join(stray)}"
-            )
-        specs = []
-        for spec in problem.subsystems:
-            for name, value in cfg.caps_overrides.get(spec.label, {}).items():
-                key = f"caps.{spec.label}.{name}"
-                if not math.isfinite(value):
-                    raise ConfigError(f"key {key!r}: {value!r} is not finite")
-                if name == "max_input_degree":
-                    value = int(round(value))
-                try:
-                    spec = replace(spec, **{name: value})
-                except ConfigError as exc:  # the key already names the label
-                    msg = str(exc).removeprefix(f"{spec.label}: ")
-                    raise ConfigError(f"key {key!r}: {msg}") from None
-                if name == "imposed_step":
-                    check_event_budget(f"key {key!r}", value, "events", t_init, t_end)
-            specs.append(spec)
-        problem = replace(problem, subsystems=tuple(specs))
+    stray = [f"dt0.{label}" for label in cfg.dt0_per_label if label not in labels]
+    stray += [
+        f"caps.{label}.{name}"
+        for label, fields in cfg.caps_overrides.items() if label not in labels
+        for name in fields
+    ]
+    if stray:
+        raise ConfigError(
+            f"key(s) {', '.join(map(repr, sorted(stray)))}: "
+            f"{cfg.model} has no such subsystem"
+        )
+    specs = []
+    for spec in problem.subsystems:
+        label = spec.label
+        if label in cfg.dt0_per_label:
+            spec = replace_number(spec, "dt0", cfg.dt0_per_label[label], f"dt0.{label}")
+        elif cfg.dt0 is not None:
+            spec = replace_number(spec, "dt0", cfg.dt0, "dt0")
+        for name, value in cfg.caps_overrides.get(label, {}).items():
+            key = f"caps.{label}.{name}"
+            spec = replace_number(spec, name, value, key)
+            if name == "imposed_step":
+                check_event_budget(f"key {key!r}", value, "events", t_init, t_end)
+        specs.append(spec)
+    problem = replace(problem, subsystems=tuple(specs))
     model = replace(model, problem=problem)
 
-    dt_min = cfg.dt_min if cfg.dt_min is not None else min(problem.dt0)
+    dt_min = cfg.dt_min if cfg.dt_min is not None else min(s.dt0 for s in specs)
     dt_max = cfg.dt_max if cfg.dt_max is not None else (t_end - t_init) / 10.0
     derived = [
         f"{name} = {value!r} comes from key {source!r}"

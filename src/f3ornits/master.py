@@ -63,19 +63,17 @@ from .trace import RunTrace, SubsystemTrace
 
 @dataclass(frozen=True)
 class CosimProblem:
-    """A set of subsystems, their coupling, the horizon and one startup step
-    per subsystem.  `validate` refuses a micro-step bound or an imposed step
-    that would take more than MAX_EVENTS pieces to reach t_end."""
+    """A set of subsystems, their coupling and the horizon; each subsystem
+    starts at its spec's dt0.  `validate` refuses a subsystem without a
+    startup step, and a micro-step bound or an imposed step that would take
+    more than MAX_EVENTS pieces to reach t_end."""
 
     subsystems: tuple[SubsystemSpec, ...]
     graph: CouplingGraph
     t_init: float
     t_end: float
-    dt0: tuple[float, ...]
 
     def validate(self) -> None:
-        if len(self.dt0) != len(self.subsystems):
-            raise ConfigError("subsystems and dt0 must agree in length")
         if len({s.label for s in self.subsystems}) != len(self.subsystems):
             raise ConfigError("subsystem labels must be unique")
         errs = self.graph.validate([(s.n_in, s.n_out) for s in self.subsystems])
@@ -83,10 +81,9 @@ class CosimProblem:
             raise ConfigError("coupling graph invalid: " + "; ".join(errs))
         t_init, t_end = self.t_init, self.t_end
         check_horizon(t_init, t_end)
-        for d in self.dt0:
-            if not (math.isfinite(d) and d > 0):
-                raise ConfigError(f"dt0 must be finite and positive, got {d!r}")
         for s in self.subsystems:
+            if s.dt0 is None:
+                raise ConfigError(f"{s.label}: no startup step dt0")
             if s.max_micro_step is not None:
                 check_event_budget(
                     f"{s.label}'s micro-step bound", s.max_micro_step,
@@ -345,7 +342,7 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
             # nothing to give and nothing to receive: one step to the horizon
             rt.estimated = t_end
         else:
-            rt.estimated = t0 + problem.dt0[k]
+            rt.estimated = t0 + rt.spec.dt0
 
     effective = reconcile(runtimes, t_end, DT_EPSILON)
 

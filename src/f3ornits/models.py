@@ -278,18 +278,12 @@ def build_two_mass(params: TwoMassParams | None = None) -> BenchmarkModel:
     k_right = max(abs(p.k2 + p.k3), abs(p.k2 + p.k3_after))
     specs = (
         SubsystemSpec("mass_left", 2, 1, 2, f_left, g_left, (p.x1_0, p.v1_0),
-                      _mode_bound(p.k1, p.d1, p.m1)),
+                      _mode_bound(p.k1, p.d1, p.m1), dt0=0.01),
         SubsystemSpec("mass_right", 2, 2, 1, f_right, g_right, (p.x2_0, p.v2_0),
-                      _mode_bound(k_right, p.d2 + p.d3, p.m2)),
+                      _mode_bound(k_right, p.d2 + p.d3, p.m2), dt0=0.01),
     )
     graph = CouplingGraph({(0, 0): (1, 0), (1, 0): (0, 0), (1, 1): (0, 1)})
-    problem = CosimProblem(
-        subsystems=specs,
-        graph=graph,
-        t_init=0.0,
-        t_end=p.t_end,
-        dt0=(0.01, 0.01),
-    )
+    problem = CosimProblem(specs, graph, 0.0, p.t_end)
     return BenchmarkModel("two_mass", problem, p, *compose_monolith(problem), 1e-3)
 
 
@@ -351,20 +345,14 @@ def build_car(params: CarParams | None = None) -> BenchmarkModel:
         SubsystemSpec("vehicle", 2, 1, 1,
                       Derivatives(("x1", "a"), constants, vehicle),
                       Derivatives(("x0",), constants, vehicle),
-                      (0.0, 0.0), p.perturb_dwell / 100.0),
+                      (0.0, 0.0), p.perturb_dwell / 100.0, dt0=0.05),
         SubsystemSpec("controller", 1, 1, 1,
                       Derivatives(("v",), constants, controller),
                       Derivatives(("force(t, v)",), constants, controller),
-                      (0.0,), tau_diff),
+                      (0.0,), tau_diff, dt0=0.05),
     )
     graph = CouplingGraph({(0, 0): (1, 0), (1, 0): (0, 0)})
-    problem = CosimProblem(
-        subsystems=specs,
-        graph=graph,
-        t_init=0.0,
-        t_end=p.t_end,
-        dt0=(0.05, 0.05),
-    )
+    problem = CosimProblem(specs, graph, 0.0, p.t_end)
     return BenchmarkModel(
         "car", problem, p, *compose_monolith(problem), _on_record_grid(tau_diff / 2)
     )
@@ -385,6 +373,40 @@ def available_models() -> tuple[str, ...]:
     return tuple(sorted(MODEL_BUILDERS))
 
 
+def replace_number(obj, name: str, value: float, key: str):
+    """`obj`, a frozen dataclass, with its numeric field `name` replaced by
+    `value`; this is how every dotted config key overrides.
+
+    Refuses, as a ConfigError naming `key`, an unknown or non-numeric
+    field, a value that is not a finite number, and a non-integral value
+    for an int field; a refusal of `obj`'s own is re-raised under `key`,
+    without the label it opens with.
+    """
+    kinds = {f.name: str(f.type) for f in dataclasses.fields(obj)}
+    if name not in kinds:
+        raise ConfigError(f"key {key!r}: {type(obj).__name__} has no field {name!r}")
+    kind = kinds[name].removesuffix(" | None")
+    if kind not in ("int", "float"):
+        raise ConfigError(
+            f"key {key!r}: {name!r} is not numeric and cannot be overridden"
+        )
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"key {key!r}: cannot read {value!r} as a number") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"key {key!r}: {name!r} must be finite, got {value!r}")
+    if kind == "int":
+        if not number.is_integer():
+            raise ConfigError(f"key {key!r}: {name!r} must be an integer, got {value!r}")
+        number = value if isinstance(value, int) else int(number)
+    try:
+        return dataclasses.replace(obj, **{name: number})
+    except ConfigError as exc:
+        msg = str(exc).removeprefix(f"{getattr(obj, 'label', '')}: ")
+        raise ConfigError(f"key {key!r}: {msg}") from None
+
+
 def build_model(
     name: str, overrides: dict[str, float] | None = None
 ) -> BenchmarkModel:
@@ -395,33 +417,19 @@ def build_model(
         )
     params_cls, builder = MODEL_BUILDERS[name]
     params = params_cls()
-    if overrides:
-        valid = {f.name: f for f in dataclasses.fields(params_cls)}
-        unknown = sorted(set(overrides) - set(valid))
-        if unknown:
-            raise ConfigError(
-                f"unknown parameter(s) for {name}: {', '.join(unknown)}"
-            )
-        coerced = {}
-        for key, value in overrides.items():
-            kind = valid[key].type
-            if kind not in ("int", "float"):
-                raise ConfigError(
-                    f"parameter {key!r} of {name} is not numeric and cannot "
-                    "be overridden"
-                )
-            value = float(value)
-            if not math.isfinite(value):
-                raise ConfigError(
-                    f"parameter {key!r} of {name} must be finite, got {value!r}"
-                )
-            coerced[key] = int(round(value)) if kind == "int" else value
-        params = dataclasses.replace(params, **coerced)
+    overrides = overrides or {}
+    known = {f.name for f in dataclasses.fields(params_cls)}
+    unknown = [f"'param.{key}'" for key in sorted(set(overrides) - known)]
+    if unknown:
+        raise ConfigError(f"unknown parameter(s) for {name}: {', '.join(unknown)}")
+    for key, value in overrides.items():
+        params = replace_number(params, key, value, f"param.{key}")
     for key in POSITIVE_PARAMS:
         value = getattr(params, key, None)
         if value is not None and not value > 0:
             raise ConfigError(
-                f"parameter {key!r} of {name} must be positive, got {value!r}"
+                f"key 'param.{key}': parameter {key!r} of {name} must be "
+                f"positive, got {value!r}"
             )
     return builder(params)
 

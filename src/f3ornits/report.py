@@ -84,7 +84,7 @@ def run_comparison(
         row(("jacobi", "", False, "", dt), run_jacobi, model.problem, dt)
         for dt in jacobi_dts
     ]
-    dt0 = model.problem.dt0[0]
+    dt0 = model.problem.subsystems[0].dt0
     for calibration, smoothing, norm in F3_VARIANTS:
         opts = replace(
             options_template,

@@ -250,6 +250,8 @@ class SubsystemSpec:
     the subsystem can integrate on its inputs; smoothing needs the cubics
     of MAX_DEGREE.  A subsystem that cannot vary its communication step
     declares the step it imposes; imposed_step None means the step is free.
+    dt0 is the startup step a free subsystem takes first and adapts from;
+    a problem refuses a subsystem without one.
     """
 
     label: str
@@ -262,6 +264,7 @@ class SubsystemSpec:
     max_micro_step: float | None = None
     max_input_degree: int = MAX_DEGREE
     imposed_step: float | None = None
+    dt0: float | None = None
 
     def __post_init__(self):
         if min(self.n_in, self.n_out) < 0:
@@ -271,7 +274,7 @@ class SubsystemSpec:
                 f"{self.label}: x_init has {len(self.x_init)} entries, "
                 f"expected {self.n_states}"
             )
-        for name in ("max_micro_step", "imposed_step"):
+        for name in ("max_micro_step", "imposed_step", "dt0"):
             step = getattr(self, name)
             if step is not None and not (isfinite(step) and step > 0):
                 raise ConfigError(

@@ -171,7 +171,8 @@ def test_criterion_3_degenerates_to_the_fixed_grid_baseline():
         (build_car(CarParams(seed=7)), 0.05),
     ):
         # the startup step must match the grid
-        problem = replace(model.problem, dt0=(dt, dt))
+        specs = tuple(replace(s, dt0=dt) for s in model.problem.subsystems)
+        problem = replace(model.problem, subsystems=specs)
         forced = run_f3ornits(problem, _degenerate_options(dt))
         grid = run_jacobi(problem, dt)
         worst = _max_trace_diff(forced, grid)
@@ -460,12 +461,14 @@ def _random_problem(rng):
     steps = [
         rng.uniform(0.2, 0.5) if rng.random() < 0.3 else None for _ in range(n)
     ]
+    # drawn in this order: every x_init, then t_end, then every dt0
+    specs = [make_spec(k, steps[k]) for k in range(n)]
+    t_end = rng.uniform(1.0, 2.0)
     return CosimProblem(
-        subsystems=tuple(make_spec(k, steps[k]) for k in range(n)),
+        subsystems=tuple(replace(s, dt0=rng.uniform(0.2, 0.6)) for s in specs),
         graph=CouplingGraph(links),
         t_init=0.0,
-        t_end=rng.uniform(1.0, 2.0),
-        dt0=tuple(rng.uniform(0.2, 0.6) for _ in range(n)),
+        t_end=t_end,
     )
 
 
@@ -514,7 +517,7 @@ def test_criterion_8_scheduler_contract_on_random_graphs(monkeypatch):
             }
             flipped = replace(
                 problem, subsystems=problem.subsystems[::-1],
-                graph=CouplingGraph(links), dt0=problem.dt0[::-1],
+                graph=CouplingGraph(links),
             )
             again = run_f3ornits(flipped, opts)
             if _max_trace_diff(trace, again) != 0.0:

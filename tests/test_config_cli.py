@@ -82,7 +82,7 @@ def test_mapping_names_every_unknown_key():
 def test_materialize_derives_step_bounds_from_the_model():
     setup = materialize(RunConfig(model="two_mass"))
     tol = setup.options.tolerances
-    assert tol.dt_min == min(setup.model.problem.dt0) == 0.01
+    assert tol.dt_min == min(s.dt0 for s in setup.model.problem.subsystems) == 0.01
     assert tol.dt_max == pytest.approx(200.0 / 10.0)
     assert setup.variable == ("mass_left", 0)
 
@@ -135,7 +135,7 @@ def test_materialize_applies_dt0_and_caps_overrides():
         caps_overrides={"mass_right": {"imposed_step": 0.5}},
     ))
     problem = setup.model.problem
-    assert problem.dt0 == (0.2, 0.4)
+    assert [s.dt0 for s in problem.subsystems] == [0.2, 0.4]
     assert problem.subsystems[1].imposed_step == 0.5
     assert problem.subsystems[0].imposed_step is None
 
@@ -441,6 +441,15 @@ def test_cli_rejects_non_positive_parameters(capsys):
     (["run", "--model", "two_mass", "--set", "dt0=-1",
       "--set", "dt0.mass_right=0.5"], "'dt0'"),
     (["run", "--model", "two_mass", "--dt-min", "0.5"], "'t_end'"),
+    # every dotted override goes through one rule that names its key
+    (["run", "--model", "two_mass", "--param", "k9=1"], "'param.k9'"),
+    (["run", "--model", "car", "--param", "seed=7.6"], "'param.seed'"),
+    (["run", "--model", "two_mass",
+      "--set", "caps.mass_right.max_input_degree=1.5"],
+     "'caps.mass_right.max_input_degree'"),
+    (["run", "--model", "two_mass", "--set", "dt0.ghost=0.1"], "'dt0.ghost'"),
+    (["run", "--model", "two_mass", "--set", "caps.ghost.imposed_step=1"],
+     "'caps.ghost.imposed_step'"),
 ], ids=[
     "x1_0-nan", "x1_0-inf", "t_switch-nan", "seed-nan", "seed-inf",
     "preset_force", "caps-nan", "caps-degree-negative", "caps-step-zero",
@@ -451,6 +460,8 @@ def test_cli_rejects_non_positive_parameters(capsys):
     "tol_rel-negative", "rho_min-over-1", "nu-negative", "dt_max-below-dt_min",
     "dt0-over-derived-dt_max", "dt0-label-nan", "dt0-global-negative",
     "dt_min-over-t_end-derived-dt_max",
+    "param-unknown", "param-seed-non-integral", "caps-degree-non-integral",
+    "dt0-stray-label", "caps-stray-label",
 ])
 def test_cli_rejects_meaningless_inputs(argv, key, tmp_path, capsys):
     # each of these used to end in a raw traceback or in a run without
@@ -522,6 +533,24 @@ def test_cli_compare_writes_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "f3ornits" in out
     assert "reference h=0.001: h-vs-2h gap[mass_left:0] = " in out
+
+
+def test_cli_compare_writes_its_files_before_a_diverging_reference(
+    tmp_path, capsys,
+):
+    # every row diverges and so does the reference; compare exits 2 on the
+    # reference after it wrote both CSVs, and says so first
+    code = cli.main([
+        "compare", "--model", "two_mass", "--param", "k2=-50000",
+        "--t-end", "20", "--jacobi-dts", "0.5",
+        "--output-dir", str(tmp_path), "--prefix", "m",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    report, scatter = tmp_path / "m_report.csv", tmp_path / "m_scatter.csv"
+    assert f"wrote {report} and {scatter}" in captured.out
+    assert report.is_file() and scatter.is_file()
+    assert captured.err.startswith("diverged: monolith")
 
 
 def test_cli_reference_matches_library_call(tmp_path, capsys):

@@ -154,6 +154,7 @@ def _const_source(value=2.5, label="source"):
         lambda t, x, u: [0.0],
         lambda t, x, u: [value],
         (0.0,),
+        dt0=0.5,
     )
 
 
@@ -163,6 +164,7 @@ def _sine_source(label="source"):
         lambda t, x, u: [0.0],
         lambda t, x, u: [math.sin(t)],
         (0.0,),
+        dt0=0.5,
     )
 
 
@@ -172,17 +174,20 @@ def _integrating_sink(label="sink"):
         lambda t, x, u: [u[0]],
         lambda t, x, u: [],
         (0.0,),
+        dt0=0.5,
     )
 
 
 def _pair_problem(source, sink, t_end=5.0, dt0=0.5):
     graph = CouplingGraph({(1, 0): (0, 0)})
     return CosimProblem(
-        subsystems=(source, sink),
+        subsystems=(
+            dataclasses.replace(source, dt0=dt0),
+            dataclasses.replace(sink, dt0=dt0),
+        ),
         graph=graph,
         t_init=0.0,
         t_end=t_end,
-        dt0=(dt0, dt0),
     )
 
 
@@ -200,13 +205,13 @@ def test_isolated_subsystem_takes_one_step_to_the_horizon():
         lambda t, x, u: [-x[0]],
         lambda t, x, u: [],
         (1.0,),
+        dt0=0.5,
     )
     problem = CosimProblem(
         subsystems=(lonely,),
         graph=CouplingGraph(),
         t_init=0.0,
         t_end=5.0,
-        dt0=(0.5,),
     )
     trace = run_f3ornits(problem, _options())
     assert trace.total_events == 1
@@ -216,10 +221,12 @@ def test_isolated_subsystem_takes_one_step_to_the_horizon():
 def test_initial_exchange_settles_feedthrough_chains():
     a = _const_source(2.5, "a")
     b = SubsystemSpec(
-        "b", 0, 1, 1, lambda t, x, u: [], lambda t, x, u: [2.0 * u[0]], ()
+        "b", 0, 1, 1, lambda t, x, u: [], lambda t, x, u: [2.0 * u[0]], (),
+        dt0=0.5,
     )
     c = SubsystemSpec(
-        "c", 0, 1, 1, lambda t, x, u: [], lambda t, x, u: [u[0] + 1.0], ()
+        "c", 0, 1, 1, lambda t, x, u: [], lambda t, x, u: [u[0] + 1.0], (),
+        dt0=0.5,
     )
     graph = CouplingGraph({(1, 0): (0, 0), (2, 0): (1, 0)})
     problem = CosimProblem(
@@ -227,7 +234,6 @@ def test_initial_exchange_settles_feedthrough_chains():
         graph=graph,
         t_init=0.0,
         t_end=1.0,
-        dt0=(0.5, 0.5, 0.5),
     )
     trace = run_f3ornits(problem, _options())
     assert trace.subsystems["a"].column("y0")[0] == 2.5
@@ -269,14 +275,15 @@ def _reversed(problem):
     }
     return dataclasses.replace(
         problem, subsystems=problem.subsystems[::-1],
-        graph=CouplingGraph(links), dt0=problem.dt0[::-1],
+        graph=CouplingGraph(links),
     )
 
 
 def _two_mass_from(dt0):
     """two_mass to t = 5 s, both subsystems starting with step dt0."""
     problem = build_two_mass(TwoMassParams(t_end=5.0)).problem
-    return dataclasses.replace(problem, dt0=(dt0, dt0))
+    specs = tuple(dataclasses.replace(s, dt0=dt0) for s in problem.subsystems)
+    return dataclasses.replace(problem, subsystems=specs)
 
 
 def test_reversed_subsystems_and_renumbered_links_leave_the_trace_unchanged():
@@ -301,13 +308,13 @@ def test_divergence_carries_label_and_last_good_time():
         lambda t, x, u: [x[0] * x[0]],
         lambda t, x, u: [x[0]],
         (10.0,),
+        dt0=0.5,
     )
     problem = CosimProblem(
         subsystems=(boom,),
         graph=CouplingGraph(),
         t_init=0.0,
         t_end=5.0,
-        dt0=(0.5,),
     )
     with pytest.raises(DivergenceError) as err:
         run_f3ornits(problem, _options())
@@ -374,16 +381,27 @@ def test_problem_validation_rejects_mismatches():
     src = _const_source()
     graph = CouplingGraph()
     with pytest.raises(ConfigError, match="t_end"):
-        CosimProblem((src,), graph, 0.0, 0.0, (0.1,)).validate()
+        CosimProblem((src,), graph, 0.0, 0.0).validate()
     for dt0 in (-0.1, math.nan, math.inf, -math.inf):
         with pytest.raises(ConfigError, match="dt0"):
-            CosimProblem((src,), graph, 0.0, 1.0, (dt0,)).validate()
-    with pytest.raises(ConfigError, match="agree in length"):
-        CosimProblem((src,), graph, 0.0, 1.0, ()).validate()
+            CosimProblem((dataclasses.replace(src, dt0=dt0),), graph, 0.0, 1.0)
     # the source has no inputs, so a link into its input 0 is invalid
     bad_slot = CouplingGraph({(0, 0): (0, 0)})
     with pytest.raises(ConfigError, match="no input slot 0"):
-        CosimProblem((src,), bad_slot, 0.0, 1.0, (0.1,)).validate()
+        CosimProblem((src,), bad_slot, 0.0, 1.0).validate()
+
+
+def test_problem_refuses_a_subsystem_without_a_startup_step():
+    # a free subsystem starts at its spec's dt0; a spec without one names
+    # its label when the problem is validated, before any event runs
+    src = dataclasses.replace(_const_source(), dt0=None)
+    problem = CosimProblem((src,), CouplingGraph(), 0.0, 1.0)
+    with pytest.raises(ConfigError, match=r"^source: no startup step dt0$"):
+        problem.validate()
+    with pytest.raises(ConfigError, match="source"):
+        run_f3ornits(problem, _options())
+    with pytest.raises(ConfigError, match="source"):
+        run_jacobi(problem, 0.1)
 
 
 @pytest.mark.parametrize("bound", [None, 0.01])
@@ -395,7 +413,7 @@ def test_problem_validation_rejects_a_non_finite_horizon(t_init, t_end, bound):
     # into the event valve, and to be refused for its micro-step budget
     # with one
     src = dataclasses.replace(_sine_source(), max_micro_step=bound)
-    problem = CosimProblem((src,), CouplingGraph(), t_init, t_end, (0.1,))
+    problem = CosimProblem((src,), CouplingGraph(), t_init, t_end)
     with pytest.raises(ConfigError, match="t_init and t_end must be finite"):
         problem.validate()
 
@@ -469,7 +487,6 @@ def test_duplicate_labels_rejected():
         graph=graph,
         t_init=0.0,
         t_end=1.0,
-        dt0=(0.5, 0.5),
     )
     with pytest.raises(ConfigError, match="unique"):
         run_f3ornits(problem, _options())

@@ -281,14 +281,14 @@ def _chain(graph=None, k_source=0.5, k_rest=0.5):
     specs = (
         SubsystemSpec("source", 2, 1, 1,
                       Derivatives(("x1", "-k * x0 - 0.25 * x1 + u0"), c0),
-                      Derivatives(("x0",), c0), (1.0, 0.0)),
+                      Derivatives(("x0",), c0), (1.0, 0.0), dt0=0.1),
         SubsystemSpec("lag", 1, 1, 1, Derivatives(("e * w",), c, v1),
-                      Derivatives(("x0 + 2.0 * e",), c, v1), (0.5,)),
+                      Derivatives(("x0 + 2.0 * e",), c, v1), (0.5,), dt0=0.1),
         SubsystemSpec("shape", 1, 1, 1, Derivatives(("s - x0",), c, v2),
-                      Derivatives(("x0 * s + u0",), c, v2), (-0.25,)),
+                      Derivatives(("x0 * s + u0",), c, v2), (-0.25,), dt0=0.1),
     )
     graph = graph or CouplingGraph({(0, 0): (2, 0), (1, 0): (0, 0), (2, 0): (1, 0)})
-    return CosimProblem(specs, graph, 0.0, 1.0, (0.1,) * 3)
+    return CosimProblem(specs, graph, 0.0, 1.0)
 
 
 def _closed_loop(problem):
