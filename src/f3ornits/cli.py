@@ -15,20 +15,22 @@ injects any raw config key, including the dotted ``dt0.<label>`` and
 ``caps.<label>.*`` forms.  Precedence, lowest to highest: config file,
 ``F3ORNITS_OUTPUT_DIR`` (output directory only), flags.
 
-Exit codes: 0 success, 1 configuration error, 2 divergence at run time.
+Exit codes: 0 success (``--help`` too), 1 configuration or usage error (an
+unknown flag, a missing subcommand), 2 divergence at run time.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, check_step, read_value
 from .config import (
     SCALAR_KEYS,
+    RunConfig,
+    RunSetup,
     config_from_mapping,
     materialize,
     parse_kv_text,
@@ -53,6 +55,14 @@ _FLAG_KEYS = tuple(
     for key, typ in SCALAR_KEYS.items()
     if typ is not bool
 )
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error: usage, then exit 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -120,9 +130,7 @@ def _print_reference_gap(setup) -> None:
     )
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = config_from_mapping(_gather_raw(args))
-    setup = materialize(cfg)
+def _cmd_run(args: argparse.Namespace, cfg: RunConfig, setup: RunSetup) -> int:
     if cfg.method == "jacobi":
         trace = run_jacobi(setup.model.problem, cfg.dt)
     else:
@@ -140,20 +148,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    cfg = config_from_mapping(_gather_raw(args))
-    setup = materialize(cfg)
-    dts = JACOBI_GRID_STEPS
-    if args.jacobi_dts:
-        try:
-            dts = tuple(float(v) for v in args.jacobi_dts.split(","))
-        except ValueError:
-            dts = ()
-        if not (dts and all(math.isfinite(d) and d > 0 for d in dts)):
-            raise ConfigError(
-                f"--jacobi-dts expects comma-separated finite positive steps, "
-                f"got {args.jacobi_dts!r}"
-            )
+def _cmd_compare(args: argparse.Namespace, cfg: RunConfig, setup: RunSetup) -> int:
+    dts = tuple(
+        check_step("--jacobi-dts", read_value("--jacobi-dts", v, float))
+        for v in args.jacobi_dts.split(",")
+    )
     rows = run_comparison(
         setup.model, setup.options, setup.variable, jacobi_dts=dts
     )
@@ -166,12 +165,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_reference(args: argparse.Namespace) -> int:
-    cfg = config_from_mapping(_gather_raw(args))
-    setup = materialize(cfg)
+def _cmd_reference(args: argparse.Namespace, cfg: RunConfig, setup: RunSetup) -> int:
     grid = dict(
-        micro_step=args.micro_step, record_dt=args.record_dt, scheme=args.scheme
+        record_dt=read_value("record_dt", args.record_dt, float), scheme=args.scheme
     )
+    if args.micro_step is not None:
+        grid["micro_step"] = read_value("micro_step", args.micro_step, float)
     ref = monolithic_reference(setup.model, **grid)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -189,7 +188,7 @@ def _cmd_reference(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="f3ornits",
         description="Non-iterative co-simulation master and baselines.",
     )
@@ -207,27 +206,28 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_cmp)
     p_cmp.add_argument(
         "--jacobi-dts", metavar="DT,DT,...",
-        help=f"grid steps for the baseline (default {JACOBI_GRID_STEPS})",
+        default=",".join(map(str, JACOBI_GRID_STEPS)),
+        help="grid steps for the baseline (default %(default)s)",
     )
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_ref = sub.add_parser("reference", help="monolithic reference CSV")
     _add_config_flags(p_ref)
     p_ref.add_argument(
-        "--micro-step", type=float, default=None,
+        "--micro-step", default=None,
         help="RK4 step (default: the model's own reference step)",
     )
-    p_ref.add_argument("--record-dt", type=float, default=REFERENCE_RECORD_DT)
+    p_ref.add_argument("--record-dt", default=REFERENCE_RECORD_DT)
     p_ref.add_argument("--scheme", default="rk4", choices=("rk4", "rk2"))
     p_ref.set_defaults(func=_cmd_reference)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        cfg = config_from_mapping(_gather_raw(args))
+        return args.func(args, cfg, materialize(cfg))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

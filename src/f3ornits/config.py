@@ -10,14 +10,14 @@ lines ignored.  Dotted keys carry structured overrides:
                                  grid the event budget cannot cover to
                                  t_end is rejected
 
-Every dotted key, and the plain `dt0`, replaces one numeric field of a
-frozen dataclass by one rule, `models.replace_number`: `param.<name>` the
-model's parameters, `dt0` and `dt0.<label>` the `dt0` of a subsystem's
-`SubsystemSpec`, `caps.<label>.<field>` that field of the spec.  An unknown
-or non-numeric field, a non-finite value and a non-integral value for an
-int field are refused, and so is whatever the dataclass itself refuses,
-each as a ConfigError naming the key.  `dt0.<label>` beats `dt0`, which
-beats the model's own startup step.
+Every value is read by one rule, `errors.read_value`, as the type of the
+field it lands on: a plain key as its RunConfig field, a dotted value once
+`materialize` knows its field.  Every dotted key, and `dt0`, replaces one
+field through `models.replace_number`: `param.<name>` one of the model's
+parameters, `dt0` and `dt0.<label>` a spec's `dt0`, `caps.<label>.<field>`
+that field of the spec.  Whatever the rule or the dataclass refuses is a
+ConfigError naming the key.  `dt0.<label>` beats `dt0`, which beats the
+model's own startup step.
 
 Everything else is a plain field of RunConfig.  Unknown keys are rejected
 by name; so are missing required ones.  `materialize` turns a RunConfig
@@ -28,19 +28,15 @@ bounds that default from the model horizon: dt_min = smallest dt0, dt_max
 
 from __future__ import annotations
 
-import math
 import typing
 from dataclasses import dataclass, field, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, check_step, read_value
 from .master import MasterOptions, check_event_budget, check_horizon
 from .models import BenchmarkModel, build_model, replace_number
 from .stepper import Tolerances
 
 METHODS = ("f3ornits", "jacobi")
-
-_TRUE = {"true", "yes", "on", "1"}
-_FALSE = {"false", "no", "off", "0"}
 
 
 @dataclass(frozen=True)
@@ -67,21 +63,15 @@ class RunConfig:
     output_dir: str = "runs"
     prefix: str = "run"
     rmse_variable: str | None = None  # "label:output_index"
-    params: dict[str, float] = field(default_factory=dict)
-    dt0_per_label: dict[str, float] = field(default_factory=dict)
-    caps_overrides: dict[str, dict[str, float]] = field(default_factory=dict)
+    params: dict[str, float | str] = field(default_factory=dict)
+    dt0_per_label: dict[str, float | str] = field(default_factory=dict)
+    caps_overrides: dict[str, dict[str, float | str]] = field(default_factory=dict)
 
 
-def _scalar_type(hint) -> type:
-    """`X` for an annotation `X` or `X | None`."""
-    args = [a for a in typing.get_args(hint) if a is not type(None)]
-    return args[0] if args else hint
-
-
-#: plain config keys and their value types, in RunConfig field order; the
+#: plain config keys and their annotations, in RunConfig field order; the
 #: dict-valued fields are filled from the dotted keys instead
-SCALAR_KEYS: dict[str, type] = {
-    name: _scalar_type(hint)
+SCALAR_KEYS: dict[str, object] = {
+    name: hint
     for name, hint in typing.get_type_hints(RunConfig).items()
     if typing.get_origin(hint) is not dict
 }
@@ -105,41 +95,23 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return out
 
 
-def _convert(key: str, value: str, typ: type):
-    try:
-        if typ is bool:
-            low = value.lower()
-            if low in _TRUE:
-                return True
-            if low in _FALSE:
-                return False
-            raise ValueError(value)
-        if typ is int:
-            return int(value)
-        if typ is float:
-            return float(value)
-        return value
-    except ValueError:
-        raise ConfigError(f"key {key!r}: cannot read {value!r} as {typ.__name__}")
-
-
 def config_from_mapping(raw: dict[str, str]) -> RunConfig:
-    """Typed RunConfig from raw strings; every unknown key is named."""
+    """RunConfig from raw strings, every plain key read as its field; a
+    dotted value stays text for `materialize`.  Unknown keys are named."""
     fields: dict = {}
-    params: dict[str, float] = {}
-    dt0_per_label: dict[str, float] = {}
-    caps: dict[str, dict[str, float]] = {}
+    params: dict[str, str] = {}
+    dt0_per_label: dict[str, str] = {}
+    caps: dict[str, dict[str, str]] = {}
     unknown: list[str] = []
     for key, value in raw.items():
         head, _, name = key.partition(".")
         label, _, cap = name.partition(".")
         if key in SCALAR_KEYS:
-            fields[key] = _convert(key, value, SCALAR_KEYS[key])
+            fields[key] = read_value(key, value, SCALAR_KEYS[key])
         elif head in ("param", "dt0") and name:
-            by_name = params if head == "param" else dt0_per_label
-            by_name[name] = _convert(key, value, float)
+            (params if head == "param" else dt0_per_label)[name] = value
         elif head == "caps" and label and cap in ("max_input_degree", "imposed_step"):
-            caps.setdefault(label, {})[cap] = _convert(key, value, float)
+            caps.setdefault(label, {})[cap] = value
         else:
             unknown.append(key)
     if unknown:
@@ -165,20 +137,13 @@ class RunSetup:
     variable: tuple[str, int]
 
 
-#: default comparison variable per model: the position-like first output
-DEFAULT_VARIABLES = {"two_mass": ("mass_left", 0), "car": ("vehicle", 0)}
-
-
 def _parse_variable(text: str) -> tuple[str, int]:
     label, sep, idx = text.partition(":")
     if not sep or not label:
         raise ConfigError(
             f"rmse_variable must look like 'label:index', got {text!r}"
         )
-    try:
-        return label, int(idx)
-    except ValueError:
-        raise ConfigError(f"rmse_variable index is not an integer: {text!r}")
+    return label, read_value("rmse_variable", idx, int)
 
 
 def materialize(cfg: RunConfig) -> RunSetup:
@@ -188,19 +153,19 @@ def materialize(cfg: RunConfig) -> RunSetup:
         )
     if cfg.method == "jacobi" and cfg.dt is None:
         raise ConfigError("missing required key 'dt' (jacobi needs a grid step)")
-    if cfg.dt is not None and not (math.isfinite(cfg.dt) and cfg.dt > 0):
-        raise ConfigError(f"key 'dt': {cfg.dt!r} is not a finite positive step")
+    if cfg.dt is not None:
+        check_step("key 'dt'", cfg.dt)
 
     params = dict(cfg.params)
     if cfg.t_end is not None:
-        params["t_end"] = cfg.t_end
+        params["t_end"] = read_value("t_end", cfg.t_end, float)
     if cfg.model == "car":
         if cfg.seed is None and "seed" not in params:
             raise ConfigError(
                 "missing required key 'seed' (the car road noise must be pinned)"
             )
         if cfg.seed is not None:
-            params["seed"] = cfg.seed
+            params["seed"] = read_value("seed", cfg.seed, int)
 
     # build once, then apply the per-label knobs to the built problem
     model = build_model(cfg.model, params)
@@ -231,7 +196,9 @@ def materialize(cfg: RunConfig) -> RunSetup:
             key = f"caps.{label}.{name}"
             spec = replace_number(spec, name, value, key)
             if name == "imposed_step":
-                check_event_budget(f"key {key!r}", value, "events", t_init, t_end)
+                check_event_budget(
+                    f"key {key!r}", spec.imposed_step, "events", t_init, t_end
+                )
         specs.append(spec)
     problem = replace(problem, subsystems=tuple(specs))
     model = replace(model, problem=problem)
@@ -273,7 +240,7 @@ def materialize(cfg: RunConfig) -> RunSetup:
     if cfg.rmse_variable is not None:
         variable = _parse_variable(cfg.rmse_variable)
     else:
-        variable = DEFAULT_VARIABLES.get(cfg.model, (labels[0], 0))
+        variable = (labels[0], 0)
     if variable[0] not in labels:
         raise ConfigError(
             f"rmse_variable names unknown subsystem {variable[0]!r}"

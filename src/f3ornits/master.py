@@ -45,7 +45,7 @@ import time
 from dataclasses import dataclass, field
 
 from .coupling import CouplingGraph, SampleHistory
-from .errors import CalibrationError, ConfigError, DivergenceError
+from .errors import CalibrationError, ConfigError, DivergenceError, check_step
 from .inputs import InputPlan, build_plan, prune_published
 from .orders import CALIBRATION_MODES, estimate_output, select_order
 from .poly import MAX_DEGREE, MAX_ORDER, Polynomial
@@ -447,8 +447,7 @@ def run_jacobi(problem: CosimProblem, dt: float) -> RunTrace:
     raised before the first window.
     """
     problem.validate()
-    if not (math.isfinite(dt) and dt > 0):
-        raise ConfigError(f"jacobi step must be finite and positive, got {dt!r}")
+    check_step("key 'dt'", dt)
     check_event_budget("key 'dt'", dt, "windows", problem.t_init, problem.t_end)
     t_start_wall = time.perf_counter()
     t0, t_end = problem.t_init, problem.t_end

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import typing
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -70,7 +71,7 @@ from graphlib import CycleError, TopologicalSorter
 from typing import Callable, Sequence
 
 from .coupling import CouplingGraph
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, check_step, read_value
 from .master import CosimProblem, check_event_budget, check_horizon
 from .subsystem import Derivatives, SubsystemSpec, names_read, renamed, step_to
 
@@ -373,33 +374,18 @@ def available_models() -> tuple[str, ...]:
     return tuple(sorted(MODEL_BUILDERS))
 
 
-def replace_number(obj, name: str, value: float, key: str):
-    """`obj`, a frozen dataclass, with its numeric field `name` replaced by
-    `value`; this is how every dotted config key overrides.
+def replace_number(obj, name: str, value: float | str, key: str):
+    """`obj`, a frozen dataclass, with its field `name` replaced by `value`,
+    text or a number, read by `errors.read_value` as that field's type;
+    this is how every dotted config key overrides.
 
-    Refuses, as a ConfigError naming `key`, an unknown or non-numeric
-    field, a value that is not a finite number, and a non-integral value
-    for an int field; a refusal of `obj`'s own is re-raised under `key`,
-    without the label it opens with.
+    A refusal of `read_value`'s also names the field; one of `obj`'s own
+    is re-raised under `key`, without the label it opens with.
     """
-    kinds = {f.name: str(f.type) for f in dataclasses.fields(obj)}
-    if name not in kinds:
-        raise ConfigError(f"key {key!r}: {type(obj).__name__} has no field {name!r}")
-    kind = kinds[name].removesuffix(" | None")
-    if kind not in ("int", "float"):
-        raise ConfigError(
-            f"key {key!r}: {name!r} is not numeric and cannot be overridden"
-        )
     try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"key {key!r}: cannot read {value!r} as a number") from None
-    if not math.isfinite(number):
-        raise ConfigError(f"key {key!r}: {name!r} must be finite, got {value!r}")
-    if kind == "int":
-        if not number.is_integer():
-            raise ConfigError(f"key {key!r}: {name!r} must be an integer, got {value!r}")
-        number = value if isinstance(value, int) else int(number)
+        number = read_value(key, value, typing.get_type_hints(type(obj))[name])
+    except ConfigError as exc:
+        raise ConfigError(f"{exc} (field {name!r} of {type(obj).__name__})") from None
     try:
         return dataclasses.replace(obj, **{name: number})
     except ConfigError as exc:
@@ -408,7 +394,7 @@ def replace_number(obj, name: str, value: float, key: str):
 
 
 def build_model(
-    name: str, overrides: dict[str, float] | None = None
+    name: str, overrides: dict[str, float | str] | None = None
 ) -> BenchmarkModel:
     """Build a registered model, overriding numeric parameters by name."""
     if name not in MODEL_BUILDERS:
@@ -519,11 +505,8 @@ def monolithic_reference(
     """
     if micro_step is None:
         micro_step = model.reference_step
-    for name, value in (("micro_step", micro_step), ("record_dt", record_dt)):
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(
-                f"key {name!r}: {value!r} is not a finite positive step"
-            )
+    check_step("key 'micro_step'", micro_step)
+    check_step("key 'record_dt'", record_dt)
     key = (model.name, model.params, micro_step, record_dt, scheme)
     hit = _REFERENCE_CACHE.get(key)
     if hit is not None:

@@ -31,7 +31,7 @@ from functools import cache, cached_property
 from math import isfinite
 from typing import Callable, Sequence
 
-from .errors import ConfigError, ContractViolation, DivergenceError
+from .errors import ConfigError, ContractViolation, DivergenceError, check_step
 from .poly import MAX_DEGREE, Polynomial
 
 #: micro-step rule: min(macro_step / MICRO_DIVISOR, spec.max_micro_step)
@@ -276,11 +276,8 @@ class SubsystemSpec:
             )
         for name in ("max_micro_step", "imposed_step", "dt0"):
             step = getattr(self, name)
-            if step is not None and not (isfinite(step) and step > 0):
-                raise ConfigError(
-                    f"{self.label}: {name} must be finite and positive, "
-                    f"got {step!r}"
-                )
+            if step is not None:
+                check_step(f"{self.label}: {name}", step)
         if self.max_input_degree < 0:
             raise ConfigError(f"{self.label}: max_input_degree must be >= 0")
         if isinstance(self.f, Derivatives):

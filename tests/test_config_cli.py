@@ -19,7 +19,7 @@ from f3ornits.config import (
     materialize,
     parse_kv_text,
 )
-from f3ornits.errors import ConfigError
+from f3ornits.errors import ConfigError, read_value
 from f3ornits.master import MasterOptions, run_f3ornits
 from f3ornits.models import (
     build_model,
@@ -59,9 +59,13 @@ def test_mapping_routes_dotted_keys():
         "caps.mass_right.imposed_step": "0.25",
     })
     assert cfg.smoothing is True
-    assert cfg.params == {"k1": 2.5}
-    assert cfg.dt0_per_label == {"mass_left": 0.02}
-    assert cfg.caps_overrides == {"mass_right": {"imposed_step": 0.25}}
+    # a dotted value stays text until materialize knows its field
+    assert cfg.params == {"k1": "2.5"}
+    assert cfg.dt0_per_label == {"mass_left": "0.02"}
+    assert cfg.caps_overrides == {"mass_right": {"imposed_step": "0.25"}}
+    model = materialize(cfg).model
+    left, right = model.problem.subsystems
+    assert (model.params.k1, left.dt0, right.imposed_step) == (2.5, 0.02, 0.25)
 
 
 def test_mapping_names_every_unknown_key():
@@ -75,6 +79,42 @@ def test_mapping_names_every_unknown_key():
         config_from_mapping({"t_end": "5"})
     with pytest.raises(ConfigError, match="'nu'"):
         config_from_mapping({"model": "car", "nu": "soft"})
+
+
+@pytest.mark.parametrize("hint,value,want", [
+    (int, "7", 7), (int, "7.0", 7), (int, "1e3", 1000), (int, 7.0, 7),
+    (int, "9007199254740993", 9007199254740993),
+    (int | None, "-2", -2), (float, "0.1", 0.1), (float, 3, 3.0),
+    (bool, "Yes", True), (bool, "off", False), (str, "runs", "runs"),
+])
+def test_read_value_gives_the_field_its_type(hint, value, want):
+    got = read_value("k", value, hint)
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("hint,value,refusal", [
+    (int, "7.6", "must be an integer"), (int, "nan", "must be finite"),
+    (int, "abc", "cannot read"), (float, "inf", "must be finite"),
+    (float, "abc", "cannot read"), (bool, "maybe", "cannot read"),
+])
+def test_read_value_refuses_under_the_key(hint, value, refusal):
+    with pytest.raises(ConfigError, match=f"^key 'k': {refusal}"):
+        read_value("k", value, hint)
+
+
+def test_paired_spellings_read_one_number_alike():
+    # a plain key and its dotted twin, both text, land as the same exact int
+    def setup(model, **raw):
+        return materialize(config_from_mapping({"model": model, **raw}))
+
+    for text, want in (("7.0", 7), ("9007199254740993", 9007199254740993)):
+        for key in ("seed", "param.seed"):
+            seed = setup("car", **{key: text}).model.params.seed
+            assert seed == want and type(seed) is int, (key, text)
+    order = setup("two_mass", force_order="2.0").options.force_order
+    capped = setup("two_mass", **{"caps.mass_right.max_input_degree": "2.0"})
+    degree = capped.model.problem.subsystems[1].max_input_degree
+    assert (order, degree) == (2, 2) and type(order) is type(degree) is int
 
 
 # ------------------------------------------------------------ materializing
@@ -450,6 +490,12 @@ def test_cli_rejects_non_positive_parameters(capsys):
     (["run", "--model", "two_mass", "--set", "dt0.ghost=0.1"], "'dt0.ghost'"),
     (["run", "--model", "two_mass", "--set", "caps.ghost.imposed_step=1"],
      "'caps.ghost.imposed_step'"),
+    # each is refused under the key the user typed; --set beats --t-end 2
+    (["run", "--model", "two_mass", "--set", "t_end=nan"], "key 't_end'"),
+    (["reference", "--model", "two_mass", "--micro-step", "abc"], "'micro_step'"),
+    (["reference", "--model", "two_mass", "--record-dt", "abc"], "'record_dt'"),
+    (["compare", "--model", "two_mass", "--jacobi-dts", "0.1,abc"],
+     "--jacobi-dts"),
 ], ids=[
     "x1_0-nan", "x1_0-inf", "t_switch-nan", "seed-nan", "seed-inf",
     "preset_force", "caps-nan", "caps-degree-negative", "caps-step-zero",
@@ -462,6 +508,7 @@ def test_cli_rejects_non_positive_parameters(capsys):
     "dt_min-over-t_end-derived-dt_max",
     "param-unknown", "param-seed-non-integral", "caps-degree-non-integral",
     "dt0-stray-label", "caps-stray-label",
+    "t_end-nan", "micro_step-text", "record_dt-text", "jacobi_dts-text",
 ])
 def test_cli_rejects_meaningless_inputs(argv, key, tmp_path, capsys):
     # each of these used to end in a raw traceback or in a run without
@@ -469,6 +516,25 @@ def test_cli_rejects_meaningless_inputs(argv, key, tmp_path, capsys):
     assert cli.main(argv + ["--t-end", "2", "--output-dir", str(tmp_path)]) == 1
     assert key in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--t-ned", "5"],
+    [],
+    ["reference", "--model", "two_mass", "--scheme", "rk3"],
+], ids=["misspelled-flag", "no-subcommand", "bad-choice"])
+def test_cli_usage_errors_exit_1(argv, capsys):
+    # exit 2 means divergence; a typo must not pass for one
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: f3ornits") and "configuration error: " in err
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--t-end" in capsys.readouterr().out
 
 
 def test_cli_rejects_malformed_pairs(capsys):
