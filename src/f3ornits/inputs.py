@@ -25,16 +25,14 @@ The log is pruned to what its slowest reader can still resolve.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import SequencingError
 from .poly import Polynomial, fit_constrained, fit_hermite
 
 
-@dataclass(frozen=True)
-class InputPlan:
+class InputPlan(NamedTuple):
     """Final polynomial for one consumer input over one window."""
 
     poly: Polynomial
@@ -141,7 +139,8 @@ def build_plan(
     or on its first window.  A consumer that smooths gets back the
     polynomial delivered, the next window's `previous`; any other gets None.
     """
-    source = resolve_source(published, window_start)
+    covers = published and published[-1].t_ref <= window_start
+    source = published[-1] if covers else resolve_source(published, window_start)
     p = cap_degree(source, max_degree, window_start, window_end)
     smoothed = smoothing and previous is not None
     if smoothed:

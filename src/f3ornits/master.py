@@ -36,6 +36,13 @@ each one to the event time on input plans built from what was published
 before the event; integrating changes only the subsystem's own state.  The
 second publishes.  Each runtime holds the producer logs its inputs read,
 wired once before the first event.
+
+The benchmark's tracer (bench/tracer.py) times each layer by replacing the
+module global its caller looks up, so step_to, build_plan, select_order,
+estimate_output, normalized_error, update_damped_bounds, propose and
+reconcile stay calls through this module's globals, once per use, as do
+inputs.cap_degree and orders.fit_extrapolation in theirs: the event loop is
+kept lean inside their bodies, until the run counts itself (ROADMAP item 9).
 """
 
 from __future__ import annotations
@@ -182,24 +189,20 @@ def reconcile(
         raise ValueError("reconcile needs at least one schedule entry")
     eff = [e.estimated for e in entries]
     # (a) imposed-grid subsystems are locked, whatever their estimate says;
-    #     rules (b) and (c) skip them
+    #     (b) the others with outputs clamp to their producers' estimates,
+    #     which (a) leaves as they are.  Subsystems without outputs are
+    #     exempt: nobody depends on them, so their wake policy is rule (c)
+    #     alone — otherwise the coast exception there could never apply.
     for k, e in enumerate(entries):
-        if not e.finished and e.imposed_step is not None:
-            eff[k] = e.reached + e.imposed_step
-    # (b) consumer clamp against producers' estimates.  Subsystems without
-    #     outputs are exempt: nobody depends on them, so their wake policy is
-    #     rule (c) alone — otherwise the coast exception there could never
-    #     apply.
-    for k, e in enumerate(entries):
-        if e.finished or e.imposed_step is not None or not e.has_outputs:
+        if e.finished:
             continue
-        ests = [
-            entries[l].estimated for l in e.producers if not entries[l].finished
-        ]
-        if ests:
-            cand = min(ests)
-            if cand < eff[k]:
-                eff[k] = cand
+        if e.imposed_step is not None:
+            eff[k] = e.reached + e.imposed_step
+        elif e.has_outputs:
+            for l in e.producers:
+                p = entries[l]
+                if not p.finished and p.estimated < eff[k]:
+                    eff[k] = p.estimated
     # (c) no-output subsystems aim for the horizon; pull them in to their
     #     producers' effective wake-ups
     for k, e in enumerate(entries):
@@ -346,14 +349,16 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
 
     effective = reconcile(runtimes, t_end, DT_EPSILON)
 
+    # what every event reads, bound once
+    nu, norm, force = tol.nu, options.error_norm, options.force_order
+    calibration = options.calibration
+    records = [trace.subsystems[rt.spec.label].record for rt in runtimes]
+    active = [k for k, rt in enumerate(runtimes) if not rt.finished]
     events = 0
-    while True:
-        active = [k for k, rt in enumerate(runtimes) if not rt.finished]
-        if not active:
-            break
+    while active:
         if events >= MAX_EVENTS:
             raise RuntimeError(f"event budget exceeded ({MAX_EVENTS} events)")
-        t_event = min(effective[k] for k in active)
+        t_event = min([effective[k] for k in active])
         tie = 1e-12 * (1.0 + abs(t_event))
         due = [k for k in active if effective[k] - t_event <= tie]
 
@@ -361,45 +366,38 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
         # plans built from what was published before this event
         for k in due:
             rt = runtimes[k]
+            plans, delivered, reached = rt.plans, rt.delivered, rt.reached
             try:
                 for i, log in enumerate(rt.sources):
-                    rt.plans[i], rt.delivered[i] = build_plan(
-                        log, rt.reached, t_event, rt.deg_cap, rt.smooths,
-                        rt.delivered[i],
+                    plans[i], delivered[i] = build_plan(
+                        log, reached, t_event, rt.deg_cap, rt.smooths, delivered[i]
                     )
             except CalibrationError:
                 raise
             except ValueError as exc:
-                raise DivergenceError(rt.spec.label, rt.reached) from exc
+                raise DivergenceError(rt.spec.label, reached) from exc
             rt.state, rt.y = step_to(
-                rt.spec, rt.state, [p.poly for p in rt.plans], rt.reached, t_event
+                rt.spec, rt.state, [p.poly for p in plans], reached, t_event
             )
 
         # pass 2: exchange, order selection, estimates, step proposals
+        finished = False
         for k in due:
             rt = runtimes[k]
             dt_prev = t_event - rt.reached
+            bounds = rt.bounds
             errs, orders_now, p_used = [], [], []
             for j, y_new in enumerate(rt.y):
-                last_pub = rt.published[j][-1]
+                history, log = rt.histories[j], rt.published[j]
+                last_pub = log[-1]
                 y_pred = last_pub(t_event)
                 p_used.append(last_pub.degree)
-                rt.bounds[j] = update_damped_bounds(
-                    rt.bounds[j], y_new, dt_prev, tol.nu
-                )
-                errs.append(
-                    normalized_error(
-                        y_new, y_pred, options.error_norm, rt.bounds[j], tol
-                    )
-                )
-                decision = select_order(
-                    rt.histories[j], t_event, y_new, force=options.force_order
-                )
+                bounds[j] = b = update_damped_bounds(bounds[j], y_new, dt_prev, nu)
+                errs.append(normalized_error(y_new, y_pred, norm, b, tol))
+                decision = select_order(history, t_event, y_new, force)
                 try:
-                    rt.histories[j].push(t_event, y_new)
-                    rt.published[j].append(
-                        estimate_output(rt.histories[j], decision, options.calibration)
-                    )
+                    history.push(t_event, y_new)
+                    log.append(estimate_output(history, decision, calibration))
                 except CalibrationError:
                     raise
                 except ValueError as exc:
@@ -419,19 +417,20 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
                 prop = propose(errs, p_used, dt_prev, t_event, t_end, tol)
                 rho = prop.rho
                 rt.estimated = prop.t_next_estimated
-            if t_end - rt.reached <= DT_EPSILON:
-                rt.finished = True
-            trace.subsystems[rt.spec.label].record(
-                t_event, rt.y, errs, orders_now, rho, rt.plans
-            )
+            if t_end - t_event <= DT_EPSILON:
+                rt.finished = finished = True
+            records[k](t_event, rt.y, errs, orders_now, rho, rt.plans)
 
         # a reader resolves its next window at its reached time, which
         # never decreases: the slowest reader bounds what each log must keep
         for log, rts in readers:
-            prune_published(log, min((rt.reached for rt in rts), default=None))
+            if len(log) > 1:
+                prune_published(log, min([rt.reached for rt in rts]) if rts else None)
 
         effective = reconcile(runtimes, t_end, DT_EPSILON)
         events += 1
+        if finished:
+            active = [k for k in active if not runtimes[k].finished]
 
     trace.total_events = events
     trace.wall_time_s = time.perf_counter() - t_start_wall

@@ -31,7 +31,7 @@ so p(t_n) is y_n exactly; `SampleHistory.push` is the only code computing d1 and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coupling import SampleHistory
 from .errors import CalibrationError, SequencingError
@@ -40,8 +40,7 @@ from .poly import MAX_ORDER, Polynomial, fit_constrained_least_squares
 CALIBRATION_MODES = ("extrapolation", "cls")
 
 
-@dataclass(frozen=True)
-class OrderDecision:
+class OrderDecision(NamedTuple):
     """Chosen order for the upcoming window plus the per-candidate scores."""
 
     order: int
@@ -71,16 +70,18 @@ def select_order(
     tau = t_new - times[-1]
     p = history.values[-1]
     errors = {0: abs(y_new - p)}
+    best_q = 0
     if n > 1:
         p += history.d1 * tau
         errors[1] = abs(y_new - p)
+        best_q = 1 if errors[1] < errors[0] else 0
         if n > 2:
             p += history.d2 * tau * (t_new - times[-2])
             errors[2] = abs(y_new - p)
-    best_q = min(errors, key=errors.__getitem__)
+            best_q = 2 if errors[2] < errors[best_q] else best_q
     if force is not None:
-        best_q = min(max(force, 0), max(errors))
-    return OrderDecision(order=best_q, candidate_errors=errors)
+        best_q = min(max(force, 0), len(errors) - 1)
+    return OrderDecision(best_q, errors)
 
 
 def fit_extrapolation(history: SampleHistory, q: int) -> Polynomial:

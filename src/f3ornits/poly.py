@@ -15,8 +15,8 @@ partial pivoting in its order of operations; a larger fit is refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isfinite
+from typing import NamedTuple
 
 from .errors import CalibrationError
 
@@ -30,30 +30,32 @@ MAX_ORDER = 2
 TIME_GAP_REL = 1e-12
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """p(t) = sum_i coeffs[i] * (t - t_ref)**i, degree <= MAX_DEGREE."""
+class Polynomial(NamedTuple("_Fields", [("t_ref", float), ("coeffs", tuple)])):
+    """p(t) = sum_i coeffs[i] * (t - t_ref)**i, degree <= MAX_DEGREE; a
+    tuple record that refuses any other count or a non-finite number."""
 
-    t_ref: float
-    coeffs: tuple[float, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
 
-    def __post_init__(self):
-        if not 1 <= len(self.coeffs) <= MAX_DEGREE + 1:
+    def __new__(cls, t_ref: float, coeffs: tuple[float, ...]):
+        if not 1 <= len(coeffs) <= MAX_DEGREE + 1:
             raise ValueError(
                 f"polynomial needs 1..{MAX_DEGREE + 1} coefficients, "
-                f"got {len(self.coeffs)}"
+                f"got {len(coeffs)}"
             )
-        if not isfinite(self.t_ref) or not all(isfinite(c) for c in self.coeffs):
+        if not isfinite(t_ref) or not all(map(isfinite, coeffs)):
             raise ValueError("polynomial coefficients must be finite")
+        return tuple.__new__(cls, (t_ref, coeffs))
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def __call__(self, t: float) -> float:
-        tau = t - self.t_ref
+        t_ref, coeffs = self
+        tau = t - t_ref
         acc = 0.0
-        for c in reversed(self.coeffs):
+        for c in reversed(coeffs):
             acc = acc * tau + c
         return acc
 

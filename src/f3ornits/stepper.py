@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -54,8 +55,7 @@ class Tolerances:
                 raise ConfigError(f"key {key!r}: {getattr(self, key)!r} must be {need}")
 
 
-@dataclass(frozen=True)
-class DampedBounds:
+class DampedBounds(NamedTuple):
     """Per-output envelope state: damped extrema plus the all-time extrema."""
 
     damp_max: float
@@ -66,9 +66,7 @@ class DampedBounds:
 
     @classmethod
     def from_first_sample(cls, y0: float) -> "DampedBounds":
-        return cls(
-            damp_max=y0, damp_min=y0, alpha=0.0, global_max=y0, global_min=y0
-        )
+        return cls(y0, y0, 0.0, y0, y0)
 
 
 def update_damped_bounds(
@@ -79,21 +77,23 @@ def update_damped_bounds(
     Both damped extrema drift toward each other by (nu * dt_prev / 2) * alpha
     before the new sample pushes them back out, so alpha tracks a slowly
     forgotten amplitude.  The new sample is always inside the envelope by
-    construction, which keeps damp_max >= damp_min without clipping.
+    construction, which keeps damp_max >= damp_min without clipping.  Here
+    and in `propose`, max and min are spelt out as the choice they make.
     """
-    shrink = 0.5 * nu * dt_prev * bounds.alpha
-    damp_max = max(y_new, bounds.damp_max - shrink)
-    damp_min = min(y_new, bounds.damp_min + shrink)
+    damp_max, damp_min, alpha, global_max, global_min = bounds
+    shrink = 0.5 * nu * dt_prev * alpha
+    damp_max, damp_min = damp_max - shrink, damp_min + shrink
+    damp_max = damp_max if damp_max > y_new else y_new
+    damp_min = damp_min if damp_min < y_new else y_new
     return DampedBounds(
-        damp_max=damp_max,
-        damp_min=damp_min,
-        alpha=damp_max - damp_min,
-        global_max=max(bounds.global_max, y_new),
-        global_min=min(bounds.global_min, y_new),
+        damp_max, damp_min, damp_max - damp_min,
+        y_new if y_new > global_max else global_max,
+        y_new if y_new < global_min else global_min,
     )
 
 
 ERROR_NORMS = ("magnitude", "amplitude", "damped")
+_INF = math.inf  # `propose` compares with it rather than call math.isinf
 
 
 def normalized_error(
@@ -125,8 +125,7 @@ def normalized_error(
     return residual / denom
 
 
-@dataclass(frozen=True)
-class StepProposal:
+class StepProposal(NamedTuple):
     rho: float
     dt_next: float
     t_next_estimated: float
@@ -151,23 +150,27 @@ def propose(
         raise ValueError("need matching, non-empty error and order lists")
     if dt_prev <= 0:
         raise ValueError("dt_prev must be positive")
-    rho = math.inf
+    rho = _INF
     for err, p in zip(errors, orders):
         if err < 0 or p < 0:
             raise ValueError("errors and orders must be non-negative")
         if err == 0.0:
-            r = math.inf
-        elif math.isinf(err):
+            r = _INF
+        elif err == _INF:
             r = 0.0
         else:
             r = (1.0 / err) ** (1.0 / (p + 1))
         if r < rho:
             rho = r
-    rho = min(max(rho, tol.rho_min), tol.rho_max)
-    dt_next = min(max(rho * dt_prev, tol.dt_min), tol.dt_max)
+    # min(max(rho, rho_min), rho_max), then the same clamp for the step
+    rho = tol.rho_min if tol.rho_min > rho else rho
+    rho = tol.rho_max if tol.rho_max < rho else rho
+    dt_next = rho * dt_prev
+    dt_next = tol.dt_min if tol.dt_min > dt_next else dt_next
+    dt_next = tol.dt_max if tol.dt_max < dt_next else dt_next
     t_next = t_now + dt_next
     # snap to t_end when the leftover would be vanishing float dust
     if t_next > t_end or t_end - t_next < 1e-6 * dt_next:
         t_next = t_end
-    return StepProposal(rho=rho, dt_next=dt_next, t_next_estimated=t_next)
+    return StepProposal(rho, dt_next, t_next)
 

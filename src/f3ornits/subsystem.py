@@ -13,12 +13,14 @@ compiled per state dimension and tuple of input degrees (`_rk4_walk`): it
 advances the micro grid, evaluates every input once per stage time by inline
 Horner, and keeps the state, the grid and the coefficients in local
 variables, so its memory does not grow with the number of micro steps.
+Each spec binds that kernel once per tuple of input degrees, on first use.
 f and g are each either a plain callable, which can be any black box (f
 receives each stage's state as a fresh list and its inputs as a read-only
 tuple), or a `Derivatives`: one expression per state or output, and named
 values, each evaluated only as often as what it reads can change.  The
 kernel generated for a declared f evaluates it inline, with no call and no
-list per stage, to the same bits.
+list per stage, to the same bits, and reads a derivative or value that is a
+bare name in place rather than copying it.
 There is no rollback: a completed macro step is final.  `step_to` returns
 the new state and the output tuple y at the target time.
 """
@@ -83,11 +85,13 @@ def renamed(expr: str, names: dict[str, str]) -> str:
 class _Plan:
     """A declaration's named values at the levels their reads give them:
     `defs[level]` holds, in declared order, each value of the level that
-    an expression reads, directly or through other values (`_plan`)."""
+    an expression reads, directly or through other values (`_plan`); a
+    value whose text is a bare name is an alias, read in place as it."""
 
     def __init__(self, exprs: Sequence[str], values: Sequence[tuple[str, str]]):
         levels: dict[str, int] = {}
         self.defs: tuple[list[tuple[str, str]], ...] = ([], [], [])
+        self.aliases: dict[str, str] = {}
         reads = {name for e in exprs for name in names_read(e)}
         for name, expr in reversed(values):
             if name in reads:
@@ -100,13 +104,22 @@ class _Plan:
                 elif _bound(read):
                     level = max(level, _STATE if read[0] == "x" else _TIME)
             levels[name] = level
-            self.defs[level].append((name, expr))
+            if expr.isidentifier():
+                self.aliases[name] = expr
+            else:
+                self.defs[level].append((name, expr))
         #: the constants, and the indices of the states and inputs, read
         self.constants = sorted(
             n for n in reads if not _bound(n) and n not in levels
         )
         self.states = sorted(int(n[1:]) for n in reads if n[0] == "x" and _bound(n))
         self.inputs = sorted(int(n[1:]) for n in reads if n[0] == "u" and _bound(n))
+
+    def in_place(self, rename: dict[str, str]) -> dict[str, str]:
+        """rename, with each alias renamed as the name it reads."""
+        for name, expr in self.aliases.items():
+            rename[name] = rename.get(expr, expr)
+        return rename
 
     def lines(self, level: int, rename: dict[str, str]) -> list[str]:
         """One assignment per named value of the level, in order."""
@@ -149,13 +162,14 @@ class Derivatives:
     def function(self) -> Callable[..., list[float]]:
         """f(t, x, u) as one compiled function: a call costs one frame."""
         plan = _plan(self.exprs, self.values)
-        lines = [line for level in range(3) for line in plan.lines(level, {})]
+        rename = plan.in_place({})
+        lines = [line for level in range(3) for line in plan.lines(level, rename)]
         source = (
             "def _derivatives(t, _x, _u):\n"
             + "".join(f"    x{i} = _x[{i}]\n" for i in plan.states)
             + "".join(f"    u{j} = _u[{j}]\n" for j in plan.inputs)
             + "".join(f"    {line}\n" for line in lines)
-            + f"    return [{', '.join(renamed(e, {}) for e in self.exprs)}]\n"
+            + f"    return [{', '.join(renamed(e, rename) for e in self.exprs)}]\n"
         )
         namespace = dict(self.namespace)
         exec(compile(source, "<derivatives>", "exec"), namespace)
@@ -285,6 +299,11 @@ class SubsystemSpec:
         if isinstance(self.g, Derivatives):
             self.g.check(self.label, self.n_states, self.n_in, self.n_out)
 
+    @cached_property
+    def kernels(self) -> dict[tuple[int, ...], Callable[..., list[float]]]:
+        """`step_to`'s kernel per tuple of input degrees, bound on first use."""
+        return {}
+
 
 def _arity_error(label: str, k: Sequence[float], n: int) -> ContractViolation:
     return ContractViolation(
@@ -337,9 +356,11 @@ def _rk4_walk(
     twice per micro step plus once per window.  Each stage renames t, x{i},
     u{j} and the values in the text to its own time, state (_x{i}, then
     _s2_{i}, _s3_{i}, _s4_{i}), inputs and values, and evaluates those that
-    read a state.  Every local but the constants and the values that read
-    only constants starts with an underscore, which no constant or value
-    may.
+    read a state.  A derivative or value whose text is a bare name is read
+    in place under that name, not copied, except a stage-1 derivative that
+    is a state the step updates before its own.  Every local but the
+    constants and the values that read only constants starts with an
+    underscore, which no constant or value may.
     """
 
     def each(fmt: str, count: int = n) -> str:
@@ -382,12 +403,17 @@ def _rk4_walk(
         rename.update((f"u{j}", f"_u{tag}{j}") for j in used)
         rename.update((name, f"_g{tag}_{name}") for name, _ in plan.defs[_TIME])
         rename.update((name, f"_q{s}_{name}") for name, _ in plan.defs[_STATE])
-        return rename
+        return plan.in_place(rename)
+
+    #: per stage, the name each derivative is read by
+    ks: dict[int, list[str]] = {}
 
     def stage(s: int) -> str:
-        """Stage s's state and its derivatives _k{s}_0.."""
+        """Stage s's state and its derivatives, each read in place when
+        its text is a bare name and copied to _k{s}_{i} otherwise."""
         t, tag = _STAGE_TIMES[s]
         step = "_hs" if s == 4 else "_half"
+        ks[s] = [f"_k{s}_{i}" for i in range(n)]
         if plan is None:
             states = each("_x{0}") if s == 1 else each(
                 f"_x{{0}} + {step} * _k{s - 1}_{{0}}"
@@ -402,17 +428,23 @@ def _rk4_walk(
         else:
             rename = renames(s)
             lines = [
-                f"_s{s}_{i} = _x{i} + {step} * _k{s - 1}_{i}"
+                f"_s{s}_{i} = _x{i} + {step} * {ks[s - 1][i]}"
                 for i in plan.states if s > 1
             ]
             lines += plan.lines(_STATE, rename)
-            lines += [f"_k{s}_{i} = {renamed(e, rename)}" for i, e in enumerate(exprs)]
+            for i, text in enumerate(renamed(e, rename) for e in exprs):
+                # the step updates _x0, _x1, ... in turn, so stage 1 copies
+                # an earlier state than its own
+                if text.isidentifier() and not (text[:2] == "_x" and int(text[2:]) < i):
+                    ks[s][i] = text
+                else:
+                    lines.append(f"{ks[s][i]} = {text}")
         return "".join(f"        {line}\n" for line in lines)
 
     prologue = [] if plan is None else (
         ["_env = _f.namespace"]
         + [f"{name} = _env[{name!r}]" for name in plan.constants]
-        + plan.lines(_WINDOW, {})
+        + plan.lines(_WINDOW, renames(1))
     )
     carried = ["_ui = _ue"] if plan is None else (
         [f"_ui{j} = _ue{j}" for j in used]
@@ -448,9 +480,8 @@ def _rk4_walk(
         + stage(4)
         + "        _sixth = _hs / 6.0\n"
         + "".join(
-            f"        _x{i} = _x{i} + _sixth * "
-            f"(_k1_{i} + 2.0 * (_k2_{i} + _k3_{i}) + _k4_{i})\n"
-            for i in range(n)
+            f"        _x{i} = _x{i} + _sixth * ({k1} + 2.0 * ({k2} + {k3}) + {k4})\n"
+            for i, (k1, k2, k3, k4) in enumerate(zip(ks[1], ks[2], ks[3], ks[4]))
         )
         + "        if _t_target - _t1 <= _guard:\n"
         "            break\n"
@@ -480,14 +511,15 @@ def step_to(
     spec.max_micro_step); an explicit `micro_step` overrides that rule.
 
     The window is walked by the kernel `_rk4_walk` compiled for
-    spec.n_states and the input degrees: steps of h from t_start, the last
-    one shortened to land on t_target, each input polynomial evaluated once
-    per stage time (step boundaries and midpoints) as the walk goes.  A
-    callable f is called exactly four times per micro step, with the
-    stage's state as a list and its inputs as a tuple, and every call's
-    derivative count is checked; a `Derivatives` f is evaluated inline, its
-    count checked when the spec was built.  The walk keeps no list that
-    grows with the number of micro steps.
+    spec.n_states and the input degrees, bound in `spec.kernels` on first
+    use: steps of h from t_start, the last one shortened to land on
+    t_target, each input polynomial evaluated once per stage time (step
+    boundaries and midpoints) as the walk goes.  A callable f is called
+    exactly four times per micro step, with the stage's state as a list and
+    its inputs as a tuple, and every call's derivative count is checked; a
+    `Derivatives` f is evaluated inline and a declared g called as its
+    `function`, their counts checked when the spec was built.  The walk
+    keeps no list that grows with the number of micro steps.
     """
     if t_target <= t_start:
         raise ValueError(
@@ -504,12 +536,13 @@ def step_to(
             f"{spec.label}: got {len(state)} states, expected {spec.n_states}"
         )
     degrees = tuple([len(p.coeffs) - 1 for p in inputs])
-    for i, d in enumerate(degrees):
-        if d > spec.max_input_degree:
-            raise ContractViolation(
-                f"{spec.label}: input {i} has degree {d}, "
-                f"capability allows {spec.max_input_degree}"
-            )
+    if degrees and max(degrees) > spec.max_input_degree:
+        for i, d in enumerate(degrees):
+            if d > spec.max_input_degree:
+                raise ContractViolation(
+                    f"{spec.label}: input {i} has degree {d}, "
+                    f"capability allows {spec.max_input_degree}"
+                )
 
     h = micro_step
     if h is None:
@@ -521,16 +554,19 @@ def step_to(
             f"{spec.label}: micro step must be finite and positive, got {h!r}"
         )
 
-    f = spec.f
-    walk = (
-        _rk4_walk(spec.n_states, degrees, f.exprs, f.values)
-        if isinstance(f, Derivatives) else _rk4_walk(spec.n_states, degrees)
-    )
+    f, g = spec.f, spec.g
+    walk = spec.kernels.get(degrees)
+    if walk is None:
+        declared = (f.exprs, f.values) if isinstance(f, Derivatives) else ()
+        walk = spec.kernels[degrees] = _rk4_walk(spec.n_states, degrees, *declared)
     x = walk(f, state, t_start, t_target, h, inputs, spec.label)
     if not all(map(isfinite, x)):
         raise DivergenceError(spec.label, t_start)
 
-    y = evaluate_outputs(spec, x, [p(t_target) for p in inputs], t_target)
+    u = [p(t_target) for p in inputs]
+    y = tuple(g.function(t_target, x, u)) if isinstance(g, Derivatives) else (
+        evaluate_outputs(spec, x, u, t_target)
+    )
     if not all(map(isfinite, y)):
         raise DivergenceError(spec.label, t_start)
     return x, y

@@ -46,6 +46,16 @@ GOLDEN = {
             "run_summary.csv": "2eb36da42d60d8253c4d66556cf4a3519cb0f303c0aac2e06ba60966fb56f7f1",
         },
     ),
+    # the benchmark's car_long workload at seed 1: the config its run_s is
+    # measured on
+    "car_long_seed_1": (
+        {"model": "car", "seed": "1", "t_end": "300"},
+        {
+            "run_vehicle.csv": "9a44807990c8b7b79792530e48e326538d8e1de264a829175c1bbc3384fd7b8a",
+            "run_controller.csv": "144652e5611355dfd950bf25daaa11da42b0e143fb002dab69aae943d8bb42fd",
+            "run_summary.csv": "7400c34c315aa5314e6d1edda8d3e96a3445505c53e5b9dcc7c1137c25edfcdd",
+        },
+    ),
     "jacobi_dt_0.1": (
         {"model": "two_mass", "method": "jacobi", "dt": "0.1", "t_end": "20"},
         {

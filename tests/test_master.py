@@ -1,5 +1,6 @@
 """Scheduler rules and event-loop behavior on small hand-built problems."""
 
+import collections
 import dataclasses
 import math
 
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f3ornits import master
+from f3ornits import inputs, master, orders
 from f3ornits.coupling import CouplingGraph
 from f3ornits.errors import ConfigError, DivergenceError
+from f3ornits.inputs import InputPlan
 from f3ornits.master import (
     CosimProblem,
     MasterOptions,
@@ -19,7 +21,9 @@ from f3ornits.master import (
     run_jacobi,
 )
 from f3ornits.models import TwoMassParams, build_two_mass
-from f3ornits.stepper import Tolerances
+from f3ornits.orders import OrderDecision
+from f3ornits.poly import Polynomial
+from f3ornits.stepper import DampedBounds, StepProposal, Tolerances
 from f3ornits.subsystem import SubsystemSpec
 from f3ornits.trace import read_trace_csv
 
@@ -490,3 +494,73 @@ def test_duplicate_labels_rejected():
     )
     with pytest.raises(ConfigError, match="unique"):
         run_f3ornits(problem, _options())
+
+
+#: the module globals bench/tracer.py wraps, and what it reads off a call:
+#: (module, name, check of the call's arguments and result)
+TRACED = (
+    (master, "step_to", lambda args, r: isinstance(args[0], SubsystemSpec)),
+    (master, "build_plan", lambda args, r: r[0].smoothed in (True, False)),
+    (master, "select_order", None),
+    (master, "estimate_output", None),
+    (master, "normalized_error", None),
+    (master, "update_damped_bounds", None),
+    (master, "propose", lambda args, r: r.rho > 0.0),
+    (master, "reconcile", lambda args, r: all(
+        args[0][k].estimated >= 0.0 for k in range(len(r))
+    )),
+    (inputs, "cap_degree", lambda args, r: r is args[0] or args[0].degree > args[1]),
+    (orders, "fit_extrapolation", None),
+)
+
+
+def test_every_traced_call_stays_a_call_through_its_global(monkeypatch):
+    # the benchmark's traced repetition times each of these by replacing
+    # the global its caller looks up; a call fused into its caller would
+    # vanish from the trace, and a broken hook contract would stop it
+    calls = collections.Counter()
+
+    def counted(name, fn, check):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            result = fn(*args, **kwargs)
+            assert check is None or check(args, result), name
+            return result
+        return wrapper
+
+    for module, name, check in TRACED:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name), check))
+    model = build_two_mass(TwoMassParams(t_end=5.0))
+    trace = run_f3ornits(model.problem, MasterOptions())
+
+    specs = model.problem.subsystems
+    windows = [trace.subsystems[s.label].steps for s in specs]
+    rows = sum(st.n_rows for st in trace.subsystems.values())
+    outputs = sum(w * s.n_out for w, s in zip(windows, specs))
+    assert calls["step_to"] == sum(windows) == rows - len(specs)
+    assert calls["build_plan"] == calls["cap_degree"] == sum(
+        w * s.n_in for w, s in zip(windows, specs)
+    )
+    for name in ("select_order", "estimate_output", "normalized_error",
+                 "update_damped_bounds", "fit_extrapolation"):
+        assert calls[name] == outputs, name
+    assert calls["propose"] == sum(
+        w for w, s in zip(windows, specs) if s.imposed_step is None and s.n_out
+    )
+    assert calls["reconcile"] == trace.total_events + 1
+
+
+@pytest.mark.parametrize("record", [
+    InputPlan(Polynomial(0.0, (1.0,)), 0.0, False),
+    DampedBounds(damp_max=1.0, damp_min=0.0, alpha=1.0, global_max=1.0, global_min=0.0),
+    OrderDecision(order=1, candidate_errors={0: 0.5, 1: 0.25}),
+    StepProposal(rho=1.0, dt_next=0.1, t_next_estimated=1.1),
+    Polynomial(t_ref=0.0, coeffs=(1.0,)),
+], ids=lambda r: type(r).__name__)
+def test_exchanged_records_refuse_assignment(record):
+    # tuple records, frozen as the dataclasses were; dataclasses'
+    # FrozenInstanceError is an AttributeError too
+    for name in (*record._fields, "anything"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name, 0.0))
+    assert type(record)(**record._asdict()) == record

@@ -96,6 +96,31 @@ def test_degree_cap_enforced():
         Polynomial(0.0, (math.nan,))
 
 
+@pytest.mark.parametrize("t_ref,coeffs", [
+    (0.0, ()), (0.0, (1.0,) * 5), (math.inf, (1.0,)), (math.nan, (1.0,)),
+    (0.0, (1.0, -math.inf)), (0.0, (1.0, 2.0, math.nan)),
+])
+def test_polynomial_record_refuses_what_it_always_refused(t_ref, coeffs):
+    # the tuple record keeps the dataclass's checks: an overflowing
+    # coefficient is a ValueError, which the master turns into a divergence
+    with pytest.raises(ValueError):
+        Polynomial(t_ref, coeffs)
+    with pytest.raises(ValueError):
+        Polynomial(t_ref=t_ref, coeffs=coeffs)
+    with pytest.raises(ValueError):
+        Polynomial(0.5, (1.0,))._replace(t_ref=t_ref, coeffs=coeffs)
+
+
+def test_polynomial_record_is_frozen_and_compares_by_value():
+    p = Polynomial(t_ref=0.5, coeffs=(1.0, 2.0))
+    for name in ("t_ref", "coeffs", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 1.0)
+    same = Polynomial(0.5, (1.0, 2.0))
+    assert p == same and hash(p) == hash(same)
+    assert (p.t_ref, p.coeffs, p.degree, p(1.5)) == (0.5, (1.0, 2.0), 1, 3.0)
+
+
 @given(
     coeffs=st.lists(st.floats(-10, 10), min_size=1, max_size=4),
     old_ref=st.floats(-5, 5),

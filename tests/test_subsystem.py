@@ -360,6 +360,19 @@ def test_walk_reads_permuted_bare_states_before_the_step_moves_them():
     assert len(set(x)) == 3
 
 
+def test_walk_reads_values_that_are_bare_names_in_place():
+    # b names a, which names x0; w names t, v an input and c2 a constant:
+    # each is read as the name it reads, and b, a state the step updates
+    # before x1's, is still read before the update
+    k = -0.75
+    values = (("a", "x0"), ("b", "a"), ("w", "t"), ("v", "u0"), ("c2", "c"))
+    x = walk_three_ways(("x1", "b", "w * v + c2"), (("c", k),),
+                        lambda t, x, u: [x[1], x[0], t * u[0] + k],
+                        (1.0, -2.0, 3.0), (Polynomial(0.2, (0.5, -1.0, 0.25)),),
+                        values=values)
+    assert len(set(x)) == 3
+
+
 def test_walk_evaluates_a_subexpression_repeated_across_states_once():
     # d = (x0 - x1) * c is every derivative or part of it: one value per
     # stage, read by name, the third derivative being d itself
