@@ -45,6 +45,7 @@ from .report import (
     write_report_csv,
     write_scatter_csv,
 )
+from .subsystem import SCHEMES
 from .trace import row_format
 
 #: (flag, config key) for every plain key but the booleans, which get
@@ -215,10 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_ref)
     p_ref.add_argument(
         "--micro-step", default=None,
-        help="RK4 step (default: the model's own reference step)",
+        help="step of either scheme (default: the model's own reference step)",
     )
     p_ref.add_argument("--record-dt", default=REFERENCE_RECORD_DT)
-    p_ref.add_argument("--scheme", default="rk4", choices=("rk4", "rk2"))
+    p_ref.add_argument("--scheme", default="rk4", choices=tuple(SCHEMES))
     p_ref.set_defaults(func=_cmd_reference)
     return parser
 

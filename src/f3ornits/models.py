@@ -9,10 +9,9 @@ a value, so the micro walk evaluates f inline.  `compose_monolith` closes
 the coupling on those declarations: the monolith's right-hand side is a
 declaration with no inputs, built from the subsystems' own texts, not a
 second copy of them.  `monolithic_reference` integrates it through
-`step_to`, the co-simulation's own RK4, at the model's own
-`reference_step`, recording every REFERENCE_RECORD_DT; `reference_gap`
-reports how far a second run at twice that step lands from it.  The
-midpoint scheme calls the declaration's compiled `function` directly.
+`step_to`, the co-simulation's own RK4 (or midpoint rule), at the model's
+own `reference_step`, recording every REFERENCE_RECORD_DT; `reference_gap`
+reports how far a second run at twice that step lands from it.
 
 Each subsystem also states the largest RK4 micro step its own dynamics
 allow (`SubsystemSpec.max_micro_step`), derived from the parameters it is
@@ -73,7 +72,7 @@ from typing import Callable, Sequence
 from .coupling import CouplingGraph
 from .errors import ConfigError, DivergenceError, check_step, read_value
 from .master import CosimProblem, check_event_budget, check_horizon
-from .subsystem import Derivatives, SubsystemSpec, names_read, renamed, step_to
+from .subsystem import SCHEMES, Derivatives, SubsystemSpec, names_read, renamed, step_to
 
 _M64 = (1 << 64) - 1
 
@@ -141,7 +140,7 @@ class BenchmarkModel:
     # (subsystem label, output index) -> value reconstructed from the
     # monolithic state; this is what references and scoring use
     output_map: dict[tuple[str, int], OutputReader]
-    # default RK4 step of `monolithic_reference`
+    # default step of `monolithic_reference`, for either scheme
     reference_step: float
 
 
@@ -437,12 +436,15 @@ def compute_rmse(trace_t, trace_y, ref_t, ref_y) -> float:
 
     The trace is interpolated linearly onto each reference time, with
     numpy.interp's formula, and held at its end values outside its span.
+    Each residual is taken in units of the span before `math.hypot` sums
+    their squares, so neither huge states nor a tiny span under- or
+    overflows where the score itself is a finite number.
     """
     span = max(ref_y) - min(ref_y)
     if span <= 0.0:
         raise ConfigError("reference series is flat; RMSE undefined")
     last = len(trace_t) - 1
-    squares = []
+    residuals = []
     for t, r in zip(ref_t, ref_y):
         j = bisect_right(trace_t, t) - 1
         if j < 0:
@@ -452,9 +454,8 @@ def compute_rmse(trace_t, trace_y, ref_t, ref_y) -> float:
         else:
             slope = (trace_y[j + 1] - trace_y[j]) / (trace_t[j + 1] - trace_t[j])
             y = slope * (t - trace_t[j]) + trace_y[j]
-        squares.append((y - r) * (y - r))
-    rms = math.sqrt(math.fsum(squares) / len(squares))
-    return 100.0 * rms / span
+        residuals.append((y - r) / span)
+    return 100.0 * (math.hypot(*residuals) / math.sqrt(len(residuals)))
 
 
 @dataclass(frozen=True)
@@ -486,16 +487,15 @@ def monolithic_reference(
     """Integrate the monolithic twin tightly; results are cached per session.
 
     micro_step defaults to the model's `reference_step`.  The monolith is a
-    `SubsystemSpec` without inputs or outputs, and with scheme "rk4" it is
-    walked by `step_to`, the co-simulation's own micro-integrator, one call
-    per record window; `step_to` keeps no list that grows with its step
+    `SubsystemSpec` without inputs or outputs, walked by `step_to`, the
+    co-simulation's own micro-integrator, one call per record window, with
+    the scheme of `subsystem.SCHEMES` named: "rk4", or "rk2", the explicit
+    midpoint rule, whose second order cross-checks the recorded values
+    through the same walk.  `step_to` keeps no list that grows with its step
     count, so memory does not grow with the record stride.  Record window k
-    ends at
-    t_init + min(k * stride, n_steps) * micro_step, so switch times and
-    dwell edges on that grid fall on window starts.  Scheme "rk2" walks
-    the same windows with the explicit midpoint rule, an unrelated
-    discretization that cross-checks the recorded values.  A non-finite
-    state raises DivergenceError.  The reference walks once; its own error
+    ends at t_init + min(k * stride, n_steps) * micro_step, so switch times
+    and dwell edges on that grid fall on window starts.  A non-finite state
+    raises DivergenceError.  The reference walks once; its own error
     estimate is `reference_gap`, paid only where it is read.
 
     record_dt must be an even multiple of micro_step, and the horizon may
@@ -586,15 +586,12 @@ def _walk(
             f"key 'record_dt': {record_dt!r} is not an even multiple of the "
             f"reference step {h!r}"
         )
-    if scheme not in ("rk4", "rk2"):
+    if scheme not in SCHEMES:
         raise ConfigError(f"unknown reference scheme {scheme!r}")
 
-    rhs = model.monolith_rhs
-    # the midpoint scheme calls a declaration's compiled function directly
-    f = rhs.function if isinstance(rhs, Derivatives) else rhs
     x0 = model.monolith_x0
+    rhs = model.monolith_rhs
     spec = SubsystemSpec("monolith", len(x0), 0, 0, rhs, lambda t, x, u: (), x0)
-    idx = range(len(x0))
     getters = [model.output_map[k] for k in sorted(model.output_map)]
     starts = range(0, n_steps, stride)
 
@@ -604,21 +601,8 @@ def _walk(
     x = list(x0)
     cols = [array("d", [fn(t0, x)]) for fn in getters]
     for i0 in starts:
-        i1 = min(i0 + stride, n_steps)
-        t_rec = at(i1)
-        if scheme == "rk4":
-            x, _ = step_to(spec, x, (), at(i0), t_rec, m * h)
-        else:
-            for i in range(i0, i1, m):
-                t = t0 + i * h
-                end = min(i + m, i1)
-                hs = (end - i) * h if on_grid or end < n_steps else t_end - t
-                half = 0.5 * hs
-                k1 = f(t, x, ())
-                k2 = f(t + half, [x[j] + half * k1[j] for j in idx], ())
-                x = [x[j] + hs * k2[j] for j in idx]
-            if not all(map(math.isfinite, x)):
-                raise DivergenceError(spec.label, t0 + i0 * h)
+        t_rec = at(min(i0 + stride, n_steps))
+        x, _ = step_to(spec, x, (), at(i0), t_rec, m * h, scheme)
         for col, fn in zip(cols, getters):
             col.append(fn(t_rec, x))
     ts = (t0,) + tuple(at(min(i + stride, n_steps)) for i in starts)

@@ -9,11 +9,11 @@ slow subsystem does not pay for a stiff neighbour.  Inputs arrive as genuine
 polynomials in time and are evaluated continuously at every micro stage,
 never sampled-and-held, so the micro error stays far below the coupling
 error.  `step_to` walks the window with one micro-walk kernel generated and
-compiled per state dimension and tuple of input degrees (`_rk4_walk`): it
-advances the micro grid, evaluates every input once per stage time by inline
-Horner, and keeps the state, the grid and the coefficients in local
-variables, so its memory does not grow with the number of micro steps.
-Each spec binds that kernel once per tuple of input degrees, on first use.
+compiled per scheme of `SCHEMES`, state dimension and tuple of input
+degrees (`_micro_walk`): it advances the micro grid, evaluates every input
+once per stage time by inline Horner, and keeps the state, the grid and the
+coefficients in local variables, so its memory does not grow with the
+number of micro steps.  Each spec binds that kernel on first use.
 f and g are each either a plain callable, which can be any black box (f
 receives each stage's state as a fresh list and its inputs as a read-only
 tuple), or a `Derivatives`: one expression per state or output, and named
@@ -142,7 +142,7 @@ class Derivatives:
     and the names of `values`, (name, expression) pairs, each of which may
     read all of these and the values before it.  Both are tuples, so the
     declaration stays hashable.  A value is evaluated only as often as what
-    it reads can change (`_rk4_walk`), and not at all if no expression
+    it reads can change (`_micro_walk`), and not at all if no expression
     reads it, directly or through other values, so helpers must be pure;
     every expression is otherwise evaluated as written.  Called, it runs
     `function`, compiled on first use, which evaluates each value it needs
@@ -300,8 +300,8 @@ class SubsystemSpec:
             self.g.check(self.label, self.n_states, self.n_in, self.n_out)
 
     @cached_property
-    def kernels(self) -> dict[tuple[int, ...], Callable[..., list[float]]]:
-        """`step_to`'s kernel per tuple of input degrees, bound on first use."""
+    def kernels(self) -> dict[tuple[str, tuple[int, ...]], Callable[..., list[float]]]:
+        """`step_to`'s kernel per scheme and input degrees, bound on first use."""
         return {}
 
 
@@ -315,19 +315,31 @@ def _stalled(label: str, hs: float, t: float) -> ValueError:
     return ValueError(f"{label}: micro step {hs!r} does not advance t = {t!r}")
 
 
-#: each RK4 stage's time, and the tag of the names evaluated at that time
-_STAGE_TIMES = {1: ("_t", "i"), 2: ("_tm", "m"), 3: ("_tm", "m"), 4: ("_t1", "e")}
+#: each stage time's tag, in the names of what is evaluated at that time
+_TAGS = {"_t": "i", "_tm": "m", "_t1": "e"}
+
+#: the micro step of each scheme `_micro_walk` writes out: per stage, its
+#: time and the step its state takes from _x along the previous stage's
+#: derivatives (None: the stage's state is _x); the lines that open the
+#: update; and the updated _x{i}, from the stages' derivatives {k1}, {k2}, ...
+SCHEMES = {
+    "rk4": ((("_t", None), ("_tm", "_half"), ("_tm", "_half"), ("_t1", "_hs")),
+            ("_sixth = _hs / 6.0",),
+            "_x{i} + _sixth * ({k1} + 2.0 * ({k2} + {k3}) + {k4})"),
+    "rk2": ((("_t", None), ("_tm", "_half")), (), "_x{i} + _hs * {k2}"),
+}
 
 
 @cache
-def _rk4_walk(
+def _micro_walk(
+    scheme: str,
     n: int,
     degrees: tuple[int, ...],
     exprs: tuple[str, ...] | None = None,
     values: tuple[tuple[str, str], ...] = (),
 ) -> Callable[..., list[float]]:
-    """The micro walk for n states and inputs of the given degrees, compiled
-    once per (n, degrees, exprs, values).
+    """The micro walk of `SCHEMES[scheme]` for n states and inputs of the
+    given degrees, compiled once per (scheme, n, degrees, exprs, values).
 
     The source is generated, the way `dataclasses` builds `__init__`.  The
     walk advances the grid itself: each step is hs = min(t_target - t, h),
@@ -335,14 +347,15 @@ def _rk4_walk(
     and the walk stops once t_target - t1 <= h * 1e-9.  A step with
     t1 == t cannot advance (h at most half an ulp of t) and raises
     ValueError.  Input j's coefficients live in the locals _c{j}_0.., and
-    it is evaluated at t, tm and t1 by one Horner expression,
+    it is evaluated at t and at each new stage time by one Horner expression,
     (0.0 * tau + c{j}_d) * tau + c{j}_{d-1} ..., the operations of
     `Polynomial.__call__` in its order; the inputs at t1 are the next
     step's inputs at t.  The state lives in the locals _x0.._x{n-1} and
     each stage's derivatives in _k1_0.., _k2_0.., ....  Every expression,
-    and the order it is evaluated in, is the textbook walk's: the stage
-    state x[i] + half * k1[i], then + half * k2[i], then + hs * k3[i], and
-    the step x[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]).
+    and the order it is evaluated in, is the textbook step's: for "rk4" the
+    stage state x[i] + half * k1[i], then + half * k2[i], then + hs * k3[i],
+    and the step x[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]); for
+    the midpoint rule "rk2" x[i] + half * k1[i], then x[i] + hs * k2[i].
 
     With exprs None, each stage calls f with its state as a list display
     and its inputs as a tuple, so a micro step builds no list but f's
@@ -351,29 +364,29 @@ def _rk4_walk(
     `Derivatives`, the walk evaluates them in place of the calls.  It loads
     the constants they read into locals on entry and evaluates the values
     that read only constants once.  It evaluates those that read t or an
-    input but no state at the window start, then at tm for stages 2 and 3
-    and at t1 for stage 4, and carries those to the next step's stage 1:
-    twice per micro step plus once per window.  Each stage renames t, x{i},
-    u{j} and the values in the text to its own time, state (_x{i}, then
-    _s2_{i}, _s3_{i}, _s4_{i}), inputs and values, and evaluates those that
-    read a state.  A derivative or value whose text is a bare name is read
-    in place under that name, not copied, except a stage-1 derivative that
-    is a state the step updates before its own.  Every local but the
-    constants and the values that read only constants starts with an
-    underscore, which no constant or value may.
+    input but no state with the inputs, and carries those at t1 to the next
+    step's stage 1: twice per micro step plus once per window.  A scheme
+    whose last stage is not at t1 evaluates them there as it carries.  Each
+    stage renames t, x{i}, u{j} and the values in the text to its own time,
+    state (_x{i}, then _s2_{i}, _s3_{i}, ...), inputs and values, and
+    evaluates those that read a state.  A derivative or value whose text is
+    a bare name is read in place under that name, not copied, except a
+    stage-1 derivative that is a state the step updates before its own.
+    Every local but the constants and the values that read only constants
+    starts with an underscore, which no constant or value may.
     """
 
     def each(fmt: str, count: int = n) -> str:
         return ", ".join(fmt.format(i) for i in range(count))
 
+    stages, opening, update = SCHEMES[scheme]
     m = len(degrees)
     plan = None if exprs is None else _plan(exprs, values)
     used = range(m) if plan is None else plan.inputs
 
-    def at(s: int, indent: str) -> str:
-        """The inputs at stage s's time, and the declaration's values named
-        per stage time."""
-        t, tag = _STAGE_TIMES[s]
+    def at(t: str, indent: str) -> str:
+        """The inputs at time t, and the values named per stage time."""
+        tag = _TAGS[t]
         lines = []
         for j in used:
             d = degrees[j]
@@ -390,12 +403,12 @@ def _rk4_walk(
         if plan is None:
             lines.append(f"_u{tag} = (" + "".join(f"_u{tag}{j}, " for j in used) + ")")
         else:
-            lines += plan.lines(_TIME, renames(s))
+            lines += plan.lines(_TIME, renames(t))
         return "".join(f"{indent}{line}\n" for line in lines)
 
-    def renames(s: int) -> dict[str, str]:
-        """The names the declaration reads, as stage s names them."""
-        t, tag = _STAGE_TIMES[s]
+    def renames(t: str, s: int = 1) -> dict[str, str]:
+        """The names the declaration reads, as stage s at time t names them."""
+        tag = _TAGS[t]
         rename = {"t": t}
         rename.update(
             (f"x{i}", f"_x{i}" if s == 1 else f"_s{s}_{i}") for i in range(n)
@@ -409,27 +422,27 @@ def _rk4_walk(
     ks: dict[int, list[str]] = {}
 
     def stage(s: int) -> str:
-        """Stage s's state and its derivatives, each read in place when
-        its text is a bare name and copied to _k{s}_{i} otherwise."""
-        t, tag = _STAGE_TIMES[s]
-        step = "_hs" if s == 4 else "_half"
+        """Stage s's inputs and values, if its time is new, then its state
+        and its derivatives, each read in place when its text is a bare
+        name and copied to _k{s}_{i} otherwise."""
+        t, step = stages[s - 1]
         ks[s] = [f"_k{s}_{i}" for i in range(n)]
         if plan is None:
-            states = each("_x{0}") if s == 1 else each(
+            states = each("_x{0}") if step is None else each(
                 f"_x{{0}} + {step} * _k{s - 1}_{{0}}"
             )
             lines = [
-                f"_k = _f({t}, [{states}], _u{tag})",
+                f"_k = _f({t}, [{states}], _u{_TAGS[t]})",
                 "try:",
                 f"    [{each(f'_k{s}_{{0}}')}] = _k",
                 "except ValueError:",
                 f"    raise _arity_error(_label, _k, {n}) from None",
             ]
         else:
-            rename = renames(s)
+            rename = renames(t, s)
             lines = [
                 f"_s{s}_{i} = _x{i} + {step} * {ks[s - 1][i]}"
-                for i in plan.states if s > 1
+                for i in plan.states if step is not None
             ]
             lines += plan.lines(_STATE, rename)
             for i, text in enumerate(renamed(e, rename) for e in exprs):
@@ -439,12 +452,13 @@ def _rk4_walk(
                     ks[s][i] = text
                 else:
                     lines.append(f"{ks[s][i]} = {text}")
-        return "".join(f"        {line}\n" for line in lines)
+        fresh = at(t, "        ") if s > 1 and t != stages[s - 2][0] else ""
+        return fresh + "".join(f"        {line}\n" for line in lines)
 
     prologue = [] if plan is None else (
         ["_env = _f.namespace"]
         + [f"{name} = _env[{name!r}]" for name in plan.constants]
-        + plan.lines(_WINDOW, renames(1))
+        + plan.lines(_WINDOW, renames("_t"))
     )
     carried = ["_ui = _ue"] if plan is None else (
         [f"_ui{j} = _ue{j}" for j in used]
@@ -462,7 +476,7 @@ def _rk4_walk(
         )
         + "".join(f"    {line}\n" for line in prologue)
         + "    _guard = _h * 1e-9\n"
-        + at(1, "    ")
+        + at("_t", "    ")
         + "    while True:\n"
         "        _hs = _t_target - _t\n"
         "        if _hs > _h:\n"
@@ -472,25 +486,23 @@ def _rk4_walk(
         "            raise _stalled(_label, _hs, _t)\n"
         "        _half = 0.5 * _hs\n"
         "        _tm = _t + _half\n"
-        + stage(1)
-        + at(2, "        ")
-        + stage(2)
-        + stage(3)
-        + at(4, "        ")
-        + stage(4)
-        + "        _sixth = _hs / 6.0\n"
+        + "".join(map(stage, range(1, len(stages) + 1)))
+        + "".join(f"        {line}\n" for line in opening)
         + "".join(
-            f"        _x{i} = _x{i} + _sixth * ({k1} + 2.0 * ({k2} + {k3}) + {k4})\n"
-            for i, (k1, k2, k3, k4) in enumerate(zip(ks[1], ks[2], ks[3], ks[4]))
+            f"        _x{i} = "
+            + update.format(i=i, **{f"k{s}": k[i] for s, k in ks.items()}) + "\n"
+            for i in range(n)
         )
         + "        if _t_target - _t1 <= _guard:\n"
         "            break\n"
         "        _t = _t1\n"
-        + "".join(f"        {line}\n" for line in carried)
+        + ("".join(f"        {line}\n" for line in carried)
+           if stages[-1][0] == "_t1" else at("_t", "        "))
         + f"    return [{each('_x{0}')}]\n"
     )
     namespace = {"_arity_error": _arity_error, "_stalled": _stalled}
-    name = f"<rk4 walk n={n} degrees={degrees}{'' if exprs is None else ' inline'}>"
+    inline = "" if exprs is None else " inline"
+    name = f"<{scheme} walk n={n} degrees={degrees}{inline}>"
     exec(compile(source, name, "exec"), namespace)
     return namespace["walk"]
 
@@ -502,6 +514,7 @@ def step_to(
     t_start: float,
     t_target: float,
     micro_step: float | None = None,
+    scheme: str = "rk4",
 ) -> tuple[list[float], tuple[float, ...]]:
     """Advance one subsystem from t_start to t_target, no rollback.
 
@@ -510,13 +523,14 @@ def step_to(
     The micro step is min((t_target - t_start) / MICRO_DIVISOR,
     spec.max_micro_step); an explicit `micro_step` overrides that rule.
 
-    The window is walked by the kernel `_rk4_walk` compiled for
-    spec.n_states and the input degrees, bound in `spec.kernels` on first
-    use: steps of h from t_start, the last one shortened to land on
-    t_target, each input polynomial evaluated once per stage time (step
-    boundaries and midpoints) as the walk goes.  A callable f is called
-    exactly four times per micro step, with the stage's state as a list and
-    its inputs as a tuple, and every call's derivative count is checked; a
+    The window is walked by the kernel `_micro_walk` compiled for the
+    scheme ("rk4" unless given), spec.n_states and the input degrees, bound
+    in `spec.kernels` on first use: steps of h from t_start, the last one
+    shortened to land on t_target, each input polynomial evaluated once per
+    stage time (step boundaries and midpoints) as the walk goes.  A callable
+    f is called once per stage, four times per micro step for "rk4" and
+    twice for "rk2", with the stage's state as a list and its inputs as a
+    tuple, and every call's derivative count is checked; a
     `Derivatives` f is evaluated inline and a declared g called as its
     `function`, their counts checked when the spec was built.  The walk
     keeps no list that grows with the number of micro steps.
@@ -555,10 +569,12 @@ def step_to(
         )
 
     f, g = spec.f, spec.g
-    walk = spec.kernels.get(degrees)
+    walk = spec.kernels.get((scheme, degrees))
     if walk is None:
         declared = (f.exprs, f.values) if isinstance(f, Derivatives) else ()
-        walk = spec.kernels[degrees] = _rk4_walk(spec.n_states, degrees, *declared)
+        walk = spec.kernels[scheme, degrees] = _micro_walk(
+            scheme, spec.n_states, degrees, *declared
+        )
     x = walk(f, state, t_start, t_target, h, inputs, spec.label)
     if not all(map(isfinite, x)):
         raise DivergenceError(spec.label, t_start)

@@ -254,8 +254,13 @@ def _numpy_rmse(trace_t, trace_y, ref_t, ref_y):
     interp = np.interp(np.asarray(ref_t, dtype=float),
                        np.asarray(trace_t, dtype=float),
                        np.asarray(trace_y, dtype=float))
-    rms = math.sqrt(float(np.mean((interp - ref) ** 2)))
-    return 100.0 * rms / float(ref.max() - ref.min())
+    # residuals in units of the span, divided by their peak before squaring:
+    # a span of 1e-304 must not underflow the squares, nor 1e200 overflow them
+    rel = (interp - ref) / float(ref.max() - ref.min())
+    peak = float(np.abs(rel).max())
+    if peak == 0.0 or math.isinf(peak):
+        return 100.0 * peak
+    return 100.0 * (peak * math.sqrt(float(np.mean((rel / peak) ** 2))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -278,6 +283,20 @@ def test_rmse_matches_a_numpy_interp_oracle(data):
     got = compute_rmse(trace_t, trace_y, ref_t, ref_y)
     want = _numpy_rmse(trace_t, trace_y, ref_t, ref_y)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_rmse_of_a_series_scaled_by_1e200_is_the_same_percent():
+    # the residuals' squares overflow, the score must not: a run whose
+    # states grow to 1e273 is scored, not ended by an OverflowError
+    trace_t = [0.0, 1.0, 2.0, 3.0]
+    trace_y = [0.0, 0.5, -0.25, 1.0]
+    ref_t = [0.0, 0.5, 1.5, 2.5, 3.0]
+    ref_y = [0.1, 0.2, 0.0, 0.4, 0.9]
+    scaled = compute_rmse(trace_t, [1e200 * y for y in trace_y],
+                          ref_t, [1e200 * r for r in ref_y])
+    assert scaled == pytest.approx(
+        compute_rmse(trace_t, trace_y, ref_t, ref_y), rel=1e-12
+    )
 
 
 def test_comparison_row_labels():

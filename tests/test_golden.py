@@ -126,7 +126,7 @@ GOLDEN_REFERENCE = {
     ),
     "two_mass_rk2": (
         ["--model", "two_mass", "--t-end", "20", "--scheme", "rk2"],
-        "da281b251b84c1b4f59872001a426c09952d2a7f28c5f2193d0f62934656848b",
+        "2c40fae127b19522b3c4e51f70bff0dab2013832c18218e4c33b22cccd9693a1",
     ),
     "car_seed_7_rk4": (
         ["--model", "car", "--seed", "7", "--t-end", "30"],
@@ -134,7 +134,7 @@ GOLDEN_REFERENCE = {
     ),
     "car_seed_7_rk2": (
         ["--model", "car", "--seed", "7", "--t-end", "30", "--scheme", "rk2"],
-        "90d684b8fa286d512f85c35169bc7b2e58a376b62116acf21f9dca474225ae7e",
+        "0a3c9b2b6159bb769198ddcd423ab09d97870cff8d024aeb22ae56ad8068f3d8",
     ),
 }
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from f3ornits.errors import ConfigError, DivergenceError
+from f3ornits.errors import ConfigError, ContractViolation, DivergenceError
 from f3ornits.coupling import CouplingGraph
 from f3ornits.master import CosimProblem, run_jacobi
 from f3ornits.models import (
@@ -47,6 +47,20 @@ def _rk4(rhs, x0, t0, t1, h):
             x[j] + h / 6 * (k1[j] + 2 * (k2[j] + k3[j]) + k4[j])
             for j in range(n)
         ]
+        out.append((t0 + (i + 1) * h, tuple(x)))
+    return out
+
+
+def _midpoint(rhs, x0, t0, t1, h):
+    """The explicit midpoint rule, written out like `_rk4`."""
+    x = list(x0)
+    out = [(t0, tuple(x))]
+    n = len(x)
+    for i in range(round((t1 - t0) / h)):
+        t = t0 + i * h
+        k1 = rhs(t, x, ())
+        k2 = rhs(t + h / 2, [x[j] + h / 2 * k1[j] for j in range(n)], ())
+        x = [x[j] + h * k2[j] for j in range(n)]
         out.append((t0 + (i + 1) * h, tuple(x)))
     return out
 
@@ -421,23 +435,34 @@ def test_default_reference_step_is_far_finer_than_the_scores(model, key, score):
 
 
 def test_reference_walks_once_and_pays_for_its_gap_only_when_asked():
-    # 500 steps of 1e-3: 2000 right-hand sides for the reference, then 1000
-    # for the doubled run of the gap, once per session
+    # 500 steps of 1e-3: 500 right-hand sides per stage for the reference,
+    # then 250 per stage for the doubled run of the gap, once per session
     plain = build_two_mass(TwoMassParams(t_end=0.5, x1_0=0.125))
-    calls = [0]
+    for scheme, stages in (("rk4", 4), ("rk2", 2)):
+        calls = [0]
 
-    def counted(t, x, u):
-        calls[0] += 1
-        return plain.monolith_rhs(t, x, u)
+        def counted(t, x, u):
+            calls[0] += 1
+            return plain.monolith_rhs(t, x, u)
 
-    model = dataclasses.replace(plain, monolith_rhs=counted)
-    monolithic_reference(model, record_dt=0.1)
-    assert calls[0] == 4 * 500
-    reference_gap(model, record_dt=0.1)
-    assert calls[0] == 4 * 500 + 4 * 250
-    reference_gap(model, record_dt=0.1)
-    monolithic_reference(model, record_dt=0.1)
-    assert calls[0] == 4 * 750
+        model = dataclasses.replace(plain, monolith_rhs=counted)
+        monolithic_reference(model, record_dt=0.1, scheme=scheme)
+        assert calls[0] == stages * 500
+        reference_gap(model, record_dt=0.1, scheme=scheme)
+        assert calls[0] == stages * 500 + stages * 250
+        reference_gap(model, record_dt=0.1, scheme=scheme)
+        monolithic_reference(model, record_dt=0.1, scheme=scheme)
+        assert calls[0] == stages * 750
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "rk2"])
+def test_reference_refuses_an_rhs_of_the_wrong_arity(scheme):
+    plain = build_two_mass(TwoMassParams(t_end=0.5, x1_0=0.375))
+    model = dataclasses.replace(
+        plain, monolith_rhs=lambda t, x, u: [*plain.monolith_rhs(t, x, u), 0.0]
+    )
+    with pytest.raises(ContractViolation, match="5 derivatives, expected 4"):
+        monolithic_reference(model, record_dt=0.1, scheme=scheme)
 
 
 def test_reference_gap_is_infinite_when_the_doubled_step_diverges():
@@ -484,6 +509,17 @@ def test_reference_matches_the_test_local_rk4_across_the_switch():
     model = build_two_mass(TwoMassParams(t_end=120.0))
     ref = monolithic_reference(model, micro_step=1e-3, record_dt=0.1)
     path = _rk4(model.monolith_rhs, model.monolith_x0, 0.0, 120.0, 1e-3)[::100]
+    assert ref.t == tuple(t for t, _ in path)
+    for key, series in ref.series.items():
+        fn = model.output_map[key]
+        worst = max(abs(v - fn(t, s)) for v, (t, s) in zip(series, path))
+        assert worst <= 1e-11
+
+
+def test_reference_matches_the_test_local_midpoint_across_the_switch():
+    model = build_two_mass(TwoMassParams(t_end=120.0))
+    ref = monolithic_reference(model, micro_step=1e-3, record_dt=0.1, scheme="rk2")
+    path = _midpoint(model.monolith_rhs, model.monolith_x0, 0.0, 120.0, 1e-3)[::100]
     assert ref.t == tuple(t for t, _ in path)
     for key, series in ref.series.items():
         fn = model.output_map[key]
