@@ -8,19 +8,19 @@ declares one: each model states the bound its own fastest mode needs, so a
 slow subsystem does not pay for a stiff neighbour.  Inputs arrive as genuine
 polynomials in time and are evaluated continuously at every micro stage,
 never sampled-and-held, so the micro error stays far below the coupling
-error.  `step_to` walks the window with one micro-walk kernel generated and
-compiled per scheme of `SCHEMES`, state dimension and tuple of input
-degrees (`_micro_walk`): it advances the micro grid, evaluates every input
-once per stage time by inline Horner, and keeps the state, the grid and the
-coefficients in local variables, so its memory does not grow with the
-number of micro steps.  Each spec binds that kernel on first use.
+error.  `step_to` walks the window with one kernel generated and compiled
+per scheme of `SCHEMES`, state dimension, tuple of input degrees and
+declared f and g (`_micro_walk`): it advances the micro grid, evaluates
+every input once per stage time by inline Horner, and keeps the state, the
+grid and the coefficients in local variables, so its memory does not grow
+with the number of micro steps.  Each spec binds that kernel on first use.
 f and g are each either a plain callable, which can be any black box (f
 receives each stage's state as a fresh list and its inputs as a read-only
 tuple), or a `Derivatives`: one expression per state or output, and named
 values, each evaluated only as often as what it reads can change.  The
-kernel generated for a declared f evaluates it inline, with no call and no
-list per stage, to the same bits, and reads a derivative or value that is a
-bare name in place rather than copying it.
+kernel evaluates a declared f inline, with no call and no list per stage,
+to the same bits, and reads a derivative or value that is a bare name in
+place rather than copying it; a declared g it evaluates at the end.
 There is no rollback: a completed macro step is final.  `step_to` returns
 the new state and the output tuple y at the target time.
 """
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from math import isfinite
 from typing import Callable, Sequence
 
@@ -47,9 +47,10 @@ def _bound(name: str) -> bool:
 
 
 #: what a named value reads, directly or through earlier values, and so how
-#: often it is evaluated: only constants (once per window), also t or an
-#: input (once per stage time), also a state (at every stage)
-_WINDOW, _TIME, _STATE = range(3)
+#: often it is evaluated: only constants (once per window); a time cell, t //
+#: a constant (per stage time); also cells (where one changes or is zero);
+#: also t or an input (once per stage time); also a state (at every stage)
+_WINDOW, _CELL, _HELD, _TIME, _STATE = range(5)
 
 #: nodes `Derivatives.check` rejects: scopes whose own names a stage could
 #: not rename, and suspensions, which would make the walk a generator
@@ -90,7 +91,7 @@ class _Plan:
 
     def __init__(self, exprs: Sequence[str], values: Sequence[tuple[str, str]]):
         levels: dict[str, int] = {}
-        self.defs: tuple[list[tuple[str, str]], ...] = ([], [], [])
+        self.defs: tuple[list[tuple[str, str]], ...] = ([], [], [], [], [])
         self.aliases: dict[str, str] = {}
         reads = {name for e in exprs for name in names_read(e)}
         for name, expr in reversed(values):
@@ -98,7 +99,15 @@ class _Plan:
                 reads.update(names_read(expr))
         for name, expr in [(n, e) for n, e in values if n in reads]:
             level = _WINDOW
-            for read in names_read(expr):
+            names = names_read(expr)
+            if _template(expr)[::2] == ("", " // ", "") and names[0] == "t" and not (
+                names[1] in levels or _bound(names[1])
+            ):
+                # a time cell: what reads it is held from cell to cell
+                levels[name] = _HELD
+                self.defs[_CELL].append((name, expr))
+                continue
+            for read in names:
                 if read in levels:
                     level = max(level, levels[read])
                 elif _bound(read):
@@ -144,7 +153,8 @@ class Derivatives:
     declaration stays hashable.  A value is evaluated only as often as what
     it reads can change (`_micro_walk`), and not at all if no expression
     reads it, directly or through other values, so helpers must be pure;
-    every expression is otherwise evaluated as written.  Called, it runs
+    every expression is otherwise evaluated as written.  A value whose
+    text is `t // NAME`, NAME a constant, is a time cell.  Called, it runs
     `function`, compiled on first use, which evaluates each value it needs
     once per call.  Both give the bits of the text.  `SubsystemSpec` checks
     a declaration against its arities.
@@ -163,7 +173,8 @@ class Derivatives:
         """f(t, x, u) as one compiled function: a call costs one frame."""
         plan = _plan(self.exprs, self.values)
         rename = plan.in_place({})
-        lines = [line for level in range(3) for line in plan.lines(level, rename)]
+        lines = [line for level in range(len(plan.defs))
+                 for line in plan.lines(level, rename)]
         source = (
             "def _derivatives(t, _x, _u):\n"
             + "".join(f"    x{i} = _x[{i}]\n" for i in plan.states)
@@ -318,6 +329,11 @@ def _stalled(label: str, hs: float, t: float) -> ValueError:
 #: each stage time's tag, in the names of what is evaluated at that time
 _TAGS = {"_t": "i", "_tm": "m", "_t1": "e"}
 
+#: a window whose inputs have t_ref in (-_FAR, t_start] and t_target - t_ref
+#: below _FAR gives no stage time after its start, even one an ulp past
+#: t_target, a tau that is < 0, -0.0 or not finite (`_micro_walk`)
+_FAR = 2.0 ** 1000
+
 #: the micro step of each scheme `_micro_walk` writes out: per stage, its
 #: time and the step its state takes from _x along the previous stage's
 #: derivatives (None: the stage's state is _x); the lines that open the
@@ -337,9 +353,12 @@ def _micro_walk(
     degrees: tuple[int, ...],
     exprs: tuple[str, ...] | None = None,
     values: tuple[tuple[str, str], ...] = (),
-) -> Callable[..., list[float]]:
-    """The micro walk of `SCHEMES[scheme]` for n states and inputs of the
-    given degrees, compiled once per (scheme, n, degrees, exprs, values).
+    outputs: tuple[str, ...] | None = None,
+    output_values: tuple[tuple[str, str], ...] = (),
+    held: bool = True,
+) -> Callable[..., tuple[list[float], tuple[float, ...] | None]]:
+    """The walk of one window by `SCHEMES[scheme]` for n states and inputs
+    of the given degrees, compiled once per argument tuple.
 
     The source is generated, the way `dataclasses` builds `__init__`.  The
     walk advances the grid itself: each step is hs = min(t_target - t, h),
@@ -356,6 +375,13 @@ def _micro_walk(
     stage state x[i] + half * k1[i], then + half * k2[i], then + hs * k3[i],
     and the step x[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]); for
     the midpoint rule "rk2" x[i] + half * k1[i], then x[i] + hs * k2[i].
+    A full step's hs, half and opening lines (sixth) are computed once per
+    window; a step with t_target - t < h, the last, computes its own.  With
+    held, where each input's tau is >= 0 at t_start and t_target is not
+    near overflow (`_FAR`), no tau after the start is < 0, -0.0 or not
+    finite, so each lead 0.0 * tau + c{j}_d is taken once per window, as
+    0.0 + c{j}_d; any other window goes to the kernel compiled without
+    held, on first need, which evaluates every lead as it goes.
 
     With exprs None, each stage calls f with its state as a list display
     and its inputs as a tuple, so a micro step builds no list but f's
@@ -366,45 +392,64 @@ def _micro_walk(
     that read only constants once.  It evaluates those that read t or an
     input but no state with the inputs, and carries those at t1 to the next
     step's stage 1: twice per micro step plus once per window.  A scheme
-    whose last stage is not at t1 evaluates them there as it carries.  Each
-    stage renames t, x{i}, u{j} and the values in the text to its own time,
-    state (_x{i}, then _s2_{i}, _s3_{i}, ...), inputs and values, and
-    evaluates those that read a state.  A derivative or value whose text is
-    a bare name is read in place under that name, not copied, except a
-    stage-1 derivative that is a state the step updates before its own.
-    Every local but the constants and the values that read only constants
-    starts with an underscore, which no constant or value may.
+    whose last stage is not at t1 evaluates them there as it carries.  The
+    time cells are evaluated with them, but the values that read time only
+    through cells are held from the previous stage time where its cells
+    are the same and nonzero, so the same floats.  Each stage renames t,
+    x{i}, u{j} and the values in the text to its own time, state (_x{i},
+    then _s2_{i}, _s3_{i}, ...), inputs and values, and evaluates those that
+    read a state.  A derivative or value whose text is a bare name is read
+    in place under that name, not copied, except a stage-1 derivative that
+    is a state the step updates before its own.  Every local but the
+    constants and the values that read only constants starts with an
+    underscore, which no constant or value may.
+
+    A state, then an output of a declared g, evaluated at t_target with
+    its inputs by `Polynomial.__call__`'s operations and its own names as
+    _y_{name}, that is not finite raises DivergenceError at t_start.  The
+    walk returns the state and the outputs, None without a declared g.
     """
 
     def each(fmt: str, count: int = n) -> str:
         return ", ".join(fmt.format(i) for i in range(count))
 
+    def indented(lines: list[str]) -> list[str]:
+        return [f"    {line}" for line in lines]
+
     stages, opening, update = SCHEMES[scheme]
     m = len(degrees)
     plan = None if exprs is None else _plan(exprs, values)
     used = range(m) if plan is None else plan.inputs
+    out = None if outputs is None else _plan(outputs, output_values)
 
-    def at(t: str, indent: str) -> str:
-        """The inputs at time t, and the values named per stage time."""
+    def horner(j: int, t: str, name: str, lead: bool = False) -> list[str]:
+        """name = input j at time t, from the window's lead _l{j} if lead."""
+        d = degrees[j]
+        tau = "_tau" if d else f"({t} - _r{j})"
+        value = f"_l{j}" if lead else f"0.0 * {tau} + _c{j}_{d}"
+        for i in range(d - 1, -1, -1):
+            value = f"({value}) * _tau + _c{j}_{i}"
+        return [f"_tau = {t} - _r{j}"] * (d > 0) + [f"{name} = {value}"]
+
+    def at(t: str, start: bool = False) -> list[str]:
+        """The inputs and the values named per stage time at time t; the
+        window's start evaluates its Horner leads, as its tau may be -0.0."""
         tag = _TAGS[t]
-        lines = []
-        for j in used:
-            d = degrees[j]
-            tau = f"{t} - _r{j}"
-            if d:
-                lines.append(f"_tau = {tau}")
-                tau = "_tau"
-            else:
-                tau = f"({tau})"
-            value = f"0.0 * {tau} + _c{j}_{d}"
-            for i in range(d - 1, -1, -1):
-                value = f"({value}) * _tau + _c{j}_{i}"
-            lines.append(f"_u{tag}{j} = {value}")
+        lines = [
+            line for j in used
+            for line in horner(j, t, f"_u{tag}{j}", held and not start)
+        ]
         if plan is None:
-            lines.append(f"_u{tag} = (" + "".join(f"_u{tag}{j}, " for j in used) + ")")
-        else:
-            lines += plan.lines(_TIME, renames(t))
-        return "".join(f"{indent}{line}\n" for line in lines)
+            return lines + [f"_u{tag} = ({''.join(f'_u{tag}{j}, ' for j in used)})"]
+        rename = renames(t)
+        cells = [name for name, _ in plan.defs[_CELL]]
+        if cells:
+            lines += [f"_n_{c} = {renamed(e, rename)}" for c, e in plan.defs[_CELL]]
+            changed = (f"_n_{c} != _w_{c} or not _n_{c}" for c in cells)
+            lines.append(f"if {' or '.join(changed)}:")
+            lines += indented([f"_w_{c} = _n_{c}" for c in cells])
+            lines += indented(plan.lines(_HELD, rename))
+        return lines + plan.lines(_TIME, rename)
 
     def renames(t: str, s: int = 1) -> dict[str, str]:
         """The names the declaration reads, as stage s at time t names them."""
@@ -414,6 +459,10 @@ def _micro_walk(
             (f"x{i}", f"_x{i}" if s == 1 else f"_s{s}_{i}") for i in range(n)
         )
         rename.update((f"u{j}", f"_u{tag}{j}") for j in used)
+        rename.update(
+            (name, f"_w_{name}") for level in (_CELL, _HELD)
+            for name, _ in plan.defs[level]
+        )
         rename.update((name, f"_g{tag}_{name}") for name, _ in plan.defs[_TIME])
         rename.update((name, f"_q{s}_{name}") for name, _ in plan.defs[_STATE])
         return plan.in_place(rename)
@@ -421,7 +470,7 @@ def _micro_walk(
     #: per stage, the name each derivative is read by
     ks: dict[int, list[str]] = {}
 
-    def stage(s: int) -> str:
+    def stage(s: int) -> list[str]:
         """Stage s's inputs and values, if its time is new, then its state
         and its derivatives, each read in place when its text is a bare
         name and copied to _k{s}_{i} otherwise."""
@@ -447,60 +496,78 @@ def _micro_walk(
             lines += plan.lines(_STATE, rename)
             for i, text in enumerate(renamed(e, rename) for e in exprs):
                 # the step updates _x0, _x1, ... in turn, so stage 1 copies
-                # an earlier state than its own
-                if text.isidentifier() and not (text[:2] == "_x" and int(text[2:]) < i):
+                # an earlier state than its own; every stage time writes the
+                # one _w_ slot of a cell or held value, so each stage copies it
+                if text.isidentifier() and not (text[:3] == "_w_" or (
+                        text[:2] == "_x" and int(text[2:]) < i)):
                     ks[s][i] = text
                 else:
                     lines.append(f"{ks[s][i]} = {text}")
-        fresh = at(t, "        ") if s > 1 and t != stages[s - 2][0] else ""
-        return fresh + "".join(f"        {line}\n" for line in lines)
+        fresh = at(t) if s > 1 and t != stages[s - 2][0] else []
+        return fresh + lines
 
-    prologue = [] if plan is None else (
-        ["_env = _f.namespace"]
-        + [f"{name} = _env[{name!r}]" for name in plan.constants]
-        + plan.lines(_WINDOW, renames("_t"))
-    )
     carried = ["_ui = _ue"] if plan is None else (
         [f"_ui{j} = _ue{j}" for j in used]
         + [f"_gi_{name} = _ge_{name}" for name, _ in plan.defs[_TIME]]
     )
-    source = (
-        "def walk(_f, _x, _t, _t_target, _h, _inputs, _label):\n"
-        f"    [{each('_x{0}')}] = _x\n"
-        f"    [{each('_p{0}', m)}] = _inputs\n"
-        + "".join(
-            f"    _r{j} = _p{j}.t_ref\n"
-            f"    [{', '.join(f'_c{j}_{i}' for i in range(degrees[j] + 1))}]"
-            f" = _p{j}.coeffs\n"
-            for j in used
-        )
-        + "".join(f"    {line}\n" for line in prologue)
-        + "    _guard = _h * 1e-9\n"
-        + at("_t", "    ")
-        + "    while True:\n"
-        "        _hs = _t_target - _t\n"
-        "        if _hs > _h:\n"
-        "            _hs = _h\n"
-        "        _t1 = _t + _hs\n"
-        "        if _t1 == _t:\n"
-        "            raise _stalled(_label, _hs, _t)\n"
-        "        _half = 0.5 * _hs\n"
-        "        _tm = _t + _half\n"
-        + "".join(map(stage, range(1, len(stages) + 1)))
-        + "".join(f"        {line}\n" for line in opening)
-        + "".join(
-            f"        _x{i} = "
-            + update.format(i=i, **{f"k{s}": k[i] for s, k in ks.items()}) + "\n"
-            for i in range(n)
-        )
-        + "        if _t_target - _t1 <= _guard:\n"
-        "            break\n"
-        "        _t = _t1\n"
-        + ("".join(f"        {line}\n" for line in carried)
-           if stages[-1][0] == "_t1" else at("_t", "        "))
-        + f"    return [{each('_x{0}')}]\n"
+    steps = [line for s in range(1, len(stages) + 1) for line in stage(s)]
+    steps += [
+        f"_x{i} = " + update.format(i=i, **{f"k{s}": k[i] for s, k in ks.items()})
+        for i in range(n)
+    ]
+    steps += ["if _t_target - _t1 <= _guard:", "    break", "_t = _t1"]
+    steps += carried if stages[-1][0] == "_t1" else at("_t")
+    sizes = ["_half = 0.5 * _hs", *opening]
+    walk = ["_hs = _h", *sizes, "while True:"] + indented(
+        ["if _t_target - _t < _h:"] + indented(["_hs = _t_target - _t", *sizes])
+        + ["_t1 = _t + _hs", "if _t1 == _t:", "    raise _stalled(_label, _hs, _t)",
+           "_tm = _t + _half"] + steps
     )
-    namespace = {"_arity_error": _arity_error, "_stalled": _stalled}
+    args = "_f, _g, _x, _t_start, _t_target, _h, _inputs, _label"
+    lines = [f"[{each('_x{0}')}] = _x", f"[{each('_p{0}', m)}] = _inputs"]
+    for j in sorted({*used, *(out.inputs if out else ())}):
+        coeffs = ", ".join(f"_c{j}_{i}" for i in range(degrees[j] + 1))
+        lines += [f"_r{j} = _p{j}.t_ref", f"[{coeffs}] = _p{j}.coeffs"]
+    if held and used:
+        fits = (f"-_FAR < _r{j} <= _t_start and _t_target - _r{j} < _FAR" for j in used)
+        lines += [f"if not ({' and '.join(fits)}):", f"    return _unheld()({args})"]
+        lines += [f"_l{j} = 0.0 + _c{j}_{degrees[j]}" for j in used]
+    if plan is not None:
+        lines += ["_env = _f.namespace"]
+        lines += [f"{name} = _env[{name!r}]" for name in plan.constants]
+        lines += plan.lines(_WINDOW, renames("_t"))
+        # no cell yet: the window start evaluates what reads cells
+        lines += [f"_w_{name} = None" for name, _ in plan.defs[_CELL]]
+    lines += ["_guard = _h * 1e-9", "_t = _t_start"] + at("_t", True) + walk
+    lines += [
+        f"_x = [{each('_x{0}')}]",
+        "if not all(map(_isfinite, _x)):",
+        "    raise _DivergenceError(_label, _t_start)",
+    ]
+    if out is None:
+        lines.append("return _x, None")
+    else:
+        own = [*out.constants, *(name for defs in out.defs for name, _ in defs)]
+        rename = {"t": "_t_target", **{name: f"_y_{name}" for name in own}}
+        rename.update((f"x{i}", f"_x{i}") for i in range(n))
+        rename.update((f"u{j}", f"_v{j}") for j in out.inputs)
+        out.in_place(rename)
+        lines += ["_env = _g.namespace"]
+        lines += [f"_y_{name} = _env[{name!r}]" for name in out.constants]
+        lines += [line for j in out.inputs for line in horner(j, "_t_target", f"_v{j}")]
+        lines += [line for level in range(len(out.defs))
+                  for line in out.lines(level, rename)]
+        lines += [
+            f"_y = ({''.join(renamed(e, rename) + ', ' for e in outputs)})",
+            "if not all(map(_isfinite, _y)):",
+            "    raise _DivergenceError(_label, _t_start)",
+            "return _x, _y",
+        ]
+    source = f"def walk({args}):\n" + "".join(f"    {line}\n" for line in lines)
+    namespace = {"_arity_error": _arity_error, "_stalled": _stalled, "_FAR": _FAR,
+                 "_isfinite": isfinite, "_DivergenceError": DivergenceError,
+                 "_unheld": partial(_micro_walk, scheme, n, degrees, exprs, values,
+                                    outputs, output_values, False)}
     inline = "" if exprs is None else " inline"
     name = f"<{scheme} walk n={n} degrees={degrees}{inline}>"
     exec(compile(source, name, "exec"), namespace)
@@ -530,10 +597,10 @@ def step_to(
     stage time (step boundaries and midpoints) as the walk goes.  A callable
     f is called once per stage, four times per micro step for "rk4" and
     twice for "rk2", with the stage's state as a list and its inputs as a
-    tuple, and every call's derivative count is checked; a
-    `Derivatives` f is evaluated inline and a declared g called as its
-    `function`, their counts checked when the spec was built.  The walk
-    keeps no list that grows with the number of micro steps.
+    tuple, and every call's derivative count is checked; the kernel
+    evaluates a `Derivatives` f inline and a declared g at the end, their
+    counts checked when the spec was built, and a callable g is called
+    here.  The walk keeps no list that grows with the number of micro steps.
     """
     if t_target <= t_start:
         raise ValueError(
@@ -571,20 +638,17 @@ def step_to(
     f, g = spec.f, spec.g
     walk = spec.kernels.get((scheme, degrees))
     if walk is None:
-        declared = (f.exprs, f.values) if isinstance(f, Derivatives) else ()
+        declared = (f.exprs, f.values) if isinstance(f, Derivatives) else (None, ())
+        if isinstance(g, Derivatives):
+            declared += (g.exprs, g.values)
         walk = spec.kernels[scheme, degrees] = _micro_walk(
             scheme, spec.n_states, degrees, *declared
         )
-    x = walk(f, state, t_start, t_target, h, inputs, spec.label)
-    if not all(map(isfinite, x)):
-        raise DivergenceError(spec.label, t_start)
-
-    u = [p(t_target) for p in inputs]
-    y = tuple(g.function(t_target, x, u)) if isinstance(g, Derivatives) else (
-        evaluate_outputs(spec, x, u, t_target)
-    )
-    if not all(map(isfinite, y)):
-        raise DivergenceError(spec.label, t_start)
+    x, y = walk(f, g, state, t_start, t_target, h, inputs, spec.label)
+    if y is None:
+        y = evaluate_outputs(spec, x, [p(t_target) for p in inputs], t_target)
+        if not all(map(isfinite, y)):
+            raise DivergenceError(spec.label, t_start)
     return x, y
 
 

@@ -248,6 +248,63 @@ def test_inline_walk_keeps_the_stall_and_divergence_checks():
     assert exc.value.t_last_good == 2.0
 
 
+def test_a_declared_g_that_is_not_finite_diverges_at_the_window_start():
+    spec = replace(make_decay(declared=True),
+                   g=Derivatives(("x0 * big",), (("big", 1e308),)))
+    with pytest.raises(DivergenceError) as exc:
+        step_to(spec, (10.0,), [], 2.0, 2.5)
+    assert exc.value.label == "decay"
+    assert exc.value.t_last_good == 2.0
+
+
+def test_a_state_that_is_not_finite_diverges_before_a_declared_g_runs():
+    # int raises on nan and inf: the walk must stop at the state first
+    reached = []
+
+    def whole(v):
+        reached.append(v)
+        return int(v)
+
+    for f in (Derivatives(("big * x0",), (("big", 1e160),)),
+              lambda t, x, u: [1e160 * x[0]]):
+        spec = SubsystemSpec("blow", 1, 0, 1, f,
+                             Derivatives(("whole(x0)",), (("whole", whole),)),
+                             (1.0,))
+        with pytest.raises(DivergenceError) as exc:
+            step_to(spec, spec.x_init, [], 2.0, 2.5)
+        assert exc.value.t_last_good == 2.0
+    assert reached == []
+
+
+def test_f_and_g_each_read_their_own_constants_and_values():
+    # k and v mean one thing to f and another to g
+    f = Derivatives(("v",), (("k", 1.0),), (("v", "-k * x0"),))
+    g = Derivatives(("v", "k"), (("k", 3.0),), (("v", "k * x0 + 1.0"),))
+    spec = SubsystemSpec("own", 1, 0, 2, f, g, (1.0,))
+    x, y = step_to(spec, spec.x_init, [], 0.0, 1.0, 0.125)
+    plain_x, _ = step_to(make_decay(), (1.0,), [], 0.0, 1.0, 0.125)
+    assert hexes(x) == hexes(plain_x)
+    assert hexes(y) == hexes([3.0 * x[0] + 1.0, 3.0])
+
+
+def test_a_declared_g_reads_its_inputs_at_the_target_not_the_last_step_end():
+    # from 0.0 in steps of 0.1 the walk's last t1 is 0.9999999999999999,
+    # within its guard of the target 1.0: g reads u0 at 1.0, with the
+    # operations of Polynomial.__call__
+    p = Polynomial(0.25, (-0.0, 3.0, -1.5, 7.0))
+    t, h = 0.0, 0.1
+    while 1.0 - t > h:
+        t += h
+    assert t != 1.0 and p(t) != p(1.0)
+    g = Derivatives(("u0", "x0 * u0 + t"))
+    f = Derivatives(("u0 - x0",))
+    for spec in (SubsystemSpec("late", 1, 1, 2, f, g, (0.5,)),
+                 SubsystemSpec("late", 1, 1, 2, lambda t, x, u: [u[0] - x[0]],
+                               g, (0.5,))):
+        x, y = step_to(spec, spec.x_init, [p], 0.0, 1.0, h)
+        assert hexes(y) == hexes([p(1.0), x[0] * p(1.0) + 1.0])
+
+
 def hexes(values):
     return [v.hex() for v in values]
 
@@ -332,6 +389,127 @@ def test_named_values_are_evaluated_twice_per_micro_step_plus_once_per_window():
         assert calls["once"] - before["once"] == 1
         assert calls["probe"] - before["probe"] == 4 * steps
         assert y == (x[1],)
+
+
+def sign(cell):
+    # a pure helper that tells the two zero cells, -0.0 and 0.0, apart
+    return math.copysign(1.0, cell)
+
+
+def wobble(cell):
+    return math.sin(3.0 * cell) - 0.25 * cell
+
+
+_D, _D2 = 0.1, 0.07
+
+
+@pytest.mark.parametrize(
+    "t0,t1,h",
+    [
+        (-0.0, 0.3, 0.0125),
+        (-0.0, 0.05, 0.05),
+        (0.0, 0.3, 0.0125),
+        (math.nextafter(3 * _D, -math.inf), math.nextafter(5 * _D, math.inf), 0.01),
+        (math.nextafter(3 * _D, math.inf), math.nextafter(6 * _D, -math.inf), 0.025),
+        (math.nextafter(-2 * _D, -math.inf), math.nextafter(2 * _D, math.inf), 0.02),
+        (-0.35, math.nextafter(-_D, -math.inf), 0.05),
+        (1.0, 1.7, 0.125),
+    ],
+)
+@pytest.mark.parametrize("t_ref", [-1.0, 0.0, 0.5])
+def test_values_read_through_time_cells_match_the_declaration(t0, t1, h, t_ref):
+    # side and w read time only through the cells: the walk holds them
+    # while both cells stay the same nonzero floats, and re-evaluates them
+    # where either changes or is zero, so -0.0's cell (side -1.0) is not
+    # carried to the +0.0 cell after it; a reads an input too, so it is
+    # evaluated at every stage time.  Windows start on -0.0 and cross cell
+    # edges an ulp either side, with an input referenced before, at and
+    # after the window start
+    values = (("cell", "t // d"), ("c2", "t // d2"), ("side", "sign(cell)"),
+              ("w", "wobble(cell + c2) * side"), ("a", "w + u0"))
+    exprs = ("x1 * side", "a - x0 * w")
+
+    def plain(t, x, u):
+        cell = t // _D
+        side = math.copysign(1.0, cell)
+        w = wobble(cell + t // _D2) * side
+        return [x[1] * side, w + u[0] - x[0] * w]
+
+    constants = (("d", _D), ("d2", _D2), ("sign", sign), ("wobble", wobble))
+    walk_three_ways(exprs, constants, plain, (0.5, -0.25),
+                    (Polynomial(t_ref, (-0.0, 1.5, -0.5)),), t0=t0, t1=t1, h=h,
+                    values=values)
+
+
+@pytest.mark.parametrize("t0,t_ref", [(0.0, 0.5), (0.0, 0.0), (-0.0, 0.0), (0.75, 0.5),
+                                      (0.0, -2.0 ** 1000), (0.0, -2.0 ** 999)])
+def test_inputs_keep_their_zero_signs_where_tau_is_negative_or_zero(t0, t_ref):
+    # 0.0 * tau is -0.0 for tau < 0 and +0.0 for tau > 0, which a lead of
+    # -0.0 shows: each stage time's Horner lead keeps the sign its tau
+    # gives, negative, -0.0 (a window from -0.0 about 0.0, whose start alone
+    # has that tau) or positive
+    inputs = (Polynomial(t_ref, (-0.0,)), Polynomial(t_ref, (-0.0, -0.0)))
+
+    def plain(t, x, u):
+        return [sign(u[0]) + 2.0 * sign(u[1])]
+
+    x = walk_three_ways(("sign(u0) + 2.0 * sign(u1)",), (("sign", sign),), plain,
+                        (0.0,), inputs, t0=t0, t1=t0 + 1.0, h=0.125)
+    ref_x, _, _ = reference_step_to(plain, lambda t, x, u: [], 1, (0.0,), inputs,
+                                    t0, t0 + 1.0, 0.125)
+    assert x == hexes(ref_x)
+
+
+@pytest.mark.parametrize("t0,t1", [(0.0, 1.0), (-0.0, 0.5), (0.125, 1.125)])
+def test_derivatives_that_are_a_held_value_a_cell_or_an_alias_keep_each_stage(t0, t1):
+    # every derivative is a value read through a cell, a cell, or an alias
+    # of one: each stage must keep its own, although the next stage time
+    # re-evaluates them.  Cells of 0.1875 s on steps of 0.125 s change at a
+    # midpoint (0.1875, 0.5625) and at a step end (0.375, 0.75)
+    values = (("cell", "t // d"), ("r", "wobble(cell)"), ("q", "r"), ("e", "cell"))
+
+    def plain(t, x, u):
+        cell = t // 0.1875
+        return [wobble(cell), cell, wobble(cell), cell]
+
+    walk_three_ways(("r", "cell", "q", "e"), (("d", 0.1875), ("wobble", wobble)),
+                    plain, (0.5, -0.25, 0.0, 1.0), t0=t0, t1=t1, h=0.125,
+                    values=values)
+
+
+def test_a_time_cell_helper_runs_once_per_window_and_cell_change():
+    # cells of 0.25 s on a grid of 0.0625 s stage times: the helper runs at
+    # the window start, at every stage time of cell zero, and at the first
+    # stage time of each later cell; tr, which also reads t, keeps its
+    # count of once per stage time
+    seen, timed = [], []
+
+    def noise(cell):
+        seen.append(cell)
+        return 0.5 * cell
+
+    def at(v):
+        timed.append(v)
+        return v
+
+    values = (("cell", "t // d"), ("r", "noise(cell)"), ("tr", "at(t + r)"))
+    constants = (("d", 0.25), ("noise", noise), ("at", at))
+    spec = SubsystemSpec("cells", 2, 0, 1,
+                         Derivatives(("r", "tr"), constants, values),
+                         lambda t, x, u: [x[0]], (0.0, 0.0))
+    x, _ = step_to(spec, spec.x_init, [], 0.0, 1.0, 0.125)
+    assert seen == [0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0]
+    assert len(timed) == 2 * 8 + 1
+    del seen[:], timed[:]
+    step_to(spec, x, [], 1.0, 1.5, 0.125)
+    assert seen == [4.0, 5.0, 6.0]
+    assert len(timed) == 2 * 4 + 1
+    # a window from -0.0: its start cell is -0.0, every later one up to
+    # 0.25 is 0.0, equal to it but zero
+    del seen[:]
+    step_to(spec, x, [], -0.0, 0.25, 0.125)
+    assert [sign(c) for c in seen] == [-1.0, 1.0, 1.0, 1.0, 1.0]
+    assert seen[-1] == 1.0
 
 
 @pytest.mark.parametrize(
@@ -589,7 +767,8 @@ def test_step_to_matches_the_per_stage_walk_bit_for_bit(
     # inputs of degree 0 to 3, each evaluated by its own inline Horner block.
     # The dynamics are also declared, the inputs' sum as a named value, for
     # the walk that evaluates them inline, and called through that
-    # declaration
+    # declaration; g is declared too, for the walk that evaluates it at
+    # the window's end
     bound = 1e-3
     if micro_step is None:
         n_steps += int(MICRO_DIVISOR)
@@ -615,13 +794,19 @@ def test_step_to_matches_the_per_stage_walk_bit_for_bit(
     def g(t, x, u):
         return list(x) + list(u) + [t]
 
+    declared_g = Derivatives(
+        tuple(f"x{i}" for i in range(n))
+        + tuple(f"u{j}" for j in range(len(inputs))) + ("t",)
+    )
+
     log, ref_log = [], []
     spec = SubsystemSpec("ref", n, len(inputs), n + len(inputs) + 1,
                          dynamics(log), g, tuple(x0), bound)
     x, y = step_to(spec, spec.x_init, inputs, t_start, t_target, micro_step)
-    for f in (declared, lambda t, x, u: declared(t, x, u)):
-        twin_x, twin_y = step_to(replace(spec, f=f), spec.x_init, inputs,
-                                 t_start, t_target, micro_step)
+    for f, g_twin in ((declared, g), (declared, declared_g),
+                      (lambda t, x, u: declared(t, x, u), declared_g)):
+        twin_x, twin_y = step_to(replace(spec, f=f, g=g_twin), spec.x_init,
+                                 inputs, t_start, t_target, micro_step)
         assert same_floats(twin_x, x)
         assert same_floats(twin_y, y)
     h_used = micro_step if micro_step is not None else min(
