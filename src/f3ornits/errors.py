@@ -36,6 +36,11 @@ class DivergenceError(RuntimeError):
         self.label = label
         self.t_last_good = t_last_good
 
+    def __reduce__(self):
+        # pickle rebuilds an exception from self.args, the message alone;
+        # a comparison row's divergence crosses a pipe from a child process
+        return type(self), (self.label, self.t_last_good)
+
 
 _TRUE = {"true", "yes", "on", "1"}
 _FALSE = {"false", "no", "off", "0"}

@@ -2,8 +2,12 @@
 
 import math
 import os
+import pickle
+import signal
 import subprocess
 import sys
+import time
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,14 +16,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f3ornits import cli, master
+from f3ornits import cli, master, report
 from f3ornits.config import (
     RunConfig,
     config_from_mapping,
     materialize,
     parse_kv_text,
 )
-from f3ornits.errors import ConfigError, read_value
+from f3ornits.errors import (
+    CalibrationError,
+    ConfigError,
+    ContractViolation,
+    DivergenceError,
+    SequencingError,
+    read_value,
+)
 from f3ornits.master import MasterOptions, run_f3ornits
 from f3ornits.models import (
     build_model,
@@ -27,7 +38,13 @@ from f3ornits.models import (
     monolithic_reference,
     reference_gap,
 )
-from f3ornits.report import ComparisonRow, compute_rmse, run_comparison
+from f3ornits.report import (
+    F3_VARIANTS,
+    JACOBI_GRID_STEPS,
+    ComparisonRow,
+    compute_rmse,
+    run_comparison,
+)
 from f3ornits.stepper import Tolerances
 from f3ornits.trace import format_float, read_trace_csv
 
@@ -317,6 +334,214 @@ def test_comparison_matrix_shape():
     assert all(r.method == "f3ornits" for r in rows[5:])
     assert all(r.status == "ok" and r.rmse_percent >= 0.0 for r in rows)
     assert len({r.setting() for r in rows}) == 17
+
+
+# ------------------------------------------- comparison rows across processes
+
+@pytest.fixture
+def deadline():
+    """A hung call fails its test after 60 s instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("the call did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("exc", [
+    DivergenceError("monolith", 1.5),
+    ConfigError("key 'tol_rel': must be finite, got 'nan'"),
+    ContractViolation("mass_right: degree 3 over its cap 1"),
+    CalibrationError("duplicate sample times"),
+    SequencingError("window end 1.0 before its start 2.0"),
+], ids=lambda exc: type(exc).__name__)
+def test_package_exceptions_survive_pickling(exc):
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc) and back.args == exc.args
+    assert vars(back) == vars(exc)
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(model="two_mass", t_end=5.0),
+    RunConfig(model="car", seed=7, t_end=5.0),
+    RunConfig(model="two_mass", t_end=20.0, params={"k2": -50000.0}),
+], ids=["two_mass", "car", "all_diverging"])
+def test_comparison_is_the_same_on_one_and_two_cpus(
+    config, tmp_path, monkeypatch, deadline,
+):
+    setup = materialize(config)
+    files = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(report, "_cpus", lambda: cpus)
+        rows = run_comparison(setup.model, setup.options, setup.variable)
+        assert_no_child_left()
+        out = tmp_path / str(cpus)
+        files.append((
+            rows,
+            report.write_report_csv(rows, out / "report.csv").read_bytes(),
+            report.write_scatter_csv(rows, out / "scatter.csv").read_bytes(),
+        ))
+    assert files[0] == files[1]
+    statuses = {r.status for r in files[0][0]}
+    assert statuses == ({"diverged"} if config.params else {"ok"})
+
+
+def plant_rows(monkeypatch, fail):
+    """Rows that run in no time and diverge, unless fail(i) raises for row i
+    (row i being JACOBI_GRID_STEPS's i-th grid step, then F3_VARIANTS' in
+    turn).  In the calling process each row first sleeps 0.1 s, so a child
+    takes most rows."""
+    caller = os.getpid()
+    dts = JACOBI_GRID_STEPS
+    variants = F3_VARIANTS
+
+    def planted(i):
+        if os.getpid() == caller:
+            time.sleep(0.1)
+        fail(i)
+        raise DivergenceError("planted", 0.0)
+
+    monkeypatch.setattr(
+        report, "run_jacobi", lambda problem, dt: planted(dts.index(dt))
+    )
+    monkeypatch.setattr(report, "run_f3ornits", lambda problem, opts: planted(
+        len(dts) + variants.index(
+            (opts.calibration, opts.smoothing, opts.error_norm)
+        )
+    ))
+    return planted
+
+
+def planted_comparison(cpus, monkeypatch):
+    monkeypatch.setattr(report, "_cpus", lambda: cpus)
+    setup = materialize(RunConfig(model="two_mass", t_end=5.0))
+    try:
+        return run_comparison(setup.model, setup.options, setup.variable)
+    finally:
+        assert_no_child_left()
+
+
+def test_a_row_failing_in_a_child_reaches_the_caller(monkeypatch, deadline):
+    def fail(i):
+        if i == 14:
+            raise KeyError(f"planted in row {i}")
+
+    planted = plant_rows(monkeypatch, fail)
+    raised = []
+    for cpus in (1, 2):
+        with pytest.raises(KeyError) as info:
+            planted_comparison(cpus, monkeypatch)
+        raised.append(info)
+    assert [str(info.value) for info in raised] == ["'planted in row 14'"] * 2
+    # with two CPUs the exception crossed a pipe: its traceback starts in
+    # the parent and never passes through the planted row
+    frames = [frame.f_code for frame, _ in traceback.walk_tb(raised[1].tb)]
+    assert planted.__code__ not in frames
+
+
+def test_the_lowest_failing_row_wins(monkeypatch, deadline):
+    def fail(i):
+        if i == 6:
+            time.sleep(1.0)  # in more than one process row 12 raises first
+            raise ValueError("row 6")
+        if i == 12:
+            raise ValueError("row 12")
+
+    plant_rows(monkeypatch, fail)
+    for cpus in (1, 2, 3):
+        with pytest.raises(ValueError, match="^row 6$"):
+            planted_comparison(cpus, monkeypatch)
+
+
+def test_a_killed_child_is_an_error_not_a_hang(monkeypatch, deadline):
+    caller = os.getpid()
+
+    def fail(i):
+        if i == 10 and os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    plant_rows(monkeypatch, fail)
+    with pytest.raises(RuntimeError, match="ended without its rows"):
+        planted_comparison(2, monkeypatch)
+
+
+def test_an_interrupted_caller_kills_and_reaps_its_children(
+    monkeypatch, deadline,
+):
+    caller = os.getpid()
+
+    def fail(i):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(15)
+
+    plant_rows(monkeypatch, fail)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        planted_comparison(2, monkeypatch)
+    assert time.perf_counter() - start < 5
+
+
+def test_more_processes_than_cpus_run_each_row_once(
+    tmp_path, monkeypatch, deadline,
+):
+    # the queue hands out each index once: a lost or doubled index would
+    # show as a missing or repeated line of the log every row appends to
+    dts = tuple(0.001 * (i + 1) for i in range(400))
+    log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def run_jacobi(problem, dt):
+        os.write(log, f"{dts.index(dt)}\n".encode())
+        raise DivergenceError("planted", 0.0)
+
+    monkeypatch.setattr(report, "run_jacobi", run_jacobi)
+    monkeypatch.setattr(report, "_cpus", lambda: 6)
+    setup = materialize(RunConfig(model="two_mass", t_end=5.0))
+    try:
+        rows = run_comparison(
+            setup.model, setup.options, setup.variable, jacobi_dts=dts
+        )
+    finally:
+        os.close(log)
+    assert_no_child_left()
+    assert [r.dt for r in rows[:400]] == list(dts)
+    ran = sorted(map(int, (tmp_path / "log").read_text().split()))
+    assert ran == list(range(400))
+
+
+def test_cli_compare_prints_its_table_once(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "f3ornits.cli", "compare", "--model", "two_mass",
+         "--t-end", "5", "--output-dir", str(tmp_path)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("method    setting") == 1
+    assert proc.stdout.count("wrote ") == 1
+    assert len(proc.stdout.splitlines()) == 2 + 17 + 1 + 1
+
+
+def test_cli_compare_leaves_no_process_behind(tmp_path, capsys, deadline):
+    two_mass = ["compare", "--model", "two_mass", "--output-dir", str(tmp_path)]
+    assert cli.main(two_mass + ["--t-end", "5"]) == 0
+    assert_no_child_left()
+    assert cli.main(two_mass + ["--t-end", "5", "--jacobi-dts", "nan"]) == 1
+    assert_no_child_left()
+    assert cli.main(two_mass + ["--t-end", "20", "--param", "k2=-50000"]) == 2
+    assert_no_child_left()
 
 
 # ----------------------------------------------------------- CSV round trip
