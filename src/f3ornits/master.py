@@ -34,8 +34,24 @@ estimates are always at least dt_min ahead).
 Each event takes two passes over its due subsystems.  The first integrates
 each one to the event time on input plans built from what was published
 before the event; integrating changes only the subsystem's own state.  The
-second publishes.  Each runtime holds the producer logs its inputs read,
-wired once before the first event.
+second publishes, and publishing touches only the subsystem's own records.
+Each runtime holds the producer logs its inputs read, wired once before the
+first event.
+
+So the windows of one event are independent, and a run may walk some of
+them on a second CPU.  After PARTNER_WARMUP events in one process, where
+`parallel.cpus` allows a fork and step_to is the kernel walk itself, a run
+forks one partner process (`parallel.Partner`) and hands it the subsystems
+whose f and g are both declared and which, by the timed events, shorten an
+event most (`_start_partner`); a callable f or g may be a black box with
+side effects, so those always stay here.  Per event this process builds
+every plan, writes the partner's windows to it, walks and publishes its own
+subsystems, reads the partner's states and outputs back, and publishes
+those subsystems.  The partner runs the same kernel on the same inputs, so
+every trace is byte-identical to one CPU's, and every exception is the one
+the passes in order raise: a window that fails on the partner is walked
+again here, and raises here.  The partner is killed and reaped however the
+run ends.  run_jacobi stays in one process.
 
 The benchmark's tracer (bench/tracer.py) times each layer by replacing the
 module global its caller looks up, so step_to, build_plan, select_order,
@@ -64,7 +80,7 @@ from .stepper import (
     propose,
     update_damped_bounds,
 )
-from .subsystem import SubsystemSpec, evaluate_outputs, step_to
+from .subsystem import Derivatives, SubsystemSpec, evaluate_outputs, step_to
 from .trace import RunTrace, SubsystemTrace
 
 
@@ -108,6 +124,16 @@ DT_EPSILON = 1e-9
 
 #: hard safety valve: the most events (or windows, or steps) one run may take
 MAX_EVENTS = 5_000_000
+
+#: events a run takes in one process before it may start its partner, whose
+#: fork and reap cost 3-5 ms, the walks of about 100 windows; the windows of
+#: the second half are timed to choose what the partner walks
+PARTNER_WARMUP = 64
+
+#: what handing windows to the partner and reading them back adds to an
+#: event, in seconds: on a shared 2-vCPU host (Python 3.11) writing the
+#: windows took about 10 us and reading the replies about 10 us
+PARTNER_OVERHEAD_S = 20e-6
 
 
 @dataclass(frozen=True)
@@ -306,6 +332,9 @@ class _SubRuntime(ScheduleEntry):
         self.plans: list[InputPlan | None] = [None] * spec.n_in
         self.delivered: list[Polynomial | None] = [None] * spec.n_in
         self.y: tuple[float, ...] = ()  # outputs at the reached time
+        # the index of the subsystem among the partner's, if it walks there
+        self.owner: int | None = None
+        self.record = None  # its trace's record
 
 
 def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
@@ -313,7 +342,6 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
     problem.validate()
     options.validate()
     t_start_wall = time.perf_counter()
-    tol = options.tolerances
     t0, t_end = problem.t_init, problem.t_end
     graph = problem.graph
 
@@ -350,91 +378,260 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
     effective = reconcile(runtimes, t_end, DT_EPSILON)
 
     # what every event reads, bound once
-    nu, norm, force = tol.nu, options.error_norm, options.force_order
-    calibration = options.calibration
-    records = [trace.subsystems[rt.spec.label].record for rt in runtimes]
+    publishing = (
+        options.tolerances, options.error_norm, options.force_order,
+        options.calibration,
+    )
+    for rt in runtimes:
+        rt.record = trace.subsystems[rt.spec.label].record
     active = [k for k, rt in enumerate(runtimes) if not rt.finished]
     events = 0
-    while active:
-        if events >= MAX_EVENTS:
-            raise RuntimeError(f"event budget exceeded ({MAX_EVENTS} events)")
-        t_event = min([effective[k] for k in active])
-        tie = 1e-12 * (1.0 + abs(t_event))
-        due = [k for k in active if effective[k] - t_event <= tie]
+    # from half the warm-up on, per subsystem the times of its walks and of
+    # its publishing, until the partner is started
+    timing: list[tuple[list[float], list[float]]] | None = None
+    partner = None
+    try:
+        while active:
+            if events >= MAX_EVENTS:
+                raise RuntimeError(f"event budget exceeded ({MAX_EVENTS} events)")
+            t_event = min([effective[k] for k in active])
+            tie = 1e-12 * (1.0 + abs(t_event))
+            due = [k for k in active if effective[k] - t_event <= tie]
 
-        # pass 1: integrate every due subsystem to the event time on input
-        # plans built from what was published before this event
-        for k in due:
-            rt = runtimes[k]
-            plans, delivered, reached = rt.plans, rt.delivered, rt.reached
-            try:
-                for i, log in enumerate(rt.sources):
-                    plans[i], delivered[i] = build_plan(
-                        log, reached, t_event, rt.deg_cap, rt.smooths, delivered[i]
-                    )
-            except CalibrationError:
-                raise
-            except ValueError as exc:
-                raise DivergenceError(rt.spec.label, reached) from exc
-            rt.state, rt.y = step_to(
-                rt.spec, rt.state, [p.poly for p in plans], reached, t_event
+            finished = _step(
+                runtimes, due, t_event, t_end, publishing, partner, timing
             )
 
-        # pass 2: exchange, order selection, estimates, step proposals
-        finished = False
-        for k in due:
-            rt = runtimes[k]
-            dt_prev = t_event - rt.reached
-            bounds = rt.bounds
-            errs, orders_now, p_used = [], [], []
-            for j, y_new in enumerate(rt.y):
-                history, log = rt.histories[j], rt.published[j]
-                last_pub = log[-1]
-                y_pred = last_pub(t_event)
-                p_used.append(last_pub.degree)
-                bounds[j] = b = update_damped_bounds(bounds[j], y_new, dt_prev, nu)
-                errs.append(normalized_error(y_new, y_pred, norm, b, tol))
-                decision = select_order(history, t_event, y_new, force)
-                try:
-                    history.push(t_event, y_new)
-                    log.append(estimate_output(history, decision, calibration))
-                except CalibrationError:
-                    raise
-                except ValueError as exc:
-                    raise DivergenceError(rt.spec.label, rt.reached) from exc
-                orders_now.append(decision.order)
-            rt.orders_changed = orders_now != p_used
-            rt.reached = t_event
+            # a reader resolves its next window at its reached time, which
+            # never decreases: the slowest reader bounds what each log must keep
+            for log, rts in readers:
+                if len(log) > 1:
+                    prune_published(
+                        log, min([rt.reached for rt in rts]) if rts else None
+                    )
 
-            rho = 1.0
-            if rt.imposed_step is not None:
-                rt.estimated = t_event + rt.imposed_step
-            elif not rt.has_outputs:
-                # nothing published, so no error to control: aim for the
-                # horizon and let rule (c) pull the subsystem in
-                rt.estimated = t_end
-            else:
-                prop = propose(errs, p_used, dt_prev, t_event, t_end, tol)
-                rho = prop.rho
-                rt.estimated = prop.t_next_estimated
-            if t_end - t_event <= DT_EPSILON:
-                rt.finished = finished = True
-            records[k](t_event, rt.y, errs, orders_now, rho, rt.plans)
-
-        # a reader resolves its next window at its reached time, which
-        # never decreases: the slowest reader bounds what each log must keep
-        for log, rts in readers:
-            if len(log) > 1:
-                prune_published(log, min([rt.reached for rt in rts]) if rts else None)
-
-        effective = reconcile(runtimes, t_end, DT_EPSILON)
-        events += 1
-        if finished:
-            active = [k for k in active if not runtimes[k].finished]
+            effective = reconcile(runtimes, t_end, DT_EPSILON)
+            events += 1
+            if finished:
+                active = [k for k in active if not runtimes[k].finished]
+            if events == PARTNER_WARMUP // 2:
+                timing = [([], []) for _ in runtimes]
+            elif events == PARTNER_WARMUP and active:
+                partner = _start_partner(runtimes, timing)
+                timing = None
+    finally:
+        if partner is not None:
+            partner.close()
 
     trace.total_events = events
     trace.wall_time_s = time.perf_counter() - t_start_wall
     return trace
+
+
+def _publish(
+    rt: _SubRuntime, t_event: float, t_end: float, publishing: tuple
+) -> bool:
+    """Pass 2 for one subsystem walked to t_event: its outputs' errors,
+    orders and published estimates, its next estimated time and its trace
+    row; whether it has reached the horizon.  `publishing` is the run's
+    (tolerances, error norm, forced order, calibration).  It reads and
+    writes only the subsystem's own records."""
+    tol, norm, force, calibration = publishing
+    nu = tol.nu
+    dt_prev = t_event - rt.reached
+    bounds = rt.bounds
+    errs, orders_now, p_used = [], [], []
+    for j, y_new in enumerate(rt.y):
+        history, log = rt.histories[j], rt.published[j]
+        last_pub = log[-1]
+        y_pred = last_pub(t_event)
+        p_used.append(last_pub.degree)
+        bounds[j] = b = update_damped_bounds(bounds[j], y_new, dt_prev, nu)
+        errs.append(normalized_error(y_new, y_pred, norm, b, tol))
+        decision = select_order(history, t_event, y_new, force)
+        try:
+            history.push(t_event, y_new)
+            log.append(estimate_output(history, decision, calibration))
+        except CalibrationError:
+            raise
+        except ValueError as exc:
+            raise DivergenceError(rt.spec.label, rt.reached) from exc
+        orders_now.append(decision.order)
+    rt.orders_changed = orders_now != p_used
+    rt.reached = t_event
+
+    rho = 1.0
+    if rt.imposed_step is not None:
+        rt.estimated = t_event + rt.imposed_step
+    elif not rt.has_outputs:
+        # nothing published, so no error to control: aim for the horizon
+        # and let rule (c) pull the subsystem in
+        rt.estimated = t_end
+    else:
+        prop = propose(errs, p_used, dt_prev, t_event, t_end, tol)
+        rho = prop.rho
+        rt.estimated = prop.t_next_estimated
+    rt.record(t_event, rt.y, errs, orders_now, rho, rt.plans)
+    if t_end - t_event <= DT_EPSILON:
+        rt.finished = True
+    return rt.finished
+
+
+def _plan(rt: _SubRuntime, t_event: float) -> None:
+    """rt's input plans over its window to t_event, built from what was
+    published; exchanged data that overflows is a DivergenceError."""
+    plans, delivered, reached = rt.plans, rt.delivered, rt.reached
+    try:
+        for i, log in enumerate(rt.sources):
+            plans[i], delivered[i] = build_plan(
+                log, reached, t_event, rt.deg_cap, rt.smooths, delivered[i]
+            )
+    except CalibrationError:
+        raise
+    except ValueError as exc:
+        raise DivergenceError(rt.spec.label, reached) from exc
+
+
+def _walk(rt: _SubRuntime, t_event: float) -> None:
+    """Integrate rt over its window to t_event on its plans."""
+    rt.state, rt.y = step_to(
+        rt.spec, rt.state, [p.poly for p in rt.plans], rt.reached, t_event
+    )
+
+
+def _start_partner(
+    runtimes: list[_SubRuntime], timing: list[tuple[list[float], list[float]]],
+):
+    """A partner owning the subsystems with declared f and g that shorten
+    the timed events most, or None: where this process forks nothing
+    (`parallel.cpus`), where step_to has been replaced, so that the
+    partner's walk would not be this one's, or where no choice is shorter.
+
+    While the partner walks its subsystems, this process walks and
+    publishes its own; it publishes the partner's once their windows are
+    back, and pays PARTNER_OVERHEAD_S for the exchange.  So an event on
+    the partner is predicted to take max(own walks and publishing, the
+    partner's walks) plus the partner's publishing and the overhead, from
+    each subsystem's median window time times its windows over the timed
+    events: the window that compiles a kernel takes ten times as long as
+    the others.  Subsystems are handed over, most helpful first, while the
+    prediction falls.
+    """
+    from . import parallel  # loaded only by a run long enough to fork
+
+    if step_to is not parallel.step_to or parallel.cpus() < 2:
+        return None
+
+    events = PARTNER_WARMUP - PARTNER_WARMUP // 2
+
+    def per_event(times: list[float]) -> float:
+        return len(times) and sorted(times)[len(times) // 2] * len(times) / events
+
+    walk = [per_event(walks) for walks, _ in timing]
+    publish = [per_event(publishes) for _, publishes in timing]
+
+    def event_time(owned: list[int]) -> float:
+        if not owned:
+            return sum(walk) + sum(publish)
+        own = sum(walk[k] + publish[k] for k in range(len(runtimes)) if k not in owned)
+        away = sum(walk[k] for k in owned)
+        return max(own, away) + sum(publish[k] for k in owned) + PARTNER_OVERHEAD_S
+
+    owned: list[int] = []
+    candidates = [
+        k for k, rt in enumerate(runtimes)
+        if isinstance(rt.spec.f, Derivatives) and isinstance(rt.spec.g, Derivatives)
+    ]
+    while candidates:
+        best = min(candidates, key=lambda k: event_time(owned + [k]))
+        if event_time(owned + [best]) >= event_time(owned):
+            break
+        owned.append(best)
+        candidates.remove(best)
+    if not owned:
+        return None
+    try:
+        partner = parallel.Partner([runtimes[k].spec for k in owned])
+    except OSError:  # no more processes: the run goes on in this one
+        return None
+    for owner, k in enumerate(owned):
+        runtimes[k].owner = owner
+    return partner
+
+
+def _step(
+    runtimes: list[_SubRuntime], due: list[int], t_event: float, t_end: float,
+    publishing: tuple, partner=None, timing=None,
+) -> bool:
+    """Both passes over the due subsystems; whether one reached the horizon.
+
+    This process builds every plan, hands the partner the windows of the
+    subsystems it owns, walks and publishes its own, and publishes the
+    partner's once their windows are back.  Publishing touches only the
+    subsystem's own records, so its order changes no number.  Raises what
+    the two passes over `due` in order raise: the exception of the first
+    window whose plans or walk fail, else that of the first subsystem whose
+    publishing fails.  With timing, each window's walk time and then its
+    publishing time are appended to its subsystem's two lists there.
+    """
+    failed = None
+    for k in due:
+        try:
+            _plan(runtimes[k], t_event)
+        except Exception as exc:  # raised after the windows before it
+            failed, due = exc, due[:due.index(k)]
+            break
+    away = partner and [runtimes[k] for k in due if runtimes[k].owner is not None]
+    if away:
+        partner.send([
+            (rt.owner, rt.state, rt.reached, t_event, [p.poly for p in rt.plans])
+            for rt in away
+        ])
+    for k in due:
+        rt = runtimes[k]
+        if rt.owner is None:
+            try:
+                t_walk = timing and time.perf_counter()
+                _walk(rt, t_event)
+                if timing:
+                    timing[k][0].append(time.perf_counter() - t_walk)
+            except Exception as exc:
+                failed, due = exc, due[:due.index(k)]
+                break
+    finished = False
+    unpublished = len(due)  # the first own subsystem whose publishing failed
+    if failed is None:
+        for k in due:
+            rt = runtimes[k]
+            if rt.owner is None:
+                try:
+                    t_publish = timing and time.perf_counter()
+                    finished |= _publish(rt, t_event, t_end, publishing)
+                    if timing:
+                        timing[k][1].append(time.perf_counter() - t_publish)
+                except Exception as exc:
+                    unpublished, failed_later = due.index(k), exc
+                    break
+    if away:
+        results = iter(partner.receive())
+        for k in due:
+            rt = runtimes[k]
+            if rt.owner is not None:
+                result = next(results)
+                if result is None:
+                    _walk(rt, t_event)  # raises the partner's exception here
+                else:
+                    rt.state, rt.y = result
+    if failed is not None:
+        raise failed
+    if away:
+        for k in due[:unpublished]:
+            rt = runtimes[k]
+            if rt.owner is not None:
+                finished |= _publish(rt, t_event, t_end, publishing)
+    if unpublished < len(due):
+        raise failed_later
+    return finished
 
 
 # -------------------------------------------------------------- the baseline

@@ -14,7 +14,9 @@ The rows run on the CPUs in the process's affinity set, one process per CPU
 taking the next row from a shared queue, and the output is byte-identical
 to a run on one CPU; `taskset -c 0` pins a run to one.  On a shared 2-vCPU
 host (Python 3.11) the full 200 s two_mass matrix took 7.6-7.8 s of wall
-time on one CPU and 4.4-4.6 s on both.
+time on one CPU and 4.4-4.6 s on both.  Each row process counts as one CPU
+(`parallel.one_share`), so a row never nests a partner process of its own
+(master.py): the rows already keep every CPU busy.
 """
 
 from __future__ import annotations
@@ -119,37 +121,26 @@ def run_comparison(
     return _run_rows(row, len(runs))
 
 
-def _cpus() -> int:
-    """The CPUs in this process's affinity set; 1 where the platform cannot
-    tell them or cannot fork."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _run_rows(row, n: int) -> list:
     """[row(0), ..., row(n - 1)], or the exception of the lowest row that
     raised: what the loop over the rows in order gives.
 
-    With k = min(_cpus(), n) > 1 this process forks k - 1 children, and all
-    k take row indices from one shared queue, the next index each time one
-    is free: the rows are very uneven, so a fixed split would not balance.
-    The rows stay in this process instead when it has a second thread, which
-    a fork would leave behind, or when a function the rows call through this
-    module has been wrapped (`functools.wraps` sets `__wrapped__`), as the
-    traced benchmark repetition does: a wrapper keeps its records in the
-    memory of its own process, which a child's rows would never reach.
+    With k = min(parallel.cpus(...), n) > 1 this process forks k - 1
+    children, and all k take row indices from one shared queue, the next
+    index each time one is free: the rows are very uneven, so a fixed split
+    would not balance.  `parallel.cpus` keeps the rows in this process when
+    it has a second thread or when a function the rows call through this
+    module has been wrapped, as the traced benchmark repetition does.
     """
-    import threading
+    from . import parallel
 
-    k = min(_cpus(), n)
-    wrapped = any(
-        hasattr(fn, "__wrapped__")
-        for fn in (run_jacobi, run_f3ornits, score_trace, monolithic_reference)
-    )
-    if k == 1 or wrapped or threading.active_count() > 1:
+    k = min(parallel.cpus(
+        run_jacobi, run_f3ornits, score_trace, monolithic_reference
+    ), n)
+    if k == 1:
         return [row(i) for i in range(n)]
-    return _forked_rows(row, n, k)
+    with parallel.one_share():
+        return _forked_rows(row, n, k)
 
 
 def _forked_rows(row, n: int, k: int) -> list:

@@ -1,11 +1,13 @@
 """Config parsing, materialization, CSV round-trips, and the CLI contract."""
 
+import functools
 import math
 import os
 import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 import traceback
 from dataclasses import replace
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f3ornits import cli, master, report
+from f3ornits import cli, master, parallel, report
 from f3ornits.config import (
     RunConfig,
     config_from_mapping,
@@ -31,7 +33,8 @@ from f3ornits.errors import (
     SequencingError,
     read_value,
 )
-from f3ornits.master import MasterOptions, run_f3ornits
+from f3ornits.coupling import CouplingGraph
+from f3ornits.master import CosimProblem, MasterOptions, run_f3ornits
 from f3ornits.models import (
     build_model,
     build_two_mass,
@@ -45,7 +48,9 @@ from f3ornits.report import (
     compute_rmse,
     run_comparison,
 )
+from f3ornits.poly import Polynomial
 from f3ornits.stepper import Tolerances
+from f3ornits.subsystem import Derivatives, SubsystemSpec, step_to
 from f3ornits.trace import format_float, read_trace_csv
 
 
@@ -381,7 +386,7 @@ def test_comparison_is_the_same_on_one_and_two_cpus(
     setup = materialize(config)
     files = []
     for cpus in (1, 2):
-        monkeypatch.setattr(report, "_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _: set(range(cpus)))
         rows = run_comparison(setup.model, setup.options, setup.variable)
         assert_no_child_left()
         out = tmp_path / str(cpus)
@@ -422,7 +427,7 @@ def plant_rows(monkeypatch, fail):
 
 
 def planted_comparison(cpus, monkeypatch):
-    monkeypatch.setattr(report, "_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: set(range(cpus)))
     setup = materialize(RunConfig(model="two_mass", t_end=5.0))
     try:
         return run_comparison(setup.model, setup.options, setup.variable)
@@ -504,7 +509,7 @@ def test_more_processes_than_cpus_run_each_row_once(
         raise DivergenceError("planted", 0.0)
 
     monkeypatch.setattr(report, "run_jacobi", run_jacobi)
-    monkeypatch.setattr(report, "_cpus", lambda: 6)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: set(range(6)))
     setup = materialize(RunConfig(model="two_mass", t_end=5.0))
     try:
         rows = run_comparison(
@@ -542,6 +547,349 @@ def test_cli_compare_leaves_no_process_behind(tmp_path, capsys, deadline):
     assert_no_child_left()
     assert cli.main(two_mass + ["--t-end", "20", "--param", "k2=-50000"]) == 2
     assert_no_child_left()
+
+
+# ------------------------------------------------ a run's partner process
+
+needs_two_cpus = pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+    reason="a partner needs a second CPU in the affinity set",
+)
+
+
+@pytest.fixture
+def partners(monkeypatch):
+    """The labels each partner started in this process walks, in order."""
+    started = []
+
+    class Recorded(parallel.Partner):
+        def __init__(self, specs):
+            super().__init__(specs)  # the child never returns from here
+            started.append([spec.label for spec in specs])
+
+    monkeypatch.setattr(parallel, "Partner", Recorded)
+    return started
+
+
+def test_one_rule_says_when_a_process_may_fork(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1, 2})
+    assert parallel.cpus(run_f3ornits) == 3
+    assert parallel.cpus(functools.wraps(run_f3ornits)(lambda: None)) == 1
+    with parallel.one_share():
+        assert parallel.cpus() == 1
+    assert parallel.cpus() == 3
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert parallel.cpus() == 1
+    finally:
+        release.set()
+        thread.join()
+
+
+def test_a_partner_walks_windows_as_this_process_does(deadline):
+    def boom(t):
+        raise ZeroDivisionError("planted")
+
+    f = Derivatives(("x1", "-x0 - 0.5 * x1 + u0"))
+    specs = [
+        SubsystemSpec("plain", 2, 1, 1, f, Derivatives(("x0",)), (1.0, 0.0)),
+        SubsystemSpec("int_output", 2, 1, 1, f, Derivatives(("1",)), (1.0, 0.0)),
+        SubsystemSpec(
+            "raising", 2, 1, 1, Derivatives(("x1", "boom(t)"), (("boom", boom),)),
+            Derivatives(("x0",)), (1.0, 0.0),
+        ),
+    ]
+    u = Polynomial(0.5, (0.25, -1.0, 0.125))
+    partner = parallel.Partner(specs)
+    try:
+        partner.send([(k, [0.3, -0.2], 0.5, 0.9, [u]) for k in (0, 1, 2, 0)])
+        walked = partner.receive()
+    finally:
+        partner.close()
+    assert_no_child_left()
+    # the same floats as here; None where the walk raised or gave an int
+    here = step_to(specs[0], [0.3, -0.2], [u], 0.5, 0.9)
+    assert step_to(specs[1], [0.3, -0.2], [u], 0.5, 0.9)[1] == (1,)
+    assert walked == [here, None, None, here]
+
+
+@needs_two_cpus
+def test_comparison_rows_never_start_a_partner(partners, deadline):
+    setup = materialize(RunConfig(model="two_mass", t_end=20.0))
+    rows = run_comparison(setup.model, setup.options, setup.variable)
+    assert_no_child_left()
+    # the rows this process ran are long enough to start one on their own
+    assert max(r.steps for r in rows) > master.PARTNER_WARMUP
+    assert partners == []
+
+
+def on_one_cpu(call):
+    """call(), with this process pinned to the first CPU of its affinity set."""
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        return call()
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
+def run_bytes(argv, out):
+    """cli.main(argv) into out, and the bytes of every CSV it wrote, the
+    summary without its wall-time line."""
+    assert cli.main([*argv, "--output-dir", str(out)]) == 0
+    return {
+        path.name: _read_bytes_without_wall_time(path)
+        for path in sorted(out.glob("*.csv"))
+    }
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("argv", [
+    ["run", "--model", "two_mass"],
+    ["run", "--model", "car", "--seed", "7", "--t-end", "60"],
+], ids=["two_mass", "car_seed_7"])
+def test_a_run_writes_the_same_bytes_with_its_partner(
+    argv, tmp_path, partners, deadline,
+):
+    pinned = on_one_cpu(lambda: run_bytes(argv, tmp_path / "one"))
+    assert partners == []
+    both = run_bytes(argv, tmp_path / "two")
+    assert len(partners) == 1 and len(partners[0]) == 1
+    assert_no_child_left()
+    assert len(both) == 3 and both == pinned
+
+
+def network(
+    heavy: int = 0, trips=(None, None, None), callable_f: bool = False,
+    steps=(0.05, 0.05, 0.05),
+):
+    """Three damped oscillators in a loop, 0 -> 1 -> 2 -> 0, each locked to
+    its grid of steps[k], so by default all three are due at every event.
+    The heavy one takes 600 micro steps per window, the others 60, so a
+    partner takes the heavy one.  Each f adds trip(t), 0.0 unless trips[k]
+    replaces it; with callable_f, 1's f is a plain function, which must stay
+    in the calling process: called in another one, it kills that process."""
+    caller = os.getpid()
+    specs = []
+    for k in range(3):
+        trip = trips[k] or (lambda t: 0.0)
+        constants = (("trip", trip), ("w", 1.0 + 0.5 * k))
+        f = Derivatives(("x1", "-w * w * x0 - 0.2 * x1 + u0 + trip(t)"), constants)
+        if callable_f and k == 1:
+            declared = f
+
+            def f(t, x, u, declared=declared):
+                if os.getpid() != caller:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return declared(t, x, u)
+        micro = steps[k] / (600 if k == heavy else 60)
+        specs.append(SubsystemSpec(
+            f"osc{k}", 2, 1, 1, f, Derivatives(("x0",), constants),
+            (1.0 - 0.5 * k, 0.0), max_micro_step=micro, imposed_step=steps[k],
+            dt0=steps[k],
+        ))
+    graph = CouplingGraph({(0, 0): (2, 0), (1, 0): (0, 0), (2, 0): (1, 0)})
+    return CosimProblem(tuple(specs), graph, 0.0, 6.0)
+
+
+#: which oscillator the partner walks
+HEAVY_IDS = ["partner_walks_osc0", "partner_walks_osc1"]
+
+
+def trip_after(t_fail, exc):
+    def trip(t):
+        if t > t_fail:
+            raise exc
+        return 0.0
+    return trip
+
+
+@needs_two_cpus
+def test_a_subsystem_with_a_callable_f_stays_in_the_caller(
+    tmp_path, partners, monkeypatch, deadline,
+):
+    monkeypatch.setattr(master, "PARTNER_WARMUP", 16)
+    # osc0 and osc2 are due at every other event, osc1 at each
+    problem = network(heavy=1, callable_f=True, steps=(0.1, 0.05, 0.1))
+
+    def csv_bytes(out):
+        paths = run_f3ornits(problem, MasterOptions()).write_csv(out, "net")
+        return {p.name: _read_bytes_without_wall_time(p) for p in paths}
+
+    pinned = on_one_cpu(lambda: csv_bytes(tmp_path / "one"))
+    both = csv_bytes(tmp_path / "two")
+    assert_no_child_left()
+    # osc1, the heaviest, has a callable f: the partner walks another one
+    assert len(partners) == 1 and "osc1" not in partners[0]
+    assert len(both) == 4 and both == pinned
+
+
+@needs_two_cpus
+def test_a_run_that_ends_at_its_warm_up_starts_no_partner(
+    partners, monkeypatch, deadline,
+):
+    problem = network()
+    events = on_one_cpu(lambda: run_f3ornits(problem, MasterOptions())).total_events
+    for warmup in (events, events - 2):
+        monkeypatch.setattr(master, "PARTNER_WARMUP", warmup)
+        run_f3ornits(problem, MasterOptions())
+        assert_no_child_left()
+    # only the run with events left after its warm-up started one
+    assert partners == [["osc0"]]
+
+
+def raised_by(problem):
+    """The exception run_f3ornits raises on the problem, pinned to one CPU
+    and not, asserting the same type and message both ways."""
+    raised = []
+    for run in (on_one_cpu, lambda call: call()):
+        with pytest.raises(Exception) as info:
+            run(lambda: run_f3ornits(problem, MasterOptions()))
+        assert_no_child_left()
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+    return info.value
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("heavy", [0, 1], ids=HEAVY_IDS)
+def test_the_lowest_failing_window_of_an_event_wins(
+    heavy, partners, monkeypatch, deadline,
+):
+    monkeypatch.setattr(master, "PARTNER_WARMUP", 16)
+    trips = (trip_after(3.0, ValueError("osc0 tripped")),
+             trip_after(3.0, ValueError("osc1 tripped")), None)
+    exc = raised_by(network(heavy, trips))
+    assert partners == [[f"osc{heavy}"]]
+    assert isinstance(exc, ValueError) and str(exc) == "osc0 tripped"
+    # where the partner walked osc0, the exception is the one of this
+    # process's own walk of the window, not one that crossed the pipe
+    frames = [frame.f_code.co_name for frame, _ in traceback.walk_tb(exc.__traceback__)]
+    assert frames[-1] == "trip"
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("heavy", [0, 1], ids=HEAVY_IDS)
+def test_a_later_plan_failure_loses_to_an_earlier_walk(
+    heavy, partners, monkeypatch, deadline,
+):
+    monkeypatch.setattr(master, "PARTNER_WARMUP", 16)
+    problem = network(heavy, (trip_after(3.0, ValueError("osc0 tripped")), None, None))
+
+    # osc1's plans, built after osc0's, fail at the same event as osc0's walk
+    planning, plan, plans = [], master.build_plan, master._plan
+
+    def build_plan(log, t_start, t_end, *args):
+        if t_end > 3.0 and planning == ["osc1"]:
+            raise ValueError("osc1's plan tripped")
+        return plan(log, t_start, t_end, *args)
+
+    def labelled(rt, t_event):
+        planning[:] = [rt.spec.label]
+        return plans(rt, t_event)
+
+    monkeypatch.setattr(master, "build_plan", build_plan)
+    monkeypatch.setattr(master, "_plan", labelled)
+    exc = raised_by(problem)
+    assert partners == [[f"osc{heavy}"]]
+    assert isinstance(exc, ValueError) and str(exc) == "osc0 tripped"
+    # without osc0's trip, osc1's plan is what fails
+    exc = raised_by(network(heavy))
+    assert isinstance(exc, DivergenceError) and "osc1" in str(exc)
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("heavy", [0, 1], ids=HEAVY_IDS)
+def test_every_failing_window_wins_over_every_failing_publication(
+    heavy, partners, monkeypatch, deadline,
+):
+    monkeypatch.setattr(master, "PARTNER_WARMUP", 16)
+    publish, failing = master._publish, []
+
+    def planted(rt, t_event, *args):
+        if t_event > 3.0 and rt.spec.label in failing:
+            raise ValueError(f"{rt.spec.label} published")
+        return publish(rt, t_event, *args)
+
+    monkeypatch.setattr(master, "_publish", planted)
+    failing[:] = ["osc0", "osc1"]
+    exc = raised_by(network(heavy))
+    assert partners == [[f"osc{heavy}"]]
+    assert str(exc) == "osc0 published"
+    # a walk that fails comes before any publication, a lower one too
+    failing[:] = ["osc0"]
+    walk_fails = (None, trip_after(3.0, ValueError("osc1 tripped")), None)
+    exc = raised_by(network(heavy, walk_fails))
+    assert str(exc) == "osc1 tripped"
+
+
+@needs_two_cpus
+def test_a_window_that_diverges_on_the_partner_is_a_divergence(
+    partners, monkeypatch, deadline,
+):
+    monkeypatch.setattr(master, "PARTNER_WARMUP", 16)
+    exc = raised_by(network(0, (trip_after(3.0, OverflowError("boom")), None, None)))
+    assert partners == [["osc0"]] and isinstance(exc, OverflowError)
+    exc = raised_by(network(0, (lambda t: math.inf if t > 3.0 else 0.0, None, None)))
+    assert isinstance(exc, DivergenceError) and "osc0" in str(exc)
+
+
+@needs_two_cpus
+def test_a_killed_partner_is_an_error_not_a_hang(partners, monkeypatch, deadline):
+    monkeypatch.setattr(master, "PARTNER_WARMUP", 16)
+    caller = os.getpid()
+
+    def die(t):
+        if t > 3.0 and os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return 0.0
+
+    with pytest.raises(RuntimeError, match="partner process .* ended"):
+        run_f3ornits(network(0, (die, None, None)), MasterOptions())
+    assert partners == [["osc0"]]
+    assert_no_child_left()
+
+
+@needs_two_cpus
+def test_an_interrupted_run_kills_and_reaps_its_partner(
+    partners, monkeypatch, deadline,
+):
+    monkeypatch.setattr(master, "PARTNER_WARMUP", 16)
+    caller = os.getpid()
+
+    def interrupt(t):
+        if t > 3.0 and os.getpid() == caller:
+            raise KeyboardInterrupt
+        return 0.0
+
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_f3ornits(network(0, (None, interrupt, None)), MasterOptions())
+    assert time.perf_counter() - start < 5
+    assert partners == [["osc0"]]
+    assert_no_child_left()
+
+
+@needs_two_cpus
+def test_cli_run_leaves_no_process_behind(
+    tmp_path, capsys, partners, monkeypatch, deadline,
+):
+    monkeypatch.setattr(master, "PARTNER_WARMUP", 16)
+    two_mass = ["run", "--model", "two_mass", "--output-dir", str(tmp_path)]
+    assert cli.main(two_mass + ["--t-end", "20"]) == 0
+    assert_no_child_left()
+    assert cli.main(two_mass + ["--t-end", "20", "--tol-rel", "nan"]) == 1
+    assert_no_child_left()
+    diverging = two_mass + ["--t-end", "20", "--param", "k2=-50000"]
+    assert cli.main(diverging) == 2
+    assert_no_child_left()
+    unpinned = capsys.readouterr().err.splitlines()[-1]
+    assert len(partners) == 2
+    assert on_one_cpu(lambda: cli.main(diverging)) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == unpinned
+    assert unpinned.startswith("diverged: ")
 
 
 # ----------------------------------------------------------- CSV round trip
