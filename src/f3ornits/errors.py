@@ -37,8 +37,8 @@ class DivergenceError(RuntimeError):
         self.t_last_good = t_last_good
 
     def __reduce__(self):
-        # pickle rebuilds an exception from self.args, the message alone;
-        # a comparison row's divergence crosses a pipe from a child process
+        # pickle rebuilds an exception from self.args, the message alone,
+        # which this __init__ does not take
         return type(self), (self.label, self.t_last_good)
 
 

@@ -41,17 +41,19 @@ first event.
 So the windows of one event are independent, and a run may walk some of
 them on a second CPU.  After PARTNER_WARMUP events in one process, where
 `parallel.cpus` allows a fork and step_to is the kernel walk itself, a run
-forks one partner process (`parallel.Partner`) and hands it the subsystems
-whose f and g are both declared and which, by the timed events, shorten an
-event most (`_start_partner`); a callable f or g may be a black box with
-side effects, so those always stay here.  Per event this process builds
-every plan, writes the partner's windows to it, walks and publishes its own
-subsystems, reads the partner's states and outputs back, and publishes
-those subsystems.  The partner runs the same kernel on the same inputs, so
-every trace is byte-identical to one CPU's, and every exception is the one
-the passes in order raise: a window that fails on the partner is walked
-again here, and raises here.  The partner is killed and reaped however the
-run ends.  run_jacobi stays in one process.
+forks one partner process (`parallel.Partner`, on the `parallel.Child` that
+compare's rows fork too) and hands it the subsystems whose f and g are both
+declared and which, by the timed events, shorten an event most
+(`_start_partner`); a callable f or g may be a black box with side effects,
+so those always stay here.  Per event this process builds every plan, sends
+the partner its windows in one message, walks and publishes its own
+subsystems, receives the partner's states and outputs, and publishes those
+subsystems.  The partner runs the same kernel on the same inputs, so every
+trace is byte-identical to one CPU's, and every exception is the one the
+passes in order raise: the partner brings back only the windows it walked,
+and a window it did not is walked again here, and raises here, as for
+compare's rows.  The partner is killed and reaped however the run ends.
+run_jacobi stays in one process.
 
 The benchmark's tracer (bench/tracer.py) times each layer by replacing the
 module global its caller looks up, so step_to, build_plan, select_order,

@@ -1,4 +1,5 @@
-"""Work on more than one CPU: when a process may fork, and the partner.
+"""Work on more than one CPU: when a process may fork, the one kind of
+forked child, and the partner.
 
 `cpus` is the one rule for both users of a second CPU: `compare`'s rows
 (report.py) and the partner process of a run (`Partner`, master.py).  A
@@ -10,11 +11,10 @@ own process, which a child would never reach.  Each of `compare`'s row
 processes counts as one CPU (`one_share`), so no row forks a partner of its
 own and the rows do not ask for more CPUs than there are.
 
-A `Partner` is one forked process that walks the windows of a fixed set of
-subsystems for the master: per event the master writes their windows to a
-pipe, walks its own, and reads back each window's state and outputs.  The
-child walks each window with `subsystem.step_to`, the kernel the master
-would have called on the same inputs, so every float is the master's.
+Both fork a `Child` and keep one failure rule: a child brings back only
+work that completed, and the parent does again, in index order, whatever
+no child brought back, so it raises the real exception itself, with its
+own traceback, as on one CPU.
 """
 
 from __future__ import annotations
@@ -61,150 +61,143 @@ def one_share():
         _sharing = previous
 
 
-class Partner:
-    """A forked process that walks windows of the subsystems `specs`.
+class Child:
+    """A forked process that runs `work(child)` and leaves by os._exit,
+    status 0 once `work` returns, 1 if it raises: it never returns into the
+    caller's code, so it writes no file and flushes no inherited buffer.
 
-    A window is (owner, state, t_start, t_target, inputs): owner indexes
-    `specs`, inputs are the input polynomials.  `send` writes the windows
-    of one event to the child as doubles: per window its owner, t_start,
-    t_target, the state and, per input, its degree, t_ref and coefficients.
-    `receive` reads back, per window, its new state and outputs, or None
-    where the child's walk raised or gave a number that is not a float:
-    the master walks that window again in its own process, which raises
-    the exception itself, with its own traceback.  The child holds no
-    state of its own, so a window walked in either process leaves both
-    ready for the next.
-
-    Both ends read non-blocking pipes, SPINS times, then block in select.
-    Events come far more often than SPINS failed reads take, so the child
-    keeps its CPU busy for as long as the run lasts.  The child leaves when the master's end of the request pipe closes, and
-    a child that has ended is a RuntimeError at the next `receive`, never
-    a hang.  `close` kills and reaps it.  The child never returns into the
-    caller's code: it leaves by os._exit, so it writes no file and flushes
-    no inherited buffer.  `select` and `struct` are imported here, so a
-    run that never forks does not load them.
+    Each end sends whole messages over a pipe of its own, an 8-byte length
+    and then a pickle, one at a time: each waits for the other's reply.  A
+    reader spins on its non-blocking pipe SPINS times, then blocks in
+    select.  Once the other end has closed, `receive` gives None in the
+    child; in the parent, `send` and `receive` raise a RuntimeError naming
+    the child's role, its pid, the `reply` the parent waited for and its
+    exit status.  `close`, which the parent calls on every path, kills and
+    reaps the child once.  `pickle` and `select` are imported here, so a
+    process that never forks does not load them.
     """
 
-    def __init__(self, specs):
+    def __init__(self, work, role: str, reply: str):
+        import pickle
         import select
-        import struct
 
-        self._select, self._struct = select.select, struct
-        self.specs = specs
-        requests, self._requests = os.pipe()
-        self._replies, replies = os.pipe()
-        for fd in (requests, self._replies):
+        self._pickle, self._select = pickle, select.select
+        self.role, self.reply, self.status = role, reply, None
+        requests, self._out = os.pipe()
+        self._in, replies = os.pipe()
+        for fd in (requests, self._in):
             os.set_blocking(fd, False)
         try:
             self.pid = os.fork()
         except OSError:
-            for fd in (requests, self._requests, self._replies, replies):
+            for fd in (requests, self._out, self._in, replies):
                 os.close(fd)
             raise
         if self.pid == 0:
             code = 1
             try:
-                os.close(self._requests)
-                os.close(self._replies)
-                self._serve(requests, replies)
+                os.close(self._out)
+                os.close(self._in)
+                self._in, self._out = requests, replies
+                work(self)
                 code = 0
             finally:
                 os._exit(code)
         os.close(requests)
         os.close(replies)
-        self._owners: list[int] = []
 
-    def send(self, windows) -> None:
-        values, owners = [], []
-        for owner, state, t_start, t_target, inputs in windows:
-            owners.append(owner)
-            values += (owner, t_start, t_target, *state)
-            for t_ref, coeffs in inputs:
-                values += (len(coeffs) - 1, t_ref, *coeffs)
-        self._owners = owners
+    def send(self, message) -> None:
+        data = self._pickle.dumps(message, self._pickle.HIGHEST_PROTOCOL)
+        data = memoryview(len(data).to_bytes(8, "little") + data)
         try:
-            self._write(self._requests, values)
+            while data:
+                data = data[os.write(self._out, data):]
         except BrokenPipeError:
+            if not self.pid:
+                raise
             raise self._ended() from None
 
-    def receive(self) -> list:
-        values = self._read(self._replies)
-        if values is None:
-            raise self._ended()
-        results, at = [], 0
-        for owner in self._owners:
-            spec = self.specs[owner]
-            if values[at]:
-                mid = at + 1 + spec.n_states
-                results.append((list(values[at + 1:mid]), values[mid:mid + spec.n_out]))
-                at = mid + spec.n_out
-            else:
-                results.append(None)
-                at += 1
-        return results
-
-    def close(self) -> None:
-        import signal
-
-        os.close(self._requests)
-        os.close(self._replies)
-        with contextlib.suppress(ProcessLookupError):
-            os.kill(self.pid, signal.SIGKILL)
-        with contextlib.suppress(ChildProcessError):  # reaped by someone else
-            os.waitpid(self.pid, 0)
-
-    def _ended(self) -> RuntimeError:
-        return RuntimeError(f"partner process {self.pid} ended during the run")
-
-    def _serve(self, requests: int, replies: int) -> None:
-        """The child: walk each event's windows until the master closes."""
-        specs = self.specs
-        while (values := self._read(requests)) is not None:
-            out, at = [], 0
-            while at < len(values):
-                spec = specs[int(values[at])]
-                t_start, t_target = values[at + 1], values[at + 2]
-                at += 3 + spec.n_states
-                state = list(values[at - spec.n_states:at])
-                inputs = []
-                for _ in range(spec.n_in):
-                    end = at + 3 + int(values[at])
-                    # the master's polynomial, checked when it was built
-                    poly = (values[at + 1], values[at + 2:end])
-                    inputs.append(tuple.__new__(Polynomial, poly))
-                    at = end
-                try:
-                    x, y = step_to(spec, state, inputs, t_start, t_target)
-                    if {*map(type, x), *map(type, y)} != {float}:
-                        raise TypeError("a state or an output is not a float")
-                except Exception:
-                    out.append(0.0)
-                else:
-                    out += (1.0, *x, *y)
-            self._write(replies, out)
-
-    def _write(self, fd: int, values: list) -> None:
-        """One message: the count of doubles, then the doubles."""
-        data = memoryview(
-            self._struct.pack(f"{len(values) + 1}d", len(values), *values)
-        )
-        while data:
-            data = data[os.write(fd, data):]
-
-    def _read(self, fd: int) -> tuple[float, ...] | None:
-        """One message's doubles; None once the writer has closed."""
+    def receive(self):
+        """The next message; where the other end has closed, None in the
+        child and the ended-child RuntimeError in the parent."""
         data, spins, size = b"", 0, None
         while size is None or len(data) < size:
             try:
-                chunk = os.read(fd, 65536)
+                chunk = os.read(self._in, 65536)
             except BlockingIOError:
                 spins += 1
                 if spins > SPINS:
-                    self._select([fd], [], [])
+                    self._select([self._in], [], [])
                 continue
             if not chunk:
+                if self.pid:
+                    raise self._ended()
                 return None
             data += chunk
             if size is None and len(data) >= 8:
-                size = 8 + 8 * int(self._struct.unpack_from("d", data)[0])
-        return self._struct.unpack_from(f"{size // 8 - 1}d", data, 8)
+                size = 8 + int.from_bytes(data[:8], "little")
+        return self._pickle.loads(data[8:])
+
+    def close(self) -> int:
+        """Kill and reap the child, once; its exit status."""
+        if self.status is None:
+            import signal
+
+            os.close(self._out)
+            os.close(self._in)
+            # a child whose pipe has closed is already exiting: its status
+            # stays the one it exits with
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(self.pid, signal.SIGKILL)
+            self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.status
+
+    def _ended(self) -> RuntimeError:
+        return RuntimeError(
+            f"{self.role} {self.pid} ended without its {self.reply} "
+            f"(exit status {self.close()})"
+        )
+
+
+class Partner(Child):
+    """A forked process that walks windows of the subsystems `specs`.
+
+    A window is (owner, state, t_start, t_target, inputs): owner indexes
+    `specs`, inputs are the input polynomials, which travel as plain
+    tuples and are rebuilt unchecked: the master checked them.  `send`
+    hands the child the windows of one event; `receive` gives back, per
+    window, its new state and outputs, or None where the child's walk
+    raised or gave a number that is not a float, which might not cross the
+    pipe: the master walks that window again, and raises the exception
+    itself.  The child holds no state of its own, so a window walked in
+    either process leaves both ready for the next.  Events come far more
+    often than SPINS failed reads take, so the child keeps its CPU busy for
+    as long as the run lasts.
+    """
+
+    def __init__(self, specs):
+        self.specs = specs
+        super().__init__(self._serve, "partner process", "windows")
+
+    def send(self, windows) -> None:
+        super().send([
+            (owner, state, t_start, t_target, [tuple(poly) for poly in inputs])
+            for owner, state, t_start, t_target, inputs in windows
+        ])
+
+    def _serve(self, child: Child) -> None:
+        """The child: walk each event's windows until the master closes."""
+        specs, rebuild = self.specs, tuple.__new__
+        while (windows := child.receive()) is not None:
+            out = []
+            for owner, state, t_start, t_target, inputs in windows:
+                inputs = [rebuild(Polynomial, poly) for poly in inputs]
+                try:
+                    x, y = step_to(specs[owner], state, inputs, t_start, t_target)
+                    if {*map(type, x), *map(type, y)} != {float}:
+                        raise TypeError("a state or an output is not a float")
+                except Exception:
+                    out.append(None)
+                else:
+                    out.append((x, y))
+            super().send(out)  # Child's send: `out` holds no windows

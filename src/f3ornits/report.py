@@ -11,12 +11,15 @@ and RMSE per run — the classic cost/accuracy trade-off table, plus a
 scatter-ready CSV.
 
 The rows run on the CPUs in the process's affinity set, one process per CPU
-taking the next row from a shared queue, and the output is byte-identical
-to a run on one CPU; `taskset -c 0` pins a run to one.  On a shared 2-vCPU
-host (Python 3.11) the full 200 s two_mass matrix took 7.6-7.8 s of wall
-time on one CPU and 4.4-4.6 s on both.  Each row process counts as one CPU
-(`parallel.one_share`), so a row never nests a partner process of its own
-(master.py): the rows already keep every CPU busy.
+(`parallel.Child`) taking the next row from a shared queue, and the output
+is byte-identical to a run on one CPU; `taskset -c 0` pins a run to one.
+A child sends back, in one pickled message, only the rows it completed;
+this process runs the others, so a failing row raises here, as on one CPU.
+On a shared 2-vCPU Intel Xeon host (Python 3.11.7) the full 200 s two_mass
+matrix took 6.7-7.0 s of wall time on one CPU and 4.1-4.5 s on both.  Each
+row process counts as one CPU (`parallel.one_share`), so a row never nests
+a partner process of its own (master.py): the rows already keep every CPU
+busy.
 """
 
 from __future__ import annotations
@@ -81,12 +84,19 @@ def run_comparison(
     error_norm are replaced per variant; everything else (tolerances,
     force_order) is shared by all method runs.
 
-    The rows are independent, so they run in up to one process per CPU of
-    the process's affinity set (`_run_rows`); the rows, and so every byte
-    written from them, are those of a run on one CPU.  The monolithic
+    The rows are independent, so k = min(parallel.cpus(...), rows)
+    processes take them first (`_forked_rows`), and this process then runs,
+    in index order, every row none of them brought back: the rows, and so
+    every byte written from them, or the exception of the lowest failing
+    row, raised here, are those of the loop over the rows in order.
+    `parallel.cpus` keeps the rows in this process when it has a second
+    thread or when a function the rows call through this module has been
+    wrapped, as the traced benchmark repetition does.  The monolithic
     reference every row is scored against is computed first, so that each
     process inherits it from the cache.
     """
+    from . import parallel
+
     dt0 = model.problem.subsystems[0].dt0
     runs = [
         (("jacobi", "", False, "", dt), run_jacobi, (model.problem, dt))
@@ -118,112 +128,66 @@ def run_comparison(
         monolithic_reference(model)
     except DivergenceError:
         pass  # a row that completes meets it again in score_trace and raises it
-    return _run_rows(row, len(runs))
-
-
-def _run_rows(row, n: int) -> list:
-    """[row(0), ..., row(n - 1)], or the exception of the lowest row that
-    raised: what the loop over the rows in order gives.
-
-    With k = min(parallel.cpus(...), n) > 1 this process forks k - 1
-    children, and all k take row indices from one shared queue, the next
-    index each time one is free: the rows are very uneven, so a fixed split
-    would not balance.  `parallel.cpus` keeps the rows in this process when
-    it has a second thread or when a function the rows call through this
-    module has been wrapped, as the traced benchmark repetition does.
-    """
-    from . import parallel
-
     k = min(parallel.cpus(
         run_jacobi, run_f3ornits, score_trace, monolithic_reference
-    ), n)
-    if k == 1:
-        return [row(i) for i in range(n)]
-    with parallel.one_share():
-        return _forked_rows(row, n, k)
+    ), len(runs))
+    done = _forked_rows(row, len(runs), k) if k > 1 else {}
+    return [done[i] if i in done else row(i) for i in range(len(runs))]
 
 
-def _forked_rows(row, n: int, k: int) -> list:
-    """`_run_rows` on this process and k - 1 forked children.
+def _forked_rows(row, n: int, k: int) -> dict:
+    """{i: row(i)} for the rows this process and k - 1 forked children
+    (`parallel.Child`) completed.
 
     Forked, not spawned: a child starts with the package imported, its
-    kernels compiled and the reference cached.  The queue is an unlinked file of 4-byte row indices whose offset all k
-    processes share: Linux moves a shared file offset under a lock, so each
-    read takes one whole index, and unlike a pipe the file holds any number
-    of rows.  A process stops at the first row that raises; every row below
-    it was taken before it and still runs to its end, so the lowest failing
-    row is the one the loop in order would raise.  A child pickles its
-    (index, row or exception) pairs into a pipe of its own and leaves with
-    os._exit: it never returns into the caller's code, so it writes no file
-    and flushes no inherited buffer.  Every child is reaped on every path,
-    and killed first if this process leaves early.
+    kernels compiled and the reference cached.  All k take row indices from
+    one shared queue, the next index each time one is free: the rows are
+    very uneven, so a fixed split would not balance.  The queue is an
+    unlinked file of 4-byte row indices whose offset all k processes share:
+    Linux moves a shared file offset under a lock, so each read takes one
+    whole index, and unlike a pipe the file holds any number of rows.  A
+    process stops at the first row that raises, empties the queue and keeps
+    only the rows it completed; each child sends those back in one message.
+    Every row below a failing one was taken before it, so the first row
+    left over is the lowest failing one.
     """
-    import pickle
-    import signal
     import tempfile
 
-    def drain() -> list:
-        done = []
+    from . import parallel
+
+    def drain() -> dict:
+        done = {}
         while index := os.read(queue, 4):
             i = int.from_bytes(index, "big")
             try:
-                done.append((i, row(i)))
-            except Exception as exc:
-                done.append((i, exc))
+                done[i] = row(i)
+            except Exception:  # run again, and raised, by the caller
+                while os.read(queue, 65536):  # the rows above it are not needed
+                    pass
                 break
         return done
 
-    pids, pipes = [], {}  # children not yet reaped; pid -> read end of its pipe
-    with tempfile.TemporaryFile() as fh:
+    children = []
+    with tempfile.TemporaryFile() as fh, parallel.one_share():
         fh.write(b"".join(i.to_bytes(4, "big") for i in range(n)))
         fh.seek(0)
         queue = fh.fileno()
         try:
             for _ in range(k - 1):
-                r, w = os.pipe()
                 try:
-                    pid = os.fork()
+                    children.append(parallel.Child(
+                        lambda child: child.send(drain()),
+                        "comparison worker", "rows",
+                    ))
                 except OSError:  # no more processes: those running share the rows
-                    os.close(r)
-                    os.close(w)
                     break
-                if pid == 0:
-                    code = 1
-                    try:
-                        os.close(r)
-                        with open(w, "wb") as out:
-                            out.write(pickle.dumps(drain()))
-                        code = 0
-                    finally:
-                        os._exit(code)
-                os.close(w)
-                pids.append(pid)
-                pipes[pid] = r
             done = drain()
-            for pid in list(pipes):
-                with open(pipes.pop(pid), "rb") as pipe:
-                    sent = pipe.read()
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                pids.remove(pid)
-                if code != 0:
-                    raise RuntimeError(
-                        f"comparison worker {pid} ended without its rows "
-                        f"(exit code {code})"
-                    )
-                done += pickle.loads(sent)
+            for child in children:
+                done.update(child.receive())
         finally:
-            for r in pipes.values():
-                os.close(r)
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    failed = [(i, exc) for i, exc in done if isinstance(exc, Exception)]
-    if failed:
-        raise min(failed, key=lambda pair: pair[0])[1]
-    if sorted(i for i, _ in done) != list(range(n)):
-        raise RuntimeError("comparison rows were lost or run twice")
-    rows = dict(done)
-    return [rows[i] for i in range(n)]
+            for child in children:
+                child.close()
+    return done
 
 
 def write_report_csv(rows, path) -> Path:

@@ -447,10 +447,11 @@ def test_a_row_failing_in_a_child_reaches_the_caller(monkeypatch, deadline):
             planted_comparison(cpus, monkeypatch)
         raised.append(info)
     assert [str(info.value) for info in raised] == ["'planted in row 14'"] * 2
-    # with two CPUs the exception crossed a pipe: its traceback starts in
-    # the parent and never passes through the planted row
+    # with two CPUs no exception crosses a pipe: the caller runs the row no
+    # process brought back, and its traceback passes through the planted
+    # row, as on one CPU
     frames = [frame.f_code for frame, _ in traceback.walk_tb(raised[1].tb)]
-    assert planted.__code__ not in frames
+    assert planted.__code__ in frames
 
 
 def test_the_lowest_failing_row_wins(monkeypatch, deadline):
@@ -465,6 +466,64 @@ def test_the_lowest_failing_row_wins(monkeypatch, deadline):
     for cpus in (1, 2, 3):
         with pytest.raises(ValueError, match="^row 6$"):
             planted_comparison(cpus, monkeypatch)
+
+
+def test_a_failing_row_stops_the_rows_above_it(tmp_path, monkeypatch, deadline):
+    log = tmp_path / "started"
+
+    def fail(i):
+        with open(log, "a") as fh:
+            fh.write(f"{i}\n")
+        if i == 1:
+            raise ValueError("row 1")
+        time.sleep(0.3)
+
+    plant_rows(monkeypatch, fail)
+    with pytest.raises(ValueError, match="^row 1$"):
+        planted_comparison(2, monkeypatch)
+    # row 0 and row 1 once each, then row 1 again in the caller: no process
+    # took a row above the failing one
+    assert sorted(map(int, log.read_text().split())) == [0, 1, 1]
+
+
+class Located(Exception):
+    """Its __init__ takes more than its message, so a pickled copy fails to
+    rebuild."""
+
+    def __init__(self, label, t):
+        super().__init__(f"{label} failed at t = {t}")
+
+
+def holding_a_lambda(message):
+    exc = ValueError(message)
+    exc.hook = lambda: None  # refuses to pickle
+    return exc
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Located("planted", 1.5), lambda: holding_a_lambda("planted"),
+], ids=["two_init_arguments", "lambda_attribute"])
+def test_a_row_exception_that_does_not_pickle_is_the_one_cpu_one(
+    make, tmp_path, monkeypatch, deadline,
+):
+    caller = os.getpid()
+    log = tmp_path / "raised_in_a_child"
+
+    def fail(i):
+        if i == 12:
+            with open(log, "a") as fh:
+                fh.write(f"{int(os.getpid() != caller)}\n")
+            raise make()
+
+    plant_rows(monkeypatch, fail)
+    raised = []
+    for cpus in (1, 2):
+        with pytest.raises(Exception) as info:
+            planted_comparison(cpus, monkeypatch)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1] == (type(make()), str(make()))
+    # on two CPUs a child raised it first, then the caller ran the row again
+    assert log.read_text().split() == ["0", "1", "0"]
 
 
 def test_a_killed_child_is_an_error_not_a_hang(monkeypatch, deadline):
@@ -546,6 +605,41 @@ def test_cli_compare_leaves_no_process_behind(tmp_path, capsys, deadline):
     assert cli.main(two_mass + ["--t-end", "5", "--jacobi-dts", "nan"]) == 1
     assert_no_child_left()
     assert cli.main(two_mass + ["--t-end", "20", "--param", "k2=-50000"]) == 2
+    assert_no_child_left()
+
+
+# ------------------------------------------------------ the one forked child
+
+def echo(child):
+    while (message := child.receive()) is not None:
+        child.send(message)
+
+
+def test_a_child_carries_a_message_larger_than_a_pipe_both_ways(deadline):
+    message = os.urandom(1 << 20)
+    child = parallel.Child(echo, "echo process", "echo")
+    try:
+        child.send(message)
+        assert child.receive() == message
+    finally:
+        child.close()
+    assert_no_child_left()
+
+
+def test_a_child_that_ends_before_replying_is_an_error_not_a_hang(deadline):
+    def leave(child):
+        raise ValueError("planted")
+
+    child = parallel.Child(leave, "echo process", "echo")
+    try:
+        with pytest.raises(
+            RuntimeError,
+            match=rf"^echo process {child.pid} ended without its echo "
+                  r"\(exit status 1\)$",
+        ):
+            child.receive()
+    finally:
+        child.close()
     assert_no_child_left()
 
 
@@ -890,6 +984,34 @@ def test_cli_run_leaves_no_process_behind(
     assert on_one_cpu(lambda: cli.main(diverging)) == 2
     assert capsys.readouterr().err.splitlines()[-1] == unpinned
     assert unpinned.startswith("diverged: ")
+
+
+def test_a_refused_fork_leaves_the_work_in_this_process(
+    tmp_path, monkeypatch, deadline,
+):
+    setup = materialize(RunConfig(model="two_mass", t_end=5.0))
+    run = ["run", "--model", "two_mass"]
+
+    def both(cpus, out):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _: set(range(cpus)))
+        rows = run_comparison(setup.model, setup.options, setup.variable)
+        return rows, run_bytes(run, out)
+
+    one = both(1, tmp_path / "one")
+    forks = []
+
+    def refuse():
+        forks.append(os.getpid())
+        raise OSError("planted: no more processes")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    fds = len(os.listdir("/proc/self/fd"))
+    # compare's rows stay with the processes already running, the run
+    # with this one
+    assert both(2, tmp_path / "two") == one
+    assert len(forks) == 2
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert_no_child_left()
 
 
 # ----------------------------------------------------------- CSV round trip
