@@ -17,7 +17,9 @@ Each subsystem also states the largest RK4 micro step its own dynamics
 allow (`SubsystemSpec.max_micro_step`), derived from the parameters it is
 built with, so a `--param` override moves it: one micro step per time
 constant of the subsystem's fastest own mode.  The co-simulation's micro
-step is the window over MICRO_DIVISOR, capped by that bound.
+step starts at the window over MICRO_DIVISOR, capped by that bound, and
+its error control grows it up to the bound (`step_to`); the reference
+walks fixed steps.
 
 two_mass
     Two unit masses on dampers and springs, coupled through a spring-damper

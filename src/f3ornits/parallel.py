@@ -28,7 +28,10 @@ from .subsystem import step_to
 #: failed non-blocking reads before a reader blocks in select, 1-3 us each
 #: on a shared 2-vCPU host: a few milliseconds, so a request or a reply that
 #: comes within an event's time is taken without a wake-up, which took
-#: 15-50 us there
+#: 15-50 us there.  Each failed read yields the CPU: where both ends share
+#: one, a reader that spun its time slice away kept the writer from writing
+#: (there, two car runs with partners at once took 23 s each where one took
+#: 0.57 s; yielding, 0.9 s)
 SPINS = 2000
 
 #: set while this process runs one share of compare's rows
@@ -68,13 +71,14 @@ class Child:
 
     Each end sends whole messages over a pipe of its own, an 8-byte length
     and then a pickle, one at a time: each waits for the other's reply.  A
-    reader spins on its non-blocking pipe SPINS times, then blocks in
-    select.  Once the other end has closed, `receive` gives None in the
-    child; in the parent, `send` and `receive` raise a RuntimeError naming
-    the child's role, its pid, the `reply` the parent waited for and its
-    exit status.  `close`, which the parent calls on every path, kills and
-    reaps the child once.  `pickle` and `select` are imported here, so a
-    process that never forks does not load them.
+    reader spins on its non-blocking pipe SPINS times, yielding its CPU
+    after each failed read, then blocks in select.  Once the other end has
+    closed, `receive` gives None in the child; in the parent, `send` and
+    `receive` raise a RuntimeError naming the child's role, its pid, the
+    `reply` the parent waited for and its exit status.  `close`, which the
+    parent calls on every path, kills and reaps the child once.  `pickle`
+    and `select` are imported here, so a process that never forks does not
+    load them.
     """
 
     def __init__(self, work, role: str, reply: str):
@@ -128,6 +132,8 @@ class Child:
                 spins += 1
                 if spins > SPINS:
                     self._select([self._in], [], [])
+                else:
+                    os.sched_yield()
                 continue
             if not chunk:
                 if self.pid:
@@ -171,8 +177,8 @@ class Partner(Child):
     pipe: the master walks that window again, and raises the exception
     itself.  The child holds no state of its own, so a window walked in
     either process leaves both ready for the next.  Events come far more
-    often than SPINS failed reads take, so the child keeps its CPU busy for
-    as long as the run lasts.
+    often than SPINS failed reads take, so the child keeps a CPU of its own
+    busy for as long as the run lasts, and gives one it shares away.
     """
 
     def __init__(self, specs):

@@ -1,16 +1,22 @@
 """Subsystem wrapper: declared capabilities and macro-step integration.
 
 Each subsystem owns an ODE  x' = f(t, x, u(t)),  y = g(t, x, u(t))  and is
-advanced one macro step at a time with a fixed-step classical Runge-Kutta 4
-micro-integration.  The micro step is the window (t_target - t_start) over
-MICRO_DIVISOR, capped by the subsystem's own `max_micro_step` when it
-declares one: each model states the bound its own fastest mode needs, so a
-slow subsystem does not pay for a stiff neighbour.  Inputs arrive as genuine
-polynomials in time and are evaluated continuously at every micro stage,
-never sampled-and-held, so the micro error stays far below the coupling
-error.  `step_to` walks the window with one kernel generated and compiled
-per scheme of `SCHEMES`, state dimension, tuple of input degrees and
-declared f and g (`_micro_walk`): it advances the micro grid, evaluates
+advanced one macro step at a time with a classical Runge-Kutta 4
+micro-integration under embedded error control, its own solver.  The micro
+step starts at the floor, the window (t_target - t_start) over
+MICRO_DIVISOR capped by the subsystem's own `max_micro_step` when it
+declares one, and grows while each step's local error estimate stays
+within MICRO_RTOL and MICRO_ATOL, up to the ceiling, that bound capped by
+the window: each model states the bound its own fastest mode needs, so a
+slow subsystem does not pay for a stiff neighbour.  Where the ceiling
+could not walk the window in fewer steps than the floor, as on a window
+over MICRO_DIVISOR - 1 bounds long, every step is the floor's, with no
+estimate.  Inputs arrive as genuine polynomials in time and are evaluated
+continuously at every micro stage, never sampled-and-held, so the micro
+error stays far below the coupling error.  `step_to` walks the window
+with one kernel generated and compiled per scheme of `SCHEMES`, state
+dimension, tuple of input degrees, declared f and g, and control
+(`_micro_walk`): it advances the micro grid, evaluates
 every input once per stage time by inline Horner, and keeps the state, the
 grid and the coefficients in local variables, so its memory does not grow
 with the number of micro steps.  Each spec binds that kernel on first use.
@@ -36,8 +42,15 @@ from typing import Callable, Sequence
 from .errors import ConfigError, ContractViolation, DivergenceError, check_step
 from .poly import MAX_DEGREE, Polynomial
 
-#: micro-step rule: min(macro_step / MICRO_DIVISOR, spec.max_micro_step)
+#: the least micro step: min(macro_step / MICRO_DIVISOR, spec.max_micro_step)
 MICRO_DIVISOR = 50.0
+
+#: the local error a micro step may make in each state, relative to the
+#: larger of its magnitudes before and after the step, plus absolute: at
+#: least four orders below the default coupling tolerances (`Tolerances`:
+#: tol_rel 1e-3, tol_abs 1e-6), so micro error stays far below coupling error
+MICRO_RTOL = 1e-8
+MICRO_ATOL = 1e-10
 
 
 def _bound(name: str) -> bool:
@@ -270,8 +283,9 @@ class SubsystemSpec:
 
     f and g are each a plain callable or a `Derivatives`, with one
     expression per state or per output.  max_micro_step bounds the RK4
-    micro step for this subsystem's own dynamics; None means the divisor
-    rule alone sets it.  max_input_degree is the highest polynomial degree
+    micro step for this subsystem's own dynamics: the ceiling the error
+    control grows a step to, and the floor's cap; None leaves the window
+    as the ceiling.  max_input_degree is the highest polynomial degree
     the subsystem can integrate on its inputs; smoothing needs the cubics
     of MAX_DEGREE.  A subsystem that cannot vary its communication step
     declares the step it imposes; imposed_step None means the step is free.
@@ -311,8 +325,11 @@ class SubsystemSpec:
             self.g.check(self.label, self.n_states, self.n_in, self.n_out)
 
     @cached_property
-    def kernels(self) -> dict[tuple[str, tuple[int, ...]], Callable[..., list[float]]]:
-        """`step_to`'s kernel per scheme and input degrees, bound on first use."""
+    def kernels(
+        self,
+    ) -> dict[tuple[str, tuple[int, ...], bool], Callable[..., list[float]]]:
+        """`step_to`'s kernel per scheme, input degrees and error control,
+        bound on first use."""
         return {}
 
 
@@ -337,12 +354,19 @@ _FAR = 2.0 ** 1000
 #: the micro step of each scheme `_micro_walk` writes out: per stage, its
 #: time and the step its state takes from _x along the previous stage's
 #: derivatives (None: the stage's state is _x); the lines that open the
-#: update; and the updated _x{i}, from the stages' derivatives {k1}, {k2}, ...
+#: update; the updated _x{i}, from the stages' derivatives {k1}, {k2}, ...;
+#: and the step's local error estimate for state i, from those and the
+#: derivatives {k5} of the updated state, the next step's first stage, or
+#: None where the scheme has no embedded pair.  rk4's estimate is RK4 minus
+#: the third-order solution with weights (1/6, 1/3, 1/3, 0, 1/6) on k1..k5
+#: (Hairer, Norsett & Wanner, Solving ODEs I, II.4): it meets every order
+#: condition up to order 3 and misses sum b a c^2 = 1/12 (it gives 7/72)
 SCHEMES = {
     "rk4": ((("_t", None), ("_tm", "_half"), ("_tm", "_half"), ("_t1", "_hs")),
             ("_sixth = _hs / 6.0",),
-            "_x{i} + _sixth * ({k1} + 2.0 * ({k2} + {k3}) + {k4})"),
-    "rk2": ((("_t", None), ("_tm", "_half")), (), "_x{i} + _hs * {k2}"),
+            "_x{i} + _sixth * ({k1} + 2.0 * ({k2} + {k3}) + {k4})",
+            "_sixth * ({k5} - {k4})"),
+    "rk2": ((("_t", None), ("_tm", "_half")), (), "_x{i} + _hs * {k2}", None),
 }
 
 
@@ -356,6 +380,7 @@ def _micro_walk(
     outputs: tuple[str, ...] | None = None,
     output_values: tuple[tuple[str, str], ...] = (),
     held: bool = True,
+    adaptive: bool = False,
 ) -> Callable[..., tuple[list[float], tuple[float, ...] | None]]:
     """The walk of one window by `SCHEMES[scheme]` for n states and inputs
     of the given degrees, compiled once per argument tuple.
@@ -382,6 +407,21 @@ def _micro_walk(
     finite, so each lead 0.0 * tau + c{j}_d is taken once per window, as
     0.0 + c{j}_d; any other window goes to the kernel compiled without
     held, on first need, which evaluates every lead as it goes.
+
+    With adaptive, h is the floor h_min and the walk's step starts there,
+    computing its sizes per step; the guard stays h_min * 1e-9.  A step
+    writes its new state to the state of the stage after the scheme's last,
+    _s5_0.. for "rk4", and one that lands on the target, which needs no
+    estimate, moves it to _x0.. and stops.  Any other evaluates the next
+    first stage at t1 from it, k5, and its error err = max_i |E_i| /
+    (MICRO_ATOL + MICRO_RTOL * max(|x_i|, |x1_i|)), E the scheme's
+    estimate (the norm spelled without calls).  The step is accepted when
+    err <= 1 or h is h_min: the state, t, the inputs and values at t1 and
+    k5 become the next step's start and stage 1, and h grows by
+    0.9 err^(-1/4), at most 5, clamped to [h_min, _hmax].  Otherwise it is
+    retried from the same start with h shrunk by 0.9 err^(-1/4), at least
+    0.2, not below h_min.  So f is evaluated four times per attempted step,
+    the first stage before the walk standing in for the last step's k5.
 
     With exprs None, each stage calls f with its state as a list display
     and its inputs as a tuple, so a micro step builds no list but f's
@@ -416,7 +456,8 @@ def _micro_walk(
     def indented(lines: list[str]) -> list[str]:
         return [f"    {line}" for line in lines]
 
-    stages, opening, update = SCHEMES[scheme]
+    stages, opening, update, error = SCHEMES[scheme]
+    fsal = len(stages) + 1  # the stage at t1 from the updated state
     m = len(degrees)
     plan = None if exprs is None else _plan(exprs, values)
     used = range(m) if plan is None else plan.inputs
@@ -474,12 +515,13 @@ def _micro_walk(
         """Stage s's inputs and values, if its time is new, then its state
         and its derivatives, each read in place when its text is a bare
         name and copied to _k{s}_{i} otherwise."""
-        t, step = stages[s - 1]
+        t, step = stages[s - 1] if s < fsal else ("_t1", None)
         ks[s] = [f"_k{s}_{i}" for i in range(n)]
         if plan is None:
-            states = each("_x{0}") if step is None else each(
-                f"_x{{0}} + {step} * _k{s - 1}_{{0}}"
-            )
+            own = f"_s{s}_{{0}}" if s > 1 else "_x{0}"
+            if step is not None:
+                own = f"_x{{0}} + {step} * _k{s - 1}_{{0}}"
+            states = each(own)
             lines = [
                 f"_k = _f({t}, [{states}], _u{_TAGS[t]})",
                 "try:",
@@ -506,24 +548,68 @@ def _micro_walk(
         fresh = at(t) if s > 1 and t != stages[s - 2][0] else []
         return fresh + lines
 
-    carried = ["_ui = _ue"] if plan is None else (
-        [f"_ui{j} = _ue{j}" for j in used]
-        + [f"_gi_{name} = _ge_{name}" for name, _ in plan.defs[_TIME]]
-    )
-    steps = [line for s in range(1, len(stages) + 1) for line in stage(s)]
+    #: the inputs and values at t1, and what the next step reads them as
+    carried = {"_ue": "_ui"} if plan is None else {
+        **{f"_ue{j}": f"_ui{j}" for j in used},
+        **{f"_ge_{name}": f"_gi_{name}" for name, _ in plan.defs[_TIME]},
+    }
+    first = stage(1)
+    steps = [line for s in range(2, len(stages) + 1) for line in stage(s)]
+    new = f"_s{fsal}_" if adaptive else "_x"
     steps += [
-        f"_x{i} = " + update.format(i=i, **{f"k{s}": k[i] for s, k in ks.items()})
+        f"{new}{i} = " + update.format(i=i, **{f"k{s}": k[i] for s, k in ks.items()})
         for i in range(n)
     ]
-    steps += ["if _t_target - _t1 <= _guard:", "    break", "_t = _t1"]
-    steps += carried if stages[-1][0] == "_t1" else at("_t")
-    sizes = ["_half = 0.5 * _hs", *opening]
-    walk = ["_hs = _h", *sizes, "while True:"] + indented(
-        ["if _t_target - _t < _h:"] + indented(["_hs = _t_target - _t", *sizes])
-        + ["_t1 = _t + _hs", "if _t1 == _t:", "    raise _stalled(_label, _hs, _t)",
-           "_tm = _t + _half"] + steps
+    advance = ["_t = _t1"] + (
+        [f"{now} = {then}" for then, now in carried.items()]
+        if stages[-1][0] == "_t1" else at("_t")
     )
-    args = "_f, _g, _x, _t_start, _t_target, _h, _inputs, _label"
+    sizes = ["_half = 0.5 * _hs", *opening]
+    grid = ["_t1 = _t + _hs", "if _t1 == _t:", "    raise _stalled(_label, _hs, _t)",
+            "_tm = _t + _half"]
+    landed = "if _t_target - _t1 <= _guard:"
+    if not adaptive:
+        steps += [landed, "    break", *advance]
+        walk = ["_hs = _h", *sizes, "while True:"] + indented(
+            ["if _t_target - _t < _h:"] + indented(["_hs = _t_target - _t", *sizes])
+            + grid + first + steps
+        )
+    else:
+        # the updated state's derivatives are the next step's first stage
+        # once the step is accepted, when what stage t1 reads moves to t
+        moves = [f"_x{i} = {new}{i}" for i in range(n)]
+        steps += [landed, *indented(moves), "    break"]
+        steps += stage(fsal)
+        moved = {"_t1": "_t", **carried, **{f"{new}{i}": f"_x{i}" for i in range(n)}}
+        # err = max_i |E_i| / (MICRO_ATOL + MICRO_RTOL * max(|x_i|, |x1_i|)),
+        # spelled without calls; a NaN never raises it, and its state fails
+        # the finite check at the end
+        steps.append("_err = 0.0")
+        for i in range(n):
+            steps += [
+                f"_a = _x{i} if _x{i} > 0.0 else -_x{i}",
+                f"_b = {new}{i} if {new}{i} > 0.0 else -{new}{i}",
+                "_e = " + error.format(k4=ks[fsal - 1][i], k5=ks[fsal][i]),
+                f"_e = (_e if _e > 0.0 else -_e) / "
+                f"({MICRO_ATOL!r} + {MICRO_RTOL!r} * (_a if _a > _b else _b))",
+                "if _e > _err:",
+                "    _err = _e",
+            ]
+        # the step factor 0.9 * err ** -0.25, at most 5 after an accepted
+        # step and at least 0.2 before a retry
+        accept = moves + advance + [
+            f"{k1} = {k}" for k1, k in zip(ks[1], ks[fsal]) if moved.get(k, k) != k1
+        ] + [f"_h *= 0.9 * _err ** -0.25 if _err > {(0.9 / 5.0) ** 4!r} else 5.0",
+             "if _h > _hmax:", "    _h = _hmax", "elif _h < _hmin:", "    _h = _hmin"]
+        retry = [f"_h *= 0.9 * _err ** -0.25 if _err < {(0.9 / 0.2) ** 4!r} else 0.2",
+                 "if _h < _hmin:", "    _h = _hmin"]
+        steps += ["if _err <= 1.0 or _h <= _hmin:", *indented(accept),
+                  "else:", *indented(retry)]
+        walk = ["_hmin = _h", *first, "while True:"] + indented(
+            ["_hs = _t_target - _t", "if _hs > _h:", "    _hs = _h"]
+            + sizes + grid + steps
+        )
+    args = "_f, _g, _x, _t_start, _t_target, _h, _hmax, _inputs, _label"
     lines = [f"[{each('_x{0}')}] = _x", f"[{each('_p{0}', m)}] = _inputs"]
     for j in sorted({*used, *(out.inputs if out else ())}):
         coeffs = ", ".join(f"_c{j}_{i}" for i in range(degrees[j] + 1))
@@ -567,9 +653,10 @@ def _micro_walk(
     namespace = {"_arity_error": _arity_error, "_stalled": _stalled, "_FAR": _FAR,
                  "_isfinite": isfinite, "_DivergenceError": DivergenceError,
                  "_unheld": partial(_micro_walk, scheme, n, degrees, exprs, values,
-                                    outputs, output_values, False)}
+                                    outputs, output_values, False, adaptive)}
     inline = "" if exprs is None else " inline"
-    name = f"<{scheme} walk n={n} degrees={degrees}{inline}>"
+    control = " adaptive" if adaptive else ""
+    name = f"<{scheme}{control} walk n={n} degrees={degrees}{inline}>"
     exec(compile(source, name, "exec"), namespace)
     return namespace["walk"]
 
@@ -587,17 +674,24 @@ def step_to(
 
     Returns the new state and the outputs evaluated exactly at t_target.
     An input of degree above spec.max_input_degree is a ContractViolation.
-    The micro step is min((t_target - t_start) / MICRO_DIVISOR,
-    spec.max_micro_step); an explicit `micro_step` overrides that rule.
+    The micro step's floor is h_min = min(W / MICRO_DIVISOR,
+    spec.max_micro_step) and its ceiling h_max = min(W, spec.max_micro_step),
+    W = t_target - t_start.  A scheme with an error estimate ("rk4") walks
+    from h_min under its error control, up to h_max, unless the ceiling
+    could not take the window in fewer than MICRO_DIVISOR steps
+    (h_max * (MICRO_DIVISOR - 1) < W); that window, any other scheme and an
+    explicit `micro_step` walk fixed steps of h_min, or of micro_step.
 
     The window is walked by the kernel `_micro_walk` compiled for the
-    scheme ("rk4" unless given), spec.n_states and the input degrees, bound
-    in `spec.kernels` on first use: steps of h from t_start, the last one
-    shortened to land on t_target, each input polynomial evaluated once per
-    stage time (step boundaries and midpoints) as the walk goes.  A callable
-    f is called once per stage, four times per micro step for "rk4" and
-    twice for "rk2", with the stage's state as a list and its inputs as a
-    tuple, and every call's derivative count is checked; the kernel
+    scheme ("rk4" unless given), spec.n_states, the input degrees and the
+    control, bound in `spec.kernels` on first use: steps from t_start, the
+    last one shortened to land on t_target, each input polynomial evaluated
+    once per stage time (step boundaries and midpoints) as the walk goes.
+    A callable f is called once per stage, four times per micro step
+    attempted for "rk4" (the fourth after the first step being the
+    estimate's stage at the step's end, which the next step starts from)
+    and twice for "rk2", with the stage's state as a list and its inputs as
+    a tuple, and every call's derivative count is checked; the kernel
     evaluates a `Derivatives` f inline and a declared g at the end, their
     counts checked when the spec was built, and a callable g is called
     here.  The walk keeps no list that grows with the number of micro steps.
@@ -625,26 +719,33 @@ def step_to(
                     f"capability allows {spec.max_input_degree}"
                 )
 
-    h = micro_step
+    h = h_max = micro_step
+    adaptive = False
     if h is None:
-        h = (t_target - t_start) / MICRO_DIVISOR
-        if spec.max_micro_step is not None:
-            h = min(h, spec.max_micro_step)
+        window = t_target - t_start
+        h_max = window if spec.max_micro_step is None else min(
+            window, spec.max_micro_step
+        )
+        h = min(window / MICRO_DIVISOR, h_max)
+        # a ceiling that cannot walk the window in fewer steps than the
+        # floor's MICRO_DIVISOR leaves nothing to control
+        adaptive = (h_max * (MICRO_DIVISOR - 1.0) >= window
+                    and SCHEMES[scheme][3] is not None)
     if not (isfinite(h) and h > 0):
         raise ValueError(
             f"{spec.label}: micro step must be finite and positive, got {h!r}"
         )
 
     f, g = spec.f, spec.g
-    walk = spec.kernels.get((scheme, degrees))
+    walk = spec.kernels.get((scheme, degrees, adaptive))
     if walk is None:
         declared = (f.exprs, f.values) if isinstance(f, Derivatives) else (None, ())
         if isinstance(g, Derivatives):
             declared += (g.exprs, g.values)
-        walk = spec.kernels[scheme, degrees] = _micro_walk(
-            scheme, spec.n_states, degrees, *declared
+        walk = spec.kernels[scheme, degrees, adaptive] = _micro_walk(
+            scheme, spec.n_states, degrees, *declared, adaptive=adaptive
         )
-    x, y = walk(f, g, state, t_start, t_target, h, inputs, spec.label)
+    x, y = walk(f, g, state, t_start, t_target, h, h_max, inputs, spec.label)
     if y is None:
         y = evaluate_outputs(spec, x, [p(t_target) for p in inputs], t_target)
         if not all(map(isfinite, y)):

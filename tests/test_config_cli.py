@@ -626,6 +626,24 @@ def test_a_child_carries_a_message_larger_than_a_pipe_both_ways(deadline):
     assert_no_child_left()
 
 
+def test_a_reader_waiting_for_a_message_yields_its_cpu(monkeypatch, deadline):
+    # each failed read of the spin gives the CPU away, so a partner that
+    # shares one CPU with its master does not spin it away from the writer
+    def late(child):
+        time.sleep(0.2)
+        child.send("late")
+
+    yields = []
+    monkeypatch.setattr(os, "sched_yield", lambda: yields.append(None))
+    child = parallel.Child(late, "late process", "message")
+    try:
+        assert child.receive() == "late"
+    finally:
+        child.close()
+    assert 0 < len(yields) <= parallel.SPINS
+    assert_no_child_left()
+
+
 def test_a_child_that_ends_before_replying_is_an_error_not_a_hang(deadline):
     def leave(child):
         raise ValueError("planted")
@@ -745,8 +763,11 @@ def run_bytes(argv, out):
     ["run", "--model", "car", "--seed", "7", "--t-end", "60"],
 ], ids=["two_mass", "car_seed_7"])
 def test_a_run_writes_the_same_bytes_with_its_partner(
-    argv, tmp_path, partners, deadline,
+    argv, tmp_path, partners, monkeypatch, deadline,
 ):
+    # two_mass's error-controlled walks are cheap enough that the partner's
+    # exchange costs more than it saves; free, it takes mass_right
+    monkeypatch.setattr(master, "PARTNER_OVERHEAD_S", 0.0)
     pinned = on_one_cpu(lambda: run_bytes(argv, tmp_path / "one"))
     assert partners == []
     both = run_bytes(argv, tmp_path / "two")
@@ -971,6 +992,7 @@ def test_cli_run_leaves_no_process_behind(
     tmp_path, capsys, partners, monkeypatch, deadline,
 ):
     monkeypatch.setattr(master, "PARTNER_WARMUP", 16)
+    monkeypatch.setattr(master, "PARTNER_OVERHEAD_S", 0.0)  # as above
     two_mass = ["run", "--model", "two_mass", "--output-dir", str(tmp_path)]
     assert cli.main(two_mass + ["--t-end", "20"]) == 0
     assert_no_child_left()
@@ -1005,6 +1027,8 @@ def test_a_refused_fork_leaves_the_work_in_this_process(
         raise OSError("planted: no more processes")
 
     monkeypatch.setattr(os, "fork", refuse)
+    # the run asks for a partner however cheap its walks are
+    monkeypatch.setattr(master, "PARTNER_OVERHEAD_S", 0.0)
     fds = len(os.listdir("/proc/self/fd"))
     # compare's rows stay with the processes already running, the run
     # with this one

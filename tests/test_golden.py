@@ -23,8 +23,8 @@ GOLDEN = {
     "two_mass_default": (
         {"model": "two_mass"},
         {
-            "run_mass_left.csv": "b10824a8965d3c7206321099445111621ca9d8ed1c722cc1466154a3c6a3f15f",
-            "run_mass_right.csv": "28b2b7975c8378c51664712cf7e5c8dc9afa3436b5440d885e8d876f7f46d1f1",
+            "run_mass_left.csv": "0f501bad4ce539c5c760f87a6653631cf8e1d36a3e6f6c39d8da67aca1a11ede",
+            "run_mass_right.csv": "8f415ec83f95040320a64d096d1daa230530668f0913d503f898284505aafa97",
             "run_summary.csv": "4f248d6a100120b7ffdbf284543292ff722581158a6e23e193983b7aa4c54047",
         },
     ),
@@ -33,16 +33,16 @@ GOLDEN = {
         {"model": "two_mass", "calibration": "cls", "smoothing": "true",
          "t_end": "120"},
         {
-            "run_mass_left.csv": "6c41a114420f88cae0e05e681a9e86cd5486d4ad5e57751ff212af83d6d88acf",
-            "run_mass_right.csv": "eec5c4fa270159b273dd07aab0f645ba208e3b00e6d8f07cd15a5464aaa69a74",
-            "run_summary.csv": "8a1a7eb7c4714b5b681729ea91429913ed738e78b2734425b24b42be6e1eff3f",
+            "run_mass_left.csv": "b0d4baeebf09cc3ab25a4227da4e9b5bdc5d76780d10086cacfc5c0372ea8839",
+            "run_mass_right.csv": "e3877e00c956089d06dfae5c876d1fc93c6b9b72ded55385f9c885f24430ca3d",
+            "run_summary.csv": "76f0b302cd3babf07a8b54becd55770cbe1f8df76cf3ed0bc56e0ae2a4b0a5a6",
         },
     ),
     "car_seed_7": (
         {"model": "car", "seed": "7"},
         {
-            "run_vehicle.csv": "3fa6b46cff606f15a66cfe7f1737fff10e119df889c459245b93f3f119fed5a5",
-            "run_controller.csv": "f53955a9bf3e3abf9066265be94ced1b3718a5572cb35f2859013b024a9efcdb",
+            "run_vehicle.csv": "29ff18dbd3515a5ff6f10171cd4848d2d58bf67345757d59a9aa98d6f7355e5a",
+            "run_controller.csv": "66a19aee2e17f0030be7f68e4341b946d9636f8577a30dab03555922fc01180a",
             "run_summary.csv": "2eb36da42d60d8253c4d66556cf4a3519cb0f303c0aac2e06ba60966fb56f7f1",
         },
     ),
@@ -51,16 +51,16 @@ GOLDEN = {
     "car_long_seed_1": (
         {"model": "car", "seed": "1", "t_end": "300"},
         {
-            "run_vehicle.csv": "9a44807990c8b7b79792530e48e326538d8e1de264a829175c1bbc3384fd7b8a",
-            "run_controller.csv": "144652e5611355dfd950bf25daaa11da42b0e143fb002dab69aae943d8bb42fd",
+            "run_vehicle.csv": "da23337ad29f89d1c81dfb7f61039b84b4384d3fb1c798137eee284f7fd4d133",
+            "run_controller.csv": "38db30cb6f9b7f9040298129c124b4c135a4431d4467b31d2e3fca2027181dc7",
             "run_summary.csv": "7400c34c315aa5314e6d1edda8d3e96a3445505c53e5b9dcc7c1137c25edfcdd",
         },
     ),
     "jacobi_dt_0.1": (
         {"model": "two_mass", "method": "jacobi", "dt": "0.1", "t_end": "20"},
         {
-            "run_mass_left.csv": "2bfc23b59e752a79b43cbb8a02d47daa1dc120e752566a37f666d03a023ae83e",
-            "run_mass_right.csv": "a2fe08f4677b52168984372403f22c5219d2f00cc32dff64fd96c5f737091b1e",
+            "run_mass_left.csv": "d14d797e9c17f6565994ae02a25fb0c43bf6e5d905512f1ad39b11a13de6145a",
+            "run_mass_right.csv": "b1a20adbcf2f3c5421cc94b50b186a2bd597591f9e3e91511d2f453459586f65",
             "run_summary.csv": "26571bf9d5166fb5b69245ea458fa24b8911bdff3dcd7f190fd86c6a83e97e14",
         },
     ),
@@ -69,9 +69,9 @@ GOLDEN = {
         {"model": "two_mass", "t_end": "40",
          "caps.mass_right.imposed_step": "0.25"},
         {
-            "run_mass_left.csv": "b4ba79abe4eed8e2c150c1d254310cda15691299703c0769d70f8ce9c250ae20",
-            "run_mass_right.csv": "01bbd3cdef4a2b27f87ee17a3018b43bde542ff8f22b27f358f4498b5db23b96",
-            "run_summary.csv": "060b962d60ce1ebca1a5928c19a38b63a46f16ee3b4bd75c4ae8b5bb6135a640",
+            "run_mass_left.csv": "f763581525d17dc6802b5f00549873f19a69d4a11eb3da1b134fdc7229b810ec",
+            "run_mass_right.csv": "a32ecc45ba2d0db1dd8a09970ad6102e1c071bc42b5138075f90e35b93729848",
+            "run_summary.csv": "891126915ea754afbcb969dcc5dfe1f7009d183c771b229f2e504d8c62816d45",
         },
     ),
     # smoothing with a locked reader: mass_right's windows follow its grid,
@@ -80,8 +80,8 @@ GOLDEN = {
         {"model": "two_mass", "t_end": "40", "smoothing": "true",
          "caps.mass_right.imposed_step": "0.25"},
         {
-            "run_mass_left.csv": "ffbace5b9b06def7b66de9d1f985d85b6ef734a54b621d691449cbee9568baf4",
-            "run_mass_right.csv": "98360167527d642c95e2024ae447c596b88775c25f3afe70ef623e7b1e28fdba",
+            "run_mass_left.csv": "a6c9faff1354cd96c687c9dc207e6365d36f41bac5a87c9fe04248caec369e7c",
+            "run_mass_right.csv": "5224387539e5305703497acb47ce17e35e5cb10e97159f81743edd0aca4fcf66",
             "run_summary.csv": "5c92e1e138b74c666396cb76cfe247019503dd70220dae4cd1c10a9016b1ef0d",
         },
     ),
@@ -90,8 +90,8 @@ GOLDEN = {
         {"model": "two_mass", "t_end": "40",
          "caps.mass_right.max_input_degree": "1", "smoothing": "true"},
         {
-            "run_mass_left.csv": "7acae6d74f516658b8eb517c32e55629c78672f14a0e9c695892bc66acba61f8",
-            "run_mass_right.csv": "7aff7d60e8eb57441c80ce470ae17e1fb416557b7c0eff74b833dbf87a086aea",
+            "run_mass_left.csv": "d973ab5dda3ac7ae2e85df85e445a2f4635eeb51a1dad82fe70f146f626129b6",
+            "run_mass_right.csv": "051d7b78349136fb338ae6c749494e9c187236a7caf50c710316b8e8799dc532",
             "run_summary.csv": "4206edca8be7fcb650efc78e53748938abf106d052bf67d1d7c13dbd853bd481",
         },
     ),

@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from f3ornits import master
 from f3ornits.errors import ConfigError, ContractViolation, DivergenceError
 from f3ornits.poly import Polynomial
 from f3ornits.master import _SubRuntime
-from f3ornits.subsystem import MICRO_DIVISOR, Derivatives, SubsystemSpec, step_to
+from f3ornits.models import TwoMassParams, build_two_mass
+from f3ornits.subsystem import (
+    MICRO_ATOL, MICRO_DIVISOR, MICRO_RTOL, Derivatives, SubsystemSpec, step_to,
+)
 
 
 def const_input(v):
@@ -90,9 +94,31 @@ def test_spec_rejects_negative_arities():
             )
 
 
+def attempts(times):
+    """(start, end) of each step an error-controlled walk attempted, read
+    off the times f was called at: the window start, then per attempt its
+    midpoint twice and its end, and the end again, the next step's first
+    stage, unless the attempt landed on the target.  An attempt whose
+    successor's midpoint lies before its end was retried."""
+    out, start, i = [], times[0], 1
+    while i < len(times):
+        mid, again, end = times[i:i + 3]
+        assert mid == again and start < mid < end
+        out.append((start, end))
+        i += 3
+        if i < len(times):
+            assert times[i] == end
+            i += 1
+            if times[i] > end:
+                start = end
+    return out
+
+
 def test_micro_step_rule():
-    # the window over MICRO_DIVISOR, capped by the spec's own bound; an
-    # explicit micro step overrides both
+    # the floor is the window over MICRO_DIVISOR, capped by the spec's own
+    # bound; the ceiling is that bound, capped by the window.  A ceiling
+    # that cannot walk the window in fewer steps than MICRO_DIVISOR leaves
+    # the fixed floor step; an explicit micro step overrides both
     calls = []
 
     def f(t, x, u):
@@ -101,15 +127,26 @@ def test_micro_step_rule():
 
     spec = SubsystemSpec("count", 1, 0, 1, f, lambda t, x, u: [x[0]], (1.0,))
     for bound, micro_step, steps in (
-        (None, None, 50),
         (1e-3, None, 1000),
-        (0.5, None, 50),
+        (0.0202, None, 50),
         (1e-3, 0.1, 10),
     ):
         calls.clear()
         step_to(replace(spec, max_micro_step=bound), spec.x_init, [], 0.0, 1.0,
                 micro_step)
         assert len(calls) == 4 * steps
+    # x' = -x keeps its local error estimate below MICRO_RTOL on steps of
+    # about 0.026: 39 attempts, or the floor's 50 under a ceiling of 1/49
+    for bound, ceiling, most in ((None, 1.0, 39), (0.5, 0.5, 39),
+                                 (1.0 / 49.0, 1.0 / 49.0, 50)):
+        calls.clear()
+        step_to(replace(spec, max_micro_step=bound), spec.x_init, [], 0.0, 1.0)
+        tried = attempts(calls)
+        assert len(calls) == 4 * len(tried) <= 4 * most
+        assert tried[-1][1] == 1.0
+        # the step each attempt took, as far as t + h - t rounds it
+        assert all(1.0 / MICRO_DIVISOR - 1e-12 <= end - start <= ceiling + 1e-12
+                   for start, end in tried[:-1])
 
 
 @pytest.mark.parametrize("bound", [math.nan, math.inf, 0.0, -1.0])
@@ -312,8 +349,9 @@ def hexes(values):
 def walk_three_ways(exprs, constants, plain, x0, inputs=(), t0=0.0, t1=1.0,
                     h=0.125, values=()):
     """The state step_to reaches with the declaration inline, through its
-    compiled function, and with a plain closure of the same dynamics; all
-    three must agree bit for bit, zero signs included."""
+    compiled function, and with a plain closure of the same dynamics, in
+    steps of h, or under the error control with h None; all three must
+    agree bit for bit, zero signs included."""
     declared = Derivatives(exprs, constants, values)
     results = []
     for f in (declared, lambda t, x, u: declared(t, x, u), plain):
@@ -729,6 +767,71 @@ def reference_step_to(f, g, n, state, inputs, t_start, t_target, h):
     return x, tuple(g(t_target, x, eval_inputs(t_target))), steps
 
 
+def reference_controlled_step_to(f, g, n, state, inputs, t_start, t_target,
+                                 h_min, h_max):
+    """The error-controlled RK4 walk, transcribed from its rule: the
+    per-stage walk above from h_min, with the next step's first stage
+    k5 = f(t1, x1, u(t1)) after every step but the one that lands, the
+    estimate E = (h / 6) (k5 - k4), a step accepted when its error is at
+    most 1 or h is h_min, and h then grown by at most 5 up to h_max, or
+    retried shrunk by at least 0.2 down to h_min.  Returns the state, the
+    outputs and each attempt as (t, hs, accepted)."""
+
+    def eval_inputs(t):
+        out = []
+        for p in inputs:
+            tau = t - p.t_ref
+            acc = 0.0
+            for c in reversed(p.coeffs):
+                acc = acc * tau + c
+            out.append(acc)
+        return out
+
+    x = list(state)
+    t, h = t_start, h_min
+    guard = h_min * 1e-9
+    tried = []
+    k1 = f(t, x, eval_inputs(t))
+    while True:
+        hs = t_target - t
+        if hs > h:
+            hs = h
+        half = 0.5 * hs
+        xs = [x[i] + half * k1[i] for i in range(n)]
+        um = eval_inputs(t + half)
+        k2 = f(t + half, xs, um)
+        xs = [x[i] + half * k2[i] for i in range(n)]
+        k3 = f(t + half, xs, um)
+        xs = [x[i] + hs * k3[i] for i in range(n)]
+        t1 = t + hs
+        ue = eval_inputs(t1)
+        k4 = f(t1, xs, ue)
+        sixth = hs / 6.0
+        x1 = [
+            x[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
+            for i in range(n)
+        ]
+        if t_target - t1 <= guard:
+            tried.append((t, hs, True))
+            x = x1
+            break
+        k5 = f(t1, x1, ue)
+        err = max((
+            abs(sixth * (k5[i] - k4[i]))
+            / (MICRO_ATOL + MICRO_RTOL * max(abs(x[i]), abs(x1[i])))
+            for i in range(n)
+        ), default=0.0)
+        accepted = err <= 1.0 or h <= h_min
+        tried.append((t, hs, accepted))
+        if accepted:
+            x, t, k1 = x1, t1, k5
+            grow = min(5.0, 0.9 * err ** -0.25) if err else 5.0
+            h = min(h_max, max(h_min, h * grow))
+        else:
+            h = max(h_min, h * max(0.2, 0.9 * err ** -0.25))
+    return x, tuple(g(t_target, x, eval_inputs(t_target))), tried
+
+
 def same_floats(a, b):
     """Equal as floats and in the sign of every zero."""
     return len(a) == len(b) and all(
@@ -821,3 +924,195 @@ def test_step_to_matches_the_per_stage_walk_bit_for_bit(
     assert len(log) == 4 * steps
     for (t, xs, u), (rt, rxs, ru) in zip(log, ref_log):
         assert same_floats((t,) + xs + u, (rt,) + rxs + ru)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    inputs=st.lists(_poly, max_size=3),
+    x0=st.lists(_coeff, max_size=4),
+    t_start=st.floats(-1.0, 1.0, allow_nan=False),
+    window=st.floats(1e-3, 3.0),
+    ceiling=st.one_of(st.none(), st.floats(0.021, 2.0)),
+    rate=st.floats(0.0, 20.0),
+)
+def test_error_controlled_step_to_matches_its_rule_bit_for_bit(
+    inputs, x0, t_start, window, ceiling, rate
+):
+    # a window without an explicit micro step whose ceiling, the bound
+    # (drawn as a share of the window) or the window itself, could save a
+    # step: the kernel walks it as its rule transcribed, with f called as
+    # often, at the same times, states and inputs, whether f is a callable,
+    # declared, or called through that declaration.  rate sets how fast the
+    # states decay, and so how far the steps grow
+    t_target = t_start + window
+    window = t_target - t_start  # as step_to sees it
+    bound = None if ceiling is None else ceiling * window
+    n = len(x0)
+
+    def dynamics(log):
+        def f(t, x, u):
+            log.append((t, tuple(x), tuple(u)))
+            mix = sum(u) if u else -0.0
+            return [mix - rate * x[i] + t * x[-1] for i in range(n)]
+
+        return f
+
+    us = "".join(f"u{j}, " for j in range(len(inputs)))
+    declared = Derivatives(
+        tuple(f"mix - rate * x{i} + t * x{n - 1}" for i in range(n)),
+        (("sum", sum), ("rate", rate)),
+        (("mix", f"sum(({us}))" if inputs else "-0.0"),),
+    )
+
+    def g(t, x, u):
+        return list(x) + list(u) + [t]
+
+    log, ref_log = [], []
+    spec = SubsystemSpec("ref", n, len(inputs), n + len(inputs) + 1,
+                         dynamics(log), g, tuple(x0), bound)
+    x, y = step_to(spec, spec.x_init, inputs, t_start, t_target)
+    assert [adaptive for *_, adaptive in spec.kernels] == [True]
+    for f in (declared, lambda t, x, u: declared(t, x, u)):
+        twin_x, twin_y = step_to(replace(spec, f=f), spec.x_init, inputs,
+                                 t_start, t_target)
+        assert same_floats(twin_x, x)
+        assert same_floats(twin_y, y)
+    h_max = window if bound is None else min(window, bound)
+    ref_x, ref_y, tried = reference_controlled_step_to(
+        dynamics(ref_log), g, n, spec.x_init, inputs, t_start, t_target,
+        window / MICRO_DIVISOR, h_max,
+    )
+    assert same_floats(x, ref_x)
+    assert same_floats(y, ref_y)
+    assert len(log) == len(ref_log) == 4 * len(tried)
+    for (t, xs, u), (rt, rxs, ru) in zip(log, ref_log):
+        assert same_floats((t,) + xs + u, (rt,) + rxs + ru)
+    # no attempt but the one that lands is shorter than the floor
+    assert all(hs >= window / MICRO_DIVISOR for _, hs, _ in tried[:-1])
+
+
+def stiffening(log):
+    """x' = -(1e-4 + 0.5 (t / 10)^8) x: slow, then fast enough over 10 s
+    that steps grown early are retried, 12 times from x = 1 over [0, 10]."""
+
+    def f(t, x, u):
+        log.append(t)
+        return [-(1e-4 + 0.5 * (t / 10.0) ** 8) * x[0]]
+
+    return f
+
+
+def test_f_is_evaluated_four_times_per_attempted_step():
+    # retried attempts included; the declared f evaluates probe once per
+    # stage, as often as the callable is called
+    calls, probed = [], []
+
+    def probe(x):
+        probed.append(x)
+        return x
+
+    declared = Derivatives(("-(1e-4 + 0.5 * (t / 10.0) ** 8) * probe(x0)",),
+                           (("probe", probe),))
+    spec = SubsystemSpec("stiffening", 1, 0, 1, stiffening(calls),
+                         lambda t, x, u: [x[0]], (1.0,))
+    x, _ = step_to(spec, spec.x_init, [], 0.0, 10.0)
+    tried = attempts(calls)
+    retried = sum(a[0] == b[0] for a, b in zip(tried, tried[1:]))
+    assert retried == 12
+    assert len(calls) == 4 * len(tried)
+    declared_x, _ = step_to(replace(spec, f=declared), spec.x_init, [], 0.0, 10.0)
+    assert len(probed) == len(calls)
+    assert same_floats(declared_x, x)
+
+
+def test_no_attempt_is_shorter_than_the_floor():
+    # the floor is 10 / MICRO_DIVISOR = 0.2, the ceiling the bound 4: grown
+    # steps are retried shrunk, never below 0.2, and none exceeds 4
+    calls = []
+    spec = SubsystemSpec("stiffening", 1, 0, 1, stiffening(calls),
+                         lambda t, x, u: [x[0]], (1.0,), max_micro_step=4.0)
+    step_to(spec, spec.x_init, [], 0.0, 10.0)
+    steps = [end - start for start, end in attempts(calls)]
+    assert min(steps[:-1]) >= 0.2 - 1e-12
+    assert max(steps) <= 4.0 + 1e-12
+    assert max(steps) > 4.0 - 1e-12 and min(steps[:-1]) < 0.2 + 1e-12
+
+
+@pytest.mark.parametrize("window", [0.05, 0.1, 0.37, 0.05 - 2.0 ** -56])
+def test_a_window_whose_floor_is_its_ceiling_walks_the_fixed_step(window):
+    # floor and ceiling are both the bound, or (one ulp short of 50 bounds)
+    # the ceiling could not save a step: the walk is the fixed one, bit for
+    # bit, with no estimate
+    calls = []
+
+    def f(t, x, u):
+        calls.append(t)
+        return [x[1], -4.0 * x[0] - 0.1 * x[1] + u[0]]
+
+    bound = 1e-3
+    spec = SubsystemSpec("bounded", 2, 1, 1, f, lambda t, x, u: [x[0]],
+                         (1.0, 0.0), max_micro_step=bound)
+    u = [Polynomial(0.0, (0.5, -1.0, 0.25))]
+    x, y = step_to(spec, spec.x_init, u, 0.0, window)
+    steps = len(calls) // 4
+    h = min(window / MICRO_DIVISOR, bound)
+    # a fresh spec, so spec.kernels holds only the first walk's kernel
+    fixed_x, fixed_y = step_to(replace(spec), spec.x_init, u, 0.0, window, h)
+    assert same_floats(x, fixed_x) and same_floats(y, fixed_y)
+    assert len(calls) == 2 * 4 * steps
+    assert [adaptive for *_, adaptive in spec.kernels] == [False]
+
+
+def test_the_controlled_walk_reads_declarations_as_a_callable_does():
+    # declarations of the tests above, walked under the error control: in
+    # place reads, held values, cells and aliases must carry across
+    # accepted steps and survive retried ones
+    walk_three_ways(("x2", "x0", "x1"), (),
+                    lambda t, x, u: [x[2], x[0], x[1]], (1.0, -2.0, 3.0), h=None)
+    k = -0.75
+    walk_three_ways(("x1", "b", "w * v + c2"), (("c", k),),
+                    lambda t, x, u: [x[1], x[0], t * u[0] + k],
+                    (1.0, -2.0, 3.0), (Polynomial(0.2, (0.5, -1.0, 0.25)),),
+                    values=(("a", "x0"), ("b", "a"), ("w", "t"), ("v", "u0"),
+                            ("c2", "c")), h=None)
+
+    def plain(t, x, u):
+        cell = t // 0.1875
+        return [wobble(cell), cell, wobble(cell), cell]
+
+    walk_three_ways(("r", "cell", "q", "e"), (("d", 0.1875), ("wobble", wobble)),
+                    plain, (0.5, -0.25, 0.0, 1.0), t1=1.0, h=None,
+                    values=(("cell", "t // d"), ("r", "wobble(cell)"), ("q", "r"),
+                            ("e", "cell")))
+    # `stiffening`, whose derivative is a value that reads a state, read in
+    # place at every stage: 12 of its attempts are retried
+    walk_three_ways(("s",), (),
+                    lambda t, x, u: [-(1e-4 + 0.5 * (t / 10.0) ** 8) * x[0]],
+                    (1.0,), t1=10.0, h=None,
+                    values=(("s", "-(1e-4 + 0.5 * (t / 10.0) ** 8) * x0"),))
+
+
+def test_two_mass_windows_take_a_third_of_the_fixed_walks_f_evaluations(
+    monkeypatch,
+):
+    # at the defaults both bounds exceed every window over MICRO_DIVISOR,
+    # so the fixed walk took 4 * MICRO_DIVISOR f evaluations per window
+    evals, windows = [0], []
+
+    def counted(spec):
+        def f(t, x, u):
+            evals[0] += 1
+            return spec.f(t, x, u)
+
+        return replace(spec, f=f)
+
+    def walk(spec, state, inputs, t_start, t_target):
+        assert spec.max_micro_step * MICRO_DIVISOR > t_target - t_start
+        windows.append(t_target - t_start)
+        return step_to(spec, state, inputs, t_start, t_target)
+
+    monkeypatch.setattr(master, "step_to", walk)
+    problem = build_two_mass(TwoMassParams()).problem
+    problem = replace(problem, subsystems=tuple(map(counted, problem.subsystems)))
+    master.run_f3ornits(problem, master.MasterOptions())
+    assert 3 * evals[0] <= 4 * MICRO_DIVISOR * len(windows)
