@@ -108,7 +108,8 @@ class SampleHistory:
         d1, d2 = self.d1, self.d2
         if n:
             t_n = times[-1]
-            if t - t_n < TIME_GAP_REL * max(1.0, abs(t)):
+            scale = t if t > 1.0 else -t if t < -1.0 else 1.0  # max(1.0, abs(t))
+            if t - t_n < TIME_GAP_REL * scale:
                 raise CalibrationError(
                     f"times must be strictly increasing and distinct "
                     f"(got {t_n!r} then {t!r})"
@@ -121,8 +122,8 @@ class SampleHistory:
                     f"divided differences at t = {t!r} must be finite "
                     f"(got {d1!r}, {d2!r})"
                 )
-        self.times = (times + (t,))[-HISTORY_CAPACITY:]
-        self.values = (self.values + (value,))[-HISTORY_CAPACITY:]
+        drop = 0 if n < HISTORY_CAPACITY else 1  # a full history drops its oldest
+        self.times, self.values = times[drop:] + (t,), self.values[drop:] + (value,)
         self.d1, self.d2 = d1, d2
 
     def newest(self, count: int) -> tuple[tuple[float, ...], tuple[float, ...]]:

@@ -86,7 +86,7 @@ def cap_degree(
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    if source.degree <= max_degree:
+    if len(source.coeffs) <= max_degree + 1:  # its degree is within budget
         return source
     if window_end <= window_start:
         raise SequencingError(
@@ -145,4 +145,5 @@ def build_plan(
     smoothed = smoothing and previous is not None
     if smoothed:
         p = smooth(p, window_start, window_end, previous)
-    return InputPlan(p, window_start, smoothed), p if smoothing else None
+    plan = tuple.__new__(InputPlan, (p, window_start, smoothed))
+    return plan, p if smoothing else None

@@ -441,15 +441,14 @@ def _publish(
     tol, norm, force, calibration = publishing
     nu = tol.nu
     dt_prev = t_event - rt.reached
-    bounds = rt.bounds
+    bounds, histories, published = rt.bounds, rt.histories, rt.published
     errs, orders_now, p_used = [], [], []
     for j, y_new in enumerate(rt.y):
-        history, log = rt.histories[j], rt.published[j]
+        history, log = histories[j], published[j]
         last_pub = log[-1]
-        y_pred = last_pub(t_event)
-        p_used.append(last_pub.degree)
+        p_used.append(len(last_pub.coeffs) - 1)
         bounds[j] = b = update_damped_bounds(bounds[j], y_new, dt_prev, nu)
-        errs.append(normalized_error(y_new, y_pred, norm, b, tol))
+        errs.append(normalized_error(y_new, last_pub(t_event), norm, b, tol))
         decision = select_order(history, t_event, y_new, force)
         try:
             history.push(t_event, y_new)
@@ -519,11 +518,6 @@ def _start_partner(
     the others.  Subsystems are handed over, most helpful first, while the
     prediction falls.
     """
-    from . import parallel  # loaded only by a run long enough to fork
-
-    if step_to is not parallel.step_to or parallel.cpus() < 2:
-        return None
-
     events = PARTNER_WARMUP - PARTNER_WARMUP // 2
 
     def per_event(times: list[float]) -> float:
@@ -552,6 +546,10 @@ def _start_partner(
         candidates.remove(best)
     if not owned:
         return None
+    from . import parallel  # loaded only by a run that would fork
+
+    if step_to is not parallel.step_to or parallel.cpus() < 2:
+        return None
     try:
         partner = parallel.Partner([runtimes[k].spec for k in owned])
     except OSError:  # no more processes: the run goes on in this one
@@ -577,11 +575,11 @@ def _step(
     publishing time are appended to its subsystem's two lists there.
     """
     failed = None
-    for k in due:
+    for i, k in enumerate(due):
         try:
             _plan(runtimes[k], t_event)
         except Exception as exc:  # raised after the windows before it
-            failed, due = exc, due[:due.index(k)]
+            failed, due = exc, due[:i]
             break
     away = partner and [runtimes[k] for k in due if runtimes[k].owner is not None]
     if away:
@@ -589,7 +587,7 @@ def _step(
             (rt.owner, rt.state, rt.reached, t_event, [p.poly for p in rt.plans])
             for rt in away
         ])
-    for k in due:
+    for i, k in enumerate(due):
         rt = runtimes[k]
         if rt.owner is None:
             try:
@@ -598,12 +596,12 @@ def _step(
                 if timing:
                     timing[k][0].append(time.perf_counter() - t_walk)
             except Exception as exc:
-                failed, due = exc, due[:due.index(k)]
+                failed, due = exc, due[:i]
                 break
     finished = False
     unpublished = len(due)  # the first own subsystem whose publishing failed
     if failed is None:
-        for k in due:
+        for i, k in enumerate(due):
             rt = runtimes[k]
             if rt.owner is None:
                 try:
@@ -612,7 +610,7 @@ def _step(
                     if timing:
                         timing[k][1].append(time.perf_counter() - t_publish)
                 except Exception as exc:
-                    unpublished, failed_later = due.index(k), exc
+                    unpublished, failed_later = i, exc
                     break
     if away:
         results = iter(partner.receive())

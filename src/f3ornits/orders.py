@@ -31,6 +31,7 @@ so p(t_n) is y_n exactly; `SampleHistory.push` is the only code computing d1 and
 
 from __future__ import annotations
 
+from math import isfinite
 from typing import NamedTuple
 
 from .coupling import SampleHistory
@@ -81,26 +82,29 @@ def select_order(
             best_q = 2 if errors[2] < errors[best_q] else best_q
     if force is not None:
         best_q = min(max(force, 0), len(errors) - 1)
-    return OrderDecision(best_q, errors)
+    return tuple.__new__(OrderDecision, (best_q, errors))
 
 
 def fit_extrapolation(history: SampleHistory, q: int) -> Polynomial:
     """The interpolant through the q + 1 newest samples, read off the
     history's divided-difference row in the form above.  An order outside
     0..MAX_ORDER is a CalibrationError, and a history holding fewer than
-    q + 1 samples a SequencingError."""
+    q + 1 samples a SequencingError.  `SampleHistory.push` checked every
+    sample and divided difference, so the one coefficient checked here is
+    the sum d1 + d2 * h, whose overflow is Polynomial's ValueError."""
     if not 0 <= q <= MAX_ORDER:
         raise CalibrationError(f"extrapolation takes orders 0..{MAX_ORDER}, got {q}")
     times = history.times
     if len(times) <= q:
         raise SequencingError(f"order {q} needs {q + 1} samples, got {len(times)}")
     t_n, y_n = times[-1], history.values[-1]
-    if q == 0:
-        return Polynomial(t_n, (y_n,))
-    if q == 1:
-        return Polynomial(t_n, (y_n, history.d1))
+    if q < 2:
+        return tuple.__new__(Polynomial, (t_n, (y_n, history.d1)[:q + 1]))
     d2 = history.d2
-    return Polynomial(t_n, (y_n, history.d1 + d2 * (t_n - times[-2]), d2))
+    a1 = history.d1 + d2 * (t_n - times[-2])
+    if not isfinite(a1):
+        raise ValueError("polynomial coefficients must be finite")
+    return tuple.__new__(Polynomial, (t_n, (y_n, a1, d2)))
 
 
 def estimate_output(
@@ -116,9 +120,8 @@ def estimate_output(
     history before that push leaves q+2 samples; a history too short for
     the decided order is a SequencingError.
     """
-    if mode not in CALIBRATION_MODES:
-        raise ValueError(f"unknown calibration mode {mode!r}")
-    q = decision.order
+    if mode == "extrapolation":
+        return fit_extrapolation(history, decision.order)
     if mode == "cls":
-        return fit_constrained_least_squares(*history.newest(q + 2))
-    return fit_extrapolation(history, q)
+        return fit_constrained_least_squares(*history.newest(decision.order + 2))
+    raise ValueError(f"unknown calibration mode {mode!r}")

@@ -85,11 +85,11 @@ def update_damped_bounds(
     damp_max, damp_min = damp_max - shrink, damp_min + shrink
     damp_max = damp_max if damp_max > y_new else y_new
     damp_min = damp_min if damp_min < y_new else y_new
-    return DampedBounds(
+    return tuple.__new__(DampedBounds, (
         damp_max, damp_min, damp_max - damp_min,
         y_new if y_new > global_max else global_max,
         y_new if y_new < global_min else global_min,
-    )
+    ))
 
 
 ERROR_NORMS = ("magnitude", "amplitude", "damped")
@@ -172,5 +172,5 @@ def propose(
     # snap to t_end when the leftover would be vanishing float dust
     if t_next > t_end or t_end - t_next < 1e-6 * dt_next:
         t_next = t_end
-    return StepProposal(rho, dt_next, t_next)
+    return tuple.__new__(StepProposal, (rho, dt_next, t_next))
 

@@ -13,10 +13,10 @@ could not walk the window in fewer steps than the floor, as on a window
 over MICRO_DIVISOR - 1 bounds long, every step is the floor's, with no
 estimate.  Inputs arrive as genuine polynomials in time and are evaluated
 continuously at every micro stage, never sampled-and-held, so the micro
-error stays far below the coupling error.  `step_to` walks the window
-with one kernel generated and compiled per scheme of `SCHEMES`, state
-dimension, tuple of input degrees, declared f and g, and control
-(`_micro_walk`): it advances the micro grid, evaluates
+error stays far below the coupling error.  `step_to` pads a window's
+inputs to their common degree and walks it with one kernel generated and
+compiled per scheme of `SCHEMES`, state dimension, input degrees, declared
+f and g, and control (`_micro_walk`): it advances the micro grid, evaluates
 every input once per stage time by inline Horner, and keeps the state, the
 grid and the coefficients in local variables, so its memory does not grow
 with the number of micro steps.  Each spec binds that kernel on first use.
@@ -327,9 +327,9 @@ class SubsystemSpec:
     @cached_property
     def kernels(
         self,
-    ) -> dict[tuple[str, tuple[int, ...], bool], Callable[..., list[float]]]:
-        """`step_to`'s kernel per scheme, input degrees and error control,
-        bound on first use."""
+    ) -> dict[tuple[str, int, bool], Callable[..., list[float]]]:
+        """`step_to`'s kernel per scheme, common input degree and error
+        control, bound on first use."""
         return {}
 
 
@@ -390,8 +390,9 @@ def _micro_walk(
     ending at t1 = t + hs with its midpoint tm = t + half, half = 0.5 * hs,
     and the walk stops once t_target - t1 <= h * 1e-9.  A step with
     t1 == t cannot advance (h at most half an ulp of t) and raises
-    ValueError.  Input j's coefficients live in the locals _c{j}_0.., and
-    it is evaluated at t and at each new stage time by one Horner expression,
+    ValueError.  Input j, read as the pair (t_ref, coeffs) a Polynomial is,
+    keeps its coefficients in the locals _c{j}_0.., and it is evaluated at
+    t and at each new stage time by one Horner expression,
     (0.0 * tau + c{j}_d) * tau + c{j}_{d-1} ..., the operations of
     `Polynomial.__call__` in its order; the inputs at t1 are the next
     step's inputs at t.  The state lives in the locals _x0.._x{n-1} and
@@ -406,7 +407,8 @@ def _micro_walk(
     near overflow (`_FAR`), no tau after the start is < 0, -0.0 or not
     finite, so each lead 0.0 * tau + c{j}_d is taken once per window, as
     0.0 + c{j}_d; any other window goes to the kernel compiled without
-    held, on first need, which evaluates every lead as it goes.
+    held, which evaluates every lead as it goes: the held kernel binds it
+    on first need, once.
 
     With adaptive, h is the floor h_min and the walk's step starts there,
     computing its sizes per step; the guard stays h_min * 1e-9.  A step
@@ -613,7 +615,7 @@ def _micro_walk(
     lines = [f"[{each('_x{0}')}] = _x", f"[{each('_p{0}', m)}] = _inputs"]
     for j in sorted({*used, *(out.inputs if out else ())}):
         coeffs = ", ".join(f"_c{j}_{i}" for i in range(degrees[j] + 1))
-        lines += [f"_r{j} = _p{j}.t_ref", f"[{coeffs}] = _p{j}.coeffs"]
+        lines.append(f"_r{j}, [{coeffs}] = _p{j}")
     if held and used:
         fits = (f"-_FAR < _r{j} <= _t_start and _t_target - _r{j} < _FAR" for j in used)
         lines += [f"if not ({' and '.join(fits)}):", f"    return _unheld()({args})"]
@@ -652,11 +654,13 @@ def _micro_walk(
     source = f"def walk({args}):\n" + "".join(f"    {line}\n" for line in lines)
     namespace = {"_arity_error": _arity_error, "_stalled": _stalled, "_FAR": _FAR,
                  "_isfinite": isfinite, "_DivergenceError": DivergenceError,
-                 "_unheld": partial(_micro_walk, scheme, n, degrees, exprs, values,
-                                    outputs, output_values, False, adaptive)}
+                 "_unheld": cache(partial(_micro_walk, scheme, n, degrees, exprs,
+                                          values, outputs, output_values, False,
+                                          adaptive))}
     inline = "" if exprs is None else " inline"
     control = " adaptive" if adaptive else ""
-    name = f"<{scheme}{control} walk n={n} degrees={degrees}{inline}>"
+    unheld = "" if held else " unheld"
+    name = f"<{scheme}{control}{unheld} walk n={n} degrees={degrees}{inline}>"
     exec(compile(source, name, "exec"), namespace)
     return namespace["walk"]
 
@@ -683,10 +687,16 @@ def step_to(
     explicit `micro_step` walk fixed steps of h_min, or of micro_step.
 
     The window is walked by the kernel `_micro_walk` compiled for the
-    scheme ("rk4" unless given), spec.n_states, the input degrees and the
-    control, bound in `spec.kernels` on first use: steps from t_start, the
-    last one shortened to land on t_target, each input polynomial evaluated
-    once per stage time (step boundaries and midpoints) as the walk goes.
+    scheme ("rk4" unless given), spec.n_states, the control and, for each
+    input, the highest degree among them, bound in `spec.kernels` under
+    (scheme, degree, control) on first use.  After the capability check,
+    each lower-degree input is led by exact 0.0 coefficients up to that
+    degree: with tau finite, a padded Horner prefix (0.0 * tau + 0.0) is
+    always +0.0, so the chain reaches c_d through the 0.0 * tau + c_d its
+    exact kernel evaluates, held or not, to the same floats.  The kernel
+    walks steps from t_start, the last one shortened to land on t_target,
+    each input evaluated once per stage time (step boundaries and
+    midpoints) as the walk goes.
     A callable f is called once per stage, four times per micro step
     attempted for "rk4" (the fourth after the first step being the
     estimate's stage at the step's end, which the next step starts from)
@@ -710,14 +720,20 @@ def step_to(
         raise ContractViolation(
             f"{spec.label}: got {len(state)} states, expected {spec.n_states}"
         )
-    degrees = tuple([len(p.coeffs) - 1 for p in inputs])
-    if degrees and max(degrees) > spec.max_input_degree:
-        for i, d in enumerate(degrees):
-            if d > spec.max_input_degree:
+    sizes = [len(p.coeffs) for p in inputs]
+    degree = max(sizes) - 1 if sizes else 0
+    if degree > spec.max_input_degree:
+        for i, size in enumerate(sizes):
+            if size - 1 > spec.max_input_degree:
                 raise ContractViolation(
-                    f"{spec.label}: input {i} has degree {d}, "
+                    f"{spec.label}: input {i} has degree {size - 1}, "
                     f"capability allows {spec.max_input_degree}"
                 )
+    walked = inputs
+    if sizes and min(sizes) <= degree:
+        # the lower degrees led by exact 0.0 coefficients (see above)
+        pad = degree + 1
+        walked = [(p.t_ref, p.coeffs + (0.0,) * (pad - len(p.coeffs))) for p in inputs]
 
     h = h_max = micro_step
     adaptive = False
@@ -737,15 +753,16 @@ def step_to(
         )
 
     f, g = spec.f, spec.g
-    walk = spec.kernels.get((scheme, degrees, adaptive))
+    walk = spec.kernels.get((scheme, degree, adaptive))
     if walk is None:
         declared = (f.exprs, f.values) if isinstance(f, Derivatives) else (None, ())
         if isinstance(g, Derivatives):
             declared += (g.exprs, g.values)
-        walk = spec.kernels[scheme, degrees, adaptive] = _micro_walk(
-            scheme, spec.n_states, degrees, *declared, adaptive=adaptive
+        walk = spec.kernels[scheme, degree, adaptive] = _micro_walk(
+            scheme, spec.n_states, (degree,) * len(sizes), *declared,
+            adaptive=adaptive,
         )
-    x, y = walk(f, g, state, t_start, t_target, h, h_max, inputs, spec.label)
+    x, y = walk(f, g, state, t_start, t_target, h, h_max, walked, spec.label)
     if y is None:
         y = evaluate_outputs(spec, x, [p(t_target) for p in inputs], t_target)
         if not all(map(isfinite, y)):

@@ -87,8 +87,9 @@ class SubsystemTrace:
             if plan is None:
                 cells += (0.0, 0.0, 0.0, 0.0, 0)
             else:
-                cs = shift_coeffs(plan.poly.coeffs, plan.window_start - plan.poly.t_ref)
-                cells += cs + (0.0,) * (4 - len(cs)) + (int(plan.smoothed),)
+                (t_ref, cs), start, smoothed = plan
+                cs = shift_coeffs(cs, start - t_ref)
+                cells += cs + (0.0,) * (4 - len(cs)) + (1 if smoothed else 0,)
         self.rows.append(tuple(cells))
 
     def csv_lines(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f3ornits import inputs, master, orders
+from f3ornits import cli, inputs, master, orders
 from f3ornits.coupling import CouplingGraph
 from f3ornits.errors import ConfigError, DivergenceError
 from f3ornits.inputs import InputPlan
@@ -342,6 +342,35 @@ def test_an_overflowing_exchange_is_a_divergence(options):
     assert type(cause) is ValueError
     assert "finite" in str(cause)
     assert 0.0 < err.value.t_last_good < 20.0
+
+
+def test_an_order_two_publication_that_overflows_is_a_divergence(
+    monkeypatch, tmp_path
+):
+    # a source locked to a grid of 1 s publishes 0, 0, -0.7e308 and 0.3e308:
+    # every sample and divided difference is finite, but the order-2
+    # polynomial's d1 + d2 * h (1e308 + 0.85e308) is not, at t = 3
+    ys = (0.0, 0.0, -0.7e308, 0.3e308)
+    source = SubsystemSpec(
+        "source", 1, 0, 1,
+        lambda t, x, u: [0.0],
+        lambda t, x, u: [ys[round(t)]],
+        (0.0,),
+        imposed_step=1.0,
+        dt0=1.0,
+    )
+    problem = CosimProblem((source,), CouplingGraph(), 0.0, 5.0)
+    with pytest.raises(DivergenceError) as err:
+        run_f3ornits(problem, MasterOptions(force_order=2))
+    assert type(err.value.__cause__) is ValueError
+    assert err.value.t_last_good == 2.0
+    # which the command line reports as a divergence, exit code 2
+    monkeypatch.setattr(cli, "run_f3ornits", lambda _, options: run_f3ornits(
+        problem, options
+    ))
+    args = ["run", "--model", "two_mass", "--force-order", "2",
+            "--output-dir", str(tmp_path)]
+    assert cli.main(args) == 2
 
 
 def test_event_budget_guard(monkeypatch):

@@ -253,6 +253,21 @@ def test_extrapolation_refuses_orders_it_cannot_publish():
         fit_extrapolation(SampleHistory(), 0)
 
 
+def test_extrapolation_checks_the_one_coefficient_that_can_overflow():
+    # push checked every sample and divided difference, so an order-2
+    # publication checks only d1 + d2 * (t_n - t_n-1): d1 = 1e308 after
+    # -0.7e308, over gaps of 1, leaves d2 = 0.85e308 finite and the sum
+    # past the largest float
+    samples = ((0.0, 0.0), (1.0, -0.7e308), (2.0, 0.3e308))
+    h = history_of(*samples)
+    assert h.d1 == pytest.approx(1e308) and h.d2 == pytest.approx(0.85e308)
+    with pytest.raises(ValueError, match="finite"):
+        fit_extrapolation(h, 2)
+    with pytest.raises(ValueError, match="finite"):
+        estimate_output(h, select_order(h, 3.0, 0.0, force=2))
+    assert fit_extrapolation(h, 1).coeffs == (h.values[-1], h.d1)
+
+
 def test_estimate_publishes_through_the_module_name(monkeypatch):
     # a wrapper installed on orders.fit_extrapolation sees every publication
     calls = []

@@ -1,17 +1,21 @@
+import ast
 import math
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f3ornits import master
+from f3ornits import master, subsystem
 from f3ornits.errors import ConfigError, ContractViolation, DivergenceError
 from f3ornits.poly import Polynomial
 from f3ornits.master import _SubRuntime
-from f3ornits.models import TwoMassParams, build_two_mass
+from f3ornits.models import CarParams, TwoMassParams, build_car, build_two_mass
 from f3ornits.subsystem import (
-    MICRO_ATOL, MICRO_DIVISOR, MICRO_RTOL, Derivatives, SubsystemSpec, step_to,
+    MICRO_ATOL, MICRO_DIVISOR, MICRO_RTOL, SCHEMES, Derivatives, SubsystemSpec,
+    _micro_walk, step_to,
 )
 
 
@@ -1116,3 +1120,128 @@ def test_two_mass_windows_take_a_third_of_the_fixed_walks_f_evaluations(
     problem = replace(problem, subsystems=tuple(map(counted, problem.subsystems)))
     master.run_f3ornits(problem, master.MasterOptions())
     assert 3 * evals[0] <= 4 * MICRO_DIVISOR * len(windows)
+
+
+# ---------------------------------------------- one kernel per common degree
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coeffs=st.lists(st.lists(_coeff, min_size=1, max_size=4).map(tuple),
+                    min_size=2, max_size=3),
+    lags=st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0)),
+                  min_size=3, max_size=3),
+    t_start=st.floats(-1.0, 1.0, allow_nan=False),
+    window=st.floats(0.05, 2.0),
+    declared=st.booleans(),
+    adaptive=st.booleans(),
+)
+def test_a_padded_window_walks_as_the_kernel_of_its_exact_degrees(
+    coeffs, lags, t_start, window, declared, adaptive
+):
+    # step_to walks a window with the kernel of its inputs' highest degree,
+    # each lower degree led by 0.0 coefficients.  An input published at or
+    # before the window's start is held, one published after it (a negative
+    # lag) is not.  With tau finite the padded lead 0.0 * tau + 0.0 is +0.0,
+    # so every stage's inputs, state and outputs are the floats of the
+    # kernel compiled for the exact degrees, zero signs included
+    m = len(coeffs)
+    inputs = [Polynomial(t_start - lag, c) for c, lag in zip(coeffs, lags)]
+    degrees = tuple(len(c) - 1 for c in coeffs)
+    t_target = t_start + window
+    window = t_target - t_start  # as step_to sees it
+    exprs = (f"u0 * x1 - 0.5 * x0 + u{m - 1}", f"t * u{m - 1} - x1")
+    outputs = ("x0", "x1", *(f"u{j}" for j in range(m)))
+    g = Derivatives(outputs)
+
+    def dynamics(log):
+        def f(t, x, u):
+            log.append(hexes((t, *x, *u)))
+            return [u[0] * x[1] - 0.5 * x[0] + u[-1], t * u[-1] - x[1]]
+
+        return Derivatives(exprs) if declared else f
+
+    exact = _micro_walk("rk4", 2, degrees, exprs if declared else None, (),
+                        outputs, (), adaptive=adaptive)
+    h = window / MICRO_DIVISOR if adaptive else window / 8.0
+    log, exact_log = [], []
+    x, y = exact(dynamics(exact_log), g, [0.25, -0.0], t_start, t_target,
+                 h, window if adaptive else h, inputs, "exact")
+    spec = SubsystemSpec("padded", 2, m, 2 + m, dynamics(log), g, (0.25, -0.0))
+    padded_x, padded_y = step_to(spec, spec.x_init, inputs, t_start, t_target,
+                                 None if adaptive else h)
+    assert list(spec.kernels) == [("rk4", max(degrees), adaptive)]
+    assert hexes(padded_x) == hexes(x)
+    assert hexes(padded_y) == hexes(y)
+    assert log == exact_log
+
+
+def test_unheld_windows_compile_one_unheld_kernel(monkeypatch):
+    # inputs published after their windows' starts send each window from
+    # the held kernel to the one compiled without held, which the held
+    # kernel binds once: 50 such windows compile it once and enter
+    # _micro_walk once for it
+    subsystem._micro_walk.cache_clear()
+    compiled, entered = [], []
+
+    def counted_compile(source, name, mode):
+        compiled.append(name)
+        return compile(source, name, mode)
+
+    def counted_walk(*args, _micro_walk=subsystem._micro_walk, **kwargs):
+        entered.append(args)
+        return _micro_walk(*args, **kwargs)
+
+    monkeypatch.setattr(subsystem, "compile", counted_compile, raising=False)
+    monkeypatch.setattr(subsystem, "_micro_walk", counted_walk)
+    spec = SubsystemSpec("late", 1, 1, 1, lambda t, x, u: [u[0] - x[0]],
+                         lambda t, x, u: [x[0]], (0.0,))
+    x = list(spec.x_init)
+    for i in range(50):
+        x, _ = step_to(spec, x, [Polynomial(i + 0.5, (1.0, 0.25))], float(i), i + 1.0)
+    assert compiled == ["<rk4 adaptive walk n=1 degrees=(1,)>",
+                        "<rk4 adaptive unheld walk n=1 degrees=(1,)>"]
+    assert len(entered) == 2
+
+
+@pytest.mark.parametrize("build,walks", [
+    # mass_right's nine pairs of input degrees are three common degrees
+    (lambda: build_two_mass(TwoMassParams()), 6),
+    # one input per subsystem, nothing to pad: a kernel per degree and control
+    (lambda: build_car(CarParams(seed=1, t_end=300.0)), 12),
+], ids=["two_mass", "car"])
+def test_a_run_binds_one_walk_kernel_per_common_input_degree(
+    build, walks, monkeypatch
+):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0})  # no partner
+    problem = build().problem
+    master.run_f3ornits(problem, master.MasterOptions())
+    assert sum(len(spec.kernels) for spec in problem.subsystems) == walks
+
+
+def test_sources_and_generated_kernels_parse_on_the_python_floor(monkeypatch):
+    # pyproject.toml's floor is Python 3.10: every module, and one kernel
+    # per scheme and kind of walk, must parse in its grammar
+    for path in sorted(Path(subsystem.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+    sources = {}
+
+    def kept(source, name, mode):
+        sources[name] = source
+        return compile(source, name, mode)
+
+    monkeypatch.setattr(subsystem, "compile", kept, raising=False)
+    f = Derivatives(("-k * x0 + u0 + w", "x0 - s"), (("k", 2.0), ("dwell", 0.1)),
+                    (("cell", "t // dwell"), ("w", "cell * 0.5 + u1"),
+                     ("s", "x1 * u0")))
+    g = Derivatives(("x0 + u1",))
+    kinds = [(scheme, adaptive, declared, held)
+             for scheme in SCHEMES for adaptive in (False, True)
+             for declared in (False, True) for held in (False, True)
+             if not adaptive or SCHEMES[scheme][3] is not None]
+    for scheme, adaptive, declared, held in kinds:
+        args = (f.exprs, f.values, g.exprs, g.values) if declared else (None, ())
+        subsystem._micro_walk.__wrapped__(scheme, 2, (2, 0), *args, held=held,
+                                          adaptive=adaptive)
+    assert len(sources) == len(kinds) == 12
+    for name, source in sources.items():
+        ast.parse(source, name, feature_version=(3, 10))
