@@ -42,8 +42,8 @@ So the windows of one event are independent, and a run may walk some of
 them on a second CPU.  After PARTNER_WARMUP events in one process, where
 `parallel.cpus` allows a fork and step_to is the kernel walk itself, a run
 forks one partner process (`parallel.Partner`, on the `parallel.Child` that
-compare's rows fork too) and hands it the subsystems whose f and g are both
-declared and which, by the timed events, shorten an event most
+compare's rows fork too) and hands it the declared subsystems whose fixed
+micro steps it should walk, chosen from the declarations alone
 (`_start_partner`); a callable f or g may be a black box with side effects,
 so those always stay here.  Per event this process builds every plan, sends
 the partner its windows in one message, walks and publishes its own
@@ -82,7 +82,13 @@ from .stepper import (
     propose,
     update_damped_bounds,
 )
-from .subsystem import Derivatives, SubsystemSpec, evaluate_outputs, step_to
+from .subsystem import (
+    MICRO_DIVISOR,
+    Derivatives,
+    SubsystemSpec,
+    evaluate_outputs,
+    step_to,
+)
 from .trace import RunTrace, SubsystemTrace
 
 
@@ -128,14 +134,9 @@ DT_EPSILON = 1e-9
 MAX_EVENTS = 5_000_000
 
 #: events a run takes in one process before it may start its partner, whose
-#: fork and reap cost 3-5 ms, the walks of about 100 windows; the windows of
-#: the second half are timed to choose what the partner walks
+#: fork and reap cost 3-5 ms, the walks of about 100 windows: a shorter run
+#: never forks
 PARTNER_WARMUP = 64
-
-#: what handing windows to the partner and reading them back adds to an
-#: event, in seconds: on a shared 2-vCPU host (Python 3.11) writing the
-#: windows took about 10 us and reading the replies about 10 us
-PARTNER_OVERHEAD_S = 20e-6
 
 
 @dataclass(frozen=True)
@@ -388,9 +389,6 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
         rt.record = trace.subsystems[rt.spec.label].record
     active = [k for k, rt in enumerate(runtimes) if not rt.finished]
     events = 0
-    # from half the warm-up on, per subsystem the times of its walks and of
-    # its publishing, until the partner is started
-    timing: list[tuple[list[float], list[float]]] | None = None
     partner = None
     try:
         while active:
@@ -400,9 +398,7 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
             tie = 1e-12 * (1.0 + abs(t_event))
             due = [k for k in active if effective[k] - t_event <= tie]
 
-            finished = _step(
-                runtimes, due, t_event, t_end, publishing, partner, timing
-            )
+            finished = _step(runtimes, due, t_event, t_end, publishing, partner)
 
             # a reader resolves its next window at its reached time, which
             # never decreases: the slowest reader bounds what each log must keep
@@ -416,11 +412,8 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
             events += 1
             if finished:
                 active = [k for k in active if not runtimes[k].finished]
-            if events == PARTNER_WARMUP // 2:
-                timing = [([], []) for _ in runtimes]
-            elif events == PARTNER_WARMUP and active:
-                partner = _start_partner(runtimes, timing)
-                timing = None
+            if events == PARTNER_WARMUP and active:
+                partner = _start_partner(runtimes, options.tolerances.dt_min)
     finally:
         if partner is not None:
             partner.close()
@@ -500,50 +493,33 @@ def _walk(rt: _SubRuntime, t_event: float) -> None:
     )
 
 
-def _start_partner(
-    runtimes: list[_SubRuntime], timing: list[tuple[list[float], list[float]]],
-):
-    """A partner owning the subsystems with declared f and g that shorten
-    the timed events most, or None: where this process forks nothing
-    (`parallel.cpus`), where step_to has been replaced, so that the
-    partner's walk would not be this one's, or where no choice is shorter.
+def _start_partner(runtimes: list[_SubRuntime], dt_min: float):
+    """A partner owning the subsystems their declarations hand over, or
+    None: where none is handed over, where this process forks nothing
+    (`parallel.cpus`) or where step_to has been replaced, so that the
+    partner's walk would not be this one's.
 
-    While the partner walks its subsystems, this process walks and
-    publishes its own; it publishes the partner's once their windows are
-    back, and pays PARTNER_OVERHEAD_S for the exchange.  So an event on
-    the partner is predicted to take max(own walks and publishing, the
-    partner's walks) plus the partner's publishing and the overhead, from
-    each subsystem's median window time times its windows over the timed
-    events: the window that compiles a kernel takes ten times as long as
-    the others.  Subsystems are handed over, most helpful first, while the
-    prediction falls.
+    A subsystem walks at least 1 / max_micro_step micro steps per simulated
+    second, none if it has no bound or has finished.  It may go if its f and
+    g are declared and its least window, its imposed_step or else dt_min,
+    spans more than MICRO_DIVISOR - 1 bounds: step_to walks such windows in
+    fixed steps, long enough to pay for the exchange.  These go heaviest
+    first, ties to the lower index, while the heavier process's summed rate
+    falls.  No clock is read, so a problem always runs in the same processes.
     """
-    events = PARTNER_WARMUP - PARTNER_WARMUP // 2
-
-    def per_event(times: list[float]) -> float:
-        return len(times) and sorted(times)[len(times) // 2] * len(times) / events
-
-    walk = [per_event(walks) for walks, _ in timing]
-    publish = [per_event(publishes) for _, publishes in timing]
-
-    def event_time(owned: list[int]) -> float:
-        if not owned:
-            return sum(walk) + sum(publish)
-        own = sum(walk[k] + publish[k] for k in range(len(runtimes)) if k not in owned)
-        away = sum(walk[k] for k in owned)
-        return max(own, away) + sum(publish[k] for k in owned) + PARTNER_OVERHEAD_S
-
-    owned: list[int] = []
-    candidates = [
-        k for k, rt in enumerate(runtimes)
-        if isinstance(rt.spec.f, Derivatives) and isinstance(rt.spec.g, Derivatives)
-    ]
-    while candidates:
-        best = min(candidates, key=lambda k: event_time(owned + [k]))
-        if event_time(owned + [best]) >= event_time(owned):
+    rates = [0.0 if rt.finished or rt.spec.max_micro_step is None
+             else 1.0 / rt.spec.max_micro_step for rt in runtimes]
+    here, away, owned = sum(rates), 0.0, []
+    for k in sorted(range(len(runtimes)), key=lambda k: -rates[k]):
+        rt, rate = runtimes[k], rates[k]
+        window = dt_min if rt.imposed_step is None else rt.imposed_step
+        declared = all(isinstance(d, Derivatives) for d in (rt.spec.f, rt.spec.g))
+        if not declared or window * rate <= MICRO_DIVISOR - 1.0:
+            continue
+        if away + rate >= here:  # the heavier side's rate would not fall
             break
-        owned.append(best)
-        candidates.remove(best)
+        here, away = here - rate, away + rate
+        owned.append(k)
     if not owned:
         return None
     from . import parallel  # loaded only by a run that would fork
@@ -561,7 +537,7 @@ def _start_partner(
 
 def _step(
     runtimes: list[_SubRuntime], due: list[int], t_event: float, t_end: float,
-    publishing: tuple, partner=None, timing=None,
+    publishing: tuple, partner=None,
 ) -> bool:
     """Both passes over the due subsystems; whether one reached the horizon.
 
@@ -571,8 +547,7 @@ def _step(
     subsystem's own records, so its order changes no number.  Raises what
     the two passes over `due` in order raise: the exception of the first
     window whose plans or walk fail, else that of the first subsystem whose
-    publishing fails.  With timing, each window's walk time and then its
-    publishing time are appended to its subsystem's two lists there.
+    publishing fails.
     """
     failed = None
     for i, k in enumerate(due):
@@ -591,10 +566,7 @@ def _step(
         rt = runtimes[k]
         if rt.owner is None:
             try:
-                t_walk = timing and time.perf_counter()
                 _walk(rt, t_event)
-                if timing:
-                    timing[k][0].append(time.perf_counter() - t_walk)
             except Exception as exc:
                 failed, due = exc, due[:i]
                 break
@@ -605,10 +577,7 @@ def _step(
             rt = runtimes[k]
             if rt.owner is None:
                 try:
-                    t_publish = timing and time.perf_counter()
                     finished |= _publish(rt, t_event, t_end, publishing)
-                    if timing:
-                        timing[k][1].append(time.perf_counter() - t_publish)
                 except Exception as exc:
                     unpublished, failed_later = i, exc
                     break

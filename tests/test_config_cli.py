@@ -729,12 +729,54 @@ def test_a_partner_walks_windows_as_this_process_does(deadline):
 
 @needs_two_cpus
 def test_comparison_rows_never_start_a_partner(partners, deadline):
-    setup = materialize(RunConfig(model="two_mass", t_end=20.0))
+    # a car run of its own forks a partner
+    setup = materialize(RunConfig(model="car", seed=7, t_end=20.0))
     rows = run_comparison(setup.model, setup.options, setup.variable)
     assert_no_child_left()
     # the rows this process ran are long enough to start one on their own
     assert max(r.steps for r in rows) > master.PARTNER_WARMUP
     assert partners == []
+
+
+@needs_two_cpus
+def test_the_partner_follows_the_declarations_not_a_clock(
+    partners, monkeypatch, deadline,
+):
+    car = materialize(RunConfig(model="car", seed=7, t_end=60.0))
+    two_mass = materialize(RunConfig(model="two_mass"))
+
+    def layouts():
+        """What each run's partner walks: the car's, then five two_mass's."""
+        started = []
+        for setup in [car] + [two_mass] * 5:
+            partners.clear()
+            run_f3ornits(setup.model.problem, setup.options)
+            started.append(list(partners))
+        assert_no_child_left()
+        return started
+
+    # the car's two subsystems declare the same micro-step bound and walk
+    # fixed steps, so the lower index goes; two_mass's windows are
+    # error-controlled, and none of them goes
+    expected = [[["vehicle"]]] + [[]] * 5
+    assert layouts() == expected
+
+    # a clock that reads each of mass_right's walks 100 times as long as
+    # any other span it measures changes nothing
+    walk, walked, now = master._walk, [], [0.0]
+
+    def labelled(rt, t_event):
+        walked.append(rt.spec.label)
+        return walk(rt, t_event)
+
+    def clock():
+        now[0] += 1e-3 * (100 if walked[-1:] == ["mass_right"] else 1)
+        walked.clear()
+        return now[0]
+
+    monkeypatch.setattr(master, "_walk", labelled)
+    monkeypatch.setattr(master.time, "perf_counter", clock)
+    assert layouts() == expected
 
 
 def on_one_cpu(call):
@@ -759,15 +801,12 @@ def run_bytes(argv, out):
 
 @needs_two_cpus
 @pytest.mark.parametrize("argv", [
-    ["run", "--model", "two_mass"],
+    ["run", "--model", "car", "--seed", "1", "--t-end", "60", "--smoothing"],
     ["run", "--model", "car", "--seed", "7", "--t-end", "60"],
-], ids=["two_mass", "car_seed_7"])
+], ids=["car_smoothed_seed_1", "car_seed_7"])
 def test_a_run_writes_the_same_bytes_with_its_partner(
-    argv, tmp_path, partners, monkeypatch, deadline,
+    argv, tmp_path, partners, deadline,
 ):
-    # two_mass's error-controlled walks are cheap enough that the partner's
-    # exchange costs more than it saves; free, it takes mass_right
-    monkeypatch.setattr(master, "PARTNER_OVERHEAD_S", 0.0)
     pinned = on_one_cpu(lambda: run_bytes(argv, tmp_path / "one"))
     assert partners == []
     both = run_bytes(argv, tmp_path / "two")
@@ -992,13 +1031,13 @@ def test_cli_run_leaves_no_process_behind(
     tmp_path, capsys, partners, monkeypatch, deadline,
 ):
     monkeypatch.setattr(master, "PARTNER_WARMUP", 16)
-    monkeypatch.setattr(master, "PARTNER_OVERHEAD_S", 0.0)  # as above
-    two_mass = ["run", "--model", "two_mass", "--output-dir", str(tmp_path)]
-    assert cli.main(two_mass + ["--t-end", "20"]) == 0
+    car = ["run", "--model", "car", "--seed", "7", "--output-dir", str(tmp_path)]
+    assert cli.main(car + ["--t-end", "20"]) == 0
     assert_no_child_left()
-    assert cli.main(two_mass + ["--t-end", "20", "--tol-rel", "nan"]) == 1
+    assert cli.main(car + ["--t-end", "20", "--tol-rel", "nan"]) == 1
     assert_no_child_left()
-    diverging = two_mass + ["--t-end", "20", "--param", "k2=-50000"]
+    # the controller diverges after t = 13, once the partner walks the vehicle
+    diverging = car + ["--t-end", "20", "--param", "mass=1e-9"]
     assert cli.main(diverging) == 2
     assert_no_child_left()
     unpinned = capsys.readouterr().err.splitlines()[-1]
@@ -1012,7 +1051,7 @@ def test_a_refused_fork_leaves_the_work_in_this_process(
     tmp_path, monkeypatch, deadline,
 ):
     setup = materialize(RunConfig(model="two_mass", t_end=5.0))
-    run = ["run", "--model", "two_mass"]
+    run = ["run", "--model", "car", "--seed", "7", "--t-end", "60"]
 
     def both(cpus, out):
         monkeypatch.setattr(os, "sched_getaffinity", lambda _: set(range(cpus)))
@@ -1027,8 +1066,6 @@ def test_a_refused_fork_leaves_the_work_in_this_process(
         raise OSError("planted: no more processes")
 
     monkeypatch.setattr(os, "fork", refuse)
-    # the run asks for a partner however cheap its walks are
-    monkeypatch.setattr(master, "PARTNER_OVERHEAD_S", 0.0)
     fds = len(os.listdir("/proc/self/fd"))
     # compare's rows stay with the processes already running, the run
     # with this one
