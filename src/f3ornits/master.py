@@ -38,21 +38,21 @@ second publishes, and publishing touches only the subsystem's own records.
 Each runtime holds the producer logs its inputs read, wired once before the
 first event.
 
-So the windows of one event are independent, and a run may walk some of
-them on a second CPU.  After PARTNER_WARMUP events in one process, where
-`parallel.cpus` allows a fork and step_to is the kernel walk itself, a run
-forks one partner process (`parallel.Partner`, on the `parallel.Child` that
-compare's rows fork too) and hands it the declared subsystems whose fixed
-micro steps it should walk, chosen from the declarations alone
+So the windows of one event are independent, and a run may walk one
+subsystem's on a second CPU.  After PARTNER_WARMUP events in one process,
+where `parallel.cpus` allows a fork and step_to is the kernel walk itself, a
+run forks one partner process (`parallel.Partner`, on the `parallel.Child`
+that compare's rows fork too) and hands it the one declared subsystem whose
+fixed micro steps it should walk, chosen from the declarations alone
 (`_start_partner`); a callable f or g may be a black box with side effects,
-so those always stay here.  Per event this process builds every plan, sends
-the partner its windows in one message, walks and publishes its own
-subsystems, receives the partner's states and outputs, and publishes those
-subsystems.  The partner runs the same kernel on the same inputs, so every
-trace is byte-identical to one CPU's, and every exception is the one the
-passes in order raise: the partner brings back only the windows it walked,
-and a window it did not is walked again here, and raises here, as for
-compare's rows.  The partner is killed and reaped however the run ends.
+so those always stay here.  At an event where that subsystem is due, this
+process builds every plan, sends the partner its window, walks and publishes
+the other subsystems, receives the partner's state and outputs, and
+publishes that subsystem.  The partner runs the same kernel on the same
+inputs, so every trace is byte-identical to one CPU's, and every exception
+is the one the passes in order raise: the partner brings back only a window
+it walked, and a window it did not is walked again here, and raises here, as
+for compare's rows.  The partner is killed and reaped however the run ends.
 run_jacobi stays in one process.
 
 The benchmark's tracer (bench/tracer.py) times each layer by replacing the
@@ -83,10 +83,10 @@ from .stepper import (
     update_damped_bounds,
 )
 from .subsystem import (
-    MICRO_DIVISOR,
     Derivatives,
     SubsystemSpec,
     evaluate_outputs,
+    micro_steps,
     step_to,
 )
 from .trace import RunTrace, SubsystemTrace
@@ -133,9 +133,11 @@ DT_EPSILON = 1e-9
 #: hard safety valve: the most events (or windows, or steps) one run may take
 MAX_EVENTS = 5_000_000
 
-#: events a run takes in one process before it may start its partner, whose
-#: fork and reap cost 3-5 ms, the walks of about 100 windows: a shorter run
-#: never forks
+#: events a run takes in one process before it may start its partner, so a
+#: shorter run loads neither pickle (1.8-2.9 ms) nor `parallel` (1.4-2.4 ms
+#: from source) and forks nothing (fork and close, about 1 ms): forking at
+#: event 0 took car runs of 20 and 44 events from 6.7-7.5 and 9.8-11.5 ms to
+#: 15-21 and 17-21 ms (shared 2-vCPU host, Python 3.11)
 PARTNER_WARMUP = 64
 
 
@@ -335,8 +337,7 @@ class _SubRuntime(ScheduleEntry):
         self.plans: list[InputPlan | None] = [None] * spec.n_in
         self.delivered: list[Polynomial | None] = [None] * spec.n_in
         self.y: tuple[float, ...] = ()  # outputs at the reached time
-        # the index of the subsystem among the partner's, if it walks there
-        self.owner: int | None = None
+        self.away = False  # whether the partner walks its windows
         self.record = None  # its trace's record
 
 
@@ -494,44 +495,37 @@ def _walk(rt: _SubRuntime, t_event: float) -> None:
 
 
 def _start_partner(runtimes: list[_SubRuntime], dt_min: float):
-    """A partner owning the subsystems their declarations hand over, or
-    None: where none is handed over, where this process forks nothing
+    """A partner walking the subsystem the declarations hand over, or None:
+    where none is handed over, where this process forks nothing
     (`parallel.cpus`) or where step_to has been replaced, so that the
     partner's walk would not be this one's.
 
     A subsystem walks at least 1 / max_micro_step micro steps per simulated
     second, none if it has no bound or has finished.  It may go if its f and
-    g are declared and its least window, its imposed_step or else dt_min,
-    spans more than MICRO_DIVISOR - 1 bounds: step_to walks such windows in
-    fixed steps, long enough to pay for the exchange.  These go heaviest
-    first, ties to the lower index, while the heavier process's summed rate
-    falls.  No clock is read, so a problem always runs in the same processes.
+    g are declared and step_to walks its least window, its imposed_step or
+    else dt_min, in fixed steps (`micro_steps`): such windows are long
+    enough to pay for the exchange.  The heaviest of these goes, ties to
+    the lower index, unless its rate is the run's whole rate, which would
+    leave this process nothing to walk meanwhile.  No clock is read, so a
+    problem always runs in the same processes.
     """
     rates = [0.0 if rt.finished or rt.spec.max_micro_step is None
              else 1.0 / rt.spec.max_micro_step for rt in runtimes]
-    here, away, owned = sum(rates), 0.0, []
-    for k in sorted(range(len(runtimes)), key=lambda k: -rates[k]):
-        rt, rate = runtimes[k], rates[k]
-        window = dt_min if rt.imposed_step is None else rt.imposed_step
-        declared = all(isinstance(d, Derivatives) for d in (rt.spec.f, rt.spec.g))
-        if not declared or window * rate <= MICRO_DIVISOR - 1.0:
-            continue
-        if away + rate >= here:  # the heavier side's rate would not fall
-            break
-        here, away = here - rate, away + rate
-        owned.append(k)
-    if not owned:
+    fixed = [k for k, rt in enumerate(runtimes) if not rt.finished
+             and all(isinstance(d, Derivatives) for d in (rt.spec.f, rt.spec.g))
+             and not micro_steps(rt.spec, rt.imposed_step or dt_min)[2]]
+    k = max(fixed, key=rates.__getitem__, default=None)
+    if k is None or rates[k] >= sum(rates):
         return None
     from . import parallel  # loaded only by a run that would fork
 
     if step_to is not parallel.step_to or parallel.cpus() < 2:
         return None
     try:
-        partner = parallel.Partner([runtimes[k].spec for k in owned])
+        partner = parallel.Partner(runtimes[k].spec)
     except OSError:  # no more processes: the run goes on in this one
         return None
-    for owner, k in enumerate(owned):
-        runtimes[k].owner = owner
+    runtimes[k].away = True
     return partner
 
 
@@ -541,9 +535,9 @@ def _step(
 ) -> bool:
     """Both passes over the due subsystems; whether one reached the horizon.
 
-    This process builds every plan, hands the partner the windows of the
-    subsystems it owns, walks and publishes its own, and publishes the
-    partner's once their windows are back.  Publishing touches only the
+    This process builds every plan, hands the partner the window of its
+    subsystem if that is due, walks and publishes the others, and publishes
+    the partner's once its window is back.  Publishing touches only the
     subsystem's own records, so its order changes no number.  Raises what
     the two passes over `due` in order raise: the exception of the first
     window whose plans or walk fail, else that of the first subsystem whose
@@ -556,15 +550,17 @@ def _step(
         except Exception as exc:  # raised after the windows before it
             failed, due = exc, due[:i]
             break
-    away = partner and [runtimes[k] for k in due if runtimes[k].owner is not None]
-    if away:
-        partner.send([
-            (rt.owner, rt.state, rt.reached, t_event, [p.poly for p in rt.plans])
-            for rt in away
-        ])
+    away = None
+    if partner:
+        for at, k in enumerate(due):
+            if runtimes[k].away:
+                away = runtimes[k]
+                partner.send(away.state, [p.poly for p in away.plans],
+                             away.reached, t_event)
+                break
     for i, k in enumerate(due):
         rt = runtimes[k]
-        if rt.owner is None:
+        if rt is not away:
             try:
                 _walk(rt, t_event)
             except Exception as exc:
@@ -575,29 +571,22 @@ def _step(
     if failed is None:
         for i, k in enumerate(due):
             rt = runtimes[k]
-            if rt.owner is None:
+            if rt is not away:
                 try:
                     finished |= _publish(rt, t_event, t_end, publishing)
                 except Exception as exc:
                     unpublished, failed_later = i, exc
                     break
     if away:
-        results = iter(partner.receive())
-        for k in due:
-            rt = runtimes[k]
-            if rt.owner is not None:
-                result = next(results)
-                if result is None:
-                    _walk(rt, t_event)  # raises the partner's exception here
-                else:
-                    rt.state, rt.y = result
+        result = partner.receive()
+        if result is not None:
+            away.state, away.y = result
+        elif at < len(due):  # no window before it failed here
+            _walk(away, t_event)  # raises the partner's exception here
     if failed is not None:
         raise failed
-    if away:
-        for k in due[:unpublished]:
-            rt = runtimes[k]
-            if rt.owner is not None:
-                finished |= _publish(rt, t_event, t_end, publishing)
+    if away and at < unpublished:
+        finished |= _publish(away, t_event, t_end, publishing)
     if unpublished < len(due):
         raise failed_later
     return finished

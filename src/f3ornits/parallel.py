@@ -166,44 +166,38 @@ class Child:
 
 
 class Partner(Child):
-    """A forked process that walks windows of the subsystems `specs`.
+    """A forked process that walks windows of the subsystem `spec`.
 
-    A window is (owner, state, t_start, t_target, inputs): owner indexes
-    `specs`, inputs are the input polynomials, which travel as plain
-    tuples and are rebuilt unchecked: the master checked them.  `send`
-    hands the child the windows of one event; `receive` gives back, per
-    window, its new state and outputs, or None where the child's walk
-    raised or gave a number that is not a float, which might not cross the
-    pipe: the master walks that window again, and raises the exception
-    itself.  The child holds no state of its own, so a window walked in
-    either process leaves both ready for the next.  Events come far more
-    often than SPINS failed reads take, so the child keeps a CPU of its own
-    busy for as long as the run lasts, and gives one it shares away.
+    A window is step_to's (state, inputs, t_start, t_target): inputs are
+    the input polynomials, which travel as plain tuples and are rebuilt
+    unchecked: the master checked them.  `send` hands the child one
+    window; `receive` gives back its new state and outputs, or None where
+    the child's walk raised or gave a number that is not a float, which
+    might not cross the pipe: the master walks that window again, and
+    raises the exception itself.  The child holds no state of its own, so
+    a window walked in either process leaves both ready for the next.
+    Events come far more often than SPINS failed reads take, so the child
+    keeps a CPU of its own busy for as long as the run lasts, and gives one
+    it shares away.
     """
 
-    def __init__(self, specs):
-        self.specs = specs
-        super().__init__(self._serve, "partner process", "windows")
+    def __init__(self, spec):
+        self.spec = spec
+        super().__init__(self._serve, "partner process", "window")
 
-    def send(self, windows) -> None:
-        super().send([
-            (owner, state, t_start, t_target, [tuple(poly) for poly in inputs])
-            for owner, state, t_start, t_target, inputs in windows
-        ])
+    def send(self, state, inputs, t_start, t_target) -> None:
+        super().send((state, [tuple(poly) for poly in inputs], t_start, t_target))
 
     def _serve(self, child: Child) -> None:
-        """The child: walk each event's windows until the master closes."""
-        specs, rebuild = self.specs, tuple.__new__
-        while (windows := child.receive()) is not None:
-            out = []
-            for owner, state, t_start, t_target, inputs in windows:
-                inputs = [rebuild(Polynomial, poly) for poly in inputs]
-                try:
-                    x, y = step_to(specs[owner], state, inputs, t_start, t_target)
-                    if {*map(type, x), *map(type, y)} != {float}:
-                        raise TypeError("a state or an output is not a float")
-                except Exception:
-                    out.append(None)
-                else:
-                    out.append((x, y))
-            super().send(out)  # Child's send: `out` holds no windows
+        """The child: walk each window until the master closes."""
+        spec, rebuild = self.spec, tuple.__new__
+        for state, inputs, t_start, t_target in iter(child.receive, None):
+            inputs = [rebuild(Polynomial, poly) for poly in inputs]
+            try:
+                x, y = step_to(spec, state, inputs, t_start, t_target)
+                if {*map(type, x), *map(type, y)} != {float}:
+                    raise TypeError("a state or an output is not a float")
+                result = x, y
+            except Exception:
+                result = None
+            super().send(result)  # Child's send: the reply is no window

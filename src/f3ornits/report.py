@@ -16,7 +16,7 @@ is byte-identical to a run on one CPU; `taskset -c 0` pins a run to one.
 A child sends back, in one pickled message, only the rows it completed;
 this process runs the others, so a failing row raises here, as on one CPU.
 On a shared 2-vCPU Intel Xeon host (Python 3.11.7) the full 200 s two_mass
-matrix took 6.7-7.0 s of wall time on one CPU and 4.1-4.5 s on both.  Each
+matrix took 3.2-3.9 s of wall time on one CPU and 1.9-2.4 s on both.  Each
 row process counts as one CPU (`parallel.one_share`), so a row never nests
 a partner process of its own (master.py): the rows already keep every CPU
 busy.

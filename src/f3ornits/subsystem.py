@@ -665,6 +665,18 @@ def _micro_walk(
     return namespace["walk"]
 
 
+def micro_steps(
+    spec: SubsystemSpec, window: float, scheme: str = "rk4"
+) -> tuple[float, float, bool]:
+    """step_to's micro-step floor and ceiling over a window of length
+    `window`, and whether it walks the window under error control: a
+    ceiling that cannot walk it in fewer steps than the floor's
+    MICRO_DIVISOR leaves nothing to control."""
+    h_max = min(window, spec.max_micro_step or window)
+    return (min(window / MICRO_DIVISOR, h_max), h_max,
+            h_max * (MICRO_DIVISOR - 1.0) >= window and SCHEMES[scheme][3] is not None)
+
+
 def step_to(
     spec: SubsystemSpec,
     state: Sequence[float],
@@ -685,6 +697,7 @@ def step_to(
     could not take the window in fewer than MICRO_DIVISOR steps
     (h_max * (MICRO_DIVISOR - 1) < W); that window, any other scheme and an
     explicit `micro_step` walk fixed steps of h_min, or of micro_step.
+    `micro_steps` states this rule, for the master's partner too.
 
     The window is walked by the kernel `_micro_walk` compiled for the
     scheme ("rk4" unless given), spec.n_states, the control and, for each
@@ -738,15 +751,7 @@ def step_to(
     h = h_max = micro_step
     adaptive = False
     if h is None:
-        window = t_target - t_start
-        h_max = window if spec.max_micro_step is None else min(
-            window, spec.max_micro_step
-        )
-        h = min(window / MICRO_DIVISOR, h_max)
-        # a ceiling that cannot walk the window in fewer steps than the
-        # floor's MICRO_DIVISOR leaves nothing to control
-        adaptive = (h_max * (MICRO_DIVISOR - 1.0) >= window
-                    and SCHEMES[scheme][3] is not None)
+        h, h_max, adaptive = micro_steps(spec, t_target - t_start, scheme)
     if not (isfinite(h) and h > 0):
         raise ValueError(
             f"{spec.label}: micro step must be finite and positive, got {h!r}"

@@ -671,13 +671,14 @@ needs_two_cpus = pytest.mark.skipif(
 
 @pytest.fixture
 def partners(monkeypatch):
-    """The labels each partner started in this process walks, in order."""
+    """The label of the subsystem each partner started in this process
+    walks, in order, each as a one-item list."""
     started = []
 
     class Recorded(parallel.Partner):
-        def __init__(self, specs):
-            super().__init__(specs)  # the child never returns from here
-            started.append([spec.label for spec in specs])
+        def __init__(self, spec):
+            super().__init__(spec)  # the child never returns from here
+            started.append([spec.label])
 
     monkeypatch.setattr(parallel, "Partner", Recorded)
     return started
@@ -713,18 +714,22 @@ def test_a_partner_walks_windows_as_this_process_does(deadline):
             Derivatives(("x0",)), (1.0, 0.0),
         ),
     ]
-    u = Polynomial(0.5, (0.25, -1.0, 0.125))
-    partner = parallel.Partner(specs)
-    try:
-        partner.send([(k, [0.3, -0.2], 0.5, 0.9, [u]) for k in (0, 1, 2, 0)])
-        walked = partner.receive()
-    finally:
-        partner.close()
+    window = ([0.3, -0.2], [Polynomial(0.5, (0.25, -1.0, 0.125))], 0.5, 0.9)
+    walked = []
+    # one partner per spec; the first is sent the same window twice
+    for spec, sends in zip(specs, (2, 1, 1)):
+        partner = parallel.Partner(spec)
+        try:
+            for _ in range(sends):
+                partner.send(*window)
+                walked.append(partner.receive())
+        finally:
+            partner.close()
     assert_no_child_left()
     # the same floats as here; None where the walk raised or gave an int
-    here = step_to(specs[0], [0.3, -0.2], [u], 0.5, 0.9)
-    assert step_to(specs[1], [0.3, -0.2], [u], 0.5, 0.9)[1] == (1,)
-    assert walked == [here, None, None, here]
+    here = step_to(specs[0], *window)
+    assert step_to(specs[1], *window)[1] == (1,)
+    assert walked == [here, here, None, None]
 
 
 @needs_two_cpus
@@ -878,6 +883,70 @@ def test_a_subsystem_with_a_callable_f_stays_in_the_caller(
     # osc1, the heaviest, has a callable f: the partner walks another one
     assert len(partners) == 1 and "osc1" not in partners[0]
     assert len(both) == 4 and both == pinned
+
+
+def test_the_partner_takes_only_windows_step_to_walks_fixed(
+    tmp_path, partners, deadline,
+):
+    # boundary's windows are 0.003334 * 49.0 == 0.163366 long in floats, so
+    # step_to walks them under error control, although 0.163366 * (1 /
+    # 0.003334) reads just over 49 (a few, whose length rounds over 0.163366
+    # on the event grid, walk fixed steps); light's are 10 bounds long
+    def oscillator(label, w, micro, step):
+        f = Derivatives(("x1", "-w * w * x0 - 0.2 * x1 + u0"), (("w", w),))
+        return SubsystemSpec(
+            label, 2, 1, 1, f, Derivatives(("x0",)), (1.0, 0.0),
+            max_micro_step=micro, imposed_step=step, dt0=step,
+        )
+
+    boundary = oscillator("boundary", 2.0, 0.003334, 0.163366)
+    light = oscillator("light", 1.0, 0.01, 0.1)
+    graph = CouplingGraph({(0, 0): (1, 0), (1, 0): (0, 0)})
+    problem = CosimProblem((boundary, light), graph, 0.0, 20.0)
+
+    def csv_bytes(out):
+        trace = run_f3ornits(problem, MasterOptions())
+        assert trace.total_events > master.PARTNER_WARMUP
+        paths = trace.write_csv(out, "pair")
+        return {p.name: _read_bytes_without_wall_time(p) for p in paths}
+
+    pinned = on_one_cpu(lambda: csv_bytes(tmp_path / "one"))
+    both = csv_bytes(tmp_path / "two")
+    assert_no_child_left()
+    assert partners == []
+    assert len(both) == 3 and both == pinned
+    assert True in {control for _, _, control in boundary.kernels}
+
+
+#: a fresh interpreter runs `cli.main(argv)` and prints which of the modules
+#: only a fork needs it loaded
+FORK_MODULES = """
+import sys
+from f3ornits import cli
+assert cli.main(sys.argv[1:]) == 0
+print(sorted({"f3ornits.parallel", "pickle"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["--model", "two_mass", "--t-end", "20"], "[]"),
+    # 40 events, fewer than the warm-up
+    (["--model", "car", "--seed", "7", "--t-end", "2"], "[]"),
+    pytest.param(["--model", "car", "--seed", "7", "--t-end", "20"],
+                 "['f3ornits.parallel', 'pickle']", marks=needs_two_cpus),
+], ids=["two_mass", "short_car", "car"])
+def test_a_run_that_forks_nothing_loads_no_fork_machinery(argv, loaded, tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", FORK_MODULES, "run", *argv,
+         "--output-dir", str(tmp_path)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == loaded
 
 
 @needs_two_cpus

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f3ornits import master, subsystem
+from f3ornits import cli, master, models, subsystem
 from f3ornits.errors import ConfigError, ContractViolation, DivergenceError
 from f3ornits.poly import Polynomial
 from f3ornits.master import _SubRuntime
@@ -1216,6 +1216,33 @@ def test_a_run_binds_one_walk_kernel_per_common_input_degree(
     problem = build().problem
     master.run_f3ornits(problem, master.MasterOptions())
     assert sum(len(spec.kernels) for spec in problem.subsystems) == walks
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--model", "two_mass", "--set", "caps.mass_right.imposed_step=0.25"],
+    ["run", "--model", "two_mass", "--set", "caps.mass_right.max_input_degree=1"],
+    ["run", "--model", "car", "--seed", "7", "--smoothing", "--calibration", "cls"],
+    ["run", "--model", "two_mass", "--method", "jacobi", "--dt", "0.01"],
+    ["reference", "--model", "two_mass"],
+], ids=["imposed_step", "capped", "car_smoothed_cls", "jacobi", "reference"])
+def test_the_program_walks_every_window_on_the_held_kernel(
+    argv, tmp_path, monkeypatch
+):
+    # the held kernel takes each input's Horner lead once per window; the
+    # windows the program itself walks all start at or after their inputs'
+    # t_ref, so none of them falls back to the kernel compiled without held
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0})  # no partner
+    monkeypatch.setattr(models, "_REFERENCE_CACHE", {})  # walked afresh
+    subsystem._micro_walk.cache_clear()
+    compiled = []
+
+    def recorded_compile(source, name, mode):
+        compiled.append(name)
+        return compile(source, name, mode)
+
+    monkeypatch.setattr(subsystem, "compile", recorded_compile, raising=False)
+    assert cli.main([*argv, "--t-end", "20", "--output-dir", str(tmp_path)]) == 0
+    assert compiled and not [name for name in compiled if "unheld" in name]
 
 
 def test_sources_and_generated_kernels_parse_on_the_python_floor(monkeypatch):
