@@ -13,7 +13,8 @@ equivalence is pinned down to float identity by the tests.
 
 Scheduling is reconciled after every event by five rules applied in order:
 
-(a) subsystems with an imposed step stay locked to their grid;
+(a) subsystems with an imposed step stay locked to their grid, counted
+    from t_init, not summed: its n-th point is fl(t_init + n * imposed_step);
 (b) consumers that publish outputs never plan past the earliest estimated
     refresh among their producers, so fresh data is awaited rather than
     extrapolated over when the schedule allows it;
@@ -206,6 +207,13 @@ class ScheduleEntry:
     imposed_step: float | None = None
     orders_changed: bool = True
     finished: bool = False
+    t_init: float = 0.0  # where an imposed grid starts
+    grid_steps: int = 0  # the steps walked on it
+
+    @property
+    def grid_point(self) -> float:
+        """Rule (a)'s next time, fl(t_init + (grid_steps + 1) * imposed_step)."""
+        return self.t_init + (self.grid_steps + 1) * self.imposed_step
 
 
 def reconcile(
@@ -219,7 +227,8 @@ def reconcile(
     if not entries:
         raise ValueError("reconcile needs at least one schedule entry")
     eff = [e.estimated for e in entries]
-    # (a) imposed-grid subsystems are locked, whatever their estimate says;
+    # (a) imposed-grid subsystems are locked to their next grid point,
+    #     whatever their estimate says;
     #     (b) the others with outputs clamp to their producers' estimates,
     #     which (a) leaves as they are.  Subsystems without outputs are
     #     exempt: nobody depends on them, so their wake policy is rule (c)
@@ -228,7 +237,7 @@ def reconcile(
         if e.finished:
             continue
         if e.imposed_step is not None:
-            eff[k] = e.reached + e.imposed_step
+            eff[k] = e.grid_point
         elif e.has_outputs:
             for l in e.producers:
                 p = entries[l]
@@ -318,7 +327,8 @@ class _SubRuntime(ScheduleEntry):
         t0: float,
         smoothing: bool,
     ):
-        super().__init__(t0, t0, spec.n_out > 0, producers, spec.imposed_step)
+        super().__init__(t0, t0, spec.n_out > 0, producers, spec.imposed_step,
+                         t_init=t0)
         self.spec = spec
         # un-smoothed plans are capped at the method's order and at what the
         # subsystem takes; smoothing needs the cubics of MAX_DEGREE
@@ -372,7 +382,7 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
             rt.published[j].append(Polynomial(t0, (y0[k][j],)))
             rt.bounds.append(DampedBounds.from_first_sample(y0[k][j]))
         if rt.imposed_step is not None:
-            rt.estimated = t0 + rt.imposed_step
+            rt.estimated = rt.grid_point
         elif not (rt.producers or rt.has_outputs):
             # nothing to give and nothing to receive: one step to the horizon
             rt.estimated = t_end
@@ -457,7 +467,8 @@ def _publish(
 
     rho = 1.0
     if rt.imposed_step is not None:
-        rt.estimated = t_event + rt.imposed_step
+        rt.grid_steps += 1
+        rt.estimated = rt.grid_point
     elif not rt.has_outputs:
         # nothing published, so no error to control: aim for the horizon
         # and let rule (c) pull the subsystem in

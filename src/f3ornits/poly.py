@@ -52,10 +52,13 @@ class Polynomial(NamedTuple("_Fields", [("t_ref", float), ("coeffs", tuple)])):
         return len(self.coeffs) - 1
 
     def __call__(self, t: float) -> float:
+        """Horner from 0.0 + c_d, a lead that reads no tau: for every
+        tau >= +0.0 the floats of 0.0 * tau + c_d, and for any finite tau
+        those of the lead `step_to` pads with 0.0 coefficients."""
         t_ref, coeffs = self
         tau = t - t_ref
-        acc = 0.0
-        for c in reversed(coeffs):
+        acc = 0.0 + coeffs[-1]
+        for c in coeffs[-2::-1]:
             acc = acc * tau + c
         return acc
 
@@ -66,10 +69,6 @@ class Polynomial(NamedTuple("_Fields", [("t_ref", float), ("coeffs", tuple)])):
             self.t_ref,
             tuple(i * c for i, c in enumerate(self.coeffs) if i > 0),
         )
-
-    def shifted(self, t_ref: float) -> "Polynomial":
-        """Same polynomial re-expressed about a new reference time."""
-        return Polynomial(t_ref, shift_coeffs(self.coeffs, t_ref - self.t_ref))
 
 
 _BINOM = ((1,), (1, 1), (1, 2, 1), (1, 3, 3, 1))

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from math import isfinite
 from typing import Callable, Sequence
 
@@ -346,11 +346,6 @@ def _stalled(label: str, hs: float, t: float) -> ValueError:
 #: each stage time's tag, in the names of what is evaluated at that time
 _TAGS = {"_t": "i", "_tm": "m", "_t1": "e"}
 
-#: a window whose inputs have t_ref in (-_FAR, t_start] and t_target - t_ref
-#: below _FAR gives no stage time after its start, even one an ulp past
-#: t_target, a tau that is < 0, -0.0 or not finite (`_micro_walk`)
-_FAR = 2.0 ** 1000
-
 #: the micro step of each scheme `_micro_walk` writes out: per stage, its
 #: time and the step its state takes from _x along the previous stage's
 #: derivatives (None: the stage's state is _x); the lines that open the
@@ -379,7 +374,6 @@ def _micro_walk(
     values: tuple[tuple[str, str], ...] = (),
     outputs: tuple[str, ...] | None = None,
     output_values: tuple[tuple[str, str], ...] = (),
-    held: bool = True,
     adaptive: bool = False,
 ) -> Callable[..., tuple[list[float], tuple[float, ...] | None]]:
     """The walk of one window by `SCHEMES[scheme]` for n states and inputs
@@ -391,9 +385,10 @@ def _micro_walk(
     and the walk stops once t_target - t1 <= h * 1e-9.  A step with
     t1 == t cannot advance (h at most half an ulp of t) and raises
     ValueError.  Input j, read as the pair (t_ref, coeffs) a Polynomial is,
-    keeps its coefficients in the locals _c{j}_0.., and it is evaluated at
-    t and at each new stage time by one Horner expression,
-    (0.0 * tau + c{j}_d) * tau + c{j}_{d-1} ..., the operations of
+    keeps its coefficients in the locals _c{j}_0.. and its Horner lead
+    _l{j} = 0.0 + c{j}_d, which reads no tau and so is taken once per
+    window; it is evaluated at t and at each new stage time by one Horner
+    expression, (_l{j}) * tau + c{j}_{d-1} ..., the operations of
     `Polynomial.__call__` in its order; the inputs at t1 are the next
     step's inputs at t.  The state lives in the locals _x0.._x{n-1} and
     each stage's derivatives in _k1_0.., _k2_0.., ....  Every expression,
@@ -402,13 +397,7 @@ def _micro_walk(
     and the step x[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]); for
     the midpoint rule "rk2" x[i] + half * k1[i], then x[i] + hs * k2[i].
     A full step's hs, half and opening lines (sixth) are computed once per
-    window; a step with t_target - t < h, the last, computes its own.  With
-    held, where each input's tau is >= 0 at t_start and t_target is not
-    near overflow (`_FAR`), no tau after the start is < 0, -0.0 or not
-    finite, so each lead 0.0 * tau + c{j}_d is taken once per window, as
-    0.0 + c{j}_d; any other window goes to the kernel compiled without
-    held, which evaluates every lead as it goes: the held kernel binds it
-    on first need, once.
+    window; a step with t_target - t < h, the last, computes its own.
 
     With adaptive, h is the floor h_min and the walk's step starts there,
     computing its sizes per step; the guard stays h_min * 1e-9.  A step
@@ -465,23 +454,18 @@ def _micro_walk(
     used = range(m) if plan is None else plan.inputs
     out = None if outputs is None else _plan(outputs, output_values)
 
-    def horner(j: int, t: str, name: str, lead: bool = False) -> list[str]:
-        """name = input j at time t, from the window's lead _l{j} if lead."""
+    def horner(j: int, t: str, name: str) -> list[str]:
+        """name = input j at time t, from the window's lead _l{j}."""
         d = degrees[j]
-        tau = "_tau" if d else f"({t} - _r{j})"
-        value = f"_l{j}" if lead else f"0.0 * {tau} + _c{j}_{d}"
+        value = f"_l{j}"
         for i in range(d - 1, -1, -1):
             value = f"({value}) * _tau + _c{j}_{i}"
         return [f"_tau = {t} - _r{j}"] * (d > 0) + [f"{name} = {value}"]
 
-    def at(t: str, start: bool = False) -> list[str]:
-        """The inputs and the values named per stage time at time t; the
-        window's start evaluates its Horner leads, as its tau may be -0.0."""
+    def at(t: str) -> list[str]:
+        """The inputs and the values named per stage time at time t."""
         tag = _TAGS[t]
-        lines = [
-            line for j in used
-            for line in horner(j, t, f"_u{tag}{j}", held and not start)
-        ]
+        lines = [line for j in used for line in horner(j, t, f"_u{tag}{j}")]
         if plan is None:
             return lines + [f"_u{tag} = ({''.join(f'_u{tag}{j}, ' for j in used)})"]
         rename = renames(t)
@@ -615,18 +599,14 @@ def _micro_walk(
     lines = [f"[{each('_x{0}')}] = _x", f"[{each('_p{0}', m)}] = _inputs"]
     for j in sorted({*used, *(out.inputs if out else ())}):
         coeffs = ", ".join(f"_c{j}_{i}" for i in range(degrees[j] + 1))
-        lines.append(f"_r{j}, [{coeffs}] = _p{j}")
-    if held and used:
-        fits = (f"-_FAR < _r{j} <= _t_start and _t_target - _r{j} < _FAR" for j in used)
-        lines += [f"if not ({' and '.join(fits)}):", f"    return _unheld()({args})"]
-        lines += [f"_l{j} = 0.0 + _c{j}_{degrees[j]}" for j in used]
+        lines += [f"_r{j}, [{coeffs}] = _p{j}", f"_l{j} = 0.0 + _c{j}_{degrees[j]}"]
     if plan is not None:
         lines += ["_env = _f.namespace"]
         lines += [f"{name} = _env[{name!r}]" for name in plan.constants]
         lines += plan.lines(_WINDOW, renames("_t"))
         # no cell yet: the window start evaluates what reads cells
         lines += [f"_w_{name} = None" for name, _ in plan.defs[_CELL]]
-    lines += ["_guard = _h * 1e-9", "_t = _t_start"] + at("_t", True) + walk
+    lines += ["_guard = _h * 1e-9", "_t = _t_start"] + at("_t") + walk
     lines += [
         f"_x = [{each('_x{0}')}]",
         "if not all(map(_isfinite, _x)):",
@@ -652,15 +632,11 @@ def _micro_walk(
             "return _x, _y",
         ]
     source = f"def walk({args}):\n" + "".join(f"    {line}\n" for line in lines)
-    namespace = {"_arity_error": _arity_error, "_stalled": _stalled, "_FAR": _FAR,
-                 "_isfinite": isfinite, "_DivergenceError": DivergenceError,
-                 "_unheld": cache(partial(_micro_walk, scheme, n, degrees, exprs,
-                                          values, outputs, output_values, False,
-                                          adaptive))}
+    namespace = {"_arity_error": _arity_error, "_stalled": _stalled,
+                 "_isfinite": isfinite, "_DivergenceError": DivergenceError}
     inline = "" if exprs is None else " inline"
     control = " adaptive" if adaptive else ""
-    unheld = "" if held else " unheld"
-    name = f"<{scheme}{control}{unheld} walk n={n} degrees={degrees}{inline}>"
+    name = f"<{scheme}{control} walk n={n} degrees={degrees}{inline}>"
     exec(compile(source, name, "exec"), namespace)
     return namespace["walk"]
 
@@ -702,12 +678,14 @@ def step_to(
     The window is walked by the kernel `_micro_walk` compiled for the
     scheme ("rk4" unless given), spec.n_states, the control and, for each
     input, the highest degree among them, bound in `spec.kernels` under
-    (scheme, degree, control) on first use.  After the capability check,
-    each lower-degree input is led by exact 0.0 coefficients up to that
-    degree: with tau finite, a padded Horner prefix (0.0 * tau + 0.0) is
-    always +0.0, so the chain reaches c_d through the 0.0 * tau + c_d its
-    exact kernel evaluates, held or not, to the same floats.  The kernel
-    walks steps from t_start, the last one shortened to land on t_target,
+    (scheme, degree, control) on first use.  After the capability check, a
+    window where an input's tau = t - t_ref is not finite at t_start or
+    t_target is a ValueError naming the input.  Where the degrees differ,
+    each input's lead c_d is written c_d + 0.0 and, below the highest
+    degree, led by 0.0 coefficients: with tau finite, each padded step
+    (+0.0) * tau + 0.0 is +0.0, and (+-0.0) * tau + (c_d + 0.0) is the lead
+    0.0 + c_d of the exact kernel, so the window walks to the same floats
+    for tau of either sign.  The kernel walks steps from t_start, the last one shortened to land on t_target,
     each input evaluated once per stage time (step boundaries and
     midpoints) as the walk goes.
     A callable f is called once per stage, four times per micro step
@@ -742,11 +720,18 @@ def step_to(
                     f"{spec.label}: input {i} has degree {size - 1}, "
                     f"capability allows {spec.max_input_degree}"
                 )
+    for i, (t_ref, _) in enumerate(inputs):
+        if not (isfinite(t_start - t_ref) and isfinite(t_target - t_ref)):
+            raise ValueError(
+                f"{spec.label}: input {i} has t - t_ref not finite over "
+                f"[{t_start!r}, {t_target!r}] (t_ref = {t_ref!r})"
+            )
     walked = inputs
     if sizes and min(sizes) <= degree:
-        # the lower degrees led by exact 0.0 coefficients (see above)
+        # the lower degrees led by 0.0 coefficients (see above)
         pad = degree + 1
-        walked = [(p.t_ref, p.coeffs + (0.0,) * (pad - len(p.coeffs))) for p in inputs]
+        walked = [(t_ref, (*cs[:-1], cs[-1] + 0.0) + (0.0,) * (pad - len(cs)))
+                  for t_ref, cs in inputs]
 
     h = h_max = micro_step
     adaptive = False

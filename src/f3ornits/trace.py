@@ -79,9 +79,8 @@ class SubsystemTrace:
 
     def record(self, t, outputs, errors, orders, rho, plans) -> None:
         """Append one row.  Each input plan is packed as its coefficients
-        about the window start (as Polynomial.shifted would give them),
-        padded to four, and whether it was smoothed; a missing plan packs as
-        zeros."""
+        about the window start (`shift_coeffs`), padded to four, and whether
+        it was smoothed; a missing plan packs as zeros."""
         cells = [t, *outputs, *errors, *orders, rho]
         for plan in plans:
             if plan is None:

@@ -890,8 +890,10 @@ def test_the_partner_takes_only_windows_step_to_walks_fixed(
 ):
     # boundary's windows are 0.003334 * 49.0 == 0.163366 long in floats, so
     # step_to walks them under error control, although 0.163366 * (1 /
-    # 0.003334) reads just over 49 (a few, whose length rounds over 0.163366
-    # on the event grid, walk fixed steps); light's are 10 bounds long
+    # 0.003334) reads just over 49.  Its grid points are fl(n * 0.163366),
+    # so a window is the difference of two rounded products: 13 of its 122
+    # come out longer than 0.163366 and walk fixed steps.  light's windows
+    # are 10 bounds long
     def oscillator(label, w, micro, step):
         f = Derivatives(("x1", "-w * w * x0 - 0.2 * x1 + u0"), (("w", w),))
         return SubsystemSpec(

@@ -52,8 +52,10 @@ def test_single_subsystem_keeps_its_estimate():
 
 
 def test_imposed_grid_overrides_the_estimate():
-    e = entry(reached=1.0, estimated=7.7, imposed_step=0.25)
-    assert reconcile([e], 10.0, EPS) == [1.25]
+    # four steps walked on a grid from t_init = 0.5: the fifth point is next
+    e = entry(reached=1.5, estimated=7.7, imposed_step=0.25, t_init=0.5,
+              grid_steps=4)
+    assert reconcile([e], 10.0, EPS) == [1.75]
 
 
 def test_consumer_clamps_to_producer_estimate():
@@ -107,6 +109,10 @@ def test_imposed_subsystem_ignores_consumer_clamp():
     producer = entry(estimated=0.3, has_outputs=True)
     locked = entry(reached=0.0, estimated=0.25, imposed_step=0.5, producers=(0,))
     assert reconcile([producer, locked], 10.0, EPS) == [0.3, 0.5]
+    # and one grid step later, its next grid point
+    locked = entry(reached=0.5, estimated=0.75, imposed_step=0.5, producers=(0,),
+                   grid_steps=1)
+    assert reconcile([producer, locked], 10.0, EPS) == [0.3, 1.0]
 
 
 def test_empty_schedule_is_a_usage_error():
@@ -119,6 +125,7 @@ def test_empty_schedule_is_a_usage_error():
 def test_reconcile_bounds_properties(data):
     n = data.draw(st.integers(1, 5))
     t_end = 8.0
+    t_init = data.draw(st.floats(0.0, 1.0))
     entries = []
     for k in range(n):
         reached = data.draw(st.floats(0.0, 7.0))
@@ -129,6 +136,11 @@ def test_reconcile_bounds_properties(data):
         imposed = data.draw(
             st.one_of(st.none(), st.floats(0.01, 2.0))
         )
+        steps = 0
+        if imposed is not None:
+            # an imposed subsystem has reached a point of its grid
+            steps = data.draw(st.integers(0, int((7.0 - t_init) / imposed)))
+            reached = t_init + steps * imposed
         entries.append(
             ScheduleEntry(
                 reached=reached,
@@ -138,6 +150,8 @@ def test_reconcile_bounds_properties(data):
                 imposed_step=imposed,
                 orders_changed=data.draw(st.booleans()),
                 finished=False,
+                t_init=t_init,
+                grid_steps=steps,
             )
         )
     eff = reconcile(entries, t_end, EPS)
@@ -145,7 +159,7 @@ def test_reconcile_bounds_properties(data):
         assert eff[k] > e.reached
         assert eff[k] <= t_end
         if e.imposed_step is not None:
-            assert eff[k] == min(e.reached + e.imposed_step, t_end)
+            assert eff[k] == min(t_init + (e.grid_steps + 1) * e.imposed_step, t_end)
         else:
             assert eff[k] <= max(e.estimated, e.reached + EPS)
 
@@ -267,6 +281,18 @@ def test_imposed_step_subsystem_stays_on_its_grid():
     problem = _pair_problem(_sine_source(), sink, t_end=2.0)
     trace = run_f3ornits(problem, _options())
     assert trace.subsystems["sink"].column("t") == [0.25 * i for i in range(9)]
+
+
+@pytest.mark.parametrize("step,t_end", [(0.163366, 20.0), (0.1, 2000.0)])
+def test_an_imposed_grid_is_counted_from_t_init(step, t_end):
+    # rule (a) puts the n-th event at fl(t_init + n * step), then t_end; a
+    # running sum of the steps drifts off that grid, for 0.163366 by an ulp
+    # at n = 122 and for 0.1 by 7.2e-10 at n = 20000
+    locked = dataclasses.replace(_sine_source(), imposed_step=step)
+    problem = CosimProblem((locked,), CouplingGraph(), 0.0, t_end)
+    t = run_f3ornits(problem, _options()).subsystems["source"].column("t")
+    assert t[:-1] == [0.0 + n * step for n in range(len(t) - 1)]
+    assert t[-1] == t_end and 0.0 < t_end - t[-2] <= step
 
 
 def _reversed(problem):

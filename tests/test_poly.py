@@ -13,6 +13,7 @@ from f3ornits.poly import (
     fit_constrained,
     fit_constrained_least_squares,
     fit_hermite,
+    shift_coeffs,
 )
 
 
@@ -129,10 +130,47 @@ def test_polynomial_record_is_frozen_and_compares_by_value():
 )
 def test_shifted_is_same_polynomial(coeffs, old_ref, new_ref, t):
     p = Polynomial(old_ref, tuple(coeffs))
-    q = p.shifted(new_ref)
-    assert q.t_ref == new_ref
+    q = Polynomial(new_ref, shift_coeffs(p.coeffs, new_ref - old_ref))
     scale = 1.0 + sum(abs(c) for c in coeffs) * (1.0 + abs(t) ** 3)
     assert abs(p(t) - q(t)) <= 1e-9 * scale
+
+
+def _horner(coeffs, tau, lead):
+    acc = lead
+    for c in reversed(coeffs[:-1]):
+        acc = acc * tau + c
+    return acc
+
+
+_signed = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10, 10))
+
+
+@settings(max_examples=300)
+@given(
+    coeffs=st.lists(_signed, min_size=1, max_size=4),
+    t_ref=_signed,
+    t=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10, 10)),
+    pad=st.integers(0, 3),
+)
+@example(coeffs=[-0.0, -0.0], t_ref=0.0, t=-0.0, pad=1)  # tau -0.0
+@example(coeffs=[-0.0], t_ref=0.5, t=0.0, pad=2)  # tau < 0
+@example(coeffs=[-0.0, 1.0], t_ref=0.0, t=0.0, pad=0)  # tau +0.0
+def test_evaluation_leads_horner_with_a_zero_that_reads_no_tau(coeffs, t_ref, t, pad):
+    # p(t) is textbook Horner from 0.0 + c_d, bit for bit and zero signs
+    # included, for tau negative, -0.0, +0.0 or positive; wherever
+    # tau >= +0.0, the only taus a run evaluates at, it is also Horner from
+    # 0.0 * tau + c_d, so the rule moves no float a run computes.  A lead
+    # padded as step_to pads it, c_d + 0.0 under 0.0 coefficients, gives
+    # the same floats for any finite tau
+    p = Polynomial(t_ref, tuple(coeffs))
+    tau = t - t_ref
+    got = p(t).hex()
+    assert got == _horner(coeffs, tau, 0.0 + coeffs[-1]).hex()
+    if math.copysign(1.0, tau) > 0.0:
+        assert got == _horner(coeffs, tau, 0.0 * tau + coeffs[-1]).hex()
+    if len(coeffs) + pad <= 4:
+        padded = (*coeffs[:-1], coeffs[-1] + 0.0) + (0.0,) * pad
+        assert Polynomial(t_ref, padded)(t).hex() == got
 
 
 # ------------------------------------------------------------- extrapolation

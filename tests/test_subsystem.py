@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f3ornits import cli, master, models, subsystem
+from f3ornits import master, subsystem
 from f3ornits.errors import ConfigError, ContractViolation, DivergenceError
 from f3ornits.poly import Polynomial
 from f3ornits.master import _SubRuntime
@@ -486,10 +486,10 @@ def test_values_read_through_time_cells_match_the_declaration(t0, t1, h, t_ref):
 @pytest.mark.parametrize("t0,t_ref", [(0.0, 0.5), (0.0, 0.0), (-0.0, 0.0), (0.75, 0.5),
                                       (0.0, -2.0 ** 1000), (0.0, -2.0 ** 999)])
 def test_inputs_keep_their_zero_signs_where_tau_is_negative_or_zero(t0, t_ref):
-    # 0.0 * tau is -0.0 for tau < 0 and +0.0 for tau > 0, which a lead of
-    # -0.0 shows: each stage time's Horner lead keeps the sign its tau
-    # gives, negative, -0.0 (a window from -0.0 about 0.0, whose start alone
-    # has that tau) or positive
+    # the Horner lead 0.0 + c_d reads no tau, so the constant -0.0 is +0.0
+    # at every stage, while (-0.0, -0.0) gives (+0.0) * tau + -0.0: -0.0
+    # where tau is negative or -0.0 (a window from -0.0 about 0.0, whose
+    # start alone has that tau) and +0.0 where it is positive
     inputs = (Polynomial(t_ref, (-0.0,)), Polynomial(t_ref, (-0.0, -0.0)))
 
     def plain(t, x, u):
@@ -727,19 +727,25 @@ def test_x_init_arity_checked():
 
 # ------------------------------------------------- step_to against a reference
 
+def inputs_at(inputs, t):
+    """Each input at t by textbook Horner from its lead 0.0 + c_d, which
+    reads no tau: the rule of `Polynomial.__call__` and of every walk."""
+    out = []
+    for p in inputs:
+        tau = t - p.t_ref
+        acc = 0.0 + p.coeffs[-1]
+        for c in reversed(p.coeffs[:-1]):
+            acc = acc * tau + c
+        out.append(acc)
+    return out
+
+
 def reference_step_to(f, g, n, state, inputs, t_start, t_target, h):
     """Per-stage RK4 walk: the grid advanced and the inputs evaluated at
     every stage as the walk goes, the algorithm step_to has to reproduce."""
 
     def eval_inputs(t):
-        out = []
-        for p in inputs:
-            tau = t - p.t_ref
-            acc = 0.0
-            for c in reversed(p.coeffs):
-                acc = acc * tau + c
-            out.append(acc)
-        return out
+        return inputs_at(inputs, t)
 
     x = list(state)
     t = t_start
@@ -782,14 +788,7 @@ def reference_controlled_step_to(f, g, n, state, inputs, t_start, t_target,
     outputs and each attempt as (t, hs, accepted)."""
 
     def eval_inputs(t):
-        out = []
-        for p in inputs:
-            tau = t - p.t_ref
-            acc = 0.0
-            for c in reversed(p.coeffs):
-                acc = acc * tau + c
-            out.append(acc)
-        return out
+        return inputs_at(inputs, t)
 
     x = list(state)
     t, h = t_start, h_min
@@ -1139,11 +1138,12 @@ def test_a_padded_window_walks_as_the_kernel_of_its_exact_degrees(
     coeffs, lags, t_start, window, declared, adaptive
 ):
     # step_to walks a window with the kernel of its inputs' highest degree,
-    # each lower degree led by 0.0 coefficients.  An input published at or
-    # before the window's start is held, one published after it (a negative
-    # lag) is not.  With tau finite the padded lead 0.0 * tau + 0.0 is +0.0,
-    # so every stage's inputs, state and outputs are the floats of the
-    # kernel compiled for the exact degrees, zero signs included
+    # each lower degree led by 0.0 coefficients and its own lead written
+    # c_d + 0.0.  An input published after the window's start (a negative
+    # lag) has tau < 0 at the start.  With tau finite each padded step
+    # (+0.0) * tau + 0.0 is +0.0, so every stage's inputs, state and
+    # outputs are the floats of the kernel compiled for the exact degrees,
+    # zero signs included, for tau of either sign
     m = len(coeffs)
     inputs = [Polynomial(t_start - lag, c) for c, lag in zip(coeffs, lags)]
     degrees = tuple(len(c) - 1 for c in coeffs)
@@ -1175,32 +1175,18 @@ def test_a_padded_window_walks_as_the_kernel_of_its_exact_degrees(
     assert log == exact_log
 
 
-def test_unheld_windows_compile_one_unheld_kernel(monkeypatch):
-    # inputs published after their windows' starts send each window from
-    # the held kernel to the one compiled without held, which the held
-    # kernel binds once: 50 such windows compile it once and enter
-    # _micro_walk once for it
-    subsystem._micro_walk.cache_clear()
-    compiled, entered = [], []
-
-    def counted_compile(source, name, mode):
-        compiled.append(name)
-        return compile(source, name, mode)
-
-    def counted_walk(*args, _micro_walk=subsystem._micro_walk, **kwargs):
-        entered.append(args)
-        return _micro_walk(*args, **kwargs)
-
-    monkeypatch.setattr(subsystem, "compile", counted_compile, raising=False)
-    monkeypatch.setattr(subsystem, "_micro_walk", counted_walk)
-    spec = SubsystemSpec("late", 1, 1, 1, lambda t, x, u: [u[0] - x[0]],
+@pytest.mark.parametrize("end", ["start", "target"])
+def test_a_window_whose_input_tau_overflows_names_the_input(end):
+    # t - t_ref overflows to -inf at t_start or to +inf at t_target: a lead
+    # padded under 0.0 * inf would walk NaN where the exact one does not,
+    # so step_to refuses the window before walking it, naming the input
+    t_start, t_target, t_ref = ((-1e308, 0.0, 1e308) if end == "start"
+                                else (0.0, 1e308, -1e308))
+    spec = SubsystemSpec("far", 1, 2, 1, lambda t, x, u: [u[0] + u[1] - x[0]],
                          lambda t, x, u: [x[0]], (0.0,))
-    x = list(spec.x_init)
-    for i in range(50):
-        x, _ = step_to(spec, x, [Polynomial(i + 0.5, (1.0, 0.25))], float(i), i + 1.0)
-    assert compiled == ["<rk4 adaptive walk n=1 degrees=(1,)>",
-                        "<rk4 adaptive unheld walk n=1 degrees=(1,)>"]
-    assert len(entered) == 2
+    inputs = [Polynomial(0.0, (1.0, 0.5)), Polynomial(t_ref, (2.0,))]
+    with pytest.raises(ValueError, match="far: input 1 has t - t_ref not finite"):
+        step_to(spec, spec.x_init, inputs, t_start, t_target)
 
 
 @pytest.mark.parametrize("build,walks", [
@@ -1212,27 +1198,9 @@ def test_unheld_windows_compile_one_unheld_kernel(monkeypatch):
 def test_a_run_binds_one_walk_kernel_per_common_input_degree(
     build, walks, monkeypatch
 ):
+    # and compiles exactly the kernels its specs bind, each once: one
+    # kernel walks every window, whatever the signs of its inputs' taus
     monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0})  # no partner
-    problem = build().problem
-    master.run_f3ornits(problem, master.MasterOptions())
-    assert sum(len(spec.kernels) for spec in problem.subsystems) == walks
-
-
-@pytest.mark.parametrize("argv", [
-    ["run", "--model", "two_mass", "--set", "caps.mass_right.imposed_step=0.25"],
-    ["run", "--model", "two_mass", "--set", "caps.mass_right.max_input_degree=1"],
-    ["run", "--model", "car", "--seed", "7", "--smoothing", "--calibration", "cls"],
-    ["run", "--model", "two_mass", "--method", "jacobi", "--dt", "0.01"],
-    ["reference", "--model", "two_mass"],
-], ids=["imposed_step", "capped", "car_smoothed_cls", "jacobi", "reference"])
-def test_the_program_walks_every_window_on_the_held_kernel(
-    argv, tmp_path, monkeypatch
-):
-    # the held kernel takes each input's Horner lead once per window; the
-    # windows the program itself walks all start at or after their inputs'
-    # t_ref, so none of them falls back to the kernel compiled without held
-    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0})  # no partner
-    monkeypatch.setattr(models, "_REFERENCE_CACHE", {})  # walked afresh
     subsystem._micro_walk.cache_clear()
     compiled = []
 
@@ -1241,8 +1209,12 @@ def test_the_program_walks_every_window_on_the_held_kernel(
         return compile(source, name, mode)
 
     monkeypatch.setattr(subsystem, "compile", recorded_compile, raising=False)
-    assert cli.main([*argv, "--t-end", "20", "--output-dir", str(tmp_path)]) == 0
-    assert compiled and not [name for name in compiled if "unheld" in name]
+    problem = build().problem
+    master.run_f3ornits(problem, master.MasterOptions())
+    bound = [walk.__code__.co_filename
+             for spec in problem.subsystems for walk in spec.kernels.values()]
+    assert len(bound) == walks
+    assert sorted(name for name in compiled if " walk " in name) == sorted(bound)
 
 
 def test_sources_and_generated_kernels_parse_on_the_python_floor(monkeypatch):
@@ -1261,14 +1233,14 @@ def test_sources_and_generated_kernels_parse_on_the_python_floor(monkeypatch):
                     (("cell", "t // dwell"), ("w", "cell * 0.5 + u1"),
                      ("s", "x1 * u0")))
     g = Derivatives(("x0 + u1",))
-    kinds = [(scheme, adaptive, declared, held)
+    kinds = [(scheme, adaptive, declared)
              for scheme in SCHEMES for adaptive in (False, True)
-             for declared in (False, True) for held in (False, True)
+             for declared in (False, True)
              if not adaptive or SCHEMES[scheme][3] is not None]
-    for scheme, adaptive, declared, held in kinds:
+    for scheme, adaptive, declared in kinds:
         args = (f.exprs, f.values, g.exprs, g.values) if declared else (None, ())
-        subsystem._micro_walk.__wrapped__(scheme, 2, (2, 0), *args, held=held,
+        subsystem._micro_walk.__wrapped__(scheme, 2, (2, 0), *args,
                                           adaptive=adaptive)
-    assert len(sources) == len(kinds) == 12
+    assert len(sources) == len(kinds) == 6
     for name, source in sources.items():
         ast.parse(source, name, feature_version=(3, 10))
