@@ -32,29 +32,13 @@ The rules only ever pull an effective time earlier than the estimate (rule
 (e) restores strict progress but never exceeds the estimate, because
 estimates are always at least dt_min ahead).
 
-Each event takes two passes over its due subsystems.  The first integrates
-each one to the event time on input plans built from what was published
-before the event; integrating changes only the subsystem's own state.  The
-second publishes, and publishing touches only the subsystem's own records.
-Each runtime holds the producer logs its inputs read, wired once before the
-first event.
-
-So the windows of one event are independent, and a run may walk one
-subsystem's on a second CPU.  After PARTNER_WARMUP events in one process,
-where `parallel.cpus` allows a fork and step_to is the kernel walk itself, a
-run forks one partner process (`parallel.Partner`, on the `parallel.Child`
-that compare's rows fork too) and hands it the one declared subsystem whose
-fixed micro steps it should walk, chosen from the declarations alone
-(`_start_partner`); a callable f or g may be a black box with side effects,
-so those always stay here.  At an event where that subsystem is due, this
-process builds every plan, sends the partner its window, walks and publishes
-the other subsystems, receives the partner's state and outputs, and
-publishes that subsystem.  The partner runs the same kernel on the same
-inputs, so every trace is byte-identical to one CPU's, and every exception
-is the one the passes in order raise: the partner brings back only a window
-it walked, and a window it did not is walked again here, and raises here, as
-for compare's rows.  The partner is killed and reaped however the run ends.
-run_jacobi stays in one process.
+Each event takes three passes over its due subsystems.  The first builds
+each one's input plans over its window to the event time from what was
+published before the event, the second integrates it on them, which changes
+only the subsystem's own state, and the third publishes, which touches only
+the subsystem's own records.  Each runtime holds the producer logs its
+inputs read, wired once before the first event.  Both masters run in one
+process; compare spreads its rows over the CPUs (report.py).
 
 The benchmark's tracer (bench/tracer.py) times each layer by replacing the
 module global its caller looks up, so step_to, build_plan, select_order,
@@ -83,13 +67,7 @@ from .stepper import (
     propose,
     update_damped_bounds,
 )
-from .subsystem import (
-    Derivatives,
-    SubsystemSpec,
-    evaluate_outputs,
-    micro_steps,
-    step_to,
-)
+from .subsystem import SubsystemSpec, evaluate_outputs, step_to
 from .trace import RunTrace, SubsystemTrace
 
 
@@ -133,13 +111,6 @@ DT_EPSILON = 1e-9
 
 #: hard safety valve: the most events (or windows, or steps) one run may take
 MAX_EVENTS = 5_000_000
-
-#: events a run takes in one process before it may start its partner, so a
-#: shorter run loads neither pickle (1.8-2.9 ms) nor `parallel` (1.4-2.4 ms
-#: from source) and forks nothing (fork and close, about 1 ms): forking at
-#: event 0 took car runs of 20 and 44 events from 6.7-7.5 and 9.8-11.5 ms to
-#: 15-21 and 17-21 ms (shared 2-vCPU host, Python 3.11)
-PARTNER_WARMUP = 64
 
 
 @dataclass(frozen=True)
@@ -347,7 +318,6 @@ class _SubRuntime(ScheduleEntry):
         self.plans: list[InputPlan | None] = [None] * spec.n_in
         self.delivered: list[Polynomial | None] = [None] * spec.n_in
         self.y: tuple[float, ...] = ()  # outputs at the reached time
-        self.away = False  # whether the partner walks its windows
         self.record = None  # its trace's record
 
 
@@ -400,34 +370,27 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
         rt.record = trace.subsystems[rt.spec.label].record
     active = [k for k, rt in enumerate(runtimes) if not rt.finished]
     events = 0
-    partner = None
-    try:
-        while active:
-            if events >= MAX_EVENTS:
-                raise RuntimeError(f"event budget exceeded ({MAX_EVENTS} events)")
-            t_event = min([effective[k] for k in active])
-            tie = 1e-12 * (1.0 + abs(t_event))
-            due = [k for k in active if effective[k] - t_event <= tie]
+    while active:
+        if events >= MAX_EVENTS:
+            raise RuntimeError(f"event budget exceeded ({MAX_EVENTS} events)")
+        t_event = min([effective[k] for k in active])
+        tie = 1e-12 * (1.0 + abs(t_event))
+        due = [k for k in active if effective[k] - t_event <= tie]
 
-            finished = _step(runtimes, due, t_event, t_end, publishing, partner)
+        finished = _step(runtimes, due, t_event, t_end, publishing)
 
-            # a reader resolves its next window at its reached time, which
-            # never decreases: the slowest reader bounds what each log must keep
-            for log, rts in readers:
-                if len(log) > 1:
-                    prune_published(
-                        log, min([rt.reached for rt in rts]) if rts else None
-                    )
+        # a reader resolves its next window at its reached time, which
+        # never decreases: the slowest reader bounds what each log must keep
+        for log, rts in readers:
+            if len(log) > 1:
+                prune_published(
+                    log, min([rt.reached for rt in rts]) if rts else None
+                )
 
-            effective = reconcile(runtimes, t_end, DT_EPSILON)
-            events += 1
-            if finished:
-                active = [k for k in active if not runtimes[k].finished]
-            if events == PARTNER_WARMUP and active:
-                partner = _start_partner(runtimes, options.tolerances.dt_min)
-    finally:
-        if partner is not None:
-            partner.close()
+        effective = reconcile(runtimes, t_end, DT_EPSILON)
+        events += 1
+        if finished:
+            active = [k for k in active if not runtimes[k].finished]
 
     trace.total_events = events
     trace.wall_time_s = time.perf_counter() - t_start_wall
@@ -437,7 +400,7 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
 def _publish(
     rt: _SubRuntime, t_event: float, t_end: float, publishing: tuple
 ) -> bool:
-    """Pass 2 for one subsystem walked to t_event: its outputs' errors,
+    """Pass 3 for one subsystem walked to t_event: its outputs' errors,
     orders and published estimates, its next estimated time and its trace
     row; whether it has reached the horizon.  `publishing` is the run's
     (tolerances, error norm, forced order, calibration).  It reads and
@@ -505,54 +468,18 @@ def _walk(rt: _SubRuntime, t_event: float) -> None:
     )
 
 
-def _start_partner(runtimes: list[_SubRuntime], dt_min: float):
-    """A partner walking the subsystem the declarations hand over, or None:
-    where none is handed over, where this process forks nothing
-    (`parallel.cpus`) or where step_to has been replaced, so that the
-    partner's walk would not be this one's.
-
-    A subsystem walks at least 1 / max_micro_step micro steps per simulated
-    second, none if it has no bound or has finished.  It may go if its f and
-    g are declared and step_to walks its least window, its imposed_step or
-    else dt_min, in fixed steps (`micro_steps`): such windows are long
-    enough to pay for the exchange.  The heaviest of these goes, ties to
-    the lower index, unless its rate is the run's whole rate, which would
-    leave this process nothing to walk meanwhile.  No clock is read, so a
-    problem always runs in the same processes.
-    """
-    rates = [0.0 if rt.finished or rt.spec.max_micro_step is None
-             else 1.0 / rt.spec.max_micro_step for rt in runtimes]
-    fixed = [k for k, rt in enumerate(runtimes) if not rt.finished
-             and all(isinstance(d, Derivatives) for d in (rt.spec.f, rt.spec.g))
-             and not micro_steps(rt.spec, rt.imposed_step or dt_min)[2]]
-    k = max(fixed, key=rates.__getitem__, default=None)
-    if k is None or rates[k] >= sum(rates):
-        return None
-    from . import parallel  # loaded only by a run that would fork
-
-    if step_to is not parallel.step_to or parallel.cpus() < 2:
-        return None
-    try:
-        partner = parallel.Partner(runtimes[k].spec)
-    except OSError:  # no more processes: the run goes on in this one
-        return None
-    runtimes[k].away = True
-    return partner
-
-
 def _step(
     runtimes: list[_SubRuntime], due: list[int], t_event: float, t_end: float,
-    publishing: tuple, partner=None,
+    publishing: tuple,
 ) -> bool:
-    """Both passes over the due subsystems; whether one reached the horizon.
+    """The three passes over the due subsystems, plan, walk and publish;
+    whether one reached the horizon.
 
-    This process builds every plan, hands the partner the window of its
-    subsystem if that is due, walks and publishes the others, and publishes
-    the partner's once its window is back.  Publishing touches only the
-    subsystem's own records, so its order changes no number.  Raises what
-    the two passes over `due` in order raise: the exception of the first
-    window whose plans or walk fail, else that of the first subsystem whose
-    publishing fails.
+    Every window is planned before any is walked: walking each right after
+    its plans read 4 % slower (ROADMAP item 15).  Raises the exception of
+    the first window whose plans or walk fail, else that of the first
+    subsystem whose publishing fails: a window that fails stops the walks
+    after it, and then nothing is published.
     """
     failed = None
     for i, k in enumerate(due):
@@ -561,45 +488,13 @@ def _step(
         except Exception as exc:  # raised after the windows before it
             failed, due = exc, due[:i]
             break
-    away = None
-    if partner:
-        for at, k in enumerate(due):
-            if runtimes[k].away:
-                away = runtimes[k]
-                partner.send(away.state, [p.poly for p in away.plans],
-                             away.reached, t_event)
-                break
-    for i, k in enumerate(due):
-        rt = runtimes[k]
-        if rt is not away:
-            try:
-                _walk(rt, t_event)
-            except Exception as exc:
-                failed, due = exc, due[:i]
-                break
-    finished = False
-    unpublished = len(due)  # the first own subsystem whose publishing failed
-    if failed is None:
-        for i, k in enumerate(due):
-            rt = runtimes[k]
-            if rt is not away:
-                try:
-                    finished |= _publish(rt, t_event, t_end, publishing)
-                except Exception as exc:
-                    unpublished, failed_later = i, exc
-                    break
-    if away:
-        result = partner.receive()
-        if result is not None:
-            away.state, away.y = result
-        elif at < len(due):  # no window before it failed here
-            _walk(away, t_event)  # raises the partner's exception here
+    for k in due:
+        _walk(runtimes[k], t_event)
     if failed is not None:
         raise failed
-    if away and at < unpublished:
-        finished |= _publish(away, t_event, t_end, publishing)
-    if unpublished < len(due):
-        raise failed_later
+    finished = False
+    for k in due:
+        finished |= _publish(runtimes[k], t_event, t_end, publishing)
     return finished
 
 

@@ -16,10 +16,7 @@ is byte-identical to a run on one CPU; `taskset -c 0` pins a run to one.
 A child sends back, in one pickled message, only the rows it completed;
 this process runs the others, so a failing row raises here, as on one CPU.
 On a shared 2-vCPU Intel Xeon host (Python 3.11.7) the full 200 s two_mass
-matrix took 3.2-3.9 s of wall time on one CPU and 1.9-2.4 s on both.  Each
-row process counts as one CPU (`parallel.one_share`), so a row never nests
-a partner process of its own (master.py): the rows already keep every CPU
-busy.
+matrix took 3.2-3.9 s of wall time on one CPU and 1.9-2.4 s on both.
 """
 
 from __future__ import annotations
@@ -168,17 +165,16 @@ def _forked_rows(row, n: int, k: int) -> dict:
         return done
 
     children = []
-    with tempfile.TemporaryFile() as fh, parallel.one_share():
+    with tempfile.TemporaryFile() as fh:
         fh.write(b"".join(i.to_bytes(4, "big") for i in range(n)))
         fh.seek(0)
         queue = fh.fileno()
         try:
             for _ in range(k - 1):
                 try:
-                    children.append(parallel.Child(
-                        lambda child: child.send(drain()),
-                        "comparison worker", "rows",
-                    ))
+                    children.append(
+                        parallel.Child(drain, "comparison worker", "rows")
+                    )
                 except OSError:  # no more processes: those running share the rows
                     break
             done = drain()

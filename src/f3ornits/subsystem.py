@@ -673,7 +673,7 @@ def step_to(
     could not take the window in fewer than MICRO_DIVISOR steps
     (h_max * (MICRO_DIVISOR - 1) < W); that window, any other scheme and an
     explicit `micro_step` walk fixed steps of h_min, or of micro_step.
-    `micro_steps` states this rule, for the master's partner too.
+    `micro_steps` states this rule.
 
     The window is walked by the kernel `_micro_walk` compiled for the
     scheme ("rk4" unless given), spec.n_states, the control and, for each

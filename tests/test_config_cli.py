@@ -48,9 +48,8 @@ from f3ornits.report import (
     compute_rmse,
     run_comparison,
 )
-from f3ornits.poly import Polynomial
 from f3ornits.stepper import Tolerances
-from f3ornits.subsystem import Derivatives, SubsystemSpec, step_to
+from f3ornits.subsystem import Derivatives, SubsystemSpec
 from f3ornits.trace import format_float, read_trace_csv
 
 
@@ -610,49 +609,25 @@ def test_cli_compare_leaves_no_process_behind(tmp_path, capsys, deadline):
 
 # ------------------------------------------------------ the one forked child
 
-def echo(child):
-    while (message := child.receive()) is not None:
-        child.send(message)
-
-
-def test_a_child_carries_a_message_larger_than_a_pipe_both_ways(deadline):
+def test_a_child_carries_a_message_larger_than_a_pipe_child_to_parent(deadline):
     message = os.urandom(1 << 20)
-    child = parallel.Child(echo, "echo process", "echo")
+    child = parallel.Child(lambda: message, "sending process", "message")
     try:
-        child.send(message)
         assert child.receive() == message
     finally:
         child.close()
     assert_no_child_left()
 
 
-def test_a_reader_waiting_for_a_message_yields_its_cpu(monkeypatch, deadline):
-    # each failed read of the spin gives the CPU away, so a partner that
-    # shares one CPU with its master does not spin it away from the writer
-    def late(child):
-        time.sleep(0.2)
-        child.send("late")
-
-    yields = []
-    monkeypatch.setattr(os, "sched_yield", lambda: yields.append(None))
-    child = parallel.Child(late, "late process", "message")
-    try:
-        assert child.receive() == "late"
-    finally:
-        child.close()
-    assert 0 < len(yields) <= parallel.SPINS
-    assert_no_child_left()
-
-
 def test_a_child_that_ends_before_replying_is_an_error_not_a_hang(deadline):
-    def leave(child):
+    def leave():
         raise ValueError("planted")
 
-    child = parallel.Child(leave, "echo process", "echo")
+    child = parallel.Child(leave, "sending process", "message")
     try:
         with pytest.raises(
             RuntimeError,
-            match=rf"^echo process {child.pid} ended without its echo "
+            match=rf"^sending process {child.pid} ended without its message "
                   r"\(exit status 1\)$",
         ):
             child.receive()
@@ -661,36 +636,10 @@ def test_a_child_that_ends_before_replying_is_an_error_not_a_hang(deadline):
     assert_no_child_left()
 
 
-# ------------------------------------------------ a run's partner process
-
-needs_two_cpus = pytest.mark.skipif(
-    len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
-    reason="a partner needs a second CPU in the affinity set",
-)
-
-
-@pytest.fixture
-def partners(monkeypatch):
-    """The label of the subsystem each partner started in this process
-    walks, in order, each as a one-item list."""
-    started = []
-
-    class Recorded(parallel.Partner):
-        def __init__(self, spec):
-            super().__init__(spec)  # the child never returns from here
-            started.append([spec.label])
-
-    monkeypatch.setattr(parallel, "Partner", Recorded)
-    return started
-
-
 def test_one_rule_says_when_a_process_may_fork(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1, 2})
     assert parallel.cpus(run_f3ornits) == 3
     assert parallel.cpus(functools.wraps(run_f3ornits)(lambda: None)) == 1
-    with parallel.one_share():
-        assert parallel.cpus() == 1
-    assert parallel.cpus() == 3
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
@@ -701,224 +650,7 @@ def test_one_rule_says_when_a_process_may_fork(monkeypatch):
         thread.join()
 
 
-def test_a_partner_walks_windows_as_this_process_does(deadline):
-    def boom(t):
-        raise ZeroDivisionError("planted")
-
-    f = Derivatives(("x1", "-x0 - 0.5 * x1 + u0"))
-    specs = [
-        SubsystemSpec("plain", 2, 1, 1, f, Derivatives(("x0",)), (1.0, 0.0)),
-        SubsystemSpec("int_output", 2, 1, 1, f, Derivatives(("1",)), (1.0, 0.0)),
-        SubsystemSpec(
-            "raising", 2, 1, 1, Derivatives(("x1", "boom(t)"), (("boom", boom),)),
-            Derivatives(("x0",)), (1.0, 0.0),
-        ),
-    ]
-    window = ([0.3, -0.2], [Polynomial(0.5, (0.25, -1.0, 0.125))], 0.5, 0.9)
-    walked = []
-    # one partner per spec; the first is sent the same window twice
-    for spec, sends in zip(specs, (2, 1, 1)):
-        partner = parallel.Partner(spec)
-        try:
-            for _ in range(sends):
-                partner.send(*window)
-                walked.append(partner.receive())
-        finally:
-            partner.close()
-    assert_no_child_left()
-    # the same floats as here; None where the walk raised or gave an int
-    here = step_to(specs[0], *window)
-    assert step_to(specs[1], *window)[1] == (1,)
-    assert walked == [here, here, None, None]
-
-
-@needs_two_cpus
-def test_comparison_rows_never_start_a_partner(partners, deadline):
-    # a car run of its own forks a partner
-    setup = materialize(RunConfig(model="car", seed=7, t_end=20.0))
-    rows = run_comparison(setup.model, setup.options, setup.variable)
-    assert_no_child_left()
-    # the rows this process ran are long enough to start one on their own
-    assert max(r.steps for r in rows) > master.PARTNER_WARMUP
-    assert partners == []
-
-
-@needs_two_cpus
-def test_the_partner_follows_the_declarations_not_a_clock(
-    partners, monkeypatch, deadline,
-):
-    car = materialize(RunConfig(model="car", seed=7, t_end=60.0))
-    two_mass = materialize(RunConfig(model="two_mass"))
-
-    def layouts():
-        """What each run's partner walks: the car's, then five two_mass's."""
-        started = []
-        for setup in [car] + [two_mass] * 5:
-            partners.clear()
-            run_f3ornits(setup.model.problem, setup.options)
-            started.append(list(partners))
-        assert_no_child_left()
-        return started
-
-    # the car's two subsystems declare the same micro-step bound and walk
-    # fixed steps, so the lower index goes; two_mass's windows are
-    # error-controlled, and none of them goes
-    expected = [[["vehicle"]]] + [[]] * 5
-    assert layouts() == expected
-
-    # a clock that reads each of mass_right's walks 100 times as long as
-    # any other span it measures changes nothing
-    walk, walked, now = master._walk, [], [0.0]
-
-    def labelled(rt, t_event):
-        walked.append(rt.spec.label)
-        return walk(rt, t_event)
-
-    def clock():
-        now[0] += 1e-3 * (100 if walked[-1:] == ["mass_right"] else 1)
-        walked.clear()
-        return now[0]
-
-    monkeypatch.setattr(master, "_walk", labelled)
-    monkeypatch.setattr(master.time, "perf_counter", clock)
-    assert layouts() == expected
-
-
-def on_one_cpu(call):
-    """call(), with this process pinned to the first CPU of its affinity set."""
-    cpus = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(cpus)})
-    try:
-        return call()
-    finally:
-        os.sched_setaffinity(0, cpus)
-
-
-def run_bytes(argv, out):
-    """cli.main(argv) into out, and the bytes of every CSV it wrote, the
-    summary without its wall-time line."""
-    assert cli.main([*argv, "--output-dir", str(out)]) == 0
-    return {
-        path.name: _read_bytes_without_wall_time(path)
-        for path in sorted(out.glob("*.csv"))
-    }
-
-
-@needs_two_cpus
-@pytest.mark.parametrize("argv", [
-    ["run", "--model", "car", "--seed", "1", "--t-end", "60", "--smoothing"],
-    ["run", "--model", "car", "--seed", "7", "--t-end", "60"],
-], ids=["car_smoothed_seed_1", "car_seed_7"])
-def test_a_run_writes_the_same_bytes_with_its_partner(
-    argv, tmp_path, partners, deadline,
-):
-    pinned = on_one_cpu(lambda: run_bytes(argv, tmp_path / "one"))
-    assert partners == []
-    both = run_bytes(argv, tmp_path / "two")
-    assert len(partners) == 1 and len(partners[0]) == 1
-    assert_no_child_left()
-    assert len(both) == 3 and both == pinned
-
-
-def network(
-    heavy: int = 0, trips=(None, None, None), callable_f: bool = False,
-    steps=(0.05, 0.05, 0.05),
-):
-    """Three damped oscillators in a loop, 0 -> 1 -> 2 -> 0, each locked to
-    its grid of steps[k], so by default all three are due at every event.
-    The heavy one takes 600 micro steps per window, the others 60, so a
-    partner takes the heavy one.  Each f adds trip(t), 0.0 unless trips[k]
-    replaces it; with callable_f, 1's f is a plain function, which must stay
-    in the calling process: called in another one, it kills that process."""
-    caller = os.getpid()
-    specs = []
-    for k in range(3):
-        trip = trips[k] or (lambda t: 0.0)
-        constants = (("trip", trip), ("w", 1.0 + 0.5 * k))
-        f = Derivatives(("x1", "-w * w * x0 - 0.2 * x1 + u0 + trip(t)"), constants)
-        if callable_f and k == 1:
-            declared = f
-
-            def f(t, x, u, declared=declared):
-                if os.getpid() != caller:
-                    os.kill(os.getpid(), signal.SIGKILL)
-                return declared(t, x, u)
-        micro = steps[k] / (600 if k == heavy else 60)
-        specs.append(SubsystemSpec(
-            f"osc{k}", 2, 1, 1, f, Derivatives(("x0",), constants),
-            (1.0 - 0.5 * k, 0.0), max_micro_step=micro, imposed_step=steps[k],
-            dt0=steps[k],
-        ))
-    graph = CouplingGraph({(0, 0): (2, 0), (1, 0): (0, 0), (2, 0): (1, 0)})
-    return CosimProblem(tuple(specs), graph, 0.0, 6.0)
-
-
-#: which oscillator the partner walks
-HEAVY_IDS = ["partner_walks_osc0", "partner_walks_osc1"]
-
-
-def trip_after(t_fail, exc):
-    def trip(t):
-        if t > t_fail:
-            raise exc
-        return 0.0
-    return trip
-
-
-@needs_two_cpus
-def test_a_subsystem_with_a_callable_f_stays_in_the_caller(
-    tmp_path, partners, monkeypatch, deadline,
-):
-    monkeypatch.setattr(master, "PARTNER_WARMUP", 16)
-    # osc0 and osc2 are due at every other event, osc1 at each
-    problem = network(heavy=1, callable_f=True, steps=(0.1, 0.05, 0.1))
-
-    def csv_bytes(out):
-        paths = run_f3ornits(problem, MasterOptions()).write_csv(out, "net")
-        return {p.name: _read_bytes_without_wall_time(p) for p in paths}
-
-    pinned = on_one_cpu(lambda: csv_bytes(tmp_path / "one"))
-    both = csv_bytes(tmp_path / "two")
-    assert_no_child_left()
-    # osc1, the heaviest, has a callable f: the partner walks another one
-    assert len(partners) == 1 and "osc1" not in partners[0]
-    assert len(both) == 4 and both == pinned
-
-
-def test_the_partner_takes_only_windows_step_to_walks_fixed(
-    tmp_path, partners, deadline,
-):
-    # boundary's windows are 0.003334 * 49.0 == 0.163366 long in floats, so
-    # step_to walks them under error control, although 0.163366 * (1 /
-    # 0.003334) reads just over 49.  Its grid points are fl(n * 0.163366),
-    # so a window is the difference of two rounded products: 13 of its 122
-    # come out longer than 0.163366 and walk fixed steps.  light's windows
-    # are 10 bounds long
-    def oscillator(label, w, micro, step):
-        f = Derivatives(("x1", "-w * w * x0 - 0.2 * x1 + u0"), (("w", w),))
-        return SubsystemSpec(
-            label, 2, 1, 1, f, Derivatives(("x0",)), (1.0, 0.0),
-            max_micro_step=micro, imposed_step=step, dt0=step,
-        )
-
-    boundary = oscillator("boundary", 2.0, 0.003334, 0.163366)
-    light = oscillator("light", 1.0, 0.01, 0.1)
-    graph = CouplingGraph({(0, 0): (1, 0), (1, 0): (0, 0)})
-    problem = CosimProblem((boundary, light), graph, 0.0, 20.0)
-
-    def csv_bytes(out):
-        trace = run_f3ornits(problem, MasterOptions())
-        assert trace.total_events > master.PARTNER_WARMUP
-        paths = trace.write_csv(out, "pair")
-        return {p.name: _read_bytes_without_wall_time(p) for p in paths}
-
-    pinned = on_one_cpu(lambda: csv_bytes(tmp_path / "one"))
-    both = csv_bytes(tmp_path / "two")
-    assert_no_child_left()
-    assert partners == []
-    assert len(both) == 3 and both == pinned
-    assert True in {control for _, _, control in boundary.kernels}
-
+# ------------------------------------------------------ a run's one process
 
 #: a fresh interpreter runs `cli.main(argv)` and prints which of the modules
 #: only a fork needs it loaded
@@ -930,14 +662,18 @@ print(sorted({"f3ornits.parallel", "pickle"} & set(sys.modules)))
 """
 
 
-@pytest.mark.parametrize("argv,loaded", [
-    (["--model", "two_mass", "--t-end", "20"], "[]"),
-    # 40 events, fewer than the warm-up
-    (["--model", "car", "--seed", "7", "--t-end", "2"], "[]"),
-    pytest.param(["--model", "car", "--seed", "7", "--t-end", "20"],
-                 "['f3ornits.parallel', 'pickle']", marks=needs_two_cpus),
+@pytest.mark.parametrize("argv", [
+    ["--model", "two_mass", "--t-end", "20"],
+    ["--model", "car", "--seed", "7", "--t-end", "2"],
+    # the car's vehicle and controller, over the car_long horizon, where
+    # the process could fork
+    pytest.param(["--model", "car", "--seed", "1", "--t-end", "300"],
+                 marks=pytest.mark.skipif(
+                     len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                     reason="a fork needs a second CPU in the affinity set",
+                 )),
 ], ids=["two_mass", "short_car", "car"])
-def test_a_run_that_forks_nothing_loads_no_fork_machinery(argv, loaded, tmp_path):
+def test_a_run_that_forks_nothing_loads_no_fork_machinery(argv, tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
@@ -948,59 +684,61 @@ def test_a_run_that_forks_nothing_loads_no_fork_machinery(argv, loaded, tmp_path
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == loaded
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
-@needs_two_cpus
-def test_a_run_that_ends_at_its_warm_up_starts_no_partner(
-    partners, monkeypatch, deadline,
-):
-    problem = network()
-    events = on_one_cpu(lambda: run_f3ornits(problem, MasterOptions())).total_events
-    for warmup in (events, events - 2):
-        monkeypatch.setattr(master, "PARTNER_WARMUP", warmup)
-        run_f3ornits(problem, MasterOptions())
-        assert_no_child_left()
-    # only the run with events left after its warm-up started one
-    assert partners == [["osc0"]]
+def network(heavy: int = 0, trips=(None, None, None)):
+    """Three damped oscillators in a loop, 0 -> 1 -> 2 -> 0, each locked to
+    a grid of 0.05, so all three are due at every event.  The heavy one
+    takes 600 micro steps per window, the others 60.  Each f adds trip(t),
+    0.0 unless trips[k] replaces it."""
+    specs = []
+    for k in range(3):
+        trip = trips[k] or (lambda t: 0.0)
+        constants = (("trip", trip), ("w", 1.0 + 0.5 * k))
+        f = Derivatives(("x1", "-w * w * x0 - 0.2 * x1 + u0 + trip(t)"), constants)
+        specs.append(SubsystemSpec(
+            f"osc{k}", 2, 1, 1, f, Derivatives(("x0",), constants),
+            (1.0 - 0.5 * k, 0.0), max_micro_step=0.05 / (600 if k == heavy else 60),
+            imposed_step=0.05, dt0=0.05,
+        ))
+    graph = CouplingGraph({(0, 0): (2, 0), (1, 0): (0, 0), (2, 0): (1, 0)})
+    return CosimProblem(tuple(specs), graph, 0.0, 6.0)
+
+
+#: which oscillator is the heavy one; the ids keep the names these cases
+#: had when a partner process walked the heavy oscillator
+HEAVY_IDS = ["partner_walks_osc0", "partner_walks_osc1"]
+
+
+def trip_after(t_fail, exc):
+    def trip(t):
+        if t > t_fail:
+            raise exc
+        return 0.0
+    return trip
 
 
 def raised_by(problem):
-    """The exception run_f3ornits raises on the problem, pinned to one CPU
-    and not, asserting the same type and message both ways."""
-    raised = []
-    for run in (on_one_cpu, lambda call: call()):
-        with pytest.raises(Exception) as info:
-            run(lambda: run_f3ornits(problem, MasterOptions()))
-        assert_no_child_left()
-        raised.append((type(info.value), str(info.value)))
-    assert raised[0] == raised[1]
+    """The exception run_f3ornits raises on the problem."""
+    with pytest.raises(Exception) as info:
+        run_f3ornits(problem, MasterOptions())
     return info.value
 
 
-@needs_two_cpus
 @pytest.mark.parametrize("heavy", [0, 1], ids=HEAVY_IDS)
-def test_the_lowest_failing_window_of_an_event_wins(
-    heavy, partners, monkeypatch, deadline,
-):
-    monkeypatch.setattr(master, "PARTNER_WARMUP", 16)
+def test_the_lowest_failing_window_of_an_event_wins(heavy):
     trips = (trip_after(3.0, ValueError("osc0 tripped")),
              trip_after(3.0, ValueError("osc1 tripped")), None)
     exc = raised_by(network(heavy, trips))
-    assert partners == [[f"osc{heavy}"]]
     assert isinstance(exc, ValueError) and str(exc) == "osc0 tripped"
-    # where the partner walked osc0, the exception is the one of this
-    # process's own walk of the window, not one that crossed the pipe
+    # the exception is the one of the window's own walk
     frames = [frame.f_code.co_name for frame, _ in traceback.walk_tb(exc.__traceback__)]
     assert frames[-1] == "trip"
 
 
-@needs_two_cpus
 @pytest.mark.parametrize("heavy", [0, 1], ids=HEAVY_IDS)
-def test_a_later_plan_failure_loses_to_an_earlier_walk(
-    heavy, partners, monkeypatch, deadline,
-):
-    monkeypatch.setattr(master, "PARTNER_WARMUP", 16)
+def test_a_later_plan_failure_loses_to_an_earlier_walk(heavy, monkeypatch):
     problem = network(heavy, (trip_after(3.0, ValueError("osc0 tripped")), None, None))
 
     # osc1's plans, built after osc0's, fail at the same event as osc0's walk
@@ -1018,19 +756,13 @@ def test_a_later_plan_failure_loses_to_an_earlier_walk(
     monkeypatch.setattr(master, "build_plan", build_plan)
     monkeypatch.setattr(master, "_plan", labelled)
     exc = raised_by(problem)
-    assert partners == [[f"osc{heavy}"]]
     assert isinstance(exc, ValueError) and str(exc) == "osc0 tripped"
     # without osc0's trip, osc1's plan is what fails
     exc = raised_by(network(heavy))
     assert isinstance(exc, DivergenceError) and "osc1" in str(exc)
 
 
-@needs_two_cpus
-@pytest.mark.parametrize("heavy", [0, 1], ids=HEAVY_IDS)
-def test_every_failing_window_wins_over_every_failing_publication(
-    heavy, partners, monkeypatch, deadline,
-):
-    monkeypatch.setattr(master, "PARTNER_WARMUP", 16)
+def test_every_failing_window_wins_over_every_failing_publication(monkeypatch):
     publish, failing = master._publish, []
 
     def planted(rt, t_event, *args):
@@ -1040,96 +772,49 @@ def test_every_failing_window_wins_over_every_failing_publication(
 
     monkeypatch.setattr(master, "_publish", planted)
     failing[:] = ["osc0", "osc1"]
-    exc = raised_by(network(heavy))
-    assert partners == [[f"osc{heavy}"]]
+    exc = raised_by(network())
     assert str(exc) == "osc0 published"
     # a walk that fails comes before any publication, a lower one too
     failing[:] = ["osc0"]
     walk_fails = (None, trip_after(3.0, ValueError("osc1 tripped")), None)
-    exc = raised_by(network(heavy, walk_fails))
+    exc = raised_by(network(trips=walk_fails))
     assert str(exc) == "osc1 tripped"
 
 
-@needs_two_cpus
-def test_a_window_that_diverges_on_the_partner_is_a_divergence(
-    partners, monkeypatch, deadline,
-):
-    monkeypatch.setattr(master, "PARTNER_WARMUP", 16)
-    exc = raised_by(network(0, (trip_after(3.0, OverflowError("boom")), None, None)))
-    assert partners == [["osc0"]] and isinstance(exc, OverflowError)
-    exc = raised_by(network(0, (lambda t: math.inf if t > 3.0 else 0.0, None, None)))
-    assert isinstance(exc, DivergenceError) and "osc0" in str(exc)
+def on_one_cpu(call):
+    """call(), with this process pinned to the first CPU of its affinity set."""
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        return call()
+    finally:
+        os.sched_setaffinity(0, cpus)
 
 
-@needs_two_cpus
-def test_a_killed_partner_is_an_error_not_a_hang(partners, monkeypatch, deadline):
-    monkeypatch.setattr(master, "PARTNER_WARMUP", 16)
-    caller = os.getpid()
-
-    def die(t):
-        if t > 3.0 and os.getpid() != caller:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return 0.0
-
-    with pytest.raises(RuntimeError, match="partner process .* ended"):
-        run_f3ornits(network(0, (die, None, None)), MasterOptions())
-    assert partners == [["osc0"]]
-    assert_no_child_left()
-
-
-@needs_two_cpus
-def test_an_interrupted_run_kills_and_reaps_its_partner(
-    partners, monkeypatch, deadline,
-):
-    monkeypatch.setattr(master, "PARTNER_WARMUP", 16)
-    caller = os.getpid()
-
-    def interrupt(t):
-        if t > 3.0 and os.getpid() == caller:
-            raise KeyboardInterrupt
-        return 0.0
-
-    start = time.perf_counter()
-    with pytest.raises(KeyboardInterrupt):
-        run_f3ornits(network(0, (None, interrupt, None)), MasterOptions())
-    assert time.perf_counter() - start < 5
-    assert partners == [["osc0"]]
-    assert_no_child_left()
-
-
-@needs_two_cpus
-def test_cli_run_leaves_no_process_behind(
-    tmp_path, capsys, partners, monkeypatch, deadline,
-):
-    monkeypatch.setattr(master, "PARTNER_WARMUP", 16)
+def test_cli_run_leaves_no_process_behind(tmp_path, capsys, deadline):
     car = ["run", "--model", "car", "--seed", "7", "--output-dir", str(tmp_path)]
     assert cli.main(car + ["--t-end", "20"]) == 0
     assert_no_child_left()
     assert cli.main(car + ["--t-end", "20", "--tol-rel", "nan"]) == 1
     assert_no_child_left()
-    # the controller diverges after t = 13, once the partner walks the vehicle
+    # the controller diverges after t = 13
     diverging = car + ["--t-end", "20", "--param", "mass=1e-9"]
     assert cli.main(diverging) == 2
     assert_no_child_left()
     unpinned = capsys.readouterr().err.splitlines()[-1]
-    assert len(partners) == 2
     assert on_one_cpu(lambda: cli.main(diverging)) == 2
     assert capsys.readouterr().err.splitlines()[-1] == unpinned
     assert unpinned.startswith("diverged: ")
 
 
-def test_a_refused_fork_leaves_the_work_in_this_process(
-    tmp_path, monkeypatch, deadline,
-):
+def test_a_refused_fork_leaves_the_work_in_this_process(monkeypatch, deadline):
     setup = materialize(RunConfig(model="two_mass", t_end=5.0))
-    run = ["run", "--model", "car", "--seed", "7", "--t-end", "60"]
 
-    def both(cpus, out):
+    def rows(cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda _: set(range(cpus)))
-        rows = run_comparison(setup.model, setup.options, setup.variable)
-        return rows, run_bytes(run, out)
+        return run_comparison(setup.model, setup.options, setup.variable)
 
-    one = both(1, tmp_path / "one")
+    one = rows(1)
     forks = []
 
     def refuse():
@@ -1138,10 +823,9 @@ def test_a_refused_fork_leaves_the_work_in_this_process(
 
     monkeypatch.setattr(os, "fork", refuse)
     fds = len(os.listdir("/proc/self/fd"))
-    # compare's rows stay with the processes already running, the run
-    # with this one
-    assert both(2, tmp_path / "two") == one
-    assert len(forks) == 2
+    # compare's rows stay with the processes already running
+    assert rows(2) == one
+    assert len(forks) == 1
     assert len(os.listdir("/proc/self/fd")) == fds
     assert_no_child_left()
 

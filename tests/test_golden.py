@@ -41,8 +41,8 @@ GOLDEN = {
     "car_seed_7": (
         {"model": "car", "seed": "7"},
         {
-            "run_vehicle.csv": "29ff18dbd3515a5ff6f10171cd4848d2d58bf67345757d59a9aa98d6f7355e5a",
-            "run_controller.csv": "66a19aee2e17f0030be7f68e4341b946d9636f8577a30dab03555922fc01180a",
+            "run_vehicle.csv": "23bb3f375cb304dae5312613d5af110327dd3ab6eaed22bebf5e9649f69cf198",
+            "run_controller.csv": "fb81ff6e4dec943191fa09efa6369b84455026d6429f14bfe1007b82b31ac86c",
             "run_summary.csv": "2eb36da42d60d8253c4d66556cf4a3519cb0f303c0aac2e06ba60966fb56f7f1",
         },
     ),
@@ -51,8 +51,8 @@ GOLDEN = {
     "car_long_seed_1": (
         {"model": "car", "seed": "1", "t_end": "300"},
         {
-            "run_vehicle.csv": "da23337ad29f89d1c81dfb7f61039b84b4384d3fb1c798137eee284f7fd4d133",
-            "run_controller.csv": "38db30cb6f9b7f9040298129c124b4c135a4431d4467b31d2e3fca2027181dc7",
+            "run_vehicle.csv": "6419c74ed5cf269b0472a17f7561adeb2d99cc7fc4e489a146907b3ab7e8da17",
+            "run_controller.csv": "18ece1f06bed194f81f9331d678c90fc1018ebaa50283c7b7400d7bd75c901f5",
             "run_summary.csv": "7400c34c315aa5314e6d1edda8d3e96a3445505c53e5b9dcc7c1137c25edfcdd",
         },
     ),

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from f3ornits.errors import ConfigError, ContractViolation, DivergenceError
+from f3ornits.config import RunConfig, materialize
 from f3ornits.coupling import CouplingGraph
 from f3ornits.master import CosimProblem, run_jacobi
 from f3ornits.models import (
@@ -26,7 +27,7 @@ from f3ornits.models import (
     reference_gap,
 )
 from f3ornits.poly import Polynomial
-from f3ornits.subsystem import Derivatives, SubsystemSpec, step_to
+from f3ornits.subsystem import Derivatives, SubsystemSpec, micro_steps, step_to
 
 
 def _rk4(rhs, x0, t0, t1, h):
@@ -614,12 +615,17 @@ def test_micro_step_bounds_follow_the_parameters():
         return {s.label: s.max_micro_step for s in model.problem.subsystems}
 
     car = bounds("car", {"seed": 7})
-    assert car == {"vehicle": 1e-3, "controller": 1e-3}
+    assert car == {"vehicle": 0.02, "controller": 1e-3}
+    # a fifth of a dwell cell: the vehicle walks even a window of dt_min,
+    # the car's startup step, under error control
+    setup = materialize(RunConfig(model="car", seed=7))
+    vehicle = setup.model.problem.subsystems[0]
+    assert micro_steps(vehicle, setup.options.tolerances.dt_min)[2] is True
     # the reference step: tau_diff / 2, moved down onto the record grid
     assert build_model("car", {"seed": 7}).reference_step == 5e-4
     assert build_model("car", {"seed": 7, "tau_diff": 3e-3}).reference_step == 0.01 / 8
     assert bounds("car", {"seed": 7, "tau_diff": 2e-3})["controller"] == 2e-3
-    assert bounds("car", {"seed": 7, "perturb_dwell": 0.5})["vehicle"] == 0.5 / 100
+    assert bounds("car", {"seed": 7, "perturb_dwell": 0.5})["vehicle"] == 0.5 / 5
     two_mass = bounds("two_mass", {})
     assert two_mass["mass_left"] == pytest.approx(1.0 / 1.1)
     assert two_mass["mass_right"] == pytest.approx(1.0 / (math.sqrt(11.0) + 0.2))

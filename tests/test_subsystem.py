@@ -1,6 +1,5 @@
 import ast
 import math
-import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -1189,18 +1188,19 @@ def test_a_window_whose_input_tau_overflows_names_the_input(end):
         step_to(spec, spec.x_init, inputs, t_start, t_target)
 
 
-@pytest.mark.parametrize("build,walks", [
+@pytest.mark.parametrize("build,walks,fixed", [
     # mass_right's nine pairs of input degrees are three common degrees
-    (lambda: build_two_mass(TwoMassParams()), 6),
-    # one input per subsystem, nothing to pad: a kernel per degree and control
-    (lambda: build_car(CarParams(seed=1, t_end=300.0)), 12),
+    (lambda: build_two_mass(TwoMassParams()), 6, []),
+    # one input per subsystem, nothing to pad: a kernel per degree and
+    # control.  The vehicle walks every window under error control; the
+    # controller's bound, tau_diff, walks its full windows in fixed steps
+    (lambda: build_car(CarParams(seed=1, t_end=300.0)), 9, ["controller"]),
 ], ids=["two_mass", "car"])
 def test_a_run_binds_one_walk_kernel_per_common_input_degree(
-    build, walks, monkeypatch
+    build, walks, fixed, monkeypatch
 ):
     # and compiles exactly the kernels its specs bind, each once: one
     # kernel walks every window, whatever the signs of its inputs' taus
-    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0})  # no partner
     subsystem._micro_walk.cache_clear()
     compiled = []
 
@@ -1215,6 +1215,8 @@ def test_a_run_binds_one_walk_kernel_per_common_input_degree(
              for spec in problem.subsystems for walk in spec.kernels.values()]
     assert len(bound) == walks
     assert sorted(name for name in compiled if " walk " in name) == sorted(bound)
+    assert [spec.label for spec in problem.subsystems
+            if False in {control for *_, control in spec.kernels}] == fixed
 
 
 def test_sources_and_generated_kernels_parse_on_the_python_floor(monkeypatch):
