@@ -95,7 +95,7 @@ class SampleHistory:
         return len(self.times)
 
     def push(self, t: float, value: float) -> None:
-        times = self.times
+        times, values = self.times, self.values
         n = len(times)
         if n and t <= times[-1]:
             raise SequencingError(
@@ -105,7 +105,6 @@ class SampleHistory:
             raise CalibrationError(
                 f"calibration data must be finite (got {value!r} at t = {t!r})"
             )
-        d1, d2 = self.d1, self.d2
         if n:
             t_n = times[-1]
             scale = t if t > 1.0 else -t if t < -1.0 else 1.0  # max(1.0, abs(t))
@@ -114,17 +113,17 @@ class SampleHistory:
                     f"times must be strictly increasing and distinct "
                     f"(got {t_n!r} then {t!r})"
                 )
-            d1 = (value - self.values[-1]) / (t - t_n)
-            if n > 1:
-                d2 = (d1 - self.d1) / (t - times[-2])
+            d1 = (value - values[-1]) / (t - t_n)
+            d2 = (d1 - self.d1) / (t - times[-2]) if n > 1 else self.d2
             if not (isfinite(d1) and isfinite(d2)):
                 raise ValueError(
                     f"divided differences at t = {t!r} must be finite "
                     f"(got {d1!r}, {d2!r})"
                 )
-        drop = 0 if n < HISTORY_CAPACITY else 1  # a full history drops its oldest
-        self.times, self.values = times[drop:] + (t,), self.values[drop:] + (value,)
-        self.d1, self.d2 = d1, d2
+            self.d1, self.d2 = d1, d2
+            if n >= HISTORY_CAPACITY:  # a full history drops its oldest
+                times, values = times[1:], values[1:]
+        self.times, self.values = times + (t,), values + (value,)
 
     def newest(self, count: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """The `count` most recent samples, oldest first."""

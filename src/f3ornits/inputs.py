@@ -64,9 +64,11 @@ def prune_published(published: list[Polynomial], t_slowest: float | None) -> Non
     t_slowest is the smallest reached time among the output's readers; None
     means nobody reads it.  Everything older than what resolve_source would
     return at t_slowest goes, so every later resolve at or after t_slowest
-    finds the same polynomial.  The newest polynomial always stays.
+    finds the same polynomial.  The newest polynomial always stays, and
+    alone, with no bisect, when it covers t_slowest (as in `build_plan`).
     """
-    m = len(published) - 1 if t_slowest is None else _newest_at(published, t_slowest)
+    covers = t_slowest is None or published and published[-1].t_ref <= t_slowest
+    m = len(published) - 1 if covers else _newest_at(published, t_slowest)
     if m > 0:
         del published[:m]
 

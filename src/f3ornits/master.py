@@ -44,8 +44,10 @@ The benchmark's tracer (bench/tracer.py) times each layer by replacing the
 module global its caller looks up, so step_to, build_plan, select_order,
 estimate_output, normalized_error, update_damped_bounds, propose and
 reconcile stay calls through this module's globals, once per use, as do
-inputs.cap_degree and orders.fit_extrapolation in theirs: the event loop is
-kept lean inside their bodies, until the run counts itself (ROADMAP item 9).
+inputs.cap_degree and orders.fit_extrapolation in theirs.  Around them a
+window costs little else: its plans hand step_to their polynomials, and its
+publishing writes each output's error and order in place and one trace row.
+Fusing the traced calls waits until the run counts itself (ROADMAP item 9).
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .coupling import CouplingGraph, SampleHistory
 from .errors import CalibrationError, ConfigError, DivergenceError, check_step
@@ -94,16 +97,12 @@ class CosimProblem:
         for s in self.subsystems:
             if s.dt0 is None:
                 raise ConfigError(f"{s.label}: no startup step dt0")
-            if s.max_micro_step is not None:
-                check_event_budget(
-                    f"{s.label}'s micro-step bound", s.max_micro_step,
-                    "micro steps", t_init, t_end,
-                )
-            if s.imposed_step is not None:
-                check_event_budget(
-                    f"{s.label}'s imposed step", s.imposed_step,
-                    "events", t_init, t_end,
-                )
+            for what, step, noun in (
+                ("micro-step bound", s.max_micro_step, "micro steps"),
+                ("imposed step", s.imposed_step, "events"),
+            ):
+                if step is not None:
+                    check_event_budget(f"{s.label}'s {what}", step, noun, t_init, t_end)
 
 
 #: rule (e): the least separation between a reached and an effective time
@@ -197,38 +196,38 @@ def reconcile(
     """
     if not entries:
         raise ValueError("reconcile needs at least one schedule entry")
-    eff = [e.estimated for e in entries]
     # (a) imposed-grid subsystems are locked to their next grid point,
     #     whatever their estimate says;
     #     (b) the others with outputs clamp to their producers' estimates,
     #     which (a) leaves as they are.  Subsystems without outputs are
     #     exempt: nobody depends on them, so their wake policy is rule (c)
     #     alone — otherwise the coast exception there could never apply.
-    for k, e in enumerate(entries):
+    eff, silent = [], False  # silent: whether rule (c) has a subsystem to wake
+    for e in entries:
+        t = e.estimated
         if e.finished:
-            continue
-        if e.imposed_step is not None:
-            eff[k] = e.grid_point
+            pass
+        elif e.imposed_step is not None:
+            t = e.grid_point
         elif e.has_outputs:
             for l in e.producers:
                 p = entries[l]
-                if not p.finished and p.estimated < eff[k]:
-                    eff[k] = p.estimated
+                if p.estimated < t and not p.finished:
+                    t = p.estimated
+        else:
+            silent = True
+        eff.append(t)
     # (c) no-output subsystems aim for the horizon; pull them in to their
     #     producers' effective wake-ups
-    for k, e in enumerate(entries):
-        if e.finished or e.imposed_step is not None or e.has_outputs:
-            continue
-        prods = [l for l in e.producers if not entries[l].finished]
-        if prods:
-            coast = all(
-                not entries[l].producers and not entries[l].orders_changed
-                for l in prods
-            )
-            if not coast:
-                cand = min(eff[l] for l in prods)
-                if cand < eff[k]:
-                    eff[k] = cand
+    if silent:
+        for k, e in enumerate(entries):
+            if e.finished or e.imposed_step is not None or e.has_outputs:
+                continue
+            prods = [l for l in e.producers if not entries[l].finished]
+            coast = all(not entries[l].producers and not entries[l].orders_changed
+                        for l in prods)
+            if prods and not coast and (cand := min(eff[l] for l in prods)) < eff[k]:
+                eff[k] = cand
     # (d) horizon clamp (where no-output subsystems aim) and (e) the
     #     strict-progress floor
     for k, e in enumerate(entries):
@@ -238,7 +237,7 @@ def reconcile(
             eff[k] = t_end
         floor = e.reached + dt_epsilon
         if eff[k] < floor:
-            eff[k] = min(floor, t_end)
+            eff[k] = t_end if t_end < floor else floor
     return eff
 
 
@@ -254,17 +253,15 @@ def _initial_exchange(problem: CosimProblem) -> list[tuple[float, ...]]:
     """
     t0 = problem.t_init
     n = len(problem.subsystems)
-    u_vals: dict[tuple[int, int], float] = {}
-    for k, spec in enumerate(problem.subsystems):
-        for i in range(spec.n_in):
-            u_vals[(k, i)] = 0.0
+    links = problem.graph.links  # validated: it feeds every input
+    u_vals = dict.fromkeys(links, 0.0)
     y: list[tuple[float, ...]] = [() for _ in range(n)]
     for _ in range(n + 1):
         for k, spec in enumerate(problem.subsystems):
             u = [u_vals[(k, i)] for i in range(spec.n_in)]
             y[k] = evaluate_outputs(spec, spec.x_init, u, t0)
-        for (k, i), (l, j) in problem.graph.links.items():
-            u_vals[(k, i)] = y[l][j]
+        for slot, (l, j) in links.items():
+            u_vals[slot] = y[l][j]
     return y
 
 
@@ -276,10 +273,8 @@ def _start_trace(problem: CosimProblem, y0) -> RunTrace:
         st = trace.subsystems[spec.label] = SubsystemTrace(
             spec.label, spec.n_out, spec.n_in
         )
-        st.record(
-            problem.t_init, y, (0.0,) * spec.n_out, (0,) * spec.n_out,
-            1.0, [None] * spec.n_in,
-        )
+        st.record(problem.t_init, y, (0.0,) * spec.n_out, (0,) * spec.n_out, 1.0,
+                  [None] * spec.n_in)
     return trace
 
 
@@ -311,12 +306,17 @@ class _SubRuntime(ScheduleEntry):
         # oldest first
         self.published: list[list[Polynomial]] = [[] for _ in range(spec.n_out)]
         self.bounds: list[DampedBounds] = []
-        # per input: the producer's log it reads (wired before the loop),
-        # the plan of the latest window and, if the subsystem smooths, the
-        # polynomial delivered over it
+        # per input: the producer's log it reads (wired before the loop), the
+        # latest window's plan, its polynomial and, if the subsystem smooths,
+        # the polynomial delivered over it
         self.sources: list[list[Polynomial]] = []
         self.plans: list[InputPlan | None] = [None] * spec.n_in
+        self.polys: list[Polynomial | None] = [None] * spec.n_in
         self.delivered: list[Polynomial | None] = [None] * spec.n_in
+        # per output, the latest window's errors, orders and prior degrees
+        self.errs = [0.0] * spec.n_out
+        self.orders = [0] * spec.n_out
+        self.p_used = [0] * spec.n_out
         self.y: tuple[float, ...] = ()  # outputs at the reached time
         self.record = None  # its trace's record
 
@@ -336,7 +336,8 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
     # each input reads one producer log; a validated graph feeds them all
     for (k, _), (l, j) in sorted(graph.links.items()):
         runtimes[k].sources.append(runtimes[l].published[j])
-    # per log, the runtimes whose inputs read it
+    # per log, the runtimes whose inputs read it, and how to read their times
+    reached = attrgetter("reached")
     readers = [
         (log, [rt for rt in runtimes if any(s is log for s in rt.sources)])
         for src in runtimes
@@ -347,6 +348,7 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
     y0 = _initial_exchange(problem)
     trace = _start_trace(problem, y0)
     for k, rt in enumerate(runtimes):
+        rt.record = trace.subsystems[rt.spec.label].record
         for j in range(rt.spec.n_out):
             rt.histories[j].push(t0, y0[k][j])
             rt.published[j].append(Polynomial(t0, (y0[k][j],)))
@@ -362,30 +364,21 @@ def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
     effective = reconcile(runtimes, t_end, DT_EPSILON)
 
     # what every event reads, bound once
-    publishing = (
-        options.tolerances, options.error_norm, options.force_order,
-        options.calibration,
-    )
-    for rt in runtimes:
-        rt.record = trace.subsystems[rt.spec.label].record
+    publishing = (options.tolerances, options.error_norm, options.force_order,
+                  options.calibration)
     active = [k for k, rt in enumerate(runtimes) if not rt.finished]
     events = 0
     while active:
         if events >= MAX_EVENTS:
             raise RuntimeError(f"event budget exceeded ({MAX_EVENTS} events)")
-        t_event = min([effective[k] for k in active])
-        tie = 1e-12 * (1.0 + abs(t_event))
-        due = [k for k in active if effective[k] - t_event <= tie]
-
-        finished = _step(runtimes, due, t_event, t_end, publishing)
+        t_event = min(map(effective.__getitem__, active))
+        finished = _step(runtimes, active, effective, t_event, t_end, publishing)
 
         # a reader resolves its next window at its reached time, which
         # never decreases: the slowest reader bounds what each log must keep
         for log, rts in readers:
             if len(log) > 1:
-                prune_published(
-                    log, min([rt.reached for rt in rts]) if rts else None
-                )
+                prune_published(log, min(map(reached, rts)) if rts else None)
 
         effective = reconcile(runtimes, t_end, DT_EPSILON)
         events += 1
@@ -409,13 +402,16 @@ def _publish(
     nu = tol.nu
     dt_prev = t_event - rt.reached
     bounds, histories, published = rt.bounds, rt.histories, rt.published
-    errs, orders_now, p_used = [], [], []
+    errs, orders_now, p_used = rt.errs, rt.orders, rt.p_used
+    changed = False
     for j, y_new in enumerate(rt.y):
         history, log = histories[j], published[j]
         last_pub = log[-1]
-        p_used.append(len(last_pub.coeffs) - 1)
+        p_used[j] = p = len(last_pub.coeffs) - 1
         bounds[j] = b = update_damped_bounds(bounds[j], y_new, dt_prev, nu)
-        errs.append(normalized_error(y_new, last_pub(t_event), norm, b, tol))
+        errs[j] = normalized_error(
+            y_new, Polynomial.__call__(last_pub, t_event), norm, b, tol
+        )
         decision = select_order(history, t_event, y_new, force)
         try:
             history.push(t_event, y_new)
@@ -424,8 +420,9 @@ def _publish(
             raise
         except ValueError as exc:
             raise DivergenceError(rt.spec.label, rt.reached) from exc
-        orders_now.append(decision.order)
-    rt.orders_changed = orders_now != p_used
+        orders_now[j] = q = decision.order
+        changed |= q != p
+    rt.orders_changed = changed
     rt.reached = t_event
 
     rho = 1.0
@@ -448,32 +445,26 @@ def _publish(
 
 def _plan(rt: _SubRuntime, t_event: float) -> None:
     """rt's input plans over its window to t_event, built from what was
-    published; exchanged data that overflows is a DivergenceError."""
-    plans, delivered, reached = rt.plans, rt.delivered, rt.reached
+    published, and their polynomials; overflowing data is a DivergenceError."""
+    plans, polys, delivered, reached = rt.plans, rt.polys, rt.delivered, rt.reached
     try:
         for i, log in enumerate(rt.sources):
-            plans[i], delivered[i] = build_plan(
+            plan, delivered[i] = build_plan(
                 log, reached, t_event, rt.deg_cap, rt.smooths, delivered[i]
             )
+            plans[i], polys[i] = plan, plan[0]
     except CalibrationError:
         raise
     except ValueError as exc:
         raise DivergenceError(rt.spec.label, reached) from exc
 
 
-def _walk(rt: _SubRuntime, t_event: float) -> None:
-    """Integrate rt over its window to t_event on its plans."""
-    rt.state, rt.y = step_to(
-        rt.spec, rt.state, [p.poly for p in rt.plans], rt.reached, t_event
-    )
-
-
 def _step(
-    runtimes: list[_SubRuntime], due: list[int], t_event: float, t_end: float,
-    publishing: tuple,
+    runtimes: list[_SubRuntime], active: list[int], effective: list[float],
+    t_event: float, t_end: float, publishing: tuple,
 ) -> bool:
-    """The three passes over the due subsystems, plan, walk and publish;
-    whether one reached the horizon.
+    """The three passes, plan, walk and publish, over the active subsystems
+    due at t_event (within a tie of it); whether one reached the horizon.
 
     Every window is planned before any is walked: walking each right after
     its plans read 4 % slower (ROADMAP item 15).  Raises the exception of
@@ -481,20 +472,24 @@ def _step(
     subsystem whose publishing fails: a window that fails stops the walks
     after it, and then nothing is published.
     """
-    failed = None
-    for i, k in enumerate(due):
-        try:
-            _plan(runtimes[k], t_event)
-        except Exception as exc:  # raised after the windows before it
-            failed, due = exc, due[:i]
-            break
-    for k in due:
-        _walk(runtimes[k], t_event)
+    tie = 1e-12 * (1.0 + abs(t_event))
+    due, failed = [], None
+    for k in active:
+        if effective[k] - t_event <= tie:
+            rt = runtimes[k]
+            try:
+                _plan(rt, t_event)
+            except Exception as exc:  # raised after the windows before it
+                failed = exc
+                break
+            due.append(rt)
+    for rt in due:
+        rt.state, rt.y = step_to(rt.spec, rt.state, rt.polys, rt.reached, t_event)
     if failed is not None:
         raise failed
     finished = False
-    for k in due:
-        finished |= _publish(runtimes[k], t_event, t_end, publishing)
+    for rt in due:
+        finished |= _publish(rt, t_event, t_end, publishing)
     return finished
 
 
@@ -511,8 +506,10 @@ def run_jacobi(problem: CosimProblem, dt: float) -> RunTrace:
     check_event_budget("key 'dt'", dt, "windows", problem.t_init, problem.t_end)
     t_start_wall = time.perf_counter()
     t0, t_end = problem.t_init, problem.t_end
-    graph = problem.graph
     specs = problem.subsystems
+    # per subsystem, the (producer, output) each of its inputs holds
+    feeds = [[problem.graph.links[k, i] for i in range(s.n_in)]
+             for k, s in enumerate(specs)]
 
     y = _initial_exchange(problem)
     trace = _start_trace(problem, y)
@@ -524,12 +521,7 @@ def run_jacobi(problem: CosimProblem, dt: float) -> RunTrace:
         t_next = t + dt
         if t_next > t_end or t_end - t_next < 1e-6 * dt:
             t_next = t_end
-        held: dict[int, list[Polynomial]] = {}
-        for k, spec in enumerate(specs):
-            held[k] = [
-                Polynomial(t, (y[graph.links[(k, i)][0]][graph.links[(k, i)][1]],))
-                for i in range(spec.n_in)
-            ]
+        held = [[Polynomial(t, (y[l][j],)) for l, j in feed] for feed in feeds]
         new_y = list(y)
         for k, spec in enumerate(specs):
             states[k], new_y[k] = step_to(spec, states[k], held[k], t, t_next)

@@ -68,18 +68,22 @@ def select_order(
     n = len(times)
     if n < 1:
         raise ValueError("order selection needs at least one past sample")
-    tau = t_new - times[-1]
     p = history.values[-1]
-    errors = {0: abs(y_new - p)}
-    best_q = 0
-    if n > 1:
+    e0 = abs(y_new - p)
+    if n == 1:
+        best_q, errors = 0, {0: e0}
+    else:
+        tau = t_new - times[-1]
         p += history.d1 * tau
-        errors[1] = abs(y_new - p)
-        best_q = 1 if errors[1] < errors[0] else 0
-        if n > 2:
+        e1 = abs(y_new - p)
+        best_q = 1 if e1 < e0 else 0
+        if n == 2:
+            errors = {0: e0, 1: e1}
+        else:
             p += history.d2 * tau * (t_new - times[-2])
-            errors[2] = abs(y_new - p)
-            best_q = 2 if errors[2] < errors[best_q] else best_q
+            e2 = abs(y_new - p)
+            best_q = 2 if e2 < (e1 if best_q else e0) else best_q
+            errors = {0: e0, 1: e1, 2: e2}
     if force is not None:
         best_q = min(max(force, 0), len(errors) - 1)
     return tuple.__new__(OrderDecision, (best_q, errors))

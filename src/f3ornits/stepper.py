@@ -151,17 +151,14 @@ def propose(
     if dt_prev <= 0:
         raise ValueError("dt_prev must be positive")
     rho = _INF
-    for err, p in zip(errors, orders):
+    for j, err in enumerate(errors):
+        p = orders[j]
         if err < 0 or p < 0:
             raise ValueError("errors and orders must be non-negative")
-        if err == 0.0:
-            r = _INF
-        elif err == _INF:
-            r = 0.0
-        else:
-            r = (1.0 / err) ** (1.0 / (p + 1))
-        if r < rho:
-            rho = r
+        if err > 0.0:  # a zero (or NaN) vote leaves rho as it is
+            r = (1.0 / err) ** (1.0 / (p + 1)) if err != _INF else 0.0
+            if r < rho:
+                rho = r
     # min(max(rho, rho_min), rho_max), then the same clamp for the step
     rho = tol.rho_min if tol.rho_min > rho else rho
     rho = tol.rho_max if tol.rho_max < rho else rho

@@ -711,30 +711,33 @@ def step_to(
         raise ContractViolation(
             f"{spec.label}: got {len(state)} states, expected {spec.n_states}"
         )
-    sizes = [len(p.coeffs) for p in inputs]
-    degree = max(sizes) - 1 if sizes else 0
-    if degree > spec.max_input_degree:
-        for i, size in enumerate(sizes):
-            if size - 1 > spec.max_input_degree:
-                raise ContractViolation(
-                    f"{spec.label}: input {i} has degree {size - 1}, "
-                    f"capability allows {spec.max_input_degree}"
-                )
-    for i, (t_ref, _) in enumerate(inputs):
-        if not (isfinite(t_start - t_ref) and isfinite(t_target - t_ref)):
-            raise ValueError(
-                f"{spec.label}: input {i} has t - t_ref not finite over "
-                f"[{t_start!r}, {t_target!r}] (t_ref = {t_ref!r})"
+    # one pass: over-degree is refused at once, tau not finite after it
+    degree, uneven, far = 0, False, None
+    for i, (t_ref, cs) in enumerate(inputs):
+        d = len(cs) - 1
+        if d > spec.max_input_degree:
+            raise ContractViolation(
+                f"{spec.label}: input {i} has degree {d}, "
+                f"capability allows {spec.max_input_degree}"
             )
+        if d != degree:
+            uneven = uneven or i > 0
+            degree = d if d > degree else degree
+        if far is None and not (
+                isfinite(t_start - t_ref) and isfinite(t_target - t_ref)):
+            far = i
+    if far is not None:
+        raise ValueError(
+            f"{spec.label}: input {far} has t - t_ref not finite over "
+            f"[{t_start!r}, {t_target!r}] (t_ref = {inputs[far][0]!r})"
+        )
     walked = inputs
-    if sizes and min(sizes) <= degree:
+    if uneven:
         # the lower degrees led by 0.0 coefficients (see above)
-        pad = degree + 1
-        walked = [(t_ref, (*cs[:-1], cs[-1] + 0.0) + (0.0,) * (pad - len(cs)))
+        walked = [(t_ref, (*cs[:-1], cs[-1] + 0.0) + (0.0,) * (degree + 1 - len(cs)))
                   for t_ref, cs in inputs]
 
-    h = h_max = micro_step
-    adaptive = False
+    h, h_max, adaptive = micro_step, micro_step, False
     if h is None:
         h, h_max, adaptive = micro_steps(spec, t_target - t_start, scheme)
     if not (isfinite(h) and h > 0):
@@ -749,7 +752,7 @@ def step_to(
         if isinstance(g, Derivatives):
             declared += (g.exprs, g.values)
         walk = spec.kernels[scheme, degree, adaptive] = _micro_walk(
-            scheme, spec.n_states, (degree,) * len(sizes), *declared,
+            scheme, spec.n_states, (degree,) * len(inputs), *declared,
             adaptive=adaptive,
         )
     x, y = walk(f, g, state, t_start, t_target, h, h_max, walked, spec.label)

@@ -23,6 +23,8 @@ from pathlib import Path
 from .poly import shift_coeffs
 
 _FLOAT_FMT = "%.17g"
+#: the zero coefficients that pad an input's n coefficients to four
+_PADS = tuple((0.0,) * (4 - n) for n in range(5))
 
 
 def format_float(x: float) -> str:
@@ -87,14 +89,15 @@ class SubsystemTrace:
                 cells += (0.0, 0.0, 0.0, 0.0, 0)
             else:
                 (t_ref, cs), start, smoothed = plan
-                cs = shift_coeffs(cs, start - t_ref)
-                cells += cs + (0.0,) * (4 - len(cs)) + (1 if smoothed else 0,)
+                if start != t_ref:
+                    cs = shift_coeffs(cs, start - t_ref)
+                cells += cs + _PADS[len(cs)] + (1 if smoothed else 0,)
         self.rows.append(tuple(cells))
 
     def csv_lines(self):
         """Each row as the CSV line `csv.writer` would write for it."""
         fmt = row_format("".join(kind for _, kind in self._layout()))
-        return (fmt % row for row in self.rows)
+        return map(fmt.__mod__, self.rows)
 
 
 @dataclass

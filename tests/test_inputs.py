@@ -1,8 +1,10 @@
+import itertools
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from f3ornits.errors import SequencingError
@@ -68,6 +70,36 @@ def test_prune_never_deletes_when_nothing_is_resolvable():
     assert log == kept
     empty = []
     prune_published(empty, None)
+    assert empty == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gaps=st.lists(st.floats(1e-3, 10.0), max_size=8),
+    where=st.sampled_from(["before", "on", "between", "after", "none"]),
+    pick=st.integers(0, 8),
+)
+def test_prune_keeps_what_the_bisect_rule_keeps(gaps, where, pick):
+    # the rule without its fast path: keep from the newest polynomial
+    # published at or before the slowest reader, found by bisection
+    starts = list(itertools.accumulate(gaps, initial=0.5))
+    k = pick % len(starts)
+    if where == "between":
+        assume(k + 1 < len(starts))
+    t_slowest = {
+        "before": starts[0] - 1.0,
+        "on": starts[k],
+        "between": 0.5 * (starts[k] + starts[min(k + 1, len(starts) - 1)]),
+        "after": starts[-1] + 1.0,
+        "none": None,
+    }[where]
+    log = _log(*starts)
+    m = (len(log) if t_slowest is None else bisect_right(starts, t_slowest)) - 1
+    kept = log[m:] if m > 0 else list(log)
+    prune_published(log, t_slowest)
+    assert len(log) == len(kept) and all(a is b for a, b in zip(log, kept))
+    empty = []
+    prune_published(empty, t_slowest)
     assert empty == []
 
 

@@ -1188,6 +1188,45 @@ def test_a_window_whose_input_tau_overflows_names_the_input(end):
         step_to(spec, spec.x_init, inputs, t_start, t_target)
 
 
+_OK, _CUBIC = Polynomial(0.0, (1.0,)), Polynomial(0.0, (0.0, 0.0, 0.0, 1.0))
+#: over the window [-1e308, 0.0] these inputs' tau overflows at its start
+_FAR, _FAR_QUAD = Polynomial(1e308, (2.0,)), Polynomial(1e308, (0.0, 0.0, 1.0))
+_FAR_LINE = Polynomial(1.5e308, (2.0, 1.0))
+
+
+@pytest.mark.parametrize("t_start,t_target,state,inputs,refusal", [
+    (0.0, -1e308, (0.0, 0.0), [_FAR, _CUBIC, _OK],
+     (ValueError, "bad: macro step must advance time (0.0 -> -1e+308)")),
+    (-1e308, 0.0, (0.0, 0.0), [_FAR, _CUBIC, _OK],
+     (ContractViolation, "bad: got 3 input polynomials, expected 2")),
+    (-1e308, 0.0, (0.0, 0.0), [_FAR, _CUBIC],
+     (ContractViolation, "bad: got 2 states, expected 1")),
+    (-1e308, 0.0, (0.0,), [_FAR, _CUBIC],
+     (ContractViolation, "bad: input 1 has degree 3, capability allows 1")),
+    (-1e308, 0.0, (0.0,), [_CUBIC, _FAR_QUAD],
+     (ContractViolation, "bad: input 0 has degree 3, capability allows 1")),
+    (-1e308, 0.0, (0.0,), [_FAR, _FAR_QUAD],
+     (ContractViolation, "bad: input 1 has degree 2, capability allows 1")),
+    (-1e308, 0.0, (0.0,), [_FAR, _FAR_LINE],
+     (ValueError, "bad: input 0 has t - t_ref not finite over [-1e+308, 0.0] "
+                  "(t_ref = 1e+308)")),
+], ids=["backwards", "input-count", "state-count", "over-degree",
+        "lowest-over-degree", "over-degree-and-far", "lowest-far"])
+def test_a_window_wrong_in_several_ways_is_refused_for_its_first_fault(
+    t_start, t_target, state, inputs, refusal
+):
+    # step_to checks, in order: the window, the input count, the state
+    # count, the lowest input over the capability, then the lowest input
+    # whose tau is not finite; each window below also breaks every check
+    # after the one it is refused for, as far as its inputs allow
+    spec = SubsystemSpec("bad", 1, 2, 1, lambda t, x, u: [u[0] - x[0]],
+                         lambda t, x, u: [x[0]], (0.0,), max_input_degree=1)
+    kind, message = refusal
+    with pytest.raises(kind) as exc:
+        step_to(spec, state, inputs, t_start, t_target)
+    assert type(exc.value) is kind and str(exc.value) == message
+
+
 @pytest.mark.parametrize("build,walks,fixed", [
     # mass_right's nine pairs of input degrees are three common degrees
     (lambda: build_two_mass(TwoMassParams()), 6, []),
