@@ -44,15 +44,13 @@ car
     random road force (deterministic in the seed, redrawn every dwell
     interval) keeps the controller working after the speed target engages.
     The vehicle's declarations, and so the monolith composed from them,
-    name the dwell cell as a time cell, cell = t // perturb_dwell, and its
-    force r = road(cell) through one helper named in their constants,
-    which keeps the last cell's force.  The micro walk evaluates r only at
-    a window's start and where the cell changes or is zero: about 29,000
-    times in a 300 s run of seed 1 instead of once per stage time of its
-    331,019 micro steps (the seeded run hashes 3,000 cells either way).
-    The acceleration a = (u0 + r) / mass reads an input, so it is
-    evaluated once per stage time.  The controller names its speed
-    estimate v once, for its f and its g.
+    name the dwell cell cell = t // perturb_dwell and its force
+    r = road(cell) through one helper named in their constants, which
+    keeps the last cell's force.  Both read t, so the micro walk evaluates
+    them once per stage time: in a 300 s run of seed 1 the vehicle's walk
+    calls road 65,953 times over its ~30,000 micro steps and hashes 3,270
+    cells.  The acceleration a = (u0 + r) / mass is evaluated with them.
+    The controller names its speed estimate v once, for its f and its g.
     The controller's filter is bounded by tau_diff: RK4 on it is stable
     only below about 2.8 tau_diff.  The vehicle is a pure integrator, so its
     bound comes from the piecewise-constant road force it integrates:
@@ -96,7 +94,7 @@ def dwell_noise(seed: int, amplitude: float, dwell: float) -> Callable[[float], 
     order or count, so every integrator — micro stages included — sees the
     same signal.  Each call hashes.  A cell t // dwell is a whole float, so
     with a dwell of 1.0 the noise is a function of the cell itself, which is
-    how the car reads it, through a time cell of its declarations.
+    how the car reads it, through a named value of its declarations.
     """
     def w(t: float) -> float:
         h = _splitmix64(((seed & _M64) * 0x100000001B3 + int(t // dwell)) & _M64)

@@ -25,8 +25,8 @@ receives each stage's state as a fresh list and its inputs as a read-only
 tuple), or a `Derivatives`: one expression per state or output, and named
 values, each evaluated only as often as what it reads can change.  The
 kernel evaluates a declared f inline, with no call and no list per stage,
-to the same bits, and reads a derivative or value that is a bare name in
-place rather than copying it; a declared g it evaluates at the end.
+to the same bits, and reads a derivative that is a bare name in place
+rather than copying it; a declared g it evaluates at the end.
 There is no rollback: a completed macro step is final.  `step_to` returns
 the new state and the output tuple y at the target time.
 """
@@ -60,10 +60,9 @@ def _bound(name: str) -> bool:
 
 
 #: what a named value reads, directly or through earlier values, and so how
-#: often it is evaluated: only constants (once per window); a time cell, t //
-#: a constant (per stage time); also cells (where one changes or is zero);
-#: also t or an input (once per stage time); also a state (at every stage)
-_WINDOW, _CELL, _HELD, _TIME, _STATE = range(5)
+#: often it is evaluated: only constants (once per window); also t or an
+#: input (once per stage time); also a state (at every stage)
+_WINDOW, _TIME, _STATE = range(3)
 
 #: nodes `Derivatives.check` rejects: scopes whose own names a stage could
 #: not rename, and suspensions, which would make the walk a generator
@@ -99,49 +98,30 @@ def renamed(expr: str, names: dict[str, str]) -> str:
 class _Plan:
     """A declaration's named values at the levels their reads give them:
     `defs[level]` holds, in declared order, each value of the level that
-    an expression reads, directly or through other values (`_plan`); a
-    value whose text is a bare name is an alias, read in place as it."""
+    an expression reads, directly or through other values (`_plan`)."""
 
     def __init__(self, exprs: Sequence[str], values: Sequence[tuple[str, str]]):
         levels: dict[str, int] = {}
-        self.defs: tuple[list[tuple[str, str]], ...] = ([], [], [], [], [])
-        self.aliases: dict[str, str] = {}
+        self.defs: tuple[list[tuple[str, str]], ...] = ([], [], [])
         reads = {name for e in exprs for name in names_read(e)}
         for name, expr in reversed(values):
             if name in reads:
                 reads.update(names_read(expr))
         for name, expr in [(n, e) for n, e in values if n in reads]:
             level = _WINDOW
-            names = names_read(expr)
-            if _template(expr)[::2] == ("", " // ", "") and names[0] == "t" and not (
-                names[1] in levels or _bound(names[1])
-            ):
-                # a time cell: what reads it is held from cell to cell
-                levels[name] = _HELD
-                self.defs[_CELL].append((name, expr))
-                continue
-            for read in names:
+            for read in names_read(expr):
                 if read in levels:
                     level = max(level, levels[read])
                 elif _bound(read):
                     level = max(level, _STATE if read[0] == "x" else _TIME)
             levels[name] = level
-            if expr.isidentifier():
-                self.aliases[name] = expr
-            else:
-                self.defs[level].append((name, expr))
+            self.defs[level].append((name, expr))
         #: the constants, and the indices of the states and inputs, read
         self.constants = sorted(
             n for n in reads if not _bound(n) and n not in levels
         )
         self.states = sorted(int(n[1:]) for n in reads if n[0] == "x" and _bound(n))
         self.inputs = sorted(int(n[1:]) for n in reads if n[0] == "u" and _bound(n))
-
-    def in_place(self, rename: dict[str, str]) -> dict[str, str]:
-        """rename, with each alias renamed as the name it reads."""
-        for name, expr in self.aliases.items():
-            rename[name] = rename.get(expr, expr)
-        return rename
 
     def lines(self, level: int, rename: dict[str, str]) -> list[str]:
         """One assignment per named value of the level, in order."""
@@ -166,8 +146,7 @@ class Derivatives:
     declaration stays hashable.  A value is evaluated only as often as what
     it reads can change (`_micro_walk`), and not at all if no expression
     reads it, directly or through other values, so helpers must be pure;
-    every expression is otherwise evaluated as written.  A value whose
-    text is `t // NAME`, NAME a constant, is a time cell.  Called, it runs
+    every expression is otherwise evaluated as written.  Called, it runs
     `function`, compiled on first use, which evaluates each value it needs
     once per call.  Both give the bits of the text.  `SubsystemSpec` checks
     a declaration against its arities.
@@ -185,7 +164,7 @@ class Derivatives:
     def function(self) -> Callable[..., list[float]]:
         """f(t, x, u) as one compiled function: a call costs one frame."""
         plan = _plan(self.exprs, self.values)
-        rename = plan.in_place({})
+        rename: dict[str, str] = {}
         lines = [line for level in range(len(plan.defs))
                  for line in plan.lines(level, rename)]
         source = (
@@ -423,17 +402,14 @@ def _micro_walk(
     that read only constants once.  It evaluates those that read t or an
     input but no state with the inputs, and carries those at t1 to the next
     step's stage 1: twice per micro step plus once per window.  A scheme
-    whose last stage is not at t1 evaluates them there as it carries.  The
-    time cells are evaluated with them, but the values that read time only
-    through cells are held from the previous stage time where its cells
-    are the same and nonzero, so the same floats.  Each stage renames t,
-    x{i}, u{j} and the values in the text to its own time, state (_x{i},
-    then _s2_{i}, _s3_{i}, ...), inputs and values, and evaluates those that
-    read a state.  A derivative or value whose text is a bare name is read
-    in place under that name, not copied, except a stage-1 derivative that
-    is a state the step updates before its own.  Every local but the
-    constants and the values that read only constants starts with an
-    underscore, which no constant or value may.
+    whose last stage is not at t1 evaluates them there as it carries.  Each
+    stage renames t, x{i}, u{j} and the values in the text to its own time,
+    state (_x{i}, then _s2_{i}, _s3_{i}, ...), inputs and values, and
+    evaluates those that read a state.  A derivative whose text is a bare
+    name is read in place under that name, not copied, except a stage-1
+    derivative that is a state the step updates before its own.  Every
+    local but the constants and the values that read only constants starts
+    with an underscore, which no constant or value may.
 
     A state, then an output of a declared g, evaluated at t_target with
     its inputs by `Polynomial.__call__`'s operations and its own names as
@@ -468,15 +444,7 @@ def _micro_walk(
         lines = [line for j in used for line in horner(j, t, f"_u{tag}{j}")]
         if plan is None:
             return lines + [f"_u{tag} = ({''.join(f'_u{tag}{j}, ' for j in used)})"]
-        rename = renames(t)
-        cells = [name for name, _ in plan.defs[_CELL]]
-        if cells:
-            lines += [f"_n_{c} = {renamed(e, rename)}" for c, e in plan.defs[_CELL]]
-            changed = (f"_n_{c} != _w_{c} or not _n_{c}" for c in cells)
-            lines.append(f"if {' or '.join(changed)}:")
-            lines += indented([f"_w_{c} = _n_{c}" for c in cells])
-            lines += indented(plan.lines(_HELD, rename))
-        return lines + plan.lines(_TIME, rename)
+        return lines + plan.lines(_TIME, renames(t))
 
     def renames(t: str, s: int = 1) -> dict[str, str]:
         """The names the declaration reads, as stage s at time t names them."""
@@ -486,13 +454,9 @@ def _micro_walk(
             (f"x{i}", f"_x{i}" if s == 1 else f"_s{s}_{i}") for i in range(n)
         )
         rename.update((f"u{j}", f"_u{tag}{j}") for j in used)
-        rename.update(
-            (name, f"_w_{name}") for level in (_CELL, _HELD)
-            for name, _ in plan.defs[level]
-        )
         rename.update((name, f"_g{tag}_{name}") for name, _ in plan.defs[_TIME])
         rename.update((name, f"_q{s}_{name}") for name, _ in plan.defs[_STATE])
-        return plan.in_place(rename)
+        return rename
 
     #: per stage, the name each derivative is read by
     ks: dict[int, list[str]] = {}
@@ -524,10 +488,9 @@ def _micro_walk(
             lines += plan.lines(_STATE, rename)
             for i, text in enumerate(renamed(e, rename) for e in exprs):
                 # the step updates _x0, _x1, ... in turn, so stage 1 copies
-                # an earlier state than its own; every stage time writes the
-                # one _w_ slot of a cell or held value, so each stage copies it
-                if text.isidentifier() and not (text[:3] == "_w_" or (
-                        text[:2] == "_x" and int(text[2:]) < i)):
+                # an earlier state than its own
+                if text.isidentifier() and not (
+                        text[:2] == "_x" and int(text[2:]) < i):
                     ks[s][i] = text
                 else:
                     lines.append(f"{ks[s][i]} = {text}")
@@ -604,8 +567,6 @@ def _micro_walk(
         lines += ["_env = _f.namespace"]
         lines += [f"{name} = _env[{name!r}]" for name in plan.constants]
         lines += plan.lines(_WINDOW, renames("_t"))
-        # no cell yet: the window start evaluates what reads cells
-        lines += [f"_w_{name} = None" for name, _ in plan.defs[_CELL]]
     lines += ["_guard = _h * 1e-9", "_t = _t_start"] + at("_t") + walk
     lines += [
         f"_x = [{each('_x{0}')}]",
@@ -619,7 +580,6 @@ def _micro_walk(
         rename = {"t": "_t_target", **{name: f"_y_{name}" for name in own}}
         rename.update((f"x{i}", f"_x{i}") for i in range(n))
         rename.update((f"u{j}", f"_v{j}") for j in out.inputs)
-        out.in_place(rename)
         lines += ["_env = _g.namespace"]
         lines += [f"_y_{name} = _env[{name!r}]" for name in out.constants]
         lines += [line for j in out.inputs for line in horner(j, "_t_target", f"_v{j}")]
@@ -685,9 +645,9 @@ def step_to(
     degree, led by 0.0 coefficients: with tau finite, each padded step
     (+0.0) * tau + 0.0 is +0.0, and (+-0.0) * tau + (c_d + 0.0) is the lead
     0.0 + c_d of the exact kernel, so the window walks to the same floats
-    for tau of either sign.  The kernel walks steps from t_start, the last one shortened to land on t_target,
-    each input evaluated once per stage time (step boundaries and
-    midpoints) as the walk goes.
+    for tau of either sign.  The kernel walks steps from t_start, the last
+    one shortened to land on t_target, each input evaluated once per stage
+    time (step boundaries and midpoints) as the walk goes.
     A callable f is called once per stage, four times per micro step
     attempted for "rk4" (the fourth after the first step being the
     estimate's stage at the step's end, which the next step starts from)

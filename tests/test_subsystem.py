@@ -459,13 +459,11 @@ _D, _D2 = 0.1, 0.07
 )
 @pytest.mark.parametrize("t_ref", [-1.0, 0.0, 0.5])
 def test_values_read_through_time_cells_match_the_declaration(t0, t1, h, t_ref):
-    # side and w read time only through the cells: the walk holds them
-    # while both cells stay the same nonzero floats, and re-evaluates them
-    # where either changes or is zero, so -0.0's cell (side -1.0) is not
-    # carried to the +0.0 cell after it; a reads an input too, so it is
-    # evaluated at every stage time.  Windows start on -0.0 and cross cell
-    # edges an ulp either side, with an input referenced before, at and
-    # after the window start
+    # the cells read t, and side and w read time only through them: all are
+    # evaluated at every stage time, with a, which reads an input too, so
+    # -0.0's cell (side -1.0) gives way to the +0.0 cell after it.  Windows
+    # start on -0.0 and cross cell edges an ulp either side, with an input
+    # referenced before, at and after the window start
     values = (("cell", "t // d"), ("c2", "t // d2"), ("side", "sign(cell)"),
               ("w", "wobble(cell + c2) * side"), ("a", "w + u0"))
     exprs = ("x1 * side", "a - x0 * w")
@@ -502,11 +500,12 @@ def test_inputs_keep_their_zero_signs_where_tau_is_negative_or_zero(t0, t_ref):
 
 
 @pytest.mark.parametrize("t0,t1", [(0.0, 1.0), (-0.0, 0.5), (0.125, 1.125)])
-def test_derivatives_that_are_a_held_value_a_cell_or_an_alias_keep_each_stage(t0, t1):
-    # every derivative is a value read through a cell, a cell, or an alias
-    # of one: each stage must keep its own, although the next stage time
-    # re-evaluates them.  Cells of 0.1875 s on steps of 0.125 s change at a
-    # midpoint (0.1875, 0.5625) and at a step end (0.375, 0.75)
+def test_derivatives_that_are_values_of_a_stage_time_keep_each_stage(t0, t1):
+    # every derivative is a value of its stage time, read in place: a cell,
+    # a helper of a cell, or a value that names one of those.  Each stage
+    # must keep its own, although the next stage time evaluates them again.
+    # Cells of 0.1875 s on steps of 0.125 s change at a midpoint (0.1875,
+    # 0.5625) and at a step end (0.375, 0.75)
     values = (("cell", "t // d"), ("r", "wobble(cell)"), ("q", "r"), ("e", "cell"))
 
     def plain(t, x, u):
@@ -518,12 +517,19 @@ def test_derivatives_that_are_a_held_value_a_cell_or_an_alias_keep_each_stage(t0
                     values=values)
 
 
-def test_a_time_cell_helper_runs_once_per_window_and_cell_change():
-    # cells of 0.25 s on a grid of 0.0625 s stage times: the helper runs at
-    # the window start, at every stage time of cell zero, and at the first
-    # stage time of each later cell; tr, which also reads t, keeps its
-    # count of once per stage time
+def test_a_value_that_reads_a_cell_runs_once_per_stage_time():
+    # cells of 0.25 s on a grid of 0.0625 s stage times: the helper reads
+    # the cell of the window start and of each stage time after it, as
+    # often as tr, which also reads t
     seen, timed = [], []
+
+    def cells(t0, t1, h=0.125):
+        # the walk's stage times: its start, then each step's midpoint and end
+        t, times = t0, [t0]
+        while t < t1:
+            times += [t + 0.5 * h, t + h]
+            t += h
+        return [t // 0.25 for t in times]
 
     def noise(cell):
         seen.append(cell)
@@ -539,16 +545,18 @@ def test_a_time_cell_helper_runs_once_per_window_and_cell_change():
                          Derivatives(("r", "tr"), constants, values),
                          lambda t, x, u: [x[0]], (0.0, 0.0))
     x, _ = step_to(spec, spec.x_init, [], 0.0, 1.0, 0.125)
-    assert seen == [0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0]
-    assert len(timed) == 2 * 8 + 1
+    assert seen == cells(0.0, 1.0)
+    assert len(seen) == len(timed) == 2 * 8 + 1
     del seen[:], timed[:]
     step_to(spec, x, [], 1.0, 1.5, 0.125)
-    assert seen == [4.0, 5.0, 6.0]
-    assert len(timed) == 2 * 4 + 1
+    assert seen == cells(1.0, 1.5)
+    assert len(seen) == len(timed) == 2 * 4 + 1
     # a window from -0.0: its start cell is -0.0, every later one up to
-    # 0.25 is 0.0, equal to it but zero
-    del seen[:]
+    # 0.25 is 0.0, equal to it but of the other sign
+    del seen[:], timed[:]
     step_to(spec, x, [], -0.0, 0.25, 0.125)
+    assert seen == cells(-0.0, 0.25)
+    assert len(seen) == len(timed) == 2 * 2 + 1
     assert [sign(c) for c in seen] == [-1.0, 1.0, 1.0, 1.0, 1.0]
     assert seen[-1] == 1.0
 
@@ -579,10 +587,11 @@ def test_walk_reads_permuted_bare_states_before_the_step_moves_them():
     assert len(set(x)) == 3
 
 
-def test_walk_reads_values_that_are_bare_names_in_place():
+def test_walk_evaluates_values_that_are_bare_names_at_their_level():
     # b names a, which names x0; w names t, v an input and c2 a constant:
-    # each is read as the name it reads, and b, a state the step updates
-    # before x1's, is still read before the update
+    # each is one more assignment at the level of what it reads, and b, a
+    # copy of a state the step updates before x1's, is taken before the
+    # update
     k = -0.75
     values = (("a", "x0"), ("b", "a"), ("w", "t"), ("v", "u0"), ("c2", "c"))
     x = walk_three_ways(("x1", "b", "w * v + c2"), (("c", k),),
@@ -1067,7 +1076,7 @@ def test_a_window_whose_floor_is_its_ceiling_walks_the_fixed_step(window):
 
 def test_the_controlled_walk_reads_declarations_as_a_callable_does():
     # declarations of the tests above, walked under the error control: in
-    # place reads, held values, cells and aliases must carry across
+    # place reads, cells and values that name another must carry across
     # accepted steps and survive retried ones
     walk_three_ways(("x2", "x0", "x1"), (),
                     lambda t, x, u: [x[2], x[0], x[1]], (1.0, -2.0, 3.0), h=None)
