@@ -51,13 +51,18 @@ car
     calls road 65,953 times over its ~30,000 micro steps and hashes 3,270
     cells.  The acceleration a = (u0 + r) / mass is evaluated with them.
     The controller names its speed estimate v once, for its f and its g.
-    The controller's filter is bounded by tau_diff: RK4 on it is stable
-    only below about 2.8 tau_diff.  The vehicle is a pure integrator, so its
-    bound comes from the piecewise-constant road force it integrates:
-    perturb_dwell / 5, which limits only the steps that cross a dwell edge
-    (`build_car`).  At the defaults they are 1e-3 and 0.02 s.  The stiff
-    filter also limits the reference: it runs at tau_diff / 2, moved down to
-    split REFERENCE_RECORD_DT into an even number of steps.
+    Its filter is declared a first-order lag of the position input with
+    time constant tau_diff (`subsystem.Lag`), so the co-simulation steps
+    each of its windows in closed form, one step, where RK4 took 50 fixed
+    steps of tau_diff.  The controller still states tau_diff as its bound,
+    which no co-simulation window walks.  The vehicle is a pure integrator,
+    so its bound comes from the piecewise-constant road force it
+    integrates: perturb_dwell / 5, which limits only the steps that cross a
+    dwell edge (`build_car`).  At the defaults they are 1e-3 and 0.02 s.
+    The reference walks the filter by RK4, which is stable on it only below
+    about 2.8 tau_diff, so the stiff filter limits the reference: it runs
+    at tau_diff / 2, moved down to split REFERENCE_RECORD_DT into an even
+    number of steps.
 """
 
 from __future__ import annotations
@@ -75,7 +80,9 @@ from typing import Callable, Sequence
 from .coupling import CouplingGraph
 from .errors import ConfigError, DivergenceError, check_step, read_value
 from .master import CosimProblem, check_event_budget, check_horizon
-from .subsystem import SCHEMES, Derivatives, SubsystemSpec, names_read, renamed, step_to
+from .subsystem import (
+    SCHEMES, Derivatives, Lag, SubsystemSpec, names_read, renamed, step_to,
+)
 
 _M64 = (1 << 64) - 1
 
@@ -170,10 +177,13 @@ def compose_monolith(
     values are renamed {name}_{k}.  Its output j becomes the named value
     y{k}_{j}, and each of its inputs the name of the output that feeds it,
     so every quantity keeps its own text, and its bits.  The values are
-    ordered so that each follows those it reads.  Raises ConfigError for a
-    black-box f or g, an input no output feeds, a constant or value that
-    two declarations define differently, or a cyclic feed-through, which
-    would need an implicit solve.
+    ordered so that each follows those it reads.  A subsystem's lag
+    declarations (`SubsystemSpec.lags`) are ignored: the monolith is walked
+    by RK4 at the model's `reference_step`, never in closed form, so the
+    reference stays an oracle independent of that step.  Raises
+    ConfigError for a black-box f or g, an input no output feeds, a
+    constant or value that two declarations define differently, or a
+    cyclic feed-through, which would need an implicit solve.
     """
     constants: dict[str, object] = {}
     values: dict[str, str] = {}
@@ -315,6 +325,14 @@ class CarParams:
 
 
 def build_car(params: CarParams | None = None) -> BenchmarkModel:
+    """The car: a vehicle, and a controller whose filter is declared a lag.
+
+    The controller keeps max_micro_step = tau_diff although its windows
+    are stepped in closed form and walk no micro step: the bound is RK4's
+    on the filter, which still limits the reference (`reference_step`), and
+    `CosimProblem.validate` still refuses a tau_diff so small that the
+    horizon would take more than the event budget's steps of it.
+    """
     p = params if params is not None else CarParams()
     preset = piecewise_linear(p.preset_force)
     # the road force of a dwell cell; it keeps the last cell's, so a cell
@@ -349,7 +367,7 @@ def build_car(params: CarParams | None = None) -> BenchmarkModel:
         SubsystemSpec("controller", 1, 1, 1,
                       Derivatives(("v",), constants, controller),
                       Derivatives(("force(t, v)",), constants, controller),
-                      (0.0,), tau_diff, dt0=0.05),
+                      (0.0,), tau_diff, dt0=0.05, lags=(Lag(0, 0, tau_diff),)),
     )
     graph = CouplingGraph({(0, 0): (1, 0), (1, 0): (0, 0)})
     problem = CosimProblem(specs, graph, 0.0, p.t_end)

@@ -27,6 +27,13 @@ values, each evaluated only as often as what it reads can change.  The
 kernel evaluates a declared f inline, with no call and no list per stage,
 to the same bits, and reads a derivative that is a bare name in place
 rather than copying it; a declared g it evaluates at the end.
+A spec that declares each of its states a first-order lag
+x{i}' = (u{j} - x{i}) / T (`Lag`: the input j and the number T) is not
+walked: `step_to` takes each window in one closed-form step (`_lag_walk`),
+exact for the window's polynomial input, so a lag far faster than the
+window costs no more than a slow one.  The declaration, not f, chooses that step; a
+declared f must agree with it, and a callable f, never called there, is
+taken at its word.  A spec that mixes lags with other states is walked.
 There is no rollback: a completed macro step is final.  `step_to` returns
 the new state and the output tuple y at the target time.
 """
@@ -36,11 +43,14 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from functools import cache, cached_property
-from math import isfinite
-from typing import Callable, Sequence
+from math import exp, factorial, isfinite
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConfigError, ContractViolation, DivergenceError, check_step
 from .poly import MAX_DEGREE, Polynomial
+
+#: the `spec.kernels` scheme under which `step_to` binds a closed-form kernel
+LAG = "lag"
 
 #: the least micro step: min(macro_step / MICRO_DIVISOR, spec.max_micro_step)
 MICRO_DIVISOR = 50.0
@@ -255,6 +265,20 @@ class Derivatives:
             known.add(value)
 
 
+class Lag(NamedTuple):
+    """State `state` declared a first-order lag of input `input`, with time
+    constant tau, a number: x{state}' = (u{input} - x{state}) / tau."""
+
+    state: int
+    input: int
+    tau: float
+
+
+#: the points (t, a, b) a declared f is evaluated at to check a lag, each
+#: state i at a * (i + 1) and each input j at b * (j + 2)
+_LAG_PROBES = ((0.0, 1.0, -1.0), (1.0, 2.0, 0.0), (2.0, 3.0, 1.0))
+
+
 @dataclass(frozen=True)
 class SubsystemSpec:
     """Dynamics f, output map g, initial state, coupling arities, and what
@@ -264,12 +288,20 @@ class SubsystemSpec:
     expression per state or per output.  max_micro_step bounds the RK4
     micro step for this subsystem's own dynamics: the ceiling the error
     control grows a step to, and the floor's cap; None leaves the window
-    as the ceiling.  max_input_degree is the highest polynomial degree
-    the subsystem can integrate on its inputs; smoothing needs the cubics
-    of MAX_DEGREE.  A subsystem that cannot vary its communication step
-    declares the step it imposes; imposed_step None means the step is free.
-    dt0 is the startup step a free subsystem takes first and adapts from;
-    a problem refuses a subsystem without one.
+    as the ceiling.  A window stepped in closed form (lags, below) takes
+    no micro step, so the bound does not limit it.  max_input_degree is
+    the highest polynomial degree the subsystem can integrate on its
+    inputs; smoothing needs the cubics of MAX_DEGREE.  A subsystem that
+    cannot vary its communication step declares the step it imposes;
+    imposed_step None means the step is free.  dt0 is the startup step a
+    free subsystem takes first and adapts from; a problem refuses a
+    subsystem without one.  lags declares states that
+    are first-order lags, one `Lag` (state, input, tau) each, a state at
+    most once; where they are all of the states, `step_to` steps each
+    window in closed form instead of walking it.  A declaration out of
+    range, or with a tau that is not finite and positive, is a ConfigError
+    naming its field, and so is one that a declared f disagrees with
+    (`_check_lag`).
     """
 
     label: str
@@ -283,6 +315,7 @@ class SubsystemSpec:
     max_input_degree: int = MAX_DEGREE
     imposed_step: float | None = None
     dt0: float | None = None
+    lags: tuple[Lag, ...] = ()
 
     def __post_init__(self):
         if min(self.n_in, self.n_out) < 0:
@@ -302,13 +335,50 @@ class SubsystemSpec:
             self.f.check(self.label, self.n_states, self.n_in)
         if isinstance(self.g, Derivatives):
             self.g.check(self.label, self.n_states, self.n_in, self.n_out)
+        lagged: set[int] = set()
+        for k, (state, source, tau) in enumerate(self.lags):
+            field = f"{self.label}: lags[{k}]"
+            if state in lagged:
+                raise ConfigError(f"{field}.state {state!r} is declared twice")
+            for name, index, count, of in (("state", state, self.n_states, "states"),
+                                           ("input", source, self.n_in, "inputs")):
+                if not (isinstance(index, int) and 0 <= index < count):
+                    raise ConfigError(
+                        f"{field}.{name} {index!r} is out of range for {count} {of}"
+                    )
+            check_step(f"{field}.tau", tau)
+            lagged.add(state)
+            if isinstance(self.f, Derivatives):
+                self._check_lag(field, state, source, tau)
+
+    def _check_lag(self, field: str, state: int, source: int, tau: float) -> None:
+        """Raise ConfigError unless the declared f's derivative of the state
+        is (u{source} - x{state}) / tau, to 1e-9 of |u| + |x| over tau, at
+        each of `_LAG_PROBES`."""
+        expr = self.f.exprs[state]
+        derivative = Derivatives((expr,), self.f.constants, self.f.values).function
+        for t, a, b in _LAG_PROBES:
+            x = [a * (i + 1.0) for i in range(self.n_states)]
+            u = [b * (j + 2.0) for j in range(self.n_in)]
+            want = (u[source] - x[state]) / tau
+            try:
+                got = derivative(t, x, u)[0]
+            except (ArithmeticError, TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"{field}: f's derivative {expr!r} of x{state} fails at "
+                    f"t = {t!r}: {exc}"
+                ) from None
+            if not abs(got - want) <= 1e-9 * (abs(u[source]) + abs(x[state])) / tau:
+                raise ConfigError(
+                    f"{field}: f's derivative {expr!r} of x{state} is not "
+                    f"(u{source} - x{state}) / {tau!r}: {got!r} where the lag "
+                    f"gives {want!r} at t = {t!r}"
+                )
 
     @cached_property
-    def kernels(
-        self,
-    ) -> dict[tuple[str, int, bool], Callable[..., list[float]]]:
-        """`step_to`'s kernel per scheme, common input degree and error
-        control, bound on first use."""
+    def kernels(self) -> dict[tuple[str, int, bool], _Walk]:
+        """`step_to`'s kernel per scheme (LAG for the closed form), common
+        input degree and error control, bound on first use."""
         return {}
 
 
@@ -344,6 +414,10 @@ SCHEMES = {
 }
 
 
+#: a compiled kernel: it returns the state, and the outputs of a declared g
+_Walk = Callable[..., tuple[list[float], tuple[float, ...] | None]]
+
+
 @cache
 def _micro_walk(
     scheme: str,
@@ -354,7 +428,7 @@ def _micro_walk(
     outputs: tuple[str, ...] | None = None,
     output_values: tuple[tuple[str, str], ...] = (),
     adaptive: bool = False,
-) -> Callable[..., tuple[list[float], tuple[float, ...] | None]]:
+) -> _Walk:
     """The walk of one window by `SCHEMES[scheme]` for n states and inputs
     of the given degrees, compiled once per argument tuple.
 
@@ -417,31 +491,20 @@ def _micro_walk(
     walk returns the state and the outputs, None without a declared g.
     """
 
-    def each(fmt: str, count: int = n) -> str:
-        return ", ".join(fmt.format(i) for i in range(count))
-
     def indented(lines: list[str]) -> list[str]:
         return [f"    {line}" for line in lines]
 
     stages, opening, update, error = SCHEMES[scheme]
     fsal = len(stages) + 1  # the stage at t1 from the updated state
-    m = len(degrees)
     plan = None if exprs is None else _plan(exprs, values)
-    used = range(m) if plan is None else plan.inputs
+    used = range(len(degrees)) if plan is None else plan.inputs
     out = None if outputs is None else _plan(outputs, output_values)
-
-    def horner(j: int, t: str, name: str) -> list[str]:
-        """name = input j at time t, from the window's lead _l{j}."""
-        d = degrees[j]
-        value = f"_l{j}"
-        for i in range(d - 1, -1, -1):
-            value = f"({value}) * _tau + _c{j}_{i}"
-        return [f"_tau = {t} - _r{j}"] * (d > 0) + [f"{name} = {value}"]
 
     def at(t: str) -> list[str]:
         """The inputs and the values named per stage time at time t."""
         tag = _TAGS[t]
-        lines = [line for j in used for line in horner(j, t, f"_u{tag}{j}")]
+        lines = [line for j in used
+                 for line in _input_at(degrees, j, t, f"_u{tag}{j}")]
         if plan is None:
             return lines + [f"_u{tag} = ({''.join(f'_u{tag}{j}, ' for j in used)})"]
         return lines + plan.lines(_TIME, renames(t))
@@ -471,11 +534,11 @@ def _micro_walk(
             own = f"_s{s}_{{0}}" if s > 1 else "_x{0}"
             if step is not None:
                 own = f"_x{{0}} + {step} * _k{s - 1}_{{0}}"
-            states = each(own)
+            states = _each(own, n)
             lines = [
                 f"_k = _f({t}, [{states}], _u{_TAGS[t]})",
                 "try:",
-                f"    [{each(f'_k{s}_{{0}}')}] = _k",
+                f"    [{_each(f'_k{s}_{{0}}', n)}] = _k",
                 "except ValueError:",
                 f"    raise _arity_error(_label, _k, {n}) from None",
             ]
@@ -558,47 +621,133 @@ def _micro_walk(
             ["_hs = _t_target - _t", "if _hs > _h:", "    _hs = _h"]
             + sizes + grid + steps
         )
-    args = "_f, _g, _x, _t_start, _t_target, _h, _hmax, _inputs, _label"
-    lines = [f"[{each('_x{0}')}] = _x", f"[{each('_p{0}', m)}] = _inputs"]
-    for j in sorted({*used, *(out.inputs if out else ())}):
-        coeffs = ", ".join(f"_c{j}_{i}" for i in range(degrees[j] + 1))
-        lines += [f"_r{j}, [{coeffs}] = _p{j}", f"_l{j} = 0.0 + _c{j}_{degrees[j]}"]
+    lines = _opening(n, degrees, {*used, *(out.inputs if out else ())})
     if plan is not None:
         lines += ["_env = _f.namespace"]
         lines += [f"{name} = _env[{name!r}]" for name in plan.constants]
         lines += plan.lines(_WINDOW, renames("_t"))
     lines += ["_guard = _h * 1e-9", "_t = _t_start"] + at("_t") + walk
-    lines += [
-        f"_x = [{each('_x{0}')}]",
+    inline = "" if exprs is None else " inline"
+    control = " adaptive" if adaptive else ""
+    return _compiled(f"<{scheme}{control} walk n={n} degrees={degrees}{inline}>",
+                     lines + _closing(n, degrees, outputs, output_values))
+
+
+def _each(fmt: str, count: int) -> str:
+    return ", ".join(fmt.format(i) for i in range(count))
+
+
+def _input_at(degrees: tuple[int, ...], j: int, t: str, name: str) -> list[str]:
+    """name = input j at time t, by Horner from the window's lead _l{j}."""
+    d = degrees[j]
+    value = f"_l{j}"
+    for i in range(d - 1, -1, -1):
+        value = f"({value}) * _tau + _c{j}_{i}"
+    return [f"_tau = {t} - _r{j}"] * (d > 0) + [f"{name} = {value}"]
+
+
+def _opening(n: int, degrees: tuple[int, ...], used: set[int]) -> list[str]:
+    """A kernel's first lines: the state into _x0.., and each input it reads
+    into its t_ref _r{j}, its coefficients _c{j}_0.. and its lead _l{j}."""
+    lines = [f"[{_each('_x{0}', n)}] = _x",
+             f"[{_each('_p{0}', len(degrees))}] = _inputs"]
+    for j in sorted(used):
+        coeffs = ", ".join(f"_c{j}_{i}" for i in range(degrees[j] + 1))
+        lines += [f"_r{j}, [{coeffs}] = _p{j}", f"_l{j} = 0.0 + _c{j}_{degrees[j]}"]
+    return lines
+
+
+def _closing(
+    n: int,
+    degrees: tuple[int, ...],
+    outputs: tuple[str, ...] | None,
+    output_values: tuple[tuple[str, str], ...],
+) -> list[str]:
+    """A kernel's last lines: the finite check of the state _x0.., then,
+    with a declared g, its outputs at _t_target and their finite check."""
+    lines = [
+        f"_x = [{_each('_x{0}', n)}]",
         "if not all(map(_isfinite, _x)):",
         "    raise _DivergenceError(_label, _t_start)",
     ]
-    if out is None:
-        lines.append("return _x, None")
-    else:
-        own = [*out.constants, *(name for defs in out.defs for name, _ in defs)]
-        rename = {"t": "_t_target", **{name: f"_y_{name}" for name in own}}
-        rename.update((f"x{i}", f"_x{i}") for i in range(n))
-        rename.update((f"u{j}", f"_v{j}") for j in out.inputs)
-        lines += ["_env = _g.namespace"]
-        lines += [f"_y_{name} = _env[{name!r}]" for name in out.constants]
-        lines += [line for j in out.inputs for line in horner(j, "_t_target", f"_v{j}")]
-        lines += [line for level in range(len(out.defs))
-                  for line in out.lines(level, rename)]
-        lines += [
-            f"_y = ({''.join(renamed(e, rename) + ', ' for e in outputs)})",
-            "if not all(map(_isfinite, _y)):",
-            "    raise _DivergenceError(_label, _t_start)",
-            "return _x, _y",
-        ]
+    if outputs is None:
+        return lines + ["return _x, None"]
+    out = _plan(outputs, output_values)
+    own = [*out.constants, *(name for defs in out.defs for name, _ in defs)]
+    rename = {"t": "_t_target", **{name: f"_y_{name}" for name in own}}
+    rename.update((f"x{i}", f"_x{i}") for i in range(n))
+    rename.update((f"u{j}", f"_v{j}") for j in out.inputs)
+    lines += ["_env = _g.namespace"]
+    lines += [f"_y_{name} = _env[{name!r}]" for name in out.constants]
+    lines += [line for j in out.inputs
+              for line in _input_at(degrees, j, "_t_target", f"_v{j}")]
+    lines += [line for level in range(len(out.defs))
+              for line in out.lines(level, rename)]
+    return lines + [
+        f"_y = ({''.join(renamed(e, rename) + ', ' for e in outputs)})",
+        "if not all(map(_isfinite, _y)):",
+        "    raise _DivergenceError(_label, _t_start)",
+        "return _x, _y",
+    ]
+
+
+def _compiled(name: str, lines: list[str]) -> _Walk:
+    """The kernel `walk` whose body is lines, compiled under name."""
+    args = "_f, _g, _x, _t_start, _t_target, _h, _hmax, _inputs, _label"
     source = f"def walk({args}):\n" + "".join(f"    {line}\n" for line in lines)
-    namespace = {"_arity_error": _arity_error, "_stalled": _stalled,
+    namespace = {"_arity_error": _arity_error, "_stalled": _stalled, "_exp": exp,
                  "_isfinite": isfinite, "_DivergenceError": DivergenceError}
-    inline = "" if exprs is None else " inline"
-    control = " adaptive" if adaptive else ""
-    name = f"<{scheme}{control} walk n={n} degrees={degrees}{inline}>"
     exec(compile(source, name, "exec"), namespace)
     return namespace["walk"]
+
+
+@cache
+def _lag_walk(
+    n: int,
+    degrees: tuple[int, ...],
+    lags: tuple[Lag, ...],
+    outputs: tuple[str, ...] | None = None,
+    output_values: tuple[tuple[str, str], ...] = (),
+) -> _Walk:
+    """The closed-form step of one window for n states that are each a
+    first-order lag x{i}' = (u{j} - x{i}) / T, `lags` naming j and T for
+    every i, compiled once per argument tuple.
+
+    With the input u{j} = c0 + c1 tau + ... + cd tau^d, tau = t - t_ref, the
+    particular solution p = u - T u' + T^2 u'' - T^3 u''' is the polynomial
+    whose coefficient k is the sum over q of (-T)^q (k + q)! / k! c{k+q},
+    those factors written into the source as numbers, and
+    x{i}(t1) = p(t1) + exp(-(t1 - t0) / T) (x{i}(t0) - p(t0)), each p one
+    Horner expression in tau: straight-line code, one exp per distinct T.
+    Its rounding is that of p's largest term, about 1e-16 of
+    max_q |T^q q! c_q|: below the input's own size while T is shorter than
+    the time the input takes to change by that size, and growing as the
+    power q of T over that time where it is longer.
+    The kernel takes the arguments of `_micro_walk`'s, reads neither f nor
+    a micro step, and closes as they do (`_closing`): the state's finite
+    check, then a declared g at t_target.
+    """
+    factor = {tau: f"_e{k}" for k, tau in enumerate(sorted({tau for *_, tau in lags}))}
+    used = {j for _, j, _ in lags}
+    if outputs is not None:
+        used.update(_plan(outputs, output_values).inputs)
+    lines = _opening(n, degrees, used) + ["_w = _t_start - _t_target"]
+    lines += [f"{e} = _exp(_w / {tau!r})" for tau, e in factor.items()]
+    for i, j, tau in sorted(lags):
+        d = degrees[j]
+        for k in range(d + 1):
+            terms = [f"_c{j}_{k}"] + [
+                f"{(-tau) ** q * factorial(k + q) / factorial(k)!r} * _c{j}_{k + q}"
+                for q in range(1, d - k + 1)
+            ]
+            lines.append(f"_a{k} = {' + '.join(terms)}")
+        p = f"_a{d}"
+        for k in range(d - 1, -1, -1):
+            p = f"({p}) * _tau + _a{k}"
+        lines += [f"_tau = _t_start - _r{j}", f"_z = {p}", f"_tau = _t_target - _r{j}",
+                  f"_x{i} = {p} + {factor[tau]} * (_x{i} - _z)"]
+    return _compiled(f"<lag walk n={n} degrees={degrees}>",
+                     lines + _closing(n, degrees, outputs, output_values))
 
 
 def micro_steps(
@@ -626,7 +775,12 @@ def step_to(
 
     Returns the new state and the outputs evaluated exactly at t_target.
     An input of degree above spec.max_input_degree is a ContractViolation.
-    The micro step's floor is h_min = min(W / MICRO_DIVISOR,
+    Where spec.lags declares every state a lag and no `micro_step` is
+    given, the window is one closed-form step: `_lag_walk` compiled for the
+    lags and the common input degree (padded as below), bound in
+    `spec.kernels` under (LAG, degree, False).  It makes the checks below,
+    reads neither f nor a scheme and evaluates g as the walk does.
+    Otherwise the micro step's floor is h_min = min(W / MICRO_DIVISOR,
     spec.max_micro_step) and its ceiling h_max = min(W, spec.max_micro_step),
     W = t_target - t_start.  A scheme with an error estimate ("rk4") walks
     from h_min under its error control, up to h_max, unless the ceiling
@@ -635,7 +789,7 @@ def step_to(
     explicit `micro_step` walk fixed steps of h_min, or of micro_step.
     `micro_steps` states this rule.
 
-    The window is walked by the kernel `_micro_walk` compiled for the
+    A walked window is walked by the kernel `_micro_walk` compiled for the
     scheme ("rk4" unless given), spec.n_states, the control and, for each
     input, the highest degree among them, bound in `spec.kernels` under
     (scheme, degree, control) on first use.  After the capability check, a
@@ -697,24 +851,31 @@ def step_to(
         walked = [(t_ref, (*cs[:-1], cs[-1] + 0.0) + (0.0,) * (degree + 1 - len(cs)))
                   for t_ref, cs in inputs]
 
-    h, h_max, adaptive = micro_step, micro_step, False
-    if h is None:
-        h, h_max, adaptive = micro_steps(spec, t_target - t_start, scheme)
-    if not (isfinite(h) and h > 0):
-        raise ValueError(
-            f"{spec.label}: micro step must be finite and positive, got {h!r}"
-        )
+    if micro_step is None and len(spec.lags) == spec.n_states > 0:
+        h = h_max = None
+        key = (LAG, degree, False)
+    else:
+        h, h_max, adaptive = micro_step, micro_step, False
+        if h is None:
+            h, h_max, adaptive = micro_steps(spec, t_target - t_start, scheme)
+        if not (isfinite(h) and h > 0):
+            raise ValueError(
+                f"{spec.label}: micro step must be finite and positive, got {h!r}"
+            )
+        key = (scheme, degree, adaptive)
 
     f, g = spec.f, spec.g
-    walk = spec.kernels.get((scheme, degree, adaptive))
+    walk = spec.kernels.get(key)
     if walk is None:
-        declared = (f.exprs, f.values) if isinstance(f, Derivatives) else (None, ())
-        if isinstance(g, Derivatives):
-            declared += (g.exprs, g.values)
-        walk = spec.kernels[scheme, degree, adaptive] = _micro_walk(
-            scheme, spec.n_states, (degree,) * len(inputs), *declared,
-            adaptive=adaptive,
-        )
+        degrees = (degree,) * len(inputs)
+        outputs = (g.exprs, g.values) if isinstance(g, Derivatives) else ()
+        if key[0] == LAG:
+            walk = _lag_walk(spec.n_states, degrees, spec.lags, *outputs)
+        else:
+            declared = (f.exprs, f.values) if isinstance(f, Derivatives) else (None, ())
+            walk = _micro_walk(scheme, spec.n_states, degrees, *declared, *outputs,
+                               adaptive=adaptive)
+        spec.kernels[key] = walk
     x, y = walk(f, g, state, t_start, t_target, h, h_max, walked, spec.label)
     if y is None:
         y = evaluate_outputs(spec, x, [p(t_target) for p in inputs], t_target)

@@ -41,8 +41,8 @@ GOLDEN = {
     "car_seed_7": (
         {"model": "car", "seed": "7"},
         {
-            "run_vehicle.csv": "23bb3f375cb304dae5312613d5af110327dd3ab6eaed22bebf5e9649f69cf198",
-            "run_controller.csv": "fb81ff6e4dec943191fa09efa6369b84455026d6429f14bfe1007b82b31ac86c",
+            "run_vehicle.csv": "289505141d3a3ea24b491f41b005e4f099909b9a28d507c2170baca06d6aa5ba",
+            "run_controller.csv": "d28cd0140a3fd52b0ed4f34169f07a1f867afed5369d85d612cf420bb79806a7",
             "run_summary.csv": "2eb36da42d60d8253c4d66556cf4a3519cb0f303c0aac2e06ba60966fb56f7f1",
         },
     ),
@@ -51,8 +51,8 @@ GOLDEN = {
     "car_long_seed_1": (
         {"model": "car", "seed": "1", "t_end": "300"},
         {
-            "run_vehicle.csv": "6419c74ed5cf269b0472a17f7561adeb2d99cc7fc4e489a146907b3ab7e8da17",
-            "run_controller.csv": "18ece1f06bed194f81f9331d678c90fc1018ebaa50283c7b7400d7bd75c901f5",
+            "run_vehicle.csv": "38f49198f60288c28f744244e8262c7f4e139a2f8f9ddc8367dec1c0c0c524de",
+            "run_controller.csv": "728b7a6bbb02d09e4b2c66ff4f413ac76809997bd7ea73bc86c3663aafd3dd9f",
             "run_summary.csv": "7400c34c315aa5314e6d1edda8d3e96a3445505c53e5b9dcc7c1137c25edfcdd",
         },
     ),

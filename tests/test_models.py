@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from f3ornits.errors import ConfigError, ContractViolation, DivergenceError
 from f3ornits.config import RunConfig, materialize
 from f3ornits.coupling import CouplingGraph
-from f3ornits.master import CosimProblem, run_jacobi
+from f3ornits.master import CosimProblem, run_f3ornits, run_jacobi
 from f3ornits.models import (
     CarParams,
     TwoMassParams,
@@ -236,6 +236,44 @@ def test_controller_estimate_collapses_on_held_input():
     state, y = step_to(controller, state, [held], 20.0, 20.05)
     v_est = p.v_target - y[0] / p.kp
     assert abs(v_est) < 1e-9
+
+
+def test_counted_callables_write_the_traces_of_the_declarations(tmp_path):
+    # `run --model car --seed 7 --t-end 30` with every f and g replaced by a
+    # plain callable that counts its calls, as a traced benchmark repetition
+    # rebuilds the specs: the lag declaration, not f, picks the controller's
+    # closed form, so the trace CSVs keep their bytes and its f is never
+    # called
+    setup = materialize(RunConfig(model="car", seed=7, t_end=30.0))
+    problem = setup.model.problem
+    calls = {}
+
+    def counted(key, fn):
+        calls[key] = 0
+
+        def count(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return count
+
+    specs = tuple(
+        dataclasses.replace(s, f=counted((s.label, "f"), s.f),
+                            g=counted((s.label, "g"), s.g))
+        for s in problem.subsystems
+    )
+    traced = dataclasses.replace(problem, subsystems=specs)
+    digests = []
+    for run, p in (("plain", problem), ("counted", traced)):
+        paths = run_f3ornits(p, setup.options).write_csv(tmp_path / run, "run")
+        digests.append({
+            path.name: [line for line in path.read_bytes().splitlines()
+                        if not line.startswith(b"wall_time_s,")]
+            for path in paths
+        })
+    assert digests[0] == digests[1]
+    assert calls["controller", "f"] == 0
+    assert calls["controller", "g"] > 0 and calls["vehicle", "f"] > 0
 
 
 def test_car_reference_speed_settles_near_target():

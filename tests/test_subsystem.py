@@ -1236,20 +1236,23 @@ def test_a_window_wrong_in_several_ways_is_refused_for_its_first_fault(
     assert type(exc.value) is kind and str(exc.value) == message
 
 
-@pytest.mark.parametrize("build,walks,fixed", [
+@pytest.mark.parametrize("build,walks,kinds", [
     # mass_right's nine pairs of input degrees are three common degrees
-    (lambda: build_two_mass(TwoMassParams()), 6, []),
-    # one input per subsystem, nothing to pad: a kernel per degree and
-    # control.  The vehicle walks every window under error control; the
-    # controller's bound, tau_diff, walks its full windows in fixed steps
-    (lambda: build_car(CarParams(seed=1, t_end=300.0)), 9, ["controller"]),
+    (lambda: build_two_mass(TwoMassParams()), 6,
+     {"mass_left": {("rk4", True)}, "mass_right": {("rk4", True)}}),
+    # one input per subsystem, nothing to pad: a kernel per degree.  The
+    # vehicle walks every window under error control; the controller, a
+    # declared lag, steps every window in closed form
+    (lambda: build_car(CarParams(seed=1, t_end=300.0)), 6,
+     {"vehicle": {("rk4", True)}, "controller": {(subsystem.LAG, False)}}),
 ], ids=["two_mass", "car"])
 def test_a_run_binds_one_walk_kernel_per_common_input_degree(
-    build, walks, fixed, monkeypatch
+    build, walks, kinds, monkeypatch
 ):
     # and compiles exactly the kernels its specs bind, each once: one
     # kernel walks every window, whatever the signs of its inputs' taus
     subsystem._micro_walk.cache_clear()
+    subsystem._lag_walk.cache_clear()
     compiled = []
 
     def recorded_compile(source, name, mode):
@@ -1263,8 +1266,8 @@ def test_a_run_binds_one_walk_kernel_per_common_input_degree(
              for spec in problem.subsystems for walk in spec.kernels.values()]
     assert len(bound) == walks
     assert sorted(name for name in compiled if " walk " in name) == sorted(bound)
-    assert [spec.label for spec in problem.subsystems
-            if False in {control for *_, control in spec.kernels}] == fixed
+    assert {spec.label: {(scheme, control) for scheme, _, control in spec.kernels}
+            for spec in problem.subsystems} == kinds
 
 
 def test_sources_and_generated_kernels_parse_on_the_python_floor(monkeypatch):
@@ -1291,6 +1294,146 @@ def test_sources_and_generated_kernels_parse_on_the_python_floor(monkeypatch):
         args = (f.exprs, f.values, g.exprs, g.values) if declared else (None, ())
         subsystem._micro_walk.__wrapped__(scheme, 2, (2, 0), *args,
                                           adaptive=adaptive)
-    assert len(sources) == len(kinds) == 6
+    subsystem._lag_walk.__wrapped__(2, (2, 0), ((0, 1, 0.5), (1, 0, 2.0)),
+                                    g.exprs, g.values)
+    assert len(sources) == len(kinds) + 1 == 7
     for name, source in sources.items():
         ast.parse(source, name, feature_version=(3, 10))
+
+
+# ---------------------------------------------------------- closed-form lags
+
+def make_lag(tau, declared=False):
+    # x' = (u0 - x) / tau, y = x, declared a lag; u1 is read by nobody
+    f = (Derivatives(("(u0 - x0) / tau",), (("tau", tau),)) if declared
+         else lambda t, x, u: [(u[0] - x[0]) / tau])
+    return SubsystemSpec("lag", 1, 2, 1, f, lambda t, x, u: [x[0]], (0.0,),
+                         lags=(subsystem.Lag(0, 0, tau),))
+
+
+@pytest.mark.parametrize("tau", [1e-3, 2.0])
+@pytest.mark.parametrize("span", [1e-2, 1e2])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_a_lag_steps_in_closed_form_to_a_fine_rk4_walk(tau, span, degree):
+    # a window of span time constants, an input that moves by about its
+    # own size over the window and a start state 50 from it: the closed
+    # form lands within 1e-10 of |x0| + |x1| of RK4 at a twentieth of the
+    # window or of tau, whichever is shorter.  Its own rounding grows with
+    # (tau / window)^degree, here 2.6e-9 of 100 at degree 3 and span 1e-2
+    window, t0 = span * tau, 0.75
+    spec = make_lag(tau)
+    coeffs = (1.0, -2.0 / window, 3.0 / window**2, -4.0 / window**3)[:degree + 1]
+    u = [Polynomial(t0 - 0.25 * window, coeffs), const_input(7.0)]
+    x0 = [u[0](t0) + 50.0]
+    x, y = step_to(spec, x0, u, t0, t0 + window)
+    assert list(spec.kernels) == [(subsystem.LAG, degree, False)]
+    fine, _ = step_to(spec, x0, u, t0, t0 + window, min(window, tau) / 20)
+    assert abs(x[0] - fine[0]) <= 1e-10 * (abs(x0[0]) + abs(fine[0]))
+    assert y == (x[0],)
+
+
+def test_a_lag_reads_its_own_input_and_time_constant():
+    # state 1 follows input 0 with 0.5 and state 0 input 2 with 0.25: each
+    # state is its own exact solution, whatever the other
+    f = lambda t, x, u: [(u[2] - x[0]) / 0.25, (u[0] - x[1]) / 0.5]
+    spec = SubsystemSpec("pair", 2, 3, 1, f, lambda t, x, u: [x[0] - x[1]],
+                         (1.0, -1.0), lags=(subsystem.Lag(1, 0, 0.5),
+                                            subsystem.Lag(0, 2, 0.25)))
+    u = [const_input(2.0), const_input(-5.0), Polynomial(0.0, (3.0, 1.0))]
+    x, y = step_to(spec, spec.x_init, u, 0.0, 1.0)
+    # x' = (3 + t - x) / 0.25 from 1: x = 3 + t - 0.25 - 1.75 exp(-4 t)
+    assert x[0] == pytest.approx(3.75 - 1.75 * math.exp(-4.0), rel=1e-14)
+    assert x[1] == pytest.approx(2.0 - 3.0 * math.exp(-2.0), rel=1e-14)
+    assert y == (x[0] - x[1],)
+
+
+def test_a_lag_keeps_the_walks_checks_and_its_declared_g():
+    spec = make_lag(1e-3, declared=True)
+    with pytest.raises(ValueError, match="must advance"):
+        step_to(spec, (0.0,), [const_input(1.0)] * 2, 1.0, 1.0)
+    with pytest.raises(ContractViolation, match="got 1 input polynomials"):
+        step_to(spec, (0.0,), [const_input(1.0)], 0.0, 1.0)
+    with pytest.raises(ContractViolation, match="capability allows 1"):
+        step_to(replace(spec, max_input_degree=1), (0.0,),
+                [Polynomial(0.0, (0.0, 0.0, 1.0)), const_input(1.0)], 0.0, 1.0)
+    with pytest.raises(ValueError, match="input 1 has t - t_ref not finite"):
+        step_to(spec, (0.0,), [const_input(1.0), Polynomial(-1e308, (1.0, 1.0))],
+                0.0, 1e308)
+    # a state that overflows
+    with pytest.raises(DivergenceError, match="lag"):
+        step_to(spec, (0.0,), [Polynomial(0.0, (0.0, 1e308)), const_input(0.0)],
+                0.0, 10.0)
+    # an output of a declared g that overflows
+    with pytest.raises(DivergenceError, match="lag"):
+        step_to(replace(spec, g=Derivatives(("1e308 * (x0 + u1)",))), (1e300,),
+                [const_input(1e300), const_input(1e300)], 0.0, 1.0)
+    # a declared g reads the closed form's state and its inputs at t_target
+    spec = replace(spec, g=Derivatives(("x0 + 2.0 * u0 + t",)))
+    u = [Polynomial(0.0, (1.0, 3.0)), const_input(0.0)]
+    x, y = step_to(spec, (0.0,), u, 0.0, 0.5)
+    assert y == (x[0] + 2.0 * u[0](0.5) + 0.5,)
+
+
+def test_only_a_spec_whose_every_state_is_a_lag_steps_in_closed_form():
+    # a spec that mixes a lag with another state walks RK4 under control,
+    # and an explicit micro step walks the fixed steps it names
+    u = [Polynomial(0.0, (1.0, 2.0)), const_input(0.0)]
+    mixed = SubsystemSpec("mixed", 2, 2, 1,
+                          lambda t, x, u: [(u[0] - x[0]) / 0.1, x[0]],
+                          lambda t, x, u: [x[1]], (0.0, 0.0),
+                          lags=(subsystem.Lag(0, 0, 0.1),))
+    step_to(mixed, mixed.x_init, u, 0.0, 1.0)
+    assert list(mixed.kernels) == [("rk4", 1, True)]
+    lag = make_lag(0.1)
+    step_to(lag, lag.x_init, u, 0.0, 1.0, 0.01)
+    step_to(lag, lag.x_init, u, 0.0, 1.0)
+    assert list(lag.kernels) == [("rk4", 1, False), (subsystem.LAG, 1, False)]
+
+
+def test_a_lag_never_calls_f_and_steps_a_callable_f_as_a_declared_one():
+    calls = []
+
+    def f(t, x, u):
+        calls.append(t)
+        return [(u[0] - x[0]) / 1e-3]
+
+    declared = make_lag(1e-3, declared=True)
+    u = [Polynomial(0.25, (2.0, -1.0, 0.5, 0.125)), const_input(0.0)]
+    x, y = step_to(declared, (5.0,), u, 0.5, 0.55)
+    assert step_to(replace(declared, f=f), (5.0,), u, 0.5, 0.55) == (x, y)
+    assert calls == []
+
+
+@pytest.mark.parametrize("lags,match", [
+    (((1, 0, 1e-3),), r"lag: lags\[0\]\.state 1 is out of range for 1 states"),
+    (((-1, 0, 1e-3),), r"lag: lags\[0\]\.state -1 is out of range"),
+    (((0, 2, 1e-3),), r"lag: lags\[0\]\.input 2 is out of range for 2 inputs"),
+    (((0, 0, 1e-3), (0, 1, 1e-3)), r"lag: lags\[1\]\.state 0 is declared twice"),
+    (((0, 0, 0.0),), r"lag: lags\[0\]\.tau must be finite and positive, got 0\.0"),
+    (((0, 0, -1e-3),), r"lag: lags\[0\]\.tau must be finite and positive"),
+    (((0, 0, math.nan),), r"lag: lags\[0\]\.tau must be finite and positive, got nan"),
+    (((0, 0, math.inf),), r"lag: lags\[0\]\.tau must be finite and positive, got inf"),
+])
+def test_a_lag_declaration_out_of_range_is_refused_naming_its_field(lags, match):
+    for declared in (False, True):
+        with pytest.raises(ConfigError, match=match):
+            replace(make_lag(1e-3, declared), lags=lags)
+
+
+@pytest.mark.parametrize("expr,match", [
+    ("(u1 - x0) / tau", "is not"),        # another input
+    ("(u0 - x0) / (2.0 * tau)", "is not"),  # another time constant
+    ("(x0 - u0) / tau", "is not"),        # the sign
+    ("(u0 - x0) / tau + t", "is not"),    # reads the time
+    ("(u0 - x0) / tau + 0.0 / (t - 1.0)", "fails at t = 1.0"),
+])
+def test_a_lag_that_disagrees_with_its_declared_f_is_refused(expr, match):
+    f = Derivatives((expr,), (("tau", 1e-3),))
+    with pytest.raises(ConfigError, match=rf"lag: lags\[0\]: .*{match}"):
+        replace(make_lag(1e-3), f=f)
+    # the same text written differently, or within 1e-9, is the lag
+    for same in ("-(x0 - u0) * (1.0 / tau)", "u0 / tau - x0 / tau",
+                 "(u0 - x0) / (tau * (1.0 + 1e-12))"):
+        replace(make_lag(1e-3), f=Derivatives((same,), (("tau", 1e-3),)))
+    # and a callable f is taken at its word
+    replace(make_lag(1e-3), f=lambda t, x, u: [0.0])
