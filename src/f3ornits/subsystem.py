@@ -8,10 +8,11 @@ MICRO_DIVISOR capped by the subsystem's own `max_micro_step` when it
 declares one, and grows while each step's local error estimate stays
 within MICRO_RTOL and MICRO_ATOL, up to the ceiling, that bound capped by
 the window: each model states the bound its own fastest mode needs, so a
-slow subsystem does not pay for a stiff neighbour.  Where the ceiling
-could not walk the window in fewer steps than the floor, as on a window
-over MICRO_DIVISOR - 1 bounds long, every step is the floor's, with no
-estimate.  Inputs arrive as genuine polynomials in time and are evaluated
+slow subsystem does not pay for a stiff neighbour; on a window at least
+MICRO_DIVISOR bounds long floor and ceiling meet, and every step is the
+bound's.  Only an explicit micro step, as the monolithic reference takes,
+walks fixed steps, by the same kernel skeleton without its control.
+Inputs arrive as genuine polynomials in time and are evaluated
 continuously at every micro stage, never sampled-and-held, so the micro
 error stays far below the coupling error.  `step_to` pads a window's
 inputs to their common degree and walks it with one kernel generated and
@@ -401,7 +402,8 @@ _TAGS = {"_t": "i", "_tm": "m", "_t1": "e"}
 #: update; the updated _x{i}, from the stages' derivatives {k1}, {k2}, ...;
 #: and the step's local error estimate for state i, from those and the
 #: derivatives {k5} of the updated state, the next step's first stage, or
-#: None where the scheme has no embedded pair.  rk4's estimate is RK4 minus
+#: None where the scheme has no embedded pair, which `step_to` walks only
+#: with an explicit micro step.  rk4's estimate is RK4 minus
 #: the third-order solution with weights (1/6, 1/3, 1/3, 0, 1/6) on k1..k5
 #: (Hairer, Norsett & Wanner, Solving ODEs I, II.4): it meets every order
 #: condition up to order 3 and misses sum b a c^2 = 1/12 (it gives 7/72)
@@ -435,13 +437,14 @@ def _micro_walk(
     The source is generated, the way `dataclasses` builds `__init__`.  The
     walk advances the grid itself: each step is hs = min(t_target - t, h),
     ending at t1 = t + hs with its midpoint tm = t + half, half = 0.5 * hs,
-    and the walk stops once t_target - t1 <= h * 1e-9.  A step with
-    t1 == t cannot advance (h at most half an ulp of t) and raises
-    ValueError.  Input j, read as the pair (t_ref, coeffs) a Polynomial is,
-    keeps its coefficients in the locals _c{j}_0.. and its Horner lead
-    _l{j} = 0.0 + c{j}_d, which reads no tau and so is taken once per
-    window; it is evaluated at t and at each new stage time by one Horner
-    expression, (_l{j}) * tau + c{j}_{d-1} ..., the operations of
+    these and the scheme's opening lines (sixth) computed per step, and the
+    walk stops once t_target - t1 <= h * 1e-9, for the h it is given.  A
+    step with t1 == t cannot advance (h at most half an ulp of t) and
+    raises ValueError.  Input j, read as the pair (t_ref, coeffs) a
+    Polynomial is, keeps its coefficients in the locals _c{j}_0.. and its
+    Horner lead _l{j} = 0.0 + c{j}_d, which reads no tau and so is taken
+    once per window; it is evaluated at t and at each new stage time by one
+    Horner expression, (_l{j}) * tau + c{j}_{d-1} ..., the operations of
     `Polynomial.__call__` in its order; the inputs at t1 are the next
     step's inputs at t.  The state lives in the locals _x0.._x{n-1} and
     each stage's derivatives in _k1_0.., _k2_0.., ....  Every expression,
@@ -449,23 +452,24 @@ def _micro_walk(
     stage state x[i] + half * k1[i], then + half * k2[i], then + hs * k3[i],
     and the step x[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]); for
     the midpoint rule "rk2" x[i] + half * k1[i], then x[i] + hs * k2[i].
-    A full step's hs, half and opening lines (sixth) are computed once per
-    window; a step with t_target - t < h, the last, computes its own.
 
-    With adaptive, h is the floor h_min and the walk's step starts there,
-    computing its sizes per step; the guard stays h_min * 1e-9.  A step
-    writes its new state to the state of the stage after the scheme's last,
-    _s5_0.. for "rk4", and one that lands on the target, which needs no
-    estimate, moves it to _x0.. and stops.  Any other evaluates the next
-    first stage at t1 from it, k5, and its error err = max_i |E_i| /
-    (MICRO_ATOL + MICRO_RTOL * max(|x_i|, |x1_i|)), E the scheme's
-    estimate (the norm spelled without calls).  The step is accepted when
-    err <= 1 or h is h_min: the state, t, the inputs and values at t1 and
-    k5 become the next step's start and stage 1, and h grows by
+    Every walk has one skeleton, first-same-as-last (Hairer, Norsett &
+    Wanner, Solving ODEs I, II.4).  Stage 1 is evaluated before the loop.
+    A step writes its new state to the state of the stage after the
+    scheme's last, _s5_0.. for "rk4", and one that lands on the target
+    moves it to _x0.. and stops.  Any other evaluates that stage at t1,
+    k5; a step taken makes its state, t1, the inputs and values at t1 and
+    k5 the next step's start and stage 1.  So f is evaluated four times per
+    attempted step for "rk4" and twice for "rk2", the first stage before
+    the walk standing in for the last step's k5.  Without adaptive, h is
+    the step and every step is taken.  With adaptive, h is the floor h_min
+    and the walk's step starts there; before a step is taken its error
+    err = max_i |E_i| / (MICRO_ATOL + MICRO_RTOL * max(|x_i|, |x1_i|)) is
+    computed, E the scheme's estimate (the norm spelled without calls).
+    The step is taken when err <= 1 or h is h_min, and h then grows by
     0.9 err^(-1/4), at most 5, clamped to [h_min, _hmax].  Otherwise it is
     retried from the same start with h shrunk by 0.9 err^(-1/4), at least
-    0.2, not below h_min.  So f is evaluated four times per attempted step,
-    the first stage before the walk standing in for the last step's k5.
+    0.2, not below h_min.
 
     With exprs None, each stage calls f with its state as a list display
     and its inputs as a tuple, so a micro step builds no list but f's
@@ -476,14 +480,13 @@ def _micro_walk(
     that read only constants once.  It evaluates those that read t or an
     input but no state with the inputs, and carries those at t1 to the next
     step's stage 1: twice per micro step plus once per window.  A scheme
-    whose last stage is not at t1 evaluates them there as it carries.  Each
-    stage renames t, x{i}, u{j} and the values in the text to its own time,
-    state (_x{i}, then _s2_{i}, _s3_{i}, ...), inputs and values, and
-    evaluates those that read a state.  A derivative whose text is a bare
-    name is read in place under that name, not copied, except a stage-1
-    derivative that is a state the step updates before its own.  Every
-    local but the constants and the values that read only constants starts
-    with an underscore, which no constant or value may.
+    whose last stage is not at t1 evaluates them there for the stage after
+    its last.  Each stage renames t, x{i}, u{j} and the values in the text
+    to its own time, state (_x{i}, then _s2_{i}, _s3_{i}, ...), inputs and
+    values, and evaluates those that read a state.  A derivative whose
+    text is a bare name is read in place under that name, not copied.
+    Every local but the constants and the values that read only constants
+    starts with an underscore, which no constant or value may.
 
     A state, then an output of a declared g, evaluated at t_target with
     its inputs by `Polynomial.__call__`'s operations and its own names as
@@ -550,10 +553,7 @@ def _micro_walk(
             ]
             lines += plan.lines(_STATE, rename)
             for i, text in enumerate(renamed(e, rename) for e in exprs):
-                # the step updates _x0, _x1, ... in turn, so stage 1 copies
-                # an earlier state than its own
-                if text.isidentifier() and not (
-                        text[:2] == "_x" and int(text[2:]) < i):
+                if text.isidentifier():
                     ks[s][i] = text
                 else:
                     lines.append(f"{ks[s][i]} = {text}")
@@ -567,32 +567,25 @@ def _micro_walk(
     }
     first = stage(1)
     steps = [line for s in range(2, len(stages) + 1) for line in stage(s)]
-    new = f"_s{fsal}_" if adaptive else "_x"
+    new = f"_s{fsal}_"
     steps += [
         f"{new}{i} = " + update.format(i=i, **{f"k{s}": k[i] for s, k in ks.items()})
         for i in range(n)
     ]
-    advance = ["_t = _t1"] + (
-        [f"{now} = {then}" for then, now in carried.items()]
-        if stages[-1][0] == "_t1" else at("_t")
-    )
-    sizes = ["_half = 0.5 * _hs", *opening]
-    grid = ["_t1 = _t + _hs", "if _t1 == _t:", "    raise _stalled(_label, _hs, _t)",
-            "_tm = _t + _half"]
-    landed = "if _t_target - _t1 <= _guard:"
+    moves = [f"_x{i} = {new}{i}" for i in range(n)]
+    steps += ["if _t_target - _t1 <= _guard:", *indented(moves), "    break"]
+    steps += stage(fsal)
+    # the updated state's derivatives are the next step's first stage once
+    # the step is taken, when what stage t1 reads moves to t
+    moved = {"_t1": "_t", **carried, **{f"{new}{i}": f"_x{i}" for i in range(n)}}
+    advance = moves + ["_t = _t1"]
+    advance += [f"{now} = {then}" for then, now in carried.items()]
+    advance += [
+        f"{k1} = {k}" for k1, k in zip(ks[1], ks[fsal]) if moved.get(k, k) != k1
+    ]
     if not adaptive:
-        steps += [landed, "    break", *advance]
-        walk = ["_hs = _h", *sizes, "while True:"] + indented(
-            ["if _t_target - _t < _h:"] + indented(["_hs = _t_target - _t", *sizes])
-            + grid + first + steps
-        )
+        steps += advance
     else:
-        # the updated state's derivatives are the next step's first stage
-        # once the step is accepted, when what stage t1 reads moves to t
-        moves = [f"_x{i} = {new}{i}" for i in range(n)]
-        steps += [landed, *indented(moves), "    break"]
-        steps += stage(fsal)
-        moved = {"_t1": "_t", **carried, **{f"{new}{i}": f"_x{i}" for i in range(n)}}
         # err = max_i |E_i| / (MICRO_ATOL + MICRO_RTOL * max(|x_i|, |x1_i|)),
         # spelled without calls; a NaN never raises it, and its state fails
         # the finite check at the end
@@ -609,18 +602,18 @@ def _micro_walk(
             ]
         # the step factor 0.9 * err ** -0.25, at most 5 after an accepted
         # step and at least 0.2 before a retry
-        accept = moves + advance + [
-            f"{k1} = {k}" for k1, k in zip(ks[1], ks[fsal]) if moved.get(k, k) != k1
-        ] + [f"_h *= 0.9 * _err ** -0.25 if _err > {(0.9 / 5.0) ** 4!r} else 5.0",
-             "if _h > _hmax:", "    _h = _hmax", "elif _h < _hmin:", "    _h = _hmin"]
+        accept = advance + [
+            f"_h *= 0.9 * _err ** -0.25 if _err > {(0.9 / 5.0) ** 4!r} else 5.0",
+            "if _h > _hmax:", "    _h = _hmax", "elif _h < _hmin:", "    _h = _hmin"]
         retry = [f"_h *= 0.9 * _err ** -0.25 if _err < {(0.9 / 0.2) ** 4!r} else 0.2",
                  "if _h < _hmin:", "    _h = _hmin"]
         steps += ["if _err <= 1.0 or _h <= _hmin:", *indented(accept),
                   "else:", *indented(retry)]
-        walk = ["_hmin = _h", *first, "while True:"] + indented(
-            ["_hs = _t_target - _t", "if _hs > _h:", "    _hs = _h"]
-            + sizes + grid + steps
-        )
+    walk = ["_hmin = _h"] * adaptive + first + ["while True:"] + indented(
+        ["_hs = _t_target - _t", "if _hs > _h:", "    _hs = _h", "_half = 0.5 * _hs",
+         *opening, "_t1 = _t + _hs", "if _t1 == _t:",
+         "    raise _stalled(_label, _hs, _t)", "_tm = _t + _half"] + steps
+    )
     lines = _opening(n, degrees, {*used, *(out.inputs if out else ())})
     if plan is not None:
         lines += ["_env = _f.namespace"]
@@ -750,16 +743,11 @@ def _lag_walk(
                      lines + _closing(n, degrees, outputs, output_values))
 
 
-def micro_steps(
-    spec: SubsystemSpec, window: float, scheme: str = "rk4"
-) -> tuple[float, float, bool]:
+def micro_steps(spec: SubsystemSpec, window: float) -> tuple[float, float]:
     """step_to's micro-step floor and ceiling over a window of length
-    `window`, and whether it walks the window under error control: a
-    ceiling that cannot walk it in fewer steps than the floor's
-    MICRO_DIVISOR leaves nothing to control."""
+    `window`, for a walk under error control."""
     h_max = min(window, spec.max_micro_step or window)
-    return (min(window / MICRO_DIVISOR, h_max), h_max,
-            h_max * (MICRO_DIVISOR - 1.0) >= window and SCHEMES[scheme][3] is not None)
+    return min(window / MICRO_DIVISOR, h_max), h_max
 
 
 def step_to(
@@ -775,19 +763,18 @@ def step_to(
 
     Returns the new state and the outputs evaluated exactly at t_target.
     An input of degree above spec.max_input_degree is a ContractViolation.
-    Where spec.lags declares every state a lag and no `micro_step` is
-    given, the window is one closed-form step: `_lag_walk` compiled for the
-    lags and the common input degree (padded as below), bound in
-    `spec.kernels` under (LAG, degree, False).  It makes the checks below,
-    reads neither f nor a scheme and evaluates g as the walk does.
-    Otherwise the micro step's floor is h_min = min(W / MICRO_DIVISOR,
-    spec.max_micro_step) and its ceiling h_max = min(W, spec.max_micro_step),
-    W = t_target - t_start.  A scheme with an error estimate ("rk4") walks
-    from h_min under its error control, up to h_max, unless the ceiling
-    could not take the window in fewer than MICRO_DIVISOR steps
-    (h_max * (MICRO_DIVISOR - 1) < W); that window, any other scheme and an
-    explicit `micro_step` walk fixed steps of h_min, or of micro_step.
-    `micro_steps` states this rule.
+    A window is stepped by one of three rules.  Where spec.lags declares
+    every state a lag and no `micro_step` is given, it is one closed-form
+    step: `_lag_walk` compiled for the lags and the common input degree
+    (padded as below), bound in `spec.kernels` under (LAG, degree, False).
+    It makes the checks below, reads neither f nor a scheme and evaluates g
+    as the walk does.  Otherwise an unknown scheme is a ValueError naming
+    it.  An explicit `micro_step` walks fixed steps of micro_step, and any
+    other window walks under the scheme's error control from the floor
+    h_min = min(W / MICRO_DIVISOR, spec.max_micro_step) up to the ceiling
+    h_max = min(W, spec.max_micro_step), W = t_target - t_start
+    (`micro_steps`); a scheme with no error estimate ("rk2") there is a
+    ValueError.
 
     A walked window is walked by the kernel `_micro_walk` compiled for the
     scheme ("rk4" unless given), spec.n_states, the control and, for each
@@ -803,13 +790,13 @@ def step_to(
     one shortened to land on t_target, each input evaluated once per stage
     time (step boundaries and midpoints) as the walk goes.
     A callable f is called once per stage, four times per micro step
-    attempted for "rk4" (the fourth after the first step being the
-    estimate's stage at the step's end, which the next step starts from)
-    and twice for "rk2", with the stage's state as a list and its inputs as
-    a tuple, and every call's derivative count is checked; the kernel
-    evaluates a `Derivatives` f inline and a declared g at the end, their
-    counts checked when the spec was built, and a callable g is called
-    here.  The walk keeps no list that grows with the number of micro steps.
+    attempted for "rk4" and twice for "rk2" (one of them the stage at the
+    step's end, which the next step starts from), with the stage's state
+    as a list and its inputs as a tuple, and every call's derivative count
+    is checked; the kernel evaluates a `Derivatives` f inline and a
+    declared g at the end, their counts checked when the spec was built,
+    and a callable g is called here.  The walk keeps no list that grows
+    with the number of micro steps.
     """
     if t_target <= t_start:
         raise ValueError(
@@ -855,9 +842,17 @@ def step_to(
         h = h_max = None
         key = (LAG, degree, False)
     else:
-        h, h_max, adaptive = micro_step, micro_step, False
-        if h is None:
-            h, h_max, adaptive = micro_steps(spec, t_target - t_start, scheme)
+        if scheme not in SCHEMES:
+            raise ValueError(f"{spec.label}: unknown micro-walk scheme {scheme!r}")
+        h = h_max = micro_step
+        adaptive = h is None
+        if adaptive:
+            if SCHEMES[scheme][3] is None:
+                raise ValueError(
+                    f"{spec.label}: scheme {scheme!r} has no error estimate, "
+                    "so it walks only with an explicit micro_step"
+                )
+            h, h_max = micro_steps(spec, t_target - t_start)
         if not (isfinite(h) and h > 0):
             raise ValueError(
                 f"{spec.label}: micro step must be finite and positive, got {h!r}"

@@ -119,9 +119,8 @@ def attempts(times):
 
 def test_micro_step_rule():
     # the floor is the window over MICRO_DIVISOR, capped by the spec's own
-    # bound; the ceiling is that bound, capped by the window.  A ceiling
-    # that cannot walk the window in fewer steps than MICRO_DIVISOR leaves
-    # the fixed floor step; an explicit micro step overrides both
+    # bound; the ceiling is that bound, capped by the window.  An explicit
+    # micro step overrides both and walks fixed steps
     calls = []
 
     def f(t, x, u):
@@ -129,27 +128,25 @@ def test_micro_step_rule():
         return [-x[0]]
 
     spec = SubsystemSpec("count", 1, 0, 1, f, lambda t, x, u: [x[0]], (1.0,))
-    for bound, micro_step, steps in (
-        (1e-3, None, 1000),
-        (0.0202, None, 50),
-        (1e-3, 0.1, 10),
-    ):
+    for bound, micro_step, steps in ((1e-3, None, 1000), (1e-3, 0.1, 10)):
         calls.clear()
         step_to(replace(spec, max_micro_step=bound), spec.x_init, [], 0.0, 1.0,
                 micro_step)
         assert len(calls) == 4 * steps
     # x' = -x keeps its local error estimate below MICRO_RTOL on steps of
-    # about 0.026: 39 attempts, or the floor's 50 under a ceiling of 1/49
+    # about 0.026: 39 attempts, or 50 under a ceiling of 1/49 or of 0.0202,
+    # which the walk still grows to from the floor
     for bound, ceiling, most in ((None, 1.0, 39), (0.5, 0.5, 39),
-                                 (1.0 / 49.0, 1.0 / 49.0, 50)):
+                                 (1.0 / 49.0, 1.0 / 49.0, 50), (0.0202, 0.0202, 50)):
         calls.clear()
         step_to(replace(spec, max_micro_step=bound), spec.x_init, [], 0.0, 1.0)
         tried = attempts(calls)
         assert len(calls) == 4 * len(tried) <= 4 * most
         assert tried[-1][1] == 1.0
         # the step each attempt took, as far as t + h - t rounds it
-        assert all(1.0 / MICRO_DIVISOR - 1e-12 <= end - start <= ceiling + 1e-12
-                   for start, end in tried[:-1])
+        sizes = [end - start for start, end in tried[:-1]]
+        assert all(1.0 / MICRO_DIVISOR - 1e-12 <= hs <= ceiling + 1e-12 for hs in sizes)
+        assert max(sizes) > 1.0 / MICRO_DIVISOR + 1e-12
 
 
 @pytest.mark.parametrize("bound", [math.nan, math.inf, 0.0, -1.0])
@@ -241,6 +238,23 @@ def test_rejects_meaningless_micro_steps(micro_step, t_start, t_target, match):
     spec = make_decay()
     with pytest.raises(ValueError, match=match):
         step_to(spec, spec.x_init, [], t_start, t_target, micro_step)
+
+
+def test_a_scheme_without_an_estimate_walks_only_an_explicit_step():
+    # rk2 has no error estimate to control a step with, so a window without
+    # a micro step is refused rather than walked at the floor
+    spec = make_decay()
+    with pytest.raises(ValueError, match="decay: scheme 'rk2' has no error estimate"):
+        step_to(spec, spec.x_init, [], 0.0, 1.0, None, "rk2")
+    x, _ = step_to(spec, spec.x_init, [], 0.0, 1.0, 0.01, "rk2")
+    assert x[0] == pytest.approx(math.exp(-1.0), rel=1e-4)
+
+
+@pytest.mark.parametrize("micro_step", [None, 0.01])
+def test_an_unknown_scheme_is_refused_by_name(micro_step):
+    spec = make_decay()
+    with pytest.raises(ValueError, match="decay: unknown micro-walk scheme 'euler'"):
+        step_to(spec, spec.x_init, [], 0.0, 1.0, micro_step, "euler")
 
 
 def test_input_arity_checked():
@@ -1049,29 +1063,72 @@ def test_no_attempt_is_shorter_than_the_floor():
     assert max(steps) > 4.0 - 1e-12 and min(steps[:-1]) < 0.2 + 1e-12
 
 
-@pytest.mark.parametrize("window", [0.05, 0.1, 0.37, 0.05 - 2.0 ** -56])
+@pytest.mark.parametrize("window", [0.05, 0.1, 0.37])
 def test_a_window_whose_floor_is_its_ceiling_walks_the_fixed_step(window):
-    # floor and ceiling are both the bound, or (one ulp short of 50 bounds)
-    # the ceiling could not save a step: the walk is the fixed one, bit for
-    # bit, with no estimate
-    calls = []
+    # floor and ceiling are both the bound: the controlled walk never leaves
+    # it, so it takes the explicit fixed walk's steps, f evaluations and
+    # bits, with f and g called or declared, over inputs of uneven degrees
+    bound = 1e-3
+    u = [Polynomial(0.0, (0.5, -1.0, 0.25)), Polynomial(0.01, (2.0,))]
+    log = []
 
     def f(t, x, u):
-        calls.append(t)
+        log.append(hexes((t, *x, *u)))
+        return [x[1], -4.0 * x[0] - 0.1 * x[1] + u[0] * u[1]]
+
+    def probe(t, x0, x1, u0, u1):
+        log.append(hexes((t, x0, x1, u0, u1)))
+        return x1
+
+    declared = Derivatives(
+        ("probe(t, x0, x1, u0, u1)", "-4.0 * x0 - 0.1 * x1 + u0 * u1"),
+        (("probe", probe),),
+    )
+    h = min(window / MICRO_DIVISOR, bound)
+    assert h == bound
+    for f, g in ((f, lambda t, x, u: [x[0] + u[1]]),
+                 (declared, Derivatives(("x0 + u1",)))):
+        spec = SubsystemSpec("bounded", 2, 2, 1, f, g, (1.0, 0.0), max_micro_step=bound)
+        log.clear()
+        x, y = step_to(spec, spec.x_init, u, 0.0, window)
+        walked = list(log)
+        log.clear()
+        # a fresh spec, so its kernels hold only the fixed walk's
+        fixed = replace(spec)
+        fixed_x, fixed_y = step_to(fixed, spec.x_init, u, 0.0, window, h)
+        assert hexes(x) == hexes(fixed_x) and hexes(y) == hexes(fixed_y)
+        assert walked == log and len(walked) == 4 * round(window / h)
+        assert list(spec.kernels) == [("rk4", 2, True)]
+        assert list(fixed.kernels) == [("rk4", 2, False)]
+
+
+def test_a_window_just_short_of_50_bounds_grows_past_its_floor():
+    # 49.9 bounds: the floor, the window over MICRO_DIVISOR, is below the
+    # bound, and the walk is the controlled one, which grows from the floor
+    # to the bound after its first step
+    calls, bound, window = [], 1e-3, 0.0499
+
+    def f(t, x, u):
+        calls.append((t, tuple(x), tuple(u)))
         return [x[1], -4.0 * x[0] - 0.1 * x[1] + u[0]]
 
-    bound = 1e-3
-    spec = SubsystemSpec("bounded", 2, 1, 1, f, lambda t, x, u: [x[0]],
-                         (1.0, 0.0), max_micro_step=bound)
+    def g(t, x, u):
+        return [x[0]]
+
     u = [Polynomial(0.0, (0.5, -1.0, 0.25))]
+    spec = SubsystemSpec("bounded", 2, 1, 1, f, g, (1.0, 0.0), max_micro_step=bound)
     x, y = step_to(spec, spec.x_init, u, 0.0, window)
-    steps = len(calls) // 4
-    h = min(window / MICRO_DIVISOR, bound)
-    # a fresh spec, so spec.kernels holds only the first walk's kernel
-    fixed_x, fixed_y = step_to(replace(spec), spec.x_init, u, 0.0, window, h)
-    assert same_floats(x, fixed_x) and same_floats(y, fixed_y)
-    assert len(calls) == 2 * 4 * steps
-    assert [adaptive for *_, adaptive in spec.kernels] == [False]
+    assert list(spec.kernels) == [("rk4", 2, True)]
+    floor, ceiling = subsystem.micro_steps(spec, window)
+    assert floor == window / MICRO_DIVISOR < ceiling == bound
+    walked = list(calls)
+    calls.clear()
+    ref_x, ref_y, tried = reference_controlled_step_to(
+        f, g, 2, spec.x_init, u, 0.0, window, floor, ceiling
+    )
+    assert same_floats(x, ref_x) and same_floats(y, ref_y) and walked == calls
+    assert [hs for _, hs, _ in tried[:-1]] == [floor] + [bound] * 48
+    assert all(accepted for *_, accepted in tried)
 
 
 def test_the_controlled_walk_reads_declarations_as_a_callable_does():
@@ -1107,7 +1164,8 @@ def test_two_mass_windows_take_a_third_of_the_fixed_walks_f_evaluations(
     monkeypatch,
 ):
     # at the defaults both bounds exceed every window over MICRO_DIVISOR,
-    # so the fixed walk took 4 * MICRO_DIVISOR f evaluations per window
+    # so each window's floor is that, below its ceiling, and a fixed walk
+    # of the floor would take 4 * MICRO_DIVISOR f evaluations per window
     evals, windows = [0], []
 
     def counted(spec):
@@ -1118,7 +1176,8 @@ def test_two_mass_windows_take_a_third_of_the_fixed_walks_f_evaluations(
         return replace(spec, f=f)
 
     def walk(spec, state, inputs, t_start, t_target):
-        assert spec.max_micro_step * MICRO_DIVISOR > t_target - t_start
+        floor, ceiling = subsystem.micro_steps(spec, t_target - t_start)
+        assert floor == (t_target - t_start) / MICRO_DIVISOR < ceiling
         windows.append(t_target - t_start)
         return step_to(spec, state, inputs, t_start, t_target)
 
