@@ -23,7 +23,8 @@ Everything else is a plain field of RunConfig.  Unknown keys are rejected
 by name; so are missing required ones.  `materialize` turns a RunConfig
 into the built model plus ready-to-run master options, deriving the step
 bounds that default from the model horizon: dt_min = smallest dt0, dt_max
-= a tenth of the simulated interval.
+= a tenth of the simulated interval.  A dt_max the event budget cannot
+cover to t_end is rejected there, before any run (`MasterOptions.validate`).
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ def materialize(cfg: RunConfig) -> RunSetup:
         smoothing=cfg.smoothing,
         force_order=cfg.force_order,
     )
-    options.validate()
+    options.validate(problem)
 
     if cfg.rmse_variable is not None:
         variable = _parse_variable(cfg.rmse_variable)

@@ -115,7 +115,9 @@ MAX_EVENTS = 5_000_000
 @dataclass(frozen=True)
 class MasterOptions:
     """What a user chooses for a run.  What a subsystem can take is declared
-    on its SubsystemSpec."""
+    on its SubsystemSpec.  `validate` also refuses a dt_max that would take
+    more than MAX_EVENTS windows to reach t_end, where some subsystem has
+    outputs and no imposed step: only its windows are bounded by dt_max."""
 
     calibration: str = "extrapolation"
     error_norm: str = "damped"
@@ -123,7 +125,7 @@ class MasterOptions:
     smoothing: bool = False
     force_order: int | None = None
 
-    def validate(self) -> None:
+    def validate(self, problem: CosimProblem) -> None:
         for key, value, choices in (
             ("calibration", self.calibration, CALIBRATION_MODES),
             ("error_norm", self.error_norm, ERROR_NORMS),
@@ -135,6 +137,9 @@ class MasterOptions:
         q = self.force_order
         if q is not None and not 0 <= q <= MAX_ORDER:
             raise ConfigError(f"key 'force_order': {q!r} not in 0..{MAX_ORDER}")
+        if any(s.n_out and s.imposed_step is None for s in problem.subsystems):
+            check_event_budget("key 'dt_max'", self.tolerances.dt_max, "events",
+                               problem.t_init, problem.t_end)
 
 
 def check_horizon(t_init: float, t_end: float) -> None:
@@ -249,7 +254,9 @@ def _initial_exchange(problem: CosimProblem) -> list[tuple[float, ...]]:
     Inputs start at zero; one sweep more than there are subsystems settles
     any feed-through cascade (cyclic algebraic feed-through would need an
     implicit solve and is out of scope — the passes are still deterministic
-    in that case).
+    in that case).  An output that is not finite once the passes have
+    settled raises DivergenceError at t_init, as a window's does at its
+    start.
     """
     t0 = problem.t_init
     n = len(problem.subsystems)
@@ -262,6 +269,9 @@ def _initial_exchange(problem: CosimProblem) -> list[tuple[float, ...]]:
             y[k] = evaluate_outputs(spec, spec.x_init, u, t0)
         for slot, (l, j) in links.items():
             u_vals[slot] = y[l][j]
+    for spec, outputs in zip(problem.subsystems, y):
+        if not all(map(math.isfinite, outputs)):
+            raise DivergenceError(spec.label, t0)
     return y
 
 
@@ -324,7 +334,7 @@ class _SubRuntime(ScheduleEntry):
 def run_f3ornits(problem: CosimProblem, options: MasterOptions) -> RunTrace:
     """Asynchronous variable-step co-simulation over the full horizon."""
     problem.validate()
-    options.validate()
+    options.validate(problem)
     t_start_wall = time.perf_counter()
     t0, t_end = problem.t_init, problem.t_end
     graph = problem.graph

@@ -6,12 +6,13 @@ of the very same equations.  Every subsystem's f and g are `Derivatives`
 declarations, written with the model's parameters by field name and with
 each quantity they share, such as two_mass's coupling force, named once as
 a value, so the micro walk evaluates f inline.  `compose_monolith` closes
-the coupling on those declarations: the monolith's right-hand side is a
-declaration with no inputs, built from the subsystems' own texts, not a
-second copy of them.  `monolithic_reference` integrates it through
+the coupling on those declarations: the monolith's right-hand side and g
+are declarations with no inputs, built from the subsystems' own texts, not
+a second copy of them.  `monolithic_reference` integrates it through
 `step_to`, the co-simulation's own RK4 (or midpoint rule), at the model's
-own `reference_step`, recording every REFERENCE_RECORD_DT; `reference_gap`
-reports how far a second run at twice that step lands from it.
+own `reference_step`, recording its outputs every REFERENCE_RECORD_DT;
+`reference_gap` reports how far a second run at twice that step lands from
+it.
 
 Each subsystem also states the largest RK4 micro step its own dynamics
 allow (`SubsystemSpec.max_micro_step`), derived from the parameters it is
@@ -131,10 +132,6 @@ def piecewise_linear(
     return fn
 
 
-#: one output's value at (t, monolithic state)
-OutputReader = Callable[[float, Sequence[float]], float]
-
-
 @dataclass(frozen=True)
 class BenchmarkModel:
     """A coupled problem and its monolithic twin, sharing all parameters;
@@ -147,9 +144,9 @@ class BenchmarkModel:
         [float, list[float], Sequence[float]], list[float]
     ]
     monolith_x0: tuple[float, ...]
-    # (subsystem label, output index) -> value reconstructed from the
-    # monolithic state; this is what references and scoring use
-    output_map: dict[tuple[str, int], OutputReader]
+    # the monolith's g: every output at (t, monolithic state), in
+    # `output_keys` order; this is what references and scoring use
+    output_map: Derivatives
     # default step of `monolithic_reference`, for either scheme
     reference_step: float
 
@@ -167,17 +164,23 @@ def _mode_bound(stiffness: float, damping: float, mass: float) -> float | None:
 
 # ------------------------------------------------------------------ monolith
 
+def output_keys(problem: CosimProblem) -> list[tuple[str, int]]:
+    """Every output of the problem as (subsystem label, index), sorted."""
+    return sorted((s.label, j) for s in problem.subsystems for j in range(s.n_out))
+
+
 def compose_monolith(
     problem: CosimProblem,
-) -> tuple[Derivatives, tuple[float, ...], dict[tuple[str, int], OutputReader]]:
-    """The monolith's right-hand side, initial state and output readers:
-    the subsystems' declared f and g with the coupling closed.
+) -> tuple[Derivatives, tuple[float, ...], Derivatives]:
+    """The monolith's right-hand side, initial state and g: the subsystems'
+    declared f and g with the coupling closed.
 
     Subsystem k's states follow those of the subsystems before it, and its
     values are renamed {name}_{k}.  Its output j becomes the named value
     y{k}_{j}, and each of its inputs the name of the output that feeds it,
     so every quantity keeps its own text, and its bits.  The values are
-    ordered so that each follows those it reads.  A subsystem's lag
+    ordered so that each follows those it reads.  The g reads y{k}_{j} for
+    each output, in `output_keys` order.  A subsystem's lag
     declarations (`SubsystemSpec.lags`) are ignored: the monolith is walked
     by RK4 at the model's `reference_step`, never in closed form, so the
     reference stays an oracle independent of that step.  Raises
@@ -240,14 +243,10 @@ def compose_monolith(
     named = tuple((name, values[name]) for name in order)
     rhs = Derivatives(tuple(exprs), tuple(constants.items()), named)
     rhs.check("monolith", len(exprs), 0)
-
-    def reader(name: str) -> OutputReader:
-        # evaluates only the values this output reads
-        declared = Derivatives((name,), rhs.constants, named)
-        return lambda t, s: declared.function(t, s, ())[0]
-
+    g = Derivatives(tuple(outputs[key] for key in output_keys(problem)),
+                    rhs.constants, named)
     x0 = tuple(x for spec in problem.subsystems for x in spec.x_init)
-    return rhs, x0, {key: reader(name) for key, name in outputs.items()}
+    return rhs, x0, g
 
 
 # ------------------------------------------------------------------ two-mass
@@ -505,16 +504,17 @@ def monolithic_reference(
     """Integrate the monolithic twin tightly; results are cached per session.
 
     micro_step defaults to the model's `reference_step`.  The monolith is a
-    `SubsystemSpec` without inputs or outputs, walked by `step_to`, the
-    co-simulation's own micro-integrator, one call per record window, with
-    the scheme of `subsystem.SCHEMES` named: "rk4", or "rk2", the explicit
+    `SubsystemSpec` without inputs, g the model's `output_map`, walked by
+    `step_to`, the co-simulation's own micro-integrator, one call and one
+    row of outputs per record window, with the scheme of `subsystem.SCHEMES` named: "rk4", or "rk2", the explicit
     midpoint rule, whose second order cross-checks the recorded values
     through the same walk.  `step_to` keeps no list that grows with its step
     count, so memory does not grow with the record stride.  Record window k
     ends at t_init + min(k * stride, n_steps) * micro_step, so switch times
     and dwell edges on that grid fall on window starts.  A non-finite state
-    raises DivergenceError.  The reference walks once; its own error
-    estimate is `reference_gap`, paid only where it is read.
+    or output, the first row's included, raises DivergenceError.  The
+    reference walks once; its own error estimate is `reference_gap`, paid
+    only where it is read.
 
     record_dt must be an even multiple of micro_step, and the horizon may
     take at most master.MAX_EVENTS steps.  A horizon off the grid
@@ -532,7 +532,7 @@ def monolithic_reference(
     ts, fine = _walk(model, micro_step, record_dt, scheme, 1)
     ref = ReferenceSolution(
         t=ts,
-        series=dict(zip(sorted(model.output_map), fine)),
+        series=dict(zip(output_keys(model.problem), fine)),
         micro_step=micro_step,
         scheme=scheme,
     )
@@ -587,8 +587,8 @@ def _walk(
     model: BenchmarkModel, h: float, record_dt: float, scheme: str, m: int
 ) -> tuple[tuple[float, ...], list[tuple[float, ...]]]:
     """The record times, and the output columns there from steps of m * h,
-    in sorted output order.  Columns fill arrays of doubles, not lists of
-    float objects."""
+    in `output_keys` order.  The rows fill one array of doubles, not lists
+    of float objects."""
     t0, t_end = model.problem.t_init, model.problem.t_end
     check_horizon(t0, t_end)
     check_event_budget("key 'micro_step'", h, "steps", t0, t_end)
@@ -607,21 +607,14 @@ def _walk(
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown reference scheme {scheme!r}")
 
-    x0 = model.monolith_x0
-    rhs = model.monolith_rhs
-    spec = SubsystemSpec("monolith", len(x0), 0, 0, rhs, lambda t, x, u: (), x0)
-    getters = [model.output_map[k] for k in sorted(model.output_map)]
-    starts = range(0, n_steps, stride)
-
-    def at(i: int) -> float:
-        return t0 + i * h if i < n_steps else t_stop
-
-    x = list(x0)
-    cols = [array("d", [fn(t0, x)]) for fn in getters]
-    for i0 in starts:
-        t_rec = at(min(i0 + stride, n_steps))
-        x, _ = step_to(spec, x, (), at(i0), t_rec, m * h, scheme)
-        for col, fn in zip(cols, getters):
-            col.append(fn(t_rec, x))
-    ts = (t0,) + tuple(at(min(i + stride, n_steps)) for i in starts)
-    return ts, [tuple(c) for c in cols]
+    g, x = model.output_map, model.monolith_x0
+    spec = SubsystemSpec("monolith", len(x), 0, len(g.exprs), model.monolith_rhs, g, x)
+    y = g(t0, x, ())
+    if not all(map(math.isfinite, y)):
+        raise DivergenceError(spec.label, t0)
+    ts, rows = [t0], array("d", y)
+    for i in range(stride, n_steps + stride, stride):
+        ts.append(t0 + i * h if i < n_steps else t_stop)
+        x, y = step_to(spec, x, (), ts[-2], ts[-1], m * h, scheme)
+        rows.extend(y)
+    return tuple(ts), [tuple(rows[j::len(y)]) for j in range(len(y))]

@@ -15,8 +15,6 @@ The rows run on the CPUs in the process's affinity set, one process per CPU
 is byte-identical to a run on one CPU; `taskset -c 0` pins a run to one.
 A child sends back, in one pickled message, only the rows it completed;
 this process runs the others, so a failing row raises here, as on one CPU.
-On a shared 2-vCPU Intel Xeon host (Python 3.11.7) the full 200 s two_mass
-matrix took 3.2-3.9 s of wall time on one CPU and 1.9-2.4 s on both.
 """
 
 from __future__ import annotations

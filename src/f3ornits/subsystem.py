@@ -27,7 +27,8 @@ tuple), or a `Derivatives`: one expression per state or output, and named
 values, each evaluated only as often as what it reads can change.  The
 kernel evaluates a declared f inline, with no call and no list per stage,
 to the same bits, and reads a derivative that is a bare name in place
-rather than copying it; a declared g it evaluates at the end.
+rather than copying it; every g, declared or callable, it evaluates at
+the end (`_closing`).
 A spec that declares each of its states a first-order lag
 x{i}' = (u{j} - x{i}) / T (`Lag`: the input j and the number T) is not
 walked: `step_to` takes each window in one closed-form step (`_lag_walk`),
@@ -389,6 +390,13 @@ def _arity_error(label: str, k: Sequence[float], n: int) -> ContractViolation:
     )
 
 
+def _outputs(label: str, y: Sequence[float], n: int) -> tuple[float, ...]:
+    """A callable g's outputs y as a tuple; the one rule for their count."""
+    if len(y) != n:
+        raise ContractViolation(f"{label}: g returned {len(y)} outputs, expected {n}")
+    return tuple(y)
+
+
 def _stalled(label: str, hs: float, t: float) -> ValueError:
     return ValueError(f"{label}: micro step {hs!r} does not advance t = {t!r}")
 
@@ -416,8 +424,8 @@ SCHEMES = {
 }
 
 
-#: a compiled kernel: it returns the state, and the outputs of a declared g
-_Walk = Callable[..., tuple[list[float], tuple[float, ...] | None]]
+#: a compiled kernel: it returns the state and the outputs at t_target
+_Walk = Callable[..., tuple[list[float], tuple[float, ...]]]
 
 
 @cache
@@ -427,7 +435,7 @@ def _micro_walk(
     degrees: tuple[int, ...],
     exprs: tuple[str, ...] | None = None,
     values: tuple[tuple[str, str], ...] = (),
-    outputs: tuple[str, ...] | None = None,
+    outputs: tuple[str, ...] | int = 0,
     output_values: tuple[tuple[str, str], ...] = (),
     adaptive: bool = False,
 ) -> _Walk:
@@ -488,10 +496,10 @@ def _micro_walk(
     Every local but the constants and the values that read only constants
     starts with an underscore, which no constant or value may.
 
-    A state, then an output of a declared g, evaluated at t_target with
-    its inputs by `Polynomial.__call__`'s operations and its own names as
-    _y_{name}, that is not finite raises DivergenceError at t_start.  The
-    walk returns the state and the outputs, None without a declared g.
+    The walk closes by `_closing` with g's outputs, a declared g's
+    expressions or a callable g's count: a state, then an output at
+    t_target, that is not finite raises DivergenceError at t_start.  The
+    walk returns the state and the outputs.
     """
 
     def indented(lines: list[str]) -> list[str]:
@@ -501,7 +509,6 @@ def _micro_walk(
     fsal = len(stages) + 1  # the stage at t1 from the updated state
     plan = None if exprs is None else _plan(exprs, values)
     used = range(len(degrees)) if plan is None else plan.inputs
-    out = None if outputs is None else _plan(outputs, output_values)
 
     def at(t: str) -> list[str]:
         """The inputs and the values named per stage time at time t."""
@@ -614,7 +621,7 @@ def _micro_walk(
          *opening, "_t1 = _t + _hs", "if _t1 == _t:",
          "    raise _stalled(_label, _hs, _t)", "_tm = _t + _half"] + steps
     )
-    lines = _opening(n, degrees, {*used, *(out.inputs if out else ())})
+    lines = _opening(n, degrees)
     if plan is not None:
         lines += ["_env = _f.namespace"]
         lines += [f"{name} = _env[{name!r}]" for name in plan.constants]
@@ -639,12 +646,12 @@ def _input_at(degrees: tuple[int, ...], j: int, t: str, name: str) -> list[str]:
     return [f"_tau = {t} - _r{j}"] * (d > 0) + [f"{name} = {value}"]
 
 
-def _opening(n: int, degrees: tuple[int, ...], used: set[int]) -> list[str]:
-    """A kernel's first lines: the state into _x0.., and each input it reads
-    into its t_ref _r{j}, its coefficients _c{j}_0.. and its lead _l{j}."""
+def _opening(n: int, degrees: tuple[int, ...]) -> list[str]:
+    """A kernel's first lines: the state into _x0.., and each input into
+    its t_ref _r{j}, its coefficients _c{j}_0.. and its lead _l{j}."""
     lines = [f"[{_each('_x{0}', n)}] = _x",
              f"[{_each('_p{0}', len(degrees))}] = _inputs"]
-    for j in sorted(used):
+    for j in range(len(degrees)):
         coeffs = ", ".join(f"_c{j}_{i}" for i in range(degrees[j] + 1))
         lines += [f"_r{j}, [{coeffs}] = _p{j}", f"_l{j} = 0.0 + _c{j}_{degrees[j]}"]
     return lines
@@ -653,31 +660,39 @@ def _opening(n: int, degrees: tuple[int, ...], used: set[int]) -> list[str]:
 def _closing(
     n: int,
     degrees: tuple[int, ...],
-    outputs: tuple[str, ...] | None,
+    outputs: tuple[str, ...] | int,
     output_values: tuple[tuple[str, str], ...],
 ) -> list[str]:
-    """A kernel's last lines: the finite check of the state _x0.., then,
-    with a declared g, its outputs at _t_target and their finite check."""
+    """A kernel's last lines, the one place a window's g is evaluated: the
+    state's finite check, the outputs at _t_target and theirs.  A callable
+    g, given as its output count, is called with the state and the inputs
+    as fresh lists (`_outputs`); a declared g, given as its expressions, is
+    evaluated inline, its own names as _y_{name}."""
     lines = [
         f"_x = [{_each('_x{0}', n)}]",
         "if not all(map(_isfinite, _x)):",
         "    raise _DivergenceError(_label, _t_start)",
     ]
-    if outputs is None:
-        return lines + ["return _x, None"]
-    out = _plan(outputs, output_values)
-    own = [*out.constants, *(name for defs in out.defs for name, _ in defs)]
-    rename = {"t": "_t_target", **{name: f"_y_{name}" for name in own}}
-    rename.update((f"x{i}", f"_x{i}") for i in range(n))
-    rename.update((f"u{j}", f"_v{j}") for j in out.inputs)
-    lines += ["_env = _g.namespace"]
-    lines += [f"_y_{name} = _env[{name!r}]" for name in out.constants]
-    lines += [line for j in out.inputs
+    called = isinstance(outputs, int)
+    out = None if called else _plan(outputs, output_values)
+    read = range(len(degrees)) if called else out.inputs
+    lines += [line for j in read
               for line in _input_at(degrees, j, "_t_target", f"_v{j}")]
-    lines += [line for level in range(len(out.defs))
-              for line in out.lines(level, rename)]
+    if called:
+        inputs = _each("_v{0}", len(degrees))
+        y = f"_outputs(_label, _g(_t_target, _x[:], [{inputs}]), {outputs})"
+    else:
+        own = [*out.constants, *(name for defs in out.defs for name, _ in defs)]
+        rename = {"t": "_t_target", **{name: f"_y_{name}" for name in own}}
+        rename.update((f"x{i}", f"_x{i}") for i in range(n))
+        rename.update((f"u{j}", f"_v{j}") for j in read)
+        lines += ["_env = _g.namespace"]
+        lines += [f"_y_{name} = _env[{name!r}]" for name in out.constants]
+        lines += [line for level in range(len(out.defs))
+                  for line in out.lines(level, rename)]
+        y = f"({''.join(renamed(e, rename) + ', ' for e in outputs)})"
     return lines + [
-        f"_y = ({''.join(renamed(e, rename) + ', ' for e in outputs)})",
+        f"_y = {y}",
         "if not all(map(_isfinite, _y)):",
         "    raise _DivergenceError(_label, _t_start)",
         "return _x, _y",
@@ -688,8 +703,9 @@ def _compiled(name: str, lines: list[str]) -> _Walk:
     """The kernel `walk` whose body is lines, compiled under name."""
     args = "_f, _g, _x, _t_start, _t_target, _h, _hmax, _inputs, _label"
     source = f"def walk({args}):\n" + "".join(f"    {line}\n" for line in lines)
-    namespace = {"_arity_error": _arity_error, "_stalled": _stalled, "_exp": exp,
-                 "_isfinite": isfinite, "_DivergenceError": DivergenceError}
+    namespace = {"_arity_error": _arity_error, "_outputs": _outputs,
+                 "_stalled": _stalled, "_exp": exp, "_isfinite": isfinite,
+                 "_DivergenceError": DivergenceError}
     exec(compile(source, name, "exec"), namespace)
     return namespace["walk"]
 
@@ -699,7 +715,7 @@ def _lag_walk(
     n: int,
     degrees: tuple[int, ...],
     lags: tuple[Lag, ...],
-    outputs: tuple[str, ...] | None = None,
+    outputs: tuple[str, ...] | int = 0,
     output_values: tuple[tuple[str, str], ...] = (),
 ) -> _Walk:
     """The closed-form step of one window for n states that are each a
@@ -718,13 +734,10 @@ def _lag_walk(
     power q of T over that time where it is longer.
     The kernel takes the arguments of `_micro_walk`'s, reads neither f nor
     a micro step, and closes as they do (`_closing`): the state's finite
-    check, then a declared g at t_target.
+    check, then g at t_target, callable or declared.
     """
     factor = {tau: f"_e{k}" for k, tau in enumerate(sorted({tau for *_, tau in lags}))}
-    used = {j for _, j, _ in lags}
-    if outputs is not None:
-        used.update(_plan(outputs, output_values).inputs)
-    lines = _opening(n, degrees, used) + ["_w = _t_start - _t_target"]
+    lines = _opening(n, degrees) + ["_w = _t_start - _t_target"]
     lines += [f"{e} = _exp(_w / {tau!r})" for tau, e in factor.items()]
     for i, j, tau in sorted(lags):
         d = degrees[j]
@@ -793,10 +806,10 @@ def step_to(
     attempted for "rk4" and twice for "rk2" (one of them the stage at the
     step's end, which the next step starts from), with the stage's state
     as a list and its inputs as a tuple, and every call's derivative count
-    is checked; the kernel evaluates a `Derivatives` f inline and a
-    declared g at the end, their counts checked when the spec was built,
-    and a callable g is called here.  The walk keeps no list that grows
-    with the number of micro steps.
+    is checked; the kernel evaluates a `Derivatives` f inline, and any g
+    at t_target (`_closing`), each input there the floats of p(t_target),
+    and step_to returns what it returns.  The walk keeps no list that
+    grows with the number of micro steps.
     """
     if t_target <= t_start:
         raise ValueError(
@@ -863,7 +876,7 @@ def step_to(
     walk = spec.kernels.get(key)
     if walk is None:
         degrees = (degree,) * len(inputs)
-        outputs = (g.exprs, g.values) if isinstance(g, Derivatives) else ()
+        outputs = (g.exprs, g.values) if isinstance(g, Derivatives) else (spec.n_out,)
         if key[0] == LAG:
             walk = _lag_walk(spec.n_states, degrees, spec.lags, *outputs)
         else:
@@ -871,12 +884,7 @@ def step_to(
             walk = _micro_walk(scheme, spec.n_states, degrees, *declared, *outputs,
                                adaptive=adaptive)
         spec.kernels[key] = walk
-    x, y = walk(f, g, state, t_start, t_target, h, h_max, walked, spec.label)
-    if y is None:
-        y = evaluate_outputs(spec, x, [p(t_target) for p in inputs], t_target)
-        if not all(map(isfinite, y)):
-            raise DivergenceError(spec.label, t_start)
-    return x, y
+    return walk(f, g, state, t_start, t_target, h, h_max, walked, spec.label)
 
 
 def evaluate_outputs(
@@ -885,10 +893,5 @@ def evaluate_outputs(
     inputs_at_t: Sequence[float],
     t: float,
 ) -> tuple[float, ...]:
-    """Output map at a given time; the one place g's arity is checked."""
-    y = spec.g(t, list(state), list(inputs_at_t))
-    if len(y) != spec.n_out:
-        raise ContractViolation(
-            f"{spec.label}: g returned {len(y)} outputs, expected {spec.n_out}"
-        )
-    return tuple(y)
+    """g at time t outside any window; a window's kernel evaluates its own."""
+    return _outputs(spec.label, spec.g(t, list(state), list(inputs_at_t)), spec.n_out)

@@ -229,6 +229,26 @@ def test_materialize_bounds_an_imposed_step_by_the_event_budget():
         ))
 
 
+def test_materialize_bounds_dt_max_by_the_event_budget(monkeypatch):
+    # 5 s in windows of at most 1e-6 is exactly the budget; a finer dt_max
+    # cannot end, and compare refuses it before any row runs
+    assert 5.0 / 1e-6 == master.MAX_EVENTS
+    setup = materialize(RunConfig(model="two_mass", t_end=5.0, dt_min=1e-7,
+                                  dt_max=1e-6))
+    assert setup.options.tolerances.dt_max == 1e-6
+    with pytest.raises(ConfigError,
+                       match=r"^key 'dt_max': 9.9e-07 needs more than 5000000"):
+        materialize(RunConfig(model="two_mass", t_end=5.0, dt_min=1e-7,
+                              dt_max=0.99e-6))
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(cli, "run_comparison", no_rows)
+    assert cli.main(["compare", "--model", "two_mass", "--dt-min", "1e-7",
+                     "--dt-max", "1e-7", "--t-end", "1"]) == 1
+
+
 def test_materialize_rejects_stray_labels():
     with pytest.raises(ConfigError, match="ghost"):
         materialize(RunConfig(model="two_mass", dt0_per_label={"ghost": 0.1}))

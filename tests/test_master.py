@@ -406,6 +406,63 @@ def test_event_budget_guard(monkeypatch):
         run_f3ornits(problem, _options())
 
 
+def test_a_dt_max_over_the_event_budget_is_refused_before_any_window(monkeypatch):
+    # 5 s in windows of at most 0.05 is exactly a budget of 100; a finer
+    # dt_max cannot end, where a subsystem with outputs and no imposed
+    # step is bounded by it
+    def no_window(*args):
+        raise AssertionError("a window was walked")
+
+    monkeypatch.setattr(master, "step_to", no_window)
+    monkeypatch.setattr(master, "MAX_EVENTS", 100)
+    problem = _pair_problem(_sine_source(), _integrating_sink())
+    _options(tolerances=Tolerances(dt_min=0.01, dt_max=0.05)).validate(problem)
+    fine = _options(tolerances=Tolerances(dt_min=0.01, dt_max=0.049))
+    with pytest.raises(
+        ConfigError, match=r"^key 'dt_max': 0.049 needs more than 100 events"
+    ):
+        run_f3ornits(problem, fine)
+    # a source locked to a grid is not bounded by dt_max, nor is a sink
+    # without outputs
+    locked = dataclasses.replace(_sine_source(), imposed_step=0.5)
+    fine.validate(_pair_problem(locked, _integrating_sink()))
+
+
+def test_an_output_not_finite_at_t_init_is_a_divergence(tmp_path, capsys):
+    # the coupling force k2 * (x1 - x2) overflows at t_init; both masters
+    # refuse it there, naming its subsystem, before any sample history or
+    # polynomial takes it, and the command line exits 2
+    params = ["k2=1e11", "x1_0=1e300", "x2_0=-1e300"]
+    problem = build_two_mass(TwoMassParams(
+        k2=1e11, x1_0=1e300, x2_0=-1e300, t_end=5.0
+    )).problem
+    for run, flags in ((lambda: run_f3ornits(problem, MasterOptions()), []),
+                       (lambda: run_jacobi(problem, 0.1),
+                        ["--method", "jacobi", "--dt", "0.1"])):
+        with pytest.raises(DivergenceError) as err:
+            run()
+        assert (err.value.label, err.value.t_last_good) == ("mass_right", 0.0)
+        args = ["run", "--model", "two_mass", "--t-end", "5",
+                "--output-dir", str(tmp_path), *flags]
+        for param in params:
+            args += ["--param", param]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == "diverged: mass_right after t = 0\n"
+
+
+def test_the_initial_exchange_checks_outputs_once_its_passes_settle():
+    # the consumer's g is not finite while its input is still the first
+    # pass's zero, and finite once the source's output reaches it
+    source = _const_source(2.5)
+    consumer = SubsystemSpec(
+        "consumer", 1, 1, 1, lambda t, x, u: [0.0],
+        lambda t, x, u: [math.inf if u[0] == 0.0 else u[0]], (0.0,), dt0=0.5,
+    )
+    problem = CosimProblem((source, consumer), CouplingGraph({(1, 0): (0, 0)}),
+                           0.0, 1.0)
+    assert master._initial_exchange(problem) == [(2.5,), (2.5,)]
+
+
 def test_times_strictly_increase_per_subsystem():
     trace = run_f3ornits(
         _two_mass_from(0.05),

@@ -23,6 +23,7 @@ from f3ornits.models import (
     compose_monolith,
     dwell_noise,
     monolithic_reference,
+    output_keys,
     piecewise_linear,
     reference_gap,
 )
@@ -198,9 +199,9 @@ def test_two_mass_switch_kinks_the_coupling_force():
     p = model.params
     coarse = _rk4(model.monolith_rhs, model.monolith_x0, 0.0, 99.0, 1e-3)
     fine = _rk4(model.monolith_rhs, coarse[-1][1], 99.0, 101.0, 1e-4)
-    fc = model.output_map[("mass_right", 0)]
+    fc = output_keys(model.problem).index(("mass_right", 0))
     t = [ti for ti, _ in fine]
-    f = [fc(ti, s) for ti, s in fine]
+    f = [model.output_map(ti, s, ())[fc] for ti, s in fine]
 
     def slope_jump(t_at, delta=0.01):
         i = min(range(len(t)), key=lambda k: abs(t[k] - t_at))
@@ -367,11 +368,13 @@ def _closed_loop(problem):
 )
 def test_composed_chain_is_the_hand_closed_loop_bit_for_bit(t, s):
     problem = _chain()
-    rhs, x0, readers = compose_monolith(problem)
+    rhs, x0, g = compose_monolith(problem)
     assert x0 == (1.0, 0.0, 0.5, -0.25)
     derivatives, outputs = _closed_loop(problem)(t, s)
     assert [v.hex() for v in rhs(t, s, ())] == [v.hex() for v in derivatives]
-    assert {key: fn(t, s).hex() for key, fn in readers.items()} == {
+    ys = g(t, s, ())
+    assert len(ys) == len(outputs)
+    assert {key: y.hex() for key, y in zip(output_keys(problem), ys)} == {
         key: y.hex() for key, y in outputs.items()
     }
 
@@ -549,9 +552,9 @@ def test_reference_matches_the_test_local_rk4_across_the_switch():
     ref = monolithic_reference(model, micro_step=1e-3, record_dt=0.1)
     path = _rk4(model.monolith_rhs, model.monolith_x0, 0.0, 120.0, 1e-3)[::100]
     assert ref.t == tuple(t for t, _ in path)
-    for key, series in ref.series.items():
-        fn = model.output_map[key]
-        worst = max(abs(v - fn(t, s)) for v, (t, s) in zip(series, path))
+    rows = [model.output_map(t, s, ()) for t, s in path]
+    for k, key in enumerate(output_keys(model.problem)):
+        worst = max(abs(v - row[k]) for v, row in zip(ref.series[key], rows))
         assert worst <= 1e-11
 
 
@@ -560,10 +563,23 @@ def test_reference_matches_the_test_local_midpoint_across_the_switch():
     ref = monolithic_reference(model, micro_step=1e-3, record_dt=0.1, scheme="rk2")
     path = _midpoint(model.monolith_rhs, model.monolith_x0, 0.0, 120.0, 1e-3)[::100]
     assert ref.t == tuple(t for t, _ in path)
-    for key, series in ref.series.items():
-        fn = model.output_map[key]
-        worst = max(abs(v - fn(t, s)) for v, (t, s) in zip(series, path))
+    rows = [model.output_map(t, s, ()) for t, s in path]
+    for k, key in enumerate(output_keys(model.problem)):
+        worst = max(abs(v - row[k]) for v, row in zip(ref.series[key], rows))
         assert worst <= 1e-11
+
+
+def test_a_reference_output_not_finite_at_t_init_is_a_divergence():
+    # the first row is checked as every window's end is, before any window
+    plain = build_two_mass(TwoMassParams(k2=1e11, x1_0=1e300, x2_0=-1e300))
+
+    def no_window(t, x, u):
+        raise AssertionError("a window was walked")
+
+    model = dataclasses.replace(plain, monolith_rhs=no_window)
+    with pytest.raises(DivergenceError) as err:
+        monolithic_reference(model)
+    assert (err.value.label, err.value.t_last_good) == ("monolith", 0.0)
 
 
 def test_reference_blow_up_is_a_divergence():

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from f3ornits import master, subsystem
 from f3ornits.errors import ConfigError, ContractViolation, DivergenceError
+from f3ornits.coupling import CouplingGraph
 from f3ornits.poly import Polynomial
-from f3ornits.master import _SubRuntime
+from f3ornits.master import CosimProblem, _SubRuntime
 from f3ornits.models import CarParams, TwoMassParams, build_car, build_two_mass
 from f3ornits.subsystem import (
     MICRO_ATOL, MICRO_DIVISOR, MICRO_RTOL, SCHEMES, Derivatives, SubsystemSpec,
@@ -641,6 +642,57 @@ def test_output_arity_checked():
         step_to(spec, spec.x_init, [], 0.0, 1.0)
 
 
+def callable_g_spec(window, g):
+    """A spec with one state, one input and two outputs whose g is the
+    callable g, walked with a callable f, with a declared f, or, for
+    window "lag", stepped in closed form."""
+    f = (Derivatives(("u0 - x0",)) if window == "declared f"
+         else lambda t, x, u: [u[0] - x[0]])
+    lags = (subsystem.Lag(0, 0, 1.0),) if window == "lag" else ()
+    return SubsystemSpec("bad_g", 1, 1, 2, f, g, (0.5,), lags=lags, dt0=0.1)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("window", ["callable f", "declared f", "lag",
+                                    "initial exchange"])
+def test_a_callable_g_of_the_wrong_count_is_refused_by_name(window, count):
+    # a window's kernel calls a callable g once, at the window's end, and
+    # the initial exchange calls it once per pass: both refuse an output
+    # count other than the spec's by the one rule, naming both counts
+    spec = callable_g_spec(window, lambda t, x, u: [x[0]] * count)
+    with pytest.raises(ContractViolation,
+                       match=f"^bad_g: g returned {count} outputs, expected 2$"):
+        if window == "initial exchange":
+            source = SubsystemSpec("source", 1, 0, 1, lambda t, x, u: [0.0],
+                                   lambda t, x, u: [1.0], (0.0,), dt0=0.1)
+            master._initial_exchange(CosimProblem(
+                (source, spec), CouplingGraph({(1, 0): (0, 0)}), 0.0, 1.0
+            ))
+        else:
+            step_to(spec, spec.x_init, [Polynomial(0.0, (1.0, 2.0))], 0.0, 1.0)
+
+
+@pytest.mark.parametrize("window", ["callable f", "declared f", "lag"])
+def test_a_callable_g_that_changes_its_lists_leaves_the_state(window):
+    # the kernel hands a callable g the state and the inputs as fresh
+    # lists: what g writes into them does not reach the state step_to
+    # returns
+    def vandal(t, x, u):
+        y = [x[0] + u[0], t]
+        x[0] = u[0] = math.nan
+        x.append(1.0)
+        return y
+
+    u = [Polynomial(0.0, (1.0, 2.0))]
+    plain = callable_g_spec(window, lambda t, x, u: [x[0] + u[0], t])
+    spec = callable_g_spec(window, vandal)
+    x, y = step_to(spec, spec.x_init, u, 0.0, 1.0)
+    assert (hexes(x), hexes(y)) == tuple(
+        map(hexes, step_to(plain, plain.x_init, u, 0.0, 1.0))
+    )
+    assert len(x) == 1 and math.isfinite(x[0])
+
+
 @pytest.mark.parametrize("derivatives", [[0.0], [0.0, 0.0, 0.0]])
 def test_state_derivative_arity_checked(derivatives):
     # every stage is checked, not only k1: too few derivatives at a later
@@ -1200,9 +1252,10 @@ def test_two_mass_windows_take_a_third_of_the_fixed_walks_f_evaluations(
     window=st.floats(0.05, 2.0),
     declared=st.booleans(),
     adaptive=st.booleans(),
+    callable_g=st.booleans(),
 )
 def test_a_padded_window_walks_as_the_kernel_of_its_exact_degrees(
-    coeffs, lags, t_start, window, declared, adaptive
+    coeffs, lags, t_start, window, declared, adaptive, callable_g
 ):
     # step_to walks a window with the kernel of its inputs' highest degree,
     # each lower degree led by 0.0 coefficients and its own lead written
@@ -1210,7 +1263,8 @@ def test_a_padded_window_walks_as_the_kernel_of_its_exact_degrees(
     # lag) has tau < 0 at the start.  With tau finite each padded step
     # (+0.0) * tau + 0.0 is +0.0, so every stage's inputs, state and
     # outputs are the floats of the kernel compiled for the exact degrees,
-    # zero signs included, for tau of either sign
+    # zero signs included, for tau of either sign.  A callable g, called
+    # once per kernel, gets the inputs at t_target as p(t_target) gives them
     m = len(coeffs)
     inputs = [Polynomial(t_start - lag, c) for c, lag in zip(coeffs, lags)]
     degrees = tuple(len(c) - 1 for c in coeffs)
@@ -1218,7 +1272,13 @@ def test_a_padded_window_walks_as_the_kernel_of_its_exact_degrees(
     window = t_target - t_start  # as step_to sees it
     exprs = (f"u0 * x1 - 0.5 * x0 + u{m - 1}", f"t * u{m - 1} - x1")
     outputs = ("x0", "x1", *(f"u{j}" for j in range(m)))
-    g = Derivatives(outputs)
+    seen = []
+
+    def plain_g(t, x, u):
+        seen.append(hexes(u))
+        return [x[0], x[1], *u]
+
+    g = plain_g if callable_g else Derivatives(outputs)
 
     def dynamics(log):
         def f(t, x, u):
@@ -1228,7 +1288,7 @@ def test_a_padded_window_walks_as_the_kernel_of_its_exact_degrees(
         return Derivatives(exprs) if declared else f
 
     exact = _micro_walk("rk4", 2, degrees, exprs if declared else None, (),
-                        outputs, (), adaptive=adaptive)
+                        2 + m if callable_g else outputs, (), adaptive=adaptive)
     h = window / MICRO_DIVISOR if adaptive else window / 8.0
     log, exact_log = [], []
     x, y = exact(dynamics(exact_log), g, [0.25, -0.0], t_start, t_target,
@@ -1240,6 +1300,7 @@ def test_a_padded_window_walks_as_the_kernel_of_its_exact_degrees(
     assert hexes(padded_x) == hexes(x)
     assert hexes(padded_y) == hexes(y)
     assert log == exact_log
+    assert seen == [hexes(p(t_target) for p in inputs)] * (2 * callable_g)
 
 
 @pytest.mark.parametrize("end", ["start", "target"])
@@ -1350,7 +1411,7 @@ def test_sources_and_generated_kernels_parse_on_the_python_floor(monkeypatch):
              for declared in (False, True)
              if not adaptive or SCHEMES[scheme][3] is not None]
     for scheme, adaptive, declared in kinds:
-        args = (f.exprs, f.values, g.exprs, g.values) if declared else (None, ())
+        args = (f.exprs, f.values, g.exprs, g.values) if declared else (None, (), 1)
         subsystem._micro_walk.__wrapped__(scheme, 2, (2, 0), *args,
                                           adaptive=adaptive)
     subsystem._lag_walk.__wrapped__(2, (2, 0), ((0, 1, 0.5), (1, 0, 2.0)),
